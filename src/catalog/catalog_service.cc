@@ -326,9 +326,11 @@ Status CatalogService::EnsureResidentLocked(Tenant* tenant) {
   }
 
   tenant->resident = true;
-  tenant->approx_bytes = ApproxTenantBytes(
-      static_cast<size_t>(tenant->licenses->size()),
-      tenant->service->CollectLog().size());
+  tenant->table_bytes = tenant->service->dense_table_bytes();
+  tenant->approx_bytes =
+      ApproxTenantBytes(static_cast<size_t>(tenant->licenses->size()),
+                        tenant->service->CollectLog().size()) +
+      tenant->table_bytes;
   LruShard& shard = ShardFor(tenant->tenant_id);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -339,6 +341,18 @@ Status CatalogService::EnsureResidentLocked(Tenant* tenant) {
                                  std::memory_order_relaxed);
   resident_tenants_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
+}
+
+void CatalogService::ChargeTablesLocked(Tenant* tenant) {
+  const size_t now = tenant->service->dense_table_bytes();
+  std::atomic<size_t>& resident = ShardFor(tenant->tenant_id).resident_bytes;
+  if (now >= tenant->table_bytes) {
+    resident.fetch_add(now - tenant->table_bytes, std::memory_order_relaxed);
+  } else {
+    resident.fetch_sub(tenant->table_bytes - now, std::memory_order_relaxed);
+  }
+  tenant->approx_bytes = tenant->approx_bytes - tenant->table_bytes + now;
+  tenant->table_bytes = now;
 }
 
 Result<std::string> CatalogService::EncodeSpillLocked(
@@ -398,6 +412,7 @@ Status CatalogService::SpillLocked(Tenant* tenant, bool evicting) {
   shard.resident_bytes.fetch_sub(tenant->approx_bytes,
                                  std::memory_order_relaxed);
   tenant->approx_bytes = 0;
+  tenant->table_bytes = 0;
   resident_tenants_.fetch_sub(1, std::memory_order_relaxed);
   spills_.fetch_add(1, std::memory_order_relaxed);
   if (evicting) {
@@ -555,6 +570,7 @@ Result<int> CatalogService::AcquireLicense(uint64_t tenant_id,
     tenant->approx_bytes += kLicenseBytes;
     ShardFor(tenant_id).resident_bytes.fetch_add(kLicenseBytes,
                                                  std::memory_order_relaxed);
+    ChargeTablesLocked(tenant.get());
     return index;
   }();
   MaybeEvict(ShardFor(tenant_id));
@@ -572,7 +588,9 @@ Status CatalogService::RevokeLicenseById(uint64_t tenant_id,
     frame.op = TenantOpKind::kRevoke;
     frame.revoke_id = id;
     GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant.get(), &frame));
-    return tenant->service->RevokeLicenseById(id);
+    GEOLIC_RETURN_IF_ERROR(tenant->service->RevokeLicenseById(id));
+    ChargeTablesLocked(tenant.get());
+    return Status::Ok();
   }();
   MaybeEvict(ShardFor(tenant_id));
   return result;
@@ -590,7 +608,10 @@ Result<int> CatalogService::ExpireDimensionBelow(uint64_t tenant_id, int dim,
     frame.expire_dim = dim;
     frame.expire_cutoff = cutoff;
     GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant.get(), &frame));
-    return tenant->service->ExpireDimensionBelow(dim, cutoff);
+    GEOLIC_ASSIGN_OR_RETURN(int removed,
+                            tenant->service->ExpireDimensionBelow(dim, cutoff));
+    ChargeTablesLocked(tenant.get());
+    return removed;
   }();
   MaybeEvict(ShardFor(tenant_id));
   return result;

@@ -69,7 +69,8 @@ struct CatalogOptions {
   std::string dir;
 
   // Resident-tenant memory budget (approximate accounting: a fixed base
-  // per tenant + per-license + per-record costs). Split evenly across the
+  // per tenant + per-license + per-record costs + the service's dense
+  // equation tables). Split evenly across the
   // LRU shards; each shard always keeps at least its most recent tenant
   // resident, so the effective floor is `lru_shards` tenants.
   size_t memory_budget_bytes = 64ull << 20;
@@ -229,6 +230,9 @@ class CatalogService {
     // Last journaled per-tenant op sequence (0 = none yet).
     uint64_t tenant_seq = 0;
     size_t approx_bytes = 0;
+    // The part of approx_bytes charged for the service's dense equation
+    // tables (IssuanceService::dense_table_bytes at the last charge).
+    size_t table_bytes = 0;
   };
 
   struct LruShard {
@@ -268,6 +272,11 @@ class CatalogService {
   // Makes `tenant` resident (spill reload or first-touch compile) and
   // registers it with its LRU shard. Caller holds tenant->mutex.
   Status EnsureResidentLocked(Tenant* tenant);
+
+  // Re-charges a resident tenant's dense equation tables after a
+  // reconfiguration, which resizes them when groups merge or split.
+  // Caller holds tenant->mutex.
+  void ChargeTablesLocked(Tenant* tenant);
 
   // Builds the tenant's in-memory state from a spill payload. Caller holds
   // tenant->mutex.

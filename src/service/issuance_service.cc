@@ -1,6 +1,8 @@
 #include "service/issuance_service.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -9,6 +11,7 @@
 #include "util/check.h"
 #include "util/request_arena.h"
 #include "util/stopwatch.h"
+#include "validation/validate.h"
 
 namespace geolic {
 namespace {
@@ -19,6 +22,20 @@ inline void SimYield(const OnlineValidatorOptions& options,
                      const char* point) {
   if (options.sim_hooks != nullptr) {
     options.sim_hooks->Yield(point);
+  }
+}
+
+// table[T] += count for every local mask T with local ⊆ T ⊆ full, in
+// ascending order: `sub` walks the subsets of the free bits
+// ((sub − free) & free).
+void AddToSupersets(int64_t* table, uint32_t local, uint32_t full,
+                    int64_t count) {
+  const uint32_t free = full & ~local;
+  for (uint32_t sub = 0;; sub = (sub - free) & free) {
+    table[local | sub] += count;
+    if (sub == free) {
+      return;
+    }
   }
 }
 
@@ -229,13 +246,73 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
   }
   // Precompute every equation scope once: RouteSet hands out references
   // into these, so the per-request path never copies a LicenseSet.
+  const LicenseGrouping& groups = epoch->grouping;
   epoch->all_mask = catalog->AllMask();
-  epoch->group_scopes.reserve(
-      static_cast<size_t>(epoch->grouping.group_count()));
-  for (int g = 0; g < epoch->grouping.group_count(); ++g) {
-    epoch->group_scopes.push_back(epoch->grouping.GroupMask(g));
+  if (options.use_grouping) {
+    epoch->scopes.reserve(static_cast<size_t>(groups.group_count()));
+    for (int g = 0; g < groups.group_count(); ++g) {
+      epoch->scopes.push_back({groups.GroupMask(g), g, groups.GroupSize(g)});
+    }
+  } else {
+    epoch->scopes.push_back({epoch->all_mask, -1, catalog->size()});
+  }
+  size_t table_entries = 0;
+  for (const EquationScope& scope : epoch->scopes) {
+    if (scope.size <= kMaxDenseGroupSize) {
+      table_entries += 2 * scope.entries();  // A and C.
+    }
+  }
+  epoch->dense_tables = std::make_unique<int64_t[]>(table_entries);
+  epoch->dense_table_bytes = table_entries * sizeof(int64_t);
+  int64_t* next_table = epoch->dense_tables.get();
+  for (EquationScope& scope : epoch->scopes) {
+    if (scope.size > kMaxDenseGroupSize) {
+      continue;
+    }
+    const size_t entries = scope.entries();
+    std::array<int64_t, kMaxDenseGroupSize> aggregates{};
+    for (int p = 0; p < scope.size; ++p) {
+      aggregates[static_cast<size_t>(p)] =
+          catalog->at(epoch->Member(scope, p)).aggregate_count();
+    }
+    FillAggregateTable(
+        std::span<const int64_t>(aggregates.data(),
+                                 static_cast<size_t>(scope.size)),
+        std::span<int64_t>(next_table, entries));
+    scope.aggregates = next_table;
+    scope.sums = next_table + entries;  // C = 0 until records arrive.
+    next_table += 2 * entries;
   }
   return epoch;
+}
+
+uint32_t IssuanceService::CatalogEpoch::LocalMask(
+    const EquationScope& scope, const LicenseSet& set) const {
+  if (scope.group < 0) {
+    return static_cast<uint32_t>(set.Word(0));
+  }
+  uint32_t local = 0;
+  for (int i : set.Indexes()) {
+    local |= uint32_t{1} << grouping.PositionOf(i);
+  }
+  return local;
+}
+
+LicenseSet IssuanceService::CatalogEpoch::WithLocal(const EquationScope& scope,
+                                                    LicenseSet s,
+                                                    uint32_t local) const {
+  for (; local != 0; local &= local - 1) {
+    s.Add(Member(scope, std::countr_zero(local)));
+  }
+  return s;
+}
+
+void IssuanceService::FinishEpochTables(const CatalogEpoch& epoch) {
+  for (const EquationScope& scope : epoch.scopes) {
+    if (scope.dense()) {
+      ZetaTransform(std::span<int64_t>(scope.sums, scope.entries()));
+    }
+  }
 }
 
 Result<std::unique_ptr<IssuanceService>> IssuanceService::Create(
@@ -268,6 +345,7 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
     GEOLIC_RETURN_IF_ERROR(service->ApplyRecordToEpoch(epoch0.get(), record));
     service->issue_sequence_.fetch_add(1, std::memory_order_relaxed);
   }
+  FinishEpochTables(*epoch0);
   return service;
 }
 
@@ -278,59 +356,88 @@ Status IssuanceService::ApplyRecordToEpoch(CatalogEpoch* epoch,
         "history record references unknown license indexes");
   }
   size_t shard_index = 0;
-  const LicenseSet& scope = RouteSet(*epoch, record.set, &shard_index);
-  if (!record.set.IsSubsetOf(scope)) {
+  const EquationScope& scope = RouteSet(*epoch, record.set, &shard_index);
+  if (!record.set.IsSubsetOf(scope.mask)) {
     // Satisfying sets always lie within one overlap group (every member
     // contains the issued rectangle, so they pairwise overlap); a record
     // spanning groups cannot have come from a valid issuance.
     return Status::InvalidArgument("history record spans overlap groups");
   }
   Shard* shard = epoch->shards[shard_index].get();
-  GEOLIC_RETURN_IF_ERROR(shard->tree.Insert(record.set, record.count));
+  // The append validates the record (non-empty set, positive count).
   GEOLIC_RETURN_IF_ERROR(shard->log.Append(record));
-  return Status::Ok();
+  if (scope.dense()) {
+    // The exact histogram C[S]; FinishEpochTables makes it C⟨T⟩.
+    scope.sums[epoch->LocalMask(scope, record.set)] += record.count;
+    return Status::Ok();
+  }
+  return shard->tree.Insert(record.set, record.count);
 }
 
-const LicenseSet& IssuanceService::RouteSet(const CatalogEpoch& epoch,
-                                            const LicenseSet& s,
-                                            size_t* shard) const {
+const IssuanceService::EquationScope& IssuanceService::RouteSet(
+    const CatalogEpoch& epoch, const LicenseSet& s, size_t* shard) const {
   if (options_.use_grouping) {
     const int group = epoch.grouping.GroupOf(s.Lowest());
     *shard = static_cast<size_t>(group) % epoch.shards.size();
-    return epoch.group_scopes[static_cast<size_t>(group)];
+    return epoch.scopes[static_cast<size_t>(group)];
   }
   *shard = 0;
-  return epoch.all_mask;
+  return epoch.scopes[0];
 }
 
 Status IssuanceService::AdmitLocked(const CatalogEpoch& epoch, Shard* shard,
                                     const License& issued,
-                                    const LicenseSet& scope,
+                                    const EquationScope& scope,
                                     OnlineDecision* decision,
                                     RequestTrace* trace) {
-  const LicenseSet s = decision->satisfying_set;
+  const LicenseSet& s = decision->satisfying_set;
   const int64_t count = issued.aggregate_count();
-  GEOLIC_DCHECK((s).IsSubsetOf(scope));
+  GEOLIC_DCHECK(s.IsSubsetOf(scope.mask));
 
-  // Check every equation T with S ⊆ T ⊆ scope: its LHS gains `count`.
+  // Check every equation T with S ⊆ T ⊆ scope, in ascending order: its LHS
+  // gains `count`. The final T is the whole scope — where the planted bug
+  // for the simulation harness's mutation smoke mode stops early, so an
+  // issuance that only that equation would reject slips through.
   decision->aggregate_valid = true;
+  const uint32_t local = scope.dense() ? epoch.LocalMask(scope, s) : 0;
+  const uint32_t free = scope.dense() ? scope.full_local() & ~local : 0;
   {
     ScopedStageTimer stage(trace, TraceStage::kEquationScan);
-    for (AscendingSubsetIterator it(scope - s); !it.Done(); it.Next()) {
-      if (it.AtLast() && options_.sim_skip_last_equation) {
-        // Planted bug for the simulation harness's mutation smoke mode:
-        // the full-scope equation T = scope goes unchecked, so an
-        // issuance that only that equation would reject slips through.
-        break;
+    if (scope.dense()) {
+      // Supersets of S as local masks: `sub` walks the subsets of the
+      // free bits in ascending order ((sub − free) & free).
+      for (uint32_t sub = 0;; sub = (sub - free) & free) {
+        if (sub == free && options_.sim_skip_last_equation) {
+          break;
+        }
+        const int64_t cv = scope.sums[local | sub] + count;
+        const int64_t av = scope.aggregates[local | sub];
+        ++decision->equations_checked;
+        if (cv > av) {
+          decision->aggregate_valid = false;
+          decision->limiting =
+              EquationResult{epoch.WithLocal(scope, s, sub), cv, av};
+          return Status::Ok();
+        }
+        if (sub == free) {
+          break;
+        }
       }
-      const LicenseSet t = s | it.subset();
-      const int64_t cv = shard->tree.SumSubsets(t) + count;
-      const int64_t av = epoch.catalog->AggregateSum(t);
-      ++decision->equations_checked;
-      if (cv > av) {
-        decision->aggregate_valid = false;
-        decision->limiting = EquationResult{t, cv, av};
-        return Status::Ok();
+    } else {
+      for (AscendingSubsetIterator it(scope.mask - s); !it.Done();
+           it.Next()) {
+        if (it.AtLast() && options_.sim_skip_last_equation) {
+          break;
+        }
+        const LicenseSet t = s | it.subset();
+        const int64_t cv = shard->tree.SumSubsets(t) + count;
+        const int64_t av = epoch.catalog->AggregateSum(t);
+        ++decision->equations_checked;
+        if (cv > av) {
+          decision->aggregate_valid = false;
+          decision->limiting = EquationResult{t, cv, av};
+          return Status::Ok();
+        }
       }
     }
   }
@@ -353,7 +460,11 @@ Status IssuanceService::AdmitLocked(const CatalogEpoch& epoch, Shard* shard,
     GEOLIC_RETURN_IF_ERROR(journal_->Append(journal_seq_ + 1, record));
     ++journal_seq_;
   }
-  GEOLIC_RETURN_IF_ERROR(shard->tree.Insert(s, count));
+  if (scope.dense()) {
+    AddToSupersets(scope.sums, local, scope.full_local(), count);
+  } else {
+    GEOLIC_RETURN_IF_ERROR(shard->tree.Insert(s, count));
+  }
   GEOLIC_RETURN_IF_ERROR(shard->log.Append(std::move(record)));
   return Status::Ok();
 }
@@ -387,8 +498,8 @@ Result<OnlineDecision> IssuanceService::TryIssue(const License& issued) {
     SimYield(options_, "instance_checked");
 
     size_t shard_index = 0;
-    const LicenseSet& scope = RouteSet(*epoch, decision.satisfying_set,
-                                       &shard_index);
+    const EquationScope& scope = RouteSet(*epoch, decision.satisfying_set,
+                                          &shard_index);
     Shard* shard = epoch->shards[shard_index].get();
     SimYield(options_, "pre_shard_lock");
     std::unique_lock<std::mutex> lock(shard->mutex, std::defer_lock);
@@ -537,7 +648,7 @@ Status IssuanceService::TryIssueBatch(std::span<const License* const> batch,
         const Pending& p = pending[at];
         RequestTrace trace(options_.tracer);
         size_t routed_shard = 0;
-        const LicenseSet& scope =
+        const EquationScope& scope =
             RouteSet(*epoch, decisions[p.index].satisfying_set, &routed_shard);
         const Status admitted = AdmitLocked(*epoch, shard, *batch[p.index],
                                             scope, &decisions[p.index],
@@ -661,6 +772,7 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
       GEOLIC_RETURN_IF_ERROR(ApplyRecordToEpoch(next.get(), record));
     }
   }
+  FinishEpochTables(*next);
   if (has_journal_.load(std::memory_order_acquire)) {
     // Write-ahead: the reconfiguration frame reaches the journal before
     // the new epoch publishes; a journal failure aborts the whole
@@ -779,6 +891,10 @@ int IssuanceService::shard_count() const {
   return static_cast<int>(Pin()->shards.size());
 }
 
+size_t IssuanceService::dense_table_bytes() const {
+  return Pin()->dense_table_bytes;
+}
+
 void IssuanceService::ReserveLogCapacity(size_t records_per_shard) {
   const std::shared_ptr<const CatalogEpoch> epoch = Pin();
   for (const std::unique_ptr<Shard>& shard : epoch->shards) {
@@ -807,13 +923,9 @@ Result<ValidationTree> IssuanceService::CollectTree() const {
   ValidationTree merged;
   for (const std::unique_ptr<Shard>& shard : epoch->shards) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    Status status = Status::Ok();
-    shard->tree.ForEachSet([&](LicenseSet set, int64_t count) {
-      if (status.ok()) {
-        status = merged.Insert(set, count);
-      }
-    });
-    GEOLIC_RETURN_IF_ERROR(status);
+    for (const LogRecord& record : shard->log.records()) {
+      GEOLIC_RETURN_IF_ERROR(merged.Insert(record.set, record.count));
+    }
   }
   return merged;
 }
@@ -923,6 +1035,69 @@ Status IssuanceService::WriteCheckpoint(const std::string& path) const {
     return WriteCheckpointFile(CheckpointKind::kServiceSnapshot, body.str(),
                                path);
   }
+}
+
+Status IssuanceService::CheckAgainstReplay(
+    const ValidationTree& serial) const {
+  const std::shared_ptr<const CatalogEpoch> epoch = Pin();
+  // Route the replay's sets as admissions would: an above-cap set into the
+  // tree its shard should hold, a dense-scope set along its supersets into
+  // the C⟨T⟩ table its scope should hold. The local mask comes from the
+  // scope's members rather than LocalMask, and no zeta transform runs, so
+  // the expectation shares no code with how recovery built the tables.
+  std::vector<ValidationTree> expected_trees(epoch->shards.size());
+  std::vector<std::vector<int64_t>> expected_sums(epoch->scopes.size());
+  for (size_t g = 0; g < epoch->scopes.size(); ++g) {
+    if (epoch->scopes[g].dense()) {
+      expected_sums[g].resize(epoch->scopes[g].entries());
+    }
+  }
+  Status status = Status::Ok();
+  serial.ForEachSet([&](const LicenseSet& set, int64_t count) {
+    size_t shard = 0;
+    const EquationScope& scope = RouteSet(*epoch, set, &shard);
+    if (!status.ok()) {
+      return;
+    }
+    if (!scope.dense()) {
+      status = expected_trees[shard].Insert(set, count);
+      return;
+    }
+    uint32_t local = 0;
+    for (int p = 0; p < scope.size; ++p) {
+      if (set.Contains(epoch->Member(scope, p))) {
+        local |= uint32_t{1} << p;
+      }
+    }
+    AddToSupersets(
+        expected_sums[static_cast<size_t>(&scope - epoch->scopes.data())]
+            .data(),
+        local, scope.full_local(), count);
+  });
+  GEOLIC_RETURN_IF_ERROR(status);
+  for (size_t s = 0; s < epoch->shards.size(); ++s) {
+    Shard* shard = epoch->shards[s].get();
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    if (shard->tree.ToString() != expected_trees[s].ToString() ||
+        shard->tree.TotalCount() != expected_trees[s].TotalCount()) {
+      return Status::Internal(
+          "recovered shard tree diverges from a serial replay");
+    }
+  }
+  for (size_t g = 0; g < epoch->scopes.size(); ++g) {
+    const EquationScope& scope = epoch->scopes[g];
+    if (!scope.dense()) {
+      continue;
+    }
+    std::lock_guard<std::mutex> lock(
+        epoch->shards[g % epoch->shards.size()]->mutex);
+    if (!std::equal(expected_sums[g].begin(), expected_sums[g].end(),
+                    scope.sums)) {
+      return Status::Internal(
+          "recovered equation table diverges from a serial replay");
+    }
+  }
+  return Status::Ok();
 }
 
 Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
@@ -1089,6 +1264,7 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
     return Status::Internal(
         "recovered state diverges from a serial replay of the records");
   }
+  GEOLIC_RETURN_IF_ERROR(service->CheckAgainstReplay(serial));
   if (stats != nullptr) {
     *stats = local;
   }

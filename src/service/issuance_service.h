@@ -25,6 +25,17 @@
 
 namespace geolic {
 
+// Largest equation scope (an overlap group, or the whole catalog without
+// grouping) whose admission equations IssuanceService answers from dense
+// tables: two 2^N-entry int64 tables, 64 KiB at the cap. Larger scopes
+// fall back to the shard's pointer validation tree. The cap is the largest
+// N at which building the tables (at Create, every reconfiguration and
+// Recover) costs no more time or memory than the tree, even for a short
+// history: at N = 13 a reconfiguration over 64 records is already 1.4×
+// slower (EXPERIMENTS.md, "Dense table cap").
+inline constexpr int kMaxDenseGroupSize = 12;
+static_assert(kMaxDenseGroupSize < 32, "local masks are uint32_t");
+
 // What IssuanceService::Recover reconstructed the state from.
 struct RecoveryStats {
   size_t checkpoint_records = 0;         // Records loaded from the checkpoint.
@@ -50,12 +61,22 @@ struct RecoveryStats {
 // guarded by its own mutex; a request only ever locks the one shard its
 // satisfying set lives in.
 //
+// Admission state per overlap group: a group of at most kMaxDenseGroupSize
+// licenses keeps two dense tables indexed by the group-local mask (paper
+// Algorithm 5's order-preserving positions) — A[T], fixed per epoch, and
+// C⟨T⟩, updated under the shard lock. An issuance with satisfying set S
+// checks its 2^(N_g−k) equations as one ascending pass over the supersets
+// of S in the table, and an acceptance adds its count along the same
+// pass. Larger groups keep the pointer validation tree and its
+// per-equation subset walk.
+//
 // Live license lifecycle (paper Figure 6 + Algorithms 4–5): the catalog,
 // grouping, instance geometry and shard map together form one immutable
 // `CatalogEpoch`, published through an atomic shared_ptr. AcquireLicense /
 // RevokeLicense / ExpireBefore build the next epoch off to the side —
-// re-dividing the shard trees into the new overlap groups and renumbering
-// license indexes densely past a removal — then publish it with a single
+// re-dividing the accepted records into the new overlap groups and
+// renumbering license indexes densely past a removal, then rebuilding the
+// groups' tables (one zeta transform each) — then publish it with a single
 // atomic swap and mark the old epoch retired. Issuance never stops:
 // readers pin the current epoch (a shared_ptr ref, no lock) for the
 // instance fast-reject, and an admission that finds its pinned epoch
@@ -204,13 +225,12 @@ class IssuanceService {
   // multiset to any serial replay of the accepted set.
   LogStore CollectLog() const;
 
-  // Snapshot of the combined validation tree (the union of the shard
-  // trees; shards share no license indexes, so this is a plain merge).
+  // Snapshot of the combined validation tree, rebuilt offline from the
+  // shard logs (admission keeps no pointer tree for dense groups).
   Result<ValidationTree> CollectTree() const;
 
-  // Snapshot compiled straight into the offline hot-path form: the shards
-  // keep their mutable pointer trees for admission, but offline audits of
-  // a running service should query this flat, pruning-aware arena
+  // The same snapshot compiled into the offline hot-path form: audits of a
+  // running service should query this flat, pruning-aware arena
   // (validation/flat_tree.h) instead of walking pointers.
   Result<FlatValidationTree> CollectFlatTree() const;
 
@@ -253,6 +273,10 @@ class IssuanceService {
   const LicenseGrouping& grouping() const;
   const OnlineValidatorOptions& options() const { return options_; }
   int shard_count() const;
+  // Bytes of the current epoch's dense equation tables: 16·2^N_g for each
+  // group of at most kMaxDenseGroupSize licenses. A reconfiguration holds
+  // a second epoch's tables until the old epoch's readers drain.
+  size_t dense_table_bytes() const;
 
   // Pre-sizes every current shard's log record table for
   // `records_per_shard` appends, so steady-state admission never regrows
@@ -276,8 +300,30 @@ class IssuanceService {
  private:
   struct Shard {
     std::mutex mutex;
-    ValidationTree tree;  // Masks in the owning epoch's license indexes.
-    LogStore log;
+    // Accepted sets of the shard's above-cap groups only (dense groups
+    // keep theirs in the epoch's C⟨T⟩ tables). Masks in the owning epoch's
+    // license indexes.
+    ValidationTree tree;
+    LogStore log;  // Every accepted record of the shard's groups.
+  };
+
+  // The licenses one issuance's equations range over: an overlap group,
+  // or the whole catalog without grouping. Scopes of at most
+  // kMaxDenseGroupSize licenses carry dense tables indexed by local mask
+  // (CatalogEpoch::LocalMask): `aggregates[T]` = A[T], immutable, and
+  // `sums[T]` = C⟨T⟩, written only under the owning shard's mutex. Both
+  // are null above the cap, where the shard's pointer tree answers
+  // instead.
+  struct EquationScope {
+    LicenseSet mask;
+    int group = -1;  // Overlap group; -1 for the whole catalog.
+    int size = 0;    // Licenses in the scope.
+    const int64_t* aggregates = nullptr;
+    int64_t* sums = nullptr;
+
+    bool dense() const { return sums != nullptr; }
+    size_t entries() const { return size_t{1} << size; }
+    uint32_t full_local() const { return (uint32_t{1} << size) - 1; }
   };
 
   // One immutable generation of the catalog + derived admission state.
@@ -299,10 +345,14 @@ class IssuanceService {
     const LicenseCatalog* catalog;
     LicenseGrouping grouping;
     SoaInstanceValidator instance;  // Immutable ⇒ lock-free.
-    // Equation scopes, one per overlap group, plus the ungrouped full
-    // mask — built once so the hot path hands out references instead of
-    // copying a LicenseSet (which may heap-allocate) per request.
-    std::vector<LicenseSet> group_scopes;
+    // Equation scopes, one per overlap group (one for the whole catalog
+    // without grouping) — built once so the hot path hands out references
+    // instead of copying a LicenseSet (which may heap-allocate) per
+    // request.
+    std::vector<EquationScope> scopes;
+    // Every dense scope's A and C tables, in one allocation.
+    std::unique_ptr<int64_t[]> dense_tables;
+    size_t dense_table_bytes = 0;
     LicenseSet all_mask;
     std::vector<std::unique_ptr<Shard>> shards;
     // Set (under every shard lock) when a newer epoch replaces this one.
@@ -310,6 +360,20 @@ class IssuanceService {
     // the publish order (state_ first, retired second) guarantees the
     // retry sees the new epoch.
     mutable std::atomic<bool> retired{false};
+
+    // License index at bit `position` of `scope`'s local masks: Algorithm
+    // 5's order-preserving numbering within a group, the identity for the
+    // whole catalog.
+    int Member(const EquationScope& scope, int position) const {
+      return scope.group < 0 ? position
+                             : grouping.OriginalIndexOf(scope.group, position);
+    }
+    // `set` (which must lie in dense `scope`) as the scope's local mask.
+    uint32_t LocalMask(const EquationScope& scope, const LicenseSet& set) const;
+    // `s` plus the licenses at the set bits of `local` (maps a local
+    // equation mask back to license indexes).
+    LicenseSet WithLocal(const EquationScope& scope, LicenseSet s,
+                         uint32_t local) const;
   };
 
   // What one reconfiguration does, in current-epoch index space.
@@ -331,18 +395,31 @@ class IssuanceService {
       const LicenseCatalog* licenses, std::unique_ptr<LicenseCatalog> owned,
       const OnlineValidatorOptions& options, const LogStore& history);
 
-  // Assembles a fully-derived epoch (shards, scopes, instance geometry)
-  // around `catalog` — the publish step is the caller's.
+  // Assembles a fully-derived epoch (shards, scopes, instance geometry,
+  // A tables) around `catalog`, with empty C tables — the publish step is
+  // the caller's.
   static std::shared_ptr<CatalogEpoch> BuildEpoch(
       const OnlineValidatorOptions& options, uint64_t epoch_number,
       const LicenseCatalog* catalog, std::unique_ptr<LicenseCatalog> owned,
       LicenseGrouping grouping);
 
-  // Routes one record into `epoch`'s shards (scope-checked tree + log
-  // insert). Caller owns exclusivity: history preload at construction,
+  // Routes one record into `epoch`'s shards (scope-checked log append,
+  // plus a tree insert or a point-add to a dense scope's exact per-set
+  // histogram). Caller owns exclusivity: history preload at construction,
   // off-side epoch build, or the catch-up under every old shard lock.
   Status ApplyRecordToEpoch(CatalogEpoch* epoch,
                             const LogRecord& record) const;
+
+  // Turns every dense scope's histogram C[S] into C⟨T⟩ (one zeta
+  // transform each). Runs once per epoch, after the last
+  // ApplyRecordToEpoch and before the epoch serves admissions.
+  static void FinishEpochTables(const CatalogEpoch& epoch);
+
+  // Recover's cross-check against `serial`, a replay of the recovered
+  // records built independently of the service: every dense C⟨T⟩ must
+  // equal the sum of the replay's counts over subsets of T, and every
+  // shard's tree the replay's above-cap sets routed to it.
+  Status CheckAgainstReplay(const ValidationTree& serial) const;
 
   // The shared reconfiguration path (caller holds reconfig_mutex_): builds
   // the next epoch from `plan`, journals it, publishes, retires. Returns
@@ -357,19 +434,19 @@ class IssuanceService {
     return state_.load(std::memory_order_acquire);
   }
 
-  // Equation scope for satisfying set `s` within `epoch` (its group's
-  // mask, or the full set without grouping), plus the owning shard index.
-  // The returned reference aliases a scope precomputed at epoch build — no
+  // Equation scope for satisfying set `s` within `epoch` (its group, or
+  // the full catalog without grouping), plus the owning shard index. The
+  // returned reference aliases a scope precomputed at epoch build — no
   // copy, valid for the epoch's lifetime.
-  const LicenseSet& RouteSet(const CatalogEpoch& epoch, const LicenseSet& s,
-                             size_t* shard) const;
-  // Equation check + tree/log update for one request. Caller holds
+  const EquationScope& RouteSet(const CatalogEpoch& epoch, const LicenseSet& s,
+                                size_t* shard) const;
+  // Equation check + table/tree/log update for one request. Caller holds
   // `shard.mutex` on a shard of `epoch`. `decision` already carries the
   // satisfying set; `trace` collects the equation-scan and journal-append
   // spans (never null — pass a RequestTrace built from a null tracer to
   // run untraced).
   Status AdmitLocked(const CatalogEpoch& epoch, Shard* shard,
-                     const License& issued, const LicenseSet& scope,
+                     const License& issued, const EquationScope& scope,
                      OnlineDecision* decision, RequestTrace* trace);
 
   OnlineValidatorOptions options_;

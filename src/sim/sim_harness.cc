@@ -109,6 +109,9 @@ struct SimState {
   // recovery diff falls back to a bounded one-record allowance.
   bool batch_error = false;
   int batches_in_flight = 0;
+  // ReconcileModelFromServiceLog calls so far. A batch parked mid-flight
+  // across one may already have its admissions counted by it.
+  uint64_t reconciles = 0;
 
   std::string failure;  // First conformance violation; empty = clean.
   std::vector<std::string> op_trace;
@@ -297,6 +300,7 @@ void NoteReconfigFailure(SimState* state, PendingReconfig pending,
 // service may only ever be AHEAD of the model — a missing record means an
 // acknowledged admission vanished.
 void ReconcileModelFromServiceLog(SimState* state) {
+  ++state->reconciles;
   const std::unordered_map<LicenseSet, int64_t> merged =
       state->service->CollectLog().MergedCounts();
   for (const auto& [set, count] : state->model->counts()) {
@@ -395,6 +399,7 @@ void ExecuteBatch(SimState* state, const SimOp& op) {
   ++state->batches_in_flight;
   const uint64_t version_before = state->model->version();
   const uint64_t epoch_before = state->model_epoch;
+  const uint64_t reconciles_before = state->reconciles;
   const Result<std::vector<OnlineDecision>> got =
       state->service->TryIssueBatch(op.requests);
   --state->batches_in_flight;
@@ -415,6 +420,11 @@ void ExecuteBatch(SimState* state, const SimOp& op) {
   const bool strong = state->model->version() == version_before &&
                       state->model_epoch == epoch_before &&
                       state->batches_in_flight == 0;
+  // Another batch failed while this one was parked and raised the model to
+  // the service log, which already held this batch's earlier admissions:
+  // applying the decisions would count those twice, so the model is raised
+  // to the log again instead.
+  const bool reconciled = state->reconciles != reconciles_before;
   for (size_t i = 0; i < op.requests.size(); ++i) {
     const OnlineDecision& decision = (*got)[i];
     if (decision.catalog_epoch > state->model_epoch) {
@@ -427,7 +437,7 @@ void ExecuteBatch(SimState* state, const SimOp& op) {
       // satisfying set lives in an older index space. Translate it
       // forward; a record the reconfiguration cascade-dropped must not be
       // counted (the service dropped it too).
-      if (decision.accepted()) {
+      if (decision.accepted() && !reconciled) {
         LicenseSet set = decision.satisfying_set;
         if (TranslateSet(*state, decision.catalog_epoch, &set)) {
           state->model->Apply(set, op.requests[i].aggregate_count());
@@ -442,10 +452,13 @@ void ExecuteBatch(SimState* state, const SimOp& op) {
       Fail(state, "batch[" + std::to_string(i) + "]: " + mismatch);
       return;
     }
-    if (decision.accepted()) {
+    if (decision.accepted() && !reconciled) {
       state->model->Apply(decision.satisfying_set,
                           op.requests[i].aggregate_count());
     }
+  }
+  if (reconciled) {
+    ReconcileModelFromServiceLog(state);
   }
   RunInvariantSweep(state, "after batch");
 }

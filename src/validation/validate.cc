@@ -173,22 +173,9 @@ Result<ValidationReport> ZetaDense(const FlatValidationTree& tree,
   tree.ForEachSet([&lhs](const LicenseSet& set, int64_t count) {
     lhs[static_cast<size_t>(set.AsWord())] += count;
   });
-  for (int bit = 0; bit < n; ++bit) {
-    const size_t stride = size_t{1} << bit;
-    for (size_t set = 0; set < table_size; ++set) {
-      if (set & stride) {
-        lhs[set] += lhs[set ^ stride];
-      }
-    }
-  }
-
-  // rhs[S] via the same recurrence on a rolling basis: A[S] =
-  // A[S without lowest bit] + A[lowest bit].
+  ZetaTransform(lhs);
   std::vector<int64_t> rhs(table_size, 0);
-  for (size_t set = 1; set < table_size; ++set) {
-    const int lowest = std::countr_zero(set);
-    rhs[set] = rhs[set & (set - 1)] + aggregates[static_cast<size_t>(lowest)];
-  }
+  FillAggregateTable(aggregates, rhs);
 
   for (size_t set = 1; set < table_size; ++set) {
     ++report.equations_evaluated;
@@ -202,6 +189,31 @@ Result<ValidationReport> ZetaDense(const FlatValidationTree& tree,
 }
 
 }  // namespace
+
+void ZetaTransform(std::span<int64_t> table) {
+  const size_t size = table.size();
+  GEOLIC_DCHECK(std::has_single_bit(size));
+  // Per bit, every set with the bit gains its partner without it; the
+  // partners of one block are the contiguous block below it, so the inner
+  // loop vectorizes.
+  for (size_t stride = 1; stride < size; stride <<= 1) {
+    for (size_t block = 0; block < size; block += 2 * stride) {
+      for (size_t set = block; set < block + stride; ++set) {
+        table[set + stride] += table[set];
+      }
+    }
+  }
+}
+
+void FillAggregateTable(std::span<const int64_t> values,
+                        std::span<int64_t> table) {
+  GEOLIC_DCHECK(table.size() == size_t{1} << values.size());
+  table[0] = 0;
+  for (size_t set = 1; set < table.size(); ++set) {
+    const int lowest = std::countr_zero(set);
+    table[set] = table[set & (set - 1)] + values[static_cast<size_t>(lowest)];
+  }
+}
 
 Result<ValidationOutcome> Validate(const ValidationTree& tree,
                                    const std::vector<int64_t>& aggregates,

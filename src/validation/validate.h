@@ -2,6 +2,7 @@
 #define GEOLIC_VALIDATION_VALIDATE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "licensing/license_catalog.h"
@@ -110,6 +111,18 @@ Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,
 Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,
                                    const LogStore& log,
                                    const ValidateOptions& options = {});
+
+// Dense equation tables: 2^n entries indexed by an n-bit set, shared by the
+// zeta engine and the service's per-group admission tables.
+//
+// In place, table[S] becomes Σ_{T ⊆ S} table[T]: the zeta transform that
+// turns exact per-set counts C[S] into every equation LHS C⟨S⟩.
+void ZetaTransform(std::span<int64_t> table);
+
+// table[S] = Σ_{i ∈ S} values[i], every equation RHS A[S], by the
+// lowest-bit recurrence. Requires table.size() == 2^values.size().
+void FillAggregateTable(std::span<const int64_t> values,
+                        std::span<int64_t> table);
 
 }  // namespace geolic
 

@@ -1,7 +1,8 @@
 // Unit coverage for the multi-tenant catalog front door
 // (catalog/catalog_service.h): lazy compilation and hit accounting, LRU
-// eviction under a tiny budget, explicit spill/reload transparency, and
-// journal-backed crash recovery of an evolved tenant.
+// eviction under a tiny budget, the resident charge for dense equation
+// tables, explicit spill/reload transparency, and journal-backed crash
+// recovery of an evolved tenant.
 #include <unistd.h>
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "catalog/tenant_source.h"
 #include "persist/faulty_file.h"
 #include "persist/sync_file.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "workload/multi_tenant.h"
@@ -120,6 +122,59 @@ TEST_F(CatalogServiceTest, TinyBudgetEvictsColdTenants) {
   // Evicted tenants come back transparently from their spills.
   ASSERT_TRUE((*catalog)->TryIssue(0, Request(0)).ok());
   EXPECT_GE((*catalog)->stats().loads, 1u);
+  EXPECT_TRUE((*catalog)->Close().ok());
+}
+
+// A resident tenant is charged the exact size of its service's dense
+// equation tables on top of the fixed costs (16 KiB per tenant, 1 KiB per
+// license), and re-charged when a reconfiguration resizes them.
+TEST_F(CatalogServiceTest, ResidentBytesChargeDenseTables) {
+  Result<std::unique_ptr<CatalogService>> catalog =
+      CatalogService::Create(source_.get(), options_);
+  ASSERT_TRUE(catalog.ok());
+  Result<Workload> baseline = workload_->MakeTenant(2);
+  ASSERT_TRUE(baseline.ok());
+  const auto table_bytes = [](const LicenseCatalog& licenses) {
+    Result<std::unique_ptr<IssuanceService>> service =
+        IssuanceService::Create(&licenses);
+    GEOLIC_CHECK(service.ok());
+    return (*service)->dense_table_bytes();
+  };
+  const LicenseCatalog& licenses = *baseline->licenses;
+  const size_t n = static_cast<size_t>(licenses.size());
+  ASSERT_TRUE((*catalog)->TenantEpoch(2).ok());  // Compiles; no records.
+  EXPECT_EQ((*catalog)->stats().resident_bytes,
+            (16u << 10) + n * (1u << 10) + table_bytes(licenses));
+
+  // A copy of license 0 under a new id joins license 0's group, doubling
+  // that group's tables.
+  const License& original = licenses.at(0);
+  LicenseBuilder builder(baseline->schema.get());
+  builder.SetId("copy")
+      .SetContentKey(original.content_key())
+      .SetType(original.type())
+      .SetPermission(original.permission())
+      .SetAggregateCount(original.aggregate_count());
+  for (int d = 0; d < baseline->schema->dimensions(); ++d) {
+    builder.SetRange(baseline->schema->name(d), original.rect().dim(d));
+  }
+  const Result<License> copy = builder.Build();
+  ASSERT_TRUE(copy.ok());
+  LicenseCatalog grown(baseline->schema.get());
+  for (const License& license : licenses.licenses()) {
+    ASSERT_TRUE(grown.Add(license).ok());
+  }
+  ASSERT_TRUE(grown.Add(*copy).ok());
+  ASSERT_GT(table_bytes(grown), table_bytes(licenses));
+  ASSERT_TRUE((*catalog)->AcquireLicense(2, *copy).ok());
+  EXPECT_EQ((*catalog)->stats().resident_bytes,
+            (16u << 10) + (n + 1) * (1u << 10) + table_bytes(grown));
+
+  // Revoking it shrinks the tables back (the license charge stays: the
+  // accounting only grows between reloads).
+  ASSERT_TRUE((*catalog)->RevokeLicenseById(2, "copy").ok());
+  EXPECT_EQ((*catalog)->stats().resident_bytes,
+            (16u << 10) + (n + 1) * (1u << 10) + table_bytes(licenses));
   EXPECT_TRUE((*catalog)->Close().ok());
 }
 

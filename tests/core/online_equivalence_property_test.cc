@@ -1,18 +1,23 @@
 // Property test for paper Theorem 2 at the decision level: grouped and
 // ungrouped online validation, plus a flat-tree equation oracle, must agree
 // on every TryIssue — not just accept/reject, but the exact limiting
-// equation on rejection. 500 seeded workloads; any failure logs its seed
-// and is reproducible with GEOLIC_TEST_SEED.
+// equation on rejection. A second property pins IssuanceService's decision
+// contract to OnlineValidator's across acquisitions and revocations: same
+// accept flag, limiting equation and equation count. 500 seeded workloads;
+// any failure logs its seed and is reproducible with GEOLIC_TEST_SEED.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "core/online_validator.h"
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 #include "util/license_set.h"
 #include "util/random.h"
@@ -32,6 +37,25 @@ struct Workload {
   std::vector<License> requests;
 };
 
+// A random redistribution license over `schema`'s interval dimensions.
+License RandomRedistribution(Rng* rng, const ConstraintSchema* schema,
+                             const std::string& id) {
+  LicenseBuilder builder(schema);
+  builder.SetId(id)
+      .SetContentKey("K")
+      .SetType(LicenseType::kRedistribution)
+      .SetPermission(Permission::kPlay)
+      .SetAggregateCount(rng->UniformInt(2, 10));
+  for (int d = 0; d < schema->dimensions(); ++d) {
+    const int64_t lo = rng->UniformInt(0, kDomain - 6);
+    builder.SetInterval("C" + std::to_string(d + 1), lo,
+                        lo + rng->UniformInt(3, 10));
+  }
+  const Result<License> license = builder.Build();
+  GEOLIC_CHECK(license.ok());
+  return *license;
+}
+
 Workload Generate(uint64_t seed) {
   Rng rng(seed);
   Workload w;
@@ -44,20 +68,10 @@ Workload Generate(uint64_t seed) {
   w.licenses = std::make_unique<LicenseCatalog>(w.schema.get());
   const int license_count = static_cast<int>(rng.UniformInt(3, 8));
   for (int i = 0; i < license_count; ++i) {
-    LicenseBuilder builder(w.schema.get());
-    builder.SetId("L" + std::to_string(i + 1))
-        .SetContentKey("K")
-        .SetType(LicenseType::kRedistribution)
-        .SetPermission(Permission::kPlay)
-        .SetAggregateCount(rng.UniformInt(2, 10));
-    for (int d = 0; d < dims; ++d) {
-      const int64_t lo = rng.UniformInt(0, kDomain - 6);
-      builder.SetInterval("C" + std::to_string(d + 1), lo,
-                          lo + rng.UniformInt(3, 10));
-    }
-    const Result<License> license = builder.Build();
-    GEOLIC_CHECK(license.ok());
-    GEOLIC_CHECK(w.licenses->Add(*license).ok());
+    GEOLIC_CHECK(w.licenses
+                     ->Add(RandomRedistribution(&rng, w.schema.get(),
+                                                "L" + std::to_string(i + 1)))
+                     .ok());
   }
   const int request_count = static_cast<int>(rng.UniformInt(15, 30));
   for (int r = 0; r < request_count; ++r) {
@@ -215,6 +229,144 @@ TEST(OnlineEquivalenceProperty, GroupedUngroupedAndFlatTreeAgree) {
         EXPECT_LE(g->equations_checked, u->equations_checked)
             << "seed " << seed << " request " << r;
       }
+    }
+  }
+}
+
+// OnlineValidator has no lifecycle, so the twin of a service is rebuilt
+// from the id-space history (testing::IdSpaceHistory) after every
+// reconfiguration.
+class ValidatorTwin {
+ public:
+  ValidatorTwin(const ConstraintSchema* schema, std::vector<License> licenses,
+                const OnlineValidatorOptions& options)
+      : history_(schema, std::move(licenses)), options_(options) {
+    Rebuild();
+  }
+
+  void Acquire(const License& license) {
+    validator_.reset();
+    history_.Acquire(license);
+    Rebuild();
+  }
+
+  void Revoke(const std::string& id) {
+    validator_.reset();
+    history_.Revoke(id);
+    Rebuild();
+  }
+
+  // Decides `request`, recording it in the history when accepted.
+  Result<OnlineDecision> TryIssue(const License& request) {
+    Result<OnlineDecision> decision = validator_->TryIssue(request);
+    if (decision.ok() && decision->accepted()) {
+      history_.Accept(decision->satisfying_set, request.aggregate_count());
+    }
+    return decision;
+  }
+
+  const std::vector<License>& active() const { return history_.active(); }
+  const OnlineValidator& validator() const { return *validator_; }
+
+  // The licenses a decision on satisfying set `s` scans equations over.
+  LicenseSet ScopeOf(const LicenseSet& s) const {
+    if (!options_.use_grouping) {
+      return history_.catalog().AllMask();
+    }
+    const LicenseGrouping& grouping = validator_->grouping();
+    return grouping.GroupMask(grouping.GroupOf(s.Lowest()));
+  }
+
+ private:
+  void Rebuild() {
+    Result<OnlineValidator> validator = OnlineValidator::CreateWithHistory(
+        &history_.catalog(), options_, history_.Log());
+    GEOLIC_CHECK(validator.ok());
+    validator_.emplace(std::move(*validator));
+  }
+
+  testing::IdSpaceHistory history_;
+  OnlineValidatorOptions options_;
+  std::optional<OnlineValidator> validator_;  // Over history_'s catalog.
+};
+
+// 1-based position of `t` among the sets S ∪ X, X ⊆ scope − S, in
+// ascending order — the order admission checks equations in. 0 if absent.
+uint64_t AscendingPosition(const LicenseSet& s, const LicenseSet& scope,
+                           const LicenseSet& t) {
+  uint64_t position = 0;
+  for (AscendingSubsetIterator it(scope - s); !it.Done(); it.Next()) {
+    ++position;
+    if ((s | it.subset()) == t) {
+      return position;
+    }
+  }
+  return 0;
+}
+
+TEST(OnlineEquivalenceProperty, IssuanceServiceMatchesOnlineValidator) {
+  const uint64_t base = TestSeed(1000);
+  for (uint64_t seed = base; seed < base + 500; ++seed) {
+    const Workload w = Generate(seed);
+    // 0: one shard per group; 1: every group striped onto one shard;
+    // 2: no grouping (one scope over the whole catalog).
+    for (int config = 0; config < 3; ++config) {
+      OnlineValidatorOptions options;
+      options.use_grouping = config != 2;
+      options.shard_hint = config == 1 ? 1 : 0;
+      const std::string where = "seed " + std::to_string(seed) + " config " +
+                                std::to_string(config);
+      Result<std::unique_ptr<IssuanceService>> created =
+          IssuanceService::Create(w.licenses.get(), options);
+      ASSERT_TRUE(created.ok()) << where;
+      IssuanceService& service = **created;
+      ValidatorTwin twin(w.schema.get(), w.licenses->licenses(), options);
+      Rng ops(seed * 3 + static_cast<uint64_t>(config));
+      int acquired = 0;
+
+      for (size_t r = 0; r < w.requests.size(); ++r) {
+        if (ops.Bernoulli(0.1)) {
+          const License license = RandomRedistribution(
+              &ops, w.schema.get(), "A" + std::to_string(++acquired));
+          ASSERT_TRUE(service.AcquireLicense(license).ok()) << where;
+          twin.Acquire(license);
+        }
+        if (twin.active().size() > 1 && ops.Bernoulli(0.1)) {
+          const std::string id =
+              twin.active()[ops.UniformIndex(twin.active().size())].id();
+          ASSERT_TRUE(service.RevokeLicenseById(id).ok()) << where;
+          twin.Revoke(id);
+        }
+
+        const Result<OnlineDecision> got = service.TryIssue(w.requests[r]);
+        const Result<OnlineDecision> want = twin.TryIssue(w.requests[r]);
+        ASSERT_TRUE(got.ok()) << where;
+        ASSERT_TRUE(want.ok()) << where;
+        ASSERT_TRUE(SameDecision(*got, *want))
+            << where << " request " << r << ": service {" << Describe(*got)
+            << "} vs validator {" << Describe(*want) << "}"
+            << "\nrepro: GEOLIC_TEST_SEED=" << seed
+            << " ctest -R online_equivalence_property_test";
+        ASSERT_EQ(got->equations_checked, want->equations_checked)
+            << where << " request " << r;
+        if (!got->instance_valid) {
+          continue;
+        }
+        const LicenseSet& s = got->satisfying_set;
+        const LicenseSet scope = twin.ScopeOf(s);
+        if (got->aggregate_valid) {
+          EXPECT_EQ(got->equations_checked,
+                    uint64_t{1} << (scope.Size() - s.Size()))
+              << where << " request " << r;
+        } else {
+          EXPECT_EQ(got->equations_checked,
+                    AscendingPosition(s, scope, got->limiting.set))
+              << where << " request " << r;
+        }
+      }
+      EXPECT_EQ(service.CollectLog().MergedCounts(),
+                twin.validator().log().MergedCounts())
+          << where;
     }
   }
 }

@@ -1,10 +1,13 @@
 #ifndef GEOLIC_TESTS_TEST_UTIL_H_
 #define GEOLIC_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geometry/hyper_rect.h"
@@ -14,6 +17,7 @@
 #include "util/check.h"
 #include "util/license_set.h"
 #include "util/random.h"
+#include "validation/log_store.h"
 
 namespace geolic::testing {
 
@@ -118,6 +122,84 @@ inline HyperRect RandomRect(Rng* rng, int dims, int64_t domain) {
   }
   return HyperRect(std::move(ranges));
 }
+
+// A catalog under lifecycle changes and its accepted issuances, kept apart
+// from the service under test: licenses in index order (acquisitions
+// append, revocations close the gap) and each accepted set as license ids,
+// so a revocation's cascade and renumbering are recomputed here rather
+// than read back. catalog() and Log() give the surviving state in current
+// indexes, to rebuild an oracle from after each change. A change replaces
+// the catalog, so release any oracle built on the old one first.
+class IdSpaceHistory {
+ public:
+  IdSpaceHistory(const ConstraintSchema* schema, std::vector<License> licenses)
+      : schema_(schema), active_(std::move(licenses)) {
+    RebuildCatalog();
+  }
+
+  void Acquire(const License& license) {
+    active_.push_back(license);
+    RebuildCatalog();
+  }
+
+  // Removes license `id` and every accepted set containing it.
+  void Revoke(const std::string& id) {
+    std::erase_if(active_,
+                  [&id](const License& license) { return license.id() == id; });
+    std::erase_if(accepted_, [&id](const Accepted& accepted) {
+      return std::find(accepted.ids.begin(), accepted.ids.end(), id) !=
+             accepted.ids.end();
+    });
+    RebuildCatalog();
+  }
+
+  // Records an accepted issuance of `count` on `set` (current indexes).
+  void Accept(const LicenseSet& set, int64_t count) {
+    Accepted accepted{{}, count};
+    for (int i : set.Indexes()) {
+      accepted.ids.push_back(catalog_->at(i).id());
+    }
+    accepted_.push_back(std::move(accepted));
+  }
+
+  const std::vector<License>& active() const { return active_; }
+  const LicenseCatalog& catalog() const { return *catalog_; }
+
+  // The surviving accepted issuances over catalog()'s indexes.
+  LogStore Log() const {
+    LogStore log;
+    for (const Accepted& accepted : accepted_) {
+      LogRecord record;
+      record.issued_license_id = "H";
+      for (const std::string& id : accepted.ids) {
+        const Result<int> index = catalog_->IndexOfId(id);
+        GEOLIC_CHECK(index.ok());
+        record.set.Add(*index);
+      }
+      record.count = accepted.count;
+      GEOLIC_CHECK(log.Append(std::move(record)).ok());
+    }
+    return log;
+  }
+
+ private:
+  struct Accepted {
+    std::vector<std::string> ids;
+    int64_t count = 0;
+  };
+
+  void RebuildCatalog() {
+    catalog_ = std::make_unique<LicenseCatalog>(schema_);
+    for (const License& license : active_) {
+      GEOLIC_CHECK(catalog_->Add(license).ok());
+    }
+  }
+
+  const ConstraintSchema* schema_;
+  std::vector<License> active_;
+  std::vector<Accepted> accepted_;
+  std::unique_ptr<LicenseCatalog> catalog_;
+};
 
 }  // namespace geolic::testing
 
