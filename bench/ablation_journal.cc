@@ -4,11 +4,22 @@
 //   (a) raw journal append throughput vs fsync_interval — the durability
 //       spectrum from "fsync every record" to "let the OS decide", and
 //   (b) recovery time: replaying the whole journal vs loading a midpoint
-//       checkpoint plus the journal tail.
+//       checkpoint plus the journal tail, and
+//   (c) time per sync of PosixSyncFile (in-place writes into a reserved
+//       tail + fdatasync) against the append + fsync file it replaced,
+//       kept here as the baseline. Each sample is one Sync plus the
+//       Appends it covers, so the reservation's own sync is counted.
 // Expected shape: fsync_interval=1 is orders of magnitude slower than
 // batched intervals (each append pays a device flush); recovery time
 // scales with the replayed tail, so the checkpoint roughly halves it when
-// taken at the halfway point.
+// taken at the halfway point; a sync that grows the file also commits the
+// filesystem's metadata journal, so the baseline's syncs are slower.
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -19,6 +30,7 @@
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
 #include "persist/journal.h"
+#include "persist/sync_file.h"
 #include "service/issuance_service.h"
 #include "util/stopwatch.h"
 
@@ -61,6 +73,86 @@ std::vector<License> MakeRequests(const ConstraintSchema& schema, int groups,
     requests.push_back(*builder.Build());
   }
   return requests;
+}
+
+// Ablation baseline for PosixSyncFile: O_APPEND + write + fsync, so every
+// sync after an append also commits the grown file size.
+class AppendFsyncFile : public SyncFile {
+ public:
+  explicit AppendFsyncFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND,
+                   0644)) {
+    GEOLIC_CHECK(fd_ >= 0);
+  }
+  ~AppendFsyncFile() override {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+  Status Append(std::string_view data) override {
+    while (!data.empty()) {
+      const ssize_t written = ::write(fd_, data.data(), data.size());
+      if (written < 0 && errno == EINTR) {
+        continue;
+      }
+      if (written < 0) {
+        return Status::IoError("write failed");
+      }
+      data.remove_prefix(static_cast<size_t>(written));
+    }
+    return Status::Ok();
+  }
+  Status Sync() override {
+    return ::fsync(fd_) == 0 ? Status::Ok() : Status::IoError("fsync failed");
+  }
+  Status Close() override {
+    const int fd = fd_;
+    fd_ = -1;
+    return ::close(fd) == 0 ? Status::Ok() : Status::IoError("close failed");
+  }
+
+ private:
+  int fd_;
+};
+
+// Records, for every Sync of the wrapped file, the time spent in it and in
+// the Appends since the previous Sync.
+class TimedSyncFile : public SyncFile {
+ public:
+  TimedSyncFile(std::unique_ptr<SyncFile> base, std::vector<int64_t>* nanos)
+      : base_(std::move(base)), nanos_(nanos) {}
+  Status Append(std::string_view data) override {
+    const auto start = std::chrono::steady_clock::now();
+    const Status status = base_->Append(data);
+    pending_ += std::chrono::steady_clock::now() - start;
+    return status;
+  }
+  Status Sync() override {
+    const auto start = std::chrono::steady_clock::now();
+    const Status status = base_->Sync();
+    pending_ += std::chrono::steady_clock::now() - start;
+    nanos_->push_back(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(pending_)
+            .count());
+    pending_ = {};
+    return status;
+  }
+  Status Close() override { return base_->Close(); }
+
+ private:
+  std::unique_ptr<SyncFile> base_;
+  std::vector<int64_t>* nanos_;
+  std::chrono::steady_clock::duration pending_{};
+};
+
+double PercentileMicros(std::vector<int64_t> nanos, double p) {
+  GEOLIC_CHECK(!nanos.empty());
+  const size_t rank = std::min(
+      nanos.size() - 1,
+      static_cast<size_t>(p * static_cast<double>(nanos.size() - 1)));
+  std::nth_element(nanos.begin(), nanos.begin() + static_cast<ptrdiff_t>(rank),
+                   nanos.end());
+  return static_cast<double>(nanos[rank]) / 1e3;
 }
 
 LogRecord RecordFor(int i) {
@@ -187,9 +279,66 @@ int main(int argc, char** argv) {
   std::remove(journal_path.c_str());
   std::remove(checkpoint_path.c_str());
 
+  // (c) Time per sync, in-place + fdatasync vs append + fsync, over
+  // fsync_records syncs per file and interval. The two files alternate in
+  // four rounds so drift in the device hits both.
+  std::printf("%20s  %16s  %8s  %12s  %12s\n", "file", "fsync_interval",
+              "syncs", "sync_p50_us", "sync_p99_us");
+  constexpr int kRounds = 4;
+  for (const int interval : {1, 8}) {
+    std::vector<int64_t> nanos[2];
+    for (int round = 0; round < kRounds; ++round) {
+      for (const bool baseline : {true, false}) {
+        const std::string path = dir + "/geolic_bench_journal_sync.gjl";
+        std::unique_ptr<SyncFile> file;
+        if (baseline) {
+          file = std::make_unique<AppendFsyncFile>(path);
+        } else {
+          Result<std::unique_ptr<PosixSyncFile>> posix =
+              PosixSyncFile::Create(path);
+          GEOLIC_CHECK(posix.ok());
+          file = std::move(*posix);
+        }
+        std::vector<int64_t>* samples = &nanos[baseline ? 0 : 1];
+        JournalOptions options;
+        options.fsync_interval = interval;
+        Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Create(
+            std::make_unique<TimedSyncFile>(std::move(file), samples), options);
+        GEOLIC_CHECK(writer.ok());
+        samples->pop_back();  // The magic's sync at Create.
+        const int n = std::max(1, fsync_records / kRounds) * interval;
+        for (int i = 0; i < n; ++i) {
+          GEOLIC_CHECK((*writer)
+                           ->Append(static_cast<uint64_t>(i + 1), RecordFor(i))
+                           .ok());
+        }
+        GEOLIC_CHECK((*writer)->Close().ok());
+        std::remove(path.c_str());
+      }
+    }
+    for (const bool baseline : {true, false}) {
+      const std::vector<int64_t>& samples = nanos[baseline ? 0 : 1];
+      const char* label =
+          baseline ? "append_fsync" : "inplace_fdatasync";
+      const double p50 = PercentileMicros(samples, 0.50);
+      const double p99 = PercentileMicros(samples, 0.99);
+      std::printf("%20s  %16d  %8zu  %12.1f  %12.1f\n", label, interval,
+                  samples.size(), p50, p99);
+      json.Row([&](JsonWriter& out) {
+        out.KeyValue("label", "sync_latency");
+        out.KeyValue("file", label);
+        out.KeyValue("fsync_interval", static_cast<int64_t>(interval));
+        out.KeyValue("syncs", static_cast<uint64_t>(samples.size()));
+        out.KeyValue("sync_p50_us", p50);
+        out.KeyValue("sync_p99_us", p99);
+      });
+    }
+  }
+
   json.Write();
   std::printf("# expected shape: append cost rises as fsync_interval drops "
               "to 1; checkpoint+tail replays ~half the records of a full "
-              "journal replay\n");
+              "journal replay; in-place fdatasync syncs beat append + "
+              "fsync\n");
   return 0;
 }

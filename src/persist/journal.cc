@@ -1,7 +1,11 @@
 #include "persist/journal.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "licensing/license_serialization.h"
@@ -15,7 +19,9 @@ using framing::PutScalar;
 
 namespace {
 
-constexpr size_t kFrameHeaderBytes = 4 + 8 + 4 + 4;  // len, seq, crcs.
+// len, seq, witness, header crc, payload crc.
+constexpr size_t kFrameHeaderBytes = 4 + 8 + 8 + 4 + 4;
+constexpr size_t kHeaderCrcCovers = 4 + 8 + 8;
 // Writer-side ids are capped like the log store's loader; with the header
 // CRC verified, any larger length is corruption, not a real frame.
 constexpr uint32_t kMaxIdBytes = 4096;
@@ -389,7 +395,8 @@ Status JournalWriter::AppendFrame(uint64_t seq, std::string_view payload) {
   frame.reserve(kFrameHeaderBytes + payload.size());
   PutScalar(&frame, static_cast<uint32_t>(payload.size()));
   PutScalar(&frame, seq);
-  PutScalar(&frame, Crc32c(frame));  // Header CRC over len + seq.
+  PutScalar(&frame, synced_seq_);
+  PutScalar(&frame, Crc32c(frame));  // Header CRC over len, seq, witness.
   PutScalar(&frame, Crc32c(payload));
   frame.append(payload);
   const Status appended = file_->Append(frame);
@@ -397,6 +404,7 @@ Status JournalWriter::AppendFrame(uint64_t seq, std::string_view payload) {
     poisoned_ = true;
     return appended;
   }
+  last_seq_ = seq;
   ++frames_appended_;
   // Tracked even with fsync_interval == 0 (no automatic syncs): Close()
   // must know whether an acknowledged-unsynced tail exists to flush.
@@ -424,6 +432,7 @@ Status JournalWriter::Sync() {
     return synced;
   }
   frames_since_sync_ = 0;
+  synced_seq_ = last_seq_;
   return Status::Ok();
 }
 
@@ -452,10 +461,85 @@ Status JournalWriter::Close() {
 }
 
 JournalWriter::~JournalWriter() {
-  if (!closed_ && !poisoned_ && frames_since_sync_ > 0) {
+  if (!closed_ && !poisoned_) {
     (void)Close();
   }
 }
+
+namespace {
+
+// Why a frame failed to read, before its contents are looked at.
+enum class FrameCheck {
+  kIntact,
+  kTruncated,      // The header or payload runs past the end of the image.
+  kHeaderCrc,
+  kBadLength,      // Header CRC holds, length is not one a writer frames.
+  kPayloadCrc,
+};
+
+struct FrameHeader {
+  uint32_t payload_len = 0;
+  uint64_t seq = 0;
+  uint64_t synced_seq = 0;
+  std::string_view payload;
+};
+
+FrameCheck CheckFrame(std::string_view bytes, size_t pos,
+                      FrameHeader* header) {
+  if (bytes.size() - pos < kFrameHeaderBytes) {
+    return FrameCheck::kTruncated;
+  }
+  size_t cursor = pos;
+  uint32_t header_crc = 0;
+  uint32_t payload_crc = 0;
+  GetScalar(bytes, &cursor, &header->payload_len);
+  GetScalar(bytes, &cursor, &header->seq);
+  GetScalar(bytes, &cursor, &header->synced_seq);
+  GetScalar(bytes, &cursor, &header_crc);
+  GetScalar(bytes, &cursor, &payload_crc);
+  if (Crc32c(bytes.substr(pos, kHeaderCrcCovers)) != header_crc) {
+    return FrameCheck::kHeaderCrc;
+  }
+  // The header CRC held, so payload_len is what the writer framed — a
+  // payload running past EOF is a torn tail, not a length bit-flip.
+  if (header->payload_len > kMaxPayloadBytes) {
+    return FrameCheck::kBadLength;
+  }
+  if (bytes.size() - cursor < header->payload_len) {
+    return FrameCheck::kTruncated;
+  }
+  header->payload = bytes.substr(cursor, header->payload_len);
+  if (Crc32c(header->payload) != payload_crc) {
+    return FrameCheck::kPayloadCrc;
+  }
+  return FrameCheck::kIntact;
+}
+
+// True when an intact frame starting after `from` (and before `end`)
+// witnesses `seq` as synced. Frames are not aligned to anything, so every
+// offset is a candidate; both CRCs must hold for one to count.
+bool WitnessedLater(std::string_view bytes, size_t from, size_t end,
+                    uint64_t seq) {
+  for (size_t pos = from + 1; pos < end; ++pos) {
+    FrameHeader header;
+    if (CheckFrame(bytes, pos, &header) == FrameCheck::kIntact &&
+        header.synced_seq >= seq && header.synced_seq < header.seq) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// One past the last non-zero byte, never inside the magic.
+size_t DataEnd(std::string_view bytes) {
+  size_t end = bytes.size();
+  while (end > sizeof(kJournalMagic) && bytes[end - 1] == '\0') {
+    --end;
+  }
+  return end;
+}
+
+}  // namespace
 
 Result<JournalReplay> JournalReader::Parse(std::string_view bytes) {
   if (bytes.size() < sizeof(kJournalMagic) ||
@@ -463,47 +547,50 @@ Result<JournalReplay> JournalReader::Parse(std::string_view bytes) {
     return Status::ParseError(
         "not a geolic journal (bad magic at offset 0)");
   }
+  // A reserved zero tail marks a log that was never closed: parse up to
+  // it under the crash rules (see journal.h). Every reservation is a whole
+  // number of steps, which a closed journal almost never is, so zeros that
+  // damage writes over a closed journal's end still fail loudly.
+  const size_t data_end = DataEnd(bytes);
+  const bool crash_image = bytes.size() % kReserveStepBytes == 0 &&
+                           bytes.size() - data_end >= kReservedZeroTailBytes;
+  const size_t end = crash_image ? data_end : bytes.size();
   JournalReplay replay;
   size_t pos = sizeof(kJournalMagic);
   uint64_t previous_seq = 0;
   bool first = true;
-  while (pos < bytes.size()) {
+  while (pos < end) {
     const uint64_t frame_offset = pos;
-    if (bytes.size() - pos < kFrameHeaderBytes) {
-      // Fewer bytes than a header: can only be an append cut off by a
-      // crash — frames are written whole and in order.
-      replay.torn_tail = true;
-      replay.torn_tail_offset = frame_offset;
-      break;
-    }
-    size_t cursor = pos;
-    uint32_t payload_len = 0;
-    uint64_t seq = 0;
-    uint32_t header_crc = 0;
-    uint32_t payload_crc = 0;
-    GetScalar(bytes, &cursor, &payload_len);
-    GetScalar(bytes, &cursor, &seq);
-    GetScalar(bytes, &cursor, &header_crc);
-    GetScalar(bytes, &cursor, &payload_crc);
-    if (Crc32c(bytes.substr(pos, 12)) != header_crc) {
-      return FrameError(frame_offset, "header crc mismatch");
-    }
-    // The header CRC held, so payload_len is what the writer framed — a
-    // payload running past EOF is a torn tail, not a length bit-flip.
-    if (payload_len > kMaxPayloadBytes) {
+    FrameHeader header;
+    const FrameCheck check = CheckFrame(bytes, pos, &header);
+    if (check == FrameCheck::kBadLength) {
       return FrameError(frame_offset, "implausible payload length");
     }
-    if (bytes.size() - cursor < payload_len) {
+    if (check != FrameCheck::kIntact) {
+      // Frames are written whole and in order, so a frame cut off at EOF
+      // is an append the crash interrupted. In a crash image so is any
+      // damaged frame (pages of an unsynced write that never reached the
+      // disk read as zeros), unless a later frame proves it was synced.
+      const bool torn = crash_image
+                            ? !WitnessedLater(bytes, pos, end, previous_seq + 1)
+                            : check == FrameCheck::kTruncated;
+      if (!torn) {
+        std::string what =
+            check == FrameCheck::kHeaderCrc ? "header crc mismatch"
+            : check == FrameCheck::kPayloadCrc
+                ? "payload crc mismatch (seq " + std::to_string(header.seq) +
+                      ")"
+                : "frame runs past the end";
+        if (crash_image) {
+          what += " in a frame a later frame witnesses as synced";
+        }
+        return FrameError(frame_offset, what);
+      }
       replay.torn_tail = true;
       replay.torn_tail_offset = frame_offset;
       break;
     }
-    const std::string_view payload = bytes.substr(cursor, payload_len);
-    cursor += payload_len;
-    if (Crc32c(payload) != payload_crc) {
-      return FrameError(frame_offset, "payload crc mismatch (seq " +
-                                          std::to_string(seq) + ")");
-    }
+    const uint64_t seq = header.seq;
     if (first) {
       if (seq == 0) {
         return FrameError(frame_offset, "sequence number 0");
@@ -519,30 +606,53 @@ Result<JournalReplay> JournalReader::Parse(std::string_view bytes) {
                         "sequence gap (seq " + std::to_string(seq) +
                             " after " + std::to_string(previous_seq) + ")");
     }
+    if (header.synced_seq >= seq) {
+      return FrameError(frame_offset,
+                        "witness " + std::to_string(header.synced_seq) +
+                            " not before its own seq " + std::to_string(seq));
+    }
     previous_seq = seq;
     JournalEntry entry;
     entry.seq = seq;
-    const Status decoded = DecodeJournalPayload(payload, &entry);
+    const Status decoded = DecodeJournalPayload(header.payload, &entry);
     if (!decoded.ok()) {
       return FrameError(frame_offset, decoded.message());
     }
     replay.entries.push_back(std::move(entry));
-    pos = cursor;
+    pos += kFrameHeaderBytes + header.payload_len;
   }
   return replay;
 }
 
 Result<JournalReplay> JournalReader::ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("read failed: " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IoError("stat failed: " + path);
   }
-  return Parse(buffer.str());
+  std::string bytes(static_cast<size_t>(st.st_size), '\0');
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t got = ::read(fd, bytes.data() + done, bytes.size() - done);
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got < 0) {
+      ::close(fd);
+      return Status::IoError("read failed: " + path);
+    }
+    if (got == 0) {
+      bytes.resize(done);  // Shrank since the stat.
+      break;
+    }
+    done += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  return Parse(bytes);
 }
 
 }  // namespace geolic

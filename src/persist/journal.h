@@ -26,10 +26,15 @@ namespace geolic {
 // before the admission mutates in-memory state or the decision returns.
 //
 // File layout (little-endian):
-//   magic "GLJRNL1\0" (8 bytes), then frames:
-//     payload_len u32 | seq u64 | header_crc u32 (CRC32C of the 12
-//     preceding bytes) | payload_crc u32 (CRC32C of the payload) | payload
+//   magic "GLJRNL2\0" (8 bytes), then frames:
+//     payload_len u32 | seq u64 | synced_seq u64 | header_crc u32 (CRC32C
+//     of the 20 preceding bytes) | payload_crc u32 (CRC32C of the payload)
+//     | payload
 //   admission payload: set u64 | count i64 | id_len u32 | id bytes
+//
+// synced_seq is the witness: the sequence through which the writer had
+// completed a sync when it framed this frame (0 before any). A frame that
+// witnesses seq s proves every frame up to s was acknowledged durable.
 //
 // A leading set word of 0 cannot occur in a real admission (record sets
 // are never empty), so it escapes to a u32 tag. Tags 2..16 are the wide-set
@@ -56,19 +61,35 @@ namespace geolic {
 // Reconfig frames share the admission sequence space: replay applies them
 // in order, renumbering every earlier admission record past a removal.
 //
-// Recovery semantics (JournalReader):
-//  * A frame whose bytes end at EOF before completing (torn write /
-//    truncated tail) is dropped and reported via `torn_tail` — those
-//    records were never covered by an acknowledged sync.
-//  * Everything else fails loudly with the bad frame's byte offset: a
-//    header or payload CRC mismatch (bit flips — the header CRC means a
-//    flipped length field cannot masquerade as a torn tail), a duplicate
-//    or out-of-order sequence number, a gap, or a malformed record.
-//  * Never a silently wrong replay: every surviving entry was written
-//    exactly once, in order.
+// Recovery semantics (JournalReader). A log on a PosixSyncFile writes in
+// place ahead of a reserved zero tail (persist/sync_file.h), so the file
+// size does not say where the writer stopped. The reader picks its rules
+// from the image:
+//  * Strict rules — a closed journal, or any image that is not a whole
+//    number of kReserveStepBytes ending in kReservedZeroTailBytes of
+//    zeros. A frame whose bytes end at EOF before completing (torn write /
+//    truncated tail) is dropped and reported via `torn_tail`: those
+//    records were never covered by an acknowledged sync. Any other bad
+//    frame fails loudly.
+//  * Crash rules — an image of a whole number of kReserveStepBytes ending
+//    in at least kReservedZeroTailBytes of zeros, i.e. a log that was
+//    never closed. Parsing stops at the zero tail. The first frame that
+//    fails its CRCs or runs past EOF is a torn tail (pages of an unsynced
+//    write that never reached the disk read as zeros) unless some later
+//    intact frame witnesses it as synced; then it is corruption and fails
+//    loudly. The frames after a torn tail are dropped with it. They were
+//    never synced, unless the "torn" frame is media damage to a synced
+//    frame that no frame framed after the sync reached the disk to
+//    witness: the residual docs/FORMATS.md states.
+//  Under both rules the loud failures name the bad frame's byte offset: a
+//  CRC mismatch (the header CRC means a flipped length field cannot
+//  masquerade as a torn tail), a witness ahead of its own frame, a
+//  duplicate or out-of-order sequence number, a gap, or a malformed
+//  record. Never a silently wrong replay: every surviving entry was
+//  written exactly once, in order.
 
 inline constexpr char kJournalMagic[8] =
-    {'G', 'L', 'J', 'R', 'N', 'L', '1', '\0'};
+    {'G', 'L', 'J', 'R', 'N', 'L', '2', '\0'};
 
 struct JournalOptions {
   // Sync the underlying file after every `fsync_interval`-th appended
@@ -123,8 +144,10 @@ class JournalWriter {
   // (poisoned writer) fails loudly instead of pretending durability.
   Status Close();
 
-  // Best-effort Close() when the caller did not: a destructor cannot
-  // report, so code that needs the sync outcome calls Close() itself.
+  // Best-effort Close() when the caller did not, unless the writer is
+  // poisoned: a cleanly destroyed journal is synced and truncated to its
+  // frames. A destructor cannot report, so code that needs the outcome
+  // calls Close() itself.
   ~JournalWriter();
 
   uint64_t frames_appended() const { return frames_appended_; }
@@ -154,6 +177,8 @@ class JournalWriter {
   Tracer* tracer_ = nullptr;
   uint64_t frames_appended_ = 0;
   int frames_since_sync_ = 0;  // Appended, not yet covered by a sync.
+  uint64_t last_seq_ = 0;      // Sequence of the last appended frame.
+  uint64_t synced_seq_ = 0;    // Witness: last frame a sync covered.
   bool poisoned_ = false;
   bool closed_ = false;
 };
@@ -202,9 +227,10 @@ struct JournalEntry {
 // Result of scanning a journal.
 struct JournalReplay {
   std::vector<JournalEntry> entries;  // In sequence order, contiguous.
-  // True when the file ends inside an incomplete final frame. The partial
-  // bytes are dropped: they can only belong to an append that crashed
-  // before its sync, i.e. the unacknowledged suffix.
+  // True when the journal ends in an incomplete frame (or, under the crash
+  // rules, a frame no later frame witnesses as synced). Its bytes and
+  // everything after them are dropped: they can only belong to appends
+  // that crashed before their sync, i.e. the unacknowledged suffix.
   bool torn_tail = false;
   uint64_t torn_tail_offset = 0;  // Byte offset of the incomplete frame.
 };
@@ -215,7 +241,7 @@ class JournalReader {
   // torn tail; the message names the bad frame's byte offset.
   static Result<JournalReplay> Parse(std::string_view bytes);
 
-  // Reads and parses `path`.
+  // Reads `path` whole, reserved zero tail included, and parses it.
   static Result<JournalReplay> ReadFile(const std::string& path);
 };
 

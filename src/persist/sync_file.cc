@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -18,8 +19,7 @@ Status Errno(const std::string& op, const std::string& path) {
 
 Result<std::unique_ptr<PosixSyncFile>> PosixSyncFile::Create(
     const std::string& path) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND,
-                        0644);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Errno("open", path);
   }
@@ -32,14 +32,53 @@ PosixSyncFile::~PosixSyncFile() {
   }
 }
 
+Status PosixSyncFile::Reserve(uint64_t incoming) {
+  const uint64_t needed = written_ + incoming + kReservedZeroTailBytes;
+  if (needed <= size_) {
+    return Status::Ok();
+  }
+  const uint64_t target =
+      (needed + kReserveStepBytes - 1) / kReserveStepBytes * kReserveStepBytes;
+  // Each size change is made durable before anything is written past the
+  // old size's zero tail. fdatasync writes data pages before it commits a
+  // size change, so a frame written into a step whose size is not yet
+  // durable could reach the disk inside the old size with fewer than
+  // kReservedZeroTailBytes of zeros after it, an image that reads as
+  // corruption.
+  if (::fallocate(fd_, 0, static_cast<off_t>(size_),
+                  static_cast<off_t>(target - size_)) == 0) {
+    size_ = target;
+    if (::fdatasync(fd_) != 0) {
+      return Errno("fdatasync", path_);
+    }
+    return Status::Ok();
+  }
+  // Give back the whole reservation, including any part a failed fallocate
+  // did extend: a zero tail shorter than kReservedZeroTailBytes would read
+  // as corruption after a crash.
+  reserving_ = false;
+  if (::ftruncate(fd_, static_cast<off_t>(written_)) != 0) {
+    return Errno("ftruncate", path_);
+  }
+  size_ = written_;
+  if (::fdatasync(fd_) != 0) {
+    return Errno("fdatasync", path_);
+  }
+  return Status::Ok();
+}
+
 Status PosixSyncFile::Append(std::string_view data) {
   if (fd_ < 0) {
     return Status::FailedPrecondition("append on closed file: " + path_);
   }
+  if (synced_ && reserving_) {
+    GEOLIC_RETURN_IF_ERROR(Reserve(data.size()));
+  }
   const char* p = data.data();
   size_t remaining = data.size();
   while (remaining > 0) {
-    const ssize_t written = ::write(fd_, p, remaining);
+    const ssize_t written =
+        ::pwrite(fd_, p, remaining, static_cast<off_t>(written_));
     if (written < 0) {
       if (errno == EINTR) {
         continue;
@@ -48,6 +87,8 @@ Status PosixSyncFile::Append(std::string_view data) {
     }
     p += written;
     remaining -= static_cast<size_t>(written);
+    written_ += static_cast<uint64_t>(written);
+    size_ = std::max(size_, written_);
   }
   return Status::Ok();
 }
@@ -56,9 +97,12 @@ Status PosixSyncFile::Sync() {
   if (fd_ < 0) {
     return Status::FailedPrecondition("sync on closed file: " + path_);
   }
-  if (::fsync(fd_) != 0) {
-    return Errno("fsync", path_);
+  // fdatasync flushes the data and any size change needed to read it back,
+  // but no metadata commit for timestamps alone.
+  if (::fdatasync(fd_) != 0) {
+    return Errno("fdatasync", path_);
   }
+  synced_ = true;
   return Status::Ok();
 }
 
@@ -68,10 +112,18 @@ Status PosixSyncFile::Close() {
   }
   const int fd = fd_;
   fd_ = -1;
-  if (::close(fd) != 0) {
-    return Errno("close", path_);
+  Status status = Status::Ok();
+  if (size_ > written_) {
+    if (::ftruncate(fd, static_cast<off_t>(written_)) != 0) {
+      status = Errno("ftruncate", path_);
+    } else if (::fdatasync(fd) != 0) {
+      status = Errno("fdatasync", path_);
+    }
   }
-  return Status::Ok();
+  if (::close(fd) != 0 && status.ok()) {
+    status = Errno("close", path_);
+  }
+  return status;
 }
 
 Status InMemorySyncFile::Append(std::string_view data) {

@@ -1,6 +1,7 @@
 #ifndef GEOLIC_PERSIST_SYNC_FILE_H_
 #define GEOLIC_PERSIST_SYNC_FILE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -30,10 +31,33 @@ class SyncFile {
   virtual Status Close() = 0;
 };
 
-// POSIX implementation over open/write/fsync.
+// Reservation geometry of PosixSyncFile, shared with the journal reader.
+// A log reserves file space in steps of kReserveStepBytes and keeps at
+// least kReservedZeroTailBytes of zeros past its written end, so an image
+// that is a whole number of steps and ends in that many zeros is a log cut
+// short by a crash.
+inline constexpr uint64_t kReserveStepBytes = 64 * 1024;
+inline constexpr uint64_t kReservedZeroTailBytes = 4 * 1024;
+
+// POSIX implementation over pwrite/fdatasync.
+//
+// Until its first completed Sync the file grows with every Append, so a
+// file written whole and synced once (a checkpoint) holds exactly its
+// bytes. Once an Append follows a completed Sync the file is a log: it
+// reserves space ahead with fallocate, kReserveStepBytes at a time, keeps
+// at least kReservedZeroTailBytes of zeros after the written end, writes in
+// place, and syncs with fdatasync. A sync then changes no file size and
+// costs no filesystem metadata commit. Each new step is synced before
+// anything is written into it (one extra fdatasync per step), so no crash
+// image holds frames inside a size whose zero tail is too short. A failed
+// reservation (no fallocate support, no space) gives back what it held,
+// syncs that, and the file grows by plain writes from then on. Close
+// truncates to the written length and syncs, so a closed file holds
+// exactly its bytes; a file dropped without Close keeps its reserved zero
+// tail, which the journal reader reads as a crash image.
 class PosixSyncFile : public SyncFile {
  public:
-  // Creates (or truncates) `path` for appending.
+  // Creates (or truncates) `path` for writing.
   static Result<std::unique_ptr<PosixSyncFile>> Create(
       const std::string& path);
 
@@ -48,8 +72,15 @@ class PosixSyncFile : public SyncFile {
  private:
   PosixSyncFile(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
 
+  // Grows the reservation so `incoming` more bytes leave the zero tail.
+  Status Reserve(uint64_t incoming);
+
   std::string path_;
-  int fd_;  // -1 once closed.
+  int fd_;                    // -1 once closed.
+  uint64_t written_ = 0;      // Where the next Append lands.
+  uint64_t size_ = 0;         // File size: written_ plus any reservation.
+  bool synced_ = false;       // A Sync completed: appends reserve ahead.
+  bool reserving_ = true;     // Cleared for good by a failed reservation.
 };
 
 // In-memory implementation for tests and benches. `contents()` is what a

@@ -135,6 +135,23 @@ TEST(CheckpointTest, DurableFileWritePublishesAtomically) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
+TEST(CheckpointTest, DurableFileWriteNeverReserves) {
+  // A checkpoint is written whole and synced once, so PosixSyncFile never
+  // reserves space ahead for it (that starts only with an append after a
+  // sync, i.e. a log): the published file is exactly the framed bytes.
+  const std::string path = ::testing::TempDir() + "checkpoint_exact.gck";
+  const std::string payload(70000, 'p');  // Past one 64 KiB step.
+  ASSERT_TRUE(WriteCheckpointFileDurable(CheckpointKind::kTenantSnapshot,
+                                         payload, path)
+                  .ok());
+  const std::string framed = Framed(CheckpointKind::kTenantSnapshot, payload);
+  EXPECT_EQ(std::filesystem::file_size(path), framed.size());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), framed);
+}
+
 TEST(CheckpointTest, DurableFileWriteIgnoresStaleTemp) {
   // A crash between the temp write and the rename leaves `path.tmp`
   // behind; the next durable write must truncate it and publish cleanly.

@@ -227,7 +227,7 @@ TEST(JournalTest, ReaderRejectsGapsAndDuplicates) {
 }
 
 TEST(JournalTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "journal_file_test.gjl";
+  const std::string path = testing::TestTmpDir() + "journal_file_test.gjl";
   {
     Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(path);
     ASSERT_TRUE(writer.ok());

@@ -495,7 +495,7 @@ TEST(RecoveryFaultTest, RecoverFromJournalAloneMatchesSerialReplay) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
   const std::string journal_path =
-      ::testing::TempDir() + "recover_journal_only.gjl";
+      testing::TestTmpDir() + "recover_journal_only.gjl";
   std::string expected_tree;
   {
     Result<std::unique_ptr<IssuanceService>> service =
@@ -527,8 +527,8 @@ TEST(RecoveryFaultTest, RecoverFromCheckpointPlusJournalTail) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
   const std::string checkpoint_path =
-      ::testing::TempDir() + "recover_ckpt.gck";
-  const std::string journal_path = ::testing::TempDir() + "recover_tail.gjl";
+      testing::TestTmpDir() + "recover_ckpt.gck";
+  const std::string journal_path = testing::TestTmpDir() + "recover_tail.gjl";
   std::string expected_tree;
   uint64_t seq_at_checkpoint = 0;
   {
@@ -596,7 +596,7 @@ TEST(RecoveryFaultTest, RecoverAfterTornFinalFrameDropsOnlyThatFrame) {
   faults->TearNextAppend(7);
   EXPECT_FALSE((*service)->TryIssue(RequestAt(schema, 10)).ok());
 
-  const std::string journal_path = ::testing::TempDir() + "recover_torn.gjl";
+  const std::string journal_path = testing::TestTmpDir() + "recover_torn.gjl";
   {
     std::ofstream out(journal_path, std::ios::binary);
     out.write(disk->contents().data(),
@@ -617,7 +617,7 @@ TEST(RecoveryFaultTest, RecoverRejectsCorruptJournalLoudly) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
   const std::string journal_path =
-      ::testing::TempDir() + "recover_corrupt.gjl";
+      testing::TestTmpDir() + "recover_corrupt.gjl";
   {
     Result<std::unique_ptr<IssuanceService>> service =
         IssuanceService::Create(&licenses);

@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "geometry/hyper_rect.h"
 #include "licensing/constraint_schema.h"
 #include "licensing/license.h"
@@ -23,6 +25,22 @@ namespace geolic::testing {
 
 // Shorthand for a single-word LicenseSet literal: Mask(0b101) == {L1, L3}.
 inline LicenseSet Mask(uint64_t word) { return LicenseSet::FromWord(word); }
+
+// Directory for a test's files, ending in '/': $TEST_TMPDIR when set,
+// else ::testing::TempDir(). Read here because some GoogleTest releases
+// ignore TEST_TMPDIR on Linux; CI points it at tmpfs to rerun the
+// file-backed journal tests on a second filesystem.
+inline std::string TestTmpDir() {
+  const char* env = std::getenv("TEST_TMPDIR");
+  if (env == nullptr || *env == '\0') {
+    return ::testing::TempDir();
+  }
+  std::string dir = env;
+  if (dir.back() != '/') {
+    dir += '/';
+  }
+  return dir;
+}
 
 // Seed for randomized tests: `default_seed` unless the GEOLIC_TEST_SEED
 // environment variable overrides it (parsed with base auto-detection, so
