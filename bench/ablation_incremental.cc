@@ -5,9 +5,9 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/grouped_validator.h"
 #include "core/incremental_auditor.h"
 #include "util/stopwatch.h"
+#include "validation/validate.h"
 
 int main(int argc, char** argv) {
   using namespace geolic;         // NOLINT
@@ -40,8 +40,9 @@ int main(int argc, char** argv) {
         GEOLIC_CHECK(accumulated.Append(records[i]).ok());
       }
       Stopwatch timer;
-      Result<GroupedValidationResult> audit =
-          ValidateGroupedFromLog(*workload.licenses, accumulated);
+      Result<ValidationOutcome> audit =
+          Validate(*workload.licenses, accumulated,
+                   {.mode = ValidationMode::kGrouped});
       GEOLIC_CHECK(audit.ok());
       full_ms += timer.ElapsedMillis();
       full_equations += audit->report.equations_evaluated;

@@ -9,7 +9,6 @@
 
 #include "validation/validate.h"
 #include "bench/bench_util.h"
-#include "core/parallel_validator.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -62,11 +61,12 @@ int main(int argc, char** argv) {
     GEOLIC_CHECK(sequential.ok());
 
     Stopwatch par_timer;
-    Result<ValidationReport> parallel =
-        ValidateExhaustiveParallel(*tree, aggregates, threads);
+    Result<ValidationOutcome> parallel = Validate(
+        *tree, aggregates,
+        {.mode = ValidationMode::kExhaustive, .num_threads = threads});
     const double par_ms = par_timer.ElapsedMillis();
     GEOLIC_CHECK(parallel.ok());
-    GEOLIC_CHECK(parallel->violations.size() ==
+    GEOLIC_CHECK(parallel->report.violations.size() ==
                  sequential->violations.size());
 
     Result<ValidationTree> grouped_tree1 =
@@ -77,14 +77,16 @@ int main(int argc, char** argv) {
     GEOLIC_CHECK(grouped_tree2.ok());
 
     Stopwatch seq_grouped_timer;
-    Result<GroupedValidationResult> seq_grouped =
-        ValidateGrouped(*workload.licenses, *std::move(grouped_tree1));
+    Result<ValidationOutcome> seq_grouped =
+        Validate(*workload.licenses, *std::move(grouped_tree1),
+                 {.mode = ValidationMode::kGrouped});
     const double seq_grouped_ms = seq_grouped_timer.ElapsedMillis();
     GEOLIC_CHECK(seq_grouped.ok());
 
     Stopwatch par_grouped_timer;
-    Result<GroupedValidationResult> par_grouped = ValidateGroupedParallel(
-        *workload.licenses, *std::move(grouped_tree2), threads);
+    Result<ValidationOutcome> par_grouped =
+        Validate(*workload.licenses, *std::move(grouped_tree2),
+                 {.mode = ValidationMode::kGrouped, .num_threads = threads});
     const double par_grouped_ms = par_grouped_timer.ElapsedMillis();
     GEOLIC_CHECK(par_grouped.ok());
 

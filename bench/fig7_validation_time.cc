@@ -11,7 +11,6 @@
 
 #include "validation/validate.h"
 #include "bench/bench_util.h"
-#include "core/grouped_validator.h"
 #include "util/stopwatch.h"
 
 namespace geolic {
@@ -57,8 +56,9 @@ int main(int argc, char** argv) {
     Result<ValidationTree> grouped_tree =
         ValidationTree::BuildFromLog(workload.log);
     GEOLIC_CHECK(grouped_tree.ok());
-    Result<GroupedValidationResult> grouped =
-        ValidateGrouped(*workload.licenses, *std::move(grouped_tree));
+    Result<ValidationOutcome> grouped =
+        Validate(*workload.licenses, *std::move(grouped_tree),
+                 {.mode = ValidationMode::kGrouped});
     GEOLIC_CHECK(grouped.ok());
     const double proposed_vt_ms = grouped->validation_micros / 1000.0;
     const double proposed_total_ms =

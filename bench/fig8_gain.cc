@@ -11,7 +11,7 @@
 #include "validation/validate.h"
 #include "bench/bench_util.h"
 #include "core/gain.h"
-#include "core/grouped_validator.h"
+#include "core/grouping.h"
 #include "util/stopwatch.h"
 
 namespace geolic {
@@ -70,9 +70,9 @@ int main(int argc, char** argv) {
       Result<ValidationTree> grouped_tree =
           ValidationTree::BuildFromLog(workload.log);
       GEOLIC_CHECK(grouped_tree.ok());
-      Result<GroupedValidationResult> grouped = ValidateGroupedWithGrouping(
-          grouping, workload.licenses->AggregateCounts(),
-          *std::move(grouped_tree));
+      Result<ValidationOutcome> grouped =
+          Validate(*workload.licenses, *std::move(grouped_tree),
+                   {.mode = ValidationMode::kGrouped});
       GEOLIC_CHECK(grouped.ok());
       proposed_total += grouped->validation_micros;
     }

@@ -17,9 +17,9 @@
 #include <utility>
 
 #include "core/gain.h"
-#include "core/grouped_validator.h"
 #include "licensing/license_parser.h"
 #include "validation/report_json.h"
+#include "validation/validate.h"
 #include "validation/validation_tree.h"
 #include "workload/workload.h"
 #include "util/str_util.h"
@@ -159,8 +159,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "log file: %s\n", log.status().ToString().c_str());
     return 1;
   }
-  Result<GroupedValidationResult> result =
-      ValidateGroupedFromLog(*licenses, *log);
+  Result<ValidationOutcome> result =
+      Validate(*licenses, *log, {.mode = ValidationMode::kGrouped});
   if (!result.ok()) {
     std::fprintf(stderr, "validation: %s\n",
                  result.status().ToString().c_str());

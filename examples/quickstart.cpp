@@ -12,11 +12,11 @@
 #include <utility>
 
 #include "core/gain.h"
-#include "core/grouped_validator.h"
 #include "core/grouping.h"
 #include "core/instance_validator.h"
 #include "core/online_validator.h"
 #include "licensing/license_parser.h"
+#include "validation/validate.h"
 #include "validation/validation_tree.h"
 
 int main() {
@@ -114,8 +114,8 @@ int main() {
     std::printf("  group %d: %s\n", k + 1,
                 grouping.GroupMask(k).ToString().c_str());
   }
-  Result<GroupedValidationResult> result =
-      ValidateGrouped(licenses, *std::move(tree));
+  Result<ValidationOutcome> result = Validate(
+      licenses, *std::move(tree), {.mode = ValidationMode::kGrouped});
   if (!result.ok()) {
     return 1;
   }

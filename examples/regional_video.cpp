@@ -13,7 +13,6 @@
 
 #include "validation/validate.h"
 #include "core/gain.h"
-#include "core/grouped_validator.h"
 #include "workload/workload.h"
 #include "util/stopwatch.h"
 
@@ -100,8 +99,9 @@ int main() {
   if (!grouped_tree.ok()) {
     return 1;
   }
-  Result<GroupedValidationResult> grouped =
-      ValidateGrouped(*workload->licenses, *std::move(grouped_tree));
+  Result<ValidationOutcome> grouped =
+      Validate(*workload->licenses, *std::move(grouped_tree),
+               {.mode = ValidationMode::kGrouped});
   if (!grouped.ok()) {
     return 1;
   }

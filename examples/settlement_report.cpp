@@ -11,9 +11,9 @@
 
 #include "core/assignment.h"
 #include "core/capacity.h"
-#include "core/grouped_validator.h"
 #include "core/online_validator.h"
 #include "validation/report_json.h"
+#include "validation/validate.h"
 #include "workload/workload.h"
 
 int main() {
@@ -105,8 +105,9 @@ int main() {
   }
 
   // Offline audit confirms the books, exported as JSON for tooling.
-  const Result<GroupedValidationResult> audit =
-      ValidateGroupedFromLog(*workload->licenses, online->log());
+  const Result<ValidationOutcome> audit =
+      Validate(*workload->licenses, online->log(),
+               {.mode = ValidationMode::kGrouped});
   if (!audit.ok()) {
     return 1;
   }

@@ -40,22 +40,26 @@ Result<std::vector<ValidationTree>> DivideValidationTree(
   std::vector<ValidationTree> parts(static_cast<size_t>(g));
 
   ValidationTreeNode* root = tree.mutable_root();
-  for (auto& child : root->children) {
+  // Every branch is checked before any moves, so a rejected tree is left
+  // whole for its destructor.
+  for (const auto& child : root->children) {
     const int index = child->index;
     if (index < 0 || index >= grouping.num_licenses()) {
       return Status::Internal("tree contains license index " +
                               std::to_string(index + 1) +
                               " outside the grouped license set");
     }
-    const int group = grouping.GroupOf(index);
-    if (!BranchWithin(*child, grouping.GroupMask(group))) {
+    if (!BranchWithin(*child, grouping.GroupMask(grouping.GroupOf(index)))) {
       return Status::Internal(
           "log branch under L" + std::to_string(index + 1) +
           " spans licenses from multiple non-overlapping groups");
     }
+  }
+  for (auto& child : root->children) {
     // Algorithm 4: "link T' as child node of root_j". Root children arrive
     // in ascending index order, and positions within a group ascend with
     // original indexes, so each part's children stay ordered.
+    const int group = grouping.GroupOf(child->index);
     parts[static_cast<size_t>(group)].mutable_root()->children.push_back(
         std::move(child));
   }

@@ -240,9 +240,9 @@ Result<DistributorAudit> DistributionNetwork::AuditDistributor(
   if (state->received->empty() || state->validator == nullptr) {
     return audit;  // Nothing to audit.
   }
-  GEOLIC_ASSIGN_OR_RETURN(
-      audit.result,
-      ValidateGroupedFromLog(*state->received, state->validator->log()));
+  GEOLIC_ASSIGN_OR_RETURN(audit.result,
+                          Validate(*state->received, state->validator->log(),
+                                   {.mode = ValidationMode::kGrouped}));
   return audit;
 }
 

@@ -5,11 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "core/grouped_validator.h"
 #include "core/online_validator.h"
 #include "drm/party.h"
 #include "licensing/license_catalog.h"
 #include "validation/log_store.h"
+#include "validation/validate.h"
 #include "util/status.h"
 
 namespace geolic {
@@ -19,7 +19,7 @@ struct DistributorAudit {
   int party_id = -1;
   std::string party_name;
   // Empty licence set / log ⇒ trivially clean (zero equations).
-  GroupedValidationResult result;
+  ValidationOutcome result;
 };
 
 // Audit of the whole network: one entry per distributor with ≥ 1 received

@@ -139,9 +139,10 @@ Result<ValidationAuthority::ContentAudit> ValidationAuthority::Audit(
   }
   ContentAudit audit;
   audit.key = key;
-  GEOLIC_ASSIGN_OR_RETURN(
-      audit.result, ValidateGroupedFromLog(*it->second.licenses,
-                                           it->second.service->CollectLog()));
+  GEOLIC_ASSIGN_OR_RETURN(audit.result,
+                          Validate(*it->second.licenses,
+                                   it->second.service->CollectLog(),
+                                   {.mode = ValidationMode::kGrouped}));
   return audit;
 }
 
@@ -166,9 +167,9 @@ Result<ValidationAuthority::PeriodClose> ValidationAuthority::ClosePeriod(
   PeriodClose close;
   close.audit.key = key;
   close.archived_log = domain.service->CollectLog();
-  GEOLIC_ASSIGN_OR_RETURN(
-      close.audit.result,
-      ValidateGroupedFromLog(*domain.licenses, close.archived_log));
+  GEOLIC_ASSIGN_OR_RETURN(close.audit.result,
+                          Validate(*domain.licenses, close.archived_log,
+                                   {.mode = ValidationMode::kGrouped}));
   if (close.audit.result.report.all_valid()) {
     GEOLIC_ASSIGN_OR_RETURN(
         close.settlement,

@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "core/assignment.h"
-#include "core/grouped_validator.h"
 #include "core/online_validator.h"
 #include "licensing/license_catalog.h"
 #include "service/issuance_service.h"
 #include "validation/log_store.h"
+#include "validation/validate.h"
 #include "util/status.h"
 
 namespace geolic {
@@ -47,7 +47,7 @@ class ValidationAuthority {
   // Audit of one content/permission domain.
   struct ContentAudit {
     ContentKey key;
-    GroupedValidationResult result;
+    ValidationOutcome result;
   };
 
   // Outcome of closing one domain's validation period.

@@ -53,10 +53,6 @@ const char* CheckpointKindName(CheckpointKind kind) {
   return "unknown";
 }
 
-bool IsCheckpointMagic(const char* magic) {
-  return std::memcmp(magic, kCheckpointMagic, sizeof(kCheckpointMagic)) == 0;
-}
-
 Status WriteCheckpoint(CheckpointKind kind, std::string_view payload,
                        std::ostream* out) {
   std::string header(kCheckpointMagic, sizeof(kCheckpointMagic));
@@ -79,14 +75,10 @@ Result<std::string> ReadCheckpointPayload(CheckpointKind expected_kind,
                                           std::istream* in) {
   char magic[sizeof(kCheckpointMagic)];
   in->read(magic, sizeof(magic));
-  if (!*in || !IsCheckpointMagic(magic)) {
+  if (!*in ||
+      std::memcmp(magic, kCheckpointMagic, sizeof(kCheckpointMagic)) != 0) {
     return Status::ParseError("not a geolic v2 checkpoint (bad magic)");
   }
-  return ReadCheckpointPayloadAfterMagic(expected_kind, in);
-}
-
-Result<std::string> ReadCheckpointPayloadAfterMagic(
-    CheckpointKind expected_kind, std::istream* in) {
   char rest[kCoveredHeaderBytes - sizeof(kCheckpointMagic)];
   uint32_t header_crc = 0;
   in->read(rest, sizeof(rest));
@@ -214,7 +206,13 @@ Result<std::string> ReadCheckpointFile(CheckpointKind expected_kind,
   if (!in) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  return ReadCheckpointPayload(expected_kind, &in);
+  GEOLIC_ASSIGN_OR_RETURN(std::string payload,
+                          ReadCheckpointPayload(expected_kind, &in));
+  if (in.peek() != std::ifstream::traits_type::eof()) {
+    return Status::ParseError("trailing bytes after checkpoint footer: " +
+                              path);
+  }
+  return payload;
 }
 
 }  // namespace geolic

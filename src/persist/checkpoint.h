@@ -11,11 +11,9 @@
 namespace geolic {
 
 // Checkpoint container format v2 — the CRC-protected envelope every geolic
-// snapshot (validation tree, log store, service snapshot) is written in.
-// The legacy formats ("GLTREE1", "GLOGBIN1") had zero corruption
-// detection: a single flipped bit in a count field loaded cleanly and
-// changed every downstream C⟨S⟩. v2 wraps the same payload bytes in a
-// checksummed frame so corruption fails loudly instead.
+// snapshot (validation tree, log store, service snapshot, tenant spill) is
+// written in, so a flipped bit fails the load instead of silently changing
+// a count. A checkpoint file holds exactly one frame.
 //
 // Layout (little-endian):
 //   header  : magic "GLCKPT2\0" (8) | version u32 | kind u32 |
@@ -42,22 +40,14 @@ enum class CheckpointKind : uint32_t {
 
 const char* CheckpointKindName(CheckpointKind kind);
 
-// True iff `magic` (8 bytes) is the v2 container magic — format sniffers
-// use this to route between v2 and the legacy loaders.
-bool IsCheckpointMagic(const char* magic);
-
 // Writes one framed checkpoint to `out`.
 Status WriteCheckpoint(CheckpointKind kind, std::string_view payload,
                        std::ostream* out);
 
 // Reads a framed checkpoint, verifying magic, version, kind and both CRCs.
+// Bytes after the footer are left in the stream.
 Result<std::string> ReadCheckpointPayload(CheckpointKind expected_kind,
                                           std::istream* in);
-
-// Same, for callers that already consumed (and verified) the 8-byte magic
-// while sniffing the format.
-Result<std::string> ReadCheckpointPayloadAfterMagic(
-    CheckpointKind expected_kind, std::istream* in);
 
 // File variants.
 Status WriteCheckpointFile(CheckpointKind kind, std::string_view payload,
@@ -75,6 +65,9 @@ Status WriteCheckpointFile(CheckpointKind kind, std::string_view payload,
 Status WriteCheckpointFileDurable(CheckpointKind kind,
                                   std::string_view payload,
                                   const std::string& path);
+
+// Reads the file's one frame, as ReadCheckpointPayload; any byte after the
+// footer is a ParseError.
 Result<std::string> ReadCheckpointFile(CheckpointKind expected_kind,
                                        const std::string& path);
 

@@ -60,9 +60,8 @@ class RequestTimer {
   Stopwatch real_;
 };
 
-// First u64 of a v3 service-checkpoint payload. A legacy payload starts
-// with the covered journal sequence, which can never be 2^64-1, so the
-// sentinel cleanly separates the two layouts.
+// First u64 of a v3 service-checkpoint payload; Recover rejects a payload
+// that starts with anything else.
 constexpr uint64_t kCheckpointV3Sentinel = ~uint64_t{0};
 constexpr uint32_t kCheckpointV3Version = 3;
 
@@ -1124,29 +1123,28 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
         ReadCheckpointFile(CheckpointKind::kServiceSnapshot,
                            checkpoint_path));
     std::istringstream body(payload);
-    uint64_t first = 0;
-    body.read(reinterpret_cast<char*>(&first), sizeof(first));
+    uint64_t sentinel = 0;
+    body.read(reinterpret_cast<char*>(&sentinel), sizeof(sentinel));
     if (!body) {
       return Status::ParseError("service checkpoint payload truncated: " +
                                 checkpoint_path);
     }
-    if (first == kCheckpointV3Sentinel) {
-      uint32_t version = 0;
-      body.read(reinterpret_cast<char*>(&version), sizeof(version));
-      body.read(reinterpret_cast<char*>(&ckpt_epoch), sizeof(ckpt_epoch));
-      body.read(reinterpret_cast<char*>(&covered_seq), sizeof(covered_seq));
-      if (!body) {
-        return Status::ParseError("service checkpoint payload truncated: " +
-                                  checkpoint_path);
-      }
-      if (version != kCheckpointV3Version) {
-        return Status::ParseError(
-            "unsupported service checkpoint payload version");
-      }
-    } else {
-      // Legacy payload: the first word is the covered sequence; written
-      // before reconfigurations existed, so it covers epoch 0.
-      covered_seq = first;
+    if (sentinel != kCheckpointV3Sentinel) {
+      return Status::ParseError(
+          "service checkpoint payload lacks the v3 sentinel: " +
+          checkpoint_path);
+    }
+    uint32_t version = 0;
+    body.read(reinterpret_cast<char*>(&version), sizeof(version));
+    body.read(reinterpret_cast<char*>(&ckpt_epoch), sizeof(ckpt_epoch));
+    body.read(reinterpret_cast<char*>(&covered_seq), sizeof(covered_seq));
+    if (!body) {
+      return Status::ParseError("service checkpoint payload truncated: " +
+                                checkpoint_path);
+    }
+    if (version != kCheckpointV3Version) {
+      return Status::ParseError(
+          "unsupported service checkpoint payload version");
     }
     GEOLIC_ASSIGN_OR_RETURN(LogStore records,
                             LogStore::DeserializeRecords(&body));

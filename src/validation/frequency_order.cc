@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "validation/validate.h"
 #include "util/check.h"
 
 namespace geolic {
@@ -84,18 +83,6 @@ Result<ValidationTree> BuildFrequencyOrderedTree(
         tree.Insert(permutation.MapMask(record.set), record.count));
   }
   return tree;
-}
-
-Result<ValidationReport> ValidateExhaustiveFrequencyOrdered(
-    const LogStore& log, const std::vector<int64_t>& aggregates) {
-  // Thin wrapper over the Validate facade; the relabel–validate–unmap
-  // pipeline lives in validate.cc.
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  options.order = TreeOrder::kDescendingFrequency;
-  GEOLIC_ASSIGN_OR_RETURN(ValidationOutcome outcome,
-                          Validate(log, aggregates, options));
-  return std::move(outcome.report);
 }
 
 }  // namespace geolic

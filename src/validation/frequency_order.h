@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "validation/log_store.h"
-#include "validation/validation_report.h"
 #include "validation/validation_tree.h"
 #include "util/status.h"
 
@@ -58,17 +57,6 @@ class LicensePermutation {
 // Builds the validation tree under the permutation's labeling.
 Result<ValidationTree> BuildFrequencyOrderedTree(
     const LogStore& log, const LicensePermutation& permutation);
-
-// Algorithm 2 over a frequency-ordered tree; the report's violation sets
-// are translated back to original license indexes, so the result is
-// interchangeable with ValidateExhaustive(BuildFromLog(log), aggregates)
-// up to violation order (ascending in *relabeled* masks).
-//
-// Compatibility wrapper, slated for [[deprecated]]: new code should call
-// Validate(log, aggregates, {.order = TreeOrder::kDescendingFrequency})
-// (validation/validate.h); this delegates there.
-Result<ValidationReport> ValidateExhaustiveFrequencyOrdered(
-    const LogStore& log, const std::vector<int64_t>& aggregates);
 
 }  // namespace geolic
 

@@ -4,9 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "persist/checkpoint.h"
@@ -14,11 +12,6 @@
 #include "util/str_util.h"
 
 namespace geolic {
-namespace {
-
-constexpr char kBinaryMagic[8] = {'G', 'L', 'O', 'G', 'B', 'I', 'N', '1'};
-
-}  // namespace
 
 Status LogStore::Append(LogRecord record) {
   if (record.set.Empty()) {
@@ -159,31 +152,11 @@ void LogStore::SerializeRecords(std::ostream* out) const {
   }
 }
 
-namespace {
-
-// Smallest possible serialized record: set (u64) + count (i64) + id_len
-// (u32) with an empty id — the divisor for the file-size-derived cap on a
-// legacy file's declared record total.
-constexpr uint64_t kMinRecordBytes =
-    sizeof(uint64_t) + sizeof(int64_t) + sizeof(uint32_t);
-
-// No real log approaches this per-record count; a value beyond it is
-// corruption (e.g. a flipped high byte), not data.
-constexpr int64_t kMaxPlausibleRecordCount = int64_t{1} << 40;
-
-Result<LogStore> DeserializeRecordsCapped(std::istream* in,
-                                          uint64_t max_records,
-                                          int64_t max_record_count) {
+Result<LogStore> LogStore::DeserializeRecords(std::istream* in) {
   uint64_t count = 0;
   in->read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!*in) {
     return Status::ParseError("truncated log header");
-  }
-  if (count > max_records) {
-    return Status::ParseError(
-        "implausible record total " + std::to_string(count) +
-        ": the file can hold at most " + std::to_string(max_records) +
-        " records");
   }
   LogStore store;
   for (uint64_t i = 0; i < count; ++i) {
@@ -225,11 +198,6 @@ Result<LogStore> DeserializeRecordsCapped(std::istream* in,
     if (id_size > 4096) {
       return Status::ParseError("implausible id length in log record");
     }
-    if (record.count > max_record_count) {
-      return Status::ParseError(
-          "implausible count " + std::to_string(record.count) +
-          " in log record " + std::to_string(i));
-    }
     record.issued_license_id.resize(id_size);
     in->read(record.issued_license_id.data(), id_size);
     if (!*in) {
@@ -240,75 +208,21 @@ Result<LogStore> DeserializeRecordsCapped(std::istream* in,
   return store;
 }
 
-}  // namespace
-
-Result<LogStore> LogStore::DeserializeRecords(std::istream* in) {
-  return DeserializeRecordsCapped(in, std::numeric_limits<uint64_t>::max(),
-                                  std::numeric_limits<int64_t>::max());
-}
-
 Status LogStore::SaveBinary(const std::string& path) const {
   std::ostringstream body;
   SerializeRecords(&body);
   return WriteCheckpointFile(CheckpointKind::kLogStore, body.str(), path);
 }
 
-Status LogStore::SaveBinaryV1(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  out.write(kBinaryMagic, sizeof(kBinaryMagic));
-  SerializeRecords(&out);
-  if (!out) {
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::Ok();
-}
-
 Result<LogStore> LogStore::LoadBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
+  GEOLIC_ASSIGN_OR_RETURN(const std::string payload,
+                          ReadCheckpointFile(CheckpointKind::kLogStore, path));
+  std::istringstream body(payload);
+  GEOLIC_ASSIGN_OR_RETURN(LogStore store, DeserializeRecords(&body));
+  if (body.peek() != std::istringstream::traits_type::eof()) {
+    return Status::ParseError("trailing bytes after log payload: " + path);
   }
-  char magic[sizeof(kBinaryMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in) {
-    return Status::ParseError("not a geolic binary log: " + path);
-  }
-  if (IsCheckpointMagic(magic)) {
-    GEOLIC_ASSIGN_OR_RETURN(
-        const std::string payload,
-        ReadCheckpointPayloadAfterMagic(CheckpointKind::kLogStore, &in));
-    std::istringstream body(payload);
-    GEOLIC_ASSIGN_OR_RETURN(LogStore store, DeserializeRecords(&body));
-    if (body.peek() != std::istringstream::traits_type::eof()) {
-      return Status::ParseError("trailing bytes after log payload: " + path);
-    }
-    return store;
-  }
-  if (std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    return Status::ParseError("not a geolic binary log: " + path);
-  }
-  // Legacy v1 carries no checksums, so corruption is detectable only by
-  // plausibility: cap the declared record total by what the file could
-  // physically hold and every per-record count by a sanity bound, so a
-  // flipped high byte fails the load instead of silently inflating C⟨S⟩.
-  // Low-bit flips remain invisible in v1 — that is why v2 wraps the same
-  // record body in the CRC-checked checkpoint container.
-  in.seekg(0, std::ios::end);
-  const std::streamoff end = in.tellg();
-  in.seekg(static_cast<std::streamoff>(sizeof(kBinaryMagic)), std::ios::beg);
-  if (end < 0 || !in) {
-    return Status::IoError("cannot size binary log: " + path);
-  }
-  const uint64_t body_bytes =
-      static_cast<uint64_t>(end) - sizeof(kBinaryMagic);
-  const uint64_t max_records =
-      body_bytes < sizeof(uint64_t)
-          ? 0
-          : (body_bytes - sizeof(uint64_t)) / kMinRecordBytes;
-  return DeserializeRecordsCapped(&in, max_records, kMaxPlausibleRecordCount);
+  return store;
 }
 
 }  // namespace geolic

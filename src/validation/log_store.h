@@ -56,16 +56,11 @@ class LogStore {
   // Binary persistence. Writes the record table inside the CRC-protected
   // checkpoint-v2 container (persist/checkpoint.h, kind = log-store), so a
   // flipped bit fails the load instead of silently changing a count.
-  // LoadBinary also accepts the legacy unchecksummed "GLOGBIN1" format.
   Status SaveBinary(const std::string& path) const;
   static Result<LogStore> LoadBinary(const std::string& path);
 
-  // Legacy v1 writer ("GLOGBIN1", no checksums), kept so tests can
-  // exercise the compatibility load path. New code must not call this.
-  Status SaveBinaryV1(const std::string& path) const;
-
   // The raw record table (uint64 record count, then per record: set u64,
-  // count i64, id_len u32, id bytes) — the body both binary formats share,
+  // count i64, id_len u32, id bytes) — the log-store checkpoint's payload,
   // exposed for embedding in larger checkpoints (service snapshots).
   void SerializeRecords(std::ostream* out) const;
   static Result<LogStore> DeserializeRecords(std::istream* in);

@@ -1,6 +1,5 @@
 #include "validation/tree_serialization.h"
 
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -13,7 +12,6 @@
 namespace geolic {
 namespace {
 
-constexpr char kLegacyMagic[8] = {'G', 'L', 'T', 'R', 'E', 'E', '1', '\0'};
 constexpr uint64_t kMaxNodes = uint64_t{1} << 32;  // Sanity bound on load.
 
 void WriteTriple(const ValidationTreeNode& node, std::ostream* out) {
@@ -137,7 +135,15 @@ Status ReadTreeBody(std::istream* in, ValidationTree* tree) {
   return Status::Ok();
 }
 
-Result<ValidationTree> FinishTree(ValidationTree tree) {
+// Parses a checkpoint payload: exactly one tree body, then the root and
+// structure checks.
+Result<ValidationTree> ParseTreePayload(const std::string& payload) {
+  std::istringstream body(payload);
+  ValidationTree tree;
+  GEOLIC_RETURN_IF_ERROR(ReadTreeBody(&body, &tree));
+  if (body.peek() != std::istringstream::traits_type::eof()) {
+    return Status::ParseError("trailing bytes after tree payload");
+  }
   if (tree.root().index != -1) {
     return Status::ParseError("checkpoint root is not a root node");
   }
@@ -162,39 +168,11 @@ Status SerializeTree(const ValidationTree& tree, std::ostream* out) {
   return Status::Ok();
 }
 
-Status SerializeTreeV1(const ValidationTree& tree, std::ostream* out) {
-  out->write(kLegacyMagic, sizeof(kLegacyMagic));
-  WriteTreeBody(tree, out);
-  if (!*out) {
-    return Status::IoError("tree serialization write failed");
-  }
-  return Status::Ok();
-}
-
 Result<ValidationTree> DeserializeTree(std::istream* in) {
-  char magic[sizeof(kLegacyMagic)];
-  in->read(magic, sizeof(magic));
-  if (!*in) {
-    return Status::ParseError("not a geolic tree checkpoint");
-  }
-  if (IsCheckpointMagic(magic)) {
-    GEOLIC_ASSIGN_OR_RETURN(
-        const std::string payload,
-        ReadCheckpointPayloadAfterMagic(CheckpointKind::kValidationTree, in));
-    std::istringstream body(payload);
-    ValidationTree tree;
-    GEOLIC_RETURN_IF_ERROR(ReadTreeBody(&body, &tree));
-    if (body.peek() != std::istringstream::traits_type::eof()) {
-      return Status::ParseError("trailing bytes after tree payload");
-    }
-    return FinishTree(std::move(tree));
-  }
-  if (std::memcmp(magic, kLegacyMagic, sizeof(magic)) != 0) {
-    return Status::ParseError("not a geolic tree checkpoint");
-  }
-  ValidationTree tree;
-  GEOLIC_RETURN_IF_ERROR(ReadTreeBody(in, &tree));
-  return FinishTree(std::move(tree));
+  GEOLIC_ASSIGN_OR_RETURN(
+      const std::string payload,
+      ReadCheckpointPayload(CheckpointKind::kValidationTree, in));
+  return ParseTreePayload(payload);
 }
 
 Status SaveTree(const ValidationTree& tree, const std::string& path) {
@@ -206,11 +184,10 @@ Status SaveTree(const ValidationTree& tree, const std::string& path) {
 }
 
 Result<ValidationTree> LoadTree(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  return DeserializeTree(&in);
+  GEOLIC_ASSIGN_OR_RETURN(
+      const std::string payload,
+      ReadCheckpointFile(CheckpointKind::kValidationTree, path));
+  return ParseTreePayload(payload);
 }
 
 }  // namespace geolic

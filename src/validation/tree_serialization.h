@@ -13,17 +13,11 @@ namespace geolic {
 // checkpoint the accumulated tree between offline audit runs instead of
 // replaying the whole log.
 //
-// Current format (v2): the tree body — uint64 node count, then the tree in
-// preorder as (int32 index, int64 count, uint32 child_count) triples, root
-// written with index −1 — wrapped in the CRC-protected checkpoint-v2
-// container (persist/checkpoint.h, kind = validation-tree). A flipped bit
-// anywhere in the file fails the load instead of silently changing a
-// count.
-//
-// Legacy format (v1): magic "GLTREE1\0" followed by the same body, no
-// checksums. Loaders accept both; writers emit v2 only. v1 files cannot
-// detect payload corruption — a flipped count byte loads cleanly — which
-// is why the format was replaced.
+// Format: the tree body — uint64 node count, then the tree in preorder as
+// (int32 index, int64 count, uint32 child_count) triples, root written
+// with index −1 — wrapped in the CRC-protected checkpoint-v2 container
+// (persist/checkpoint.h, kind = validation-tree). A flipped bit anywhere
+// in the file fails the load instead of silently changing a count.
 //
 // Both serializer and deserializer walk with explicit stacks: a deep
 // chain-shaped tree (adversarial checkpoint, or any tree deeper than the
@@ -32,20 +26,15 @@ namespace geolic {
 // Writes `tree` to `path` in v2 framing, overwriting.
 Status SaveTree(const ValidationTree& tree, const std::string& path);
 
-// Reads a tree written by SaveTree (v2) or by the legacy v1 writer.
-// Validates structure (child ordering, strictly increasing path indexes)
-// before returning; v2 additionally verifies header and payload CRCs.
+// Reads a tree written by SaveTree. Verifies header and payload CRCs, then
+// the structure (child ordering, strictly increasing path indexes), before
+// returning. Any byte after the checkpoint's footer fails the load.
 Result<ValidationTree> LoadTree(const std::string& path);
 
 // Stream variants (used by the file variants; exposed for embedding the
 // tree in larger checkpoint files).
 Status SerializeTree(const ValidationTree& tree, std::ostream* out);
 Result<ValidationTree> DeserializeTree(std::istream* in);
-
-// Legacy v1 writer, kept so tests can exercise the compatibility load
-// path and demonstrate v1's missing corruption detection. New code must
-// not call this.
-Status SerializeTreeV1(const ValidationTree& tree, std::ostream* out);
 
 }  // namespace geolic
 

@@ -14,16 +14,12 @@
 
 namespace geolic {
 
-// Unified entry point for every offline aggregate-validation engine. Every
-// engine compiles the (static) pointer tree into a FlatValidationTree
-// (validation/flat_tree.h) once per run — per group in grouped modes — and
-// evaluates all equations against the flat, pruning-aware form. The
-
-// historical functions — ValidateExhaustive, ValidateExhaustiveLimited,
-// ValidateExhaustiveFrequencyOrdered, ValidateZeta, ValidateGrouped,
-// ValidateGroupedFromLog, ValidateExhaustiveParallel and
-// ValidateGroupedParallel — remain as thin wrappers that delegate here and
-// should be considered deprecated in new code; prefer Validate + options.
+// The one entry point for offline aggregate validation: every engine is a
+// ValidationMode, and parallelism, frequency ordering and the equation and
+// dense-table caps are ValidateOptions fields. Every engine compiles the
+// (static) pointer tree into a FlatValidationTree (validation/flat_tree.h)
+// once per run — per group in grouped modes — and evaluates all equations
+// against the flat, pruning-aware form.
 //
 // The license-set overloads (grouped modes) are implemented in the core
 // library because they dispatch into grouping/tree-division; linking the
@@ -74,8 +70,9 @@ struct ValidateOptions {
   Tracer* tracer = nullptr;
 };
 
-// Superset of ValidationReport and GroupedValidationResult: ungrouped runs
-// leave the group fields at their defaults (group_count == 0).
+// The report plus the grouped pipeline's cost breakdown. Grouped runs report
+// violation sets in original license indexes; ungrouped runs leave the
+// group fields at their defaults (group_count == 0).
 struct ValidationOutcome {
   ValidationReport report;
   int group_count = 0;  // 0 ⇔ an ungrouped engine ran.

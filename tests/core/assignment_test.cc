@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/grouped_validator.h"
 #include "core/online_validator.h"
 #include "test_util.h"
+#include "validation/validate.h"
 #include "workload/workload.h"
 
 namespace geolic {
@@ -95,8 +95,9 @@ TEST(SettlementPropertyTest, SettleableIffValid) {
     config.aggregate_max = 700;
     Result<Workload> workload = WorkloadGenerator(config).Generate();
     ASSERT_TRUE(workload.ok());
-    const Result<GroupedValidationResult> audit =
-        ValidateGroupedFromLog(*workload->licenses, workload->log);
+    const Result<ValidationOutcome> audit =
+        Validate(*workload->licenses, workload->log,
+                 {.mode = ValidationMode::kGrouped});
     ASSERT_TRUE(audit.ok());
     const Result<SettlementAssignment> settlement =
         ComputeSettlement(*workload->licenses, workload->log);

@@ -1,31 +1,23 @@
+// The paper's grouped pipeline (grouping, tree division, per-group
+// validation) as reached through Validate's grouped modes.
 #include "validation/validate.h"
-#include "core/grouped_validator.h"
 
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "core/gain.h"
+#include "core/grouping.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
-Result<ValidationReport> RunExhaustive(
-    const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
-  if (!outcome.ok()) return outcome.status();
-  return std::move(outcome->report);
-}
-
 using testing::IntervalSchema;
 using testing::MakeRedistribution;
+
+constexpr ValidateOptions kGrouped = {.mode = ValidationMode::kGrouped};
 
 // Two disjoint clusters of licenses with a shared-budget structure.
 LicenseCatalog TwoClusterSet(const ConstraintSchema& schema) {
@@ -45,8 +37,8 @@ TEST(GroupedValidatorTest, CleanLogValidates) {
   ValidationTree tree;
   ASSERT_TRUE(tree.Insert(testing::Mask(0b011), 50).ok());
   ASSERT_TRUE(tree.Insert(testing::Mask(0b100), 70).ok());
-  const Result<GroupedValidationResult> result =
-      ValidateGrouped(set, std::move(tree));
+  const Result<ValidationOutcome> result =
+      Validate(set, std::move(tree), kGrouped);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->report.all_valid());
   EXPECT_EQ(result->group_count, 2);
@@ -60,8 +52,8 @@ TEST(GroupedValidatorTest, ViolationReportedInOriginalIndexes) {
   const LicenseCatalog set = TwoClusterSet(schema);
   ValidationTree tree;
   ASSERT_TRUE(tree.Insert(testing::Mask(0b100), 150).ok());  // L3 over its 100 budget.
-  const Result<GroupedValidationResult> result =
-      ValidateGrouped(set, std::move(tree));
+  const Result<ValidationOutcome> result =
+      Validate(set, std::move(tree), kGrouped);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->report.violations.size(), 1u);
   // L3 is local index 0 of group 1; the report must say original L3.
@@ -76,8 +68,7 @@ TEST(GroupedValidatorTest, FromLogConvenience) {
   LogStore log;
   ASSERT_TRUE(log.Append(LogRecord{"LU1", testing::Mask(0b011), 60}).ok());
   ASSERT_TRUE(log.Append(LogRecord{"LU2", testing::Mask(0b001), 50}).ok());
-  const Result<GroupedValidationResult> result =
-      ValidateGroupedFromLog(set, log);
+  const Result<ValidationOutcome> result = Validate(set, log, kGrouped);
   ASSERT_TRUE(result.ok());
   // C⟨{L1}⟩ = 50 ≤ 100, C⟨{L1,L2}⟩ = 110 ≤ 200, C⟨{L2}⟩ = 0.
   EXPECT_TRUE(result->report.all_valid());
@@ -86,8 +77,8 @@ TEST(GroupedValidatorTest, FromLogConvenience) {
 TEST(GroupedValidatorTest, TimingFieldsPopulated) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog set = TwoClusterSet(schema);
-  const Result<GroupedValidationResult> result =
-      ValidateGrouped(set, ValidationTree());
+  const Result<ValidationOutcome> result =
+      Validate(set, ValidationTree(), kGrouped);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->division_micros, 0.0);
   EXPECT_GE(result->validation_micros, 0.0);
@@ -107,10 +98,11 @@ TEST(GroupedValidatorTest, ZetaEngineMatchesTraversalEngine) {
         ValidationTree::BuildFromLog(workload->log);
     ASSERT_TRUE(tree1.ok());
     ASSERT_TRUE(tree2.ok());
-    const Result<GroupedValidationResult> traversal =
-        ValidateGrouped(*workload->licenses, *std::move(tree1));
-    const Result<GroupedValidationResult> zeta =
-        ValidateGroupedZeta(*workload->licenses, *std::move(tree2));
+    const Result<ValidationOutcome> traversal =
+        Validate(*workload->licenses, *std::move(tree1), kGrouped);
+    const Result<ValidationOutcome> zeta =
+        Validate(*workload->licenses, *std::move(tree2),
+                 {.mode = ValidationMode::kGroupedZeta});
     ASSERT_TRUE(traversal.ok());
     ASSERT_TRUE(zeta.ok());
     EXPECT_EQ(zeta->group_sizes, traversal->group_sizes);
@@ -131,8 +123,8 @@ TEST(GroupedValidatorTest, ZetaEngineMatchesTraversalEngine) {
 
 // The paper's core correctness claim (Theorem 2): removing the redundant
 // cross-group equations never changes the verdict. Property-tested on
-// generated workloads: the grouped validator and the baseline exhaustive
-// validator must agree on every violation.
+// generated workloads: the grouped pipeline and the baseline exhaustive
+// engine must agree on every violation.
 class EquivalencePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EquivalencePropertyTest, GroupedMatchesBaseline) {
@@ -150,15 +142,16 @@ TEST_P(EquivalencePropertyTest, GroupedMatchesBaseline) {
     const Result<ValidationTree> baseline_tree =
         ValidationTree::BuildFromLog(workload->log);
     ASSERT_TRUE(baseline_tree.ok());
-    const Result<ValidationReport> baseline = RunExhaustive(
-        *baseline_tree, workload->licenses->AggregateCounts());
+    const Result<ValidationOutcome> baseline =
+        Validate(*baseline_tree, workload->licenses->AggregateCounts(),
+                 {.mode = ValidationMode::kExhaustive});
     ASSERT_TRUE(baseline.ok());
 
     Result<ValidationTree> grouped_tree =
         ValidationTree::BuildFromLog(workload->log);
     ASSERT_TRUE(grouped_tree.ok());
-    const Result<GroupedValidationResult> grouped =
-        ValidateGrouped(*workload->licenses, *std::move(grouped_tree));
+    const Result<ValidationOutcome> grouped =
+        Validate(*workload->licenses, *std::move(grouped_tree), kGrouped);
     ASSERT_TRUE(grouped.ok());
 
     // Theorem 2: identical violation sets (the baseline also reports
@@ -171,7 +164,7 @@ TEST_P(EquivalencePropertyTest, GroupedMatchesBaseline) {
     const LicenseGrouping grouping =
         LicenseGrouping::FromLicenses(*workload->licenses);
     std::vector<EquationResult> baseline_in_group;
-    for (const EquationResult& violation : baseline->violations) {
+    for (const EquationResult& violation : baseline->report.violations) {
       const int group = grouping.GroupOf((violation.set).Lowest());
       if (violation.set.IsSubsetOf(grouping.GroupMask(group))) {
         baseline_in_group.push_back(violation);
@@ -193,10 +186,10 @@ TEST_P(EquivalencePropertyTest, GroupedMatchesBaseline) {
     }
 
     // Overall verdict agrees (violated iff violated).
-    EXPECT_EQ(baseline->all_valid(), grouped->report.all_valid());
+    EXPECT_EQ(baseline->report.all_valid(), grouped->report.all_valid());
 
     // Cross-check every baseline violation is explained by a group one.
-    for (const EquationResult& violation : baseline->violations) {
+    for (const EquationResult& violation : baseline->report.violations) {
       bool explained = false;
       for (const EquationResult& group_violation : grouped_violations) {
         if ((group_violation.set).IsSubsetOf(violation.set)) {
@@ -211,7 +204,7 @@ TEST_P(EquivalencePropertyTest, GroupedMatchesBaseline) {
     // Equation-count bookkeeping matches the gain formula inputs.
     EXPECT_EQ(grouped->report.equations_evaluated,
               GroupedEquationCount(grouped->group_sizes));
-    EXPECT_EQ(baseline->equations_evaluated,
+    EXPECT_EQ(baseline->report.equations_evaluated,
               EquationCount(workload->licenses->size()));
   }
 }

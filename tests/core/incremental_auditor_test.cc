@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/grouped_validator.h"
 #include "test_util.h"
+#include "validation/validate.h"
 #include "workload/workload.h"
 
 namespace geolic {
@@ -124,8 +124,8 @@ TEST_P(IncrementalEquivalenceTest, CumulativeMatchesFullAudit) {
   }
   EXPECT_EQ(auditor->records_ingested(), records.size());
 
-  const Result<GroupedValidationResult> full =
-      ValidateGroupedFromLog(*workload->licenses, workload->log);
+  const Result<ValidationOutcome> full = Validate(
+      *workload->licenses, workload->log, {.mode = ValidationMode::kGrouped});
   ASSERT_TRUE(full.ok());
   ASSERT_EQ(last_reported.size(), full->report.violations.size());
   for (const EquationResult& violation : full->report.violations) {

@@ -1,5 +1,6 @@
+// Validate with num_threads > 1: sharded equation ranges (exhaustive mode)
+// and concurrently validated groups (grouped mode).
 #include "validation/validate.h"
-#include "core/parallel_validator.h"
 
 #include <gtest/gtest.h>
 
@@ -8,36 +9,28 @@
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
-Result<ValidationReport> RunExhaustive(
-    const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
-  if (!outcome.ok()) return outcome.status();
-  return std::move(outcome->report);
+ValidateOptions Exhaustive(int threads) {
+  return {.mode = ValidationMode::kExhaustive, .num_threads = threads};
 }
 
 TEST(ParallelValidatorTest, EmptyInputs) {
   ValidationTree tree;
-  const Result<ValidationReport> report =
-      ValidateExhaustiveParallel(tree, {}, 4);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->all_valid());
+  const Result<ValidationOutcome> outcome =
+      Validate(tree, {}, Exhaustive(4));
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->report.all_valid());
 }
 
 TEST(ParallelValidatorTest, RejectsBadInputs) {
   ValidationTree tree;
   ASSERT_TRUE(tree.Insert(LicenseSet::Singleton(3), 1).ok());
-  EXPECT_FALSE(ValidateExhaustiveParallel(tree, {10, 10}, 4).ok());
+  EXPECT_FALSE(Validate(tree, {10, 10}, Exhaustive(4)).ok());
   EXPECT_FALSE(
-      ValidateExhaustiveParallel(tree, std::vector<int64_t>(65, 1), 4).ok());
+      Validate(tree, std::vector<int64_t>(65, 1), Exhaustive(4)).ok());
 }
 
-// Property: the parallel exhaustive validator produces a byte-identical
-// report to the sequential one, for every thread count.
+// Property: the parallel exhaustive engine produces a byte-identical
+// report to the serial one, for every thread count.
 class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelEquivalenceTest, MatchesSequential) {
@@ -55,20 +48,25 @@ TEST_P(ParallelEquivalenceTest, MatchesSequential) {
     const std::vector<int64_t> aggregates =
         workload->licenses->AggregateCounts();
 
-    const Result<ValidationReport> sequential =
-        RunExhaustive(*tree, aggregates);
-    const Result<ValidationReport> parallel =
-        ValidateExhaustiveParallel(*tree, aggregates, threads);
+    const Result<ValidationOutcome> sequential =
+        Validate(*tree, aggregates, Exhaustive(1));
+    const Result<ValidationOutcome> parallel =
+        Validate(*tree, aggregates, Exhaustive(threads));
     ASSERT_TRUE(sequential.ok());
     ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel->equations_evaluated,
-              sequential->equations_evaluated);
-    EXPECT_EQ(parallel->nodes_visited, sequential->nodes_visited);
-    ASSERT_EQ(parallel->violations.size(), sequential->violations.size());
-    for (size_t i = 0; i < parallel->violations.size(); ++i) {
-      EXPECT_EQ(parallel->violations[i].set, sequential->violations[i].set);
-      EXPECT_EQ(parallel->violations[i].lhs, sequential->violations[i].lhs);
-      EXPECT_EQ(parallel->violations[i].rhs, sequential->violations[i].rhs);
+    EXPECT_EQ(parallel->report.equations_evaluated,
+              sequential->report.equations_evaluated);
+    EXPECT_EQ(parallel->report.nodes_visited,
+              sequential->report.nodes_visited);
+    ASSERT_EQ(parallel->report.violations.size(),
+              sequential->report.violations.size());
+    for (size_t i = 0; i < parallel->report.violations.size(); ++i) {
+      EXPECT_EQ(parallel->report.violations[i].set,
+                sequential->report.violations[i].set);
+      EXPECT_EQ(parallel->report.violations[i].lhs,
+                sequential->report.violations[i].lhs);
+      EXPECT_EQ(parallel->report.violations[i].rhs,
+                sequential->report.violations[i].rhs);
     }
   }
 }
@@ -92,10 +90,12 @@ TEST(ParallelGroupedTest, MatchesSequentialGrouped) {
     ASSERT_TRUE(tree1.ok());
     ASSERT_TRUE(tree2.ok());
 
-    const Result<GroupedValidationResult> sequential =
-        ValidateGrouped(*workload->licenses, *std::move(tree1));
-    const Result<GroupedValidationResult> parallel = ValidateGroupedParallel(
-        *workload->licenses, *std::move(tree2), 4);
+    const Result<ValidationOutcome> sequential =
+        Validate(*workload->licenses, *std::move(tree1),
+                 {.mode = ValidationMode::kGrouped});
+    const Result<ValidationOutcome> parallel =
+        Validate(*workload->licenses, *std::move(tree2),
+                 {.mode = ValidationMode::kGrouped, .num_threads = 4});
     ASSERT_TRUE(sequential.ok());
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(parallel->group_count, sequential->group_count);

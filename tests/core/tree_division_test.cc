@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "validation/exhaustive_validator.h"
 #include "validation/validate.h"
 #include "util/random.h"
 
@@ -134,11 +133,20 @@ TEST(TreeDivisionTest, RejectsBranchSpanningGroups) {
 }
 
 TEST(TreeDivisionTest, RejectsUnknownLicenseIndex) {
-  ValidationTree tree;
-  ASSERT_TRUE(tree.Insert(LicenseSet::Singleton(9), 10).ok());
-  const Result<std::vector<ValidationTree>> parts =
-      DivideValidationTree(std::move(tree), PaperGrouping());
-  EXPECT_FALSE(parts.ok());
+  // The second tree puts good branches before the bad one: division must
+  // check every branch before it moves any, or the rejected tree is left
+  // with null children for its destructor.
+  for (const std::vector<uint64_t>& masks :
+       {std::vector<uint64_t>{}, std::vector<uint64_t>{0b00011, 0b00100}}) {
+    ValidationTree tree;
+    for (uint64_t mask : masks) {
+      ASSERT_TRUE(tree.Insert(testing::Mask(mask), 10).ok());
+    }
+    ASSERT_TRUE(tree.Insert(LicenseSet::Singleton(9), 10).ok());
+    const Result<std::vector<ValidationTree>> parts =
+        DivideValidationTree(std::move(tree), PaperGrouping());
+    EXPECT_FALSE(parts.ok());
+  }
 }
 
 TEST(TreeDivisionTest, EmptyTreeDividesIntoEmptyParts) {
@@ -228,7 +236,7 @@ TEST(TreeDivisionPropertyTest, LhsPreservedUnderDivision) {
         const LicenseSet original =
             grouping.LocalToOriginalMask(k, local);
         EXPECT_EQ(part.SumSubsets(local),
-                  LhsFromMergedCounts(merged, original));
+                  testing::LhsFromMergedCounts(merged, original));
       }
     }
   }

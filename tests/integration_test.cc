@@ -5,10 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/grouped_validator.h"
 #include "core/incremental_auditor.h"
 #include "core/online_validator.h"
-#include "core/parallel_validator.h"
 #include "drm/validation_authority.h"
 #include "licensing/license_parser.h"
 #include "test_util.h"
@@ -87,10 +85,13 @@ TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
         workload->licenses->AggregateCounts();
     EXPECT_TRUE(RunExhaustive(*tree, aggregates)->all_valid());
     EXPECT_TRUE(RunZeta(*tree, aggregates)->all_valid());
-    EXPECT_TRUE(
-        ValidateExhaustiveParallel(*tree, aggregates, 4)->all_valid());
-    const Result<GroupedValidationResult> grouped =
-        ValidateGroupedFromLog(*workload->licenses, online->log());
+    EXPECT_TRUE(Validate(*tree, aggregates,
+                         {.mode = ValidationMode::kExhaustive,
+                          .num_threads = 4})
+                    ->report.all_valid());
+    const Result<ValidationOutcome> grouped =
+        Validate(*workload->licenses, online->log(),
+                 {.mode = ValidationMode::kGrouped});
     ASSERT_TRUE(grouped.ok());
     EXPECT_TRUE(grouped->report.all_valid());
   }
@@ -210,8 +211,8 @@ TEST(IntegrationTest, IncrementalAndGroupedAgreeOnGeneratedStream) {
       last[violation.set] = violation;
     }
   }
-  const Result<GroupedValidationResult> full =
-      ValidateGroupedFromLog(*workload->licenses, workload->log);
+  const Result<ValidationOutcome> full = Validate(
+      *workload->licenses, workload->log, {.mode = ValidationMode::kGrouped});
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(last.size(), full->report.violations.size());
 }

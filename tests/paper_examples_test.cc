@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "core/gain.h"
-#include "core/grouped_validator.h"
 #include "core/grouping.h"
 #include "core/instance_validator.h"
 #include "core/online_validator.h"
 #include "core/overlap_graph.h"
+#include "core/tree_division.h"
 #include "licensing/license_parser.h"
 #include "validation/validation_tree.h"
 #include "validation/validate.h"
@@ -249,8 +249,8 @@ TEST_F(PaperExamplesTest, Section42GainIllustration) {
 
   Result<ValidationTree> tree = ValidationTree::BuildFromLog(Table2Log());
   ASSERT_TRUE(tree.ok());
-  const Result<GroupedValidationResult> grouped =
-      ValidateGrouped(*licenses_, *std::move(tree));
+  const Result<ValidationOutcome> grouped = Validate(
+      *licenses_, *std::move(tree), {.mode = ValidationMode::kGrouped});
   ASSERT_TRUE(grouped.ok());
   EXPECT_EQ(grouped->report.equations_evaluated, 10u);  // 7 + 3 vs 31.
   EXPECT_TRUE(grouped->report.all_valid());

@@ -109,6 +109,23 @@ TEST(CheckpointTest, FileRoundTrip) {
   EXPECT_EQ(*read, "file payload");
 }
 
+TEST(CheckpointTest, FileWithBytesAfterTheFooterFailsTheRead) {
+  // A checkpoint file holds exactly one frame, so an appended byte is
+  // damage: the read fails and names the file.
+  const std::string path = ::testing::TempDir() + "checkpoint_trailing.gck";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << Framed(CheckpointKind::kLogStore, "file payload") << 'X';
+  }
+  const Result<std::string> read =
+      ReadCheckpointFile(CheckpointKind::kLogStore, path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kParseError);
+  EXPECT_NE(read.status().message().find(path), std::string::npos)
+      << read.status().message();
+  std::filesystem::remove(path);
+}
+
 TEST(CheckpointTest, DurableFileWritePublishesAtomically) {
   const std::string path = ::testing::TempDir() + "checkpoint_durable.gck";
   std::filesystem::remove(path);

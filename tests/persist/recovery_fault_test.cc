@@ -13,6 +13,7 @@
 
 #include "catalog/catalog_service.h"
 #include "catalog/tenant_source.h"
+#include "persist/checkpoint.h"
 #include "persist/faulty_file.h"
 #include "persist/journal.h"
 #include "persist/sync_file.h"
@@ -648,6 +649,31 @@ TEST(RecoveryFaultTest, RecoverRejectsCorruptJournalLoudly) {
   ASSERT_FALSE(recovered.ok());
   EXPECT_NE(recovered.status().message().find("offset"), std::string::npos)
       << recovered.status().message();
+}
+
+// A CRC-valid service snapshot whose payload does not open with the v3
+// sentinel (here: the covered sequence first, then the record table) fails
+// the recovery instead of loading as some other layout.
+TEST(RecoveryFaultTest, RecoverRejectsAPayloadWithoutTheV3Sentinel) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
+  LogStore records;
+  ASSERT_TRUE(records.Append(Record("LU1", 0x1, 1)).ok());
+  std::ostringstream payload;
+  const uint64_t covered_seq = 1;
+  payload.write(reinterpret_cast<const char*>(&covered_seq),
+                sizeof(covered_seq));
+  records.SerializeRecords(&payload);
+  const std::string checkpoint_path =
+      testing::TestTmpDir() + "recover_no_sentinel.gck";
+  ASSERT_TRUE(WriteCheckpointFile(CheckpointKind::kServiceSnapshot,
+                                  payload.str(), checkpoint_path)
+                  .ok());
+  const Result<std::unique_ptr<IssuanceService>> recovered =
+      IssuanceService::Recover(&licenses, {}, checkpoint_path, "");
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+  std::filesystem::remove(checkpoint_path);
 }
 
 TEST(RecoveryFaultTest, RecoverNeedsAtLeastOneSource) {

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,21 @@ namespace geolic::testing {
 
 // Shorthand for a single-word LicenseSet literal: Mask(0b101) == {L1, L3}.
 inline LicenseSet Mask(uint64_t word) { return LicenseSet::FromWord(word); }
+
+// Reference LHS of one equation, straight from merged log counts: the sum
+// of the counts whose set is a subset of `set`. O(#distinct sets) per call;
+// the oracle the tree traversals are checked against.
+inline int64_t LhsFromMergedCounts(
+    const std::unordered_map<LicenseSet, int64_t>& merged_counts,
+    const LicenseSet& set) {
+  int64_t sum = 0;
+  for (const auto& [mask, count] : merged_counts) {
+    if (mask.IsSubsetOf(set)) {
+      sum += count;
+    }
+  }
+  return sum;
+}
 
 // Directory for a test's files, ending in '/': $TEST_TMPDIR when set,
 // else ::testing::TempDir(). Read here because some GoogleTest releases

@@ -1,4 +1,3 @@
-#include "validation/exhaustive_validator.h"
 #include "validation/validate.h"
 
 #include <gtest/gtest.h>
@@ -140,10 +139,10 @@ TEST(LhsFromMergedCountsTest, SumsSubsetsOnly) {
       {testing::Mask(0b011), 7},
       {testing::Mask(0b100), 9},
       {testing::Mask(0b111), 11}};
-  EXPECT_EQ(LhsFromMergedCounts(merged, testing::Mask(0b011)), 12);
-  EXPECT_EQ(LhsFromMergedCounts(merged, testing::Mask(0b111)), 32);
-  EXPECT_EQ(LhsFromMergedCounts(merged, testing::Mask(0b100)), 9);
-  EXPECT_EQ(LhsFromMergedCounts(merged, testing::Mask(0b010)), 0);
+  EXPECT_EQ(testing::LhsFromMergedCounts(merged, testing::Mask(0b011)), 12);
+  EXPECT_EQ(testing::LhsFromMergedCounts(merged, testing::Mask(0b111)), 32);
+  EXPECT_EQ(testing::LhsFromMergedCounts(merged, testing::Mask(0b100)), 9);
+  EXPECT_EQ(testing::LhsFromMergedCounts(merged, testing::Mask(0b010)), 0);
 }
 
 // Property: validator verdicts match a direct evaluation of every equation
@@ -179,7 +178,7 @@ TEST_P(ExhaustivePropertyTest, MatchesDirectEvaluation) {
     std::vector<EquationResult> expected;
     for (uint64_t word = 1; word <= ((uint64_t{1} << n) - 1); ++word) {
       const LicenseSet set = LicenseSet::FromWord(word);
-      const int64_t lhs = LhsFromMergedCounts(merged, set);
+      const int64_t lhs = testing::LhsFromMergedCounts(merged, set);
       int64_t rhs = 0;
       for (int j = 0; j < n; ++j) {
         if ((set).Contains(j)) {

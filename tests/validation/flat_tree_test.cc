@@ -8,7 +8,6 @@
 
 #include "test_util.h"
 #include "util/random.h"
-#include "validation/exhaustive_validator.h"
 #include "validation/validation_tree.h"
 
 namespace geolic {
@@ -129,7 +128,8 @@ TEST(FlatTreeTest, FuzzMatchesMergedCountsReference) {
     for (int q = 0; q < 32; ++q) {
       const LicenseSet set =
           LicenseSet::FromWord(rng.Next()) & LicenseSet::Full(n);
-      ASSERT_EQ(flat.SumSubsets(set), LhsFromMergedCounts(merged, set));
+      ASSERT_EQ(flat.SumSubsets(set),
+                testing::LhsFromMergedCounts(merged, set));
     }
   }
 }

@@ -126,15 +126,18 @@ TEST(FrequencyOrderedValidationTest, MatchesPlainOrdering) {
         RunExhaustive(*plain_tree, aggregates);
     ASSERT_TRUE(plain.ok());
 
-    const Result<ValidationReport> ordered =
-        ValidateExhaustiveFrequencyOrdered(workload->log, aggregates);
+    const Result<ValidationOutcome> ordered =
+        Validate(workload->log, aggregates,
+                 {.mode = ValidationMode::kExhaustive,
+                  .order = TreeOrder::kDescendingFrequency});
     ASSERT_TRUE(ordered.ok());
-    EXPECT_EQ(ordered->equations_evaluated, plain->equations_evaluated);
+    EXPECT_EQ(ordered->report.equations_evaluated,
+              plain->equations_evaluated);
 
     // Same violation multisets (order differs: relabeled enumeration).
     auto key = [](const EquationResult& e) { return e.set; };
     std::vector<EquationResult> a = plain->violations;
-    std::vector<EquationResult> b = ordered->violations;
+    std::vector<EquationResult> b = ordered->report.violations;
     ASSERT_EQ(a.size(), b.size());
     std::sort(a.begin(), a.end(), [&](const auto& x, const auto& y) {
       return key(x) < key(y);

@@ -190,74 +190,21 @@ TEST(LogStoreTest, BinaryRejectsTruncatedFile) {
   std::remove(path.c_str());
 }
 
-// --- Legacy GLOGBIN1 plausibility bounds -----------------------------------
-
-// Byte layout of a v1 file: magic(8) | record total u64(8) | per record:
-// set u64(8), count i64(8), id_len u32(4), id bytes. With a first record
-// id of "LU1", its count field occupies bytes [24, 32).
-
-std::string SaveV1AndReadBack(const LogStore& store, const std::string& path) {
-  EXPECT_TRUE(store.SaveBinaryV1(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-TEST(LogStoreTest, LegacyV1RoundTripStillLoads) {
+// A file in the retired unchecksummed layout ("GLOGBIN1" then the record
+// table) is not a checkpoint and fails the load.
+TEST(LogStoreTest, LegacyMagicFailsTheLoad) {
   LogStore store;
   ASSERT_TRUE(store.Append(Record("LU1", 0b01, 5)).ok());
   ASSERT_TRUE(store.Append(Record("LU2", 0b11, 7)).ok());
   const std::string path = TempPath(".bin");
-  ASSERT_TRUE(store.SaveBinaryV1(path).ok());
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write("GLOGBIN1", 8);
+    store.SerializeRecords(&out);
+  }
   const Result<LogStore> loaded = LogStore::LoadBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->records(), store.records());
-  std::remove(path.c_str());
-}
-
-TEST(LogStoreTest, LegacyV1RejectsFlippedHighCountByte) {
-  LogStore store;
-  ASSERT_TRUE(store.Append(Record("LU1", 0b01, 5)).ok());
-  ASSERT_TRUE(store.Append(Record("LU2", 0b11, 7)).ok());
-  const std::string path = TempPath(".bin");
-  std::string bytes = SaveV1AndReadBack(store, path);
-
-  // Flip one high bit of record 0's count (+2^54): v1 used to swallow this
-  // silently — the whole reason the checksummed v2 container exists — but
-  // the plausibility cap must now reject it.
-  bytes[31] = static_cast<char>(bytes[31] ^ 0x40);
-  WriteBytes(path, bytes);
-  const Result<LogStore> corrupt = LogStore::LoadBinary(path);
-  ASSERT_FALSE(corrupt.ok());
-  EXPECT_EQ(corrupt.status().code(), StatusCode::kParseError);
-  EXPECT_NE(corrupt.status().message().find("implausible count"),
-            std::string::npos)
-      << corrupt.status().message();
-  std::remove(path.c_str());
-}
-
-TEST(LogStoreTest, LegacyV1RejectsImplausibleRecordTotal) {
-  LogStore store;
-  ASSERT_TRUE(store.Append(Record("LU1", 0b01, 5)).ok());
-  const std::string path = TempPath(".bin");
-  std::string bytes = SaveV1AndReadBack(store, path);
-
-  // Flip a high byte of the declared record total (+2^32 records): far
-  // more than the file's byte size can hold, so the load must fail before
-  // attempting to materialize them.
-  bytes[12] = static_cast<char>(bytes[12] ^ 0x01);
-  WriteBytes(path, bytes);
-  const Result<LogStore> corrupt = LogStore::LoadBinary(path);
-  ASSERT_FALSE(corrupt.ok());
-  EXPECT_EQ(corrupt.status().code(), StatusCode::kParseError);
-  EXPECT_NE(corrupt.status().message().find("implausible record total"),
-            std::string::npos)
-      << corrupt.status().message();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
 }
 

@@ -4,9 +4,12 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "persist/checkpoint.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -204,67 +207,64 @@ TEST(TreeSerializationTest, V2EveryFlippedByteFailsTheLoad) {
   }
 }
 
-TEST(TreeSerializationTest, LegacyV1StillLoads) {
-  const ValidationTree original = SampleTree();
+// The tree body inside a frame, and a CRC-valid frame around any body: the
+// body checks must hold even when both CRCs pass.
+std::string TreeBody(const ValidationTree& tree) {
   std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(original, &buffer).ok());
-  const Result<ValidationTree> loaded = DeserializeTree(&buffer);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->ToString(), original.ToString());
+  EXPECT_TRUE(SerializeTree(tree, &buffer).ok());
+  const std::string framed = buffer.str();
+  constexpr size_t kHeaderBytes = 28;  // Magic, version, kind, size, CRC.
+  constexpr size_t kFooterBytes = 4;
+  return framed.substr(kHeaderBytes,
+                       framed.size() - kHeaderBytes - kFooterBytes);
 }
 
-TEST(TreeSerializationTest, LegacyV1RejectsTruncatedHeader) {
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(SampleTree(), &buffer).ok());
-  const std::string bytes = buffer.str();
-  // Cut inside the node-count field (after the magic, before the payload).
-  for (size_t cut = 0; cut < 16; ++cut) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_FALSE(DeserializeTree(&truncated).ok()) << "cut=" << cut;
+std::string Framed(const std::string& body) {
+  std::ostringstream out;
+  EXPECT_TRUE(
+      WriteCheckpoint(CheckpointKind::kValidationTree, body, &out).ok());
+  return out.str();
+}
+
+TEST(TreeSerializationTest, RejectsMalformedBodyInsideAValidFrame) {
+  const std::string body = TreeBody(SampleTree());
+  std::vector<std::string> malformed;
+  // Cut inside the node-count field.
+  for (size_t cut = 0; cut < sizeof(uint64_t); ++cut) {
+    malformed.push_back(body.substr(0, cut));
+  }
+  // The node count (u64 at offset 0) claims one more node than the body
+  // holds: the reader must run out of declared nodes, not over-read.
+  std::string overdeclared = body;
+  ++overdeclared[0];
+  malformed.push_back(overdeclared);
+  // The root triple starts at 8; its child_count is the u32 at 8 + 4 + 8.
+  // Claim far more children than declared nodes.
+  std::string overrun = body;
+  overrun[8 + 4 + 8] = static_cast<char>(0xff);
+  malformed.push_back(overrun);
+  malformed.push_back(body + "X");
+  for (const std::string& bad : malformed) {
+    std::stringstream in(Framed(bad));
+    const Result<ValidationTree> loaded = DeserializeTree(&in);
+    ASSERT_FALSE(loaded.ok()) << "body of " << bad.size() << " bytes";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   }
 }
 
-TEST(TreeSerializationTest, LegacyV1RejectsOverdeclaredNodeCount) {
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(SampleTree(), &buffer).ok());
-  std::string bytes = buffer.str();
-  // Node count (u64 at offset 8) claims one more node than the payload
-  // holds: the reader must run out of declared payload, not over-read.
-  ++bytes[8];
-  std::stringstream in(bytes);
-  const Result<ValidationTree> loaded = DeserializeTree(&in);
+// A file in the retired unchecksummed layout ("GLTREE1\0" then the body)
+// is not a checkpoint and fails the load.
+TEST(TreeSerializationTest, LegacyMagicFailsTheLoad) {
+  const std::string path = TempPath(".tree");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write("GLTREE1\0", 8);
+    out << TreeBody(SampleTree());
+  }
+  const Result<ValidationTree> loaded = LoadTree(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-}
-
-TEST(TreeSerializationTest, LegacyV1RejectsChildCountOverrun) {
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(SampleTree(), &buffer).ok());
-  std::string bytes = buffer.str();
-  // Root triple starts at 16 (magic 8 + count 8); its child_count is the
-  // u32 at 16 + 4 + 8. Claim far more children than declared nodes.
-  bytes[16 + 4 + 8] = static_cast<char>(0xff);
-  std::stringstream in(bytes);
-  const Result<ValidationTree> loaded = DeserializeTree(&in);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-}
-
-// v1's documented blindness: with no checksums, a flipped bit inside a
-// count field loads cleanly and silently corrupts every downstream C<S>.
-// This is the failure mode the v2 container exists to close.
-TEST(TreeSerializationTest, LegacyV1CannotDetectFlippedCountByte) {
-  const ValidationTree original = SampleTree();
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeTreeV1(original, &buffer).ok());
-  std::string bytes = buffer.str();
-  // First child triple at 16 + 16; its count is the i64 at +4. Flipping a
-  // low bit keeps the count positive, so no invariant trips.
-  bytes[16 + 16 + 4] = static_cast<char>(bytes[16 + 16 + 4] ^ 0x01);
-  std::stringstream in(bytes);
-  const Result<ValidationTree> loaded = DeserializeTree(&in);
-  ASSERT_TRUE(loaded.ok());  // Loads fine...
-  EXPECT_NE(loaded->ToString(), original.ToString());  // ...wrong counts.
+  std::remove(path.c_str());
 }
 
 // Fuzz: random byte soup and random mutations of a valid v2 document must

@@ -1,67 +1,21 @@
 #include "validation/validate.h"
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/grouped_validator.h"
-#include "core/parallel_validator.h"
+#include "core/gain.h"
+#include "core/grouping.h"
 #include "test_util.h"
-#include "validation/frequency_order.h"
+#include "workload/workload.h"
 
 namespace geolic {
 namespace {
 
-// Adapters over the Validate facade (the pre-facade bare entry points
-// ValidateExhaustive/ValidateExhaustiveLimited/ValidateZeta were folded
-// into Validate; see validation/validate.h).
-Result<ValidationReport> RunExhaustive(
-    const ValidationTree& tree, const std::vector<int64_t>& aggregates) {
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
-  if (!outcome.ok()) return outcome.status();
-  return std::move(outcome->report);
-}
-
-Result<ValidationReport> RunExhaustiveLimited(
-    const ValidationTree& tree, const std::vector<int64_t>& aggregates,
-    uint64_t max_equations) {
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  options.max_equations = max_equations;
-  Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
-  if (!outcome.ok()) return outcome.status();
-  return std::move(outcome->report);
-}
-
-Result<ValidationReport> RunZeta(const ValidationTree& tree,
-                                 const std::vector<int64_t>& aggregates,
-                                 int max_dense_n = 26) {
-  ValidateOptions options;
-  options.mode = ValidationMode::kZeta;
-  options.max_dense_n = max_dense_n;
-  Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
-  if (!outcome.ok()) return outcome.status();
-  return std::move(outcome->report);
-}
-
 using testing::IntervalSchema;
 using testing::MakeRedistribution;
-
-// The seven pre-facade entry points must produce byte-identical reports to
-// the Validate(...) calls they now delegate to — this pins the contract.
-
-void ExpectSameReport(const ValidationReport& a, const ValidationReport& b) {
-  EXPECT_EQ(a.equations_evaluated, b.equations_evaluated);
-  EXPECT_EQ(a.nodes_visited, b.nodes_visited);
-  ASSERT_EQ(a.violations.size(), b.violations.size());
-  for (size_t i = 0; i < a.violations.size(); ++i) {
-    EXPECT_EQ(a.violations[i].set, b.violations[i].set) << i;
-    EXPECT_EQ(a.violations[i].lhs, b.violations[i].lhs) << i;
-    EXPECT_EQ(a.violations[i].rhs, b.violations[i].rhs) << i;
-  }
-}
 
 // Three overlap groups (sizes 3, 2, 1) with budgets tight enough that the
 // log below violates some equations — non-trivial reports on both paths.
@@ -106,149 +60,166 @@ ValidationTree Tree() {
   return std::move(*tree);
 }
 
-TEST(ValidateFacadeTest, ExhaustiveWrapperIsByteIdentical) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  const std::vector<int64_t> aggregates =
-      Licenses(schema).AggregateCounts();
-  const ValidationTree tree = Tree();
-
-  const Result<ValidationReport> old_report =
-      RunExhaustive(tree, aggregates);
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  const Result<ValidationOutcome> outcome =
-      Validate(tree, aggregates, options);
-  ASSERT_TRUE(old_report.ok());
-  ASSERT_TRUE(outcome.ok());
-  ExpectSameReport(*old_report, outcome->report);
-  EXPECT_FALSE(outcome->report.all_valid());  // The workload overspends.
-  EXPECT_EQ(outcome->group_count, 0);         // Ungrouped engine.
+// The inputs every engine case runs on: the catalog above (its {L6}
+// violation is local index 0 of the third group, so grouped runs must
+// translate it back), an empty catalog, and generated paper-sweep
+// workloads whose budgets are squeezed so that some equations fail.
+std::vector<Workload> EngineInputs() {
+  std::vector<Workload> inputs;
+  Workload fixed;
+  fixed.schema = std::make_unique<ConstraintSchema>(IntervalSchema(1));
+  fixed.licenses = std::make_unique<LicenseCatalog>(Licenses(*fixed.schema));
+  fixed.log = Log();
+  inputs.push_back(std::move(fixed));
+  Workload empty;
+  empty.schema = std::make_unique<ConstraintSchema>(IntervalSchema(1));
+  empty.licenses = std::make_unique<LicenseCatalog>(empty.schema.get());
+  inputs.push_back(std::move(empty));
+  for (int n : {1, 2, 5, 9, 12, 14}) {
+    WorkloadConfig config = PaperSweepConfig(n, 37 + static_cast<uint64_t>(n));
+    config.num_records = 600;
+    config.aggregate_min = 50;
+    config.aggregate_max = 500;
+    Result<Workload> workload = WorkloadGenerator(config).Generate();
+    EXPECT_TRUE(workload.ok());
+    inputs.push_back(*std::move(workload));
+  }
+  return inputs;
 }
 
-TEST(ValidateFacadeTest, LimitedWrapperIsByteIdentical) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  const std::vector<int64_t> aggregates =
-      Licenses(schema).AggregateCounts();
-  const ValidationTree tree = Tree();
-
-  const Result<ValidationReport> old_report =
-      RunExhaustiveLimited(tree, aggregates, 17);
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  options.max_equations = 17;
-  const Result<ValidationOutcome> outcome =
-      Validate(tree, aggregates, options);
-  ASSERT_TRUE(old_report.ok());
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(old_report->equations_evaluated, 17u);
-  ExpectSameReport(*old_report, outcome->report);
+bool IsGrouped(ValidationMode mode) {
+  return mode == ValidationMode::kGrouped ||
+         mode == ValidationMode::kGroupedZeta;
 }
 
-TEST(ValidateFacadeTest, ZetaWrapperIsByteIdentical) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  const std::vector<int64_t> aggregates =
-      Licenses(schema).AggregateCounts();
-  const ValidationTree tree = Tree();
-
-  const Result<ValidationReport> old_report = RunZeta(tree, aggregates);
-  ValidateOptions options;
-  options.mode = ValidationMode::kZeta;
-  const Result<ValidationOutcome> outcome =
-      Validate(tree, aggregates, options);
-  ASSERT_TRUE(old_report.ok());
-  ASSERT_TRUE(outcome.ok());
-  ExpectSameReport(*old_report, outcome->report);
-
-  // Zeta and exhaustive agree on violations (the library-wide invariant the
-  // facade must not disturb).
-  const Result<ValidationReport> exhaustive =
-      RunExhaustive(tree, aggregates);
-  ASSERT_TRUE(exhaustive.ok());
-  ASSERT_EQ(old_report->violations.size(), exhaustive->violations.size());
+std::vector<EquationResult> SortedBySet(std::vector<EquationResult> results) {
+  std::sort(results.begin(), results.end(),
+            [](const EquationResult& a, const EquationResult& b) {
+              return a.set < b.set;
+            });
+  return results;
 }
 
-TEST(ValidateFacadeTest, FrequencyOrderedWrapperIsByteIdentical) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  const std::vector<int64_t> aggregates =
-      Licenses(schema).AggregateCounts();
-  const LogStore log = Log();
-
-  const Result<ValidationReport> old_report =
-      ValidateExhaustiveFrequencyOrdered(log, aggregates);
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  options.order = TreeOrder::kDescendingFrequency;
-  const Result<ValidationOutcome> outcome = Validate(log, aggregates, options);
-  ASSERT_TRUE(old_report.ok());
-  ASSERT_TRUE(outcome.ok());
-  ExpectSameReport(*old_report, outcome->report);
+void ExpectSameViolations(const std::vector<EquationResult>& got,
+                          const std::vector<EquationResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].set, want[i].set) << i;
+    EXPECT_EQ(got[i].lhs, want[i].lhs) << i;
+    EXPECT_EQ(got[i].rhs, want[i].rhs) << i;
+  }
 }
 
-TEST(ValidateFacadeTest, GroupedWrappersAreByteIdentical) {
+// One configuration of Validate and the serial run it must reproduce.
+struct EngineCase {
+  const char* name;
+  ValidateOptions options;
+  bool from_log;  // The log overload instead of a pre-built tree.
+  ValidationMode reference;
+};
+
+class EngineEquivalenceTest : public ::testing::TestWithParam<EngineCase> {};
+
+// Within one pipeline (grouped or not) a configuration must reproduce the
+// serial report byte for byte — nodes visited aside for the dense engine,
+// which visits none. A grouped run against the exhaustive baseline checks
+// Theorem 2: it reports exactly the baseline's violations that lie inside
+// one overlap group, in original license indexes, and every other baseline
+// violation contains one of them.
+TEST_P(EngineEquivalenceTest, MatchesSerialReference) {
+  const EngineCase& engine = GetParam();
+  for (const Workload& input : EngineInputs()) {
+    const LicenseCatalog& licenses = *input.licenses;
+    SCOPED_TRACE("N = " + std::to_string(licenses.size()));
+    Result<ValidationTree> tree = ValidationTree::BuildFromLog(input.log);
+    Result<ValidationTree> reference_tree =
+        ValidationTree::BuildFromLog(input.log);
+    ASSERT_TRUE(tree.ok());
+    ASSERT_TRUE(reference_tree.ok());
+    const Result<ValidationOutcome> got =
+        engine.from_log
+            ? Validate(licenses, input.log, engine.options)
+            : Validate(licenses, *std::move(tree), engine.options);
+    const Result<ValidationOutcome> want = Validate(
+        licenses, *std::move(reference_tree), {.mode = engine.reference});
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+    if (IsGrouped(engine.options.mode) == IsGrouped(engine.reference)) {
+      EXPECT_EQ(got->group_count, want->group_count);
+      EXPECT_EQ(got->group_sizes, want->group_sizes);
+      EXPECT_EQ(got->report.equations_evaluated,
+                want->report.equations_evaluated);
+      if (engine.options.mode != ValidationMode::kGroupedZeta) {
+        EXPECT_EQ(got->report.nodes_visited, want->report.nodes_visited);
+      }
+      ExpectSameViolations(got->report.violations, want->report.violations);
+      continue;
+    }
+    const LicenseGrouping grouping = LicenseGrouping::FromLicenses(licenses);
+    std::vector<EquationResult> in_group;
+    for (const EquationResult& violation : want->report.violations) {
+      const int group = grouping.GroupOf(violation.set.Lowest());
+      if (violation.set.IsSubsetOf(grouping.GroupMask(group))) {
+        in_group.push_back(violation);
+      }
+    }
+    const std::vector<EquationResult> grouped =
+        SortedBySet(got->report.violations);
+    ExpectSameViolations(grouped, SortedBySet(in_group));
+    EXPECT_EQ(got->report.all_valid(), want->report.all_valid());
+    EXPECT_EQ(got->report.equations_evaluated,
+              GroupedEquationCount(got->group_sizes));
+    for (const EquationResult& violation : want->report.violations) {
+      EXPECT_TRUE(std::any_of(grouped.begin(), grouped.end(),
+                              [&](const EquationResult& local) {
+                                return local.set.IsSubsetOf(violation.set);
+                              }))
+          << "unexplained baseline violation " << violation.set.ToString();
+    }
+  }
+
+  // A log naming a license beyond the catalog fails under every
+  // configuration.
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = Licenses(schema);
-
-  const Result<GroupedValidationResult> old_result =
-      ValidateGrouped(licenses, Tree());
-  ValidateOptions options;
-  options.mode = ValidationMode::kGrouped;
-  const Result<ValidationOutcome> outcome =
-      Validate(licenses, Tree(), options);
-  ASSERT_TRUE(old_result.ok());
-  ASSERT_TRUE(outcome.ok());
-  ExpectSameReport(old_result->report, outcome->report);
-  EXPECT_EQ(old_result->group_count, outcome->group_count);
-  EXPECT_EQ(old_result->group_sizes, outcome->group_sizes);
-  EXPECT_EQ(outcome->group_count, 3);
-
-  const Result<GroupedValidationResult> from_log =
-      ValidateGroupedFromLog(licenses, Log());
-  const Result<ValidationOutcome> log_outcome =
-      Validate(licenses, Log(), options);
-  ASSERT_TRUE(from_log.ok());
-  ASSERT_TRUE(log_outcome.ok());
-  ExpectSameReport(from_log->report, log_outcome->report);
-
-  const Result<GroupedValidationResult> zeta =
-      ValidateGroupedZeta(licenses, Tree());
-  ValidateOptions zeta_options;
-  zeta_options.mode = ValidationMode::kGroupedZeta;
-  const Result<ValidationOutcome> zeta_outcome =
-      Validate(licenses, Tree(), zeta_options);
-  ASSERT_TRUE(zeta.ok());
-  ASSERT_TRUE(zeta_outcome.ok());
-  ExpectSameReport(zeta->report, zeta_outcome->report);
+  LogStore beyond = Log();
+  ASSERT_TRUE(beyond.Append(LogRecord{"U99", testing::Mask(0b1000000), 1})
+                  .ok());
+  Result<ValidationTree> beyond_tree = ValidationTree::BuildFromLog(beyond);
+  ASSERT_TRUE(beyond_tree.ok());
+  EXPECT_FALSE((engine.from_log
+                    ? Validate(licenses, beyond, engine.options)
+                    : Validate(licenses, *std::move(beyond_tree),
+                               engine.options))
+                   .ok());
 }
 
-TEST(ValidateFacadeTest, ParallelWrappersMatchSerialReports) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  const LicenseCatalog licenses = Licenses(schema);
-  const std::vector<int64_t> aggregates = licenses.AggregateCounts();
-  const ValidationTree tree = Tree();
-
-  const Result<ValidationReport> parallel =
-      ValidateExhaustiveParallel(tree, aggregates, 4);
-  const Result<ValidationReport> serial = RunExhaustive(tree, aggregates);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_TRUE(serial.ok());
-  ExpectSameReport(*parallel, *serial);
-
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  options.num_threads = 4;
-  const Result<ValidationOutcome> outcome =
-      Validate(tree, aggregates, options);
-  ASSERT_TRUE(outcome.ok());
-  ExpectSameReport(outcome->report, *serial);
-
-  const Result<GroupedValidationResult> grouped_parallel =
-      ValidateGroupedParallel(licenses, Tree(), 4);
-  const Result<GroupedValidationResult> grouped =
-      ValidateGrouped(licenses, Tree());
-  ASSERT_TRUE(grouped_parallel.ok());
-  ASSERT_TRUE(grouped.ok());
-  ExpectSameReport(grouped_parallel->report, grouped->report);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Engines, EngineEquivalenceTest,
+    ::testing::Values(
+        EngineCase{"ParallelExhaustive2Threads",
+                   {.mode = ValidationMode::kExhaustive, .num_threads = 2},
+                   false, ValidationMode::kExhaustive},
+        EngineCase{"ParallelExhaustive3Threads",
+                   {.mode = ValidationMode::kExhaustive, .num_threads = 3},
+                   false, ValidationMode::kExhaustive},
+        EngineCase{"ParallelExhaustive8Threads",
+                   {.mode = ValidationMode::kExhaustive, .num_threads = 8},
+                   false, ValidationMode::kExhaustive},
+        EngineCase{"GroupedFromLog", {.mode = ValidationMode::kGrouped}, true,
+                   ValidationMode::kGrouped},
+        EngineCase{"ParallelGrouped",
+                   {.mode = ValidationMode::kGrouped, .num_threads = 4},
+                   false, ValidationMode::kGrouped},
+        EngineCase{"GroupedZeta", {.mode = ValidationMode::kGroupedZeta},
+                   false, ValidationMode::kGrouped},
+        EngineCase{"GroupedAgainstExhaustive",
+                   {.mode = ValidationMode::kGrouped}, false,
+                   ValidationMode::kExhaustive}),
+    [](const ::testing::TestParamInfo<EngineCase>& param) {
+      return std::string(param.param.name);
+    });
 
 TEST(ValidateFacadeTest, AutoModeRoutesBySize) {
   const ConstraintSchema schema = IntervalSchema(1);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "validation/exhaustive_validator.h"
 #include "util/random.h"
 
 #include "test_util.h"
@@ -196,7 +195,8 @@ TEST_P(TreeSumPropertyTest, TraversalMatchesBruteForce) {
   for (int trial = 0; trial < 300; ++trial) {
     const LicenseSet set =
         LicenseSet::FromWord(rng.Next()) & LicenseSet::Full(n);
-    EXPECT_EQ(tree->SumSubsets(set), LhsFromMergedCounts(merged, set))
+    EXPECT_EQ(tree->SumSubsets(set),
+              testing::LhsFromMergedCounts(merged, set))
         << "set=" << (set).ToString();
   }
   // Every stored set's exact count matches.
