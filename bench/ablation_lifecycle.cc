@@ -7,23 +7,41 @@
 // quiescent catalog, then a reconfiguration storm (a bridge license
 // acquired and revoked in a tight loop, merging and re-splitting two
 // shards each round) — and self-checks that the storm-phase p99 stays
-// within 5x of the quiescent p99. Machine-readable: --json_out=<path>.
+// within 5x of the quiescent p99.
+//
+// A second section measures what one reconfiguration costs as the accepted
+// history grows: a catalog of one overlap group of N licenses (N = 12, the
+// dense-table cap, and N = 13, the smallest tree group), preloaded with 64
+// to 100k records, then (a) an acquire of a license overlapping the whole
+// group plus the revocation of that newcomer — a pair that renumbers
+// nothing, the shape of the end-to-end benchmark's churn — and (b) the
+// revocation of index 0, which renumbers every surviving record, and (c)
+// the acquire of a license overlapping no member, which leaves the group
+// as it is (a dense group's table is copied whole). Medians of 9 runs
+// each. Machine-readable: --json_out=<path>.
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/grouping.h"
 #include "core/online_validator.h"
+#include "geometry/constraint_range.h"
+#include "geometry/hyper_rect.h"
+#include "geometry/interval.h"
 #include "licensing/constraint_schema.h"
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
 #include "service/issuance_service.h"
+#include "util/random.h"
 #include "util/stopwatch.h"
+#include "workload/workload.h"
 
 namespace {
 
@@ -144,6 +162,163 @@ PhaseResult RunPhase(const LicenseCatalog& licenses,
   return result;
 }
 
+int64_t Median(std::vector<int64_t> nanos) {
+  return Percentile(&nanos, 0.50);
+}
+
+// One content whose `n` licenses form a single overlap group, plus
+// `max_records` history records drawn inside it (prefixes of this log are
+// the smaller histories).
+struct GroupHistory {
+  Workload workload;
+  std::unique_ptr<WorkloadGenerator> generator;
+};
+
+GroupHistory MakeGroupHistory(int n, int max_records) {
+  GroupHistory out;
+  WorkloadConfig config;
+  config.num_licenses = n;
+  config.num_clusters = 1;
+  config.aggregate_min = int64_t{1} << 40;
+  config.aggregate_max = int64_t{1} << 40;
+  // The first catalogue seed from 11 (the end-to-end benchmark's) whose
+  // licenses all overlap in one group.
+  for (config.seed = 11;; ++config.seed) {
+    out.generator = std::make_unique<WorkloadGenerator>(config);
+    Result<Workload> licenses = out.generator->GenerateLicensesOnly();
+    GEOLIC_CHECK(licenses.ok());
+    const LicenseGrouping grouping =
+        LicenseGrouping::FromLicenses(*licenses->licenses);
+    if (grouping.group_count() == 1) {
+      out.workload = std::move(*licenses);
+      break;
+    }
+  }
+  const LicenseCatalog& catalog = *out.workload.licenses;
+  Rng rng(1);
+  for (int r = 0; r < max_records; ++r) {
+    const License usage = out.generator->DrawUsageLicense(
+        out.workload, static_cast<int>(rng.UniformInt(0, n - 1)), &rng,
+        r + 1);
+    LogRecord record;
+    record.issued_license_id = usage.id();
+    for (int i = 0; i < n; ++i) {
+      if (catalog.at(i).InstanceContains(usage)) {
+        record.set.Add(i);
+      }
+    }
+    record.count = usage.aggregate_count();
+    GEOLIC_CHECK(out.workload.log.Append(std::move(record)).ok());
+  }
+  return out;
+}
+
+LogStore Prefix(const LogStore& log, size_t records) {
+  LogStore prefix;
+  for (size_t r = 0; r < records; ++r) {
+    GEOLIC_CHECK(prefix.Append(log.at(r)).ok());
+  }
+  return prefix;
+}
+
+struct ReconfigResult {
+  int64_t acquire_ns = 0;  // Acquire of a license overlapping the group.
+  int64_t revoke_new_ns = 0;  // Revocation of that newcomer.
+  int64_t revoke_first_ns = 0;  // Revocation of index 0.
+  int64_t acquire_apart_ns = 0;  // Acquire of a license overlapping none.
+};
+
+// A license overlapping no member of `catalog`: member 0's geometry,
+// moved past every member on the first dimension.
+License Apart(const LicenseCatalog& catalog, const std::string& id) {
+  int64_t hi = 0;
+  for (const License& license : catalog.licenses()) {
+    hi = std::max(hi, license.rect().dim(0).interval().hi());
+  }
+  const License& model = catalog.at(0);
+  std::vector<ConstraintRange> dims = model.rect().dims();
+  dims[0] = ConstraintRange(Interval(hi + 1, hi + 2));
+  return License(id, model.content_key(), model.type(), model.permission(),
+                 HyperRect(std::move(dims)), model.aggregate_count());
+}
+
+ReconfigResult TimeReconfigs(const GroupHistory& group, const LogStore& log,
+                             int reps) {
+  const LicenseCatalog* catalog = group.workload.licenses.get();
+  std::vector<int64_t> acquire, revoke_new, revoke_first, acquire_apart;
+  Result<std::unique_ptr<IssuanceService>> churned =
+      IssuanceService::CreateWithHistory(catalog, {}, log);
+  GEOLIC_CHECK(churned.ok());
+  for (int rep = 0; rep < reps; ++rep) {
+    const License& model = catalog->at(rep % catalog->size());
+    const License extra("LX" + std::to_string(rep), model.content_key(),
+                        model.type(), model.permission(), model.rect(),
+                        model.aggregate_count());
+    Stopwatch acquire_timer;
+    GEOLIC_CHECK((*churned)->AcquireLicense(extra).ok());
+    acquire.push_back(acquire_timer.ElapsedNanos());
+    Stopwatch revoke_timer;
+    GEOLIC_CHECK((*churned)->RevokeLicenseById(extra.id()).ok());
+    revoke_new.push_back(revoke_timer.ElapsedNanos());
+
+    const License apart = Apart(*catalog, "LA" + std::to_string(rep));
+    Stopwatch apart_timer;
+    GEOLIC_CHECK((*churned)->AcquireLicense(apart).ok());
+    acquire_apart.push_back(apart_timer.ElapsedNanos());
+    GEOLIC_CHECK((*churned)->RevokeLicenseById(apart.id()).ok());
+
+    Result<std::unique_ptr<IssuanceService>> fresh =
+        IssuanceService::CreateWithHistory(catalog, {}, log);
+    GEOLIC_CHECK(fresh.ok());
+    Stopwatch first_timer;
+    GEOLIC_CHECK((*fresh)->RevokeLicense(0).ok());
+    revoke_first.push_back(first_timer.ElapsedNanos());
+  }
+  // The pairs left the catalog and the accepted set as they found them.
+  GEOLIC_CHECK((*churned)->CollectLog().TotalCount() == log.TotalCount());
+  return {Median(acquire), Median(revoke_new), Median(revoke_first),
+          Median(acquire_apart)};
+}
+
+// History sizes of the reconfiguration section (ascending), and the runs
+// per size.
+constexpr int kHistorySizes[] = {64, 1000, 24000, 100000};
+constexpr int kReconfigReps = 9;
+
+void RunReconfigSection(bench::JsonOut* json) {
+  std::printf("\n# Reconfiguration cost vs accepted history (one overlap "
+              "group of N licenses; median of %d reps, us)\n",
+              kReconfigReps);
+  std::printf("%4s  %8s  %8s  %12s  %12s  %12s  %12s\n", "N", "records",
+              "sets", "acquire_us", "revoke_new", "revoke_0", "acq_apart");
+  for (const int n : {kMaxDenseGroupSize, kMaxDenseGroupSize + 1}) {
+    const GroupHistory group =
+        MakeGroupHistory(n, kHistorySizes[std::size(kHistorySizes) - 1]);
+    for (const int records : kHistorySizes) {
+      const LogStore log =
+          Prefix(group.workload.log, static_cast<size_t>(records));
+      const size_t sets = log.MergedCounts().size();
+      const ReconfigResult result = TimeReconfigs(group, log, kReconfigReps);
+      std::printf("%4d  %8d  %8zu  %12.1f  %12.1f  %12.1f  %12.1f\n", n,
+                  records, sets,
+                  static_cast<double>(result.acquire_ns) / 1e3,
+                  static_cast<double>(result.revoke_new_ns) / 1e3,
+                  static_cast<double>(result.revoke_first_ns) / 1e3,
+                  static_cast<double>(result.acquire_apart_ns) / 1e3);
+      json->Row([&](JsonWriter& out) {
+        out.KeyValue("phase", "reconfig");
+        out.KeyValue("n", static_cast<int64_t>(n));
+        out.KeyValue("records", static_cast<int64_t>(records));
+        out.KeyValue("distinct_sets", static_cast<int64_t>(sets));
+        out.KeyValue("acquire_ns", result.acquire_ns);
+        out.KeyValue("revoke_new_ns", result.revoke_new_ns);
+        out.KeyValue("revoke_first_ns", result.revoke_first_ns);
+        out.KeyValue("acquire_apart_ns", result.acquire_apart_ns);
+      });
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -214,6 +389,8 @@ int main(int argc, char** argv) {
     out.KeyValue("reconfigs", static_cast<int64_t>(storm.reconfigs));
     out.KeyValue("p99_ratio", ratio);
   });
+
+  RunReconfigSection(&json);
   json.Write();
   return 0;
 }

@@ -65,6 +65,10 @@ class RequestTimer {
 constexpr uint64_t kCheckpointV3Sentinel = ~uint64_t{0};
 constexpr uint32_t kCheckpointV3Version = 3;
 
+// Markers in reconfiguration bookkeeping: no shard yet, and more than one.
+constexpr size_t kNoShard = SIZE_MAX;
+constexpr size_t kShared = SIZE_MAX - 1;
+
 // Upper end of an ordered constraint range (for a multi-interval: the last
 // piece's hi — pieces are kept sorted and disjoint).
 Result<int64_t> OrderedHi(const ConstraintRange& range) {
@@ -98,39 +102,43 @@ Result<std::vector<int>> ComputeExpired(const std::vector<License>& active,
   return expired;
 }
 
-// Carries one pre-reconfiguration record into the next epoch's index
-// space: dropped (returns false) when its set touches a removed license —
-// usage granted under a revoked right is revoked with it — otherwise
-// renumbered densely through `old_to_new` (paper Algorithm 5).
-// `skip_renumbering` is the planted lifecycle bug for the simulation
-// harness's mutation smoke: survivors keep their stale bit positions.
-bool RemapRecord(const LicenseSet& removed, const std::vector<int>& old_to_new,
-                 bool skip_renumbering, LogRecord* record) {
-  if (record->set.Intersects(removed)) {
-    return false;
-  }
-  if (removed.Empty() || skip_renumbering) {
-    return true;  // Acquisition (or the planted bug): indexes unchanged.
-  }
-  LicenseSet renumbered;
-  for (int i : record->set.Indexes()) {
-    renumbered.Add(old_to_new[static_cast<size_t>(i)]);
-  }
-  record->set = renumbered;
-  return true;
-}
-
-// How one journaled reconfiguration transforms license indexes.
-struct CatalogEvolution {
+// How one reconfiguration carries license indexes into the next epoch.
+struct IndexRemap {
   LicenseSet removed;           // Old-space indexes dropped (empty: acquire).
   std::vector<int> old_to_new;  // Surviving old index → new index, else -1.
+  // The planted lifecycle bug for the simulation harness's mutation smoke:
+  // survivors keep their stale bit positions.
+  bool skip_renumbering = false;
+
+  // Carries `set` into the next epoch's index space: false (drop it) when
+  // it touches a removed license — usage granted under a revoked right is
+  // revoked with it — otherwise renumbered densely (paper Algorithm 5).
+  // The one remap both the equation-state carry-over (distinct sets) and
+  // every log rewrite (records) go through.
+  bool Apply(LicenseSet* set) const {
+    if (set->Intersects(removed)) {
+      return false;
+    }
+    if (removed.Empty() || skip_renumbering ||
+        set->Highest() < removed.Lowest()) {
+      // Acquisition, a set wholly below the removal (Algorithm 5 shifts
+      // only higher indexes), or the planted bug: indexes unchanged.
+      return true;
+    }
+    LicenseSet renumbered;
+    for (int i : set->Indexes()) {
+      renumbered.Add(old_to_new[static_cast<size_t>(i)]);
+    }
+    *set = renumbered;
+    return true;
+  }
 };
 
 // Applies one reconfiguration frame to the evolving catalog `active`,
 // cross-checking the frame against what the live service would have done.
 // Admission frames are not accepted here.
 Status EvolveCatalog(const JournalEntry& entry, std::vector<License>* active,
-                     CatalogEvolution* evolution) {
+                     IndexRemap* evolution) {
   evolution->removed = LicenseSet();
   evolution->old_to_new.clear();
   const int old_size = static_cast<int>(active->size());
@@ -306,9 +314,11 @@ LicenseSet IssuanceService::CatalogEpoch::WithLocal(const EquationScope& scope,
   return s;
 }
 
-void IssuanceService::FinishEpochTables(const CatalogEpoch& epoch) {
-  for (const EquationScope& scope : epoch.scopes) {
-    if (scope.dense()) {
+void IssuanceService::FinishEpochTables(const CatalogEpoch& epoch,
+                                        const std::vector<bool>& finished) {
+  for (size_t g = 0; g < epoch.scopes.size(); ++g) {
+    const EquationScope& scope = epoch.scopes[g];
+    if (scope.dense() && (g >= finished.size() || !finished[g])) {
       ZetaTransform(std::span<int64_t>(scope.sums, scope.entries()));
     }
   }
@@ -341,36 +351,36 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
   // Pre-load the history through the same routing the admission path uses
   // (records of already-validated issuances — they are not re-checked).
   for (const LogRecord& record : history.records()) {
-    GEOLIC_RETURN_IF_ERROR(service->ApplyRecordToEpoch(epoch0.get(), record));
+    size_t shard = 0;
+    GEOLIC_RETURN_IF_ERROR(service->ApplySetToEpoch(epoch0.get(), record.set,
+                                                    record.count, &shard));
+    GEOLIC_RETURN_IF_ERROR(epoch0->shards[shard]->log.Append(record));
     service->issue_sequence_.fetch_add(1, std::memory_order_relaxed);
   }
   FinishEpochTables(*epoch0);
   return service;
 }
 
-Status IssuanceService::ApplyRecordToEpoch(CatalogEpoch* epoch,
-                                           const LogRecord& record) const {
-  if (!record.set.IsSubsetOf(epoch->all_mask)) {
+Status IssuanceService::ApplySetToEpoch(CatalogEpoch* epoch,
+                                        const LicenseSet& set, int64_t count,
+                                        size_t* shard) const {
+  if (!set.IsSubsetOf(epoch->all_mask)) {
     return Status::InvalidArgument(
         "history record references unknown license indexes");
   }
-  size_t shard_index = 0;
-  const EquationScope& scope = RouteSet(*epoch, record.set, &shard_index);
-  if (!record.set.IsSubsetOf(scope.mask)) {
+  const EquationScope& scope = RouteSet(*epoch, set, shard);
+  if (!set.IsSubsetOf(scope.mask)) {
     // Satisfying sets always lie within one overlap group (every member
     // contains the issued rectangle, so they pairwise overlap); a record
     // spanning groups cannot have come from a valid issuance.
     return Status::InvalidArgument("history record spans overlap groups");
   }
-  Shard* shard = epoch->shards[shard_index].get();
-  // The append validates the record (non-empty set, positive count).
-  GEOLIC_RETURN_IF_ERROR(shard->log.Append(record));
   if (scope.dense()) {
     // The exact histogram C[S]; FinishEpochTables makes it C⟨T⟩.
-    scope.sums[epoch->LocalMask(scope, record.set)] += record.count;
+    scope.sums[epoch->LocalMask(scope, set)] += count;
     return Status::Ok();
   }
-  return shard->tree.Insert(record.set, record.count);
+  return epoch->shards[*shard]->tree.Insert(set, count);
 }
 
 const IssuanceService::EquationScope& IssuanceService::RouteSet(
@@ -684,6 +694,23 @@ Status IssuanceService::TryIssueBatch(std::span<const License* const> batch,
 
 // --- Live license lifecycle ---
 
+std::unique_lock<std::mutex> IssuanceService::LockReconfig() {
+  SimYield(options_, "pre_reconfig");
+  if (options_.sim_hooks == nullptr) {
+    return std::unique_lock<std::mutex>(reconfig_mutex_);
+  }
+  // Under the simulation harness a reconfiguration yields while holding
+  // this lock (between its snapshot and its catch-up), so a contender
+  // yields until the lock frees instead of blocking the scheduler's single
+  // token.
+  std::unique_lock<std::mutex> lock(reconfig_mutex_, std::try_to_lock);
+  while (!lock.owns_lock()) {
+    SimYield(options_, "reconfig_busy");
+    lock.try_lock();
+  }
+  return lock;
+}
+
 Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   ScopedTracerSpan span(options_.tracer, TraceStage::kShardSwap);
   const std::shared_ptr<const CatalogEpoch> cur = Pin();
@@ -692,18 +719,20 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   // admissions keep running against `cur` throughout.
   const int old_size = cur->catalog->size();
   auto next_catalog = std::make_unique<LicenseCatalog>(&cur->catalog->schema());
-  std::vector<int> old_to_new;
-  old_to_new.reserve(static_cast<size_t>(old_size));
+  IndexRemap remap;
+  remap.removed = plan.removed;
+  remap.skip_renumbering = options_.sim_skip_renumbering;
+  remap.old_to_new.reserve(static_cast<size_t>(old_size));
   int next_index = 0;
   for (int i = 0; i < old_size; ++i) {
     if (plan.removed.Contains(i)) {
-      old_to_new.push_back(-1);
+      remap.old_to_new.push_back(-1);
       continue;
     }
-    old_to_new.push_back(next_index++);
+    remap.old_to_new.push_back(next_index++);
     GEOLIC_ASSIGN_OR_RETURN(const int added,
                             next_catalog->Add(cur->catalog->at(i)));
-    GEOLIC_DCHECK(added == old_to_new[static_cast<size_t>(i)]);
+    GEOLIC_DCHECK(added == remap.old_to_new[static_cast<size_t>(i)]);
     (void)added;
   }
   // The grouping updates on a scratch copy, committed only on success —
@@ -731,47 +760,234 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
       options_, cur->epoch + 1, next_catalog_ptr, std::move(next_catalog),
       LicenseGrouping::FromComponents(next_grouping.Components()));
 
-  // Phase 2: snapshot each shard's log (one lock at a time — issuance on
-  // the other shards never stalls) and seed the new shards with the
-  // remapped survivors, re-dividing the trees into the new overlap groups
-  // (paper Algorithms 4–5). Admissions that land after a shard's snapshot
-  // are caught up in phase 3.
-  std::vector<size_t> snapshotted(cur->shards.size(), 0);
-  for (size_t s = 0; s < cur->shards.size(); ++s) {
-    Shard* shard = cur->shards[s].get();
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    snapshotted[s] = shard->log.size();
-    for (size_t r = 0; r < snapshotted[s]; ++r) {
-      LogRecord record = shard->log.records()[r];
-      if (!RemapRecord(plan.removed, old_to_new,
-                       options_.sim_skip_renumbering, &record)) {
+  // Phase 2: carry each shard's equation state over from its distinct
+  // accepted sets — the compacted state the paper's dynamic steps work on
+  // (Algorithm 4 re-divides it into the new overlap groups, Algorithm 5
+  // renumbers it) — so the cost follows the distinct sets and table sizes,
+  // not the log length. Under the shard's lock (one at a time: issuance on
+  // the other shards never stalls) a dense scope's C⟨T⟩ table is copied
+  // and the above-cap tree read; off the lock the tables are Möbius-
+  // inverted back to C[S] and every surviving set is renumbered and
+  // routed into the next epoch's histograms and trees. A dense group
+  // whose members the reconfiguration leaves as they are (renumbered or
+  // not: local positions keep index order) instead has its table copied
+  // verbatim into its successor, with no inversion and no zeta pass. A
+  // shard with a short history reads its other groups' sets from the log
+  // records instead of inverting their tables. Admissions that land after
+  // a shard's snapshot are caught up in phase 3.
+  //
+  // A shard's log moves into the next epoch whole (an O(1) std::move, in
+  // phase 3) when the reconfiguration leaves its records as they are: no
+  // set dropped or renumbered, and every set routed to one new shard that
+  // no other shard's sets reach. Otherwise its records are rewritten
+  // through the same remap into `staged`, the new shards' logs, still
+  // under its own lock only.
+  struct ShardCarry {
+    size_t snapshotted = 0;    // Log records the snapshot covers.
+    size_t target = kNoShard;  // The new shard its sets route to.
+    bool moves = true;
+  };
+  const size_t old_shards = cur->shards.size();
+  std::vector<ShardCarry> carries(old_shards);
+  // Per new shard: the one current shard whose sets reach it, kShared
+  // once a second one's do.
+  std::vector<size_t> source(next->shards.size(), kNoShard);
+  std::vector<LogStore> staged(next->shards.size());
+  // Appends records [begin, end) of `log`, carried over, to the staged log
+  // of the new shard each routes to (their sets already passed
+  // ApplySetToEpoch's checks).
+  const auto stage = [&](const LogStore& log, size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      LogRecord record = log.at(r);
+      if (!remap.Apply(&record.set)) {
         continue;
       }
-      GEOLIC_RETURN_IF_ERROR(ApplyRecordToEpoch(next.get(), record));
+      size_t shard = 0;
+      (void)RouteSet(*next, record.set, &shard);
+      GEOLIC_RETURN_IF_ERROR(staged[shard].Append(std::move(record)));
+    }
+    return Status::Ok();
+  };
+  // Records that shard `s`'s sets, renumbered or not (`changed`), route
+  // to new shard `target`.
+  const auto route = [&](size_t s, bool changed, size_t target) {
+    ShardCarry& carry = carries[s];
+    if (changed || (carry.target != kNoShard && carry.target != target)) {
+      carry.moves = false;
+    }
+    carry.target = target;
+    if (source[target] == kNoShard) {
+      source[target] = s;
+    } else if (source[target] != s) {
+      source[target] = kShared;
+    }
+  };
+  // Per current scope: the next epoch's scope with the same members when
+  // both are dense (its table is then copied verbatim), else null.
+  std::vector<const EquationScope*> copy_to(cur->scopes.size(), nullptr);
+  // Per next scope: whether its table already holds C⟨T⟩ (a copy).
+  std::vector<bool> copied(next->scopes.size(), false);
+  for (size_t g = 0; g < cur->scopes.size(); ++g) {
+    LicenseSet members = cur->scopes[g].mask;
+    if (!cur->scopes[g].dense() || !remap.Apply(&members) ||
+        !members.IsSubsetOf(next->all_mask)) {
+      continue;
+    }
+    size_t shard = 0;
+    const EquationScope& to = RouteSet(*next, members, &shard);
+    if (to.dense() && to.mask == members) {
+      copy_to[g] = &to;
+      copied[static_cast<size_t>(&to - next->scopes.data())] = true;
     }
   }
+  // The copy target of current scope `scope`, or null.
+  const auto copy_target = [&](const EquationScope& scope) {
+    return copy_to[static_cast<size_t>(&scope - cur->scopes.data())];
+  };
+  std::vector<int64_t> tables;
+  std::vector<std::pair<LicenseSet, int64_t>> sets;
+  for (size_t s = 0; s < old_shards; ++s) {
+    Shard* shard = cur->shards[s].get();
+    tables.clear();
+    sets.clear();
+    bool from_log = false;
+    {
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      carries[s].snapshotted = shard->log.size();
+      size_t entries = 0;
+      for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
+        const EquationScope& scope = cur->scopes[g];
+        if (copy_to[g] != nullptr) {
+          std::copy(scope.sums, scope.sums + scope.entries(),
+                    copy_to[g]->sums);
+        } else if (scope.dense()) {
+          entries += scope.entries();
+        }
+      }
+      // A record (a route and a point-add) costs several times what one
+      // table entry's inversion and scan do: below an eighth as many
+      // records as entries, the log is the cheaper read.
+      from_log = shard->log.size() * 8 < entries;
+      if (from_log) {
+        for (const LogRecord& record : shard->log.records()) {
+          size_t unused = 0;
+          if (copy_target(RouteSet(*cur, record.set, &unused)) == nullptr) {
+            sets.emplace_back(record.set, record.count);
+          }
+        }
+      } else {
+        for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
+          const EquationScope& scope = cur->scopes[g];
+          if (copy_to[g] == nullptr && scope.dense()) {
+            tables.insert(tables.end(), scope.sums,
+                          scope.sums + scope.entries());
+          }
+        }
+        shard->tree.ForEachSet(
+            [&sets](const LicenseSet& set, int64_t count) {
+              sets.emplace_back(set, count);
+            });
+      }
+    }
+    int64_t* table = tables.data();
+    for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
+      const EquationScope& scope = cur->scopes[g];
+      if (const EquationScope* to = copy_to[g]; to != nullptr) {
+        // C⟨full⟩ counts every record; those that avoid the members whose
+        // index changes are C⟨full minus them⟩.
+        uint32_t renumbered = 0;
+        for (int p = 0; p < scope.size; ++p) {
+          if (cur->Member(scope, p) != next->Member(*to, p)) {
+            renumbered |= uint32_t{1} << p;
+          }
+        }
+        const uint32_t full = scope.full_local();
+        if (to->sums[full] != 0) {
+          size_t target = 0;
+          (void)RouteSet(*next, to->mask, &target);
+          route(s, to->sums[full] != to->sums[full & ~renumbered], target);
+        }
+        continue;
+      }
+      if (from_log || !scope.dense()) {
+        continue;
+      }
+      MobiusTransform(std::span<int64_t>(table, scope.entries()));
+      for (uint32_t local = 1; local <= scope.full_local(); ++local) {
+        if (table[local] != 0) {
+          sets.emplace_back(cur->WithLocal(scope, LicenseSet(), local),
+                            table[local]);
+        }
+      }
+      table += scope.entries();
+    }
+    for (const auto& [set, count] : sets) {
+      LicenseSet carried = set;
+      if (!remap.Apply(&carried)) {
+        carries[s].moves = false;
+        continue;
+      }
+      size_t target = 0;
+      GEOLIC_RETURN_IF_ERROR(
+          ApplySetToEpoch(next.get(), carried, count, &target));
+      route(s, carried != set, target);
+    }
+  }
+  for (size_t s = 0; s < old_shards; ++s) {
+    ShardCarry& carry = carries[s];
+    if (carry.moves && carry.target != kNoShard &&
+        source[carry.target] == s) {
+      continue;
+    }
+    carry.moves = false;
+    Shard* shard = cur->shards[s].get();
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    GEOLIC_RETURN_IF_ERROR(stage(shard->log, 0, carry.snapshotted));
+  }
+
+  // Admissions may land between the snapshot and the catch-up; the
+  // simulation harness schedules them here (only reconfig_mutex_ is held).
+  SimYield(options_, "reconfig_snapshotted");
 
   // Phase 3: catch-up, journal, publish — under every current shard lock
   // (index order) and then the journal lock, the same order the admission
   // path uses, so no admission is in flight half-applied while we cut
   // over and none can start against the old epoch after we publish.
-  std::vector<std::unique_lock<std::mutex>> shard_locks;
-  shard_locks.reserve(cur->shards.size());
-  for (const std::unique_ptr<Shard>& shard : cur->shards) {
-    shard_locks.emplace_back(shard->mutex);
-  }
-  for (size_t s = 0; s < cur->shards.size(); ++s) {
-    const std::vector<LogRecord>& records = cur->shards[s]->log.records();
-    for (size_t r = snapshotted[s]; r < records.size(); ++r) {
-      LogRecord record = records[r];
-      if (!RemapRecord(plan.removed, old_to_new,
-                       options_.sim_skip_renumbering, &record)) {
-        continue;
+  const std::vector<std::unique_lock<std::mutex>> shard_locks =
+      LockShards(*cur);
+  for (size_t s = 0; s < old_shards; ++s) {
+    ShardCarry& carry = carries[s];
+    const LogStore& log = cur->shards[s]->log;
+    for (size_t r = carry.snapshotted; r < log.size(); ++r) {
+      const LogRecord& record = log.at(r);
+      LicenseSet carried = record.set;
+      const bool kept = remap.Apply(&carried);
+      size_t target = carry.target;
+      size_t current = 0;
+      const EquationScope& scope = RouteSet(*cur, record.set, &current);
+      if (const EquationScope* to = copy_target(scope); to != nullptr) {
+        // A copied table is already C⟨T⟩: add along the supersets, at the
+        // same local positions.
+        AddToSupersets(to->sums, cur->LocalMask(scope, record.set),
+                       to->full_local(), record.count);
+        (void)RouteSet(*next, to->mask, &target);
+      } else if (kept) {
+        GEOLIC_RETURN_IF_ERROR(
+            ApplySetToEpoch(next.get(), carried, record.count, &target));
       }
-      GEOLIC_RETURN_IF_ERROR(ApplyRecordToEpoch(next.get(), record));
+      if (carry.moves &&
+          (!kept || carried != record.set || target != carry.target)) {
+        // An admission after the snapshot changes under this
+        // reconfiguration: the log is rewritten after all.
+        carry.moves = false;
+        GEOLIC_RETURN_IF_ERROR(stage(log, 0, r));
+      }
+      if (!carry.moves) {
+        GEOLIC_RETURN_IF_ERROR(stage(log, r, r + 1));
+      }
     }
   }
-  FinishEpochTables(*next);
+  FinishEpochTables(*next, copied);
   if (has_journal_.load(std::memory_order_acquire)) {
     // Write-ahead: the reconfiguration frame reaches the journal before
     // the new epoch publishes; a journal failure aborts the whole
@@ -790,6 +1006,23 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
     }
     ++journal_seq_;
   }
+  // Nothing can fail from here on, so the current epoch's logs may now
+  // move out: readers of a retired epoch re-pin before reading
+  // (ReadShardLogs, PinLocked).
+  for (size_t t = 0; t < next->shards.size(); ++t) {
+    LogStore& log = next->shards[t]->log;
+    const size_t from = source[t];
+    if (from >= old_shards || !carries[from].moves) {
+      log = std::move(staged[t]);
+      continue;
+    }
+    log = std::move(cur->shards[from]->log);
+    for (const LogRecord& record : staged[t].records()) {
+      const Status appended = log.Append(record);  // Already validated.
+      GEOLIC_DCHECK(appended.ok());
+      (void)appended;
+    }
+  }
   // Publish, then retire — in this order: a reader that finds its pinned
   // epoch retired is guaranteed to observe the new state on re-pin. The
   // old epoch's memory is reclaimed when its last in-flight reader drops
@@ -802,22 +1035,19 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
 }
 
 Result<int> IssuanceService::AcquireLicense(const License& license) {
-  SimYield(options_, "pre_reconfig");
-  std::lock_guard<std::mutex> reconfig_lock(reconfig_mutex_);
+  const std::unique_lock<std::mutex> reconfig_lock = LockReconfig();
   ReconfigPlan plan;
   plan.acquire = &license;
   return ReconfigureLocked(plan);
 }
 
 Status IssuanceService::RevokeLicense(int index) {
-  SimYield(options_, "pre_reconfig");
-  std::lock_guard<std::mutex> reconfig_lock(reconfig_mutex_);
+  const std::unique_lock<std::mutex> reconfig_lock = LockReconfig();
   return RevokeIndexLocked(index);
 }
 
 Status IssuanceService::RevokeLicenseById(const std::string& id) {
-  SimYield(options_, "pre_reconfig");
-  std::lock_guard<std::mutex> reconfig_lock(reconfig_mutex_);
+  const std::unique_lock<std::mutex> reconfig_lock = LockReconfig();
   const Result<int> index = Pin()->catalog->IndexOfId(id);
   if (!index.ok()) {
     return index.status();
@@ -842,8 +1072,7 @@ Status IssuanceService::RevokeIndexLocked(int index) {
 }
 
 Result<int> IssuanceService::ExpireDimensionBelow(int dim, int64_t cutoff) {
-  SimYield(options_, "pre_reconfig");
-  std::lock_guard<std::mutex> reconfig_lock(reconfig_mutex_);
+  const std::unique_lock<std::mutex> reconfig_lock = LockReconfig();
   const std::shared_ptr<const CatalogEpoch> cur = Pin();
   GEOLIC_ASSIGN_OR_RETURN(const std::vector<int> expired,
                           ComputeExpired(cur->catalog->licenses(), dim,
@@ -894,38 +1123,94 @@ size_t IssuanceService::dense_table_bytes() const {
   return Pin()->dense_table_bytes;
 }
 
-void IssuanceService::ReserveLogCapacity(size_t records_per_shard) {
-  const std::shared_ptr<const CatalogEpoch> epoch = Pin();
-  for (const std::unique_ptr<Shard>& shard : epoch->shards) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->log.Reserve(records_per_shard);
+std::vector<std::unique_lock<std::mutex>> IssuanceService::LockShards(
+    const CatalogEpoch& epoch) {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(epoch.shards.size());
+  for (const std::unique_ptr<Shard>& shard : epoch.shards) {
+    locks.emplace_back(shard->mutex);
+  }
+  return locks;
+}
+
+std::shared_ptr<const IssuanceService::CatalogEpoch>
+IssuanceService::PinLocked(
+    std::vector<std::unique_lock<std::mutex>>* locks) const {
+  for (;;) {
+    std::shared_ptr<const CatalogEpoch> epoch = Pin();
+    SimYield(options_, "pre_collect_lock");
+    *locks = LockShards(*epoch);
+    if (!epoch->retired.load(std::memory_order_acquire)) {
+      return epoch;
+    }
+    // A reconfiguration retired the pinned epoch before we got its locks:
+    // its logs may already have moved into the published epoch.
+    locks->clear();
   }
 }
 
-LogStore IssuanceService::CollectLog() const {
-  const std::shared_ptr<const CatalogEpoch> epoch = Pin();
-  LogStore merged;
-  for (const std::unique_ptr<Shard>& shard : epoch->shards) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const LogRecord& record : shard->log.records()) {
-      // Append only fails on empty sets / nonpositive counts, which the
-      // admission path already rejected.
-      Status append_status = merged.Append(record);
-      (void)append_status;
+Status IssuanceService::ReadShardLogs(
+    const std::function<void()>& restart,
+    const std::function<Status(LogStore*)>& read) const {
+  for (;;) {
+    const std::shared_ptr<const CatalogEpoch> epoch = Pin();
+    bool retired = false;
+    // No simulation yield in here: the harness reconciles its model from
+    // CollectLog and needs the read to be one step of its schedule.
+    for (const std::unique_ptr<Shard>& shard : epoch->shards) {
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      // Retirement is set under every shard lock, after the logs moved:
+      // unretired here, this shard's log is the pinned epoch's.
+      if (epoch->retired.load(std::memory_order_acquire)) {
+        retired = true;
+        break;
+      }
+      GEOLIC_RETURN_IF_ERROR(read(&shard->log));
     }
+    if (!retired) {
+      return Status::Ok();
+    }
+    restart();
   }
+}
+
+void IssuanceService::ReserveLogCapacity(size_t records_per_shard) {
+  const Status reserved = ReadShardLogs([] {}, [&](LogStore* log) {
+    log->Reserve(records_per_shard);
+    return Status::Ok();
+  });
+  GEOLIC_DCHECK(reserved.ok());
+  (void)reserved;
+}
+
+LogStore IssuanceService::CollectLog() const {
+  LogStore merged;
+  // Append only fails on empty sets / nonpositive counts, which the
+  // admission path already rejected.
+  const Status collected = ReadShardLogs(
+      [&merged] { merged = LogStore(); },
+      [&merged](LogStore* log) {
+        for (const LogRecord& record : log->records()) {
+          GEOLIC_RETURN_IF_ERROR(merged.Append(record));
+        }
+        return Status::Ok();
+      });
+  GEOLIC_DCHECK(collected.ok());
+  (void)collected;
   return merged;
 }
 
 Result<ValidationTree> IssuanceService::CollectTree() const {
-  const std::shared_ptr<const CatalogEpoch> epoch = Pin();
   ValidationTree merged;
-  for (const std::unique_ptr<Shard>& shard : epoch->shards) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const LogRecord& record : shard->log.records()) {
-      GEOLIC_RETURN_IF_ERROR(merged.Insert(record.set, record.count));
-    }
-  }
+  const Status collected = ReadShardLogs(
+      [&merged] { merged = ValidationTree(); },
+      [&merged](LogStore* log) {
+        for (const LogRecord& record : log->records()) {
+          GEOLIC_RETURN_IF_ERROR(merged.Insert(record.set, record.count));
+        }
+        return Status::Ok();
+      });
+  GEOLIC_RETURN_IF_ERROR(collected);
   return merged;
 }
 
@@ -990,50 +1275,39 @@ ExpositionInput IssuanceService::Snap() const {
 Status IssuanceService::WriteCheckpoint(const std::string& path) const {
   ScopedTracerSpan span(options_.tracer, TraceStage::kCheckpointWrite);
   SimYield(options_, "pre_checkpoint");
-  for (;;) {
-    // Exact cut: every shard lock in index order, then the journal lock —
-    // the same order AdmitLocked and ReconfigureLocked use, so no
-    // admission can be half-applied (journaled but not yet in its shard)
-    // while we read. A reconfiguration that won the race retires our
-    // pinned epoch before we got the locks; detect that and retry against
-    // the published epoch, whose shards hold the carried-over records.
-    const std::shared_ptr<const CatalogEpoch> epoch = Pin();
-    std::vector<std::unique_lock<std::mutex>> shard_locks;
-    shard_locks.reserve(epoch->shards.size());
-    for (const std::unique_ptr<Shard>& shard : epoch->shards) {
-      shard_locks.emplace_back(shard->mutex);
-    }
-    if (epoch->retired.load(std::memory_order_acquire)) {
-      continue;
-    }
-    std::lock_guard<std::mutex> journal_lock(journal_mutex_);
+  // Exact cut: every shard lock in index order, then the journal lock —
+  // the same order AdmitLocked and ReconfigureLocked use, so no admission
+  // can be half-applied (journaled but not yet in its shard) while we
+  // read.
+  std::vector<std::unique_lock<std::mutex>> shard_locks;
+  const std::shared_ptr<const CatalogEpoch> epoch = PinLocked(&shard_locks);
+  std::lock_guard<std::mutex> journal_lock(journal_mutex_);
 
-    LogStore merged;
-    for (const std::unique_ptr<Shard>& shard : epoch->shards) {
-      for (const LogRecord& record : shard->log.records()) {
-        GEOLIC_RETURN_IF_ERROR(merged.Append(record));
-      }
+  LogStore merged;
+  for (const std::unique_ptr<Shard>& shard : epoch->shards) {
+    for (const LogRecord& record : shard->log.records()) {
+      GEOLIC_RETURN_IF_ERROR(merged.Append(record));
     }
-    // v3 payload: sentinel, version, the catalog epoch the records are
-    // numbered in, the journal sequence this snapshot covers, then the
-    // record table. Recovery replays only journal frames with seq >
-    // covered — and checks the epoch tag against the journal's
-    // reconfiguration history up to that point.
-    std::ostringstream body;
-    const uint64_t sentinel = kCheckpointV3Sentinel;
-    body.write(reinterpret_cast<const char*>(&sentinel), sizeof(sentinel));
-    const uint32_t version = kCheckpointV3Version;
-    body.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    const uint64_t epoch_number = epoch->epoch;
-    body.write(reinterpret_cast<const char*>(&epoch_number),
-               sizeof(epoch_number));
-    const uint64_t covered_seq = journal_seq_;
-    body.write(reinterpret_cast<const char*>(&covered_seq),
-               sizeof(covered_seq));
-    merged.SerializeRecords(&body);
-    return WriteCheckpointFile(CheckpointKind::kServiceSnapshot, body.str(),
-                               path);
   }
+  // v3 payload: sentinel, version, the catalog epoch the records are
+  // numbered in, the journal sequence this snapshot covers, then the
+  // record table. Recovery replays only journal frames with seq >
+  // covered — and checks the epoch tag against the journal's
+  // reconfiguration history up to that point.
+  std::ostringstream body;
+  const uint64_t sentinel = kCheckpointV3Sentinel;
+  body.write(reinterpret_cast<const char*>(&sentinel), sizeof(sentinel));
+  const uint32_t version = kCheckpointV3Version;
+  body.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  const uint64_t epoch_number = epoch->epoch;
+  body.write(reinterpret_cast<const char*>(&epoch_number),
+             sizeof(epoch_number));
+  const uint64_t covered_seq = journal_seq_;
+  body.write(reinterpret_cast<const char*>(&covered_seq),
+             sizeof(covered_seq));
+  merged.SerializeRecords(&body);
+  return WriteCheckpointFile(CheckpointKind::kServiceSnapshot, body.str(),
+                             path);
 }
 
 Status IssuanceService::CheckAgainstReplay(
@@ -1168,7 +1442,7 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
   // index space.
   std::vector<License> active = licenses->licenses();
   uint64_t epoch = 0;
-  CatalogEvolution evolution;
+  IndexRemap evolution;
   size_t at = 0;
   for (; at < replay.entries.size() && replay.entries[at].seq <= covered_seq;
        ++at) {
@@ -1221,8 +1495,7 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
     std::vector<LogRecord> remapped;
     remapped.reserve(combined.size());
     for (LogRecord& record : combined) {
-      if (RemapRecord(evolution.removed, evolution.old_to_new,
-                      /*skip_renumbering=*/false, &record)) {
+      if (evolution.Apply(&record.set)) {
         remapped.push_back(std::move(record));
       }
     }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -73,16 +74,20 @@ struct RecoveryStats {
 // Live license lifecycle (paper Figure 6 + Algorithms 4–5): the catalog,
 // grouping, instance geometry and shard map together form one immutable
 // `CatalogEpoch`, published through an atomic shared_ptr. AcquireLicense /
-// RevokeLicense / ExpireBefore build the next epoch off to the side —
-// re-dividing the accepted records into the new overlap groups and
-// renumbering license indexes densely past a removal, then rebuilding the
-// groups' tables (one zeta transform each) — then publish it with a single
-// atomic swap and mark the old epoch retired. Issuance never stops:
-// readers pin the current epoch (a shared_ptr ref, no lock) for the
-// instance fast-reject, and an admission that finds its pinned epoch
-// retired after taking the shard lock simply re-pins and retries against
-// the new shard map. The retired epoch is freed when its last in-flight
-// reader drains (the shared_ptr count).
+// RevokeLicense / ExpireBefore build the next epoch off to the side from
+// the distinct accepted sets (not the log records): each dense table is
+// Möbius-inverted back to its per-set counts (or, when its group's members
+// are unchanged, copied verbatim), each tree read set by set, and every
+// surviving set renumbered densely past a removal, re-divided into the new
+// overlap groups and rebuilt into the new groups' tables (one zeta
+// transform each) or trees. Shard logs the reconfiguration leaves
+// unchanged move across whole; the rest are rewritten. The new epoch is
+// published with a single atomic swap and the old one marked retired.
+// Issuance never stops: readers pin the current epoch (a shared_ptr ref,
+// no lock) for the instance fast-reject, and an admission that finds its
+// pinned epoch retired after taking the shard lock simply re-pins and
+// retries against the new shard map. The retired epoch is freed when its
+// last in-flight reader drains (the shared_ptr count).
 //
 // Concurrency contract:
 //  * TryIssue / TryIssueBatch are safe to call from any number of threads,
@@ -93,7 +98,10 @@ struct RecoveryStats {
 //    a time) but never against the admission fast path.
 //  * CollectLog / CollectTree lock shards one at a time and return
 //    snapshots; they can run concurrently with issuance (the snapshot is a
-//    consistent prefix per shard, not a cross-shard instant).
+//    consistent prefix per shard, not a cross-shard instant) and with
+//    reconfigurations (every record is numbered in one epoch: a read that
+//    finds its epoch retired restarts on the new one). WriteCheckpoint
+//    takes every shard lock for an exact cut.
 //  * Accessors (licenses, grouping, shard_count) read the current epoch;
 //    the references they return are valid until the next reconfiguration.
 //
@@ -222,7 +230,10 @@ class IssuanceService {
 
   // Snapshot of all accepted issuances, shard by shard (within a shard:
   // admission order). Feedable to the offline validators; equal as a
-  // multiset to any serial replay of the accepted set.
+  // multiset to any serial replay of the accepted set. The records are
+  // all numbered in one catalog epoch, even when reconfigurations run
+  // concurrently; licenses() may already describe a later epoch by the
+  // time this returns.
   LogStore CollectLog() const;
 
   // Snapshot of the combined validation tree, rebuilt offline from the
@@ -304,7 +315,11 @@ class IssuanceService {
     // keep theirs in the epoch's C⟨T⟩ tables). Masks in the owning epoch's
     // license indexes.
     ValidationTree tree;
-    LogStore log;  // Every accepted record of the shard's groups.
+    // Every accepted record of the shard's groups. A reconfiguration that
+    // leaves the records unchanged moves the log into its successor epoch,
+    // so read it only under this mutex from an epoch that is not retired
+    // (ReadShardLogs, PinLocked).
+    LogStore log;
   };
 
   // The licenses one issuance's equations range over: an overlap group,
@@ -403,23 +418,30 @@ class IssuanceService {
       const LicenseCatalog* catalog, std::unique_ptr<LicenseCatalog> owned,
       LicenseGrouping grouping);
 
-  // Routes one record into `epoch`'s shards (scope-checked log append,
-  // plus a tree insert or a point-add to a dense scope's exact per-set
-  // histogram). Caller owns exclusivity: history preload at construction,
-  // off-side epoch build, or the catch-up under every old shard lock.
-  Status ApplyRecordToEpoch(CatalogEpoch* epoch,
-                            const LogRecord& record) const;
+  // Adds `count` issuances of satisfying set `set` to `epoch`'s equation
+  // state — a tree insert, or a point-add to a dense scope's exact per-set
+  // histogram — after checking it lies in one scope; `*shard` receives the
+  // owning shard. Logs are the caller's. Caller owns exclusivity: history
+  // preload at construction, or an off-side epoch build.
+  Status ApplySetToEpoch(CatalogEpoch* epoch, const LicenseSet& set,
+                         int64_t count, size_t* shard) const;
 
   // Turns every dense scope's histogram C[S] into C⟨T⟩ (one zeta
-  // transform each). Runs once per epoch, after the last
-  // ApplyRecordToEpoch and before the epoch serves admissions.
-  static void FinishEpochTables(const CatalogEpoch& epoch);
+  // transform each), except the scopes whose `finished` entry is set
+  // (tables a reconfiguration copied, already C⟨T⟩). Runs once per epoch,
+  // after the last ApplySetToEpoch and before the epoch serves admissions.
+  static void FinishEpochTables(const CatalogEpoch& epoch,
+                                const std::vector<bool>& finished = {});
 
   // Recover's cross-check against `serial`, a replay of the recovered
   // records built independently of the service: every dense C⟨T⟩ must
   // equal the sum of the replay's counts over subsets of T, and every
   // shard's tree the replay's above-cap sets routed to it.
   Status CheckAgainstReplay(const ValidationTree& serial) const;
+
+  // Takes reconfig_mutex_ (cooperatively under the simulation harness,
+  // which suspends a reconfiguration while it holds the lock).
+  std::unique_lock<std::mutex> LockReconfig();
 
   // The shared reconfiguration path (caller holds reconfig_mutex_): builds
   // the next epoch from `plan`, journals it, publishes, retires. Returns
@@ -433,6 +455,26 @@ class IssuanceService {
   std::shared_ptr<const CatalogEpoch> Pin() const {
     return state_.load(std::memory_order_acquire);
   }
+
+  // Every shard lock of `epoch`, taken in index order.
+  static std::vector<std::unique_lock<std::mutex>> LockShards(
+      const CatalogEpoch& epoch);
+
+  // Pins the current epoch and takes all of its shard locks (into
+  // `locks`), retrying when a reconfiguration retires the pinned epoch
+  // first — a retired epoch's logs may have moved into its successor. The
+  // shards' contents are then one epoch's, frozen while `locks` is held.
+  std::shared_ptr<const CatalogEpoch> PinLocked(
+      std::vector<std::unique_lock<std::mutex>>* locks) const;
+
+  // Calls `read` on every shard log of the current epoch, holding only
+  // that shard's lock (an audit stalls admissions one shard at a time).
+  // When a reconfiguration retires the pinned epoch midway — its logs may
+  // have moved into the successor — calls `restart` and reads the new
+  // epoch from its first shard, so every log read is numbered in one
+  // epoch.
+  Status ReadShardLogs(const std::function<void()>& restart,
+                       const std::function<Status(LogStore*)>& read) const;
 
   // Equation scope for satisfying set `s` within `epoch` (its group, or
   // the full catalog without grouping), plus the owning shard index. The

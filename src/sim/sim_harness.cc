@@ -850,9 +850,24 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
                      .ok());
   }
   workload.licenses = std::make_unique<LicenseCatalog>(workload.schema.get());
-  const int license_count = static_cast<int>(
-      rng.UniformInt(config.min_licenses, config.max_licenses));
+  // Lifecycle seeds also draw the service's lock striping and, for a
+  // quarter of them, a catalog at the dense-table cap: one overlap group
+  // of kMaxDenseGroupSize - 1 or kMaxDenseGroupSize licenses around a
+  // common hub point, which acquisitions (also hub-shaped) push over the
+  // cap and revocations pull back under it — reconfigurations then carry
+  // equation state between dense tables and trees.
+  bool near_cap = false;
+  if (config.lifecycle_ops) {
+    workload.shard_hint = rng.Bernoulli(0.5) ? 2 : 0;
+    near_cap = config.cluster_slabs <= 1 && rng.Bernoulli(0.25);
+  }
+  const int license_count =
+      near_cap ? static_cast<int>(rng.UniformInt(kMaxDenseGroupSize - 1,
+                                                 kMaxDenseGroupSize))
+               : static_cast<int>(
+                     rng.UniformInt(config.min_licenses, config.max_licenses));
   constexpr int64_t kDomain = 24;
+  constexpr int64_t kHub = kDomain / 2;
   // Slabs are 2*kDomain apart so a license's interval (max hi offset
   // kDomain - 6 + 10 = 28) can never reach the next slab: components stay
   // within one slab by construction.
@@ -867,8 +882,15 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
         .SetPermission(Permission::kPlay)
         .SetAggregateCount(rng.UniformInt(2, 10));
     for (int d = 0; d < dims; ++d) {
-      const int64_t lo = slab_lo + rng.UniformInt(0, kDomain - 6);
-      const int64_t hi = lo + rng.UniformInt(3, 10);
+      int64_t lo = 0;
+      int64_t hi = 0;
+      if (near_cap) {
+        lo = slab_lo + kHub - rng.UniformInt(0, 8);
+        hi = slab_lo + kHub + rng.UniformInt(0, 8);
+      } else {
+        lo = slab_lo + rng.UniformInt(0, kDomain - 6);
+        hi = lo + rng.UniformInt(3, 10);
+      }
       builder.SetInterval("C" + std::to_string(d + 1), lo, hi);
     }
     const Result<License> license = builder.Build();
@@ -1007,6 +1029,7 @@ SimResult RunWorkload(const SimWorkload& workload, uint64_t seed,
   options.sim_hooks = &scheduler;
   options.sim_skip_last_equation = config.inject_equation_skip;
   options.sim_skip_renumbering = config.inject_skip_renumbering;
+  options.shard_hint = workload.shard_hint;
 
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(workload.licenses.get(), options);

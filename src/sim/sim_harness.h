@@ -79,6 +79,10 @@ struct SimWorkload {
   size_t fault_keep_bytes = 0;
   // Single-threaded ops replayed against the recovered service.
   std::vector<SimOp> post_recovery_ops;
+  // OnlineValidatorOptions::shard_hint of the service under test (drawn
+  // per seed in lifecycle mode: 0 = a shard per group, 2 = groups striped
+  // over two locks, so reconfigurations split and merge shared shards).
+  int shard_hint = 0;
 };
 
 // Opt-out mask for the shrinker: enabled[c][i] == false drops client c's

@@ -17,7 +17,10 @@ namespace geolic {
 // Contract for adding a hook point: the caller must hold NO locks at a
 // Yield (a suspended lock holder would deadlock the single-token
 // scheduler), which is also why the points sit at the lock-free seams of
-// the request path rather than inside critical sections.
+// the request path rather than inside critical sections. The one exception
+// is IssuanceService's reconfiguration lock, which the service takes
+// cooperatively (try-lock, yield, retry) whenever hooks are installed, so
+// a reconfiguration may yield while holding it.
 //
 // NowNanos is the simulation's virtual clock. When hooks are installed the
 // service timestamps request latency from it instead of the wall clock, so

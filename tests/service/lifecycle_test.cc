@@ -3,6 +3,8 @@
 // revocation, journaled reconfiguration recovery, and the epoch-tagged
 // checkpoint format.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -546,6 +548,130 @@ TEST(LifecycleTest, ReconfigStormRacesConcurrentIssuance) {
   const Result<ValidationTree> tree = s->CollectTree();
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->TotalCount(), s->CollectLog().TotalCount());
+
+  // Admissions that raced a reconfiguration's snapshot were carried over
+  // by its catch-up: the equation state must equal one rebuilt from the
+  // log. A request over every budget is rejected at its own satisfying
+  // set S with lhs = C<S> + count, so each probe reads one C<S>.
+  const LogStore log = s->CollectLog();
+  Result<std::unique_ptr<IssuanceService>> rebuilt =
+      IssuanceService::CreateWithHistory(&s->licenses(), {}, log);
+  ASSERT_TRUE(rebuilt.ok());
+  const std::vector<std::pair<int64_t, int64_t>> probes = {
+      {1, 5}, {12, 18}, {25, 29}, {101, 105}, {111, 119}, {125, 129},
+      {205, 215}};
+  for (const auto& [lo, hi] : probes) {
+    const License request =
+        MakeUsage(schema, "P", {{lo, hi}}, int64_t{1} << 40);
+    const Result<OnlineDecision> got = s->TryIssue(request);
+    const Result<OnlineDecision> want = (*rebuilt)->TryIssue(request);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_FALSE(got->aggregate_valid);
+    EXPECT_EQ(got->limiting.set, want->limiting.set);
+    EXPECT_EQ(got->limiting.lhs, want->limiting.lhs) << lo << ".." << hi;
+  }
+}
+
+bool RecordLess(const LogRecord& a, const LogRecord& b) {
+  if (a.set != b.set) {
+    return a.set < b.set;
+  }
+  if (a.count != b.count) {
+    return a.count < b.count;
+  }
+  return a.issued_license_id < b.issued_license_id;
+}
+
+std::vector<LogRecord> Sorted(const LogStore& log) {
+  std::vector<LogRecord> records = log.records();
+  std::sort(records.begin(), records.end(), RecordLess);
+  return records;
+}
+
+// CollectLog racing a reconfiguration storm returns one epoch's log —
+// never a retired epoch's moved-out shard logs, never records of two index
+// spaces. Without admissions each epoch's log is fixed, so a serial replay
+// of the same storm lists every legal answer.
+TEST(LifecycleTest, CollectLogRacingReconfigurationsSeesOneEpochsLog) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = ThreeGroupSet(schema, 1000000);
+  LogStore history;
+  const std::vector<LicenseSet> sets = {
+      LicenseSet::FromWord(0b00001), LicenseSet::FromWord(0b00011),
+      LicenseSet::FromWord(0b00010), LicenseSet::FromWord(0b00100),
+      LicenseSet::FromWord(0b01100), LicenseSet::FromWord(0b01000),
+      LicenseSet::FromWord(0b10000)};
+  for (int r = 0; r < 70; ++r) {
+    LogRecord record;
+    record.issued_license_id = "H" + std::to_string(r);
+    record.set = sets[static_cast<size_t>(r) % sets.size()];
+    record.count = 1 + r % 4;
+    ASSERT_TRUE(history.Append(std::move(record)).ok());
+  }
+  // Per round: ten times a license joining {L3, L4} (every shard's log
+  // moves into the next epoch) and its revocation (they move back). Every
+  // 50 rounds index 0 is revoked as well, which cascade-drops its records
+  // and renumbers every survivor (the logs are rewritten).
+  constexpr int kRounds = 200;
+  const auto storm = [&schema](IssuanceService* s, int round) {
+    for (int pair = 0; pair < 10; ++pair) {
+      const std::string id =
+          "J" + std::to_string(round) + "_" + std::to_string(pair);
+      EXPECT_TRUE(s->AcquireLicense(
+                       MakeRedistribution(schema, id, {{105, 125}}, 1000000))
+                      .ok());
+      EXPECT_TRUE(s->RevokeLicenseById(id).ok());
+    }
+    if (round % 50 == 49) {
+      EXPECT_TRUE(s->RevokeLicense(0).ok());
+    }
+  };
+
+  Result<std::unique_ptr<IssuanceService>> serial =
+      IssuanceService::CreateWithHistory(&licenses, {}, history);
+  ASSERT_TRUE(serial.ok());
+  // The distinct logs the epochs hold (an acquire/revoke pair leaves the
+  // log as it was).
+  std::vector<std::vector<LogRecord>> epochs = {
+      Sorted((*serial)->CollectLog())};
+  for (int round = 0; round < kRounds; ++round) {
+    storm(serial->get(), round);
+    std::vector<LogRecord> log = Sorted((*serial)->CollectLog());
+    if (log != epochs.back()) {
+      epochs.push_back(std::move(log));
+    }
+  }
+  ASSERT_EQ(epochs.size(), 5u);
+
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::CreateWithHistory(&licenses, {}, history);
+  ASSERT_TRUE(service.ok());
+  IssuanceService* s = service->get();
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const std::vector<LogRecord> got = Sorted(s->CollectLog());
+        if (std::find(epochs.begin(), epochs.end(), got) == epochs.end()) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    storm(s, round);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0) << "of " << reads.load() << " reads";
+  EXPECT_EQ(Sorted(s->CollectLog()), epochs.back());
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 // crucially — the mutation smoke check that proves the harness still has
 // teeth.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "core/grouping.h"
 #include "gtest/gtest.h"
 #include "persist/faulty_file.h"
 #include "persist/sync_file.h"
+#include "service/issuance_service.h"
 #include "sim/reference_model.h"
 #include "sim/sim_environment.h"
 #include "sim/sim_harness.h"
@@ -204,6 +207,47 @@ TEST(SimHarnessTest, ForcedFaultSweepPassesClean) {
       break;
     }
   }
+}
+
+// Lifecycle seeds must exercise both lock stripings and reconfigurations
+// that carry equation state across the dense-table cap: some seeds start
+// with a group just under it and acquire enough overlapping licenses to
+// grow past it.
+TEST(SimHarnessTest, LifecycleSeedsCoverStripingAndTheDenseCap) {
+  SimConfig config;
+  config.lifecycle_ops = true;
+  const uint64_t base = TestSeed(1);
+  int hint0 = 0;
+  int hint2 = 0;
+  int crossing = 0;
+  for (uint64_t seed = base; seed < base + 200; ++seed) {
+    const SimWorkload workload = GenerateWorkload(seed, config);
+    (workload.shard_hint == 0 ? hint0 : hint2) += 1;
+    LicenseCatalog grown = *workload.licenses;
+    int largest_start = 0;
+    const LicenseGrouping start = LicenseGrouping::FromLicenses(grown);
+    for (int g = 0; g < start.group_count(); ++g) {
+      largest_start = std::max(largest_start, start.GroupSize(g));
+    }
+    for (const std::vector<SimOp>& ops : workload.client_ops) {
+      for (const SimOp& op : ops) {
+        if (op.kind == SimOpKind::kAcquireLicense) {
+          ASSERT_TRUE(grown.Add(op.requests[0]).ok());
+        }
+      }
+    }
+    const LicenseGrouping end = LicenseGrouping::FromLicenses(grown);
+    for (int g = 0; g < end.group_count(); ++g) {
+      if (largest_start <= kMaxDenseGroupSize &&
+          end.GroupSize(g) > kMaxDenseGroupSize) {
+        ++crossing;
+        break;
+      }
+    }
+  }
+  EXPECT_GE(hint0, 50);
+  EXPECT_GE(hint2, 50);
+  EXPECT_GE(crossing, 10);
 }
 
 // The acceptance gate for the whole harness: plant a real accounting bug

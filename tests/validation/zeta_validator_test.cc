@@ -1,6 +1,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "validation/validate.h"
 #include "util/random.h"
 #include "workload/workload.h"
@@ -133,6 +137,58 @@ TEST(ZetaValidatorPropertyTest, MatchesExhaustiveOnRandomLogs) {
       EXPECT_EQ(zeta->violations[i].set, exhaustive->violations[i].set);
       EXPECT_EQ(zeta->violations[i].lhs, exhaustive->violations[i].lhs);
     }
+  }
+}
+
+// MobiusTransform undoes ZetaTransform exactly, at every table size the
+// service's dense scopes use.
+TEST(MobiusTransformTest, InvertsZetaOnRandomTables) {
+  Rng rng(testing::TestSeed(1717));
+  for (int n = 1; n <= 12; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<int64_t> table(size_t{1} << n);
+      for (int64_t& entry : table) {
+        entry = rng.UniformInt(-1000000, 1000000);
+      }
+      std::vector<int64_t> transformed = table;
+      ZetaTransform(transformed);
+      MobiusTransform(transformed);
+      ASSERT_EQ(transformed, table) << "n = " << n;
+    }
+  }
+}
+
+// On a log's merged per-set counts C[S]: the zeta of the histogram is every
+// equation LHS C<T>, and Möbius of that returns the histogram exactly —
+// the round trip a reconfiguration relies on to recover the distinct sets
+// from a dense scope's C<T> table.
+TEST(MobiusTransformTest, RecoversMergedCountsFromTheirZeta) {
+  Rng rng(testing::TestSeed(1718));
+  for (int trial = 0; trial < 12; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(1, 12));
+    LogStore log;
+    for (int r = 0; r < 500; ++r) {
+      LogRecord record;
+      record.issued_license_id = "LU" + std::to_string(r);
+      record.set =
+          (LicenseSet::FromWord(rng.Next()) & LicenseSet::Full(n)) |
+          LicenseSet::Singleton(static_cast<int>(rng.UniformInt(0, n - 1)));
+      record.count = rng.UniformInt(1, 1000);
+      ASSERT_TRUE(log.Append(std::move(record)).ok());
+    }
+    const std::unordered_map<LicenseSet, int64_t> merged = log.MergedCounts();
+    std::vector<int64_t> histogram(size_t{1} << n);
+    for (const auto& [set, count] : merged) {
+      histogram[set.Word(0)] = count;
+    }
+    std::vector<int64_t> table = histogram;
+    ZetaTransform(table);
+    for (uint64_t t = 0; t < table.size(); ++t) {
+      ASSERT_EQ(table[t],
+                testing::LhsFromMergedCounts(merged, LicenseSet::FromWord(t)));
+    }
+    MobiusTransform(table);
+    EXPECT_EQ(table, histogram) << "n = " << n;
   }
 }
 
