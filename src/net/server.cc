@@ -1,9 +1,12 @@
 #include "net/server.h"
 
 #include <arpa/inet.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -55,7 +58,6 @@ Result<std::unique_ptr<Server>> Server::Start(IssuanceService* service,
       std::unique_ptr<Server>(new Server(service, nullptr, options));
   GEOLIC_RETURN_IF_ERROR(server->Listen());
   server->io_thread_ = std::thread(&Server::IoLoop, server.get());
-  server->worker_thread_ = std::thread(&Server::WorkerLoop, server.get());
   return server;
 }
 
@@ -68,7 +70,6 @@ Result<std::unique_ptr<Server>> Server::StartWithCatalog(
       std::unique_ptr<Server>(new Server(nullptr, catalog, options));
   GEOLIC_RETURN_IF_ERROR(server->Listen());
   server->io_thread_ = std::thread(&Server::IoLoop, server.get());
-  server->worker_thread_ = std::thread(&Server::WorkerLoop, server.get());
   return server;
 }
 
@@ -148,46 +149,20 @@ void Server::Drain() {
     return;
   }
   drained_ = true;
-  // Phase 1: stop intake. The I/O thread sees the flag on its next turn,
-  // closes the listener and parks every connection's read side, so the
-  // admission queue can only shrink from here.
+  // The reactor sees the flag on its next turn: it closes the listener,
+  // parks every connection's read side, pushes the last responses out
+  // until the peers have acknowledged them (bounded by drain_timeout_ms
+  // against clients that stopped reading) and exits. Requests decoded
+  // before the flag were admitted and
+  // answered in their own turn; the join means no admission — and so no
+  // pinned catalog epoch — is still in flight.
   draining_.store(true, std::memory_order_release);
   uint64_t one = 1;
   (void)!write(wake_fd_, &one, sizeof(one));
-  // Phase 2: flush in-flight batches. The worker keeps dispatching until
-  // the queue is empty, then exits; joining it guarantees no TryIssueBatch
-  // call — and therefore no pinned catalog epoch — is still in flight.
-  {
-    std::lock_guard<std::mutex> queue_lock(queue_mutex_);
-    stop_worker_ = true;
-  }
-  queue_cv_.notify_all();
-  if (worker_thread_.joinable()) {
-    worker_thread_.join();
-  }
-  // Stragglers that slipped into the queue after the worker's final empty
-  // check (the I/O thread may briefly see a stale draining flag) still get
-  // an explicit answer instead of a silent hang.
-  {
-    std::lock_guard<std::mutex> queue_lock(queue_mutex_);
-    std::lock_guard<std::mutex> completion_lock(completion_mutex_);
-    for (PendingRequest& request : queue_) {
-      std::string encoded;
-      EncodeFrame(FrameKind::kError, request.request_id, "server draining",
-                  &encoded);
-      completions_.push_back(Completion{request.conn_id, std::move(encoded)});
-    }
-    queue_.clear();
-    stats_.queue_depth.store(0, std::memory_order_relaxed);
-  }
-  worker_done_.store(true, std::memory_order_release);
-  (void)!write(wake_fd_, &one, sizeof(one));
-  // Phase 3: the I/O thread pushes the last responses out (bounded by
-  // drain_timeout_ms against clients that stopped reading) and exits.
   if (io_thread_.joinable()) {
     io_thread_.join();
   }
-  // Phase 4: make the drained state durable before reporting done.
+  // Make the drained state durable before reporting done.
   if (service_ != nullptr) {
     (void)service_->SyncJournal();
   }
@@ -197,18 +172,13 @@ void Server::Drain() {
 }
 
 bool Server::IoDone() const {
-  if (!draining_.load(std::memory_order_acquire) ||
-      !worker_done_.load(std::memory_order_acquire)) {
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(completion_mutex_);
-    if (!completions_.empty()) {
-      return false;
-    }
-  }
   for (const auto& entry : conns_) {
-    if (!entry.second->write_buf.empty()) {
+    // Done once the peer has acknowledged every response, not once the
+    // kernel holds it: input still arriving after close() makes the
+    // kernel reset the connection, discarding whatever is unacknowledged.
+    int unacked = 0;
+    if (!entry.second->write_buf.empty() ||
+        (ioctl(entry.second->fd, SIOCOUTQ, &unacked) == 0 && unacked > 0)) {
       return false;
     }
   }
@@ -225,7 +195,6 @@ void Server::IoLoop() {
       if (accepting) {
         // Stop accepting and stop reading: intake ends, outflow continues.
         accepting = false;
-        listening_.store(false, std::memory_order_release);
         close(listen_fd_);
         listen_fd_ = -1;
         for (auto& entry : conns_) {
@@ -260,7 +229,6 @@ void Server::IoLoop() {
       if (id == kWakeId) {
         uint64_t drained_count = 0;
         (void)!read(wake_fd_, &drained_count, sizeof(drained_count));
-        DrainCompletions();
         continue;
       }
       const auto it = conns_.find(id);
@@ -273,15 +241,13 @@ void Server::IoLoop() {
         continue;
       }
       if ((mask & EPOLLIN) != 0) {
-        HandleReadable(conn);
-      }
-      if (conns_.find(id) == conns_.end()) {
-        continue;  // HandleReadable closed it.
-      }
-      if ((mask & EPOLLOUT) != 0) {
+        HandleReadable(conn);  // Its output leaves in AdmitPending.
+        read_this_turn_.push_back(id);
+      } else if ((mask & EPOLLOUT) != 0) {
         FlushWrites(conn);
       }
     }
+    AdmitPending();
   }
   // Teardown: whatever is still connected gets a hard close (drain either
   // finished flushing or timed out on an unreading peer).
@@ -310,6 +276,11 @@ void Server::AcceptReady() {
       close(fd);  // At capacity: refuse before the handshake.
       continue;
     }
+    // Responses leave as whole frames, one send per connection per turn;
+    // Nagle would only hold each one until the client's next ACK.
+    const int nodelay = 1;
+    (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                     sizeof(nodelay));
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
@@ -390,9 +361,6 @@ void Server::HandleReadable(Connection* conn) {
     ++frames_this_wake;
     stats_.frames_decoded.fetch_add(1, std::memory_order_relaxed);
     HandleFrame(conn, frame);
-    if (conns_.find(conn->id) == conns_.end()) {
-      return;  // A fatal send error closed the connection mid-frame.
-    }
   }
 #ifndef GEOLIC_DISABLE_TRACING
   if (options_.tracer != nullptr && frames_this_wake > 0) {
@@ -410,9 +378,9 @@ void Server::HandleReadable(Connection* conn) {
   (void)frames_this_wake;
 #endif
   if (peer_closed) {
-    // The peer half-closed its write side; flush what we owe, then close.
+    // The peer half-closed its write side; the end of the turn answers
+    // what it sent, flushes, then closes.
     conn->closing = true;
-    FlushWrites(conn);
   }
 }
 
@@ -461,29 +429,19 @@ void Server::HandleFrame(Connection* conn, const Frame& frame) {
     SendFrame(conn, FrameKind::kError, frame.request_id, "server draining");
     return;
   }
-  bool shed = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.size() >= options_.queue_capacity) {
-      shed = true;
-    } else {
-      queue_.push_back(PendingRequest{conn->id, frame.request_id,
-                                      TraceNowNanos(), tenant_id,
-                                      *std::move(license)});
-      const uint64_t depth = queue_.size();
-      stats_.queue_depth.store(depth, std::memory_order_relaxed);
-      uint64_t peak = stats_.queue_depth_peak.load(std::memory_order_relaxed);
-      while (depth > peak && !stats_.queue_depth_peak.compare_exchange_weak(
-                                 peak, depth, std::memory_order_relaxed)) {
-      }
-    }
-  }
-  if (shed) {
+  if (pending_.size() >= options_.queue_capacity) {
     stats_.requests_shed.fetch_add(1, std::memory_order_relaxed);
     SendFrame(conn, FrameKind::kShed, frame.request_id, {});
-  } else {
-    stats_.requests_enqueued.fetch_add(1, std::memory_order_relaxed);
-    queue_cv_.notify_one();
+    return;
+  }
+  pending_.push_back(PendingRequest{conn->id, frame.request_id,
+                                    TraceNowNanos(), tenant_id,
+                                    *std::move(license)});
+  stats_.requests_enqueued.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t depth = pending_.size();
+  stats_.queue_depth.store(depth, std::memory_order_relaxed);
+  if (depth > stats_.queue_depth_peak.load(std::memory_order_relaxed)) {
+    stats_.queue_depth_peak.store(depth, std::memory_order_relaxed);
   }
 }
 
@@ -492,18 +450,19 @@ void Server::SendFrame(Connection* conn, FrameKind kind, uint64_t request_id,
   std::string encoded;
   EncodeFrame(kind, request_id, payload, &encoded);
   conn->write_buf.Append(encoded);
-  FlushWrites(conn);
 }
 
 void Server::ProtocolError(Connection* conn, const std::string& message) {
   stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
   // Stream-level error (request_id 0): the connection cannot resync, so
-  // the error frame is the last thing it will ever receive.
-  std::string encoded;
-  EncodeFrame(FrameKind::kError, 0, message, &encoded);
-  conn->write_buf.Append(encoded);
+  // the error frame is the last thing it will ever receive. Requests it
+  // sent earlier in this turn are dropped unadmitted, since no answer
+  // could follow the error.
+  while (!pending_.empty() && pending_.back().conn_id == conn->id) {
+    pending_.pop_back();
+  }
+  SendFrame(conn, FrameKind::kError, 0, message);
   conn->closing = true;
-  FlushWrites(conn);
 }
 
 void Server::FlushWrites(Connection* conn) {
@@ -584,53 +543,15 @@ void Server::CloseConnection(uint64_t conn_id) {
   stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Server::DrainCompletions() {
-  std::deque<Completion> ready;
-  {
-    std::lock_guard<std::mutex> lock(completion_mutex_);
-    ready.swap(completions_);
-  }
-  for (Completion& completion : ready) {
-    const auto it = conns_.find(completion.conn_id);
-    if (it == conns_.end()) {
-      continue;  // The connection died while its batch was in flight.
-    }
-    it->second->write_buf.Append(completion.bytes);
-    FlushWrites(it->second.get());
-  }
-}
-
-void Server::WorkerLoop() {
-  std::vector<PendingRequest> batch;
-  std::vector<const License*> requests;
-  std::vector<OnlineDecision> decisions;
-  for (;;) {
-    batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock,
-                     [this] { return stop_worker_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_worker_) {
-          return;  // Drained: every enqueued request was dispatched.
-        }
-        continue;
-      }
-      const size_t take = std::min(queue_.size(), options_.max_batch);
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      stats_.queue_depth.store(queue_.size(), std::memory_order_relaxed);
-    }
-
+void Server::AdmitPending() {
+  if (!pending_.empty()) {
 #ifndef GEOLIC_DISABLE_TRACING
     if (options_.tracer != nullptr) {
-      // The coalescing window each request sat through, stamped with the
-      // client's correlation id (diagnostic, not a tracer request id).
+      // Decode → admission: how long each request waited for the rest of
+      // its turn, stamped with the client's correlation id (diagnostic,
+      // not a tracer request id).
       const uint64_t now = TraceNowNanos();
-      for (const PendingRequest& request : batch) {
+      for (const PendingRequest& request : pending_) {
         TraceSpan span;
         span.request_id = request.request_id;
         span.stage = TraceStage::kNetBatchWait;
@@ -641,109 +562,81 @@ void Server::WorkerLoop() {
       }
     }
 #endif
-
     if (catalog_ != nullptr) {
-      DispatchCatalogBatch(batch);
+      // Per-request routing: each request may hit a different tenant (and
+      // may compile or evict one), so the shared-lock coalescing of the
+      // single-service path does not apply across tenants.
+      for (const PendingRequest& request : pending_) {
+        AnswerIssue(request,
+                    catalog_->TryIssue(request.tenant_id, request.license));
+      }
       stats_.batches_dispatched.fetch_add(1, std::memory_order_relaxed);
-      stats_.batch_requests_dispatched.fetch_add(batch.size(),
-                                                 std::memory_order_relaxed);
-      uint64_t wake = 1;
-      (void)!write(wake_fd_, &wake, sizeof(wake));
-      continue;
-    }
-
-    requests.clear();
-    for (const PendingRequest& request : batch) {
-      requests.push_back(&request.license);
-    }
-    decisions.assign(batch.size(), OnlineDecision());
-    const Status admitted = service_->TryIssueBatch(
-        std::span<const License* const>(requests.data(), requests.size()),
-        std::span<OnlineDecision>(decisions.data(), decisions.size()));
-    stats_.batches_dispatched.fetch_add(1, std::memory_order_relaxed);
-    stats_.batch_requests_dispatched.fetch_add(batch.size(),
-                                               std::memory_order_relaxed);
-
-    // Encode responses, coalescing consecutive same-connection entries
-    // into one completion (pipelined clients get one write burst).
-    {
-      std::lock_guard<std::mutex> lock(completion_mutex_);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        std::string encoded;
-        if (admitted.ok()) {
-          IssueResult result;
-          const OnlineDecision& decision = decisions[i];
-          result.outcome = decision.accepted()
-                               ? IssueResult::Outcome::kAccepted
-                               : (decision.instance_valid
-                                      ? IssueResult::Outcome::kRejectedAggregate
-                                      : IssueResult::Outcome::kRejectedInstance);
-          result.catalog_epoch = decision.catalog_epoch;
-          result.equations_checked =
-              static_cast<uint64_t>(decision.equations_checked);
-          std::string payload;
-          EncodeIssueResult(result, &payload);
-          EncodeFrame(FrameKind::kIssueResult, batch[i].request_id, payload,
-                      &encoded);
-        } else {
-          // A batch-level failure (journal I/O) fails every member loudly;
-          // nothing was silently half-admitted on the wire's watch.
-          EncodeFrame(FrameKind::kError, batch[i].request_id,
-                      admitted.message(), &encoded);
+    } else {
+      for (size_t begin = 0; begin < pending_.size();
+           begin += options_.max_batch) {
+        const size_t end =
+            std::min(pending_.size(), begin + options_.max_batch);
+        batch_licenses_.clear();
+        for (size_t i = begin; i < end; ++i) {
+          batch_licenses_.push_back(&pending_[i].license);
         }
-        if (!completions_.empty() &&
-            completions_.back().conn_id == batch[i].conn_id) {
-          completions_.back().bytes.append(encoded);
-        } else {
-          completions_.push_back(
-              Completion{batch[i].conn_id, std::move(encoded)});
+        batch_decisions_.assign(end - begin, OnlineDecision());
+        const Status admitted = service_->TryIssueBatch(
+            std::span<const License* const>(batch_licenses_.data(),
+                                            batch_licenses_.size()),
+            std::span<OnlineDecision>(batch_decisions_.data(),
+                                      batch_decisions_.size()));
+        stats_.batches_dispatched.fetch_add(1, std::memory_order_relaxed);
+        for (size_t i = begin; i < end; ++i) {
+          // A batch-level failure (journal I/O) fails every member
+          // loudly; nothing is silently half-admitted on the wire's watch.
+          AnswerIssue(pending_[i],
+                      admitted.ok()
+                          ? Result<OnlineDecision>(
+                                std::move(batch_decisions_[i - begin]))
+                          : Result<OnlineDecision>(admitted));
         }
       }
     }
-    uint64_t one = 1;
-    (void)!write(wake_fd_, &one, sizeof(one));
+    stats_.batch_requests_dispatched.fetch_add(pending_.size(),
+                                               std::memory_order_relaxed);
+    pending_.clear();
+    stats_.queue_depth.store(0, std::memory_order_relaxed);
   }
+  // One flush per connection read this turn, looked up by id: a flush
+  // that hits a dead peer closes its connection.
+  for (const uint64_t id : read_this_turn_) {
+    const auto it = conns_.find(id);
+    if (it != conns_.end()) {
+      FlushWrites(it->second.get());
+    }
+  }
+  read_this_turn_.clear();
 }
 
-void Server::DispatchCatalogBatch(const std::vector<PendingRequest>& batch) {
-  // Per-request routing: each request may hit a different tenant (and may
-  // compile or evict one), so the shared-lock coalescing the single-service
-  // batch path exploits does not apply across tenants. Responses are still
-  // coalesced per connection below.
-  std::vector<std::string> encoded(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const PendingRequest& request = batch[i];
-    Result<OnlineDecision> decision =
-        catalog_->TryIssue(request.tenant_id, request.license);
-    if (!decision.ok()) {
-      EncodeFrame(FrameKind::kError, request.request_id,
-                  decision.status().message(), &encoded[i]);
-      continue;
-    }
-    IssueResult result;
-    result.outcome = decision->accepted()
-                         ? IssueResult::Outcome::kAccepted
-                         : (decision->instance_valid
-                                ? IssueResult::Outcome::kRejectedAggregate
-                                : IssueResult::Outcome::kRejectedInstance);
-    result.catalog_epoch = decision->catalog_epoch;
-    result.equations_checked =
-        static_cast<uint64_t>(decision->equations_checked);
-    std::string payload;
-    EncodeIssueResult(result, &payload);
-    EncodeFrame(FrameKind::kIssueResult, request.request_id, payload,
-                &encoded[i]);
+void Server::AnswerIssue(const PendingRequest& request,
+                         const Result<OnlineDecision>& decision) {
+  // The request's connection is still open: a connection read this turn
+  // closes only on a recv error, before it decodes anything, or in the
+  // flush after admission.
+  Connection* conn = conns_.find(request.conn_id)->second.get();
+  if (!decision.ok()) {
+    SendFrame(conn, FrameKind::kError, request.request_id,
+              decision.status().message());
+    return;
   }
-  std::lock_guard<std::mutex> lock(completion_mutex_);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!completions_.empty() &&
-        completions_.back().conn_id == batch[i].conn_id) {
-      completions_.back().bytes.append(encoded[i]);
-    } else {
-      completions_.push_back(
-          Completion{batch[i].conn_id, std::move(encoded[i])});
-    }
-  }
+  IssueResult result;
+  result.outcome = decision->accepted()
+                       ? IssueResult::Outcome::kAccepted
+                       : (decision->instance_valid
+                              ? IssueResult::Outcome::kRejectedAggregate
+                              : IssueResult::Outcome::kRejectedInstance);
+  result.catalog_epoch = decision->catalog_epoch;
+  result.equations_checked =
+      static_cast<uint64_t>(decision->equations_checked);
+  std::string payload;
+  EncodeIssueResult(result, &payload);
+  SendFrame(conn, FrameKind::kIssueResult, request.request_id, payload);
 }
 
 NetStats Server::Stats() const {

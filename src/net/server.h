@@ -2,9 +2,7 @@
 #define GEOLIC_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,40 +21,48 @@
 namespace geolic::net {
 
 // Epoll-based TCP front-end for one IssuanceService (ROADMAP item 1,
-// docs/WIRE.md). Two threads:
+// docs/WIRE.md). One reactor thread owns every socket and runs each
+// request to completion in the epoll turn that decoded it:
 //
-//  * The I/O thread owns every socket: it accepts, reads, decodes frames
-//    incrementally off per-connection byte queues, answers pings inline,
-//    and pushes issue requests into a bounded admission queue. A request
-//    arriving on a full queue is shed with an explicit kShed response —
-//    overload degrades to fast rejections, never to unbounded memory.
-//    It also drains the completion queue back into per-connection write
-//    buffers, with non-blocking sends (MSG_NOSIGNAL, EINTR/EAGAIN and
-//    partial writes handled) and EPOLLOUT re-arming.
-//  * The batch worker pops up to max_batch queued requests at a time and
-//    admits them through one TryIssueBatch call — the wire-level
-//    realization of the per-shard lock coalescing: requests from many
-//    connections that landed in the same epoll turn share one lock
-//    acquisition per shard touched.
+//  * During the turn it accepts, reads, decodes frames incrementally off
+//    per-connection byte queues, and appends each issue request to a
+//    pending list. Pings, request-scoped errors and sheds are answered
+//    inline. A request that finds queue_capacity requests already
+//    pending is shed with an explicit kShed response — overload degrades
+//    to fast rejections, never to unbounded memory.
+//  * At the end of the turn it admits the pending list — TryIssueBatch in
+//    chunks of max_batch, so requests from every connection read in the
+//    turn share one lock acquisition per shard touched; per-request
+//    CatalogService::TryIssue in catalog mode — with any journal sync
+//    the service runs. It encodes the responses into the connections'
+//    write buffers and flushes each connection read in the turn once:
+//    non-blocking sends (MSG_NOSIGNAL, EINTR/EAGAIN and partial writes
+//    handled), EPOLLOUT re-armed for the rest.
+//
+// Accepted sockets set TCP_NODELAY: responses already leave as whole
+// frames coalesced per connection, so Nagle's algorithm would only hold
+// each send until the client's next ACK.
 //
 // Backpressure: a connection whose write buffer exceeds max_write_buffer
 // stops being read until the backlog half-drains, so a client that will
 // not read its responses throttles itself, not the server.
 //
 // Graceful drain (Drain(), also run by the destructor): stop accepting
-// and reading, let the worker flush every queued request, push the last
-// responses out (bounded by drain_timeout_ms), sync the journal, join
-// both threads. Joining the worker guarantees no in-flight batch still
-// pins a catalog epoch, so a checkpoint cutover after Drain sees fully
+// and reading, push the last responses out until every peer has
+// acknowledged them (bounded by drain_timeout_ms), close, join the
+// reactor, sync the journal. Every request decoded before the drain was
+// admitted and answered in its own turn, and the join leaves no
+// admission in flight, so a checkpoint cutover after Drain sees fully
 // quiesced shards.
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; Server::port() reports the choice.
   int listen_backlog = 128;
   size_t max_connections = 1024;
-  // Bounded admission queue (requests decoded but not yet batched).
+  // Bound on the requests one epoll turn decodes before it admits them;
+  // a request past it is shed.
   size_t queue_capacity = 1024;
-  // Batch window: closes at this size or when the queue runs dry.
+  // Largest TryIssueBatch call a turn's admission makes.
   size_t max_batch = 64;
   // Per-connection write-buffer cap before reads pause (backpressure).
   size_t max_write_buffer = 256 * 1024;
@@ -85,7 +91,7 @@ struct NetStats {
 
 class Server {
  public:
-  // Binds, listens, and starts both threads. `service` (and
+  // Binds, listens, and starts the reactor thread. `service` (and
   // options.tracer, when set) must outlive the server. A single-service
   // server answers kIssueRequest; tenant-addressed requests are semantic
   // errors.
@@ -135,31 +141,26 @@ class Server {
     License license;
   };
 
-  struct Completion {
-    uint64_t conn_id;
-    std::string bytes;  // Encoded response frames.
-  };
-
   Server(IssuanceService* service, CatalogService* catalog,
          const ServerOptions& options);
 
   Status Listen();
   void IoLoop();
-  void WorkerLoop();
-  // Catalog-mode dispatch of one popped batch (per-request routing; the
-  // per-tenant services still coalesce within themselves).
-  void DispatchCatalogBatch(const std::vector<PendingRequest>& batch);
 
-  // --- I/O-thread only ---
+  // --- Reactor thread only ---
   void AcceptReady();
   void HandleReadable(Connection* conn);
   void HandleFrame(Connection* conn, const Frame& frame);
+  // End of turn: admits pending_, then flushes every connection read.
+  void AdmitPending();
+  void AnswerIssue(const PendingRequest& request,
+                   const Result<OnlineDecision>& decision);
   void FlushWrites(Connection* conn);
+  // Appends one frame to the write buffer; the end of the turn sends it.
   void SendFrame(Connection* conn, FrameKind kind, uint64_t request_id,
                  std::string_view payload);
   void ProtocolError(Connection* conn, const std::string& message);
   void CloseConnection(uint64_t conn_id);
-  void DrainCompletions();
   void UpdateInterest(Connection* conn);
   bool IoDone() const;
 
@@ -169,32 +170,26 @@ class Server {
   uint16_t port_ = 0;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: worker -> I/O thread.
+  int wake_fd_ = -1;  // eventfd: Drain() -> reactor.
 
   std::thread io_thread_;
-  std::thread worker_thread_;
 
-  // Drain protocol flags. draining_: no new accepts/reads/enqueues.
-  // worker_done_: every queued request has been dispatched and completed.
+  // Set by Drain(). From the next turn on the reactor neither accepts nor
+  // reads; a request decoded after the store is answered "server
+  // draining" instead of joining the turn's admission.
   std::atomic<bool> draining_{false};
-  std::atomic<bool> worker_done_{false};
-  std::atomic<bool> listening_{true};
   std::mutex drain_mutex_;  // Serializes Drain() callers.
   bool drained_ = false;    // Guarded by drain_mutex_.
 
-  // Admission queue: I/O thread pushes, worker pops.
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingRequest> queue_;  // Guarded by queue_mutex_.
-  bool stop_worker_ = false;          // Guarded by queue_mutex_.
-
-  // Completion queue: worker pushes + wakes wake_fd_, I/O thread pops.
-  mutable std::mutex completion_mutex_;
-  std::deque<Completion> completions_;  // Guarded by completion_mutex_.
-
-  // I/O-thread-owned connection table (id -> state).
+  // Reactor-owned state. pending_ holds the requests decoded this turn
+  // and read_this_turn_ the connections read in it; both are empty
+  // between turns.
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
   uint64_t next_conn_id_ = 2;  // 0 = listen fd, 1 = wake fd.
+  std::vector<PendingRequest> pending_;
+  std::vector<uint64_t> read_this_turn_;
+  std::vector<const License*> batch_licenses_;
+  std::vector<OnlineDecision> batch_decisions_;
 
   struct AtomicStats {
     std::atomic<uint64_t> connections_opened{0};

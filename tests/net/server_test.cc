@@ -2,14 +2,20 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -46,12 +52,16 @@ class TestClient {
 
   ~TestClient() { Close(); }
 
+  int fd() const { return fd_; }
+
   void Close() {
     if (fd_ >= 0) {
       close(fd_);
       fd_ = -1;
     }
   }
+
+  void ShutdownWrite() { GEOLIC_CHECK(shutdown(fd_, SHUT_WR) == 0); }
 
   void SendMagic() {
     SendRaw(std::string_view(kWireMagic, sizeof(kWireMagic)));
@@ -77,7 +87,8 @@ class TestClient {
     SendRaw(bytes);
   }
 
-  // Blocks until one frame decodes; false on clean EOF.
+  // Blocks until one frame decodes; false at the end of the stream (EOF,
+  // or a reset from a server that closed with request bytes unread).
   bool ReadFrame(Frame* frame) {
     for (;;) {
       size_t consumed = 0;
@@ -91,7 +102,7 @@ class TestClient {
       GEOLIC_CHECK(result == DecodeResult::kNeedMore);
       char chunk[4096];
       const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
-      if (n == 0) {
+      if (n == 0 || (n < 0 && errno == ECONNRESET)) {
         return false;
       }
       if (n < 0 && errno == EINTR) {
@@ -124,6 +135,44 @@ class TestClient {
   int fd_ = -1;
   std::string buffer_;
 };
+
+bool SameEndpoint(const sockaddr_in& a, const sockaddr_in& b) {
+  return a.sin_family == AF_INET && b.sin_family == AF_INET &&
+         a.sin_port == b.sin_port && a.sin_addr.s_addr == b.sin_addr.s_addr;
+}
+
+// The server's end of the client socket `client_fd`, found among this
+// process's open descriptors by its address pair; -1 if none matches.
+int ServerEndOf(int client_fd) {
+  sockaddr_in client_local{};
+  sockaddr_in client_peer{};
+  socklen_t len = sizeof(client_local);
+  GEOLIC_CHECK(getsockname(client_fd,
+                           reinterpret_cast<sockaddr*>(&client_local),
+                           &len) == 0);
+  len = sizeof(client_peer);
+  GEOLIC_CHECK(getpeername(client_fd,
+                           reinterpret_cast<sockaddr*>(&client_peer),
+                           &len) == 0);
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    const int fd = std::stoi(entry.path().filename().string());
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    socklen_t local_len = sizeof(local);
+    socklen_t peer_len = sizeof(peer);
+    if (getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) !=
+            0 ||
+        getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) !=
+            0) {
+      continue;  // Not a connected socket.
+    }
+    if (SameEndpoint(local, client_peer) && SameEndpoint(peer, client_local)) {
+      return fd;
+    }
+  }
+  return -1;
+}
 
 // One redistribution license [0,20] with the given budget; requests
 // inside it share the single satisfying set {L1}.
@@ -241,6 +290,84 @@ TEST(ServerTest, PipelinedBurstAnswersEveryRequest) {
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
+TEST(ServerTest, AcceptedSocketsDisableNagle) {
+  Fixture fx(5);
+  TestClient client(fx.server->port());
+  client.SendMagic();
+  client.SendFrame(FrameKind::kPing, 1, {});
+  Frame frame;
+  ASSERT_TRUE(client.ReadFrame(&frame));  // The server has accepted.
+  const int server_fd = ServerEndOf(client.fd());
+  ASSERT_GE(server_fd, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(getsockopt(server_fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+}
+
+TEST(ServerTest, OneWritePastQueueCapacityShedsTheRestOfTheTurn) {
+  ServerOptions options;
+  options.queue_capacity = 8;
+  Fixture fx(1000, options);
+  TestClient client(fx.server->port());
+  std::string burst(kWireMagic, sizeof(kWireMagic));
+  constexpr uint64_t kRequests = 48;
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    EncodeFrame(FrameKind::kIssueRequest, id,
+                fx.IssuePayload(fx.Inside(static_cast<int>(id))), &burst);
+  }
+  client.SendRaw(burst);
+
+  std::set<uint64_t> answered;
+  uint64_t results = 0;
+  uint64_t sheds = 0;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    Frame frame;
+    ASSERT_TRUE(client.ReadFrame(&frame));
+    EXPECT_TRUE(answered.insert(frame.request_id).second)
+        << "duplicate response for " << frame.request_id;
+    if (frame.kind == FrameKind::kIssueResult) {
+      ++results;
+    } else {
+      ASSERT_EQ(frame.kind, FrameKind::kShed);
+      ++sheds;
+    }
+  }
+  EXPECT_EQ(results + sheds, kRequests);
+  EXPECT_GE(sheds, 1u);
+  EXPECT_EQ(*answered.begin(), 1u);
+  EXPECT_EQ(*answered.rbegin(), kRequests);
+
+  const NetStats stats = fx.server->Stats();
+  EXPECT_EQ(stats.requests_enqueued + stats.requests_shed, kRequests);
+  EXPECT_EQ(stats.requests_enqueued, results);
+  EXPECT_EQ(stats.requests_shed, sheds);
+  EXPECT_LE(stats.queue_depth_peak, options.queue_capacity);
+}
+
+TEST(ServerTest, HalfClosedClientStillGetsEveryAnswer) {
+  Fixture fx(1000);
+  TestClient client(fx.server->port());
+  std::string burst(kWireMagic, sizeof(kWireMagic));
+  constexpr uint64_t kRequests = 8;
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    EncodeFrame(FrameKind::kIssueRequest, id,
+                fx.IssuePayload(fx.Inside(static_cast<int>(id))), &burst);
+  }
+  client.SendRaw(burst);
+  client.ShutdownWrite();  // The EOF may arrive in the requests' turn.
+
+  std::set<uint64_t> answered;
+  Frame frame;
+  while (client.ReadFrame(&frame)) {
+    EXPECT_EQ(frame.kind, FrameKind::kIssueResult);
+    EXPECT_TRUE(answered.insert(frame.request_id).second);
+  }
+  EXPECT_EQ(answered.size(), kRequests);
+  EXPECT_EQ(fx.service->CollectLog().size(), kRequests);
+}
+
 TEST(ServerTest, BadMagicGetsStreamErrorAndClose) {
   Fixture fx(5);
   TestClient client(fx.server->port());
@@ -269,6 +396,30 @@ TEST(ServerTest, CorruptFrameGetsStreamErrorAndClose) {
   EXPECT_NE(frame.payload.find("crc"), std::string::npos);
   EXPECT_TRUE(client.ReadEof());
   EXPECT_EQ(fx.server->Stats().protocol_errors, 1u);
+}
+
+TEST(ServerTest, ProtocolErrorDropsTheTurnsRequestsUnadmitted) {
+  Fixture fx(1000);
+  TestClient client(fx.server->port());
+  // One write: four sound requests, then a corrupt frame. All of it is
+  // decoded in one turn, so the requests are still pending when the
+  // stream error lands, and no answer may follow that error.
+  std::string burst(kWireMagic, sizeof(kWireMagic));
+  for (uint64_t id = 1; id <= 4; ++id) {
+    EncodeFrame(FrameKind::kIssueRequest, id,
+                fx.IssuePayload(fx.Inside(static_cast<int>(id))), &burst);
+  }
+  std::string bad;
+  EncodeFrame(FrameKind::kPing, 5, {}, &bad);
+  bad[2] = static_cast<char>(bad[2] ^ 0x10);
+  client.SendRaw(burst + bad);
+
+  Frame frame;
+  ASSERT_TRUE(client.ReadFrame(&frame));
+  EXPECT_EQ(frame.kind, FrameKind::kError);
+  EXPECT_EQ(frame.request_id, 0u);
+  EXPECT_FALSE(client.ReadFrame(&frame));  // Nothing after the error.
+  EXPECT_EQ(fx.service->CollectLog().size(), 0u);
 }
 
 TEST(ServerTest, MalformedLicensePayloadKeepsConnectionAlive) {
@@ -345,6 +496,86 @@ TEST(ServerTest, DrainFlushesAndStopsAcceptingIdempotently) {
   const NetStats stats = fx.server->Stats();
   EXPECT_EQ(stats.connections_closed, stats.connections_opened);
   EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST(ServerTest, DrainMidStreamAnswersEveryAdmittedRequest) {
+  ServerOptions options;
+  options.queue_capacity = size_t{1} << 20;  // Nothing sheds.
+  // The reader must finish before the drain gives up on it, also under a
+  // sanitizer's slowdown.
+  options.drain_timeout_ms = 60000;
+  Fixture fx(1 << 20, options);  // Every admitted request is accepted.
+  TestClient client(fx.server->port());
+  client.SendMagic();
+
+  // A sender pipelines requests until the server closes, so the drain
+  // always meets unread requests. Drain runs on a third thread while the
+  // client reads.
+  std::atomic<uint64_t> sent{0};
+  std::thread sender([&] {
+    for (uint64_t id = 1;; ++id) {
+      std::string frame;
+      EncodeFrame(FrameKind::kIssueRequest, id,
+                  fx.IssuePayload(fx.Inside(static_cast<int>(id))), &frame);
+      for (size_t off = 0; off < frame.size();) {
+        const ssize_t n = send(client.fd(), frame.data() + off,
+                               frame.size() - off, MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR) {
+          continue;
+        }
+        if (n <= 0) {
+          return;  // The server closed the connection.
+        }
+        off += static_cast<size_t>(n);
+      }
+      sent.store(id, std::memory_order_relaxed);
+    }
+  });
+  // Read nothing until the answers overflow the client's receive buffer;
+  // the rest then waits unacknowledged in the server's kernel.
+  for (int waited_ms = 0;
+       fx.server->Stats().batch_requests_dispatched < 20000 &&
+       waited_ms < 20000;
+       ++waited_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread drainer([&fx] { fx.server->Drain(); });
+  // Still read nothing for a moment: a drain that closes before its
+  // answers are acknowledged loses them to the reset.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::vector<Frame> frames;
+  Frame frame;
+  while (client.ReadFrame(&frame)) {
+    frames.push_back(frame);
+  }
+  drainer.join();
+  sender.join();
+  EXPECT_GE(frames.size(), 20000u);
+
+  std::set<uint64_t> answered;
+  uint64_t accepted = 0;
+  for (const Frame& response : frames) {
+    EXPECT_GE(response.request_id, 1u);
+    EXPECT_LE(response.request_id, sent.load());
+    EXPECT_TRUE(answered.insert(response.request_id).second)
+        << "duplicate response for " << response.request_id;
+    if (response.kind == FrameKind::kError) {
+      EXPECT_EQ(response.payload, "server draining");
+      continue;
+    }
+    ASSERT_EQ(response.kind, FrameKind::kIssueResult);
+    IssueResult result;
+    ASSERT_TRUE(DecodeIssueResult(response.payload, &result).ok());
+    if (result.outcome == IssueResult::Outcome::kAccepted) {
+      ++accepted;
+    }
+  }
+  // Nothing was admitted without its answer reaching the client.
+  EXPECT_EQ(accepted, fx.service->CollectLog().size());
+  const NetStats stats = fx.server->Stats();
+  EXPECT_EQ(stats.batch_requests_dispatched, stats.requests_enqueued);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.connections_closed, stats.connections_opened);
 }
 
 TEST(ServerTest, SnapExposesTheNetSectionInBothFormats) {
