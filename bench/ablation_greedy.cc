@@ -6,7 +6,7 @@
 
 #include "bench/bench_util.h"
 #include "core/greedy_validator.h"
-#include "core/online_validator.h"
+#include "service/issuance_service.h"
 
 int main(int argc, char** argv) {
   using namespace geolic;         // NOLINT
@@ -55,13 +55,13 @@ int main(int argc, char** argv) {
 
   // Equation-based reference.
   {
-    Result<OnlineValidator> validator =
-        OnlineValidator::Create(workload->licenses.get());
-    GEOLIC_CHECK(validator.ok());
+    Result<std::unique_ptr<IssuanceService>> service =
+        IssuanceService::Create(workload->licenses.get());
+    GEOLIC_CHECK(service.ok());
     int accepted = 0;
     int64_t counts = 0;
     for (const License& usage : stream) {
-      const Result<OnlineDecision> decision = validator->TryIssue(usage);
+      const Result<OnlineDecision> decision = (*service)->TryIssue(usage);
       GEOLIC_CHECK(decision.ok());
       if (decision->accepted()) {
         ++accepted;

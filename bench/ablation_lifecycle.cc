@@ -31,7 +31,6 @@
 
 #include "bench/bench_util.h"
 #include "core/grouping.h"
-#include "core/online_validator.h"
 #include "geometry/constraint_range.h"
 #include "geometry/hyper_rect.h"
 #include "geometry/interval.h"

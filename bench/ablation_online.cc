@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/online_validator.h"
+#include "service/issuance_service.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "workload/workload.h"
@@ -29,10 +29,10 @@ struct OnlineFixture {
     workload = std::make_unique<Workload>(*std::move(generated));
     OnlineValidatorOptions options;
     options.use_grouping = use_grouping;
-    Result<OnlineValidator> created =
-        OnlineValidator::Create(workload->licenses.get(), options);
+    Result<std::unique_ptr<IssuanceService>> created =
+        IssuanceService::Create(workload->licenses.get(), options);
     GEOLIC_CHECK(created.ok());
-    validator = std::make_unique<OnlineValidator>(*std::move(created));
+    service = *std::move(created);
     Rng rng(77);
     for (int i = 0; i < 512; ++i) {
       const int parent = static_cast<int>(
@@ -42,7 +42,7 @@ struct OnlineFixture {
     }
   }
   std::unique_ptr<Workload> workload;
-  std::unique_ptr<OnlineValidator> validator;
+  std::unique_ptr<IssuanceService> service;
   std::vector<License> queries;
 };
 
@@ -52,13 +52,13 @@ struct IssueLoopResult {
 };
 
 // `issues` TryIssue calls cycling the query pool against a fresh
-// validator; the running state accumulates exactly as in production.
+// service; the running state accumulates exactly as in production.
 IssueLoopResult RunIssueLoop(int n, bool use_grouping, int issues) {
   OnlineFixture fixture(n, use_grouping);
   uint64_t equations = 0;
   Stopwatch timer;
   for (int i = 0; i < issues; ++i) {
-    const Result<OnlineDecision> decision = fixture.validator->TryIssue(
+    const Result<OnlineDecision> decision = fixture.service->TryIssue(
         fixture.queries[static_cast<size_t>(i) % fixture.queries.size()]);
     GEOLIC_CHECK(decision.ok());
     equations += decision->equations_checked;

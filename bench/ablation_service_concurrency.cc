@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/online_validator.h"
 #include "licensing/constraint_schema.h"
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"

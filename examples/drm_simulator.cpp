@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/online_validator.h"
 #include "drm/distribution_network.h"
 #include "drm/validation_authority.h"
 #include "obs/exposition.h"
@@ -258,15 +257,12 @@ int main(int argc, char** argv) {
   GEOLIC_CHECK(service.ok());
   // The concurrent tree must equal a single-threaded replay of what was
   // accepted — the sharding theorem at work.
-  const Result<const LicenseCatalog*> domain_licenses = authority.LicensesFor(key);
-  GEOLIC_CHECK(domain_licenses.ok());
-  const LogStore concurrent_log = (*service)->CollectLog();
-  const Result<OnlineValidator> replay = OnlineValidator::CreateWithHistory(
-      *domain_licenses, OnlineValidatorOptions(), concurrent_log);
+  const Result<ValidationTree> replay =
+      ValidationTree::BuildFromLog((*service)->CollectLog());
   GEOLIC_CHECK(replay.ok());
   const Result<ValidationTree> concurrent_tree = (*service)->CollectTree();
   GEOLIC_CHECK(concurrent_tree.ok());
-  GEOLIC_CHECK(concurrent_tree->ToString() == replay->tree().ToString());
+  GEOLIC_CHECK(concurrent_tree->ToString() == replay->ToString());
 
   std::printf("\nConcurrent authority (%d threads, %d overlap groups, "
               "%d lock shards): %d of %d accepted\n",

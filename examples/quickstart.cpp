@@ -14,8 +14,8 @@
 #include "core/gain.h"
 #include "core/grouping.h"
 #include "core/instance_validator.h"
-#include "core/online_validator.h"
 #include "licensing/license_parser.h"
+#include "service/issuance_service.h"
 #include "validation/validate.h"
 #include "validation/validation_tree.h"
 
@@ -70,12 +70,13 @@ int main() {
   // 3. Online aggregate validation with validation equations: both usage
   //    licenses are valid (a random pick of L_D^2 for LU1 would have
   //    wrongly exhausted it and rejected LU2).
-  Result<OnlineValidator> online = OnlineValidator::Create(&licenses);
+  Result<std::unique_ptr<IssuanceService>> online =
+      IssuanceService::Create(&licenses);
   if (!online.ok()) {
     return 1;
   }
   for (const License* usage : {&*lu1, &*lu2}) {
-    const Result<OnlineDecision> decision = online->TryIssue(*usage);
+    const Result<OnlineDecision> decision = (*online)->TryIssue(*usage);
     if (!decision.ok()) {
       return 1;
     }

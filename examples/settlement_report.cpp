@@ -11,7 +11,7 @@
 
 #include "core/assignment.h"
 #include "core/capacity.h"
-#include "core/online_validator.h"
+#include "service/issuance_service.h"
 #include "validation/report_json.h"
 #include "validation/validate.h"
 #include "workload/workload.h"
@@ -35,9 +35,12 @@ int main() {
     return 1;
   }
 
-  // A quarter of validated trade.
-  Result<OnlineValidator> online =
-      OnlineValidator::Create(workload->licenses.get());
+  // A quarter of validated trade. One lock shard for this single-threaded
+  // demo, so CollectLog lists the quarter in admission order.
+  OnlineValidatorOptions options;
+  options.shard_hint = 1;
+  Result<std::unique_ptr<IssuanceService>> online =
+      IssuanceService::Create(workload->licenses.get(), options);
   if (!online.ok()) {
     return 1;
   }
@@ -48,21 +51,25 @@ int main() {
         rng.UniformInt(0, workload->licenses->size() - 1));
     const License usage =
         generator.DrawUsageLicense(*workload, parent, &rng, i);
-    const Result<OnlineDecision> decision = online->TryIssue(usage);
+    const Result<OnlineDecision> decision = (*online)->TryIssue(usage);
     if (decision.ok() && decision->accepted()) {
       ++accepted;
     }
   }
+  const LogStore log = (*online)->CollectLog();
+  const Result<ValidationTree> tree = (*online)->CollectTree();
+  if (!tree.ok()) {
+    return 1;
+  }
   std::printf("Quarter closed: %d issuances accepted, %lld counts sold\n",
-              accepted,
-              static_cast<long long>(online->log().TotalCount()));
+              accepted, static_cast<long long>(log.TotalCount()));
 
   // Capacity quotes for each single-license "region".
   std::printf("\nRemaining capacity quotes:\n");
   for (int i = 0; i < workload->licenses->size(); ++i) {
     const Result<CapacityQuote> quote =
-        RemainingCapacity(*workload->licenses, online->grouping(),
-                          online->tree(), LicenseSet::Singleton(i));
+        RemainingCapacity(*workload->licenses, (*online)->grouping(), *tree,
+                          LicenseSet::Singleton(i));
     if (!quote.ok()) {
       return 1;
     }
@@ -75,7 +82,7 @@ int main() {
 
   // Settlement: bill every sold count to a concrete license.
   const Result<SettlementAssignment> settlement =
-      ComputeSettlement(*workload->licenses, online->log());
+      ComputeSettlement(*workload->licenses, log);
   if (!settlement.ok()) {
     std::fprintf(stderr, "settlement failed: %s\n",
                  settlement.status().ToString().c_str());
@@ -106,8 +113,7 @@ int main() {
 
   // Offline audit confirms the books, exported as JSON for tooling.
   const Result<ValidationOutcome> audit =
-      Validate(*workload->licenses, online->log(),
-               {.mode = ValidationMode::kGrouped});
+      Validate(*workload->licenses, log, {.mode = ValidationMode::kGrouped});
   if (!audit.ok()) {
     return 1;
   }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "catalog/tenant_source.h"
-#include "core/online_validator.h"
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
 #include "obs/exposition.h"

@@ -17,8 +17,8 @@ namespace geolic {
 //   min over T ⊇ S (within S's overlap group) of A[T] − C⟨T⟩.
 //
 // This is the number a distributor storefront shows as "remaining
-// inventory for this region/period" — and exactly the largest count the
-// OnlineValidator would still accept for S (tested against it).
+// inventory for this region/period" — and exactly the largest count
+// IssuanceService::TryIssue would still accept for S (tested against it).
 struct CapacityQuote {
   // Maximum additional counts issuable against S (0 when some equation is
   // already tight or violated; never negative).

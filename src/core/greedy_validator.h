@@ -35,10 +35,10 @@ struct GreedyDecision {
 // new license satisfies several redistribution licenses, pick ONE of them
 // and deduct the full count from its budget. Correct (never oversells) but
 // lossy — a bad pick strands budget and later issuances are wrongly
-// rejected, even though an assignment satisfying everyone exists. The
-// equation-based OnlineValidator accepts a superset of any greedy
-// validator's stream; bench/ablation_greedy quantifies the utilisation
-// gap per policy.
+// rejected, even though an assignment satisfying everyone exists.
+// Equation-based admission (IssuanceService) never sells fewer counts than
+// a greedy validator on the same stream; bench/ablation_greedy quantifies
+// the utilisation gap per policy.
 class GreedyOnlineValidator {
  public:
   // `licenses` must be non-empty and outlive the validator. `seed` drives

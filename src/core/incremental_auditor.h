@@ -28,7 +28,7 @@ namespace geolic {
 class IncrementalAuditor {
  public:
   // The grouping is fixed at creation (a fresh auditor is built when the
-  // license set changes, like the online validator).
+  // license set changes).
   static Result<IncrementalAuditor> Create(const LicenseCatalog* licenses);
 
   // Ingests a batch of new log records and re-validates the affected

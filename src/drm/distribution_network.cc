@@ -55,7 +55,7 @@ Result<int> DistributionNetwork::AddDistributor(std::string name, int parent) {
   parties_.push_back(party);
 
   auto state = std::make_unique<DistributorState>();
-  state->received = std::make_unique<LicenseCatalog>(schema_);
+  state->base = std::make_unique<LicenseCatalog>(schema_);
   states_.push_back(std::move(state));
   return party.id;
 }
@@ -117,20 +117,12 @@ Status DistributionNetwork::ReceiveRedistribution(int recipient,
                                                   License license) {
   GEOLIC_ASSIGN_OR_RETURN(DistributorState * state,
                           MutableDistributorState(recipient));
-  const Result<int> added = state->received->Add(std::move(license));
-  if (!added.ok()) {
-    return added.status();
+  if (state->service != nullptr) {
+    return state->service->AcquireLicense(license).status();
   }
-  // The grouping changed; rebuild the online validator around the new set
-  // while keeping the already-validated issuance history.
-  const LogStore history =
-      state->validator == nullptr ? LogStore() : state->validator->log();
-  GEOLIC_ASSIGN_OR_RETURN(
-      OnlineValidator rebuilt,
-      OnlineValidator::CreateWithHistory(state->received.get(),
-                                         OnlineValidatorOptions(), history));
-  state->validator =
-      std::make_unique<OnlineValidator>(std::move(rebuilt));
+  GEOLIC_RETURN_IF_ERROR(state->base->Add(std::move(license)).status());
+  GEOLIC_ASSIGN_OR_RETURN(state->service,
+                          IssuanceService::Create(state->base.get()));
   return Status::Ok();
 }
 
@@ -147,7 +139,7 @@ Result<OnlineDecision> DistributionNetwork::Issue(int issuer, int recipient,
                                                   const License& license) {
   GEOLIC_ASSIGN_OR_RETURN(DistributorState * state,
                           MutableDistributorState(issuer));
-  if (state->validator == nullptr) {
+  if (state->service == nullptr) {
     return Status::FailedPrecondition(
         parties_[static_cast<size_t>(issuer)].name +
         " holds no redistribution licenses");
@@ -172,7 +164,7 @@ Result<OnlineDecision> DistributionNetwork::Issue(int issuer, int recipient,
   }
 
   GEOLIC_ASSIGN_OR_RETURN(const OnlineDecision decision,
-                          state->validator->TryIssue(license));
+                          state->service->TryIssue(license));
   if (decision.accepted() && license.type() == LicenseType::kRedistribution) {
     GEOLIC_RETURN_IF_ERROR(ReceiveRedistribution(recipient, license));
   }
@@ -183,30 +175,35 @@ Result<LicenseSet> DistributionNetwork::IssueUnchecked(
     int issuer, int recipient, const License& license) {
   GEOLIC_ASSIGN_OR_RETURN(DistributorState * state,
                           MutableDistributorState(issuer));
-  if (state->received->empty()) {
+  if (state->service == nullptr) {
     return Status::FailedPrecondition("issuer holds no licenses");
   }
   (void)recipient;  // Rogue issues bypass recipient checks by design.
-  const LinearInstanceValidator instance_validator(state->received.get());
-  const LicenseSet set = instance_validator.SatisfyingSet(license);
+  const LicenseCatalog& received = state->service->licenses();
+  const LicenseSet set =
+      LinearInstanceValidator(&received).SatisfyingSet(license);
   if (set.Empty()) {
     return Status::InvalidArgument(
         "license fails instance-based validation against every received "
         "redistribution license");
   }
-  // Force the record into the validator's history, bypassing aggregate
+  // Force the record into the service's history, bypassing aggregate
   // checks — this is the rights violation the offline audit must detect.
-  LogStore history = state->validator->log();
+  LogStore history = state->service->CollectLog();
   LogRecord record;
   record.issued_license_id = license.id();
   record.set = set;
   record.count = license.aggregate_count();
   GEOLIC_RETURN_IF_ERROR(history.Append(std::move(record)));
+  // The received catalog may belong to the old service's epoch: the
+  // rebuilt service gets its own copy, and the old service goes first.
+  auto base = std::make_unique<LicenseCatalog>(received);
   GEOLIC_ASSIGN_OR_RETURN(
-      OnlineValidator rebuilt,
-      OnlineValidator::CreateWithHistory(state->received.get(),
-                                         OnlineValidatorOptions(), history));
-  state->validator = std::make_unique<OnlineValidator>(std::move(rebuilt));
+      std::unique_ptr<IssuanceService> rebuilt,
+      IssuanceService::CreateWithHistory(base.get(), OnlineValidatorOptions(),
+                                         history));
+  state->service = std::move(rebuilt);
+  state->base = std::move(base);
   return set;
 }
 
@@ -214,14 +211,14 @@ const LicenseCatalog& DistributionNetwork::ReceivedLicenses(int party_id) const 
   GEOLIC_CHECK(party_id >= 0 && party_id < party_count());
   const auto& state = states_[static_cast<size_t>(party_id)];
   GEOLIC_CHECK(state != nullptr);
-  return *state->received;
+  return state->service == nullptr ? *state->base : state->service->licenses();
 }
 
-const LogStore& DistributionNetwork::IssuanceLog(int party_id) const {
+LogStore DistributionNetwork::IssuanceLog(int party_id) const {
   GEOLIC_CHECK(party_id >= 0 && party_id < party_count());
   const auto& state = states_[static_cast<size_t>(party_id)];
-  GEOLIC_CHECK(state != nullptr && state->validator != nullptr);
-  return state->validator->log();
+  GEOLIC_CHECK(state != nullptr);
+  return state->service == nullptr ? LogStore() : state->service->CollectLog();
 }
 
 Result<DistributorAudit> DistributionNetwork::AuditDistributor(
@@ -237,12 +234,13 @@ Result<DistributorAudit> DistributionNetwork::AuditDistributor(
   DistributorAudit audit;
   audit.party_id = party_id;
   audit.party_name = party.name;
-  if (state->received->empty() || state->validator == nullptr) {
+  if (state->service == nullptr) {
     return audit;  // Nothing to audit.
   }
-  GEOLIC_ASSIGN_OR_RETURN(audit.result,
-                          Validate(*state->received, state->validator->log(),
-                                   {.mode = ValidationMode::kGrouped}));
+  GEOLIC_ASSIGN_OR_RETURN(
+      audit.result,
+      Validate(state->service->licenses(), state->service->CollectLog(),
+               {.mode = ValidationMode::kGrouped}));
   return audit;
 }
 
@@ -252,8 +250,7 @@ Result<NetworkAudit> DistributionNetwork::AuditAll() const {
     if (party.role != PartyRole::kDistributor) {
       continue;
     }
-    const auto& state = states_[static_cast<size_t>(party.id)];
-    if (state->received->empty()) {
+    if (states_[static_cast<size_t>(party.id)]->service == nullptr) {
       continue;
     }
     GEOLIC_ASSIGN_OR_RETURN(DistributorAudit one,

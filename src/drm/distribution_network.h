@@ -5,9 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "core/online_validator.h"
 #include "drm/party.h"
 #include "licensing/license_catalog.h"
+#include "service/issuance_service.h"
 #include "validation/log_store.h"
 #include "validation/validate.h"
 #include "util/status.h"
@@ -42,9 +42,11 @@ struct NetworkAudit {
 // redistribution licenses to distributors; distributors use their received
 // licenses to generate redistribution licenses for sub-distributors and
 // usage licenses for consumers. Every generated license is validated
-// against the issuer's received set (instance-based geometrically,
-// aggregate via the grouped online validator); the authority can also audit
-// any distributor's full log offline with the paper's efficient method.
+// against the issuer's received set by the distributor's IssuanceService
+// (instance-based geometrically, aggregate over S's overlap group); a
+// received redistribution license is acquired into the recipient's
+// service, keeping its history. The authority can also audit any
+// distributor's full log offline with the paper's efficient method.
 //
 // For rights-violation detection experiments, IssueUnchecked lets a rogue
 // distributor bypass aggregate validation; the offline audit then flags the
@@ -82,17 +84,20 @@ class DistributionNetwork {
                                const License& license);
 
   // Rogue issue: instance-validates (to obtain the log set S) but skips
-  // aggregate validation and records the issuance regardless. Returns the
-  // set S; fails if even instance validation fails (such a license can
-  // never be attributed to a redistribution license and is rejected on
-  // sight per Section 3.1).
+  // aggregate validation and records the issuance regardless, by
+  // rebuilding the issuer's service with the record added to its history.
+  // Returns the set S; fails if even instance validation fails (such a
+  // license can never be attributed to a redistribution license and is
+  // rejected on sight per Section 3.1).
   Result<LicenseSet> IssueUnchecked(int issuer, int recipient,
                                      const License& license);
 
-  // Redistribution licenses received by a party (empty set for consumers).
+  // Redistribution licenses received by a distributor: its service's
+  // catalog, valid until the distributor's next grant or rogue issue.
   const LicenseCatalog& ReceivedLicenses(int party_id) const;
-  // Issuance log of a distributor.
-  const LogStore& IssuanceLog(int party_id) const;
+  // Snapshot of a distributor's issuance log (empty before its first
+  // grant).
+  LogStore IssuanceLog(int party_id) const;
 
   // Offline audit of one distributor using the paper's grouped validation.
   Result<DistributorAudit> AuditDistributor(int party_id) const;
@@ -102,8 +107,11 @@ class DistributionNetwork {
 
  private:
   struct DistributorState {
-    std::unique_ptr<LicenseCatalog> received;
-    std::unique_ptr<OnlineValidator> validator;  // Null until first grant.
+    // The catalog `service` was created over (its epoch 0; empty until the
+    // first grant). Later grants live in the service's own epochs: read
+    // the received licenses from service->licenses() once it exists.
+    std::unique_ptr<LicenseCatalog> base;
+    std::unique_ptr<IssuanceService> service;  // Null until first grant.
   };
 
   Status CheckLicenseShape(const License& license, LicenseType type) const;

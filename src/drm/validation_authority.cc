@@ -1,46 +1,31 @@
 #include "drm/validation_authority.h"
 
-#include <cstring>
-#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "licensing/license_serialization.h"
+#include "persist/checkpoint.h"
+#include "persist/framing.h"
+#include "persist/journal.h"
 
 namespace geolic {
 namespace {
 
-constexpr char kCheckpointMagic[8] = {'G', 'L', 'A', 'U', 'T', 'H', '1',
-                                      '\0'};
-
-void WriteString(std::ostream* out, const std::string& text) {
-  const uint32_t size = static_cast<uint32_t>(text.size());
-  out->write(reinterpret_cast<const char*>(&size), sizeof(size));
-  out->write(text.data(), size);
-}
-
-Result<std::string> ReadString(std::istream* in, uint32_t max_size) {
-  uint32_t size = 0;
-  in->read(reinterpret_cast<char*>(&size), sizeof(size));
-  if (!*in || size > max_size) {
-    return Status::ParseError("bad string in checkpoint");
-  }
-  std::string text(size, '\0');
-  in->read(text.data(), size);
-  if (!*in) {
-    return Status::ParseError("truncated string in checkpoint");
-  }
-  return text;
-}
+// Longest content key a snapshot may carry (a sanity bound on the length
+// prefix, not a product limit).
+constexpr uint32_t kMaxContentBytes = 1u << 16;
 
 }  // namespace
 
-Status ValidationAuthority::RebuildService(Domain* domain,
-                                           const LogStore& history) {
+Result<ValidationAuthority::Domain> ValidationAuthority::MakeDomain(
+    std::unique_ptr<LicenseCatalog> base, const LogStore& history) const {
+  Domain domain;
   GEOLIC_ASSIGN_OR_RETURN(
-      domain->service,
-      IssuanceService::CreateWithHistory(domain->licenses.get(),
-                                         service_options_, history));
-  return Status::Ok();
+      domain.service,
+      IssuanceService::CreateWithHistory(base.get(), service_options_,
+                                         history));
+  domain.base = std::move(base);
+  return domain;
 }
 
 Status ValidationAuthority::RegisterRedistribution(License license) {
@@ -53,20 +38,16 @@ Status ValidationAuthority::RegisterRedistribution(License license) {
                                    license.id());
   }
   const ContentKey key = KeyOf(license);
-  Domain& domain = domains_[key];
-  if (domain.licenses == nullptr) {
-    domain.licenses = std::make_unique<LicenseCatalog>(schema_);
+  const auto it = domains_.find(key);
+  if (it != domains_.end()) {
+    return it->second.service->AcquireLicense(license).status();
   }
-  const Result<int> added = domain.licenses->Add(std::move(license));
-  if (!added.ok()) {
-    if (domain.licenses->empty()) {
-      domains_.erase(key);  // Don't leave an empty shell behind.
-    }
-    return added.status();
-  }
-  const LogStore history =
-      domain.service == nullptr ? LogStore() : domain.service->CollectLog();
-  return RebuildService(&domain, history);
+  auto base = std::make_unique<LicenseCatalog>(schema_);
+  GEOLIC_RETURN_IF_ERROR(base->Add(std::move(license)).status());
+  GEOLIC_ASSIGN_OR_RETURN(Domain domain,
+                          MakeDomain(std::move(base), LogStore()));
+  domains_.emplace(key, std::move(domain));
+  return Status::Ok();
 }
 
 Result<OnlineDecision> ValidationAuthority::ValidateIssue(
@@ -111,7 +92,7 @@ Result<const LicenseCatalog*> ValidationAuthority::LicensesFor(
   if (it == domains_.end()) {
     return Status::NotFound("unknown content domain: " + key.content);
   }
-  return static_cast<const LicenseCatalog*>(it->second.licenses.get());
+  return &it->second.service->licenses();
 }
 
 Result<LogStore> ValidationAuthority::LogFor(const ContentKey& key) const {
@@ -139,9 +120,9 @@ Result<ValidationAuthority::ContentAudit> ValidationAuthority::Audit(
   }
   ContentAudit audit;
   audit.key = key;
+  const IssuanceService& service = *it->second.service;
   GEOLIC_ASSIGN_OR_RETURN(audit.result,
-                          Validate(*it->second.licenses,
-                                   it->second.service->CollectLog(),
+                          Validate(service.licenses(), service.CollectLog(),
                                    {.mode = ValidationMode::kGrouped}));
   return audit;
 }
@@ -164,163 +145,60 @@ Result<ValidationAuthority::PeriodClose> ValidationAuthority::ClosePeriod(
     return Status::NotFound("unknown content domain: " + key.content);
   }
   Domain& domain = it->second;
+  const LicenseCatalog& licenses = domain.service->licenses();
   PeriodClose close;
   close.audit.key = key;
   close.archived_log = domain.service->CollectLog();
   GEOLIC_ASSIGN_OR_RETURN(close.audit.result,
-                          Validate(*domain.licenses, close.archived_log,
+                          Validate(licenses, close.archived_log,
                                    {.mode = ValidationMode::kGrouped}));
   if (close.audit.result.report.all_valid()) {
-    GEOLIC_ASSIGN_OR_RETURN(
-        close.settlement,
-        ComputeSettlement(*domain.licenses, close.archived_log));
+    GEOLIC_ASSIGN_OR_RETURN(close.settlement,
+                            ComputeSettlement(licenses, close.archived_log));
     close.settled = true;
   }
-  // Fresh period: same licenses, empty history.
-  GEOLIC_RETURN_IF_ERROR(RebuildService(&domain, LogStore()));
+  // Fresh period: same licenses, empty history. The current catalog may
+  // belong to the retiring service's epoch, so the new service gets its
+  // own copy, and the old service goes before the catalog it may borrow.
+  GEOLIC_ASSIGN_OR_RETURN(
+      Domain fresh,
+      MakeDomain(std::make_unique<LicenseCatalog>(licenses), LogStore()));
+  domain.service = std::move(fresh.service);
+  domain.base = std::move(fresh.base);
   return close;
 }
 
-Status ValidationAuthority::CheckpointLogs(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-  const uint32_t domain_count = static_cast<uint32_t>(domains_.size());
-  out.write(reinterpret_cast<const char*>(&domain_count),
-            sizeof(domain_count));
-  for (const auto& [key, domain] : domains_) {
-    WriteString(&out, key.content);
-    const int32_t permission = static_cast<int32_t>(key.permission);
-    out.write(reinterpret_cast<const char*>(&permission),
-              sizeof(permission));
-    const LogStore log = domain.service->CollectLog();
-    const uint64_t records = log.size();
-    out.write(reinterpret_cast<const char*>(&records), sizeof(records));
-    for (const LogRecord& record : log.records()) {
-      out.write(reinterpret_cast<const char*>(&record.set),
-                sizeof(record.set));
-      out.write(reinterpret_cast<const char*>(&record.count),
-                sizeof(record.count));
-      WriteString(&out, record.issued_license_id);
-    }
-  }
-  if (!out) {
-    return Status::IoError("checkpoint write failed: " + path);
-  }
-  return Status::Ok();
-}
-
-Status ValidationAuthority::RestoreLogs(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  char magic[sizeof(kCheckpointMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kCheckpointMagic, sizeof(magic)) != 0) {
-    return Status::ParseError("not a geolic authority checkpoint: " + path);
-  }
-  uint32_t domain_count = 0;
-  in.read(reinterpret_cast<char*>(&domain_count), sizeof(domain_count));
-  if (!in || domain_count > 1u << 20) {
-    return Status::ParseError("bad domain count in checkpoint");
-  }
-
-  // Stage everything first so a bad checkpoint leaves state untouched.
-  std::vector<std::pair<ContentKey, LogStore>> staged;
-  for (uint32_t d = 0; d < domain_count; ++d) {
-    GEOLIC_ASSIGN_OR_RETURN(std::string content, ReadString(&in, 1u << 16));
-    int32_t permission = 0;
-    uint64_t records = 0;
-    in.read(reinterpret_cast<char*>(&permission), sizeof(permission));
-    in.read(reinterpret_cast<char*>(&records), sizeof(records));
-    if (!in || permission < 0 || permission >= kNumPermissions ||
-        records > uint64_t{1} << 32) {
-      return Status::ParseError("bad domain header in checkpoint");
-    }
-    ContentKey key{std::move(content), static_cast<Permission>(permission)};
-    LogStore log;
-    for (uint64_t r = 0; r < records; ++r) {
-      LogRecord record;
-      in.read(reinterpret_cast<char*>(&record.set), sizeof(record.set));
-      in.read(reinterpret_cast<char*>(&record.count), sizeof(record.count));
-      if (!in) {
-        return Status::ParseError("truncated record in checkpoint");
-      }
-      GEOLIC_ASSIGN_OR_RETURN(record.issued_license_id,
-                              ReadString(&in, 1u << 12));
-      GEOLIC_RETURN_IF_ERROR(log.Append(std::move(record)));
-    }
-    const auto it = domains_.find(key);
-    if (it == domains_.end()) {
-      return Status::FailedPrecondition(
-          "checkpoint references unregistered content: " + key.content);
-    }
-    LicenseSet mentioned;
-    for (const LogRecord& record : log.records()) {
-      mentioned |= record.set;
-    }
-    if (!mentioned.IsSubsetOf(it->second.licenses->AllMask())) {
-      return Status::FailedPrecondition(
-          "checkpoint log references unknown license indexes for " +
-          key.content);
-    }
-    staged.emplace_back(std::move(key), std::move(log));
-  }
-
-  for (auto& [key, log] : staged) {
-    Domain& domain = domains_[key];
-    GEOLIC_RETURN_IF_ERROR(RebuildService(&domain, log));
-  }
-  return Status::Ok();
-}
-
-namespace {
-
-constexpr char kFullCheckpointMagic[8] = {'G', 'L', 'A', 'U', 'T', 'H', '2',
-                                          '\0'};
-
-}  // namespace
-
+// Snapshot payload (docs/FORMATS.md, "Authority snapshots"): u32 domain
+// count, then per domain its content key (u32 length + bytes), u32
+// permission, u32 license count and the licenses (WriteLicenseBinary),
+// u64 record count and the records (EncodeLogRecord).
 Status ValidationAuthority::CheckpointFull(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  out.write(kFullCheckpointMagic, sizeof(kFullCheckpointMagic));
-  const uint32_t domain_count = static_cast<uint32_t>(domains_.size());
-  out.write(reinterpret_cast<const char*>(&domain_count),
-            sizeof(domain_count));
+  std::string payload;
+  framing::PutScalar<uint32_t>(&payload,
+                               static_cast<uint32_t>(domains_.size()));
   for (const auto& [key, domain] : domains_) {
-    WriteString(&out, key.content);
-    const int32_t permission = static_cast<int32_t>(key.permission);
-    out.write(reinterpret_cast<const char*>(&permission),
-              sizeof(permission));
-    const uint32_t license_count =
-        static_cast<uint32_t>(domain.licenses->size());
-    out.write(reinterpret_cast<const char*>(&license_count),
-              sizeof(license_count));
-    for (int i = 0; i < domain.licenses->size(); ++i) {
-      GEOLIC_RETURN_IF_ERROR(
-          WriteLicenseBinary(domain.licenses->at(i), &out));
+    framing::PutScalar<uint32_t>(&payload,
+                                 static_cast<uint32_t>(key.content.size()));
+    payload += key.content;
+    framing::PutScalar<uint32_t>(&payload,
+                                 static_cast<uint32_t>(key.permission));
+    const std::vector<License>& licenses =
+        domain.service->licenses().licenses();
+    framing::PutScalar<uint32_t>(&payload,
+                                 static_cast<uint32_t>(licenses.size()));
+    std::ostringstream blob;
+    for (const License& license : licenses) {
+      GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(license, &blob));
     }
+    payload += blob.str();
     const LogStore log = domain.service->CollectLog();
-    const uint64_t records = log.size();
-    out.write(reinterpret_cast<const char*>(&records), sizeof(records));
+    framing::PutScalar<uint64_t>(&payload, static_cast<uint64_t>(log.size()));
     for (const LogRecord& record : log.records()) {
-      out.write(reinterpret_cast<const char*>(&record.set),
-                sizeof(record.set));
-      out.write(reinterpret_cast<const char*>(&record.count),
-                sizeof(record.count));
-      WriteString(&out, record.issued_license_id);
+      EncodeLogRecord(record, &payload);
     }
   }
-  if (!out) {
-    return Status::IoError("checkpoint write failed: " + path);
-  }
-  return Status::Ok();
+  return WriteCheckpointFileDurable(CheckpointKind::kAuthoritySnapshot,
+                                    payload, path);
 }
 
 Status ValidationAuthority::RestoreFull(const std::string& path) {
@@ -328,74 +206,95 @@ Status ValidationAuthority::RestoreFull(const std::string& path) {
     return Status::FailedPrecondition(
         "RestoreFull requires an empty authority");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  char magic[sizeof(kFullCheckpointMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in ||
-      std::memcmp(magic, kFullCheckpointMagic, sizeof(magic)) != 0) {
-    return Status::ParseError("not a geolic full checkpoint: " + path);
-  }
+  GEOLIC_ASSIGN_OR_RETURN(
+      const std::string payload,
+      ReadCheckpointFile(CheckpointKind::kAuthoritySnapshot, path));
+  const auto fail = [&path](const std::string& message) {
+    return Status::ParseError("authority snapshot " + path + ": " + message);
+  };
+  size_t pos = 0;
   uint32_t domain_count = 0;
-  in.read(reinterpret_cast<char*>(&domain_count), sizeof(domain_count));
-  if (!in || domain_count > 1u << 20) {
-    return Status::ParseError("bad domain count in checkpoint");
+  if (!framing::GetScalar(payload, &pos, &domain_count)) {
+    return fail("truncated domain count");
   }
+  std::istringstream in(payload);
 
   // Stage into a local map first; commit only on full success.
   std::map<ContentKey, Domain> staged;
   for (uint32_t d = 0; d < domain_count; ++d) {
-    GEOLIC_ASSIGN_OR_RETURN(std::string content, ReadString(&in, 1u << 16));
-    int32_t permission = 0;
+    uint32_t content_size = 0;
+    if (!framing::GetScalar(payload, &pos, &content_size) ||
+        content_size > kMaxContentBytes ||
+        payload.size() - pos < content_size) {
+      return fail("bad content key");
+    }
+    ContentKey key;
+    key.content = payload.substr(pos, content_size);
+    pos += content_size;
+    uint32_t permission = 0;
     uint32_t license_count = 0;
-    in.read(reinterpret_cast<char*>(&permission), sizeof(permission));
-    in.read(reinterpret_cast<char*>(&license_count), sizeof(license_count));
-    if (!in || permission < 0 || permission >= kNumPermissions ||
+    if (!framing::GetScalar(payload, &pos, &permission) ||
+        !framing::GetScalar(payload, &pos, &license_count) ||
+        permission >= static_cast<uint32_t>(kNumPermissions) ||
+        license_count == 0 ||
         license_count > static_cast<uint32_t>(kMaxLicensesLarge)) {
-      return Status::ParseError("bad domain header in checkpoint");
+      return fail("bad domain header");
     }
-    const ContentKey key{std::move(content),
-                         static_cast<Permission>(permission)};
-    Domain domain;
-    domain.licenses = std::make_unique<LicenseCatalog>(schema_);
+    key.permission = static_cast<Permission>(permission);
+
+    auto base = std::make_unique<LicenseCatalog>(schema_);
+    in.seekg(static_cast<std::streamoff>(pos));
     for (uint32_t i = 0; i < license_count; ++i) {
-      GEOLIC_ASSIGN_OR_RETURN(License license, ReadLicenseBinary(&in));
-      if (license.rect().dimensions() != schema_->dimensions()) {
-        return Status::ParseError(
-            "checkpoint license dimensionality disagrees with schema");
+      Result<License> license = ReadLicenseBinary(&in);
+      if (!license.ok()) {
+        return fail("license: " + license.status().message());
       }
-      const Result<int> added = domain.licenses->Add(std::move(license));
+      if (KeyOf(*license) != key ||
+          license->rect().dimensions() != schema_->dimensions()) {
+        return fail("license " + license->id() +
+                    " does not belong to its domain");
+      }
+      const Status added = base->Add(std::move(license).value()).status();
       if (!added.ok()) {
-        return added.status();
+        return fail(added.message());
       }
     }
-    uint64_t records = 0;
-    in.read(reinterpret_cast<char*>(&records), sizeof(records));
-    if (!in || records > uint64_t{1} << 32) {
-      return Status::ParseError("bad record count in checkpoint");
+    const std::streampos consumed = in.tellg();
+    if (consumed < 0) {
+      return fail("license section lost stream position");
     }
-    LogStore log;
-    for (uint64_t r = 0; r < records; ++r) {
+    pos = static_cast<size_t>(consumed);
+
+    uint64_t record_count = 0;
+    if (!framing::GetScalar(payload, &pos, &record_count)) {
+      return fail("truncated record count");
+    }
+    const LicenseSet all = base->AllMask();
+    LogStore history;
+    for (uint64_t r = 0; r < record_count; ++r) {
       LogRecord record;
-      in.read(reinterpret_cast<char*>(&record.set), sizeof(record.set));
-      in.read(reinterpret_cast<char*>(&record.count), sizeof(record.count));
-      if (!in) {
-        return Status::ParseError("truncated record in checkpoint");
+      const Status decoded = DecodeLogRecord(payload, &pos, &record);
+      if (!decoded.ok()) {
+        return fail("record: " + decoded.message());
       }
-      GEOLIC_ASSIGN_OR_RETURN(record.issued_license_id,
-                              ReadString(&in, 1u << 12));
-      if (!record.set.IsSubsetOf(domain.licenses->AllMask())) {
-        return Status::ParseError(
-            "checkpoint record references unknown license indexes");
+      if (!record.set.IsSubsetOf(all)) {
+        return fail("record references unknown license indexes");
       }
-      GEOLIC_RETURN_IF_ERROR(log.Append(std::move(record)));
+      const Status appended = history.Append(std::move(record));
+      if (!appended.ok()) {
+        return fail("record: " + appended.message());
+      }
     }
-    GEOLIC_RETURN_IF_ERROR(RebuildService(&domain, log));
-    if (!staged.emplace(key, std::move(domain)).second) {
-      return Status::ParseError("duplicate domain in checkpoint");
+    Result<Domain> domain = MakeDomain(std::move(base), history);
+    if (!domain.ok()) {
+      return fail(domain.status().message());
     }
+    if (!staged.emplace(std::move(key), std::move(domain).value()).second) {
+      return fail("duplicate domain");
+    }
+  }
+  if (pos != payload.size()) {
+    return fail("trailing bytes after the last domain");
   }
   domains_ = std::move(staged);
   return Status::Ok();

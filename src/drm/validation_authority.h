@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/assignment.h"
-#include "core/online_validator.h"
 #include "licensing/license_catalog.h"
 #include "service/issuance_service.h"
 #include "validation/log_store.h"
@@ -18,15 +17,16 @@ namespace geolic {
 
 // A multi-content validation authority: the party the paper charges with
 // validating "all the newly generated licenses". It routes each license to
-// the per-(content, permission) state — a LicenseCatalog of registered
-// redistribution licenses plus a sharded IssuanceService holding the
-// running tree/log — validates issues online, runs offline grouped audits,
-// and can checkpoint its accumulated logs to disk between audit periods.
+// its (content, permission) domain — one IssuanceService whose catalog is
+// the domain's registered redistribution licenses — validates issues
+// online, runs offline grouped audits, closes audit periods, and snapshots
+// every domain's licenses and log to disk.
 //
 // Thread-safety: ValidateIssue calls may run concurrently with each other
 // (they delegate to the lock-sharded service). Everything that mutates the
-// domain map or rebuilds services — RegisterRedistribution, ClosePeriod,
-// Restore* — must be externally serialized against all other calls.
+// domain map or reconfigures or replaces services — RegisterRedistribution,
+// ClosePeriod, RestoreFull — must be externally serialized against all
+// other calls.
 class ValidationAuthority {
  public:
   // Key of one validation domain.
@@ -56,7 +56,7 @@ class ValidationAuthority {
     // Set iff the audit was clean: the per-license billing of the period.
     bool settled = false;
     SettlementAssignment settlement;
-    // The period's log, archived out of the live validator.
+    // The period's log, archived out of the live service.
     LogStore archived_log;
   };
 
@@ -74,8 +74,9 @@ class ValidationAuthority {
   ValidationAuthority& operator=(const ValidationAuthority&) = delete;
 
   // Registers a redistribution license a distributor acquired; creates the
-  // content domain on first sight. Already-validated history is preserved
-  // across the grouping rebuild.
+  // content domain on first sight, and acquires the license into the
+  // domain's service after that (IssuanceService::AcquireLicense), which
+  // keeps the already-validated history.
   Status RegisterRedistribution(License license);
 
   // Online-validates a newly generated license (usage or redistribution)
@@ -86,7 +87,9 @@ class ValidationAuthority {
   int domain_count() const { return static_cast<int>(domains_.size()); }
   std::vector<ContentKey> Keys() const;
 
-  // Registered redistribution licenses of one domain.
+  // Registered redistribution licenses of one domain: the service's
+  // current catalog, valid until the domain's next registration, period
+  // close or restore.
   Result<const LicenseCatalog*> LicensesFor(const ContentKey& key) const;
   // Snapshot of the domain's accumulated issuance log (by value: the live
   // log is sharded inside the service, so there is no single object to
@@ -106,40 +109,37 @@ class ValidationAuthority {
 
   // Closes the domain's validation period: audits the accumulated log,
   // settles it to concrete licenses when clean (max-flow witness), archives
-  // the log, and resets the online validator so the licenses' full budgets
-  // are available for the next period. A dirty audit still closes the
-  // period (the report carries the violations; settlement is skipped).
+  // the log, and replaces the domain's service with an empty one over the
+  // same licenses so their full budgets are available for the next period.
+  // A dirty audit still closes the period (the report carries the
+  // violations; settlement is skipped).
   Result<PeriodClose> ClosePeriod(const ContentKey& key);
 
-  // Checkpoints every domain's issuance log into one binary file. Licenses
-  // are not persisted — on restart the operator re-registers them (they
-  // live in the licensing backend) and calls RestoreLogs.
-  Status CheckpointLogs(const std::string& path) const;
-
-  // Restores logs from CheckpointLogs output. Every checkpointed domain
-  // must already have its redistribution licenses registered (the history
-  // replay needs the license indexes to resolve). Fails without modifying
-  // state if any domain is missing or any record is inconsistent.
-  Status RestoreLogs(const std::string& path);
-
-  // Self-contained checkpoint: registered licenses *and* issuance logs.
-  // RestoreFull rebuilds an authority from it without any prior
-  // registration; it requires this authority to be empty and leaves it
-  // untouched on failure.
+  // Snapshots every domain's registered licenses and issuance log into one
+  // checkpoint file (persist/checkpoint.h, kind = authority-snapshot),
+  // published durably. RestoreFull rebuilds an authority from it without
+  // any prior registration; it requires this authority to be empty and
+  // leaves it untouched on failure. A damaged or inconsistent snapshot is
+  // a ParseError.
   Status CheckpointFull(const std::string& path) const;
   Status RestoreFull(const std::string& path);
 
  private:
   struct Domain {
-    std::unique_ptr<LicenseCatalog> licenses;
-    std::unique_ptr<IssuanceService> service;  // Null until first license.
+    // The catalog `service` was created over (its epoch 0). Registrations
+    // after the first live in the service's own epochs: read the domain's
+    // licenses from service->licenses(), never from here.
+    std::unique_ptr<LicenseCatalog> base;
+    std::unique_ptr<IssuanceService> service;
   };
 
   static ContentKey KeyOf(const License& license) {
     return ContentKey{license.content_key(), license.permission()};
   }
 
-  Status RebuildService(Domain* domain, const LogStore& history);
+  // A domain over `base` (non-empty) with `history` pre-loaded.
+  Result<Domain> MakeDomain(std::unique_ptr<LicenseCatalog> base,
+                            const LogStore& history) const;
 
   const ConstraintSchema* schema_;
   OnlineValidatorOptions service_options_;

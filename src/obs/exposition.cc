@@ -237,12 +237,13 @@ std::string RenderPrometheusText(const ExpositionInput& input) {
                        &out);
     out += "geolic_net_batch_requests_dispatched_total{" + svc + "} " +
            std::to_string(net.batch_requests_dispatched) + "\n";
-    AppendFamilyHeader("geolic_net_queue_depth", "gauge",
-                       "Requests waiting in the admission queue.", &out);
+    AppendFamilyHeader(
+        "geolic_net_queue_depth", "gauge",
+        "Decoded requests pending admission in the reactor's turn.", &out);
     out += "geolic_net_queue_depth{" + svc + "} " +
            std::to_string(net.queue_depth) + "\n";
     AppendFamilyHeader("geolic_net_queue_depth_peak", "gauge",
-                       "Admission-queue high-water mark.", &out);
+                       "Most requests pending admission in one turn.", &out);
     out += "geolic_net_queue_depth_peak{" + svc + "} " +
            std::to_string(net.queue_depth_peak) + "\n";
     AppendFamilyHeader("geolic_net_bytes_total", "counter",

@@ -43,7 +43,7 @@ struct ExpositionInput {
     uint64_t protocol_errors = 0;   // CRC/framing failures (connection drop).
     uint64_t batches_dispatched = 0;
     uint64_t batch_requests_dispatched = 0;
-    uint64_t queue_depth = 0;       // Gauge: requests waiting right now.
+    uint64_t queue_depth = 0;       // Gauge: pending this reactor turn.
     uint64_t queue_depth_peak = 0;  // Gauge: high-water mark.
     uint64_t bytes_read = 0;
     uint64_t bytes_written = 0;

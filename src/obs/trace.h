@@ -21,7 +21,8 @@ namespace geolic {
 // Figs. 7-8, and the remaining stages are the service machinery around
 // them (lock acquisition, durability, recovery).
 enum class TraceStage : uint8_t {
-  kInstanceCheck = 0,    // Satisfying-set lookup (lock-free geometry probe).
+  kInstanceCheck = 0,    // Satisfying-set lookup by per-rect probe; no
+                         // production path records it any more.
   kShardLockWait,        // Time blocked acquiring the shard mutex.
   kEquationScan,         // Per-group validation-equation evaluation.
   kJournalAppend,        // WAL frame append (may include an inline fsync).
@@ -31,14 +32,14 @@ enum class TraceStage : uint8_t {
   kTreeDivision,         // Offline D_T: tree build / arena compile.
   kOfflineValidation,    // Offline V_T: equation-engine run.
   kInstanceSoaScan,      // SIMD SoA column sweep of the satisfying-set
-                         // lookup (IssuanceService's kInstanceCheck split).
+                         // lookup (IssuanceService's instance check).
   kShardSwap,            // Catalog reconfiguration: build + publish of a
                          // new epoch's shard map (acquire/revoke/expire).
   kNetRead,              // Socket readable to a complete decoded frame
                          // (recv + ring append + incremental decode).
-  kNetBatchWait,         // Admission-queue dwell: frame decoded to batch
-                         // dispatch (the coalescing window a request waits
-                         // through before its TryIssueBatch call).
+  kNetBatchWait,         // Frame decoded to its admission at the end of
+                         // the reactor turn (the coalescing window a
+                         // request waits through before TryIssueBatch).
   kNetWrite,             // Response encode + send, including any EAGAIN
                          // re-arm time until the last byte leaves the ring.
   kCatalogCompile,       // Multi-tenant catalog: materializing a tenant's

@@ -49,6 +49,8 @@ const char* CheckpointKindName(CheckpointKind kind) {
       return "service-snapshot";
     case CheckpointKind::kTenantSnapshot:
       return "tenant-snapshot";
+    case CheckpointKind::kAuthoritySnapshot:
+      return "authority-snapshot";
   }
   return "unknown";
 }

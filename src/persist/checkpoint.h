@@ -11,9 +11,10 @@
 namespace geolic {
 
 // Checkpoint container format v2 — the CRC-protected envelope every geolic
-// snapshot (validation tree, log store, service snapshot, tenant spill) is
-// written in, so a flipped bit fails the load instead of silently changing
-// a count. A checkpoint file holds exactly one frame.
+// snapshot (validation tree, log store, service snapshot, tenant spill,
+// authority snapshot) is written in, so a flipped bit fails the load
+// instead of silently changing a count. A checkpoint file holds exactly one
+// frame.
 //
 // Layout (little-endian):
 //   header  : magic "GLCKPT2\0" (8) | version u32 | kind u32 |
@@ -32,10 +33,11 @@ inline constexpr uint32_t kCheckpointVersion = 2;
 
 // What the payload contains; mismatches fail the read.
 enum class CheckpointKind : uint32_t {
-  kValidationTree = 1,   // validation/tree_serialization.h body.
-  kLogStore = 2,         // validation/log_store.h record table.
-  kServiceSnapshot = 3,  // service/issuance_service.h checkpoint.
-  kTenantSnapshot = 4,   // catalog/catalog_service.h per-tenant spill.
+  kValidationTree = 1,     // validation/tree_serialization.h body.
+  kLogStore = 2,           // validation/log_store.h record table.
+  kServiceSnapshot = 3,    // service/issuance_service.h checkpoint.
+  kTenantSnapshot = 4,     // catalog/catalog_service.h per-tenant spill.
+  kAuthoritySnapshot = 5,  // drm/validation_authority.h CheckpointFull.
 };
 
 const char* CheckpointKindName(CheckpointKind kind);

@@ -12,16 +12,17 @@
 #include "core/dynamic_grouping.h"
 #include "core/grouping.h"
 #include "core/instance_validator.h"
-#include "core/online_validator.h"
 #include "licensing/license_catalog.h"
 #include "obs/exposition.h"
 #include "obs/trace.h"
 #include "persist/journal.h"
 #include "validation/flat_tree.h"
 #include "validation/log_store.h"
+#include "validation/validation_report.h"
 #include "validation/validation_tree.h"
 #include "util/date.h"
 #include "util/metrics.h"
+#include "util/sim_hooks.h"
 #include "util/status.h"
 
 namespace geolic {
@@ -36,6 +37,67 @@ namespace geolic {
 // slower (EXPERIMENTS.md, "Dense table cap").
 inline constexpr int kMaxDenseGroupSize = 12;
 static_assert(kMaxDenseGroupSize < 32, "local masks are uint32_t");
+
+// Decision for one attempted license issuance.
+struct OnlineDecision {
+  // Whether the issued license lies inside at least one redistribution
+  // license (S ≠ ∅).
+  bool instance_valid = false;
+  // Whether every affected validation equation still holds with the new
+  // counts added.
+  bool aggregate_valid = false;
+  // S — the satisfying set (license indexes of `catalog_epoch`).
+  LicenseSet satisfying_set;
+  // When aggregate validation fails: the first violated equation, with the
+  // candidate's count already included in lhs.
+  EquationResult limiting;
+  // Equations checked for this issuance: 2^(N−k) in baseline mode,
+  // 2^(N_g−k) with grouping (paper Section 2.1's complexity discussion).
+  uint64_t equations_checked = 0;
+  // Which catalog epoch this decision was made against
+  // (IssuanceService::catalog_epoch). A concurrent acquire/revoke/expire
+  // advances the epoch, so `satisfying_set` indexes are only meaningful in
+  // this epoch's index space.
+  uint64_t catalog_epoch = 0;
+
+  bool accepted() const { return instance_valid && aggregate_valid; }
+};
+
+// Knobs of IssuanceService and of the layers that build services for
+// their callers (drm/, catalog/, net/).
+struct OnlineValidatorOptions {
+  // Scope per-issuance equation checks to S's overlap group (paper
+  // Theorem 2), shrinking 2^(N−k) checks to 2^(N_g−k). This is also the
+  // sharding theorem: off means one global shard.
+  bool use_grouping = true;
+  // Optional sink for decision counters and latency; must outlive the
+  // service, which uses it as its metrics block (and owns a private one
+  // otherwise).
+  IssuanceMetrics* metrics = nullptr;
+  // Cap on the number of lock shards (groups are striped over
+  // min(shard_hint, group_count) mutexes). <= 0 means one shard per
+  // overlap group.
+  int shard_hint = 0;
+  // Optional span sink for per-stage request tracing (obs/trace.h); must
+  // outlive the service. Null = tracing off: the scoped timers reduce to
+  // one branch and no clock reads.
+  Tracer* tracer = nullptr;
+  // Simulation-only (src/sim/): cooperative yield points and virtual clock
+  // threaded through the service request path. Null (the production value)
+  // = one branch per hook point, nothing else. Must outlive the service.
+  SimHooks* sim_hooks = nullptr;
+  // Test-only accounting mutation for the simulation harness's mutation
+  // smoke mode: the service skips the final equation of every aggregate
+  // scan (the full-scope set T = scope), a deliberately planted
+  // over-issuance bug that sim_runner must catch. Never set outside
+  // tests/sim — it breaks the paper's eq. 1 guarantee by construction.
+  bool sim_skip_last_equation = false;
+  // Second planted bug, for the lifecycle mutation smoke: on revoke /
+  // expire the service drops cascaded records but skips the Algorithm 5
+  // index renumbering, leaving surviving records' sets at their stale bit
+  // positions. sim_runner --lifecycle must catch the resulting divergence.
+  bool sim_skip_renumbering = false;
+};
 
 // What IssuanceService::Recover reconstructed the state from.
 struct RecoveryStats {
@@ -52,7 +114,11 @@ struct RecoveryStats {
 };
 
 // Thread-safe online admission for one (content, permission) domain — the
-// concurrent counterpart of OnlineValidator.
+// paper's online regime, and the one implementation of admission in the
+// library (sim/ReferenceModel is its executable specification). When a
+// license with satisfying set S (|S| = k) arrives, only equations whose set
+// contains S gain counts, so only those are checked: every T ⊇ S within
+// S's overlap group, 2^(N_g−k) equations.
 //
 // The paper's grouping result doubles as a sharding theorem: licenses in
 // different overlap groups share no validation equations (Theorem 2), so
@@ -124,7 +190,8 @@ class IssuanceService {
       const LicenseCatalog* licenses, const OnlineValidatorOptions& options = {});
 
   // Pre-loads already-validated issuances (not re-checked) into the
-  // shards, as OnlineValidator::CreateWithHistory does.
+  // shards. Fails if a record references an index outside `licenses` or
+  // spans overlap groups.
   static Result<std::unique_ptr<IssuanceService>> CreateWithHistory(
       const LicenseCatalog* licenses, const OnlineValidatorOptions& options,
       const LogStore& history);
@@ -159,9 +226,10 @@ class IssuanceService {
   IssuanceService(const IssuanceService&) = delete;
   IssuanceService& operator=(const IssuanceService&) = delete;
 
-  // Validates one issuance and records it when accepted. Identical
-  // decision semantics to OnlineValidator::TryIssue. The decision carries
-  // the catalog epoch it was made against.
+  // Validates one issuance and records it when accepted; an accepted
+  // license with an empty id is logged as "LU<n>". An invalid license is a
+  // decision, not an error; a non-positive count is InvalidArgument. The
+  // decision carries the catalog epoch it was made against.
   Result<OnlineDecision> TryIssue(const License& issued);
 
   // Admits a batch, returning decisions in input order. Requests are
@@ -182,8 +250,8 @@ class IssuanceService {
                        std::span<OnlineDecision> decisions);
 
   // Pointer-batch intake for callers whose requests are not contiguous —
-  // the network front-end (net/server.h) batches requests popped from its
-  // admission queue without copying the licenses into a dense array.
+  // the network front-end (net/server.h) admits each reactor turn's
+  // decoded requests without copying the licenses into a dense array.
   // Same semantics and arena discipline as the span form above.
   Status TryIssueBatch(std::span<const License* const> batch,
                        std::span<OnlineDecision> decisions);

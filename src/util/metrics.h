@@ -46,10 +46,10 @@ class LatencyHistogram {
   std::atomic<uint64_t> clamped_negative_{0};
 };
 
-// Atomic metrics block for the online issuance path, shared by
-// OnlineValidator (optional sink) and IssuanceService (always on). Every
-// method is thread-safe; counters use relaxed ordering — they are
-// statistics, not synchronization.
+// Atomic metrics block for the online issuance path: IssuanceService's
+// decision counters and latency (its own block, or the caller's through
+// OnlineValidatorOptions::metrics). Every method is thread-safe; counters
+// use relaxed ordering — they are statistics, not synchronization.
 class IssuanceMetrics {
  public:
   // One decision outcome. `equations` is the number of validation equations

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/online_validator.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 #include "validation/validate.h"
 #include "workload/workload.h"
@@ -137,17 +137,18 @@ TEST(SettlementPropertyTest, OnlineAcceptedStreamsAlwaysSettle) {
   WorkloadGenerator generator(config);
   Result<Workload> workload = generator.GenerateLicensesOnly();
   ASSERT_TRUE(workload.ok());
-  Result<OnlineValidator> online =
-      OnlineValidator::Create(workload->licenses.get());
+  Result<std::unique_ptr<IssuanceService>> online =
+      IssuanceService::Create(workload->licenses.get());
   ASSERT_TRUE(online.ok());
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
     const int parent = static_cast<int>(
         rng.UniformInt(0, workload->licenses->size() - 1));
-    (void)*online->TryIssue(
+    (void)*(*online)->TryIssue(
         generator.DrawUsageLicense(*workload, parent, &rng, i));
   }
-  EXPECT_TRUE(ComputeSettlement(*workload->licenses, online->log()).ok());
+  EXPECT_TRUE(
+      ComputeSettlement(*workload->licenses, (*online)->CollectLog()).ok());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/online_validator.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -93,8 +93,8 @@ TEST(CapacityPropertyTest, QuoteMatchesOnlineAcceptanceBoundary) {
     WorkloadGenerator generator(config);
     Result<Workload> workload = generator.GenerateLicensesOnly();
     ASSERT_TRUE(workload.ok());
-    Result<OnlineValidator> online =
-        OnlineValidator::Create(workload->licenses.get());
+    Result<std::unique_ptr<IssuanceService>> online =
+        IssuanceService::Create(workload->licenses.get());
     ASSERT_TRUE(online.ok());
 
     // Spend some budget via accepted issues.
@@ -102,9 +102,12 @@ TEST(CapacityPropertyTest, QuoteMatchesOnlineAcceptanceBoundary) {
     for (int i = 0; i < 300; ++i) {
       const int parent = static_cast<int>(
           rng.UniformInt(0, workload->licenses->size() - 1));
-      (void)*online->TryIssue(
+      (void)*(*online)->TryIssue(
           generator.DrawUsageLicense(*workload, parent, &rng, i));
     }
+    const LogStore log = (*online)->CollectLog();
+    const Result<ValidationTree> tree = (*online)->CollectTree();
+    ASSERT_TRUE(tree.ok());
 
     // For random usage rects, the capacity quote equals the acceptance
     // boundary.
@@ -117,7 +120,7 @@ TEST(CapacityPropertyTest, QuoteMatchesOnlineAcceptanceBoundary) {
       const LicenseSet set = instance.SatisfyingSet(probe);
       ASSERT_FALSE(set.Empty());
       const Result<CapacityQuote> quote = RemainingCapacity(
-          *workload->licenses, online->grouping(), online->tree(), set);
+          *workload->licenses, (*online)->grouping(), *tree, set);
       ASSERT_TRUE(quote.ok());
       if (quote->remaining == 0) {
         continue;  // Nothing issuable; rejection is covered below anyway.
@@ -126,19 +129,21 @@ TEST(CapacityPropertyTest, QuoteMatchesOnlineAcceptanceBoundary) {
       License at_boundary(probe.id(), probe.content_key(), probe.type(),
                           probe.permission(), probe.rect(),
                           quote->remaining);
-      // …probe without committing: use a scratch validator seeded with the
+      // …probe without committing: use a scratch service seeded with the
       // same history.
-      Result<OnlineValidator> scratch = OnlineValidator::CreateWithHistory(
-          workload->licenses.get(), OnlineValidatorOptions(), online->log());
+      Result<std::unique_ptr<IssuanceService>> scratch =
+          IssuanceService::CreateWithHistory(workload->licenses.get(), {},
+                                             log);
       ASSERT_TRUE(scratch.ok());
-      EXPECT_TRUE(scratch->TryIssue(at_boundary)->accepted());
+      EXPECT_TRUE((*scratch)->TryIssue(at_boundary)->accepted());
       License past_boundary(probe.id(), probe.content_key(), probe.type(),
                             probe.permission(), probe.rect(),
                             quote->remaining + 1);
-      Result<OnlineValidator> scratch2 = OnlineValidator::CreateWithHistory(
-          workload->licenses.get(), OnlineValidatorOptions(), online->log());
+      Result<std::unique_ptr<IssuanceService>> scratch2 =
+          IssuanceService::CreateWithHistory(workload->licenses.get(), {},
+                                             log);
       ASSERT_TRUE(scratch2.ok());
-      EXPECT_FALSE(scratch2->TryIssue(past_boundary)->accepted());
+      EXPECT_FALSE((*scratch2)->TryIssue(past_boundary)->accepted());
     }
   }
 }

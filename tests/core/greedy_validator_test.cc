@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/online_validator.h"
+#include "service/issuance_service.h"
 #include "licensing/license_parser.h"
 #include "test_util.h"
 #include "workload/workload.h"
@@ -76,10 +76,11 @@ TEST(GreedyValidatorTest, RejectsWhenNoSingleLicenseFits) {
   // 120 ≥ 80, and C[{L1,L2}]=80 ≤ A — so equations accept. This is the
   // fractional-assignment subtlety: counts in one record CAN be split
   // across licenses under the aggregate semantics.
-  Result<OnlineValidator> equations = OnlineValidator::Create(&set);
+  Result<std::unique_ptr<IssuanceService>> equations =
+      IssuanceService::Create(&set);
   ASSERT_TRUE(equations.ok());
   EXPECT_TRUE(
-      equations->TryIssue(MakeUsage(schema, "U", {{5, 6}}, 80))->accepted());
+      (*equations)->TryIssue(MakeUsage(schema, "U", {{5, 6}}, 80))->accepted());
 }
 
 TEST(GreedyValidatorTest, PaperExample1Trap) {
@@ -117,10 +118,11 @@ TEST(GreedyValidatorTest, PaperExample1Trap) {
   EXPECT_TRUE(second->instance_valid);
   EXPECT_FALSE(second->accepted);  // The paper's wrongly-invalidated LU2.
 
-  Result<OnlineValidator> equations = OnlineValidator::Create(&set);
+  Result<std::unique_ptr<IssuanceService>> equations =
+      IssuanceService::Create(&set);
   ASSERT_TRUE(equations.ok());
-  EXPECT_TRUE(equations->TryIssue(lu1)->accepted());
-  EXPECT_TRUE(equations->TryIssue(lu2)->accepted());
+  EXPECT_TRUE((*equations)->TryIssue(lu1)->accepted());
+  EXPECT_TRUE((*equations)->TryIssue(lu2)->accepted());
 }
 
 // Property: on identical issuance streams, the equation-based validator
@@ -139,8 +141,8 @@ TEST_P(GreedyDominanceTest, EquationValidatorAcceptsAtLeastAsMuch) {
     Result<Workload> workload = generator.GenerateLicensesOnly();
     ASSERT_TRUE(workload.ok());
 
-    Result<OnlineValidator> equations =
-        OnlineValidator::Create(workload->licenses.get());
+    Result<std::unique_ptr<IssuanceService>> equations =
+        IssuanceService::Create(workload->licenses.get());
     Result<GreedyOnlineValidator> greedy = GreedyOnlineValidator::Create(
         workload->licenses.get(), policy, seed);
     ASSERT_TRUE(equations.ok());
@@ -153,7 +155,7 @@ TEST_P(GreedyDominanceTest, EquationValidatorAcceptsAtLeastAsMuch) {
           rng.UniformInt(0, workload->licenses->size() - 1));
       const License usage =
           generator.DrawUsageLicense(*workload, parent, &rng, i);
-      const Result<OnlineDecision> a = equations->TryIssue(usage);
+      const Result<OnlineDecision> a = (*equations)->TryIssue(usage);
       const Result<GreedyDecision> b = greedy->TryIssue(usage);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());

@@ -1,10 +1,11 @@
 // Property test for paper Theorem 2 at the decision level: grouped and
-// ungrouped online validation, plus a flat-tree equation oracle, must agree
-// on every TryIssue — not just accept/reject, but the exact limiting
+// ungrouped IssuanceService twins, plus a flat-tree equation oracle, must
+// agree on every TryIssue — not just accept/reject, but the exact limiting
 // equation on rejection. A second property pins IssuanceService's decision
-// contract to OnlineValidator's across acquisitions and revocations: same
-// accept flag, limiting equation and equation count. 500 seeded workloads;
-// any failure logs its seed and is reproducible with GEOLIC_TEST_SEED.
+// contract to sim/ReferenceModel's across acquisitions and revocations:
+// same accept flag and limiting equation, and the equation count the
+// ascending scan of S's scope implies. 500 seeded workloads; any failure
+// logs its seed and is reproducible with GEOLIC_TEST_SEED.
 
 #include <cstdint>
 #include <memory>
@@ -14,10 +15,10 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "core/online_validator.h"
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
 #include "service/issuance_service.h"
+#include "sim/reference_model.h"
 #include "test_util.h"
 #include "util/license_set.h"
 #include "util/random.h"
@@ -185,6 +186,18 @@ bool SameDecision(const OnlineDecision& a, const OnlineDecision& b) {
   return true;
 }
 
+// The reference model's decision in the service's vocabulary (no equation
+// count: the model enumerates by definition, not by the service's scan).
+OnlineDecision AsOnlineDecision(const ReferenceModel::Decision& d) {
+  OnlineDecision decision;
+  decision.instance_valid = d.instance_valid;
+  decision.aggregate_valid = d.aggregate_valid;
+  decision.satisfying_set = d.satisfying_set;
+  decision.limiting = EquationResult{d.limiting_set, d.limiting_lhs,
+                                     d.limiting_rhs};
+  return decision;
+}
+
 TEST(OnlineEquivalenceProperty, GroupedUngroupedAndFlatTreeAgree) {
   const uint64_t base = TestSeed(1000);
   for (uint64_t seed = base; seed < base + 500; ++seed) {
@@ -192,21 +205,21 @@ TEST(OnlineEquivalenceProperty, GroupedUngroupedAndFlatTreeAgree) {
 
     OnlineValidatorOptions grouped_options;
     grouped_options.use_grouping = true;
-    Result<OnlineValidator> grouped =
-        OnlineValidator::Create(w.licenses.get(), grouped_options);
+    Result<std::unique_ptr<IssuanceService>> grouped =
+        IssuanceService::Create(w.licenses.get(), grouped_options);
     ASSERT_TRUE(grouped.ok());
 
     OnlineValidatorOptions ungrouped_options;
     ungrouped_options.use_grouping = false;
-    Result<OnlineValidator> ungrouped =
-        OnlineValidator::Create(w.licenses.get(), ungrouped_options);
+    Result<std::unique_ptr<IssuanceService>> ungrouped =
+        IssuanceService::Create(w.licenses.get(), ungrouped_options);
     ASSERT_TRUE(ungrouped.ok());
 
     FlatTreeOracle oracle(w.licenses.get());
 
     for (size_t r = 0; r < w.requests.size(); ++r) {
-      const Result<OnlineDecision> g = grouped->TryIssue(w.requests[r]);
-      const Result<OnlineDecision> u = ungrouped->TryIssue(w.requests[r]);
+      const Result<OnlineDecision> g = (*grouped)->TryIssue(w.requests[r]);
+      const Result<OnlineDecision> u = (*ungrouped)->TryIssue(w.requests[r]);
       ASSERT_TRUE(g.ok());
       ASSERT_TRUE(u.ok());
       const OnlineDecision o = oracle.TryIssue(w.requests[r]);
@@ -233,61 +246,66 @@ TEST(OnlineEquivalenceProperty, GroupedUngroupedAndFlatTreeAgree) {
   }
 }
 
-// OnlineValidator has no lifecycle, so the twin of a service is rebuilt
-// from the id-space history (testing::IdSpaceHistory) after every
-// reconfiguration.
-class ValidatorTwin {
+// The specification twin of a service: the id-space history
+// (testing::IdSpaceHistory) with a ReferenceModel over its catalog, rebuilt
+// from the surviving history after every reconfiguration.
+class ReferenceTwin {
  public:
-  ValidatorTwin(const ConstraintSchema* schema, std::vector<License> licenses,
-                const OnlineValidatorOptions& options)
-      : history_(schema, std::move(licenses)), options_(options) {
+  ReferenceTwin(const ConstraintSchema* schema, std::vector<License> licenses)
+      : history_(schema, std::move(licenses)) {
     Rebuild();
   }
 
   void Acquire(const License& license) {
-    validator_.reset();
+    model_.reset();
     history_.Acquire(license);
     Rebuild();
   }
 
   void Revoke(const std::string& id) {
-    validator_.reset();
+    model_.reset();
     history_.Revoke(id);
     Rebuild();
   }
 
-  // Decides `request`, recording it in the history when accepted.
-  Result<OnlineDecision> TryIssue(const License& request) {
-    Result<OnlineDecision> decision = validator_->TryIssue(request);
-    if (decision.ok() && decision->accepted()) {
-      history_.Accept(decision->satisfying_set, request.aggregate_count());
+  // Decides `request`, recording it when accepted.
+  ReferenceModel::Decision TryIssue(const License& request) {
+    const ReferenceModel::Decision decision = model_->TryIssue(request);
+    if (decision.accepted()) {
+      model_->Apply(decision.satisfying_set, request.aggregate_count());
+      history_.Accept(decision.satisfying_set, request.aggregate_count());
     }
     return decision;
   }
 
   const std::vector<License>& active() const { return history_.active(); }
-  const OnlineValidator& validator() const { return *validator_; }
+  const ReferenceModel& model() const { return *model_; }
 
-  // The licenses a decision on satisfying set `s` scans equations over.
-  LicenseSet ScopeOf(const LicenseSet& s) const {
-    if (!options_.use_grouping) {
+  // The licenses a decision on satisfying set `s` scans equations over:
+  // the whole catalog without grouping, else S's overlap component.
+  LicenseSet ScopeOf(const LicenseSet& s, bool use_grouping) const {
+    if (!use_grouping) {
       return history_.catalog().AllMask();
     }
-    const LicenseGrouping& grouping = validator_->grouping();
-    return grouping.GroupMask(grouping.GroupOf(s.Lowest()));
+    for (const LicenseSet& component : model_->components()) {
+      if (s.IsSubsetOf(component)) {
+        return component;
+      }
+    }
+    return LicenseSet();
   }
 
  private:
   void Rebuild() {
-    Result<OnlineValidator> validator = OnlineValidator::CreateWithHistory(
-        &history_.catalog(), options_, history_.Log());
-    GEOLIC_CHECK(validator.ok());
-    validator_.emplace(std::move(*validator));
+    model_.emplace(&history_.catalog());
+    const LogStore log = history_.Log();
+    for (const LogRecord& record : log.records()) {
+      model_->Apply(record.set, record.count);
+    }
   }
 
   testing::IdSpaceHistory history_;
-  OnlineValidatorOptions options_;
-  std::optional<OnlineValidator> validator_;  // Over history_'s catalog.
+  std::optional<ReferenceModel> model_;  // Over history_'s catalog.
 };
 
 // 1-based position of `t` among the sets S ∪ X, X ⊆ scope − S, in
@@ -304,7 +322,7 @@ uint64_t AscendingPosition(const LicenseSet& s, const LicenseSet& scope,
   return 0;
 }
 
-TEST(OnlineEquivalenceProperty, IssuanceServiceMatchesOnlineValidator) {
+TEST(OnlineEquivalenceProperty, IssuanceServiceMatchesReferenceModel) {
   const uint64_t base = TestSeed(1000);
   for (uint64_t seed = base; seed < base + 500; ++seed) {
     const Workload w = Generate(seed);
@@ -320,7 +338,7 @@ TEST(OnlineEquivalenceProperty, IssuanceServiceMatchesOnlineValidator) {
           IssuanceService::Create(w.licenses.get(), options);
       ASSERT_TRUE(created.ok()) << where;
       IssuanceService& service = **created;
-      ValidatorTwin twin(w.schema.get(), w.licenses->licenses(), options);
+      ReferenceTwin twin(w.schema.get(), w.licenses->licenses());
       Rng ops(seed * 3 + static_cast<uint64_t>(config));
       int acquired = 0;
 
@@ -339,21 +357,19 @@ TEST(OnlineEquivalenceProperty, IssuanceServiceMatchesOnlineValidator) {
         }
 
         const Result<OnlineDecision> got = service.TryIssue(w.requests[r]);
-        const Result<OnlineDecision> want = twin.TryIssue(w.requests[r]);
+        const OnlineDecision want = AsOnlineDecision(twin.TryIssue(w.requests[r]));
         ASSERT_TRUE(got.ok()) << where;
-        ASSERT_TRUE(want.ok()) << where;
-        ASSERT_TRUE(SameDecision(*got, *want))
+        ASSERT_TRUE(SameDecision(*got, want))
             << where << " request " << r << ": service {" << Describe(*got)
-            << "} vs validator {" << Describe(*want) << "}"
+            << "} vs reference model {" << Describe(want) << "}"
             << "\nrepro: GEOLIC_TEST_SEED=" << seed
             << " ctest -R online_equivalence_property_test";
-        ASSERT_EQ(got->equations_checked, want->equations_checked)
-            << where << " request " << r;
         if (!got->instance_valid) {
+          EXPECT_EQ(got->equations_checked, 0u) << where << " request " << r;
           continue;
         }
         const LicenseSet& s = got->satisfying_set;
-        const LicenseSet scope = twin.ScopeOf(s);
+        const LicenseSet scope = twin.ScopeOf(s, options.use_grouping);
         if (got->aggregate_valid) {
           EXPECT_EQ(got->equations_checked,
                     uint64_t{1} << (scope.Size() - s.Size()))
@@ -364,9 +380,12 @@ TEST(OnlineEquivalenceProperty, IssuanceServiceMatchesOnlineValidator) {
               << where << " request " << r;
         }
       }
-      EXPECT_EQ(service.CollectLog().MergedCounts(),
-                twin.validator().log().MergedCounts())
-          << where;
+      const auto merged = service.CollectLog().MergedCounts();
+      EXPECT_EQ(merged.size(), twin.model().counts().size()) << where;
+      for (const auto& [set, count] : twin.model().counts()) {
+        EXPECT_TRUE(merged.contains(set) && merged.at(set) == count)
+            << where << " set " << set;
+      }
     }
   }
 }

@@ -227,6 +227,41 @@ TEST_F(DistributionNetworkTest, RogueIssueDetectedByAudit) {
   EXPECT_FALSE(all->clean());
 }
 
+// A second grant puts the distributor's catalog in its service's epoch; the
+// rogue rebuild must keep both licenses and the accepted history.
+TEST_F(DistributionNetworkTest, RogueIssueAfterSecondGrantKeepsState) {
+  const int owner = *network_.AddOwner("Studio");
+  const int d1 = *network_.AddDistributor("D1", owner);
+  const int consumer = *network_.AddConsumer("C1", d1);
+  ASSERT_TRUE(network_
+                  .GrantFromOwner(d1, MakeRedistribution(schema_, "LD1",
+                                                         {{0, 50}}, 100))
+                  .ok());
+  ASSERT_TRUE(network_
+                  .GrantFromOwner(d1, MakeRedistribution(schema_, "LD2",
+                                                         {{40, 90}}, 100))
+                  .ok());
+  ASSERT_TRUE(network_.Issue(d1, consumer,
+                             MakeUsage(schema_, "LU1", {{60, 70}}, 60))
+                  ->accepted());
+  ASSERT_TRUE(network_
+                  .IssueUnchecked(d1, consumer,
+                                  MakeUsage(schema_, "LUX", {{60, 70}}, 60))
+                  .ok());
+
+  EXPECT_EQ(network_.ReceivedLicenses(d1).size(), 2);
+  EXPECT_EQ(network_.ReceivedLicenses(d1).at(1).id(), "LD2");
+  EXPECT_EQ(network_.IssuanceLog(d1).TotalCount(), 120);
+  // {LD2} now carries 120 against its 100: flagged offline, and online
+  // admission sees the rogue counts too.
+  const Result<DistributorAudit> audit = network_.AuditDistributor(d1);
+  ASSERT_TRUE(audit.ok());
+  EXPECT_FALSE(audit->result.report.all_valid());
+  EXPECT_FALSE(network_.Issue(d1, consumer,
+                              MakeUsage(schema_, "LU2", {{60, 70}}, 1))
+                   ->accepted());
+}
+
 TEST_F(DistributionNetworkTest, RogueInstanceInvalidIsRejectedOutright) {
   const int owner = *network_.AddOwner("Studio");
   const int d1 = *network_.AddDistributor("D1", owner);

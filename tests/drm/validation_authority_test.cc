@@ -2,9 +2,15 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "licensing/license_serialization.h"
+#include "persist/checkpoint.h"
+#include "persist/framing.h"
+#include "persist/journal.h"
 #include "test_util.h"
 
 namespace geolic {
@@ -188,21 +194,10 @@ TEST(ValidationAuthorityTest, CheckpointRestoreRoundTrip) {
                   .ValidateIssue(UsageFor(schema, "U2", "song",
                                           Permission::kCopy, 5, 8, 20))
                   ->accepted());
-  ASSERT_TRUE(original.CheckpointLogs(path).ok());
+  ASSERT_TRUE(original.CheckpointFull(path).ok());
 
-  // Fresh authority: re-register licenses, restore logs.
   ValidationAuthority restored(&schema);
-  ASSERT_TRUE(restored
-                  .RegisterRedistribution(MakeFor(schema, "A1", "movie",
-                                                  Permission::kPlay, 0, 50,
-                                                  100))
-                  .ok());
-  ASSERT_TRUE(restored
-                  .RegisterRedistribution(MakeFor(schema, "B1", "song",
-                                                  Permission::kCopy, 0, 50,
-                                                  60))
-                  .ok());
-  ASSERT_TRUE(restored.RestoreLogs(path).ok());
+  ASSERT_TRUE(restored.RestoreFull(path).ok());
 
   // The movie budget remembers the 70 already spent.
   const Result<OnlineDecision> over = restored.ValidateIssue(
@@ -213,28 +208,6 @@ TEST(ValidationAuthorityTest, CheckpointRestoreRoundTrip) {
       UsageFor(schema, "U4", "movie", Permission::kPlay, 0, 10, 30));
   ASSERT_TRUE(fits.ok());
   EXPECT_TRUE(fits->accepted());
-  std::remove(path.c_str());
-}
-
-TEST(ValidationAuthorityTest, RestoreFailsForUnregisteredContent) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  const std::string path = TempPath(".ckpt");
-  {
-    ValidationAuthority original(&schema);
-    ASSERT_TRUE(original
-                    .RegisterRedistribution(MakeFor(schema, "A1", "movie",
-                                                    Permission::kPlay, 0, 50,
-                                                    100))
-                    .ok());
-    ASSERT_TRUE(original
-                    .ValidateIssue(UsageFor(schema, "U1", "movie",
-                                            Permission::kPlay, 0, 10, 10))
-                    ->accepted());
-    ASSERT_TRUE(original.CheckpointLogs(path).ok());
-  }
-  ValidationAuthority empty(&schema);
-  EXPECT_EQ(empty.RestoreLogs(path).code(),
-            StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
 }
 
@@ -274,30 +247,10 @@ TEST(ValidationAuthorityTest, ClosePeriodSettlesAndResets) {
                   ->accepted());
 }
 
-// Builds a GLAUTH1 log checkpoint holding one domain with one record —
-// used to inject an over-budget (rogue) history that online validation
-// would never admit.
-void WriteLogCheckpoint(const std::string& path, const std::string& content,
-                        LicenseSet set, int64_t count) {
-  std::ofstream out(path, std::ios::binary);
-  out.write("GLAUTH1\0", 8);
-  const uint32_t domains = 1;
-  out.write(reinterpret_cast<const char*>(&domains), sizeof(domains));
-  const uint32_t name_size = static_cast<uint32_t>(content.size());
-  out.write(reinterpret_cast<const char*>(&name_size), sizeof(name_size));
-  out.write(content.data(), name_size);
-  const int32_t permission = 0;  // kPlay.
-  out.write(reinterpret_cast<const char*>(&permission), sizeof(permission));
-  const uint64_t records = 1;
-  out.write(reinterpret_cast<const char*>(&records), sizeof(records));
-  out.write(reinterpret_cast<const char*>(&set), sizeof(set));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  const uint32_t id_size = 1;
-  out.write(reinterpret_cast<const char*>(&id_size), sizeof(id_size));
-  out.write("X", 1);
-}
-
-TEST(ValidationAuthorityTest, ClosePeriodWithViolationsSkipsSettlement) {
+// After a second registration the domain's catalog belongs to its
+// service's epoch; closing the period must leave the next period's service
+// with licenses of its own, not the retired service's.
+TEST(ValidationAuthorityTest, ClosePeriodAfterAcquisitionKeepsLicenses) {
   const ConstraintSchema schema = IntervalSchema(1);
   ValidationAuthority authority(&schema);
   ASSERT_TRUE(authority
@@ -305,10 +258,75 @@ TEST(ValidationAuthorityTest, ClosePeriodWithViolationsSkipsSettlement) {
                                                   Permission::kPlay, 0, 50,
                                                   100))
                   .ok());
+  ASSERT_TRUE(authority
+                  .RegisterRedistribution(MakeFor(schema, "A2", "movie",
+                                                  Permission::kPlay, 30, 90,
+                                                  200))
+                  .ok());
+  ASSERT_TRUE(authority
+                  .ValidateIssue(UsageFor(schema, "U1", "movie",
+                                          Permission::kPlay, 35, 45, 250))
+                  ->accepted());
+
+  const ValidationAuthority::ContentKey key{"movie", Permission::kPlay};
+  const Result<ValidationAuthority::PeriodClose> close =
+      authority.ClosePeriod(key);
+  ASSERT_TRUE(close.ok());
+  ASSERT_TRUE(close->settled);
+  EXPECT_EQ(close->settlement.charged[0] + close->settlement.charged[1], 250);
+
+  const Result<const LicenseCatalog*> licenses = authority.LicensesFor(key);
+  ASSERT_TRUE(licenses.ok());
+  ASSERT_EQ((*licenses)->size(), 2);
+  EXPECT_EQ((*licenses)->at(1).id(), "A2");
+  EXPECT_TRUE(authority
+                  .ValidateIssue(UsageFor(schema, "U2", "movie",
+                                          Permission::kPlay, 35, 45, 300))
+                  ->accepted());
+  const Result<std::vector<ValidationAuthority::ContentAudit>> audits =
+      authority.AuditAll();
+  ASSERT_TRUE(audits.ok());
+  EXPECT_TRUE((*audits)[0].result.report.all_valid());
+}
+
+// Writes an authority snapshot (docs/FORMATS.md, "Authority snapshots")
+// of one domain holding `licenses` and `records`, encoded here rather than
+// by the authority — used to restore a history online validation would
+// never admit.
+void WriteSnapshot(const std::string& path, const std::string& content,
+                   Permission permission, const std::vector<License>& licenses,
+                   const std::vector<LogRecord>& records) {
+  std::string payload;
+  framing::PutScalar<uint32_t>(&payload, 1);  // Domains.
+  framing::PutScalar<uint32_t>(&payload,
+                               static_cast<uint32_t>(content.size()));
+  payload += content;
+  framing::PutScalar<uint32_t>(&payload, static_cast<uint32_t>(permission));
+  framing::PutScalar<uint32_t>(&payload,
+                               static_cast<uint32_t>(licenses.size()));
+  std::ostringstream blob;
+  for (const License& license : licenses) {
+    ASSERT_TRUE(WriteLicenseBinary(license, &blob).ok());
+  }
+  payload += blob.str();
+  framing::PutScalar<uint64_t>(&payload, records.size());
+  for (const LogRecord& record : records) {
+    EncodeLogRecord(record, &payload);
+  }
+  ASSERT_TRUE(
+      WriteCheckpointFile(CheckpointKind::kAuthoritySnapshot, payload, path)
+          .ok());
+}
+
+TEST(ValidationAuthorityTest, ClosePeriodWithViolationsSkipsSettlement) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  ValidationAuthority authority(&schema);
   // Inject a rogue 150-count history against the 100 budget.
   const std::string path = TempPath(".ckpt");
-  WriteLogCheckpoint(path, "movie", testing::Mask(0b1), 150);
-  ASSERT_TRUE(authority.RestoreLogs(path).ok());
+  WriteSnapshot(path, "movie", Permission::kPlay,
+                {MakeFor(schema, "A1", "movie", Permission::kPlay, 0, 50, 100)},
+                {LogRecord{"X", testing::Mask(0b1), 150}});
+  ASSERT_TRUE(authority.RestoreFull(path).ok());
 
   const ValidationAuthority::ContentKey key{"movie", Permission::kPlay};
   const Result<ValidationAuthority::PeriodClose> close =
@@ -444,9 +462,81 @@ TEST(ValidationAuthorityTest, RestoreRejectsGarbage) {
     std::ofstream out(path, std::ios::binary);
     out << "NOT A CHECKPOINT";
   }
-  EXPECT_EQ(authority.RestoreLogs(path).code(), StatusCode::kParseError);
-  EXPECT_EQ(authority.RestoreLogs("/nonexistent/x.ckpt").code(),
+  EXPECT_EQ(authority.RestoreFull(path).code(), StatusCode::kParseError);
+  EXPECT_EQ(authority.RestoreFull("/nonexistent/x.ckpt").code(),
             StatusCode::kIoError);
+  EXPECT_EQ(authority.domain_count(), 0);
+  std::remove(path.c_str());
+}
+
+// A record over more than 64 licenses round-trips through a fresh process
+// image: the snapshot carries the set's words, not the in-memory object.
+TEST(ValidationAuthorityTest, WideRecordRoundTripsThroughFreshAuthority) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const std::string path = TempPath(".full");
+  const ValidationAuthority::ContentKey key{"movie", Permission::kPlay};
+  {
+    ValidationAuthority original(&schema);
+    for (int i = 0; i < 65; ++i) {
+      ASSERT_TRUE(original
+                      .RegisterRedistribution(MakeFor(
+                          schema, "A" + std::to_string(i), "movie",
+                          Permission::kPlay, 0, 100, 10))
+                      .ok());
+    }
+    // Inside all 65 licenses: |S| = 65.
+    const Result<OnlineDecision> decision = original.ValidateIssue(
+        UsageFor(schema, "U1", "movie", Permission::kPlay, 10, 20, 600));
+    ASSERT_TRUE(decision.ok());
+    ASSERT_TRUE(decision->accepted());
+    ASSERT_EQ(decision->satisfying_set.Size(), 65);
+    ASSERT_TRUE(original.CheckpointFull(path).ok());
+  }
+
+  ValidationAuthority restored(&schema);
+  ASSERT_TRUE(restored.RestoreFull(path).ok());
+  const Result<LogStore> log = restored.LogFor(key);
+  ASSERT_TRUE(log.ok());
+  ASSERT_EQ(log->size(), 1u);
+  EXPECT_EQ(log->records()[0].set, LicenseSet::Full(65));
+  EXPECT_EQ(log->records()[0].count, 600);
+  // 650 in all, 600 spent: 50 fit, 51 do not.
+  EXPECT_FALSE(restored
+                   .ValidateIssue(UsageFor(schema, "U2", "movie",
+                                           Permission::kPlay, 10, 20, 51))
+                   ->accepted());
+  EXPECT_TRUE(restored
+                  .ValidateIssue(UsageFor(schema, "U3", "movie",
+                                          Permission::kPlay, 10, 20, 50))
+                  ->accepted());
+  std::remove(path.c_str());
+}
+
+// A record whose set decodes to more words than the domain's catalog holds
+// is a parse error, not a crash — and the same snapshot with an in-range
+// set restores, so the rejection is the set's alone.
+TEST(ValidationAuthorityTest, RestoreRejectsSetOutsideCatalog) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const std::string path = TempPath(".full");
+  const std::vector<License> licenses = {
+      MakeFor(schema, "A1", "movie", Permission::kPlay, 0, 50, 100),
+      MakeFor(schema, "A2", "movie", Permission::kPlay, 30, 90, 100),
+      MakeFor(schema, "A3", "movie", Permission::kPlay, 200, 300, 100)};
+
+  WriteSnapshot(path, "movie", Permission::kPlay, licenses,
+                {LogRecord{"U1", testing::Mask(0b11), 5}});
+  {
+    ValidationAuthority authority(&schema);
+    EXPECT_TRUE(authority.RestoreFull(path).ok());
+  }
+
+  LicenseSet wide = testing::Mask(0b11);
+  wide.Add(70);  // Two words; the catalog has three licenses.
+  WriteSnapshot(path, "movie", Permission::kPlay, licenses,
+                {LogRecord{"U1", wide, 5}});
+  ValidationAuthority authority(&schema);
+  EXPECT_EQ(authority.RestoreFull(path).code(), StatusCode::kParseError);
+  EXPECT_EQ(authority.domain_count(), 0);
   std::remove(path.c_str());
 }
 

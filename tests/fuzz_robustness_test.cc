@@ -11,6 +11,7 @@
 #include "drm/validation_authority.h"
 #include "licensing/license_parser.h"
 #include "licensing/license_serialization.h"
+#include "persist/checkpoint.h"
 #include "test_util.h"
 #include "validation/log_store.h"
 #include "validation/tree_serialization.h"
@@ -178,10 +179,96 @@ TEST(FuzzRobustnessTest, AuthorityRestoreSurvivesRandomBytes) {
     }
     ValidationAuthority authority(&schema);
     EXPECT_FALSE(authority.RestoreFull(path).ok());
-    EXPECT_FALSE(authority.RestoreLogs(path).ok());
     EXPECT_EQ(authority.domain_count(), 0);
   }
+
+  // Mutations of a valid snapshot: two domains, one with a record over
+  // more than 64 licenses. Bit flips and truncations of the file must
+  // fail the container's checks; the same mutations of the payload,
+  // re-framed with valid CRCs, reach the license and record decoders,
+  // which must reject cleanly or restore a consistent state.
+  const std::string resaved = TempPath(".resaved");
+  ValidationAuthority original(&schema);
+  for (int i = 0; i < 66; ++i) {
+    LicenseBuilder builder(&schema);
+    builder.SetId("A" + std::to_string(i))
+        .SetContentKey(i < 65 ? "movie" : "song")
+        .SetType(LicenseType::kRedistribution)
+        .SetPermission(Permission::kPlay)
+        .SetAggregateCount(10)
+        .SetInterval("C1", 0, 100);
+    ASSERT_TRUE(original.RegisterRedistribution(*builder.Build()).ok());
+  }
+  for (const char* content : {"movie", "song"}) {
+    LicenseBuilder builder(&schema);
+    builder.SetId(std::string("U-") + content)
+        .SetContentKey(content)
+        .SetType(LicenseType::kUsage)
+        .SetPermission(Permission::kPlay)
+        .SetAggregateCount(5)
+        .SetInterval("C1", 10, 20);
+    ASSERT_TRUE(original.ValidateIssue(*builder.Build())->accepted());
+  }
+  ASSERT_TRUE(original.CheckpointFull(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  const Result<std::string> payload =
+      ReadCheckpointFile(CheckpointKind::kAuthoritySnapshot, path);
+  ASSERT_TRUE(payload.ok());
+
+  const auto mutate = [&rng](std::string text) {
+    if (rng.Bernoulli(0.3)) {
+      text.resize(rng.UniformIndex(text.size()));
+      return text;
+    }
+    const int flips = static_cast<int>(rng.UniformInt(1, 4));
+    for (int f = 0; f < flips; ++f) {
+      text[rng.UniformIndex(text.size())] ^=
+          static_cast<char>(1 << rng.UniformInt(0, 7));
+    }
+    return text;
+  };
+  for (int i = 0; i < 500; ++i) {
+    const bool reframe = i % 2 == 1;
+    if (reframe) {
+      ASSERT_TRUE(WriteCheckpointFile(CheckpointKind::kAuthoritySnapshot,
+                                      mutate(*payload), path)
+                      .ok());
+    } else {
+      const std::string mutated = mutate(bytes);
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+    }
+    ValidationAuthority authority(&schema);
+    const Status restored = authority.RestoreFull(path);
+    if (!reframe) {
+      EXPECT_FALSE(restored.ok()) << "mutation " << i;
+    }
+    if (!restored.ok()) {
+      EXPECT_EQ(authority.domain_count(), 0) << "mutation " << i;
+      continue;
+    }
+    // Whatever restores is consistent: every record lies in its domain's
+    // catalog, and the state snapshots and restores again.
+    for (const ValidationAuthority::ContentKey& key : authority.Keys()) {
+      const LicenseSet all = (*authority.LicensesFor(key))->AllMask();
+      const Result<LogStore> log = authority.LogFor(key);
+      ASSERT_TRUE(log.ok());
+      for (const LogRecord& record : log->records()) {
+        EXPECT_TRUE(!record.set.Empty() && record.set.IsSubsetOf(all))
+            << "mutation " << i;
+      }
+    }
+    ASSERT_TRUE(authority.CheckpointFull(resaved).ok()) << "mutation " << i;
+    ValidationAuthority again(&schema);
+    EXPECT_TRUE(again.RestoreFull(resaved).ok()) << "mutation " << i;
+    EXPECT_EQ(again.domain_count(), authority.domain_count())
+        << "mutation " << i;
+  }
   std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 }  // namespace

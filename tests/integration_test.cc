@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/incremental_auditor.h"
-#include "core/online_validator.h"
 #include "drm/validation_authority.h"
 #include "licensing/license_parser.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 #include "validation/tree_serialization.h"
 #include "validation/validate.h"
@@ -47,8 +47,8 @@ std::string TempPath(const std::string& suffix) {
 }
 
 // Invariant: a log produced exclusively by online validation must pass
-// every offline validator with zero violations — the online validator only
-// admits issues that keep all equations satisfied.
+// every offline validator with zero violations — online admission only
+// accepts issues that keep all equations satisfied.
 TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     WorkloadConfig config = PaperSweepConfig(12, seed);
@@ -59,8 +59,8 @@ TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
     Result<Workload> workload = generator.GenerateLicensesOnly();
     ASSERT_TRUE(workload.ok());
 
-    Result<OnlineValidator> online =
-        OnlineValidator::Create(workload->licenses.get());
+    Result<std::unique_ptr<IssuanceService>> online =
+        IssuanceService::Create(workload->licenses.get());
     ASSERT_TRUE(online.ok());
     Rng rng(seed * 31337);
     int accepted = 0;
@@ -69,7 +69,7 @@ TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
           rng.UniformInt(0, workload->licenses->size() - 1));
       const License usage =
           generator.DrawUsageLicense(*workload, parent, &rng, i);
-      const Result<OnlineDecision> decision = online->TryIssue(usage);
+      const Result<OnlineDecision> decision = (*online)->TryIssue(usage);
       ASSERT_TRUE(decision.ok());
       if (decision->accepted()) {
         ++accepted;
@@ -78,8 +78,8 @@ TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
     ASSERT_GT(accepted, 0);
 
     // Offline: exhaustive, zeta, grouped, parallel — all clean.
-    const Result<ValidationTree> tree =
-        ValidationTree::BuildFromLog(online->log());
+    const LogStore log = (*online)->CollectLog();
+    const Result<ValidationTree> tree = ValidationTree::BuildFromLog(log);
     ASSERT_TRUE(tree.ok());
     const std::vector<int64_t> aggregates =
         workload->licenses->AggregateCounts();
@@ -90,7 +90,7 @@ TEST(IntegrationTest, OnlineAcceptedLogAlwaysAuditsClean) {
                           .num_threads = 4})
                     ->report.all_valid());
     const Result<ValidationOutcome> grouped =
-        Validate(*workload->licenses, online->log(),
+        Validate(*workload->licenses, log,
                  {.mode = ValidationMode::kGrouped});
     ASSERT_TRUE(grouped.ok());
     EXPECT_TRUE(grouped->report.all_valid());

@@ -7,9 +7,9 @@
 
 #include "core/grouping.h"
 #include "core/instance_validator.h"
-#include "core/online_validator.h"
 #include "licensing/license_parser.h"
 #include "licensing/license_serialization.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 
 namespace geolic {
@@ -159,18 +159,20 @@ TEST(BlackoutWindowsTest, OnlineValidationWithWindows) {
       .SetAggregateCount(50)
       .SetIntervalUnion("C1", {{0, 10}, {20, 30}});
   ASSERT_TRUE(set.Add(*builder.Build()).ok());
-  Result<OnlineValidator> validator = OnlineValidator::Create(&set);
-  ASSERT_TRUE(validator.ok());
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&set);
+  ASSERT_TRUE(service.ok());
+  IssuanceService& validator = **service;
   EXPECT_TRUE(
-      validator->TryIssue(MakeUsage(schema, "U1", {{0, 5}}, 30))->accepted());
+      validator.TryIssue(MakeUsage(schema, "U1", {{0, 5}}, 30))->accepted());
   // Gap-spanning issue fails instance validation, so the budget stays.
-  EXPECT_FALSE(validator->TryIssue(MakeUsage(schema, "U2", {{8, 22}}, 10))
+  EXPECT_FALSE(validator.TryIssue(MakeUsage(schema, "U2", {{8, 22}}, 10))
                    ->instance_valid);
-  EXPECT_TRUE(validator->TryIssue(MakeUsage(schema, "U3", {{25, 30}}, 20))
+  EXPECT_TRUE(validator.TryIssue(MakeUsage(schema, "U3", {{25, 30}}, 20))
                   ->accepted());
   // Budget now exhausted.
   EXPECT_FALSE(
-      validator->TryIssue(MakeUsage(schema, "U4", {{0, 1}}, 1))->accepted());
+      validator.TryIssue(MakeUsage(schema, "U4", {{0, 1}}, 1))->accepted());
 }
 
 TEST(BlackoutWindowsTest, BinarySerializationRoundTrip) {

@@ -316,12 +316,12 @@ TEST(ExpositionTest, GoldenPrometheusTextHostileName) {
       "by those batches.\n"
       "# TYPE geolic_net_batch_requests_dispatched_total counter\n"
       "geolic_net_batch_requests_dispatched_total{" + svc + "} 8\n"
-      "# HELP geolic_net_queue_depth Requests waiting in the admission "
-      "queue.\n"
+      "# HELP geolic_net_queue_depth Decoded requests pending admission "
+      "in the reactor's turn.\n"
       "# TYPE geolic_net_queue_depth gauge\n"
       "geolic_net_queue_depth{" + svc + "} 9\n"
-      "# HELP geolic_net_queue_depth_peak Admission-queue high-water "
-      "mark.\n"
+      "# HELP geolic_net_queue_depth_peak Most requests pending admission "
+      "in one turn.\n"
       "# TYPE geolic_net_queue_depth_peak gauge\n"
       "geolic_net_queue_depth_peak{" + svc + "} 10\n"
       "# HELP geolic_net_bytes_total Socket bytes by direction.\n"

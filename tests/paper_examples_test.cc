@@ -7,10 +7,10 @@
 #include "core/gain.h"
 #include "core/grouping.h"
 #include "core/instance_validator.h"
-#include "core/online_validator.h"
 #include "core/overlap_graph.h"
 #include "core/tree_division.h"
 #include "licensing/license_parser.h"
+#include "service/issuance_service.h"
 #include "validation/validation_tree.h"
 #include "validation/validate.h"
 
@@ -101,15 +101,15 @@ TEST_F(PaperExamplesTest, Example1BothLicensesValidUnderEquationValidation) {
   // The paper's point: random selection of L_D^2 for LU1 would leave only
   // 200 counts and wrongly invalidate LU2; equation-based validation
   // accepts both.
-  Result<OnlineValidator> validator =
-      OnlineValidator::Create(licenses_.get());
+  Result<std::unique_ptr<IssuanceService>> validator =
+      IssuanceService::Create(licenses_.get());
   ASSERT_TRUE(validator.ok());
-  const Result<OnlineDecision> first =
-      validator->TryIssue(Usage("LU1", "[15/03/09, 19/03/09]", "India", 800));
+  const Result<OnlineDecision> first = (*validator)->TryIssue(
+      Usage("LU1", "[15/03/09, 19/03/09]", "India", 800));
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first->accepted());
-  const Result<OnlineDecision> second =
-      validator->TryIssue(Usage("LU2", "[21/03/09, 24/03/09]", "Japan", 400));
+  const Result<OnlineDecision> second = (*validator)->TryIssue(
+      Usage("LU2", "[21/03/09, 24/03/09]", "Japan", 400));
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->accepted());
 }

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/online_validator.h"
+#include "sim/reference_model.h"
 #include "test_util.h"
 
 namespace geolic {
@@ -52,40 +52,44 @@ License RequestAt(const ConstraintSchema& schema, int i) {
   }
 }
 
-TEST(IssuanceServiceTest, MatchesOnlineValidatorSerially) {
+TEST(IssuanceServiceTest, MatchesReferenceModelSerially) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 5);
 
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses);
   ASSERT_TRUE(service.ok());
-  Result<OnlineValidator> validator = OnlineValidator::Create(&licenses);
-  ASSERT_TRUE(validator.ok());
+  ReferenceModel model(&licenses);
 
   // Past the budget of 5 per group so both reject the tail identically.
   for (int i = 0; i < 40; ++i) {
     const License request = RequestAt(schema, i);
     const Result<OnlineDecision> got = (*service)->TryIssue(request);
-    const Result<OnlineDecision> want = validator->TryIssue(request);
+    const ReferenceModel::Decision want = model.TryIssue(request);
     ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(want.ok());
-    EXPECT_EQ(got->instance_valid, want->instance_valid) << i;
-    EXPECT_EQ(got->aggregate_valid, want->aggregate_valid) << i;
-    EXPECT_EQ(got->satisfying_set, want->satisfying_set) << i;
-    EXPECT_EQ(got->equations_checked, want->equations_checked) << i;
-    if (!want->aggregate_valid && want->instance_valid) {
-      EXPECT_EQ(got->limiting.set, want->limiting.set) << i;
-      EXPECT_EQ(got->limiting.lhs, want->limiting.lhs) << i;
+    EXPECT_EQ(got->instance_valid, want.instance_valid) << i;
+    EXPECT_EQ(got->aggregate_valid, want.aggregate_valid) << i;
+    EXPECT_EQ(got->satisfying_set, want.satisfying_set) << i;
+    // Every S here is its whole group: 2^(N_g − k) = 1 equation.
+    EXPECT_EQ(got->equations_checked, want.instance_valid ? 1u : 0u) << i;
+    if (want.accepted()) {
+      model.Apply(want.satisfying_set, request.aggregate_count());
+    } else if (want.instance_valid) {
+      EXPECT_EQ(got->limiting.set, want.limiting_set) << i;
+      EXPECT_EQ(got->limiting.lhs, want.limiting_lhs) << i;
+      EXPECT_EQ(got->limiting.rhs, want.limiting_rhs) << i;
     }
   }
 
-  // Same accepted state: the merged tree equals the serial validator's
-  // (tree shape is canonical, independent of insertion order).
+  // Same accepted state: the service's merged counts are the model's.
   const Result<ValidationTree> tree = (*service)->CollectTree();
   ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->ToString(), validator->tree().ToString());
-  EXPECT_EQ((*service)->CollectLog().MergedCounts(),
-            validator->log().MergedCounts());
+  const auto merged = (*service)->CollectLog().MergedCounts();
+  EXPECT_EQ(merged.size(), model.counts().size());
+  for (const auto& [set, count] : model.counts()) {
+    ASSERT_TRUE(merged.contains(set)) << set;
+    EXPECT_EQ(merged.at(set), count) << set;
+  }
 
   // The offline-audit snapshot: a flat compile of the same merged tree.
   const Result<FlatValidationTree> flat = (*service)->CollectFlatTree();
@@ -139,14 +143,12 @@ TEST(IssuanceServiceTest, ConcurrentStressMatchesSerialReplay) {
   EXPECT_EQ(metrics.total_requests(), 640u);
   EXPECT_EQ(metrics.latency.total_count, 640u);
 
-  // The final tree/log equal a single-threaded replay of the accepted log.
-  Result<OnlineValidator> rebuilt = OnlineValidator::CreateWithHistory(
-      &licenses, OnlineValidatorOptions(), log);
+  // The final tree equals a single-threaded replay of the accepted log.
+  const Result<ValidationTree> rebuilt = ValidationTree::BuildFromLog(log);
   ASSERT_TRUE(rebuilt.ok());
   const Result<ValidationTree> tree = (*service)->CollectTree();
   ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->ToString(), rebuilt->tree().ToString());
-  EXPECT_EQ(log.MergedCounts(), rebuilt->log().MergedCounts());
+  EXPECT_EQ(tree->ToString(), rebuilt->ToString());
 }
 
 TEST(IssuanceServiceTest, BatchMatchesSequentialIssue) {
@@ -239,6 +241,10 @@ TEST(IssuanceServiceTest, CreateWithHistoryContinuesBudgets) {
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::CreateWithHistory(&licenses, {}, history);
   ASSERT_TRUE(service.ok());
+  EXPECT_EQ((*service)->CollectLog().size(), 1u);
+  const Result<ValidationTree> preloaded = (*service)->CollectTree();
+  ASSERT_TRUE(preloaded.ok());
+  EXPECT_EQ(preloaded->CountOf(testing::Mask(0b11)), 5);
 
   // Pair budget 3 + 3 = 6, history spent 5: one unit left in {L1, L2}.
   const Result<OnlineDecision> first =
@@ -251,13 +257,129 @@ TEST(IssuanceServiceTest, CreateWithHistoryContinuesBudgets) {
   EXPECT_FALSE(second->accepted());
 
   // History that references indexes outside the set is rejected.
-  LogStore bad;
-  LogRecord unknown;
-  unknown.issued_license_id = "H2";
-  unknown.set = LicenseSet::Singleton(60);
-  unknown.count = 1;
-  ASSERT_TRUE(bad.Append(unknown).ok());
-  EXPECT_FALSE(IssuanceService::CreateWithHistory(&licenses, {}, bad).ok());
+  for (const int index : {9, 60}) {
+    LogStore bad;
+    LogRecord unknown;
+    unknown.issued_license_id = "H2";
+    unknown.set = LicenseSet::Singleton(index);
+    unknown.count = 1;
+    ASSERT_TRUE(bad.Append(unknown).ok());
+    EXPECT_FALSE(IssuanceService::CreateWithHistory(&licenses, {}, bad).ok())
+        << index;
+  }
+}
+
+// L1 [0,20] A=100, L2 [10,30] A=50, L3 [100,120] A=30 — two groups.
+LicenseCatalog SmallSet(const ConstraintSchema& schema) {
+  LicenseCatalog licenses(&schema);
+  EXPECT_TRUE(
+      licenses.Add(MakeRedistribution(schema, "LD1", {{0, 20}}, 100)).ok());
+  EXPECT_TRUE(
+      licenses.Add(MakeRedistribution(schema, "LD2", {{10, 30}}, 50)).ok());
+  EXPECT_TRUE(
+      licenses.Add(MakeRedistribution(schema, "LD3", {{100, 120}}, 30)).ok());
+  return licenses;
+}
+
+TEST(IssuanceServiceTest, DecisionsCarrySetAndLimitingEquation) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = SmallSet(schema);
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+
+  const Result<OnlineDecision> accepted =
+      (*service)->TryIssue(MakeUsage(schema, "LU1", {{2, 5}}, 40));
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_TRUE(accepted->instance_valid);
+  EXPECT_TRUE(accepted->aggregate_valid);
+  EXPECT_EQ(accepted->satisfying_set, testing::Mask(0b001));
+
+  // [25, 50] is not inside any license.
+  const Result<OnlineDecision> outside =
+      (*service)->TryIssue(MakeUsage(schema, "LU2", {{25, 50}}, 5));
+  ASSERT_TRUE(outside.ok());
+  EXPECT_FALSE(outside->instance_valid);
+  EXPECT_FALSE(outside->accepted());
+
+  // L3's budget is 30: a 31-count usage inside L3 is rejected on {L3}.
+  const Result<OnlineDecision> over =
+      (*service)->TryIssue(MakeUsage(schema, "LU3", {{105, 110}}, 31));
+  ASSERT_TRUE(over.ok());
+  EXPECT_TRUE(over->instance_valid);
+  EXPECT_FALSE(over->aggregate_valid);
+  EXPECT_EQ(over->limiting.set, testing::Mask(0b100));
+  EXPECT_EQ(over->limiting.lhs, 31);
+  EXPECT_EQ(over->limiting.rhs, 30);
+
+  // Only the acceptance is recorded.
+  const LogStore log = (*service)->CollectLog();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.records()[0].issued_license_id, "LU1");
+  const Result<ValidationTree> tree = (*service)->CollectTree();
+  ASSERT_TRUE(tree.ok());
+  EXPECT_EQ(tree->CountOf(testing::Mask(0b001)), 40);
+}
+
+TEST(IssuanceServiceTest, ExhaustsBudgetExactlyThenRejects) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = SmallSet(schema);
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+  // Three 10-count issues exhaust L3's 30.
+  for (int i = 0; i < 3; ++i) {
+    const Result<OnlineDecision> decision =
+        (*service)->TryIssue(MakeUsage(schema, "LU", {{101, 102}}, 10));
+    ASSERT_TRUE(decision.ok());
+    EXPECT_TRUE(decision->accepted()) << "issue " << i;
+  }
+  const Result<OnlineDecision> rejected =
+      (*service)->TryIssue(MakeUsage(schema, "LU", {{101, 102}}, 1));
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_FALSE(rejected->accepted());
+}
+
+TEST(IssuanceServiceTest, GroupingShrinksEquationCount) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = SmallSet(schema);
+  OnlineValidatorOptions ungrouped;
+  ungrouped.use_grouping = false;
+  Result<std::unique_ptr<IssuanceService>> grouped =
+      IssuanceService::Create(&licenses);
+  Result<std::unique_ptr<IssuanceService>> baseline =
+      IssuanceService::Create(&licenses, ungrouped);
+  ASSERT_TRUE(grouped.ok());
+  ASSERT_TRUE(baseline.ok());
+
+  const License usage = MakeUsage(schema, "LU", {{2, 5}}, 1);
+  const Result<OnlineDecision> grouped_decision = (*grouped)->TryIssue(usage);
+  const Result<OnlineDecision> baseline_decision =
+      (*baseline)->TryIssue(usage);
+  ASSERT_TRUE(grouped_decision.ok());
+  ASSERT_TRUE(baseline_decision.ok());
+  EXPECT_TRUE(grouped_decision->accepted());
+  EXPECT_TRUE(baseline_decision->accepted());
+  // S = {L1}, k = 1. Baseline checks 2^(3−1) = 4 equations; grouped only
+  // the group {L1, L2}: 2^(2−1) = 2.
+  EXPECT_EQ(baseline_decision->equations_checked, 4u);
+  EXPECT_EQ(grouped_decision->equations_checked, 2u);
+}
+
+TEST(IssuanceServiceTest, RejectsNonPositiveCount) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = SmallSet(schema);
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+  // LicenseBuilder refuses a zero count, so hand-construct the license.
+  const License usage("LU", "K", LicenseType::kUsage, Permission::kPlay,
+                      testing::Rect({{0, 1}}), 0);
+  EXPECT_EQ((*service)->TryIssue(usage).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*service)->TryIssueBatch({usage}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*service)->CollectLog().size(), 0u);
 }
 
 TEST(IssuanceServiceTest, ExternalMetricsSinkIsUsed) {
