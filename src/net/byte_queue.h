@@ -16,6 +16,10 @@ class ByteQueue {
  public:
   void Append(std::string_view bytes) { buffer_.append(bytes); }
 
+  // The queue's back end, for encoders that append to a std::string: bytes
+  // appended to it join the queue in order. Append only.
+  std::string* tail() { return &buffer_; }
+
   // The unconsumed bytes, in order. Valid until the next mutation.
   std::string_view data() const {
     return std::string_view(buffer_).substr(head_);

@@ -4,6 +4,7 @@
 #include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/ioctl.h>
@@ -27,6 +28,25 @@ constexpr uint64_t kWakeId = 1;
 // re-arm immediately, so a firehose client cannot starve its neighbours
 // or balloon one read ring inside a single loop turn.
 constexpr size_t kMaxReadPerWake = 64 * 1024;
+
+// How long the reactor keeps polling after a turn that read from a peer
+// fed by another CPU before it blocks in epoll_wait(-1). A request that
+// lands inside the window is picked up by a reactor that is still
+// running, not woken on another CPU; an idle server stops spinning after
+// one window. 200 µs is four send intervals of a 20k req/s client
+// (docs/WIRE.md has the sweep).
+constexpr std::chrono::microseconds kPollWindow{200};
+
+// True unless the kernel processed `fd`'s last incoming packets on the
+// calling thread's CPU. A peer fed from this CPU (over loopback: a client
+// running on it) can only send while the reactor is off the CPU, so
+// polling for it would only hold the CPU it needs.
+bool FedByAnotherCpu(int fd) {
+  int cpu = -1;
+  socklen_t len = sizeof(cpu);
+  return getsockopt(fd, SOL_SOCKET, SO_INCOMING_CPU, &cpu, &len) != 0 ||
+         cpu != sched_getcpu();
+}
 
 Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
@@ -189,6 +209,9 @@ void Server::IoLoop() {
   epoll_event events[64];
   bool accepting = true;
   uint64_t drain_deadline_ms = 0;
+  // End of the poll window the last turn that read from a peer fed by
+  // another CPU opened.
+  std::chrono::steady_clock::time_point poll_until;
   for (;;) {
     const bool draining = draining_.load(std::memory_order_acquire);
     if (draining) {
@@ -209,14 +232,29 @@ void Server::IoLoop() {
         break;
       }
     }
-    const int timeout_ms = draining ? 20 : -1;
-    const int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
+    int n = 0;
+    if (draining) {
+      n = epoll_wait(epoll_fd_, events, 64, 20);
+    } else if (std::chrono::steady_clock::now() < poll_until) {
+      n = epoll_wait(epoll_fd_, events, 64, 0);
+      if (n == 0) {
+        // An empty poll runs no turn body. The yield hands the CPU to
+        // whatever shares it; on a core the reactor has to itself it
+        // returns at once.
+        sched_yield();
+        continue;
+      }
+    } else {
+      stats_.reactor_sleeps.fetch_add(1, std::memory_order_relaxed);
+      n = epoll_wait(epoll_fd_, events, 64, -1);
+    }
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
       break;  // epoll itself failed; nothing recoverable remains.
     }
+    bool poll_next = false;
     for (int i = 0; i < n; ++i) {
       const uint64_t id = events[i].data.u64;
       const uint32_t mask = events[i].events;
@@ -241,6 +279,7 @@ void Server::IoLoop() {
         continue;
       }
       if ((mask & EPOLLIN) != 0) {
+        poll_next = poll_next || FedByAnotherCpu(conn->fd);
         HandleReadable(conn);  // Its output leaves in AdmitPending.
         read_this_turn_.push_back(id);
       } else if ((mask & EPOLLOUT) != 0) {
@@ -248,6 +287,9 @@ void Server::IoLoop() {
       }
     }
     AdmitPending();
+    if (poll_next) {
+      poll_until = std::chrono::steady_clock::now() + kPollWindow;
+    }
   }
   // Teardown: whatever is still connected gets a hard close (drain either
   // finished flushing or timed out on an unreading peer).
@@ -447,9 +489,7 @@ void Server::HandleFrame(Connection* conn, const Frame& frame) {
 
 void Server::SendFrame(Connection* conn, FrameKind kind, uint64_t request_id,
                        std::string_view payload) {
-  std::string encoded;
-  EncodeFrame(kind, request_id, payload, &encoded);
-  conn->write_buf.Append(encoded);
+  EncodeFrame(kind, request_id, payload, conn->write_buf.tail());
 }
 
 void Server::ProtocolError(Connection* conn, const std::string& message) {
@@ -634,9 +674,10 @@ void Server::AnswerIssue(const PendingRequest& request,
   result.catalog_epoch = decision->catalog_epoch;
   result.equations_checked =
       static_cast<uint64_t>(decision->equations_checked);
-  std::string payload;
-  EncodeIssueResult(result, &payload);
-  SendFrame(conn, FrameKind::kIssueResult, request.request_id, payload);
+  result_payload_.clear();
+  EncodeIssueResult(result, &result_payload_);
+  SendFrame(conn, FrameKind::kIssueResult, request.request_id,
+            result_payload_);
 }
 
 NetStats Server::Stats() const {
@@ -661,6 +702,8 @@ NetStats Server::Stats() const {
       stats_.queue_depth_peak.load(std::memory_order_relaxed);
   stats.bytes_read = stats_.bytes_read.load(std::memory_order_relaxed);
   stats.bytes_written = stats_.bytes_written.load(std::memory_order_relaxed);
+  stats.reactor_sleeps =
+      stats_.reactor_sleeps.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -681,6 +724,7 @@ ExpositionInput Server::Snap() const {
   input.net.queue_depth_peak = stats.queue_depth_peak;
   input.net.bytes_read = stats.bytes_read;
   input.net.bytes_written = stats.bytes_written;
+  input.net.reactor_sleeps = stats.reactor_sleeps;
   return input;
 }
 

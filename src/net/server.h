@@ -39,6 +39,18 @@ namespace geolic::net {
 //    non-blocking sends (MSG_NOSIGNAL, EINTR/EAGAIN and partial writes
 //    handled), EPOLLOUT re-armed for the rest.
 //
+// Between turns the reactor polls before it sleeps: after a turn that
+// read from a connection whose packets another CPU processed
+// (SO_INCOMING_CPU), it runs epoll_wait(…, 0) + sched_yield() until
+// events arrive or kPollWindow (200 µs, server.cc) has passed, and only
+// then blocks in epoll_wait(-1). A request on a busy connection so finds
+// the reactor running instead of paying a wake-up on another CPU. An
+// empty poll runs no turn body, and the yield lets whatever shares the
+// reactor's CPU run. A client on the reactor's own CPU can only send
+// while the reactor is off it, so its turns open no window. An idle
+// server sleeps one window after its last event (NetStats::reactor_sleeps
+// counts the sleeps).
+//
 // Accepted sockets set TCP_NODELAY: responses already leave as whole
 // frames coalesced per connection, so Nagle's algorithm would only hold
 // each send until the client's next ACK.
@@ -87,6 +99,10 @@ struct NetStats {
   uint64_t queue_depth_peak = 0;
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
+  // Turns that began with a blocking epoll_wait(-1): the previous turn
+  // opened no poll window, or it passed with no event. Drain's bounded
+  // waits are not counted.
+  uint64_t reactor_sleeps = 0;
 };
 
 class Server {
@@ -190,6 +206,7 @@ class Server {
   std::vector<uint64_t> read_this_turn_;
   std::vector<const License*> batch_licenses_;
   std::vector<OnlineDecision> batch_decisions_;
+  std::string result_payload_;  // AnswerIssue's reused payload buffer.
 
   struct AtomicStats {
     std::atomic<uint64_t> connections_opened{0};
@@ -204,6 +221,7 @@ class Server {
     std::atomic<uint64_t> queue_depth_peak{0};
     std::atomic<uint64_t> bytes_read{0};
     std::atomic<uint64_t> bytes_written{0};
+    std::atomic<uint64_t> reactor_sleeps{0};
   };
   AtomicStats stats_;
 };

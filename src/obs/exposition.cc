@@ -252,6 +252,11 @@ std::string RenderPrometheusText(const ExpositionInput& input) {
            std::to_string(net.bytes_read) + "\n";
     out += "geolic_net_bytes_total{" + svc + ",direction=\"written\"} " +
            std::to_string(net.bytes_written) + "\n";
+    AppendFamilyHeader("geolic_net_reactor_sleeps_total", "counter",
+                       "Reactor turns that began with a blocking wait.",
+                       &out);
+    out += "geolic_net_reactor_sleeps_total{" + svc + "} " +
+           std::to_string(net.reactor_sleeps) + "\n";
   }
 
   if (input.has_catalog) {
@@ -388,6 +393,7 @@ std::string RenderJson(const ExpositionInput& input) {
     json.KeyValue("read", net.bytes_read);
     json.KeyValue("written", net.bytes_written);
     json.EndObject();
+    json.KeyValue("reactor_sleeps", net.reactor_sleeps);
     json.EndObject();
   }
 

@@ -47,6 +47,7 @@ struct ExpositionInput {
     uint64_t queue_depth_peak = 0;  // Gauge: high-water mark.
     uint64_t bytes_read = 0;
     uint64_t bytes_written = 0;
+    uint64_t reactor_sleeps = 0;  // Reactor turns begun by blocking.
   } net;
 
   // Multi-tenant catalog counters (src/catalog/catalog_service.h).

@@ -348,6 +348,22 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
   // Not make_unique: the constructor is private.
   std::unique_ptr<IssuanceService> service(
       new IssuanceService(licenses, options, epoch0));
+  // Size each shard's log before filling it. The capacity is the power of
+  // two that appending one record at a time reaches, so later appends
+  // regrow the log at the same points as before.
+  std::vector<size_t> shard_records(epoch0->shards.size(), 0);
+  for (const LogRecord& record : history.records()) {
+    if (record.set.IsSubsetOf(epoch0->all_mask)) {  // Else rejected below.
+      size_t shard = 0;
+      (void)service->RouteSet(*epoch0, record.set, &shard);
+      ++shard_records[shard];
+    }
+  }
+  for (size_t shard = 0; shard < shard_records.size(); ++shard) {
+    if (shard_records[shard] > 0) {
+      epoch0->shards[shard]->log.Reserve(std::bit_ceil(shard_records[shard]));
+    }
+  }
   // Pre-load the history through the same routing the admission path uses
   // (records of already-validated issuances — they are not re-checked).
   for (const LogRecord& record : history.records()) {
@@ -1517,6 +1533,7 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
     final_catalog = owned.get();
   }
   LogStore combined_store;
+  combined_store.Reserve(combined.size());
   for (LogRecord& record : combined) {
     GEOLIC_RETURN_IF_ERROR(combined_store.Append(std::move(record)));
   }

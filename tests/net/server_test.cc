@@ -3,6 +3,8 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -304,6 +306,70 @@ TEST(ServerTest, AcceptedSocketsDisableNagle) {
   ASSERT_EQ(getsockopt(server_fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
             0);
   EXPECT_EQ(nodelay, 1);
+}
+
+// User + system CPU time of the whole process.
+std::chrono::microseconds ProcessCpuTime() {
+  rusage usage{};
+  GEOLIC_CHECK(getrusage(RUSAGE_SELF, &usage) == 0);
+  const auto micros = [](const timeval& tv) {
+    return std::chrono::seconds(tv.tv_sec) +
+           std::chrono::microseconds(tv.tv_usec);
+  };
+  return micros(usage.ru_utime) + micros(usage.ru_stime);
+}
+
+// Pins the calling thread to one CPU; threads it starts inherit the mask.
+void PinToCpu(size_t cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  GEOLIC_CHECK(sched_setaffinity(0, sizeof(set), &set) == 0);
+}
+
+// Restores the calling thread's CPU mask when it goes out of scope.
+struct ScopedAffinity {
+  ScopedAffinity() {
+    GEOLIC_CHECK(sched_getaffinity(0, sizeof(saved), &saved) == 0);
+  }
+  ~ScopedAffinity() { (void)sched_setaffinity(0, sizeof(saved), &saved); }
+  cpu_set_t saved;
+};
+
+TEST(ServerTest, IdleReactorSleepsAfterThePollWindow) {
+  // A poll window opens only for a client on another CPU: start the
+  // reactor on the first allowed CPU and run the client on the second.
+  // With one CPU allowed no window opens, and the test checks that the
+  // server still sleeps.
+  const ScopedAffinity restore;
+  std::vector<size_t> cpus;
+  for (size_t cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &restore.saved)) {
+      cpus.push_back(cpu);
+    }
+  }
+  if (cpus.size() == 2) {
+    PinToCpu(cpus[0]);
+  }
+  Fixture fx(5);
+  if (cpus.size() == 2) {
+    PinToCpu(cpus[1]);
+  }
+  TestClient client(fx.server->port());
+  client.SendMagic();
+  client.SendFrame(FrameKind::kPing, 1, {});
+  Frame frame;
+  ASSERT_TRUE(client.ReadFrame(&frame));
+
+  // The reactor polls for one short window after the round trip, then
+  // blocks: 200 ms of idleness must cost the process next to no CPU. A
+  // poll that never ends would burn the whole 200 ms.
+  const std::chrono::microseconds cpu_before = ProcessCpuTime();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::chrono::microseconds cpu_used = ProcessCpuTime() - cpu_before;
+  EXPECT_LT(cpu_used, std::chrono::milliseconds(20));
+  // One sleep before the first event, at least one after the last turn.
+  EXPECT_GE(fx.server->Stats().reactor_sleeps, 2u);
 }
 
 TEST(ServerTest, OneWritePastQueueCapacityShedsTheRestOfTheTurn) {

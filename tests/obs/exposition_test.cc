@@ -258,6 +258,7 @@ ExpositionInput HostileInput() {
   input.net.queue_depth_peak = 10;
   input.net.bytes_read = 11;
   input.net.bytes_written = 12;
+  input.net.reactor_sleeps = 13;
   return input;
 }
 
@@ -327,7 +328,11 @@ TEST(ExpositionTest, GoldenPrometheusTextHostileName) {
       "# HELP geolic_net_bytes_total Socket bytes by direction.\n"
       "# TYPE geolic_net_bytes_total counter\n"
       "geolic_net_bytes_total{" + svc + ",direction=\"read\"} 11\n"
-      "geolic_net_bytes_total{" + svc + ",direction=\"written\"} 12\n";
+      "geolic_net_bytes_total{" + svc + ",direction=\"written\"} 12\n"
+      "# HELP geolic_net_reactor_sleeps_total Reactor turns that began "
+      "with a blocking wait.\n"
+      "# TYPE geolic_net_reactor_sleeps_total counter\n"
+      "geolic_net_reactor_sleeps_total{" + svc + "} 13\n";
   EXPECT_EQ(RenderPrometheusText(HostileInput()), expected);
 }
 
@@ -346,7 +351,8 @@ TEST(ExpositionTest, GoldenJsonHostileName) {
       "\"protocol_errors\":6,"
       "\"batches\":{\"dispatched\":7,\"requests\":8},"
       "\"queue_depth\":9,\"queue_depth_peak\":10,"
-      "\"bytes\":{\"read\":11,\"written\":12}}}";
+      "\"bytes\":{\"read\":11,\"written\":12},"
+      "\"reactor_sleeps\":13}}";
   EXPECT_EQ(RenderJson(HostileInput()), expected);
 }
 
