@@ -35,12 +35,11 @@ int main() {
     return 1;
   }
 
-  // A quarter of validated trade. One lock shard for this single-threaded
-  // demo, so CollectLog lists the quarter in admission order.
-  OnlineValidatorOptions options;
-  options.shard_hint = 1;
+  // A quarter of validated trade. CollectLog lists it as the service
+  // keeps it: one record per distinct satisfying set with its total count,
+  // all that the settlement and the audit read.
   Result<std::unique_ptr<IssuanceService>> online =
-      IssuanceService::Create(workload->licenses.get(), options);
+      IssuanceService::Create(workload->licenses.get());
   if (!online.ok()) {
     return 1;
   }

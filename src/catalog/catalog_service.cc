@@ -15,6 +15,9 @@ namespace {
 
 // Approximate residency cost of a materialized tenant. Deliberately
 // coarse: the budget bounds the cache, it does not meter the allocator.
+// kRecordBytes is charged per distinct accepted set at a load, and per
+// acceptance in a group above the dense cap, whose tree may grow; a dense
+// group's state is its fixed tables, charged as table_bytes.
 constexpr size_t kTenantBaseBytes = 16 * 1024;
 constexpr size_t kLicenseBytes = 1024;
 constexpr size_t kRecordBytes = 128;
@@ -32,6 +35,16 @@ uint64_t MixId(uint64_t id) {
 
 size_t ApproxTenantBytes(size_t licenses, size_t records) {
   return kTenantBaseBytes + licenses * kLicenseBytes + records * kRecordBytes;
+}
+
+// Whether an acceptance with satisfying set `set` lands in a group above
+// the dense cap (or, without grouping, a catalog above it).
+bool AboveDenseCap(const IssuanceService& service, const LicenseSet& set) {
+  const LicenseGrouping& grouping = service.grouping();
+  const int scope = service.options().use_grouping
+                        ? grouping.GroupSize(grouping.GroupOf(set.Lowest()))
+                        : service.licenses().size();
+  return scope > kMaxDenseGroupSize;
 }
 
 std::string TenantLabel(uint64_t tenant_id) {
@@ -543,7 +556,8 @@ Result<OnlineDecision> CatalogService::TryIssue(uint64_t tenant_id,
     GEOLIC_ASSIGN_OR_RETURN(OnlineDecision decision,
                             tenant->service->TryIssue(usage));
     decision.catalog_epoch += tenant->epoch_base;
-    if (decision.accepted()) {
+    if (decision.accepted() &&
+        AboveDenseCap(*tenant->service, decision.satisfying_set)) {
       tenant->approx_bytes += kRecordBytes;
       ShardFor(tenant_id).resident_bytes.fetch_add(kRecordBytes,
                                                    std::memory_order_relaxed);

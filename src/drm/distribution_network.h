@@ -95,8 +95,8 @@ class DistributionNetwork {
   // Redistribution licenses received by a distributor: its service's
   // catalog, valid until the distributor's next grant or rogue issue.
   const LicenseCatalog& ReceivedLicenses(int party_id) const;
-  // Snapshot of a distributor's issuance log (empty before its first
-  // grant).
+  // Snapshot of a distributor's issuance log, compacted to one record per
+  // distinct set (empty before its first grant).
   LogStore IssuanceLog(int party_id) const;
 
   // Offline audit of one distributor using the paper's grouped validation.

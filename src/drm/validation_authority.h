@@ -56,7 +56,8 @@ class ValidationAuthority {
     // Set iff the audit was clean: the per-license billing of the period.
     bool settled = false;
     SettlementAssignment settlement;
-    // The period's log, archived out of the live service.
+    // The period's log, archived out of the live service in compacted form
+    // (IssuanceService::CollectLog: C[S] per distinct set).
     LogStore archived_log;
   };
 
@@ -91,9 +92,9 @@ class ValidationAuthority {
   // current catalog, valid until the domain's next registration, period
   // close or restore.
   Result<const LicenseCatalog*> LicensesFor(const ContentKey& key) const;
-  // Snapshot of the domain's accumulated issuance log (by value: the live
-  // log is sharded inside the service, so there is no single object to
-  // point at). Safe while other threads issue.
+  // Snapshot of the domain's accumulated issuance log, compacted to one
+  // record per distinct set (IssuanceService::CollectLog). Safe while
+  // other threads issue.
   Result<LogStore> LogFor(const ContentKey& key) const;
   // The domain's live issuance service (metrics, batch admission).
   Result<const IssuanceService*> ServiceFor(const ContentKey& key) const;

@@ -326,8 +326,9 @@ void Server::AcceptReady() {
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
+    conn->interest = EPOLLIN;
     epoll_event event{};
-    event.events = EPOLLIN;
+    event.events = conn->interest;
     event.data.u64 = conn->id;
     if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) < 0) {
       close(fd);
@@ -353,6 +354,12 @@ void Server::HandleReadable(Connection* conn) {
       stats_.bytes_read.fetch_add(static_cast<uint64_t>(n),
                                   std::memory_order_relaxed);
       read_this_wake += static_cast<size_t>(n);
+      if (static_cast<size_t>(n) < sizeof(buf)) {
+        // A short read drained the socket for now; what arrives later
+        // (or the peer's EOF) makes level-triggered epoll report the
+        // connection again, so no recv needs to come back EAGAIN.
+        break;
+      }
       continue;
     }
     if (n == 0) {
@@ -561,16 +568,22 @@ void Server::FlushWrites(Connection* conn) {
 }
 
 void Server::UpdateInterest(Connection* conn) {
-  epoll_event event{};
-  event.events = 0;
+  uint32_t interest = 0;
   if (!conn->paused && !conn->closing) {
-    event.events |= EPOLLIN;
+    interest |= EPOLLIN;
   }
   if (conn->want_write) {
-    event.events |= EPOLLOUT;
+    interest |= EPOLLOUT;
   }
+  if (interest == conn->interest) {
+    return;  // Most turns: EPOLLIN before, EPOLLIN after, no syscall.
+  }
+  epoll_event event{};
+  event.events = interest;
   event.data.u64 = conn->id;
-  (void)epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &event);
+  if (epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &event) == 0) {
+    conn->interest = interest;
+  }
 }
 
 void Server::CloseConnection(uint64_t conn_id) {

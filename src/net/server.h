@@ -144,7 +144,8 @@ class Server {
     bool saw_magic = false;
     bool closing = false;  // Flush the write buffer, then close.
     bool paused = false;   // EPOLLIN parked for backpressure.
-    bool want_write = false;  // EPOLLOUT armed.
+    bool want_write = false;  // EPOLLOUT wanted.
+    uint32_t interest = 0;    // Events registered with epoll.
     ByteQueue read_buf;
     ByteQueue write_buf;
   };

@@ -65,9 +65,25 @@ class RequestTimer {
 constexpr uint64_t kCheckpointV3Sentinel = ~uint64_t{0};
 constexpr uint32_t kCheckpointV3Version = 3;
 
-// Markers in reconfiguration bookkeeping: no shard yet, and more than one.
-constexpr size_t kNoShard = SIZE_MAX;
-constexpr size_t kShared = SIZE_MAX - 1;
+// Compacted records of `sets` (one per distinct set, ids empty), in
+// ascending set order: CollectLog's and the checkpoint's record table.
+LogStore SortedLog(std::vector<std::pair<LicenseSet, int64_t>> sets) {
+  std::sort(sets.begin(), sets.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  LogStore log;
+  log.Reserve(sets.size());
+  for (auto& [set, count] : sets) {
+    LogRecord record;
+    record.set = std::move(set);
+    record.count = count;
+    // Append only fails on empty sets / nonpositive counts, which the
+    // admission path already rejected.
+    const Status appended = log.Append(std::move(record));
+    GEOLIC_DCHECK(appended.ok());
+    (void)appended;
+  }
+  return log;
+}
 
 // Upper end of an ordered constraint range (for a multi-interval: the last
 // piece's hi — pieces are kept sorted and disjoint).
@@ -113,8 +129,8 @@ struct IndexRemap {
   // Carries `set` into the next epoch's index space: false (drop it) when
   // it touches a removed license — usage granted under a revoked right is
   // revoked with it — otherwise renumbered densely (paper Algorithm 5).
-  // The one remap both the equation-state carry-over (distinct sets) and
-  // every log rewrite (records) go through.
+  // The one remap the live carry-over (distinct sets) and recovery's
+  // journal replay (records) both go through.
   bool Apply(LicenseSet* set) const {
     if (set->Intersects(removed)) {
       return false;
@@ -266,7 +282,7 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
   size_t table_entries = 0;
   for (const EquationScope& scope : epoch->scopes) {
     if (scope.size <= kMaxDenseGroupSize) {
-      table_entries += 2 * scope.entries();  // A and C.
+      table_entries += 3 * scope.entries();  // A, C[S] and C⟨T⟩.
     }
   }
   epoch->dense_tables = std::make_unique<int64_t[]>(table_entries);
@@ -287,8 +303,9 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
                                  static_cast<size_t>(scope.size)),
         std::span<int64_t>(next_table, entries));
     scope.aggregates = next_table;
-    scope.sums = next_table + entries;  // C = 0 until records arrive.
-    next_table += 2 * entries;
+    scope.counts = next_table + entries;  // C = 0 until records arrive.
+    scope.sums = next_table + 2 * entries;
+    next_table += 3 * entries;
   }
   return epoch;
 }
@@ -319,6 +336,7 @@ void IssuanceService::FinishEpochTables(const CatalogEpoch& epoch,
   for (size_t g = 0; g < epoch.scopes.size(); ++g) {
     const EquationScope& scope = epoch.scopes[g];
     if (scope.dense() && (g >= finished.size() || !finished[g])) {
+      std::copy(scope.counts, scope.counts + scope.entries(), scope.sums);
       ZetaTransform(std::span<int64_t>(scope.sums, scope.entries()));
     }
   }
@@ -348,43 +366,27 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
   // Not make_unique: the constructor is private.
   std::unique_ptr<IssuanceService> service(
       new IssuanceService(licenses, options, epoch0));
-  // Size each shard's log before filling it. The capacity is the power of
-  // two that appending one record at a time reaches, so later appends
-  // regrow the log at the same points as before.
-  std::vector<size_t> shard_records(epoch0->shards.size(), 0);
-  for (const LogRecord& record : history.records()) {
-    if (record.set.IsSubsetOf(epoch0->all_mask)) {  // Else rejected below.
-      size_t shard = 0;
-      (void)service->RouteSet(*epoch0, record.set, &shard);
-      ++shard_records[shard];
-    }
-  }
-  for (size_t shard = 0; shard < shard_records.size(); ++shard) {
-    if (shard_records[shard] > 0) {
-      epoch0->shards[shard]->log.Reserve(std::bit_ceil(shard_records[shard]));
-    }
-  }
   // Pre-load the history through the same routing the admission path uses
   // (records of already-validated issuances — they are not re-checked).
   for (const LogRecord& record : history.records()) {
-    size_t shard = 0;
-    GEOLIC_RETURN_IF_ERROR(service->ApplySetToEpoch(epoch0.get(), record.set,
-                                                    record.count, &shard));
-    GEOLIC_RETURN_IF_ERROR(epoch0->shards[shard]->log.Append(record));
-    service->issue_sequence_.fetch_add(1, std::memory_order_relaxed);
+    GEOLIC_RETURN_IF_ERROR(
+        service->ApplySetToEpoch(epoch0.get(), record.set, record.count));
   }
+  service->issue_sequence_.store(static_cast<int64_t>(history.size()),
+                                 std::memory_order_relaxed);
   FinishEpochTables(*epoch0);
   return service;
 }
 
 Status IssuanceService::ApplySetToEpoch(CatalogEpoch* epoch,
-                                        const LicenseSet& set, int64_t count,
-                                        size_t* shard) const {
+                                        const LicenseSet& set,
+                                        int64_t count) const {
   if (!set.IsSubsetOf(epoch->all_mask)) {
     return Status::InvalidArgument(
         "history record references unknown license indexes");
   }
-  const EquationScope& scope = RouteSet(*epoch, set, shard);
+  size_t shard = 0;
+  const EquationScope& scope = RouteSet(*epoch, set, &shard);
   if (!set.IsSubsetOf(scope.mask)) {
     // Satisfying sets always lie within one overlap group (every member
     // contains the issued rectangle, so they pairwise overlap); a record
@@ -392,11 +394,11 @@ Status IssuanceService::ApplySetToEpoch(CatalogEpoch* epoch,
     return Status::InvalidArgument("history record spans overlap groups");
   }
   if (scope.dense()) {
-    // The exact histogram C[S]; FinishEpochTables makes it C⟨T⟩.
-    scope.sums[epoch->LocalMask(scope, set)] += count;
+    // C[S]; FinishEpochTables derives C⟨T⟩ from it.
+    scope.counts[epoch->LocalMask(scope, set)] += count;
     return Status::Ok();
   }
-  return epoch->shards[*shard]->tree.Insert(set, count);
+  return epoch->shards[shard]->tree.Insert(set, count);
 }
 
 const IssuanceService::EquationScope& IssuanceService::RouteSet(
@@ -469,28 +471,31 @@ Status IssuanceService::AdmitLocked(const CatalogEpoch& epoch, Shard* shard,
 
   // Accepted. Write-ahead order: the framed record reaches the journal
   // before any in-memory state changes, so a crash can never leave the
-  // tree/log knowing an issuance the journal does not. A journal failure
-  // rejects the admission with all state unchanged.
-  LogRecord record;
-  record.issued_license_id =
-      issued.id().empty()
-          ? "LU" + std::to_string(
-                issue_sequence_.fetch_add(1, std::memory_order_relaxed) + 1)
-          : issued.id();
-  record.set = s;
-  record.count = count;
+  // equation state knowing an issuance the journal does not. A journal
+  // failure rejects the admission with all state unchanged. The journal
+  // is the only per-record history: without one, no record is built.
   if (has_journal_.load(std::memory_order_acquire)) {
     ScopedStageTimer stage(trace, TraceStage::kJournalAppend);
+    LogRecord record;
+    record.issued_license_id =
+        issued.id().empty()
+            ? "LU" + std::to_string(issue_sequence_.fetch_add(
+                         1, std::memory_order_relaxed) +
+                     1)
+            : issued.id();
+    record.set = s;
+    record.count = count;
     std::lock_guard<std::mutex> lock(journal_mutex_);
     GEOLIC_RETURN_IF_ERROR(journal_->Append(journal_seq_ + 1, record));
     ++journal_seq_;
   }
   if (scope.dense()) {
     AddToSupersets(scope.sums, local, scope.full_local(), count);
+    scope.counts[local] += count;
   } else {
     GEOLIC_RETURN_IF_ERROR(shard->tree.Insert(s, count));
   }
-  GEOLIC_RETURN_IF_ERROR(shard->log.Append(std::move(record)));
+  ++shard->accepted;
   return Status::Ok();
 }
 
@@ -779,69 +784,27 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   // Phase 2: carry each shard's equation state over from its distinct
   // accepted sets — the compacted state the paper's dynamic steps work on
   // (Algorithm 4 re-divides it into the new overlap groups, Algorithm 5
-  // renumbers it) — so the cost follows the distinct sets and table sizes,
-  // not the log length. Under the shard's lock (one at a time: issuance on
-  // the other shards never stalls) a dense scope's C⟨T⟩ table is copied
-  // and the above-cap tree read; off the lock the tables are Möbius-
-  // inverted back to C[S] and every surviving set is renumbered and
-  // routed into the next epoch's histograms and trees. A dense group
-  // whose members the reconfiguration leaves as they are (renumbered or
-  // not: local positions keep index order) instead has its table copied
-  // verbatim into its successor, with no inversion and no zeta pass. A
-  // shard with a short history reads its other groups' sets from the log
-  // records instead of inverting their tables. Admissions that land after
-  // a shard's snapshot are caught up in phase 3.
-  //
-  // A shard's log moves into the next epoch whole (an O(1) std::move, in
-  // phase 3) when the reconfiguration leaves its records as they are: no
-  // set dropped or renumbered, and every set routed to one new shard that
-  // no other shard's sets reach. Otherwise its records are rewritten
-  // through the same remap into `staged`, the new shards' logs, still
-  // under its own lock only.
-  struct ShardCarry {
-    size_t snapshotted = 0;    // Log records the snapshot covers.
-    size_t target = kNoShard;  // The new shard its sets route to.
-    bool moves = true;
+  // renumbers it) — so the cost follows the distinct sets and table sizes.
+  // Under the shard's lock (one at a time: issuance on the other shards
+  // never stalls) each dense scope's C[S] table is copied into `snapshot`
+  // and the above-cap tree's sets into the shard's `tree_sets`; off the
+  // lock every surviving set is renumbered and routed into the next
+  // epoch's C[S] tables and trees. A dense group whose members the
+  // reconfiguration leaves as they are (renumbered or not: local positions
+  // keep index order) instead has its C[S] and C⟨T⟩ tables copied verbatim
+  // into its successor, whose C[S] copy then serves as the snapshot.
+  // Admissions that land after a shard's snapshot are caught up in phase
+  // 3.
+  struct ShardSnapshot {
+    uint64_t accepted = 0;  // Shard::accepted at the snapshot.
+    std::vector<std::pair<LicenseSet, int64_t>> tree_sets;  // Preorder.
   };
   const size_t old_shards = cur->shards.size();
-  std::vector<ShardCarry> carries(old_shards);
-  // Per new shard: the one current shard whose sets reach it, kShared
-  // once a second one's do.
-  std::vector<size_t> source(next->shards.size(), kNoShard);
-  std::vector<LogStore> staged(next->shards.size());
-  // Appends records [begin, end) of `log`, carried over, to the staged log
-  // of the new shard each routes to (their sets already passed
-  // ApplySetToEpoch's checks).
-  const auto stage = [&](const LogStore& log, size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      LogRecord record = log.at(r);
-      if (!remap.Apply(&record.set)) {
-        continue;
-      }
-      size_t shard = 0;
-      (void)RouteSet(*next, record.set, &shard);
-      GEOLIC_RETURN_IF_ERROR(staged[shard].Append(std::move(record)));
-    }
-    return Status::Ok();
-  };
-  // Records that shard `s`'s sets, renumbered or not (`changed`), route
-  // to new shard `target`.
-  const auto route = [&](size_t s, bool changed, size_t target) {
-    ShardCarry& carry = carries[s];
-    if (changed || (carry.target != kNoShard && carry.target != target)) {
-      carry.moves = false;
-    }
-    carry.target = target;
-    if (source[target] == kNoShard) {
-      source[target] = s;
-    } else if (source[target] != s) {
-      source[target] = kShared;
-    }
-  };
+  std::vector<ShardSnapshot> snapshots(old_shards);
   // Per current scope: the next epoch's scope with the same members when
-  // both are dense (its table is then copied verbatim), else null.
+  // both are dense (its tables are then copied verbatim), else null.
   std::vector<const EquationScope*> copy_to(cur->scopes.size(), nullptr);
-  // Per next scope: whether its table already holds C⟨T⟩ (a copy).
+  // Per next scope: whether its tables are a copy (C⟨T⟩ included).
   std::vector<bool> copied(next->scopes.size(), false);
   for (size_t g = 0; g < cur->scopes.size(); ++g) {
     LicenseSet members = cur->scopes[g].mask;
@@ -856,109 +819,68 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
       copied[static_cast<size_t>(&to - next->scopes.data())] = true;
     }
   }
-  // The copy target of current scope `scope`, or null.
-  const auto copy_target = [&](const EquationScope& scope) {
-    return copy_to[static_cast<size_t>(&scope - cur->scopes.data())];
-  };
-  std::vector<int64_t> tables;
-  std::vector<std::pair<LicenseSet, int64_t>> sets;
-  for (size_t s = 0; s < old_shards; ++s) {
-    Shard* shard = cur->shards[s].get();
-    tables.clear();
-    sets.clear();
-    bool from_log = false;
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      carries[s].snapshotted = shard->log.size();
-      size_t entries = 0;
-      for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
-        const EquationScope& scope = cur->scopes[g];
-        if (copy_to[g] != nullptr) {
-          std::copy(scope.sums, scope.sums + scope.entries(),
-                    copy_to[g]->sums);
-        } else if (scope.dense()) {
-          entries += scope.entries();
-        }
-      }
-      // A record (a route and a point-add) costs several times what one
-      // table entry's inversion and scan do: below an eighth as many
-      // records as entries, the log is the cheaper read.
-      from_log = shard->log.size() * 8 < entries;
-      if (from_log) {
-        for (const LogRecord& record : shard->log.records()) {
-          size_t unused = 0;
-          if (copy_target(RouteSet(*cur, record.set, &unused)) == nullptr) {
-            sets.emplace_back(record.set, record.count);
-          }
-        }
-      } else {
-        for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
-          const EquationScope& scope = cur->scopes[g];
-          if (copy_to[g] == nullptr && scope.dense()) {
-            tables.insert(tables.end(), scope.sums,
-                          scope.sums + scope.entries());
-          }
-        }
-        shard->tree.ForEachSet(
-            [&sets](const LicenseSet& set, int64_t count) {
-              sets.emplace_back(set, count);
-            });
-      }
-    }
-    int64_t* table = tables.data();
-    for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
-      const EquationScope& scope = cur->scopes[g];
-      if (const EquationScope* to = copy_to[g]; to != nullptr) {
-        // C⟨full⟩ counts every record; those that avoid the members whose
-        // index changes are C⟨full minus them⟩.
-        uint32_t renumbered = 0;
-        for (int p = 0; p < scope.size; ++p) {
-          if (cur->Member(scope, p) != next->Member(*to, p)) {
-            renumbered |= uint32_t{1} << p;
-          }
-        }
-        const uint32_t full = scope.full_local();
-        if (to->sums[full] != 0) {
-          size_t target = 0;
-          (void)RouteSet(*next, to->mask, &target);
-          route(s, to->sums[full] != to->sums[full & ~renumbered], target);
-        }
-        continue;
-      }
-      if (from_log || !scope.dense()) {
-        continue;
-      }
-      MobiusTransform(std::span<int64_t>(table, scope.entries()));
-      for (uint32_t local = 1; local <= scope.full_local(); ++local) {
-        if (table[local] != 0) {
-          sets.emplace_back(cur->WithLocal(scope, LicenseSet(), local),
-                            table[local]);
-        }
-      }
-      table += scope.entries();
-    }
-    for (const auto& [set, count] : sets) {
-      LicenseSet carried = set;
-      if (!remap.Apply(&carried)) {
-        carries[s].moves = false;
-        continue;
-      }
-      size_t target = 0;
-      GEOLIC_RETURN_IF_ERROR(
-          ApplySetToEpoch(next.get(), carried, count, &target));
-      route(s, carried != set, target);
+  // Every other dense scope's C[S] as the snapshot saw it, one table
+  // after another.
+  std::vector<size_t> snapshot_at(cur->scopes.size(), 0);
+  size_t snapshot_entries = 0;
+  for (size_t g = 0; g < cur->scopes.size(); ++g) {
+    if (cur->scopes[g].dense() && copy_to[g] == nullptr) {
+      snapshot_at[g] = snapshot_entries;
+      snapshot_entries += cur->scopes[g].entries();
     }
   }
-  for (size_t s = 0; s < old_shards; ++s) {
-    ShardCarry& carry = carries[s];
-    if (carry.moves && carry.target != kNoShard &&
-        source[carry.target] == s) {
-      continue;
+  std::vector<int64_t> snapshot(snapshot_entries);
+  const auto snapshot_of = [&](size_t g) {
+    return copy_to[g] != nullptr ? copy_to[g]->counts
+                                 : snapshot.data() + snapshot_at[g];
+  };
+  // Carries `count` more issuances of current-epoch set `set` into the
+  // next epoch, unless the reconfiguration drops the set.
+  const auto carry = [&](const LicenseSet& set, int64_t count) {
+    LicenseSet carried = set;
+    if (!remap.Apply(&carried)) {
+      return Status::Ok();
     }
-    carry.moves = false;
+    return ApplySetToEpoch(next.get(), carried, count);
+  };
+  for (size_t s = 0; s < old_shards; ++s) {
     Shard* shard = cur->shards[s].get();
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    GEOLIC_RETURN_IF_ERROR(stage(shard->log, 0, carry.snapshotted));
+    {
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      snapshots[s].accepted = shard->accepted;
+      for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
+        const EquationScope& scope = cur->scopes[g];
+        if (const EquationScope* to = copy_to[g]; to != nullptr) {
+          std::copy(scope.sums, scope.sums + scope.entries(), to->sums);
+        }
+        if (scope.dense()) {
+          std::copy(scope.counts, scope.counts + scope.entries(),
+                    snapshot_of(g));
+        }
+      }
+      shard->tree.ForEachSet(
+          [&tree_sets = snapshots[s].tree_sets](const LicenseSet& set,
+                                                int64_t count) {
+            tree_sets.emplace_back(set, count);
+          });
+    }
+    for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
+      const EquationScope& scope = cur->scopes[g];
+      if (!scope.dense() || copy_to[g] != nullptr) {
+        continue;
+      }
+      const int64_t* counts = snapshot_of(g);
+      for (uint32_t local = 1; local <= scope.full_local(); ++local) {
+        if (counts[local] != 0) {
+          GEOLIC_RETURN_IF_ERROR(
+              carry(cur->WithLocal(scope, LicenseSet(), local),
+                    counts[local]));
+        }
+      }
+    }
+    for (const auto& [set, count] : snapshots[s].tree_sets) {
+      GEOLIC_RETURN_IF_ERROR(carry(set, count));
+    }
   }
 
   // Admissions may land between the snapshot and the catch-up; the
@@ -968,40 +890,54 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   // Phase 3: catch-up, journal, publish — under every current shard lock
   // (index order) and then the journal lock, the same order the admission
   // path uses, so no admission is in flight half-applied while we cut
-  // over and none can start against the old epoch after we publish.
+  // over and none can start against the old epoch after we publish. The
+  // catch-up carries what each shard's state gained since its snapshot:
+  // the difference of every C[S] entry and tree set against the snapshot.
   const std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(*cur);
   for (size_t s = 0; s < old_shards; ++s) {
-    ShardCarry& carry = carries[s];
-    const LogStore& log = cur->shards[s]->log;
-    for (size_t r = carry.snapshotted; r < log.size(); ++r) {
-      const LogRecord& record = log.at(r);
-      LicenseSet carried = record.set;
-      const bool kept = remap.Apply(&carried);
-      size_t target = carry.target;
-      size_t current = 0;
-      const EquationScope& scope = RouteSet(*cur, record.set, &current);
-      if (const EquationScope* to = copy_target(scope); to != nullptr) {
-        // A copied table is already C⟨T⟩: add along the supersets, at the
-        // same local positions.
-        AddToSupersets(to->sums, cur->LocalMask(scope, record.set),
-                       to->full_local(), record.count);
-        (void)RouteSet(*next, to->mask, &target);
-      } else if (kept) {
-        GEOLIC_RETURN_IF_ERROR(
-            ApplySetToEpoch(next.get(), carried, record.count, &target));
+    const Shard& shard = *cur->shards[s];
+    if (shard.accepted == snapshots[s].accepted) {
+      continue;  // No admission since the snapshot.
+    }
+    for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
+      const EquationScope& scope = cur->scopes[g];
+      if (!scope.dense()) {
+        continue;
       }
-      if (carry.moves &&
-          (!kept || carried != record.set || target != carry.target)) {
-        // An admission after the snapshot changes under this
-        // reconfiguration: the log is rewritten after all.
-        carry.moves = false;
-        GEOLIC_RETURN_IF_ERROR(stage(log, 0, r));
-      }
-      if (!carry.moves) {
-        GEOLIC_RETURN_IF_ERROR(stage(log, r, r + 1));
+      const EquationScope* to = copy_to[g];
+      int64_t* before = snapshot_of(g);
+      for (uint32_t local = 1; local <= scope.full_local(); ++local) {
+        const int64_t added = scope.counts[local] - before[local];
+        if (added == 0) {
+          continue;
+        }
+        if (to != nullptr) {
+          // A copied table is already C⟨T⟩: add along the supersets, at
+          // the same local positions.
+          before[local] += added;
+          AddToSupersets(to->sums, local, to->full_local(), added);
+        } else {
+          GEOLIC_RETURN_IF_ERROR(
+              carry(cur->WithLocal(scope, LicenseSet(), local), added));
+        }
       }
     }
+    // Both walks are in preorder and the tree only grew, so the snapshot's
+    // sets come up in the same order.
+    const std::vector<std::pair<LicenseSet, int64_t>>& tree_before =
+        snapshots[s].tree_sets;
+    size_t at = 0;
+    Status carried = Status::Ok();
+    shard.tree.ForEachSet([&](const LicenseSet& set, int64_t count) {
+      if (at < tree_before.size() && tree_before[at].first == set) {
+        count -= tree_before[at++].second;
+      }
+      if (count != 0 && carried.ok()) {
+        carried = carry(set, count);
+      }
+    });
+    GEOLIC_RETURN_IF_ERROR(carried);
   }
   FinishEpochTables(*next, copied);
   if (has_journal_.load(std::memory_order_acquire)) {
@@ -1021,23 +957,6 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
           journal_seq_ + 1, plan.revoke_index, plan.revoke_id));
     }
     ++journal_seq_;
-  }
-  // Nothing can fail from here on, so the current epoch's logs may now
-  // move out: readers of a retired epoch re-pin before reading
-  // (ReadShardLogs, PinLocked).
-  for (size_t t = 0; t < next->shards.size(); ++t) {
-    LogStore& log = next->shards[t]->log;
-    const size_t from = source[t];
-    if (from >= old_shards || !carries[from].moves) {
-      log = std::move(staged[t]);
-      continue;
-    }
-    log = std::move(cur->shards[from]->log);
-    for (const LogRecord& record : staged[t].records()) {
-      const Status appended = log.Append(record);  // Already validated.
-      GEOLIC_DCHECK(appended.ok());
-      (void)appended;
-    }
   }
   // Publish, then retire — in this order: a reader that finds its pinned
   // epoch retired is guaranteed to observe the new state on re-pin. The
@@ -1160,74 +1079,50 @@ IssuanceService::PinLocked(
       return epoch;
     }
     // A reconfiguration retired the pinned epoch before we got its locks:
-    // its logs may already have moved into the published epoch.
+    // the journal already holds its successor's reconfiguration frame.
     locks->clear();
   }
 }
 
-Status IssuanceService::ReadShardLogs(
-    const std::function<void()>& restart,
-    const std::function<Status(LogStore*)>& read) const {
-  for (;;) {
-    const std::shared_ptr<const CatalogEpoch> epoch = Pin();
-    bool retired = false;
-    // No simulation yield in here: the harness reconciles its model from
-    // CollectLog and needs the read to be one step of its schedule.
-    for (const std::unique_ptr<Shard>& shard : epoch->shards) {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      // Retirement is set under every shard lock, after the logs moved:
-      // unretired here, this shard's log is the pinned epoch's.
-      if (epoch->retired.load(std::memory_order_acquire)) {
-        retired = true;
-        break;
+void IssuanceService::ForEachShardSet(
+    const CatalogEpoch& epoch, size_t shard,
+    const std::function<void(const LicenseSet&, int64_t)>& read) {
+  for (size_t g = shard; g < epoch.scopes.size(); g += epoch.shards.size()) {
+    const EquationScope& scope = epoch.scopes[g];
+    if (!scope.dense()) {
+      continue;
+    }
+    for (uint32_t local = 1; local <= scope.full_local(); ++local) {
+      if (scope.counts[local] != 0) {
+        read(epoch.WithLocal(scope, LicenseSet(), local),
+             scope.counts[local]);
       }
-      GEOLIC_RETURN_IF_ERROR(read(&shard->log));
     }
-    if (!retired) {
-      return Status::Ok();
-    }
-    restart();
+  }
+  epoch.shards[shard]->tree.ForEachSet(read);
+}
+
+void IssuanceService::ReadShardState(
+    const std::function<void(const LicenseSet&, int64_t)>& read) const {
+  // No simulation yield in here: the harness reconciles its model from
+  // CollectLog and needs the read to be one step of its schedule.
+  const std::shared_ptr<const CatalogEpoch> epoch = Pin();
+  for (size_t s = 0; s < epoch->shards.size(); ++s) {
+    std::lock_guard<std::mutex> lock(epoch->shards[s]->mutex);
+    ForEachShardSet(*epoch, s, read);
   }
 }
 
-void IssuanceService::ReserveLogCapacity(size_t records_per_shard) {
-  const Status reserved = ReadShardLogs([] {}, [&](LogStore* log) {
-    log->Reserve(records_per_shard);
-    return Status::Ok();
-  });
-  GEOLIC_DCHECK(reserved.ok());
-  (void)reserved;
-}
-
 LogStore IssuanceService::CollectLog() const {
-  LogStore merged;
-  // Append only fails on empty sets / nonpositive counts, which the
-  // admission path already rejected.
-  const Status collected = ReadShardLogs(
-      [&merged] { merged = LogStore(); },
-      [&merged](LogStore* log) {
-        for (const LogRecord& record : log->records()) {
-          GEOLIC_RETURN_IF_ERROR(merged.Append(record));
-        }
-        return Status::Ok();
-      });
-  GEOLIC_DCHECK(collected.ok());
-  (void)collected;
-  return merged;
+  std::vector<std::pair<LicenseSet, int64_t>> sets;
+  ReadShardState([&sets](const LicenseSet& set, int64_t count) {
+    sets.emplace_back(set, count);
+  });
+  return SortedLog(std::move(sets));
 }
 
 Result<ValidationTree> IssuanceService::CollectTree() const {
-  ValidationTree merged;
-  const Status collected = ReadShardLogs(
-      [&merged] { merged = ValidationTree(); },
-      [&merged](LogStore* log) {
-        for (const LogRecord& record : log->records()) {
-          GEOLIC_RETURN_IF_ERROR(merged.Insert(record.set, record.count));
-        }
-        return Status::Ok();
-      });
-  GEOLIC_RETURN_IF_ERROR(collected);
-  return merged;
+  return ValidationTree::BuildFromLog(CollectLog());
 }
 
 Result<FlatValidationTree> IssuanceService::CollectFlatTree() const {
@@ -1299,17 +1194,18 @@ Status IssuanceService::WriteCheckpoint(const std::string& path) const {
   const std::shared_ptr<const CatalogEpoch> epoch = PinLocked(&shard_locks);
   std::lock_guard<std::mutex> journal_lock(journal_mutex_);
 
-  LogStore merged;
-  for (const std::unique_ptr<Shard>& shard : epoch->shards) {
-    for (const LogRecord& record : shard->log.records()) {
-      GEOLIC_RETURN_IF_ERROR(merged.Append(record));
-    }
+  std::vector<std::pair<LicenseSet, int64_t>> sets;
+  for (size_t s = 0; s < epoch->shards.size(); ++s) {
+    ForEachShardSet(*epoch, s, [&sets](const LicenseSet& set, int64_t count) {
+      sets.emplace_back(set, count);
+    });
   }
+  const LogStore merged = SortedLog(std::move(sets));
   // v3 payload: sentinel, version, the catalog epoch the records are
   // numbered in, the journal sequence this snapshot covers, then the
-  // record table. Recovery replays only journal frames with seq >
-  // covered — and checks the epoch tag against the journal's
-  // reconfiguration history up to that point.
+  // record table (one record per distinct set). Recovery replays only
+  // journal frames with seq > covered — and checks the epoch tag against
+  // the journal's reconfiguration history up to that point.
   std::ostringstream body;
   const uint64_t sentinel = kCheckpointV3Sentinel;
   body.write(reinterpret_cast<const char*>(&sentinel), sizeof(sentinel));
@@ -1330,14 +1226,17 @@ Status IssuanceService::CheckAgainstReplay(
     const ValidationTree& serial) const {
   const std::shared_ptr<const CatalogEpoch> epoch = Pin();
   // Route the replay's sets as admissions would: an above-cap set into the
-  // tree its shard should hold, a dense-scope set along its supersets into
-  // the C⟨T⟩ table its scope should hold. The local mask comes from the
-  // scope's members rather than LocalMask, and no zeta transform runs, so
-  // the expectation shares no code with how recovery built the tables.
+  // tree its shard should hold, a dense-scope set into the C[S] entry and
+  // along its supersets into the C⟨T⟩ table its scope should hold. The
+  // local mask comes from the scope's members rather than LocalMask, and
+  // no zeta transform runs, so the expectation shares no code with how
+  // recovery built the tables.
   std::vector<ValidationTree> expected_trees(epoch->shards.size());
+  std::vector<std::vector<int64_t>> expected_counts(epoch->scopes.size());
   std::vector<std::vector<int64_t>> expected_sums(epoch->scopes.size());
   for (size_t g = 0; g < epoch->scopes.size(); ++g) {
     if (epoch->scopes[g].dense()) {
+      expected_counts[g].resize(epoch->scopes[g].entries());
       expected_sums[g].resize(epoch->scopes[g].entries());
     }
   }
@@ -1358,10 +1257,9 @@ Status IssuanceService::CheckAgainstReplay(
         local |= uint32_t{1} << p;
       }
     }
-    AddToSupersets(
-        expected_sums[static_cast<size_t>(&scope - epoch->scopes.data())]
-            .data(),
-        local, scope.full_local(), count);
+    const size_t g = static_cast<size_t>(&scope - epoch->scopes.data());
+    expected_counts[g][local] += count;
+    AddToSupersets(expected_sums[g].data(), local, scope.full_local(), count);
   });
   GEOLIC_RETURN_IF_ERROR(status);
   for (size_t s = 0; s < epoch->shards.size(); ++s) {
@@ -1380,7 +1278,9 @@ Status IssuanceService::CheckAgainstReplay(
     }
     std::lock_guard<std::mutex> lock(
         epoch->shards[g % epoch->shards.size()]->mutex);
-    if (!std::equal(expected_sums[g].begin(), expected_sums[g].end(),
+    if (!std::equal(expected_counts[g].begin(), expected_counts[g].end(),
+                    scope.counts) ||
+        !std::equal(expected_sums[g].begin(), expected_sums[g].end(),
                     scope.sums)) {
       return Status::Internal(
           "recovered equation table diverges from a serial replay");

@@ -29,7 +29,7 @@ namespace geolic {
 
 // Largest equation scope (an overlap group, or the whole catalog without
 // grouping) whose admission equations IssuanceService answers from dense
-// tables: two 2^N-entry int64 tables, 64 KiB at the cap. Larger scopes
+// tables: three 2^N-entry int64 tables, 96 KiB at the cap. Larger scopes
 // fall back to the shard's pointer validation tree. The cap is the largest
 // N at which building the tables (at Create, every reconfiguration and
 // Recover) costs no more time or memory than the tree, even for a short
@@ -123,32 +123,35 @@ struct RecoveryStats {
 // The paper's grouping result doubles as a sharding theorem: licenses in
 // different overlap groups share no validation equations (Theorem 2), so
 // issuances whose satisfying sets fall in different groups can admit fully
-// in parallel with no coordination. The service therefore splits the
-// running validation tree and log into per-overlap-group shards, each
-// guarded by its own mutex; a request only ever locks the one shard its
-// satisfying set lives in.
+// in parallel with no coordination. The service therefore splits its
+// equation state into per-overlap-group shards, each guarded by its own
+// mutex; a request only ever locks the one shard its satisfying set lives
+// in.
 //
-// Admission state per overlap group: a group of at most kMaxDenseGroupSize
-// licenses keeps two dense tables indexed by the group-local mask (paper
-// Algorithm 5's order-preserving positions) — A[T], fixed per epoch, and
-// C⟨T⟩, updated under the shard lock. An issuance with satisfying set S
-// checks its 2^(N_g−k) equations as one ascending pass over the supersets
-// of S in the table, and an acceptance adds its count along the same
-// pass. Larger groups keep the pointer validation tree and its
+// Admission state per overlap group: the paper's equations read the log
+// only through C[S], the total count per exact satisfying set, so that is
+// all the service keeps — proportional to the distinct sets, not to the
+// accepted records (the journal is the per-record history). A group of at
+// most kMaxDenseGroupSize licenses keeps three dense tables indexed by the
+// group-local mask (paper Algorithm 5's order-preserving positions) —
+// A[T], fixed per epoch, and C[S] and C⟨T⟩, updated under the shard lock.
+// An issuance with satisfying set S checks its 2^(N_g−k) equations as one
+// ascending pass over the supersets of S in C⟨T⟩, and an acceptance adds
+// its count along the same pass and at C[S]. Larger groups keep the
+// pointer validation tree (which holds C[S] per node) and its
 // per-equation subset walk.
 //
 // Live license lifecycle (paper Figure 6 + Algorithms 4–5): the catalog,
 // grouping, instance geometry and shard map together form one immutable
 // `CatalogEpoch`, published through an atomic shared_ptr. AcquireLicense /
 // RevokeLicense / ExpireBefore build the next epoch off to the side from
-// the distinct accepted sets (not the log records): each dense table is
-// Möbius-inverted back to its per-set counts (or, when its group's members
-// are unchanged, copied verbatim), each tree read set by set, and every
+// the distinct accepted sets: each dense scope's C[S] table is read entry
+// by entry (or, when its group's members are unchanged, its C[S] and C⟨T⟩
+// tables are copied verbatim), each tree read set by set, and every
 // surviving set renumbered densely past a removal, re-divided into the new
 // overlap groups and rebuilt into the new groups' tables (one zeta
-// transform each) or trees. Shard logs the reconfiguration leaves
-// unchanged move across whole; the rest are rewritten. The new epoch is
-// published with a single atomic swap and the old one marked retired.
+// transform each) or trees. The new epoch is published with a single
+// atomic swap and the old one marked retired.
 // Issuance never stops: readers pin the current epoch (a shared_ptr ref,
 // no lock) for the instance fast-reject, and an admission that finds its
 // pinned epoch retired after taking the shard lock simply re-pins and
@@ -165,19 +168,18 @@ struct RecoveryStats {
 //  * CollectLog / CollectTree lock shards one at a time and return
 //    snapshots; they can run concurrently with issuance (the snapshot is a
 //    consistent prefix per shard, not a cross-shard instant) and with
-//    reconfigurations (every record is numbered in one epoch: a read that
-//    finds its epoch retired restarts on the new one). WriteCheckpoint
-//    takes every shard lock for an exact cut.
+//    reconfigurations (every set is numbered in the one epoch the read
+//    pinned: a retired epoch's state stays as it was at its retirement).
+//    WriteCheckpoint takes every shard lock for an exact cut.
 //  * Accessors (licenses, grouping, shard_count) read the current epoch;
 //    the references they return are valid until the next reconfiguration.
 //
 // Admissions are linearized per shard, so for any interleaving the final
-// tree/log equal a serial replay of the accepted set (order within a shard
-// is the shard's admission order; cross-shard order is immaterial because
-// the shards share no equations). A reconfiguration linearizes at its
-// publish point: admissions before it are carried into the new epoch
-// (renumbered, with records touching a removed license cascade-dropped),
-// admissions after it run against the new catalog.
+// state equals a serial replay of the accepted set (cross-shard order is
+// immaterial because the shards share no equations). A reconfiguration
+// linearizes at its publish point: admissions before it are carried into
+// the new epoch (renumbered, with sets touching a removed license
+// cascade-dropped), admissions after it run against the new catalog.
 class IssuanceService {
  public:
   // `licenses` must be non-empty and outlive the service; so must
@@ -227,7 +229,7 @@ class IssuanceService {
   IssuanceService& operator=(const IssuanceService&) = delete;
 
   // Validates one issuance and records it when accepted; an accepted
-  // license with an empty id is logged as "LU<n>". An invalid license is a
+  // license with an empty id is journaled as "LU<n>". An invalid license is a
   // decision, not an error; a non-positive count is InvalidArgument. The
   // decision carries the catalog epoch it was made against.
   Result<OnlineDecision> TryIssue(const License& issued);
@@ -269,7 +271,7 @@ class IssuanceService {
   // Removes the license at `index` (current-epoch index). Cascade
   // semantics: every recorded issuance whose satisfying set contains the
   // revoked license is dropped from the validation state — usage granted
-  // under a revoked right is revoked with it. Surviving records renumber
+  // under a revoked right is revoked with it. Surviving sets renumber
   // densely (indexes above `index` shift down, paper Algorithm 5).
   // Rejects removing the last license.
   Status RevokeLicense(int index);
@@ -296,16 +298,18 @@ class IssuanceService {
   // construction; each successful acquire/revoke/expire increments it.
   uint64_t catalog_epoch() const;
 
-  // Snapshot of all accepted issuances, shard by shard (within a shard:
-  // admission order). Feedable to the offline validators; equal as a
-  // multiset to any serial replay of the accepted set. The records are
-  // all numbered in one catalog epoch, even when reconfigurations run
-  // concurrently; licenses() may already describe a later epoch by the
-  // time this returns.
+  // Snapshot of the accepted issuances in compacted form: one record per
+  // distinct satisfying set S, carrying C[S] and an empty id, in ascending
+  // set order — what LogStore::Compacted makes of any serial replay of
+  // the accepted set. Feedable to the offline validators, which decide
+  // the same on it as on the per-record log; ids and admission order live
+  // only in the journal. The records are all numbered in one catalog
+  // epoch, even when reconfigurations run concurrently; licenses() may
+  // already describe a later epoch by the time this returns.
   LogStore CollectLog() const;
 
-  // Snapshot of the combined validation tree, rebuilt offline from the
-  // shard logs (admission keeps no pointer tree for dense groups).
+  // Snapshot of the combined validation tree, built offline from
+  // CollectLog (admission keeps no pointer tree for dense groups).
   Result<ValidationTree> CollectTree() const;
 
   // The same snapshot compiled into the offline hot-path form: audits of a
@@ -337,9 +341,10 @@ class IssuanceService {
   // Sequence number of the last journaled frame (0 = none yet).
   uint64_t journal_sequence() const;
 
-  // Atomically snapshots the full accepted set plus the journal sequence
-  // and catalog epoch it covers into a v2 checkpoint file
-  // (persist/checkpoint.h, kind = service-snapshot, v3 payload). Takes
+  // Atomically snapshots the accepted sets (CollectLog's compacted records)
+  // plus the journal sequence and catalog epoch they cover into a v2
+  // checkpoint file (persist/checkpoint.h, kind = service-snapshot, v3
+  // payload). Takes
   // every shard lock (in index order) and the journal lock, so the cut is
   // exact: recovery from this checkpoint plus the same journal's tail
   // reproduces the state byte-for-byte. Safe to call while issuance
@@ -352,17 +357,10 @@ class IssuanceService {
   const LicenseGrouping& grouping() const;
   const OnlineValidatorOptions& options() const { return options_; }
   int shard_count() const;
-  // Bytes of the current epoch's dense equation tables: 16·2^N_g for each
+  // Bytes of the current epoch's dense equation tables: 24·2^N_g for each
   // group of at most kMaxDenseGroupSize licenses. A reconfiguration holds
   // a second epoch's tables until the old epoch's readers drain.
   size_t dense_table_bytes() const;
-
-  // Pre-sizes every current shard's log record table for
-  // `records_per_shard` appends, so steady-state admission never regrows
-  // it. Call before issuance traffic starts (not synchronized against
-  // in-flight requests); shards built by a later reconfiguration size
-  // themselves from the records they inherit.
-  void ReserveLogCapacity(size_t records_per_shard);
 
   // Decision counters and latency histogram. Points at options.metrics
   // when that was set, else at a service-owned block.
@@ -380,28 +378,28 @@ class IssuanceService {
   struct Shard {
     std::mutex mutex;
     // Accepted sets of the shard's above-cap groups only (dense groups
-    // keep theirs in the epoch's C⟨T⟩ tables). Masks in the owning epoch's
+    // keep theirs in the epoch's C[S] tables). Masks in the owning epoch's
     // license indexes.
     ValidationTree tree;
-    // Every accepted record of the shard's groups. A reconfiguration that
-    // leaves the records unchanged moves the log into its successor epoch,
-    // so read it only under this mutex from an epoch that is not retired
-    // (ReadShardLogs, PinLocked).
-    LogStore log;
+    // Admissions applied to the shard since its epoch was built; a
+    // reconfiguration's catch-up skips a shard whose count has not moved
+    // since its snapshot.
+    uint64_t accepted = 0;
   };
 
   // The licenses one issuance's equations range over: an overlap group,
   // or the whole catalog without grouping. Scopes of at most
   // kMaxDenseGroupSize licenses carry dense tables indexed by local mask
   // (CatalogEpoch::LocalMask): `aggregates[T]` = A[T], immutable, and
-  // `sums[T]` = C⟨T⟩, written only under the owning shard's mutex. Both
-  // are null above the cap, where the shard's pointer tree answers
-  // instead.
+  // `counts[S]` = C[S] and `sums[T]` = C⟨T⟩, written only under the owning
+  // shard's mutex. All three are null above the cap, where the shard's
+  // pointer tree answers instead.
   struct EquationScope {
     LicenseSet mask;
     int group = -1;  // Overlap group; -1 for the whole catalog.
     int size = 0;    // Licenses in the scope.
     const int64_t* aggregates = nullptr;
+    int64_t* counts = nullptr;
     int64_t* sums = nullptr;
 
     bool dense() const { return sums != nullptr; }
@@ -433,7 +431,7 @@ class IssuanceService {
     // instead of copying a LicenseSet (which may heap-allocate) per
     // request.
     std::vector<EquationScope> scopes;
-    // Every dense scope's A and C tables, in one allocation.
+    // Every dense scope's A, C[S] and C⟨T⟩ tables, in one allocation.
     std::unique_ptr<int64_t[]> dense_tables;
     size_t dense_table_bytes = 0;
     LicenseSet all_mask;
@@ -479,7 +477,7 @@ class IssuanceService {
       const OnlineValidatorOptions& options, const LogStore& history);
 
   // Assembles a fully-derived epoch (shards, scopes, instance geometry,
-  // A tables) around `catalog`, with empty C tables — the publish step is
+  // A tables) around `catalog`, with zeroed C tables — the publish step is
   // the caller's.
   static std::shared_ptr<CatalogEpoch> BuildEpoch(
       const OnlineValidatorOptions& options, uint64_t epoch_number,
@@ -487,17 +485,16 @@ class IssuanceService {
       LicenseGrouping grouping);
 
   // Adds `count` issuances of satisfying set `set` to `epoch`'s equation
-  // state — a tree insert, or a point-add to a dense scope's exact per-set
-  // histogram — after checking it lies in one scope; `*shard` receives the
-  // owning shard. Logs are the caller's. Caller owns exclusivity: history
+  // state — a tree insert, or a point-add to a dense scope's C[S] — after
+  // checking it lies in one scope. Caller owns exclusivity: history
   // preload at construction, or an off-side epoch build.
   Status ApplySetToEpoch(CatalogEpoch* epoch, const LicenseSet& set,
-                         int64_t count, size_t* shard) const;
+                         int64_t count) const;
 
-  // Turns every dense scope's histogram C[S] into C⟨T⟩ (one zeta
-  // transform each), except the scopes whose `finished` entry is set
-  // (tables a reconfiguration copied, already C⟨T⟩). Runs once per epoch,
-  // after the last ApplySetToEpoch and before the epoch serves admissions.
+  // Derives every dense scope's C⟨T⟩ from its C[S] (a copy and one zeta
+  // transform), except the scopes whose `finished` entry is set (tables a
+  // reconfiguration copied, C⟨T⟩ included). Runs once per epoch, after the
+  // last ApplySetToEpoch and before the epoch serves admissions.
   static void FinishEpochTables(const CatalogEpoch& epoch,
                                 const std::vector<bool>& finished = {});
 
@@ -530,19 +527,25 @@ class IssuanceService {
 
   // Pins the current epoch and takes all of its shard locks (into
   // `locks`), retrying when a reconfiguration retires the pinned epoch
-  // first — a retired epoch's logs may have moved into its successor. The
-  // shards' contents are then one epoch's, frozen while `locks` is held.
+  // first — a retired epoch's reconfiguration frame is already journaled,
+  // so its state no longer matches the journal sequence. The shards'
+  // contents are then the current epoch's, frozen while `locks` is held.
   std::shared_ptr<const CatalogEpoch> PinLocked(
       std::vector<std::unique_lock<std::mutex>>* locks) const;
 
-  // Calls `read` on every shard log of the current epoch, holding only
+  // Calls `read(set, count)` for every distinct accepted set of shard
+  // `shard` of `epoch`: its dense scopes' non-zero C[S] entries, then its
+  // tree's sets. Caller holds the shard's lock.
+  static void ForEachShardSet(
+      const CatalogEpoch& epoch, size_t shard,
+      const std::function<void(const LicenseSet&, int64_t)>& read);
+
+  // ForEachShardSet over every shard of the current epoch, holding only
   // that shard's lock (an audit stalls admissions one shard at a time).
-  // When a reconfiguration retires the pinned epoch midway — its logs may
-  // have moved into the successor — calls `restart` and reads the new
-  // epoch from its first shard, so every log read is numbered in one
-  // epoch.
-  Status ReadShardLogs(const std::function<void()>& restart,
-                       const std::function<Status(LogStore*)>& read) const;
+  // Every set is numbered in the pinned epoch: a reconfiguration that
+  // retires it midway leaves its state as it was at the retirement.
+  void ReadShardState(
+      const std::function<void(const LicenseSet&, int64_t)>& read) const;
 
   // Equation scope for satisfying set `s` within `epoch` (its group, or
   // the full catalog without grouping), plus the owning shard index. The
@@ -550,7 +553,7 @@ class IssuanceService {
   // copy, valid for the epoch's lifetime.
   const EquationScope& RouteSet(const CatalogEpoch& epoch, const LicenseSet& s,
                                 size_t* shard) const;
-  // Equation check + table/tree/log update for one request. Caller holds
+  // Equation check + table/tree update for one request. Caller holds
   // `shard.mutex` on a shard of `epoch`. `decision` already carries the
   // satisfying set; `trace` collects the equation-scan and journal-append
   // spans (never null — pass a RequestTrace built from a null tracer to

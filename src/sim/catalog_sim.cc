@@ -31,10 +31,19 @@ namespace {
 struct TenantOracle {
   std::unique_ptr<Workload> baseline;
   std::unique_ptr<ReferenceModel> model;
-  uint64_t accepted = 0;
   bool maybe_pending = false;
   bool maybe_would_accept = false;
+  LicenseSet maybe_set;  // The maybe-persisted op's satisfying set.
+  int64_t maybe_count = 0;
 };
+
+int64_t TotalCount(const std::map<LicenseSet, int64_t>& counts) {
+  int64_t total = 0;
+  for (const auto& [set, count] : counts) {
+    total += count;
+  }
+  return total;
+}
 
 std::string TenantTag(uint64_t tenant) {
   return "t" + std::to_string(tenant);
@@ -232,6 +241,8 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
         }
         oracle.maybe_pending = true;
         oracle.maybe_would_accept = want.accepted();
+        oracle.maybe_set = want.satisfying_set;
+        oracle.maybe_count = request.aggregate_count();
         result.op_trace.push_back(TenantTag(tenant) +
                                   " issue FAIL (writer " +
                                   std::to_string(writer) +
@@ -260,7 +271,6 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
     }
     if (got->accepted()) {
       oracle.model->Apply(want.satisfying_set, request.aggregate_count());
-      ++oracle.accepted;
     }
     result.op_trace.push_back(
         TenantTag(tenant) + " issue " +
@@ -296,19 +306,26 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
       return fail(tag + " snapshot after recovery failed: " +
                   snap.status().message());
     }
-    // Accepted-log length: exact, modulo the one maybe-persisted op.
-    const uint64_t expected = oracle.accepted;
-    const uint64_t with_maybe =
-        expected +
-        ((oracle.maybe_pending && oracle.maybe_would_accept) ? 1 : 0);
-    const uint64_t got_n = snap->log.size();
-    if (got_n != expected && got_n != with_maybe) {
+    // Accepted counts per distinct set (the recovered log is compacted):
+    // exact, modulo the one maybe-persisted op.
+    std::map<LicenseSet, int64_t> got_counts;
+    for (const LogRecord& record : snap->log.records()) {
+      got_counts[record.set] += record.count;
+    }
+    const std::map<LicenseSet, int64_t>& expected = oracle.model->counts();
+    std::map<LicenseSet, int64_t> with_maybe = expected;
+    if (oracle.maybe_pending && oracle.maybe_would_accept) {
+      with_maybe[oracle.maybe_set] += oracle.maybe_count;
+    }
+    if (got_counts != expected && got_counts != with_maybe) {
       std::filesystem::remove_all(dir, ec);
-      return fail(tag + " recovered " + std::to_string(got_n) +
-                  " accepted records, model expected " +
-                  std::to_string(expected) +
+      return fail(tag + " recovered " + std::to_string(got_counts.size()) +
+                  " accepted sets totalling " +
+                  std::to_string(TotalCount(got_counts)) +
+                  ", model expected " + std::to_string(expected.size()) +
+                  " totalling " + std::to_string(TotalCount(expected)) +
                   (with_maybe != expected
-                       ? " (or " + std::to_string(with_maybe) +
+                       ? " (or " + std::to_string(TotalCount(with_maybe)) +
                              " with the maybe-persisted op)"
                        : ""));
     }

@@ -205,20 +205,6 @@ void ZetaTransform(std::span<int64_t> table) {
   }
 }
 
-void MobiusTransform(std::span<int64_t> table) {
-  const size_t size = table.size();
-  GEOLIC_DCHECK(std::has_single_bit(size));
-  // ZetaTransform's passes commute, so undoing each bit's pass in any
-  // order restores the input.
-  for (size_t stride = 1; stride < size; stride <<= 1) {
-    for (size_t block = 0; block < size; block += 2 * stride) {
-      for (size_t set = block; set < block + stride; ++set) {
-        table[set + stride] -= table[set];
-      }
-    }
-  }
-}
-
 void FillAggregateTable(std::span<const int64_t> values,
                         std::span<int64_t> table) {
   GEOLIC_DCHECK(table.size() == size_t{1} << values.size());

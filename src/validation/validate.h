@@ -116,11 +116,6 @@ Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,
 // turns exact per-set counts C[S] into every equation LHS C⟨S⟩.
 void ZetaTransform(std::span<int64_t> table);
 
-// The inverse of ZetaTransform: in place, every LHS table C⟨S⟩ becomes the
-// exact per-set counts C[S] it was summed from (Möbius inversion over the
-// subset lattice). MobiusTransform(ZetaTransform(x)) == x.
-void MobiusTransform(std::span<int64_t> table);
-
 // table[S] = Σ_{i ∈ S} values[i], every equation RHS A[S], by the
 // lowest-bit recurrence. Requires table.size() == 2^values.size().
 void FillAggregateTable(std::span<const int64_t> values,

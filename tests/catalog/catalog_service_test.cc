@@ -1,7 +1,8 @@
 // Unit coverage for the multi-tenant catalog front door
 // (catalog/catalog_service.h): lazy compilation and hit accounting, LRU
 // eviction under a tiny budget, the resident charge for dense equation
-// tables, explicit spill/reload transparency, and journal-backed crash
+// tables and for acceptances above the dense cap, explicit spill/reload
+// transparency, and journal-backed crash
 // recovery of an evolved tenant.
 #include <unistd.h>
 
@@ -178,6 +179,85 @@ TEST_F(CatalogServiceTest, ResidentBytesChargeDenseTables) {
   EXPECT_TRUE((*catalog)->Close().ok());
 }
 
+// An acceptance is charged kRecordBytes (128) only where the state can
+// grow: in a group above the dense cap, whose tree may gain a node. A
+// dense group's state is its fixed tables, which table_bytes already
+// charges, so its acceptances cost nothing more.
+TEST_F(CatalogServiceTest, AcceptancesChargeRecordBytesOnlyAboveTheDenseCap) {
+  Result<std::unique_ptr<CatalogService>> catalog =
+      CatalogService::Create(source_.get(), options_);
+  ASSERT_TRUE(catalog.ok());
+  Result<Workload> baseline = workload_->MakeTenant(2);
+  ASSERT_TRUE(baseline.ok());
+  const LicenseCatalog& licenses = *baseline->licenses;
+  const License& original = licenses.at(0);
+  // A licence (or usage request) with license 0's geometry.
+  const auto like_original = [&](const std::string& id, LicenseType type,
+                                 int64_t count) {
+    LicenseBuilder builder(baseline->schema.get());
+    builder.SetId(id)
+        .SetContentKey(original.content_key())
+        .SetType(type)
+        .SetPermission(original.permission())
+        .SetAggregateCount(count);
+    for (int d = 0; d < baseline->schema->dimensions(); ++d) {
+      builder.SetRange(baseline->schema->name(d), original.rect().dim(d));
+    }
+    Result<License> built = builder.Build();
+    GEOLIC_CHECK(built.ok());
+    return *std::move(built);
+  };
+
+  // Dense: accepted requests leave the charge as it was.
+  ASSERT_TRUE((*catalog)->TenantEpoch(2).ok());
+  const size_t compiled = (*catalog)->stats().resident_bytes;
+  for (int i = 0; i < 3; ++i) {
+    Result<OnlineDecision> decision = (*catalog)->TryIssue(
+        2, like_original("U" + std::to_string(i), LicenseType::kUsage, 1));
+    ASSERT_TRUE(decision.ok());
+    ASSERT_TRUE(decision->accepted());
+  }
+  EXPECT_EQ((*catalog)->stats().resident_bytes, compiled);
+
+  // kMaxDenseGroupSize copies of license 0 put its group above the cap:
+  // its tables go (the charge follows dense_table_bytes), and from then
+  // on each acceptance in it is charged 128 bytes.
+  for (int i = 0; i < kMaxDenseGroupSize; ++i) {
+    ASSERT_TRUE((*catalog)
+                    ->AcquireLicense(
+                        2, like_original("copy" + std::to_string(i),
+                                         LicenseType::kRedistribution,
+                                         original.aggregate_count()))
+                    .ok());
+  }
+  Result<CatalogService::TenantSnapshot> snapshot =
+      (*catalog)->SnapshotTenant(2);
+  ASSERT_TRUE(snapshot.ok());
+  const size_t n = snapshot->licenses.size();
+  ASSERT_GT(n, static_cast<size_t>(kMaxDenseGroupSize));
+  LicenseCatalog grown(baseline->schema.get());
+  for (const License& license : snapshot->licenses) {
+    ASSERT_TRUE(grown.Add(license).ok());
+  }
+  Result<std::unique_ptr<IssuanceService>> grown_service =
+      IssuanceService::Create(&grown);
+  ASSERT_TRUE(grown_service.ok());
+  const size_t tables = (*grown_service)->dense_table_bytes();
+  const size_t licenses_charged =
+      static_cast<size_t>(licenses.size() + kMaxDenseGroupSize);
+  EXPECT_EQ((*catalog)->stats().resident_bytes,
+            (16u << 10) + licenses_charged * (1u << 10) + tables);
+  for (int i = 0; i < 2; ++i) {
+    Result<OnlineDecision> decision = (*catalog)->TryIssue(
+        2, like_original("V" + std::to_string(i), LicenseType::kUsage, 1));
+    ASSERT_TRUE(decision.ok());
+    ASSERT_TRUE(decision->accepted());
+  }
+  EXPECT_EQ((*catalog)->stats().resident_bytes,
+            (16u << 10) + licenses_charged * (1u << 10) + tables + 2 * 128);
+  EXPECT_TRUE((*catalog)->Close().ok());
+}
+
 TEST_F(CatalogServiceTest, ExplicitSpillIsTransparent) {
   Result<std::unique_ptr<CatalogService>> catalog =
       CatalogService::Create(source_.get(), options_);
@@ -203,7 +283,7 @@ TEST_F(CatalogServiceTest, ExplicitSpillIsTransparent) {
 }
 
 TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
-  uint64_t accepted = 0;
+  int64_t accepted = 0;
   {
     options_.fsync_interval = 1;
     Result<std::unique_ptr<CatalogService>> catalog =
@@ -211,11 +291,11 @@ TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
     ASSERT_TRUE(catalog.ok());
     for (int i = 0; i < 6; ++i) {
       const uint64_t tenant = static_cast<uint64_t>(i % 2);
-      Result<OnlineDecision> decision =
-          (*catalog)->TryIssue(tenant, Request(tenant));
+      const License request = Request(tenant);
+      Result<OnlineDecision> decision = (*catalog)->TryIssue(tenant, request);
       ASSERT_TRUE(decision.ok());
       if (tenant == 1 && decision->accepted()) {
-        ++accepted;
+        accepted += request.aggregate_count();
       }
     }
     // Crash: destroy without Close. The journal pool has every frame.
@@ -232,7 +312,7 @@ TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
   Result<CatalogService::TenantSnapshot> snapshot =
       (*recovered)->SnapshotTenant(1);
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot->log.size(), accepted);
+  EXPECT_EQ(snapshot->log.TotalCount(), accepted);
   EXPECT_EQ(snapshot->tenant_seq, 3u);
   EXPECT_TRUE((*recovered)->Close().ok());
 }

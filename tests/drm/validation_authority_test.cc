@@ -237,7 +237,9 @@ TEST(ValidationAuthorityTest, ClosePeriodSettlesAndResets) {
   ASSERT_TRUE(close->settled);
   EXPECT_EQ(close->settlement.charged[0], 90);
   EXPECT_EQ(close->settlement.remaining[0], 10);
+  // One acceptance of 90: one set in the merged archive.
   EXPECT_EQ(close->archived_log.size(), 1u);
+  EXPECT_EQ(close->archived_log.TotalCount(), 90);
 
   // New period: full budget again, empty live log.
   EXPECT_EQ(authority.LogFor(key)->size(), 0u);

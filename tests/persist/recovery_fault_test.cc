@@ -479,7 +479,8 @@ TEST(RecoveryFaultTest, JournalFailureRejectsAdmissionAndLeavesStateClean) {
 
   ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, 0)).ok());
   const std::string before = (*service)->CollectTree()->ToString();
-  const size_t log_before = (*service)->CollectLog().size();
+  const auto counts_before = (*service)->CollectLog().MergedCounts();
+  const uint64_t accepted_before = (*service)->metrics().Snap().accepted;
 
   faults->CrashNow();
   // WAL contract: with the journal dead the admission errors out and no
@@ -488,7 +489,8 @@ TEST(RecoveryFaultTest, JournalFailureRejectsAdmissionAndLeavesStateClean) {
       (*service)->TryIssue(RequestAt(schema, 1));
   EXPECT_FALSE(denied.ok());
   EXPECT_EQ((*service)->CollectTree()->ToString(), before);
-  EXPECT_EQ((*service)->CollectLog().size(), log_before);
+  EXPECT_EQ((*service)->CollectLog().MergedCounts(), counts_before);
+  EXPECT_EQ((*service)->metrics().Snap().accepted, accepted_before);
   EXPECT_EQ((*service)->journal_sequence(), 1u);
 }
 
@@ -532,6 +534,7 @@ TEST(RecoveryFaultTest, RecoverFromCheckpointPlusJournalTail) {
   const std::string journal_path = testing::TestTmpDir() + "recover_tail.gjl";
   std::string expected_tree;
   uint64_t seq_at_checkpoint = 0;
+  LogStore at_checkpoint;  // One record per distinct set.
   {
     Result<std::unique_ptr<IssuanceService>> service =
         IssuanceService::Create(&licenses);
@@ -543,6 +546,8 @@ TEST(RecoveryFaultTest, RecoverFromCheckpointPlusJournalTail) {
     for (int i = 0; i < 15; ++i) {
       ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
     }
+    ASSERT_EQ((*service)->metrics().Snap().accepted, 15u);
+    at_checkpoint = (*service)->CollectLog();
     ASSERT_TRUE((*service)->WriteCheckpoint(checkpoint_path).ok());
     seq_at_checkpoint = (*service)->journal_sequence();
     for (int i = 15; i < 24; ++i) {
@@ -557,7 +562,7 @@ TEST(RecoveryFaultTest, RecoverFromCheckpointPlusJournalTail) {
                                &stats);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ((*recovered)->CollectTree()->ToString(), expected_tree);
-  EXPECT_EQ(stats.checkpoint_records, 15u);
+  EXPECT_EQ(stats.checkpoint_records, at_checkpoint.size());
   EXPECT_EQ(stats.journal_records_skipped, seq_at_checkpoint);
   EXPECT_EQ(stats.journal_records_replayed, 24u - seq_at_checkpoint);
 
@@ -567,8 +572,8 @@ TEST(RecoveryFaultTest, RecoverFromCheckpointPlusJournalTail) {
       IssuanceService::Recover(&licenses, {}, checkpoint_path,
                                /*journal_path=*/"", &ckpt_stats);
   ASSERT_TRUE(prefix.ok());
-  EXPECT_EQ(ckpt_stats.checkpoint_records, 15u);
-  EXPECT_EQ((*prefix)->CollectLog().size(), 15u);
+  EXPECT_EQ(ckpt_stats.checkpoint_records, at_checkpoint.size());
+  EXPECT_EQ((*prefix)->CollectLog().records(), at_checkpoint.records());
 }
 
 TEST(RecoveryFaultTest, RecoverAfterTornFinalFrameDropsOnlyThatFrame) {

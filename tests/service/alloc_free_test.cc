@@ -12,10 +12,10 @@
 #include "util/request_arena.h"
 
 // Proves the steady-state admission path is zero-malloc. For an overlap
-// group within kMaxDenseGroupSize the equation tables are sized when the
-// epoch is built, so with the log capacity reserved the very first
-// TryIssue is already allocation-free — including satisfying sets never
-// seen before; only the span TryIssueBatch overload's request arena needs
+// group within kMaxDenseGroupSize the equation tables (C[S] included) are
+// sized when the epoch is built, so the very first TryIssue is already
+// allocation-free — including satisfying sets never seen before; only the
+// span TryIssueBatch overload's request arena needs
 // one warm-up call. A group above the cap admits through the pointer tree,
 // whose nodes are allocated the first time a set is seen: there a warm-up
 // of the same request mix inserts every node the steady state touches.
@@ -159,8 +159,6 @@ TEST(AllocFreeTest, DenseGroupAdmitsWithoutHeapAllocationFromFirstRequest) {
   ASSERT_TRUE(created.ok());
   IssuanceService& service = **created;
   const std::vector<License> requests = RequestMix(schema, kMaxDenseGroupSize);
-  // Three of the mix land in the group's shard, twice per round.
-  service.ReserveLogCapacity(6 * kSteady);
 
   // The only warm-up: one batch of instance rejects sizes the calling
   // thread's request arena. No satisfying set of the mix is seen before
@@ -195,7 +193,6 @@ TEST(AllocFreeTest, AboveCapGroupAdmitsWithoutHeapAllocationAfterWarmup) {
   const std::vector<License> requests =
       RequestMix(schema, kMaxDenseGroupSize + 1);
   constexpr int kWarmup = 64;
-  service.ReserveLogCapacity(6 * (kWarmup + kSteady));
 
   // Warm-up with the same mix: arena blocks and every tree node the steady
   // state will touch.

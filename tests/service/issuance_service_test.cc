@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/sync_file.h"
 #include "sim/reference_model.h"
 #include "test_util.h"
 
@@ -287,6 +288,12 @@ TEST(IssuanceServiceTest, DecisionsCarrySetAndLimitingEquation) {
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses);
   ASSERT_TRUE(service.ok());
+  auto file = std::make_unique<InMemorySyncFile>();
+  const InMemorySyncFile* disk = file.get();
+  Result<std::unique_ptr<JournalWriter>> journal =
+      JournalWriter::Create(std::move(file));
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
 
   const Result<OnlineDecision> accepted =
       (*service)->TryIssue(MakeUsage(schema, "LU1", {{2, 5}}, 40));
@@ -312,10 +319,17 @@ TEST(IssuanceServiceTest, DecisionsCarrySetAndLimitingEquation) {
   EXPECT_EQ(over->limiting.lhs, 31);
   EXPECT_EQ(over->limiting.rhs, 30);
 
-  // Only the acceptance is recorded.
+  // Only the acceptance is recorded: journaled under its license id, and
+  // in the service's state as the count of its set.
+  const Result<JournalReplay> replay = JournalReader::Parse(disk->contents());
+  ASSERT_TRUE(replay.ok());
+  ASSERT_EQ(replay->entries.size(), 1u);
+  EXPECT_EQ(replay->entries[0].record.issued_license_id, "LU1");
   const LogStore log = (*service)->CollectLog();
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.records()[0].issued_license_id, "LU1");
+  EXPECT_TRUE(log.records()[0].issued_license_id.empty());
+  EXPECT_EQ(log.records()[0].set, testing::Mask(0b001));
+  EXPECT_EQ(log.records()[0].count, 40);
   const Result<ValidationTree> tree = (*service)->CollectTree();
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->CountOf(testing::Mask(0b001)), 40);
@@ -379,7 +393,8 @@ TEST(IssuanceServiceTest, RejectsNonPositiveCount) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ((*service)->TryIssueBatch({usage}).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ((*service)->CollectLog().size(), 0u);
+  EXPECT_EQ((*service)->metrics().Snap().total_requests(), 0u);
+  EXPECT_TRUE((*service)->CollectLog().empty());
 }
 
 TEST(IssuanceServiceTest, ExternalMetricsSinkIsUsed) {

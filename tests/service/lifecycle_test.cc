@@ -7,9 +7,13 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +24,7 @@
 #include "service/issuance_service.h"
 #include "test_util.h"
 #include "util/date.h"
+#include "util/sim_hooks.h"
 
 namespace geolic {
 namespace {
@@ -312,6 +317,250 @@ TEST(LifecycleTest, JournaledLifecycleRecoversToLiveState) {
             (*service)->CollectLog().MergedCounts());
 }
 
+// Admits `requests` on the reconfiguring thread itself when an armed
+// reconfiguration reaches the point between its phase-2 snapshot and its
+// phase-3 catch-up (the "reconfig_snapshotted" yield, where only the
+// reconfiguration lock is held): admissions in exactly the window the
+// catch-up exists for, deterministically.
+class AdmitBetweenSnapshotAndCatchUp : public SimHooks {
+ public:
+  void Arm(IssuanceService* service, std::vector<License> requests) {
+    service_ = service;
+    requests_ = std::move(requests);
+  }
+  bool armed() const { return service_ != nullptr; }
+
+  void Yield(const char* point) override {
+    if (service_ == nullptr ||
+        std::string_view(point) != "reconfig_snapshotted") {
+      return;
+    }
+    IssuanceService* service = std::exchange(service_, nullptr);
+    for (const License& request : requests_) {
+      const Result<OnlineDecision> got = service->TryIssue(request);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(got->accepted()) << request.id();
+    }
+  }
+  uint64_t NowNanos() override { return 0; }
+
+ private:
+  IssuanceService* service_ = nullptr;
+  std::vector<License> requests_;
+};
+
+// Phase 3 carries what the shards gained after their snapshot — by
+// diffing C[S] (copied dense tables, rebuilt dense tables) and the tree's
+// sets (an above-cap group) against the snapshot. A twin that admits the
+// same requests before the same reconfiguration must end in the same
+// state: the same compacted log, and the same C⟨T⟩ wherever a probe too
+// large for any budget is rejected at its own satisfying set.
+TEST(LifecycleTest, AdmissionsBetweenSnapshotAndCatchUpAreCarried) {
+  constexpr int64_t kBudget = 1000000;
+  const ConstraintSchema schema = IntervalSchema(1);
+  LicenseCatalog licenses = ThreeGroupSet(schema, kBudget);
+  // Plus one group above the dense cap: W0..W12 all cover [1000, 1100].
+  for (int i = 0; i <= kMaxDenseGroupSize; ++i) {
+    ASSERT_TRUE(licenses
+                    .Add(MakeRedistribution(schema, "W" + std::to_string(i),
+                                            {{1000 - i, 1100 + i}}, kBudget))
+                    .ok());
+  }
+  AdmitBetweenSnapshotAndCatchUp hooks;
+  OnlineValidatorOptions options;
+  options.sim_hooks = &hooks;
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses, options);
+  Result<std::unique_ptr<IssuanceService>> twin =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE(twin.ok());
+
+  const std::vector<std::pair<int64_t, int64_t>> regions = {
+      {12, 18},      // {L1, L2}, or {L2} once L1 is gone.
+      {25, 28},      // {L2}
+      {111, 119},    // {L3, L4}
+      {205, 215},    // {L5}
+      {1050, 1050},  // Every W.
+      {999, 999},    // W1..W12.
+      {1105, 1105}}; // W5..W12.
+  const auto requests = [&](int64_t count) {
+    std::vector<License> made;
+    for (const auto& [lo, hi] : regions) {
+      made.push_back(MakeUsage(
+          schema, "U" + std::to_string(lo) + "x" + std::to_string(count),
+          {{lo, hi}}, count));
+    }
+    return made;
+  };
+  int round = 0;
+  const auto step = [&](const std::function<Status(IssuanceService*)>&
+                            reconfigure) {
+    SCOPED_TRACE("step " + std::to_string(round));
+    const std::vector<License> window = requests(++round);
+    hooks.Arm(service->get(), window);
+    ASSERT_TRUE(reconfigure(service->get()).ok());
+    EXPECT_FALSE(hooks.armed());  // The window ran.
+    for (const License& request : window) {
+      ASSERT_TRUE((*twin)->TryIssue(request)->accepted());
+    }
+    ASSERT_TRUE(reconfigure(twin->get()).ok());
+
+    EXPECT_EQ((*service)->CollectLog().records(),
+              (*twin)->CollectLog().records());
+    EXPECT_EQ((*service)->CollectTree()->ToString(),
+              (*twin)->CollectTree()->ToString());
+    for (const License& probe : requests(kBudget * 100)) {
+      const Result<OnlineDecision> got = (*service)->TryIssue(probe);
+      const Result<OnlineDecision> want = (*twin)->TryIssue(probe);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_FALSE(got->aggregate_valid) << probe.id();
+      EXPECT_EQ(got->satisfying_set, want->satisfying_set) << probe.id();
+      EXPECT_EQ(got->limiting.set, want->limiting.set) << probe.id();
+      EXPECT_EQ(got->limiting.lhs, want->limiting.lhs) << probe.id();
+    }
+  };
+  // Nothing dropped or regrouped: every dense table is copied verbatim.
+  step([&](IssuanceService* s) {
+    return s->AcquireLicense(
+                MakeRedistribution(schema, "N1", {{300, 320}}, kBudget))
+        .status();
+  });
+  // {L1, L2} loses L1 (cascading {L1, L2}) and is rebuilt from C[S]; the
+  // other groups renumber down one and keep copied tables.
+  step([](IssuanceService* s) { return s->RevokeLicense(0); });
+  // A bridge merges {L2} and {L3, L4} into one rebuilt group.
+  step([&](IssuanceService* s) {
+    return s->AcquireLicense(
+                MakeRedistribution(schema, "B1", {{25, 115}}, kBudget))
+        .status();
+  });
+  // The above-cap group loses W0 and drops to the cap: tree to table.
+  step([](IssuanceService* s) { return s->RevokeLicenseById("W0"); });
+}
+
+// The service keeps C[S] per distinct set, not its records: CollectLog
+// is one record per distinct set, with an empty id, in ascending set
+// order, and carries the exact per-set counts through acquire, revoke,
+// expire, a checkpoint and Recover. The journal stays the per-record
+// history.
+void ExpectCompacted(const IssuanceService& service,
+                     const std::map<LicenseSet, int64_t>& expected,
+                     const std::string& context) {
+  SCOPED_TRACE(context);
+  const LogStore log = service.CollectLog();
+  ASSERT_EQ(log.size(), expected.size());
+  size_t at = 0;
+  for (const auto& [set, count] : expected) {  // Ascending by set.
+    const LogRecord& record = log.at(at++);
+    EXPECT_TRUE(record.issued_license_id.empty());
+    EXPECT_EQ(record.set, set);
+    EXPECT_EQ(record.count, count);
+  }
+}
+
+TEST(LifecycleTest, CollectLogIsOneRecordPerDistinctSetThroughTheLifecycle) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = ThreeGroupSet(schema, 1000);
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+  IssuanceService* s = service->get();
+  auto file = std::make_unique<InMemorySyncFile>();
+  InMemorySyncFile* disk = file.get();
+  Result<std::unique_ptr<JournalWriter>> journal =
+      JournalWriter::Create(std::move(file));
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE(s->AttachJournal(std::move(*journal)).ok());
+  int issued = 0;
+  const auto issue = [&](int64_t lo, int64_t hi, int64_t count, int times) {
+    for (int i = 0; i < times; ++i) {
+      const Result<OnlineDecision> got = s->TryIssue(MakeUsage(
+          schema, "U" + std::to_string(++issued), {{lo, hi}}, count));
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(got->accepted());
+    }
+  };
+
+  issue(12, 18, 2, 5);    // {L1, L2}
+  issue(111, 119, 3, 3);  // {L3, L4}
+  issue(5, 8, 1, 4);      // {L1}
+  issue(205, 215, 1, 2);  // {L5}
+  ExpectCompacted(*s,
+                  {{testing::Mask(0b00001), 4},
+                   {testing::Mask(0b00011), 10},
+                   {testing::Mask(0b01100), 9},
+                   {testing::Mask(0b10000), 2}},
+                  "admissions");
+
+  ASSERT_TRUE(
+      s->AcquireLicense(MakeRedistribution(schema, "L6", {{300, 320}}, 1000))
+          .ok());
+  issue(305, 315, 1, 2);  // {L6}
+  ExpectCompacted(*s,
+                  {{testing::Mask(0b000001), 4},
+                   {testing::Mask(0b000011), 10},
+                   {testing::Mask(0b001100), 9},
+                   {testing::Mask(0b010000), 2},
+                   {testing::Mask(0b100000), 2}},
+                  "acquire");
+
+  // L3 goes, with {L3, L4}; L4, L5 and L6 shift down one.
+  ASSERT_TRUE(s->RevokeLicenseById("L3").ok());
+  ExpectCompacted(*s,
+                  {{testing::Mask(0b00001), 4},
+                   {testing::Mask(0b00011), 10},
+                   {testing::Mask(0b01000), 2},
+                   {testing::Mask(0b10000), 2}},
+                  "revoke");
+
+  // L1 expires, with {L1} and {L1, L2}; the rest shift down one.
+  ASSERT_TRUE(s->ExpireDimensionBelow(0, 25).ok());
+  issue(25, 28, 1, 3);  // {L2}
+  ExpectCompacted(*s,
+                  {{testing::Mask(0b0001), 3},
+                   {testing::Mask(0b0100), 2},
+                   {testing::Mask(0b1000), 2}},
+                  "expire");
+
+  const std::string checkpoint_path =
+      ::testing::TempDir() + "lifecycle_distinct_sets.gck";
+  ASSERT_TRUE(s->WriteCheckpoint(checkpoint_path).ok());
+  issue(25, 28, 1, 2);  // {L2}, past the checkpoint.
+  const std::map<LicenseSet, int64_t> final_counts = {
+      {testing::Mask(0b0001), 5},
+      {testing::Mask(0b0100), 2},
+      {testing::Mask(0b1000), 2}};
+  ExpectCompacted(*s, final_counts, "after the checkpoint");
+
+  // The journal holds every admission as its own frame.
+  const Result<JournalReplay> replay = JournalReader::Parse(disk->contents());
+  ASSERT_TRUE(replay.ok());
+  uint64_t admissions = 0;
+  for (const JournalEntry& entry : replay->entries) {
+    admissions += entry.kind == JournalEntryKind::kAdmission ? 1 : 0;
+  }
+  EXPECT_EQ(admissions, s->metrics().Snap().accepted);
+  EXPECT_EQ(admissions, 21u);
+
+  const std::string journal_path =
+      ::testing::TempDir() + "lifecycle_distinct_sets.gjl";
+  {
+    std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
+    out.write(disk->contents().data(),
+              static_cast<std::streamsize>(disk->contents().size()));
+  }
+  RecoveryStats stats;
+  Result<std::unique_ptr<IssuanceService>> recovered =
+      IssuanceService::Recover(&licenses, {}, checkpoint_path, journal_path,
+                               &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(stats.checkpoint_records, 3u);  // The checkpoint's distinct sets.
+  EXPECT_EQ(stats.journal_records_replayed, 2u);
+  ExpectCompacted(**recovered, final_counts, "recovered");
+}
+
 TEST(LifecycleTest, CheckpointAfterReconfigCoversAndTagsTheEpoch) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
@@ -590,9 +839,8 @@ std::vector<LogRecord> Sorted(const LogStore& log) {
 }
 
 // CollectLog racing a reconfiguration storm returns one epoch's log —
-// never a retired epoch's moved-out shard logs, never records of two index
-// spaces. Without admissions each epoch's log is fixed, so a serial replay
-// of the same storm lists every legal answer.
+// never records of two index spaces. Without admissions each epoch's log
+// is fixed, so a serial replay of the same storm lists every legal answer.
 TEST(LifecycleTest, CollectLogRacingReconfigurationsSeesOneEpochsLog) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 1000000);
@@ -609,10 +857,10 @@ TEST(LifecycleTest, CollectLogRacingReconfigurationsSeesOneEpochsLog) {
     record.count = 1 + r % 4;
     ASSERT_TRUE(history.Append(std::move(record)).ok());
   }
-  // Per round: ten times a license joining {L3, L4} (every shard's log
-  // moves into the next epoch) and its revocation (they move back). Every
-  // 50 rounds index 0 is revoked as well, which cascade-drops its records
-  // and renumbers every survivor (the logs are rewritten).
+  // Per round: ten times a license joining {L3, L4} (its group is
+  // rebuilt, the others' tables are copied) and its revocation. Every 50
+  // rounds index 0 is revoked as well, which cascade-drops its sets and
+  // renumbers every survivor.
   constexpr int kRounds = 200;
   const auto storm = [&schema](IssuanceService* s, int round) {
     for (int pair = 0; pair < 10; ++pair) {

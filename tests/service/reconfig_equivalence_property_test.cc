@@ -2,6 +2,10 @@
 // a running IssuanceService must be indistinguishable from a service built
 // fresh from its own catalog and log — CreateWithHistory(licenses(),
 // CollectLog()) — and its log must replay into the same validation tree.
+// The log itself is checked against a ReferenceModel replay of every
+// accepted record, which the test carries through each reconfiguration
+// on its own (cascade drop and renumbering): one record per distinct set,
+// with the model's exact count, in ascending set order.
 // The catalogs sit at the dense-table cap (overlap groups of 11–14
 // licenses), so reconfigurations carry equation state from dense tables
 // into trees and back, through merges, cascade drops and renumbering.
@@ -15,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "service/issuance_service.h"
+#include "sim/reference_model.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -85,18 +90,67 @@ std::vector<int> GroupSizes(const LicenseGrouping& grouping) {
   return sizes;
 }
 
+// Carries `records` across a reconfiguration that removed the licenses in
+// `removed` (pre-reconfiguration indexes): records touching one are
+// dropped, the rest renumbered densely (paper Algorithm 5).
+void RemapRecords(const LicenseSet& removed, std::vector<LogRecord>* records) {
+  std::vector<LogRecord> kept;
+  for (LogRecord& record : *records) {
+    if (record.set.Intersects(removed)) {
+      continue;
+    }
+    LicenseSet renumbered;
+    for (int i : record.set.Indexes()) {
+      int below = 0;
+      for (int r : removed.Indexes()) {
+        below += r < i ? 1 : 0;
+      }
+      renumbered.Add(i - below);
+    }
+    record.set = renumbered;
+    kept.push_back(std::move(record));
+  }
+  *records = std::move(kept);
+}
+
+// CollectLog must be the compacted form of a ReferenceModel replay of
+// `records`: one record per distinct set, the model's count, no id.
+void ExpectLogMatchesModelReplay(const IssuanceService& service,
+                                 const std::vector<LogRecord>& records) {
+  ReferenceModel model(&service.licenses());
+  for (const LogRecord& record : records) {
+    model.Apply(record.set, record.count);
+  }
+  const LogStore log = service.CollectLog();
+  ASSERT_EQ(log.size(), model.counts().size());
+  size_t at = 0;
+  for (const auto& [set, count] : model.counts()) {  // Ascending by set.
+    const LogRecord& got = log.at(at++);
+    ASSERT_EQ(got.set, set) << "record " << at - 1;
+    ASSERT_EQ(got.count, count) << set.ToHex();
+    ASSERT_TRUE(got.issued_license_id.empty()) << set.ToHex();
+  }
+}
+
 struct ProbeStats {
   int accepted = 0;
   int rejected_above_s = 0;  // Limiting equation strictly above S.
 };
 
 // The check run after every step. Accepted probes are recorded by both
-// services alike, so they stay equivalent for the next step.
+// services alike, so they stay equivalent for the next step, and appended
+// to `records`, the accepted history the model replays.
 void ExpectMatchesFreshBuild(IssuanceService* service,
                              const OnlineValidatorOptions& options,
                              const std::vector<License>& probes,
-                             const std::string& context, ProbeStats* stats) {
+                             const std::string& context,
+                             std::vector<LogRecord>* records,
+                             ProbeStats* stats) {
   SCOPED_TRACE(context);
+  ExpectLogMatchesModelReplay(*service, *records);
+  if (::testing::Test::HasFatalFailure()) {
+    return;
+  }
   const LogStore log = service->CollectLog();
   Result<std::unique_ptr<IssuanceService>> fresh =
       IssuanceService::CreateWithHistory(&service->licenses(), options, log);
@@ -125,6 +179,10 @@ void ExpectMatchesFreshBuild(IssuanceService* service,
     ASSERT_EQ(got->limiting.rhs, want->limiting.rhs) << probe.id();
     if (got->accepted()) {
       ++stats->accepted;
+      LogRecord record;
+      record.set = got->satisfying_set;
+      record.count = probe.aggregate_count();
+      records->push_back(std::move(record));
     } else if (got->instance_valid &&
                got->limiting.set != got->satisfying_set) {
       ++stats->rejected_above_s;
@@ -201,8 +259,9 @@ TEST_P(ReconfigEquivalenceTest, MatchesFreshBuildAfterEveryStep) {
     const std::string trial_name = "hint " + std::to_string(shard_hint) +
                                    ", history " +
                                    std::to_string(history_size);
+    std::vector<LogRecord> records = history.records();
     ExpectMatchesFreshBuild(service, options, probes, trial_name + ", start",
-                            &stats);
+                            &records, &stats);
 
     int next_slot = groups;
     int acquired = 0;
@@ -211,6 +270,7 @@ TEST_P(ReconfigEquivalenceTest, MatchesFreshBuildAfterEveryStep) {
       const int size = service->licenses().size();
       const int kind = static_cast<int>(rng.UniformInt(0, 6));
       std::string what;
+      LicenseSet dropped;  // What the step takes out, in current indexes.
       Status status = Status::Ok();
       if (kind <= 2) {
         // 0: a new disjoint slot; 1: join an existing slot's group;
@@ -257,6 +317,7 @@ TEST_P(ReconfigEquivalenceTest, MatchesFreshBuildAfterEveryStep) {
         const int index = kind == 3 ? 0 : kind == 4 ? size / 2 : size - 1;
         what = "revoke " + std::to_string(index) + " of " +
                std::to_string(size);
+        dropped.Add(index);
         status = service->RevokeLicense(index);
       } else {
         // Expire the licenses whose C2 interval ends lowest.
@@ -266,6 +327,12 @@ TEST_P(ReconfigEquivalenceTest, MatchesFreshBuildAfterEveryStep) {
               std::min(lowest_end, license.rect().dim(1).interval().hi());
         }
         what = "expire C2 < " + std::to_string(lowest_end + 1);
+        for (int i = 0; i < size; ++i) {
+          if (service->licenses().at(i).rect().dim(1).interval().hi() ==
+              lowest_end) {
+            dropped.Add(i);
+          }
+        }
         const Result<int> removed =
             service->ExpireDimensionBelow(1, lowest_end + 1);
         status = removed.status();
@@ -273,13 +340,17 @@ TEST_P(ReconfigEquivalenceTest, MatchesFreshBuildAfterEveryStep) {
             removed.status().code() == StatusCode::kFailedPrecondition) {
           continue;  // It would expire the whole catalog.
         }
+        if (removed.ok()) {
+          EXPECT_EQ(*removed, dropped.Size());
+        }
       }
       ASSERT_TRUE(status.ok()) << what << ": " << status.message();
       EXPECT_EQ(service->catalog_epoch(), ++epoch) << what;
+      RemapRecords(dropped, &records);
       ExpectMatchesFreshBuild(
           service, options, probes,
           trial_name + ", step " + std::to_string(step) + ": " + what,
-          &stats);
+          &records, &stats);
       if (::testing::Test::HasFatalFailure()) {
         return;
       }

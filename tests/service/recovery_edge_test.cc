@@ -101,6 +101,7 @@ TEST(RecoveryEdgeTest, EmptyJournalAfterCheckpointRecoversCheckpointExactly) {
   const std::string rotated_path =
       ::testing::TempDir() + "edge_rotated_empty.gjl";
   constexpr int kRequests = 10;
+  size_t checkpoint_sets = 0;  // The checkpoint holds one record per set.
   {
     Result<std::unique_ptr<IssuanceService>> service =
         IssuanceService::Create(&licenses);
@@ -112,6 +113,9 @@ TEST(RecoveryEdgeTest, EmptyJournalAfterCheckpointRecoversCheckpointExactly) {
     for (int i = 0; i < kRequests; ++i) {
       ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
     }
+    ASSERT_EQ((*service)->metrics().Snap().accepted,
+              static_cast<uint64_t>(kRequests));
+    checkpoint_sets = (*service)->CollectLog().size();
     ASSERT_TRUE((*service)->WriteCheckpoint(checkpoint_path).ok());
     // Journal rotation after the checkpoint: the new journal gets its
     // magic, then the process dies before any admission.
@@ -125,7 +129,7 @@ TEST(RecoveryEdgeTest, EmptyJournalAfterCheckpointRecoversCheckpointExactly) {
       IssuanceService::Recover(&licenses, {}, checkpoint_path, rotated_path,
                                &stats);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(stats.checkpoint_records, static_cast<size_t>(kRequests));
+  EXPECT_EQ(stats.checkpoint_records, checkpoint_sets);
   EXPECT_EQ(stats.journal_records_replayed, 0u);
   EXPECT_EQ(stats.journal_records_skipped, 0u);
   EXPECT_FALSE(stats.journal_torn_tail);
@@ -183,6 +187,7 @@ TEST(RecoveryEdgeTest, JournalFramesPredatingCheckpointCutAreSkippedNotDoubled) 
   constexpr int kBeforeCheckpoint = 8;
   constexpr int kAfterCheckpoint = 7;
   constexpr int kRequests = kBeforeCheckpoint + kAfterCheckpoint;
+  size_t checkpoint_sets = 0;  // The checkpoint holds one record per set.
   {
     Result<std::unique_ptr<IssuanceService>> service =
         IssuanceService::Create(&licenses);
@@ -194,6 +199,9 @@ TEST(RecoveryEdgeTest, JournalFramesPredatingCheckpointCutAreSkippedNotDoubled) 
     for (int i = 0; i < kBeforeCheckpoint; ++i) {
       ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
     }
+    ASSERT_EQ((*service)->metrics().Snap().accepted,
+              static_cast<uint64_t>(kBeforeCheckpoint));
+    checkpoint_sets = (*service)->CollectLog().size();
     ASSERT_TRUE((*service)->WriteCheckpoint(checkpoint_path).ok());
     for (int i = kBeforeCheckpoint; i < kRequests; ++i) {
       ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
@@ -208,8 +216,7 @@ TEST(RecoveryEdgeTest, JournalFramesPredatingCheckpointCutAreSkippedNotDoubled) 
       IssuanceService::Recover(&licenses, {}, checkpoint_path, journal_path,
                                &stats);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(stats.checkpoint_records,
-            static_cast<size_t>(kBeforeCheckpoint));
+  EXPECT_EQ(stats.checkpoint_records, checkpoint_sets);
   EXPECT_EQ(stats.journal_records_skipped,
             static_cast<size_t>(kBeforeCheckpoint));
   EXPECT_EQ(stats.journal_records_replayed,

@@ -162,7 +162,8 @@ TEST(WideE2ETest, N256IssuanceAndRecoveryMatchReferenceModel) {
 
   const Result<LogStore> log = (*recovered)->CollectLog();
   ASSERT_TRUE(log.ok());
-  EXPECT_EQ(log->size(), static_cast<size_t>(accepted_total));
+  // One record per distinct set.
+  EXPECT_EQ(log->size(), expected_counts.size());
   const auto merged = log->MergedCounts();
   ASSERT_EQ(merged.size(), expected_counts.size());
   for (const auto& [set, count] : expected_counts) {
