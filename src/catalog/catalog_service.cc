@@ -2,10 +2,8 @@
 
 #include <filesystem>
 #include <map>
-#include <sstream>
 #include <utility>
 
-#include "licensing/license_serialization.h"
 #include "persist/checkpoint.h"
 #include "persist/framing.h"
 
@@ -21,8 +19,6 @@ namespace {
 constexpr size_t kTenantBaseBytes = 16 * 1024;
 constexpr size_t kLicenseBytes = 1024;
 constexpr size_t kRecordBytes = 128;
-
-constexpr uint32_t kSpillVersion = 1;
 
 // SplitMix64 finalizer — tenant ids may be dense (0, 1, 2, ...), so both
 // the LRU-shard and journal-writer routes need real mixing.
@@ -212,13 +208,11 @@ void CatalogService::TouchLru(LruShard& shard, uint64_t tenant_id) {
 Status CatalogService::CompileLocked(Tenant* tenant) {
   GEOLIC_ASSIGN_OR_RETURN(Workload baseline,
                           source_->MakeTenant(tenant->tenant_id));
-  tenant->schema = std::move(baseline.schema);
-  tenant->licenses = std::move(baseline.licenses);
   GEOLIC_ASSIGN_OR_RETURN(
       tenant->service,
-      IssuanceService::Create(tenant->licenses.get(),
-                              options_.service_options));
-  tenant->epoch_base = 0;
+      IssuanceService::Restore({.licenses = std::move(baseline.licenses)},
+                               options_.service_options));
+  tenant->schema = std::move(baseline.schema);
   return Status::Ok();
 }
 
@@ -229,84 +223,33 @@ Status CatalogService::LoadSpillLocked(Tenant* tenant,
                               SpillPath(tenant->tenant_id) + ": " + message);
   };
   size_t pos = 0;
-  uint32_t version = 0;
   uint64_t stored_id = 0;
-  uint64_t covered_seq = 0;
-  uint64_t epoch = 0;
-  uint32_t license_count = 0;
-  if (!framing::GetScalar(payload, &pos, &version) ||
-      !framing::GetScalar(payload, &pos, &stored_id) ||
-      !framing::GetScalar(payload, &pos, &covered_seq) ||
-      !framing::GetScalar(payload, &pos, &epoch) ||
-      !framing::GetScalar(payload, &pos, &license_count)) {
+  if (!framing::GetScalar(payload, &pos, &stored_id)) {
     return fail("truncated spill header");
-  }
-  if (version != kSpillVersion) {
-    return fail("unsupported spill version " + std::to_string(version));
   }
   if (stored_id != tenant->tenant_id) {
     return fail("payload holds tenant " + std::to_string(stored_id) +
                 " — spill file misplaced");
   }
-  if (license_count == 0) {
-    return fail("spill carries no licenses");
-  }
-
   // The schema is a pure function of the tenant id; only the evolved
   // license set and log need the disk bytes.
   GEOLIC_ASSIGN_OR_RETURN(Workload baseline,
                           source_->MakeTenant(tenant->tenant_id));
-  std::unique_ptr<ConstraintSchema> schema = std::move(baseline.schema);
-  auto catalog = std::make_unique<LicenseCatalog>(schema.get());
-
-  std::istringstream in(payload.substr(pos));
-  for (uint32_t i = 0; i < license_count; ++i) {
-    auto license = ReadLicenseBinary(&in);
-    if (!license.ok()) {
-      return fail("license " + std::to_string(i) + ": " +
-                  license.status().message());
-    }
-    auto added = catalog->Add(std::move(license).value());
-    if (!added.ok()) {
-      return fail("license " + std::to_string(i) + ": " +
-                  added.status().message());
-    }
-  }
-  const std::streampos consumed = in.tellg();
-  if (consumed < 0) {
-    return fail("license section lost stream position");
-  }
-  pos += static_cast<size_t>(consumed);
-
-  uint64_t record_count = 0;
-  if (!framing::GetScalar(payload, &pos, &record_count)) {
-    return fail("truncated record count");
-  }
-  LogStore history;
-  for (uint64_t i = 0; i < record_count; ++i) {
-    LogRecord record;
-    Status decoded = DecodeLogRecord(payload, &pos, &record);
-    if (!decoded.ok()) {
-      return fail("record " + std::to_string(i) + ": " + decoded.message());
-    }
-    Status appended = history.Append(std::move(record));
-    if (!appended.ok()) {
-      return fail("record " + std::to_string(i) + ": " + appended.message());
-    }
+  Result<ServiceState> state =
+      DecodeServiceState(payload, &pos, baseline.schema.get());
+  if (!state.ok()) {
+    return fail(state.status().message());
   }
   if (pos != payload.size()) {
     return fail(std::to_string(payload.size() - pos) +
-                " trailing bytes after the record section");
+                " trailing bytes after the service state");
   }
-
+  const uint64_t covered_seq = state->covered_seq;
   GEOLIC_ASSIGN_OR_RETURN(
-      std::unique_ptr<IssuanceService> service,
-      IssuanceService::CreateWithHistory(catalog.get(),
-                                         options_.service_options, history));
-  tenant->schema = std::move(schema);
-  tenant->licenses = std::move(catalog);
-  tenant->service = std::move(service);
-  tenant->epoch_base = epoch;
+      tenant->service,
+      IssuanceService::Restore(std::move(state).value(),
+                               options_.service_options));
+  tenant->schema = std::move(baseline.schema);
   tenant->tenant_seq = covered_seq;
   return Status::Ok();
 }
@@ -341,8 +284,9 @@ Status CatalogService::EnsureResidentLocked(Tenant* tenant) {
   tenant->resident = true;
   tenant->table_bytes = tenant->service->dense_table_bytes();
   tenant->approx_bytes =
-      ApproxTenantBytes(static_cast<size_t>(tenant->licenses->size()),
-                        tenant->service->CollectLog().size()) +
+      ApproxTenantBytes(
+          static_cast<size_t>(tenant->service->licenses().size()),
+          tenant->service->CollectLog().size()) +
       tenant->table_bytes;
   LruShard& shard = ShardFor(tenant->tenant_id);
   {
@@ -370,28 +314,11 @@ void CatalogService::ChargeTablesLocked(Tenant* tenant) {
 
 Result<std::string> CatalogService::EncodeSpillLocked(
     const Tenant& tenant) const {
+  ServiceState state = tenant.service->Snapshot();
+  state.covered_seq = tenant.tenant_seq;
   std::string payload;
-  framing::PutScalar<uint32_t>(&payload, kSpillVersion);
   framing::PutScalar<uint64_t>(&payload, tenant.tenant_id);
-  framing::PutScalar<uint64_t>(&payload, tenant.tenant_seq);
-  framing::PutScalar<uint64_t>(
-      &payload, tenant.epoch_base + tenant.service->catalog_epoch());
-
-  const std::vector<License>& licenses =
-      tenant.service->licenses().licenses();
-  framing::PutScalar<uint32_t>(&payload,
-                               static_cast<uint32_t>(licenses.size()));
-  std::ostringstream blob;
-  for (const License& license : licenses) {
-    GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(license, &blob));
-  }
-  payload += blob.str();
-
-  const LogStore log = tenant.service->CollectLog();
-  framing::PutScalar<uint64_t>(&payload, static_cast<uint64_t>(log.size()));
-  for (const LogRecord& record : log.records()) {
-    EncodeLogRecord(record, &payload);
-  }
+  GEOLIC_RETURN_IF_ERROR(EncodeServiceState(state, &payload));
   return payload;
 }
 
@@ -409,7 +336,6 @@ Status CatalogService::SpillLocked(Tenant* tenant, bool evicting) {
       CheckpointKind::kTenantSnapshot, payload,
       SpillPath(tenant->tenant_id)));
   tenant->service.reset();
-  tenant->licenses.reset();
   tenant->schema.reset();
   tenant->resident = false;
 
@@ -555,7 +481,6 @@ Result<OnlineDecision> CatalogService::TryIssue(uint64_t tenant_id,
     GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant.get(), &frame));
     GEOLIC_ASSIGN_OR_RETURN(OnlineDecision decision,
                             tenant->service->TryIssue(usage));
-    decision.catalog_epoch += tenant->epoch_base;
     if (decision.accepted() &&
         AboveDenseCap(*tenant->service, decision.satisfying_set)) {
       tenant->approx_bytes += kRecordBytes;
@@ -636,7 +561,7 @@ Result<uint64_t> CatalogService::TenantEpoch(uint64_t tenant_id) {
   Result<uint64_t> result = [&]() -> Result<uint64_t> {
     std::lock_guard<std::mutex> lock(tenant->mutex);
     GEOLIC_RETURN_IF_ERROR(EnsureResidentLocked(tenant.get()));
-    return tenant->epoch_base + tenant->service->catalog_epoch();
+    return tenant->service->catalog_epoch();
   }();
   MaybeEvict(ShardFor(tenant_id));
   return result;
@@ -666,7 +591,7 @@ Result<CatalogService::TenantSnapshot> CatalogService::SnapshotTenant(
     TenantSnapshot snapshot;
     snapshot.licenses = tenant->service->licenses().licenses();
     snapshot.log = tenant->service->CollectLog();
-    snapshot.epoch = tenant->epoch_base + tenant->service->catalog_epoch();
+    snapshot.epoch = tenant->service->catalog_epoch();
     snapshot.tenant_seq = tenant->tenant_seq;
     return snapshot;
   }();

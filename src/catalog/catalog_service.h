@@ -39,8 +39,8 @@ namespace geolic {
 // per-tenant checkpoint (persist/checkpoint.h, kind = tenant-snapshot) and
 // the in-memory service is freed. Re-access reloads the spill
 // transparently; decisions are bit-identical to a never-evicted twin
-// (including `catalog_epoch`: the reloaded service restarts at epoch 0, so
-// the catalog adds a per-tenant epoch base to every decision).
+// (including `catalog_epoch`: the reloaded service continues at the
+// spilled epoch).
 //
 // Durability multiplexes every tenant onto a small pool of shared
 // journals: each op appends one tenant-tagged v3 frame (tenant_id +
@@ -221,11 +221,9 @@ class CatalogService {
     std::mutex mutex;
     bool resident = false;
     std::unique_ptr<ConstraintSchema> schema;
-    std::unique_ptr<LicenseCatalog> licenses;
+    // Owns the tenant's catalog (built over `schema`); its epoch is the
+    // tenant's cumulative epoch (a reload continues it).
     std::unique_ptr<IssuanceService> service;
-    // Cumulative epochs from before the last reload: decision epochs are
-    // service->catalog_epoch() + epoch_base.
-    uint64_t epoch_base = 0;
     // Last journaled per-tenant op sequence (0 = none yet).
     uint64_t tenant_seq = 0;
     size_t approx_bytes = 0;

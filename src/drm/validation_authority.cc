@@ -1,32 +1,12 @@
 #include "drm/validation_authority.h"
 
-#include <sstream>
+#include <map>
 #include <utility>
 
-#include "licensing/license_serialization.h"
 #include "persist/checkpoint.h"
 #include "persist/framing.h"
-#include "persist/journal.h"
 
 namespace geolic {
-namespace {
-
-// Longest content key a snapshot may carry (a sanity bound on the length
-// prefix, not a product limit).
-constexpr uint32_t kMaxContentBytes = 1u << 16;
-
-}  // namespace
-
-Result<ValidationAuthority::Domain> ValidationAuthority::MakeDomain(
-    std::unique_ptr<LicenseCatalog> base, const LogStore& history) const {
-  Domain domain;
-  GEOLIC_ASSIGN_OR_RETURN(
-      domain.service,
-      IssuanceService::CreateWithHistory(base.get(), service_options_,
-                                         history));
-  domain.base = std::move(base);
-  return domain;
-}
 
 Status ValidationAuthority::RegisterRedistribution(License license) {
   if (license.type() != LicenseType::kRedistribution) {
@@ -40,12 +20,14 @@ Status ValidationAuthority::RegisterRedistribution(License license) {
   const ContentKey key = KeyOf(license);
   const auto it = domains_.find(key);
   if (it != domains_.end()) {
-    return it->second.service->AcquireLicense(license).status();
+    return it->second->AcquireLicense(license).status();
   }
   auto base = std::make_unique<LicenseCatalog>(schema_);
   GEOLIC_RETURN_IF_ERROR(base->Add(std::move(license)).status());
-  GEOLIC_ASSIGN_OR_RETURN(Domain domain,
-                          MakeDomain(std::move(base), LogStore()));
+  GEOLIC_ASSIGN_OR_RETURN(
+      std::unique_ptr<IssuanceService> domain,
+      IssuanceService::Restore({.licenses = std::move(base)},
+                               service_options_));
   domains_.emplace(key, std::move(domain));
   return Status::Ok();
 }
@@ -58,7 +40,7 @@ Result<OnlineDecision> ValidationAuthority::ValidateIssue(
                             "content " +
                             issued.content_key());
   }
-  return it->second.service->TryIssue(issued);
+  return it->second->TryIssue(issued);
 }
 
 Result<std::vector<OnlineDecision>> ValidationAuthority::ValidateIssueBatch(
@@ -73,7 +55,7 @@ Result<std::vector<OnlineDecision>> ValidationAuthority::ValidateIssueBatch(
           "batch license " + license.id() + " belongs to another domain");
     }
   }
-  return it->second.service->TryIssueBatch(batch);
+  return it->second->TryIssueBatch(batch);
 }
 
 std::vector<ValidationAuthority::ContentKey> ValidationAuthority::Keys()
@@ -92,7 +74,7 @@ Result<const LicenseCatalog*> ValidationAuthority::LicensesFor(
   if (it == domains_.end()) {
     return Status::NotFound("unknown content domain: " + key.content);
   }
-  return &it->second.service->licenses();
+  return &it->second->licenses();
 }
 
 Result<LogStore> ValidationAuthority::LogFor(const ContentKey& key) const {
@@ -100,7 +82,7 @@ Result<LogStore> ValidationAuthority::LogFor(const ContentKey& key) const {
   if (it == domains_.end()) {
     return Status::NotFound("unknown content domain: " + key.content);
   }
-  return it->second.service->CollectLog();
+  return it->second->CollectLog();
 }
 
 Result<const IssuanceService*> ValidationAuthority::ServiceFor(
@@ -109,7 +91,7 @@ Result<const IssuanceService*> ValidationAuthority::ServiceFor(
   if (it == domains_.end()) {
     return Status::NotFound("unknown content domain: " + key.content);
   }
-  return static_cast<const IssuanceService*>(it->second.service.get());
+  return static_cast<const IssuanceService*>(it->second.get());
 }
 
 Result<ValidationAuthority::ContentAudit> ValidationAuthority::Audit(
@@ -120,7 +102,7 @@ Result<ValidationAuthority::ContentAudit> ValidationAuthority::Audit(
   }
   ContentAudit audit;
   audit.key = key;
-  const IssuanceService& service = *it->second.service;
+  const IssuanceService& service = *it->second;
   GEOLIC_ASSIGN_OR_RETURN(audit.result,
                           Validate(service.licenses(), service.CollectLog(),
                                    {.mode = ValidationMode::kGrouped}));
@@ -144,11 +126,10 @@ Result<ValidationAuthority::PeriodClose> ValidationAuthority::ClosePeriod(
   if (it == domains_.end()) {
     return Status::NotFound("unknown content domain: " + key.content);
   }
-  Domain& domain = it->second;
-  const LicenseCatalog& licenses = domain.service->licenses();
+  const LicenseCatalog& licenses = it->second->licenses();
   PeriodClose close;
   close.audit.key = key;
-  close.archived_log = domain.service->CollectLog();
+  close.archived_log = it->second->CollectLog();
   GEOLIC_ASSIGN_OR_RETURN(close.audit.result,
                           Validate(licenses, close.archived_log,
                                    {.mode = ValidationMode::kGrouped}));
@@ -157,45 +138,24 @@ Result<ValidationAuthority::PeriodClose> ValidationAuthority::ClosePeriod(
                             ComputeSettlement(licenses, close.archived_log));
     close.settled = true;
   }
-  // Fresh period: same licenses, empty history. The current catalog may
-  // belong to the retiring service's epoch, so the new service gets its
-  // own copy, and the old service goes before the catalog it may borrow.
+  // Fresh period: same licenses, empty history, in the new service's own
+  // copy of the catalog (the retiring service owns the current one).
   GEOLIC_ASSIGN_OR_RETURN(
-      Domain fresh,
-      MakeDomain(std::make_unique<LicenseCatalog>(licenses), LogStore()));
-  domain.service = std::move(fresh.service);
-  domain.base = std::move(fresh.base);
+      it->second,
+      IssuanceService::Restore(
+          {.licenses = std::make_unique<LicenseCatalog>(licenses)},
+          service_options_));
   return close;
 }
 
 // Snapshot payload (docs/FORMATS.md, "Authority snapshots"): u32 domain
-// count, then per domain its content key (u32 length + bytes), u32
-// permission, u32 license count and the licenses (WriteLicenseBinary),
-// u64 record count and the records (EncodeLogRecord).
+// count, then one service state payload per domain.
 Status ValidationAuthority::CheckpointFull(const std::string& path) const {
   std::string payload;
   framing::PutScalar<uint32_t>(&payload,
                                static_cast<uint32_t>(domains_.size()));
   for (const auto& [key, domain] : domains_) {
-    framing::PutScalar<uint32_t>(&payload,
-                                 static_cast<uint32_t>(key.content.size()));
-    payload += key.content;
-    framing::PutScalar<uint32_t>(&payload,
-                                 static_cast<uint32_t>(key.permission));
-    const std::vector<License>& licenses =
-        domain.service->licenses().licenses();
-    framing::PutScalar<uint32_t>(&payload,
-                                 static_cast<uint32_t>(licenses.size()));
-    std::ostringstream blob;
-    for (const License& license : licenses) {
-      GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(license, &blob));
-    }
-    payload += blob.str();
-    const LogStore log = domain.service->CollectLog();
-    framing::PutScalar<uint64_t>(&payload, static_cast<uint64_t>(log.size()));
-    for (const LogRecord& record : log.records()) {
-      EncodeLogRecord(record, &payload);
-    }
+    GEOLIC_RETURN_IF_ERROR(EncodeServiceState(domain->Snapshot(), &payload));
   }
   return WriteCheckpointFileDurable(CheckpointKind::kAuthoritySnapshot,
                                     payload, path);
@@ -217,81 +177,31 @@ Status ValidationAuthority::RestoreFull(const std::string& path) {
   if (!framing::GetScalar(payload, &pos, &domain_count)) {
     return fail("truncated domain count");
   }
-  std::istringstream in(payload);
 
   // Stage into a local map first; commit only on full success.
-  std::map<ContentKey, Domain> staged;
+  std::map<ContentKey, std::unique_ptr<IssuanceService>> staged;
   for (uint32_t d = 0; d < domain_count; ++d) {
-    uint32_t content_size = 0;
-    if (!framing::GetScalar(payload, &pos, &content_size) ||
-        content_size > kMaxContentBytes ||
-        payload.size() - pos < content_size) {
-      return fail("bad content key");
+    Result<ServiceState> state = DecodeServiceState(payload, &pos, schema_);
+    if (!state.ok()) {
+      return fail(state.status().message());
     }
-    ContentKey key;
-    key.content = payload.substr(pos, content_size);
-    pos += content_size;
-    uint32_t permission = 0;
-    uint32_t license_count = 0;
-    if (!framing::GetScalar(payload, &pos, &permission) ||
-        !framing::GetScalar(payload, &pos, &license_count) ||
-        permission >= static_cast<uint32_t>(kNumPermissions) ||
-        license_count == 0 ||
-        license_count > static_cast<uint32_t>(kMaxLicensesLarge)) {
-      return fail("bad domain header");
+    // The authority keeps no journal, so a domain's state covers no frames.
+    if (state->covered_seq != 0) {
+      return fail("domain state claims journal frames");
     }
-    key.permission = static_cast<Permission>(permission);
-
-    auto base = std::make_unique<LicenseCatalog>(schema_);
-    in.seekg(static_cast<std::streamoff>(pos));
-    for (uint32_t i = 0; i < license_count; ++i) {
-      Result<License> license = ReadLicenseBinary(&in);
-      if (!license.ok()) {
-        return fail("license: " + license.status().message());
-      }
-      if (KeyOf(*license) != key ||
-          license->rect().dimensions() != schema_->dimensions()) {
-        return fail("license " + license->id() +
-                    " does not belong to its domain");
-      }
-      const Status added = base->Add(std::move(license).value()).status();
-      if (!added.ok()) {
-        return fail(added.message());
-      }
+    // A catalog holds one content and permission, so its first license
+    // names the domain. CheckpointFull writes the domains in key order.
+    ContentKey key = KeyOf(state->licenses->at(0));
+    if (!staged.empty() && !(staged.rbegin()->first < key)) {
+      return fail("domains out of key order or repeated");
     }
-    const std::streampos consumed = in.tellg();
-    if (consumed < 0) {
-      return fail("license section lost stream position");
-    }
-    pos = static_cast<size_t>(consumed);
-
-    uint64_t record_count = 0;
-    if (!framing::GetScalar(payload, &pos, &record_count)) {
-      return fail("truncated record count");
-    }
-    const LicenseSet all = base->AllMask();
-    LogStore history;
-    for (uint64_t r = 0; r < record_count; ++r) {
-      LogRecord record;
-      const Status decoded = DecodeLogRecord(payload, &pos, &record);
-      if (!decoded.ok()) {
-        return fail("record: " + decoded.message());
-      }
-      if (!record.set.IsSubsetOf(all)) {
-        return fail("record references unknown license indexes");
-      }
-      const Status appended = history.Append(std::move(record));
-      if (!appended.ok()) {
-        return fail("record: " + appended.message());
-      }
-    }
-    Result<Domain> domain = MakeDomain(std::move(base), history);
+    Result<std::unique_ptr<IssuanceService>> domain =
+        IssuanceService::Restore(std::move(state).value(), service_options_);
     if (!domain.ok()) {
       return fail(domain.status().message());
     }
-    if (!staged.emplace(std::move(key), std::move(domain).value()).second) {
-      return fail("duplicate domain");
-    }
+    staged.emplace_hint(staged.end(), std::move(key),
+                        std::move(domain).value());
   }
   if (pos != payload.size()) {
     return fail("trailing bytes after the last domain");

@@ -116,35 +116,25 @@ class ValidationAuthority {
   // violations; settlement is skipped).
   Result<PeriodClose> ClosePeriod(const ContentKey& key);
 
-  // Snapshots every domain's registered licenses and issuance log into one
-  // checkpoint file (persist/checkpoint.h, kind = authority-snapshot),
+  // Snapshots every domain's service state (its licenses, epoch and
+  // issuance log: one service state payload each, docs/FORMATS.md) into
+  // one checkpoint file (persist/checkpoint.h, kind = authority-snapshot),
   // published durably. RestoreFull rebuilds an authority from it without
-  // any prior registration; it requires this authority to be empty and
-  // leaves it untouched on failure. A damaged or inconsistent snapshot is
-  // a ParseError.
+  // any prior registration, each domain at its snapshot epoch; it requires
+  // this authority to be empty and leaves it untouched on failure. A
+  // damaged or inconsistent snapshot is a ParseError.
   Status CheckpointFull(const std::string& path) const;
   Status RestoreFull(const std::string& path);
 
  private:
-  struct Domain {
-    // The catalog `service` was created over (its epoch 0). Registrations
-    // after the first live in the service's own epochs: read the domain's
-    // licenses from service->licenses(), never from here.
-    std::unique_ptr<LicenseCatalog> base;
-    std::unique_ptr<IssuanceService> service;
-  };
-
   static ContentKey KeyOf(const License& license) {
     return ContentKey{license.content_key(), license.permission()};
   }
 
-  // A domain over `base` (non-empty) with `history` pre-loaded.
-  Result<Domain> MakeDomain(std::unique_ptr<LicenseCatalog> base,
-                            const LogStore& history) const;
-
   const ConstraintSchema* schema_;
   OnlineValidatorOptions service_options_;
-  std::map<ContentKey, Domain> domains_;
+  // Each domain's service owns its catalog.
+  std::map<ContentKey, std::unique_ptr<IssuanceService>> domains_;
 };
 
 }  // namespace geolic

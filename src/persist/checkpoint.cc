@@ -41,8 +41,6 @@ void PutU64(std::string* out, uint64_t value) {
 
 const char* CheckpointKindName(CheckpointKind kind) {
   switch (kind) {
-    case CheckpointKind::kValidationTree:
-      return "validation-tree";
     case CheckpointKind::kLogStore:
       return "log-store";
     case CheckpointKind::kServiceSnapshot:

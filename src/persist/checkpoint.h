@@ -11,10 +11,9 @@
 namespace geolic {
 
 // Checkpoint container format v2 — the CRC-protected envelope every geolic
-// snapshot (validation tree, log store, service snapshot, tenant spill,
-// authority snapshot) is written in, so a flipped bit fails the load
-// instead of silently changing a count. A checkpoint file holds exactly one
-// frame.
+// snapshot (log store, service snapshot, tenant spill, authority snapshot)
+// is written in, so a flipped bit fails the load instead of silently
+// changing a count. A checkpoint file holds exactly one frame.
 //
 // Layout (little-endian):
 //   header  : magic "GLCKPT2\0" (8) | version u32 | kind u32 |
@@ -32,8 +31,8 @@ inline constexpr char kCheckpointMagic[8] =
 inline constexpr uint32_t kCheckpointVersion = 2;
 
 // What the payload contains; mismatches fail the read.
+// Kind 1 (a validation-tree body) is retired: it reads as unknown.
 enum class CheckpointKind : uint32_t {
-  kValidationTree = 1,     // validation/tree_serialization.h body.
   kLogStore = 2,           // validation/log_store.h record table.
   kServiceSnapshot = 3,    // service/issuance_service.h checkpoint.
   kTenantSnapshot = 4,     // catalog/catalog_service.h per-tenant spill.

@@ -4,10 +4,13 @@
 #include <array>
 #include <bit>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 
+#include "licensing/license_serialization.h"
 #include "persist/checkpoint.h"
+#include "persist/framing.h"
 #include "util/check.h"
 #include "util/request_arena.h"
 #include "util/stopwatch.h"
@@ -60,10 +63,18 @@ class RequestTimer {
   Stopwatch real_;
 };
 
-// First u64 of a v3 service-checkpoint payload; Recover rejects a payload
-// that starts with anything else.
-constexpr uint64_t kCheckpointV3Sentinel = ~uint64_t{0};
-constexpr uint32_t kCheckpointV3Version = 3;
+constexpr uint32_t kServiceStateVersion = 1;
+
+// Read-only stream over a byte span, so ReadLicenseBinary decodes a
+// payload's licenses in place.
+class SpanBuf : public std::streambuf {
+ public:
+  explicit SpanBuf(std::string_view bytes) {
+    char* begin = const_cast<char*>(bytes.data());
+    setg(begin, begin, begin + bytes.size());
+  }
+  size_t consumed() const { return static_cast<size_t>(gptr() - eback()); }
+};
 
 // Compacted records of `sets` (one per distinct set, ids empty), in
 // ascending set order: CollectLog's and the checkpoint's record table.
@@ -229,6 +240,93 @@ Status EvolveCatalog(const JournalEntry& entry, std::vector<License>* active,
 
 }  // namespace
 
+Status EncodeServiceState(const ServiceState& state, std::string* out) {
+  framing::PutScalar(out, kServiceStateVersion);
+  framing::PutScalar(out, state.catalog_epoch);
+  framing::PutScalar(out, state.covered_seq);
+  const std::vector<License>& licenses = state.licenses->licenses();
+  framing::PutScalar(out, static_cast<uint32_t>(licenses.size()));
+  std::ostringstream blob;
+  for (const License& license : licenses) {
+    GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(license, &blob));
+  }
+  out->append(blob.str());
+  framing::PutScalar(out, static_cast<uint64_t>(state.records.size()));
+  for (const LogRecord& record : state.records.records()) {
+    EncodeLogRecord(record, out);
+  }
+  return Status::Ok();
+}
+
+Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
+                                        const ConstraintSchema* schema) {
+  ServiceState state;
+  uint32_t version = 0;
+  uint32_t license_count = 0;
+  if (!framing::GetScalar(bytes, pos, &version) ||
+      !framing::GetScalar(bytes, pos, &state.catalog_epoch) ||
+      !framing::GetScalar(bytes, pos, &state.covered_seq) ||
+      !framing::GetScalar(bytes, pos, &license_count)) {
+    return Status::ParseError("service state header truncated");
+  }
+  if (version != kServiceStateVersion) {
+    return Status::ParseError("unsupported service state version " +
+                              std::to_string(version));
+  }
+  if (license_count == 0) {
+    return Status::ParseError("service state carries no licenses");
+  }
+  state.licenses = std::make_unique<LicenseCatalog>(schema);
+  SpanBuf span(bytes.substr(*pos));
+  std::istream in(&span);
+  for (uint32_t i = 0; i < license_count; ++i) {
+    const size_t start = span.consumed();
+    Result<License> license = ReadLicenseBinary(&in);
+    if (!license.ok()) {
+      return Status::ParseError("license " + std::to_string(i) + ": " +
+                                license.status().message());
+    }
+    // A license that decodes to something else (an empty interval, merged
+    // pieces) is damage, not a state this encoder wrote.
+    std::ostringstream again;
+    GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(*license, &again));
+    if (again.view() !=
+        bytes.substr(*pos + start, span.consumed() - start)) {
+      return Status::ParseError("license " + std::to_string(i) +
+                                " is not in canonical form");
+    }
+    const Result<int> added = state.licenses->Add(std::move(license).value());
+    if (!added.ok()) {
+      return Status::ParseError("license " + std::to_string(i) + ": " +
+                                added.status().message());
+    }
+  }
+  *pos += span.consumed();
+  uint64_t record_count = 0;
+  if (!framing::GetScalar(bytes, pos, &record_count)) {
+    return Status::ParseError("service state record count truncated");
+  }
+  const LicenseSet all = state.licenses->AllMask();
+  for (uint64_t r = 0; r < record_count; ++r) {
+    LogRecord record;
+    GEOLIC_RETURN_IF_ERROR(DecodeLogRecord(bytes, pos, &record));
+    if (!record.issued_license_id.empty()) {
+      return Status::ParseError("service state record carries an id");
+    }
+    if (!record.set.IsSubsetOf(all)) {
+      return Status::ParseError(
+          "service state record references unknown license indexes");
+    }
+    if (!state.records.empty() &&
+        !(state.records.records().back().set < record.set)) {
+      return Status::ParseError(
+          "service state records are not in ascending set order");
+    }
+    GEOLIC_RETURN_IF_ERROR(state.records.Append(std::move(record)));
+  }
+  return state;
+}
+
 IssuanceService::IssuanceService(const LicenseCatalog* licenses,
                                  const OnlineValidatorOptions& options,
                                  std::shared_ptr<CatalogEpoch> epoch0)
@@ -353,28 +451,36 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateWithHistory(
   return CreateOwned(licenses, nullptr, options, history);
 }
 
+Result<std::unique_ptr<IssuanceService>> IssuanceService::Restore(
+    ServiceState state, const OnlineValidatorOptions& options) {
+  const LicenseCatalog* licenses = state.licenses.get();
+  return CreateOwned(licenses, std::move(state.licenses), options,
+                     state.records, state.catalog_epoch);
+}
+
 Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
     const LicenseCatalog* licenses, std::unique_ptr<LicenseCatalog> owned,
-    const OnlineValidatorOptions& options, const LogStore& history) {
+    const OnlineValidatorOptions& options, const LogStore& history,
+    uint64_t epoch) {
   if (licenses == nullptr || licenses->empty()) {
     return Status::InvalidArgument(
         "issuance service needs at least one redistribution license");
   }
-  std::shared_ptr<CatalogEpoch> epoch0 =
-      BuildEpoch(options, 0, licenses, std::move(owned),
+  std::shared_ptr<CatalogEpoch> first =
+      BuildEpoch(options, epoch, licenses, std::move(owned),
                  LicenseGrouping::FromLicenses(*licenses));
   // Not make_unique: the constructor is private.
   std::unique_ptr<IssuanceService> service(
-      new IssuanceService(licenses, options, epoch0));
+      new IssuanceService(licenses, options, first));
   // Pre-load the history through the same routing the admission path uses
   // (records of already-validated issuances — they are not re-checked).
   for (const LogRecord& record : history.records()) {
     GEOLIC_RETURN_IF_ERROR(
-        service->ApplySetToEpoch(epoch0.get(), record.set, record.count));
+        service->ApplySetToEpoch(first.get(), record.set, record.count));
   }
   service->issue_sequence_.store(static_cast<int64_t>(history.size()),
                                  std::memory_order_relaxed);
-  FinishEpochTables(*epoch0);
+  FinishEpochTables(*first);
   return service;
 }
 
@@ -1183,9 +1289,7 @@ ExpositionInput IssuanceService::Snap() const {
   return input;
 }
 
-Status IssuanceService::WriteCheckpoint(const std::string& path) const {
-  ScopedTracerSpan span(options_.tracer, TraceStage::kCheckpointWrite);
-  SimYield(options_, "pre_checkpoint");
+ServiceState IssuanceService::Snapshot() const {
   // Exact cut: every shard lock in index order, then the journal lock —
   // the same order AdmitLocked and ReconfigureLocked use, so no admission
   // can be half-applied (journaled but not yet in its shard) while we
@@ -1200,25 +1304,20 @@ Status IssuanceService::WriteCheckpoint(const std::string& path) const {
       sets.emplace_back(set, count);
     });
   }
-  const LogStore merged = SortedLog(std::move(sets));
-  // v3 payload: sentinel, version, the catalog epoch the records are
-  // numbered in, the journal sequence this snapshot covers, then the
-  // record table (one record per distinct set). Recovery replays only
-  // journal frames with seq > covered — and checks the epoch tag against
-  // the journal's reconfiguration history up to that point.
-  std::ostringstream body;
-  const uint64_t sentinel = kCheckpointV3Sentinel;
-  body.write(reinterpret_cast<const char*>(&sentinel), sizeof(sentinel));
-  const uint32_t version = kCheckpointV3Version;
-  body.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  const uint64_t epoch_number = epoch->epoch;
-  body.write(reinterpret_cast<const char*>(&epoch_number),
-             sizeof(epoch_number));
-  const uint64_t covered_seq = journal_seq_;
-  body.write(reinterpret_cast<const char*>(&covered_seq),
-             sizeof(covered_seq));
-  merged.SerializeRecords(&body);
-  return WriteCheckpointFile(CheckpointKind::kServiceSnapshot, body.str(),
+  ServiceState state;
+  state.catalog_epoch = epoch->epoch;
+  state.covered_seq = journal_seq_;
+  state.licenses = std::make_unique<LicenseCatalog>(*epoch->catalog);
+  state.records = SortedLog(std::move(sets));
+  return state;
+}
+
+Status IssuanceService::WriteCheckpoint(const std::string& path) const {
+  ScopedTracerSpan span(options_.tracer, TraceStage::kCheckpointWrite);
+  SimYield(options_, "pre_checkpoint");
+  std::string payload;
+  GEOLIC_RETURN_IF_ERROR(EncodeServiceState(Snapshot(), &payload));
+  return WriteCheckpointFile(CheckpointKind::kServiceSnapshot, payload,
                              path);
 }
 
@@ -1303,48 +1402,26 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
   }
   ScopedTracerSpan span(options.tracer, TraceStage::kRecoveryReplay);
   RecoveryStats local;
-  uint64_t covered_seq = 0;
-  uint64_t ckpt_epoch = 0;
-  bool have_checkpoint = false;
-  LogStore checkpoint_records;
-  if (!checkpoint_path.empty()) {
+  const bool have_checkpoint = !checkpoint_path.empty();
+  ServiceState checkpoint;
+  if (have_checkpoint) {
     GEOLIC_ASSIGN_OR_RETURN(
         const std::string payload,
         ReadCheckpointFile(CheckpointKind::kServiceSnapshot,
                            checkpoint_path));
-    std::istringstream body(payload);
-    uint64_t sentinel = 0;
-    body.read(reinterpret_cast<char*>(&sentinel), sizeof(sentinel));
-    if (!body) {
-      return Status::ParseError("service checkpoint payload truncated: " +
+    size_t pos = 0;
+    Result<ServiceState> decoded =
+        DecodeServiceState(payload, &pos, &licenses->schema());
+    if (!decoded.ok()) {
+      return Status::ParseError("service checkpoint " + checkpoint_path +
+                                ": " + decoded.status().message());
+    }
+    if (pos != payload.size()) {
+      return Status::ParseError("trailing bytes after checkpoint state: " +
                                 checkpoint_path);
     }
-    if (sentinel != kCheckpointV3Sentinel) {
-      return Status::ParseError(
-          "service checkpoint payload lacks the v3 sentinel: " +
-          checkpoint_path);
-    }
-    uint32_t version = 0;
-    body.read(reinterpret_cast<char*>(&version), sizeof(version));
-    body.read(reinterpret_cast<char*>(&ckpt_epoch), sizeof(ckpt_epoch));
-    body.read(reinterpret_cast<char*>(&covered_seq), sizeof(covered_seq));
-    if (!body) {
-      return Status::ParseError("service checkpoint payload truncated: " +
-                                checkpoint_path);
-    }
-    if (version != kCheckpointV3Version) {
-      return Status::ParseError(
-          "unsupported service checkpoint payload version");
-    }
-    GEOLIC_ASSIGN_OR_RETURN(LogStore records,
-                            LogStore::DeserializeRecords(&body));
-    if (body.peek() != std::istringstream::traits_type::eof()) {
-      return Status::ParseError("trailing bytes after checkpoint records: " +
-                                checkpoint_path);
-    }
-    local.checkpoint_records = records.size();
-    checkpoint_records = std::move(records);
-    have_checkpoint = true;
+    checkpoint = std::move(decoded).value();
+    local.checkpoint_records = checkpoint.records.size();
   }
   JournalReplay replay;
   if (!journal_path.empty()) {
@@ -1352,46 +1429,46 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
     local.journal_torn_tail = replay.torn_tail;
   }
 
-  // Stage 1 — frames the checkpoint covers. Admissions are already inside
-  // the checkpoint's record table; reconfigurations must still evolve the
-  // catalog, because the checkpoint's records are numbered in the evolved
-  // index space.
-  std::vector<License> active = licenses->licenses();
-  uint64_t epoch = 0;
-  IndexRemap evolution;
+  // Frames the checkpoint covers: its records hold their admissions and
+  // its catalog their reconfigurations — as many as its epoch says. The
+  // reader guarantees seqs are contiguous from 1, so the frames past the
+  // covered seq are exactly the uncovered tail.
   size_t at = 0;
-  for (; at < replay.entries.size() && replay.entries[at].seq <= covered_seq;
+  uint64_t covered_reconfigs = 0;
+  for (; at < replay.entries.size() &&
+         replay.entries[at].seq <= checkpoint.covered_seq;
        ++at) {
-    const JournalEntry& entry = replay.entries[at];
-    if (entry.kind == JournalEntryKind::kAdmission) {
-      // The reader guarantees seqs are contiguous from 1, so the frames
-      // past the checkpoint's covered seq are exactly the uncovered tail.
-      ++local.journal_records_skipped;
-      continue;
+    switch (replay.entries[at].kind) {
+      case JournalEntryKind::kAdmission:
+        ++local.journal_records_skipped;
+        break;
+      case JournalEntryKind::kTenantOp:
+        return Status::ParseError(
+            "tenant-tagged frame in a single-service journal");
+      case JournalEntryKind::kAcquire:
+      case JournalEntryKind::kRevoke:
+      case JournalEntryKind::kExpire:
+        ++covered_reconfigs;
+        break;
     }
-    GEOLIC_RETURN_IF_ERROR(EvolveCatalog(entry, &active, &evolution));
-    ++epoch;
-    ++local.reconfig_records_replayed;
   }
-  if (have_checkpoint && epoch != ckpt_epoch) {
+  if (covered_reconfigs != checkpoint.catalog_epoch) {
     return Status::ParseError(
         "checkpoint catalog epoch disagrees with the journal's "
         "reconfiguration history");
   }
+  local.reconfig_records_replayed = covered_reconfigs;
+  uint64_t epoch = checkpoint.catalog_epoch;
+  std::vector<License> active = have_checkpoint
+                                    ? checkpoint.licenses->licenses()
+                                    : licenses->licenses();
+  std::vector<LogRecord> combined = checkpoint.records.records();
   const auto in_range = [](const LicenseSet& set, size_t catalog_size) {
     return set.IsSubsetOf(LicenseSet::Full(static_cast<int>(catalog_size)));
   };
-  std::vector<LogRecord> combined;
-  combined.reserve(checkpoint_records.size());
-  for (const LogRecord& record : checkpoint_records.records()) {
-    if (!in_range(record.set, active.size())) {
-      return Status::ParseError(
-          "checkpoint record references unknown license indexes");
-    }
-    combined.push_back(record);
-  }
+  IndexRemap evolution;
 
-  // Stage 2 — the uncovered tail: admissions append; reconfigurations
+  // The uncovered tail: admissions append; reconfigurations
   // evolve the catalog and remap everything accumulated so far, exactly
   // as the live service did.
   for (; at < replay.entries.size(); ++at) {
@@ -1419,12 +1496,13 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
   }
   local.recovered_catalog_epoch = epoch;
 
-  // Final catalog: unevolved recovery borrows the caller's; an evolved one
-  // is rebuilt and owned by the recovered service (which restarts at epoch
-  // 0 — the recovered catalog is the new baseline).
+  // Final catalog: journal-only recovery without reconfigurations borrows
+  // the caller's; any other is rebuilt and owned by the recovered service
+  // (which restarts at epoch 0 — the recovered catalog is the new
+  // baseline).
   std::unique_ptr<LicenseCatalog> owned;
   const LicenseCatalog* final_catalog = licenses;
-  if (epoch != 0) {
+  if (have_checkpoint || epoch != 0) {
     owned = std::make_unique<LicenseCatalog>(&licenses->schema());
     for (License& license : active) {
       GEOLIC_ASSIGN_OR_RETURN(const int added, owned->Add(std::move(license)));

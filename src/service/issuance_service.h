@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dynamic_grouping.h"
@@ -104,14 +106,37 @@ struct RecoveryStats {
   size_t checkpoint_records = 0;         // Records loaded from the checkpoint.
   size_t journal_records_replayed = 0;   // Journal frames past the checkpoint.
   size_t journal_records_skipped = 0;    // Frames the checkpoint already covers.
-  size_t reconfig_records_replayed = 0;  // Acquire/revoke/expire frames applied
-                                         // to the catalog evolution (covered or
-                                         // not — all are needed for indexes).
+  size_t reconfig_records_replayed = 0;  // Acquire/revoke/expire frames: the
+                                         // covered ones counted against the
+                                         // checkpoint's epoch, the rest
+                                         // applied to its catalog.
   uint64_t recovered_catalog_epoch = 0;  // Final epoch in the journal's
                                          // numbering (the recovered service
                                          // itself restarts at epoch 0).
   bool journal_torn_tail = false;        // Journal ended in a torn write.
 };
+
+// One service's state, as every snapshot stores it: the service checkpoint,
+// the catalog's tenant spill and each domain of the drm authority snapshot
+// (docs/FORMATS.md, "Service state payload").
+struct ServiceState {
+  uint64_t catalog_epoch = 0;  // Reconfigurations behind `licenses`.
+  uint64_t covered_seq = 0;    // Last journal frame the state includes.
+  std::unique_ptr<LicenseCatalog> licenses;  // The evolved catalog.
+  LogStore records{};  // One per distinct set, ascending, empty ids.
+};
+
+// Appends `state`: version u32 | catalog_epoch u64 | covered_seq u64 |
+// license count u32 | licenses (WriteLicenseBinary) | record count u64 |
+// records (EncodeLogRecord).
+Status EncodeServiceState(const ServiceState& state, std::string* out);
+
+// Reads the payload at `*pos` and advances past it, building the licenses
+// against `schema`. Accepts only what EncodeServiceState writes: a
+// non-empty catalog, licenses that re-encode to their own bytes, and
+// records in ascending set order, without ids, over known licenses.
+Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
+                                        const ConstraintSchema* schema);
 
 // Thread-safe online admission for one (content, permission) domain — the
 // paper's online regime, and the one implementation of admission in the
@@ -170,7 +195,8 @@ struct RecoveryStats {
 //    consistent prefix per shard, not a cross-shard instant) and with
 //    reconfigurations (every set is numbered in the one epoch the read
 //    pinned: a retired epoch's state stays as it was at its retirement).
-//    WriteCheckpoint takes every shard lock for an exact cut.
+//    Snapshot (and WriteCheckpoint) takes every shard lock for an exact
+//    cut.
 //  * Accessors (licenses, grouping, shard_count) read the current epoch;
 //    the references they return are valid until the next reconfiguration.
 //
@@ -198,6 +224,12 @@ class IssuanceService {
       const LicenseCatalog* licenses, const OnlineValidatorOptions& options,
       const LogStore& history);
 
+  // A service over a snapshot's state (DecodeServiceState): it owns the
+  // state's catalog, pre-loads its records like CreateWithHistory and
+  // continues at its catalog epoch. The covered sequence is the caller's.
+  static Result<std::unique_ptr<IssuanceService>> Restore(
+      ServiceState state, const OnlineValidatorOptions& options);
+
   // Rebuilds a service from a crash: the newest checkpoint (may be empty —
   // journal-only recovery) plus the journal tail past it (may be empty —
   // checkpoint-only). Frames the checkpoint already covers are skipped; a
@@ -205,15 +237,18 @@ class IssuanceService {
   // dropped; any other journal or checkpoint corruption fails loudly with
   // the bad frame's byte offset.
   //
-  // Reconfiguration frames replay in sequence with admissions: `licenses`
-  // must be the catalog the journal started from (epoch 0), and each
-  // acquire/revoke/expire frame evolves it — renumbering and cascade-
-  // dropping the accumulated records exactly as the live service did — so
-  // recovery lands on the post-reconfiguration catalog. A v3 checkpoint
-  // carries the epoch it covers, which must match the journal's
-  // reconfiguration history up to the covered sequence. The recovered
-  // service owns its evolved catalog and restarts at epoch 0 (its catalog
-  // is the new baseline; RecoveryStats reports the journal-space epoch).
+  // Reconfiguration frames replay in sequence with admissions: each
+  // acquire/revoke/expire frame of the tail evolves the catalog —
+  // renumbering and cascade-dropping the accumulated records exactly as
+  // the live service did — so recovery lands on the post-reconfiguration
+  // catalog. The tail starts from the checkpoint's catalog, or without a
+  // checkpoint from `licenses`, which must then be the catalog the journal
+  // started from (epoch 0); the checkpoint's schema is always `licenses`'.
+  // A checkpoint carries the epoch of its catalog, which must equal the
+  // number of reconfiguration frames up to the covered sequence. The
+  // recovered service owns its evolved catalog and restarts at epoch 0
+  // (its catalog is the new baseline; RecoveryStats reports the
+  // journal-space epoch).
   //
   // The rebuilt state is verified against a serial replay of the combined
   // record sequence before returning — the result is the exact pre-crash
@@ -341,14 +376,16 @@ class IssuanceService {
   // Sequence number of the last journaled frame (0 = none yet).
   uint64_t journal_sequence() const;
 
-  // Atomically snapshots the accepted sets (CollectLog's compacted records)
-  // plus the journal sequence and catalog epoch they cover into a v2
-  // checkpoint file (persist/checkpoint.h, kind = service-snapshot, v3
-  // payload). Takes
-  // every shard lock (in index order) and the journal lock, so the cut is
-  // exact: recovery from this checkpoint plus the same journal's tail
-  // reproduces the state byte-for-byte. Safe to call while issuance
-  // traffic and reconfigurations are running.
+  // The current catalog, its epoch, the accepted sets (CollectLog's
+  // compacted records) and the journal sequence they cover, taken under
+  // every shard lock (in index order) and then the journal lock, so the cut
+  // is exact. Safe to call while issuance traffic and reconfigurations are
+  // running.
+  ServiceState Snapshot() const;
+
+  // Writes Snapshot() into a v2 checkpoint file (persist/checkpoint.h,
+  // kind = service-snapshot): recovery from it plus the same journal's
+  // tail reproduces the state byte-for-byte.
   Status WriteCheckpoint(const std::string& path) const;
 
   // Current-epoch views; the references stay valid until the next
@@ -472,9 +509,11 @@ class IssuanceService {
                   const OnlineValidatorOptions& options,
                   std::shared_ptr<CatalogEpoch> epoch0);
 
+  // `owned`, when set, is `licenses`; the service starts at `epoch`.
   static Result<std::unique_ptr<IssuanceService>> CreateOwned(
       const LicenseCatalog* licenses, std::unique_ptr<LicenseCatalog> owned,
-      const OnlineValidatorOptions& options, const LogStore& history);
+      const OnlineValidatorOptions& options, const LogStore& history,
+      uint64_t epoch = 0);
 
   // Assembles a fully-derived epoch (shards, scopes, instance geometry,
   // A tables) around `catalog`, with zeroed C tables — the publish step is
@@ -578,7 +617,7 @@ class IssuanceService {
   // Write-ahead journal. `has_journal_` gates the accept path so services
   // without a journal never touch `journal_mutex_` (the sharded fast path
   // stays lock-disjoint across groups). Lock order: shard mutex(es), then
-  // journal_mutex_ — AdmitLocked, Reconfigure and WriteCheckpoint all
+  // journal_mutex_ — AdmitLocked, Reconfigure and Snapshot all
   // follow it.
   std::atomic<bool> has_journal_{false};
   mutable std::mutex journal_mutex_;

@@ -2,7 +2,6 @@
 #define GEOLIC_VALIDATION_LOG_STORE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -53,17 +52,13 @@ class LogStore {
   Status SaveText(const std::string& path) const;
   static Result<LogStore> LoadText(const std::string& path);
 
-  // Binary persistence. Writes the record table inside the CRC-protected
-  // checkpoint-v2 container (persist/checkpoint.h, kind = log-store), so a
-  // flipped bit fails the load instead of silently changing a count.
+  // Binary persistence. Writes the record table (u64 record count, then
+  // the records in the journal's EncodeLogRecord form) inside the
+  // CRC-protected checkpoint-v2 container (persist/checkpoint.h, kind =
+  // log-store), so a flipped bit fails the load instead of silently
+  // changing a count.
   Status SaveBinary(const std::string& path) const;
   static Result<LogStore> LoadBinary(const std::string& path);
-
-  // The raw record table (uint64 record count, then per record: set u64,
-  // count i64, id_len u32, id bytes) — the log-store checkpoint's payload,
-  // exposed for embedding in larger checkpoints (service snapshots).
-  void SerializeRecords(std::ostream* out) const;
-  static Result<LogStore> DeserializeRecords(std::istream* in);
 
  private:
   std::vector<LogRecord> records_;

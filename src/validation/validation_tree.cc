@@ -5,10 +5,9 @@
 namespace geolic {
 namespace {
 
-// NodeCount, TotalCount and CheckNode walk with an explicit stack: they
-// run against freshly deserialized checkpoints, where an adversarial (or
-// just deep) chain-shaped tree would overflow the call stack if the walk
-// recursed once per level.
+// NodeCount, TotalCount and CheckNode walk with an explicit stack: a deep
+// chain-shaped tree would overflow the call stack if the walk recursed
+// once per level.
 size_t NodeCountImpl(const ValidationTreeNode& root) {
   size_t count = 0;
   std::vector<const ValidationTreeNode*> stack{&root};

@@ -10,7 +10,7 @@
 // an explicit SpillTenant after every op, so every subsequent touch is a
 // checkpoint reload; the "resident" catalog runs with the default budget
 // and never evicts. Identical op streams go to both; any divergence is a
-// spill-encode/decode or epoch_base bug.
+// spill-encode/decode or reloaded-epoch bug.
 #include <unistd.h>
 
 #include <cstdint>

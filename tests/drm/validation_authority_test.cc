@@ -2,15 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "licensing/license_serialization.h"
 #include "persist/checkpoint.h"
 #include "persist/framing.h"
-#include "persist/journal.h"
 #include "test_util.h"
 
 namespace geolic {
@@ -295,26 +292,20 @@ TEST(ValidationAuthorityTest, ClosePeriodAfterAcquisitionKeepsLicenses) {
 // of one domain holding `licenses` and `records`, encoded here rather than
 // by the authority — used to restore a history online validation would
 // never admit.
-void WriteSnapshot(const std::string& path, const std::string& content,
-                   Permission permission, const std::vector<License>& licenses,
+void WriteSnapshot(const std::string& path, const ConstraintSchema& schema,
+                   const std::vector<License>& licenses,
                    const std::vector<LogRecord>& records) {
+  ServiceState state;
+  state.licenses = std::make_unique<LicenseCatalog>(&schema);
+  for (const License& license : licenses) {
+    ASSERT_TRUE(state.licenses->Add(license).ok());
+  }
+  for (const LogRecord& record : records) {
+    ASSERT_TRUE(state.records.Append(record).ok());
+  }
   std::string payload;
   framing::PutScalar<uint32_t>(&payload, 1);  // Domains.
-  framing::PutScalar<uint32_t>(&payload,
-                               static_cast<uint32_t>(content.size()));
-  payload += content;
-  framing::PutScalar<uint32_t>(&payload, static_cast<uint32_t>(permission));
-  framing::PutScalar<uint32_t>(&payload,
-                               static_cast<uint32_t>(licenses.size()));
-  std::ostringstream blob;
-  for (const License& license : licenses) {
-    ASSERT_TRUE(WriteLicenseBinary(license, &blob).ok());
-  }
-  payload += blob.str();
-  framing::PutScalar<uint64_t>(&payload, records.size());
-  for (const LogRecord& record : records) {
-    EncodeLogRecord(record, &payload);
-  }
+  ASSERT_TRUE(EncodeServiceState(state, &payload).ok());
   ASSERT_TRUE(
       WriteCheckpointFile(CheckpointKind::kAuthoritySnapshot, payload, path)
           .ok());
@@ -325,9 +316,9 @@ TEST(ValidationAuthorityTest, ClosePeriodWithViolationsSkipsSettlement) {
   ValidationAuthority authority(&schema);
   // Inject a rogue 150-count history against the 100 budget.
   const std::string path = TempPath(".ckpt");
-  WriteSnapshot(path, "movie", Permission::kPlay,
+  WriteSnapshot(path, schema,
                 {MakeFor(schema, "A1", "movie", Permission::kPlay, 0, 50, 100)},
-                {LogRecord{"X", testing::Mask(0b1), 150}});
+                {LogRecord{"", testing::Mask(0b1), 150}});
   ASSERT_TRUE(authority.RestoreFull(path).ok());
 
   const ValidationAuthority::ContentKey key{"movie", Permission::kPlay};
@@ -525,8 +516,8 @@ TEST(ValidationAuthorityTest, RestoreRejectsSetOutsideCatalog) {
       MakeFor(schema, "A2", "movie", Permission::kPlay, 30, 90, 100),
       MakeFor(schema, "A3", "movie", Permission::kPlay, 200, 300, 100)};
 
-  WriteSnapshot(path, "movie", Permission::kPlay, licenses,
-                {LogRecord{"U1", testing::Mask(0b11), 5}});
+  WriteSnapshot(path, schema, licenses,
+                {LogRecord{"", testing::Mask(0b11), 5}});
   {
     ValidationAuthority authority(&schema);
     EXPECT_TRUE(authority.RestoreFull(path).ok());
@@ -534,8 +525,7 @@ TEST(ValidationAuthorityTest, RestoreRejectsSetOutsideCatalog) {
 
   LicenseSet wide = testing::Mask(0b11);
   wide.Add(70);  // Two words; the catalog has three licenses.
-  WriteSnapshot(path, "movie", Permission::kPlay, licenses,
-                {LogRecord{"U1", wide, 5}});
+  WriteSnapshot(path, schema, licenses, {LogRecord{"", wide, 5}});
   ValidationAuthority authority(&schema);
   EXPECT_EQ(authority.RestoreFull(path).code(), StatusCode::kParseError);
   EXPECT_EQ(authority.domain_count(), 0);

@@ -10,7 +10,6 @@
 #include "licensing/license_parser.h"
 #include "service/issuance_service.h"
 #include "test_util.h"
-#include "validation/tree_serialization.h"
 #include "validation/validate.h"
 #include "workload/workload.h"
 
@@ -124,19 +123,12 @@ TEST(IntegrationTest, VerdictsSurvivePersistenceRoundTrips) {
       ValidationTree::BuildFromLog(*reloaded_log);
   ASSERT_TRUE(from_log.ok());
 
-  // Tree → checkpoint → reload.
-  const std::string tree_path = TempPath(".tree");
-  ASSERT_TRUE(SaveTree(*tree, tree_path).ok());
-  const Result<ValidationTree> from_checkpoint = LoadTree(tree_path);
-  ASSERT_TRUE(from_checkpoint.ok());
-
   // Compacted log → tree.
   const Result<ValidationTree> from_compacted =
       ValidationTree::BuildFromLog(workload->log.Compacted());
   ASSERT_TRUE(from_compacted.ok());
 
-  for (const ValidationTree* variant :
-       {&*from_log, &*from_checkpoint, &*from_compacted}) {
+  for (const ValidationTree* variant : {&*from_log, &*from_compacted}) {
     const Result<ValidationReport> report =
         RunExhaustive(*variant, aggregates);
     ASSERT_TRUE(report.ok());
@@ -147,7 +139,6 @@ TEST(IntegrationTest, VerdictsSurvivePersistenceRoundTrips) {
     }
   }
   std::remove(log_path.c_str());
-  std::remove(tree_path.c_str());
 }
 
 // Invariant: the paper-text round trip (serialize → parse) preserves every

@@ -17,11 +17,11 @@ std::string Framed(CheckpointKind kind, const std::string& payload) {
 }
 
 TEST(CheckpointTest, RoundTrip) {
-  const std::string payload = "tree bytes go here";
-  const std::string framed = Framed(CheckpointKind::kValidationTree, payload);
+  const std::string payload = "log bytes go here";
+  const std::string framed = Framed(CheckpointKind::kLogStore, payload);
   std::istringstream in(framed);
   const Result<std::string> read =
-      ReadCheckpointPayload(CheckpointKind::kValidationTree, &in);
+      ReadCheckpointPayload(CheckpointKind::kLogStore, &in);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, payload);
 }
@@ -36,7 +36,7 @@ TEST(CheckpointTest, EmptyPayloadRoundTrips) {
 }
 
 TEST(CheckpointTest, RejectsWrongKind) {
-  const std::string framed = Framed(CheckpointKind::kValidationTree, "abc");
+  const std::string framed = Framed(CheckpointKind::kServiceSnapshot, "abc");
   std::istringstream in(framed);
   const Result<std::string> read =
       ReadCheckpointPayload(CheckpointKind::kLogStore, &in);
@@ -62,12 +62,11 @@ TEST(CheckpointTest, EveryFlippedBitFailsTheRead) {
 }
 
 TEST(CheckpointTest, EveryTruncationFailsTheRead) {
-  const std::string framed =
-      Framed(CheckpointKind::kValidationTree, "0123456789");
+  const std::string framed = Framed(CheckpointKind::kLogStore, "0123456789");
   for (size_t keep = 0; keep < framed.size(); ++keep) {
     std::istringstream in(framed.substr(0, keep));
     const Result<std::string> read =
-        ReadCheckpointPayload(CheckpointKind::kValidationTree, &in);
+        ReadCheckpointPayload(CheckpointKind::kLogStore, &in);
     EXPECT_FALSE(read.ok()) << "kept " << keep << " of " << framed.size();
   }
 }
@@ -89,12 +88,12 @@ TEST(CheckpointTest, OverdeclaredPayloadSizeFailsBeforeAllocation) {
   // A header whose declared size vastly exceeds the actual bytes must fail
   // the header CRC (any size edit does) — and even a correctly-CRC'd huge
   // header fails on the chunked read, never a 2^40-byte allocation.
-  std::string framed = Framed(CheckpointKind::kValidationTree, "tiny");
+  std::string framed = Framed(CheckpointKind::kLogStore, "tiny");
   // payload_size lives at offset 16..23; bump its high byte.
   framed[22] = static_cast<char>(0x10);
   std::istringstream in(framed);
   const Result<std::string> read =
-      ReadCheckpointPayload(CheckpointKind::kValidationTree, &in);
+      ReadCheckpointPayload(CheckpointKind::kLogStore, &in);
   ASSERT_FALSE(read.ok());
 }
 
@@ -189,11 +188,30 @@ TEST(CheckpointTest, DurableFileWriteIgnoresStaleTemp) {
 }
 
 TEST(CheckpointTest, KindNames) {
-  EXPECT_STREQ(CheckpointKindName(CheckpointKind::kValidationTree),
-               "validation-tree");
   EXPECT_STREQ(CheckpointKindName(CheckpointKind::kLogStore), "log-store");
   EXPECT_STREQ(CheckpointKindName(CheckpointKind::kServiceSnapshot),
                "service-snapshot");
+  EXPECT_STREQ(CheckpointKindName(CheckpointKind::kTenantSnapshot),
+               "tenant-snapshot");
+  EXPECT_STREQ(CheckpointKindName(CheckpointKind::kAuthoritySnapshot),
+               "authority-snapshot");
+}
+
+// Kind 1 held a validation-tree body, which is no longer written: a frame
+// carrying it is an unknown kind to every reader.
+TEST(CheckpointTest, RetiredTreeKindIsUnknown) {
+  const auto retired = static_cast<CheckpointKind>(1);
+  EXPECT_STREQ(CheckpointKindName(retired), "unknown");
+  const std::string framed = Framed(retired, "tree bytes");
+  for (const CheckpointKind kind :
+       {CheckpointKind::kLogStore, CheckpointKind::kServiceSnapshot,
+        CheckpointKind::kTenantSnapshot, CheckpointKind::kAuthoritySnapshot}) {
+    std::istringstream in(framed);
+    const Result<std::string> read = ReadCheckpointPayload(kind, &in);
+    ASSERT_FALSE(read.ok());
+    EXPECT_NE(read.status().message().find("unknown"), std::string::npos)
+        << read.status().message();
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "catalog/tenant_source.h"
 #include "persist/checkpoint.h"
 #include "persist/faulty_file.h"
+#include "persist/framing.h"
 #include "persist/journal.h"
 #include "persist/sync_file.h"
 #include "service/issuance_service.h"
@@ -656,28 +657,39 @@ TEST(RecoveryFaultTest, RecoverRejectsCorruptJournalLoudly) {
       << recovered.status().message();
 }
 
-// A CRC-valid service snapshot whose payload does not open with the v3
-// sentinel (here: the covered sequence first, then the record table) fails
-// the recovery instead of loading as some other layout.
-TEST(RecoveryFaultTest, RecoverRejectsAPayloadWithoutTheV3Sentinel) {
+// A CRC-valid service snapshot whose payload is not the service state
+// layout fails the recovery instead of loading as some other layout: an
+// older layout that opened with the covered sequence and then the record
+// table, and a service state of another version.
+TEST(RecoveryFaultTest, RecoverRejectsAPayloadInAnotherLayout) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
   LogStore records;
-  ASSERT_TRUE(records.Append(Record("LU1", 0x1, 1)).ok());
-  std::ostringstream payload;
-  const uint64_t covered_seq = 1;
-  payload.write(reinterpret_cast<const char*>(&covered_seq),
-                sizeof(covered_seq));
-  records.SerializeRecords(&payload);
+  ASSERT_TRUE(records.Append(Record("", 0x1, 1)).ok());
+  std::string older;
+  framing::PutScalar(&older, uint64_t{1});  // Covered sequence.
+  framing::PutScalar(&older, static_cast<uint64_t>(records.size()));
+  EncodeLogRecord(records.at(0), &older);
+
+  ServiceState state;
+  state.covered_seq = 1;
+  state.licenses = std::make_unique<LicenseCatalog>(licenses);
+  state.records = records;
+  std::string other_version;
+  ASSERT_TRUE(EncodeServiceState(state, &other_version).ok());
+  other_version[0] = 3;  // The version's low byte.
+
   const std::string checkpoint_path =
-      testing::TestTmpDir() + "recover_no_sentinel.gck";
-  ASSERT_TRUE(WriteCheckpointFile(CheckpointKind::kServiceSnapshot,
-                                  payload.str(), checkpoint_path)
-                  .ok());
-  const Result<std::unique_ptr<IssuanceService>> recovered =
-      IssuanceService::Recover(&licenses, {}, checkpoint_path, "");
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+      testing::TestTmpDir() + "recover_other_layout.gck";
+  for (const std::string& payload : {older, other_version}) {
+    ASSERT_TRUE(WriteCheckpointFile(CheckpointKind::kServiceSnapshot, payload,
+                                    checkpoint_path)
+                    .ok());
+    const Result<std::unique_ptr<IssuanceService>> recovered =
+        IssuanceService::Recover(&licenses, {}, checkpoint_path, "");
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+  }
   std::filesystem::remove(checkpoint_path);
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/framing.h"
+#include "persist/journal.h"
 #include "persist/sync_file.h"
 #include "sim/reference_model.h"
 #include "test_util.h"
@@ -421,6 +423,72 @@ TEST(IssuanceServiceTest, RejectsEmptyLicenseCatalog) {
   EXPECT_FALSE(IssuanceService::Create(nullptr).ok());
   LicenseCatalog empty(&schema);
   EXPECT_FALSE(IssuanceService::Create(&empty).ok());
+}
+
+// The service state payload round-trips a snapshot, and its decoder takes
+// only what the encoder writes: records ascending by set, once each,
+// without ids, over known licenses, and a non-empty catalog.
+TEST(ServiceStateTest, DecodesWhatSnapshotEncodesAndNothingElse) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
+  }
+  ASSERT_TRUE(
+      (*service)
+          ->AcquireLicense(MakeRedistribution(schema, "L6", {{300, 320}}, 9))
+          .ok());
+  std::string bytes;
+  ASSERT_TRUE(EncodeServiceState((*service)->Snapshot(), &bytes).ok());
+  size_t pos = 0;
+  Result<ServiceState> decoded = DecodeServiceState(bytes, &pos, &schema);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(pos, bytes.size());
+  EXPECT_EQ(decoded->catalog_epoch, 1u);
+  EXPECT_EQ(decoded->covered_seq, 0u);
+  EXPECT_EQ(decoded->licenses->size(), 6);
+  EXPECT_EQ(decoded->records.records(), (*service)->CollectLog().records());
+  Result<std::unique_ptr<IssuanceService>> restored =
+      IssuanceService::Restore(std::move(decoded).value(), {});
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ((*restored)->catalog_epoch(), 1u);
+  std::string again;
+  ASSERT_TRUE(EncodeServiceState((*restored)->Snapshot(), &again).ok());
+  EXPECT_EQ(again, bytes);
+
+  const auto rejects = [&schema](std::vector<LogRecord> records,
+                                 int license_count) {
+    ServiceState state;
+    state.licenses = std::make_unique<LicenseCatalog>(&schema);
+    for (int i = 0; i < license_count; ++i) {
+      EXPECT_TRUE(state.licenses
+                      ->Add(MakeRedistribution(schema, "L" + std::to_string(i),
+                                               {{0, 20}}, 10))
+                      .ok());
+    }
+    std::string payload;
+    EXPECT_TRUE(EncodeServiceState(state, &payload).ok());
+    // The record table follows the licenses; rewrite it by hand.
+    payload.resize(payload.size() - sizeof(uint64_t));
+    framing::PutScalar(&payload, static_cast<uint64_t>(records.size()));
+    for (const LogRecord& record : records) {
+      EncodeLogRecord(record, &payload);
+    }
+    size_t at = 0;
+    const Result<ServiceState> got = DecodeServiceState(payload, &at, &schema);
+    return !got.ok() && got.status().code() == StatusCode::kParseError;
+  };
+  const LogRecord low{"", testing::Mask(0b01), 1};
+  const LogRecord high{"", testing::Mask(0b11), 1};
+  EXPECT_FALSE(rejects({low, high}, 2));  // The well-formed control.
+  EXPECT_TRUE(rejects({high, low}, 2));   // Descending.
+  EXPECT_TRUE(rejects({low, low}, 2));    // Repeated.
+  EXPECT_TRUE(rejects({LogRecord{"U1", testing::Mask(0b01), 1}}, 2));  // Id.
+  EXPECT_TRUE(rejects({LogRecord{"", testing::Mask(0b100), 1}}, 2));   // L2.
+  EXPECT_TRUE(rejects({}, 0));  // No licenses.
 }
 
 }  // namespace

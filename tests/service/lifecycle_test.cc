@@ -561,6 +561,112 @@ TEST(LifecycleTest, CollectLogIsOneRecordPerDistinctSetThroughTheLifecycle) {
   ExpectCompacted(**recovered, final_counts, "recovered");
 }
 
+// A checkpoint taken after acquire, revoke and expire carries the evolved
+// catalog. Recover builds from it, replays only the frames past it (a tail
+// of admissions and one more revoke) and lands where the service that
+// never crashed stands: the same catalog, CollectLog and decisions. A
+// journal that lost the expire frame holds fewer reconfigurations than the
+// checkpoint's epoch, and recovery from it fails.
+TEST(LifecycleTest, RecoveryAfterReconfigurationMatchesANeverCrashedTwin) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = ThreeGroupSet(schema, 10);
+  Result<std::unique_ptr<IssuanceService>> twin =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(twin.ok());
+  IssuanceService* s = twin->get();
+  auto file = std::make_unique<InMemorySyncFile>();
+  InMemorySyncFile* disk = file.get();
+  Result<std::unique_ptr<JournalWriter>> journal =
+      JournalWriter::Create(std::move(file));
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE(s->AttachJournal(std::move(*journal)).ok());
+  const auto issue = [&](int64_t lo, int64_t hi, int64_t count) {
+    const Result<OnlineDecision> got =
+        s->TryIssue(MakeUsage(schema, "U", {{lo, hi}}, count));
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(got->accepted());
+  };
+  const auto write_file = [](const std::string& path,
+                             const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+
+  issue(12, 18, 3);    // {L1, L2}
+  issue(111, 119, 4);  // {L3, L4}
+  issue(205, 215, 2);  // {L5}
+  ASSERT_TRUE(
+      s->AcquireLicense(MakeRedistribution(schema, "L6", {{210, 320}}, 10))
+          .ok());
+  issue(212, 218, 3);  // {L5, L6}
+  ASSERT_TRUE(s->RevokeLicenseById("L3").ok());  // With {L3, L4}.
+  issue(115, 125, 2);                            // {L4}
+  const std::string before_expire = disk->contents();
+  ASSERT_EQ(*s->ExpireDimensionBelow(0, 25), 1);  // L1, with {L1, L2}.
+  const std::string checkpoint_path =
+      ::testing::TempDir() + "lifecycle_twin.gck";
+  ASSERT_TRUE(s->WriteCheckpoint(checkpoint_path).ok());
+
+  issue(25, 28, 2);                              // {L2}
+  issue(305, 315, 4);                            // {L6}
+  ASSERT_TRUE(s->RevokeLicenseById("L5").ok());  // With {L5}, {L5, L6}.
+  issue(300, 310, 1);                            // {L6}
+  const std::string journal_path =
+      ::testing::TempDir() + "lifecycle_twin.gjl";
+  write_file(journal_path, disk->contents());
+
+  RecoveryStats stats;
+  Result<std::unique_ptr<IssuanceService>> recovered =
+      IssuanceService::Recover(&licenses, {}, checkpoint_path, journal_path,
+                               &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(stats.checkpoint_records, 3u);
+  EXPECT_EQ(stats.journal_records_skipped, 5u);
+  EXPECT_EQ(stats.journal_records_replayed, 4u);
+  EXPECT_EQ(stats.reconfig_records_replayed, 4u);
+  EXPECT_EQ(stats.recovered_catalog_epoch, 4u);
+  IssuanceService* r = recovered->get();
+  ASSERT_EQ(r->licenses().size(), s->licenses().size());
+  for (int i = 0; i < s->licenses().size(); ++i) {
+    EXPECT_EQ(r->licenses().at(i).id(), s->licenses().at(i).id());
+  }
+  ExpectCompacted(*r,
+                  {{testing::Mask(0b001), 2},
+                   {testing::Mask(0b010), 2},
+                   {testing::Mask(0b100), 5}},
+                  "recovered");
+  EXPECT_EQ(r->CollectLog().records(), s->CollectLog().records());
+
+  // The same requests decide the same, up to the budgets and past them.
+  const std::vector<License> probes = {
+      MakeUsage(schema, "P1", {{25, 28}}, 8),     // {L2} to its budget.
+      MakeUsage(schema, "P2", {{25, 28}}, 1),     // {L2} past it.
+      MakeUsage(schema, "P3", {{300, 310}}, 6),   // {L6} past it.
+      MakeUsage(schema, "P4", {{115, 125}}, 8),   // {L4} to its budget.
+      MakeUsage(schema, "P5", {{500, 510}}, 1)};  // No license.
+  for (const License& probe : probes) {
+    SCOPED_TRACE(probe.id());
+    const Result<OnlineDecision> want = s->TryIssue(probe);
+    const Result<OnlineDecision> got = r->TryIssue(probe);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->instance_valid, want->instance_valid);
+    EXPECT_EQ(got->aggregate_valid, want->aggregate_valid);
+    EXPECT_EQ(got->satisfying_set, want->satisfying_set);
+    EXPECT_EQ(got->limiting.set, want->limiting.set);
+    EXPECT_EQ(got->limiting.lhs, want->limiting.lhs);
+    EXPECT_EQ(got->limiting.rhs, want->limiting.rhs);
+  }
+  EXPECT_EQ(r->CollectLog().records(), s->CollectLog().records());
+
+  write_file(journal_path, before_expire);
+  const Result<std::unique_ptr<IssuanceService>> lost_expire =
+      IssuanceService::Recover(&licenses, {}, checkpoint_path, journal_path);
+  ASSERT_FALSE(lost_expire.ok());
+  EXPECT_NE(lost_expire.status().message().find("epoch"), std::string::npos)
+      << lost_expire.status().message();
+}
+
 TEST(LifecycleTest, CheckpointAfterReconfigCoversAndTagsTheEpoch) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);

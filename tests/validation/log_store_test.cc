@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/checkpoint.h"
+#include "persist/framing.h"
+#include "persist/journal.h"
 #include "test_util.h"
 
 namespace geolic {
@@ -161,6 +164,42 @@ TEST(LogStoreTest, BinaryRoundTrip) {
   std::remove(path.c_str());
 }
 
+// The log-store payload, byte for byte: u64 record count, then a narrow
+// record (set word, count, id) and a wide one (zero escape, u32 word
+// count, the words, count, id).
+TEST(LogStoreTest, BinaryPayloadBytesAreFixed) {
+  LogStore store;
+  ASSERT_TRUE(store.Append(Record("LU1", 0b101, 7)).ok());
+  LogRecord wide;
+  wide.issued_license_id = "W";
+  wide.set.Add(0);
+  wide.set.Add(70);
+  wide.count = 3;
+  ASSERT_TRUE(store.Append(wide).ok());
+  const std::string path = TempPath(".bin");
+  ASSERT_TRUE(store.SaveBinary(path).ok());
+  const Result<std::string> payload =
+      ReadCheckpointFile(CheckpointKind::kLogStore, path);
+  ASSERT_TRUE(payload.ok());
+  const unsigned char expected[] = {
+      2,  0, 0, 0, 0, 0, 0, 0,  // Record count.
+      5,  0, 0, 0, 0, 0, 0, 0,  // Set {0, 2}.
+      7,  0, 0, 0, 0, 0, 0, 0,  // Count.
+      3,  0, 0, 0, 'L', 'U', '1',  // Id.
+      0,  0, 0, 0, 0, 0, 0, 0,  // Wide-set escape.
+      2,  0, 0, 0,              // Word count.
+      1,  0, 0, 0, 0, 0, 0, 0,  // Word 0: {0}.
+      64, 0, 0, 0, 0, 0, 0, 0,  // Word 1: {70}.
+      3,  0, 0, 0, 0, 0, 0, 0,  // Count.
+      1,  0, 0, 0, 'W'};        // Id.
+  EXPECT_EQ(*payload, std::string(reinterpret_cast<const char*>(expected),
+                                  sizeof(expected)));
+  const Result<LogStore> loaded = LogStore::LoadBinary(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->records(), store.records());
+  std::remove(path.c_str());
+}
+
 TEST(LogStoreTest, BinaryRejectsWrongMagic) {
   const std::string path = TempPath(".bin");
   {
@@ -196,11 +235,15 @@ TEST(LogStoreTest, LegacyMagicFailsTheLoad) {
   LogStore store;
   ASSERT_TRUE(store.Append(Record("LU1", 0b01, 5)).ok());
   ASSERT_TRUE(store.Append(Record("LU2", 0b11, 7)).ok());
+  std::string bytes = "GLOGBIN1";
+  framing::PutScalar(&bytes, static_cast<uint64_t>(store.size()));
+  for (const LogRecord& record : store.records()) {
+    EncodeLogRecord(record, &bytes);
+  }
   const std::string path = TempPath(".bin");
   {
     std::ofstream out(path, std::ios::binary);
-    out.write("GLOGBIN1", 8);
-    store.SerializeRecords(&out);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   const Result<LogStore> loaded = LogStore::LoadBinary(path);
   ASSERT_FALSE(loaded.ok());

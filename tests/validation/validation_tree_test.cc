@@ -1,5 +1,8 @@
 #include "validation/validation_tree.h"
 
+#include <memory>
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "util/random.h"
@@ -207,6 +210,54 @@ TEST_P(TreeSumPropertyTest, TraversalMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(LicenseCounts, TreeSumPropertyTest,
                          ::testing::Values(1, 2, 5, 10, 20, 40, 64));
+
+// A chain of `depth` single-child nodes below the root. Built without
+// Insert, so the depth is not bounded by the license count.
+ValidationTree DeepChain(int depth) {
+  ValidationTree tree;
+  ValidationTreeNode* node = tree.mutable_root();
+  for (int level = 0; level < depth; ++level) {
+    auto child = std::make_unique<ValidationTreeNode>();
+    child->index = level;
+    child->count = 1;
+    ValidationTreeNode* child_ptr = child.get();
+    node->children.push_back(std::move(child));
+    node = child_ptr;
+  }
+  return tree;
+}
+
+// Regression: the invariant checker, the counters and the destructor
+// used to recurse once per level, and a ~100k-deep chain blew the stack.
+TEST(ValidationTreeTest, HundredThousandDeepChainIsWalkedIteratively) {
+  constexpr int kDepth = 100000;
+  const ValidationTree chain = DeepChain(kDepth);
+  EXPECT_EQ(chain.NodeCount(), static_cast<size_t>(kDepth));
+  EXPECT_EQ(chain.TotalCount(), kDepth);
+  EXPECT_TRUE(chain.CheckInvariants().ok());
+}  // `chain` is destroyed here — teardown must be iterative too.
+
+TEST(ValidationTreeTest, DeepChainMoveAssignTearsDownIteratively) {
+  ValidationTree tree = DeepChain(100000);
+  // Move-assign drops the old deep chain; the default member-wise
+  // unique_ptr teardown would recurse per level.
+  tree = DeepChain(3);
+  EXPECT_EQ(tree.NodeCount(), 3u);
+}
+
+TEST(ValidationTreeTest, ForEachSetListsExactlyMergedCounts) {
+  const Result<ValidationTree> tree = ValidationTree::BuildFromLog(PaperLog());
+  ASSERT_TRUE(tree.ok());
+  std::unordered_map<LicenseSet, int64_t> sets;
+  tree->ForEachSet([&sets](LicenseSet set, int64_t count) {
+    sets[set] = count;
+  });
+  EXPECT_EQ(sets.size(), 5u);
+  EXPECT_EQ(sets.at(testing::Mask(0b00011)), 840);
+  EXPECT_EQ(sets.at(testing::Mask(0b10000)), 20);
+  // Prefix nodes with zero count (e.g. {L1}) are not reported.
+  EXPECT_EQ(sets.find(testing::Mask(0b00001)), sets.end());
+}
 
 }  // namespace
 }  // namespace geolic

@@ -1,8 +1,9 @@
 // Coverage for the multi-word (N > 64) LicenseSet path end to end:
 // v3 wide-set serialization frames (journal + binary log store), the
-// byte-identity guarantee for inline sets, tree serialization past index
-// 64, and equation-by-equation equivalence gating of the flat tree's
-// inline fast path against the forced word-sliced reference scan.
+// byte-identity guarantee for inline sets, a tree past index 64 rebuilt
+// from the binary log store, and equation-by-equation equivalence gating
+// of the flat tree's inline fast path against the forced word-sliced
+// reference scan.
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -15,7 +16,6 @@
 #include "util/random.h"
 #include "validation/flat_tree.h"
 #include "validation/log_store.h"
-#include "validation/tree_serialization.h"
 #include "validation/validation_tree.h"
 
 namespace geolic {
@@ -149,25 +149,28 @@ TEST(WideSetSerializationTest, LogStoreTextRoundTripsWideSets) {
   }
 }
 
-// --- Tree serialization past index 64 ---------------------------------------
+// --- Tree past index 64, rebuilt from the binary log store ------------------
 
-TEST(WideSetSerializationTest, TreeRoundTripsWideIndexes) {
+TEST(WideSetSerializationTest, TreeRebuildsWideIndexesFromTheLogStore) {
   Rng rng(606004);
   ValidationTree tree;
+  LogStore store;
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(
-        tree.Insert(RandomWideSet(&rng, 1024), rng.UniformInt(1, 50)).ok());
+    const LicenseSet set = RandomWideSet(&rng, 1024);
+    const int64_t count = rng.UniformInt(1, 50);
+    ASSERT_TRUE(tree.Insert(set, count).ok());
+    ASSERT_TRUE(store.Append(WideRecord("", set, count)).ok());
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeTree(tree, &buffer).ok());
-  const Result<ValidationTree> loaded = DeserializeTree(&buffer);
+  const std::string path = ::testing::TempDir() + "wide_tree_log.bin";
+  ASSERT_TRUE(store.SaveBinary(path).ok());
+  const Result<LogStore> loaded = LogStore::LoadBinary(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->NodeCount(), tree.NodeCount());
-  EXPECT_EQ(loaded->TotalCount(), tree.TotalCount());
-  EXPECT_EQ(loaded->PresentLicenses(), tree.PresentLicenses());
-  std::stringstream again;
-  ASSERT_TRUE(SerializeTree(*loaded, &again).ok());
-  EXPECT_EQ(again.str(), buffer.str());
+  const Result<ValidationTree> rebuilt = ValidationTree::BuildFromLog(*loaded);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(rebuilt->NodeCount(), tree.NodeCount());
+  EXPECT_EQ(rebuilt->TotalCount(), tree.TotalCount());
+  EXPECT_EQ(rebuilt->PresentLicenses(), tree.PresentLicenses());
+  EXPECT_EQ(rebuilt->ToString(), tree.ToString());
 }
 
 // --- Equivalence gating: inline fast path vs forced wide reference ----------
