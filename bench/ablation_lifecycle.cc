@@ -373,6 +373,7 @@ int main(int argc, char** argv) {
   const double ratio = static_cast<double>(storm.p99_ns) / baseline;
   std::printf("# storm p99 / quiescent p99 = %.2fx (bar: 5x, floor %gns)\n",
               ratio, floor_ns);
+  std::fflush(stdout);  // A miss aborts; the table above must still print.
   GEOLIC_CHECK(static_cast<double>(storm.p99_ns) <= 5.0 * baseline);
 
   json.Row([&](JsonWriter& out) {

@@ -1,10 +1,75 @@
 #include "core/dynamic_grouping.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+
 namespace geolic {
 
 DynamicGrouping::DynamicGrouping(int expected_dimensions)
     : expected_dimensions_(expected_dimensions) {
-  GEOLIC_CHECK(expected_dimensions > 0);
+  GEOLIC_CHECK(expected_dimensions >= 0);
+}
+
+Result<DynamicGrouping> DynamicGrouping::Build(int dimensions,
+                                               std::vector<HyperRect> rects) {
+  if (rects.size() > static_cast<size_t>(kMaxLicensesLarge)) {
+    return Status::CapacityExceeded(
+        "dynamic grouping supports at most " +
+        std::to_string(kMaxLicensesLarge) + " licenses");
+  }
+  for (const HyperRect& rect : rects) {
+    if (rect.dimensions() != dimensions) {
+      return Status::InvalidArgument(
+          "license dimensionality disagrees with the grouping's dimensions");
+    }
+  }
+  DynamicGrouping grouping(dimensions);
+  const int n = static_cast<int>(rects.size());
+  grouping.rects_ = std::move(rects);
+  grouping.neighbors_.resize(static_cast<size_t>(n));
+  grouping.union_find_ = UnionFind(n);
+  // Overlapping rects overlap in dimension 0, so their dimension-0 hulls
+  // meet (a shared point or category lies in both); a rect empty there
+  // overlaps nothing. Zero-dimensional rects all overlap: one hull each
+  // spanning everything. Sorted by hull start, the candidates of `a` are
+  // the run of later hulls starting at or before a's end.
+  struct Hull {
+    int64_t lo;
+    int64_t hi;
+    int index;
+  };
+  std::vector<Hull> hulls;
+  hulls.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const Interval hull =
+        dimensions == 0
+            ? Interval(std::numeric_limits<int64_t>::min(),
+                       std::numeric_limits<int64_t>::max())
+            : grouping.rects_[static_cast<size_t>(i)].dim(0).BoundingInterval();
+    if (!hull.empty()) {
+      hulls.push_back({hull.lo(), hull.hi(), i});
+    }
+  }
+  std::sort(hulls.begin(), hulls.end(),
+            [](const Hull& x, const Hull& y) { return x.lo < y.lo; });
+  for (size_t a = 0; a < hulls.size(); ++a) {
+    for (size_t b = a + 1; b < hulls.size() && hulls[b].lo <= hulls[a].hi;
+         ++b) {
+      const int i = hulls[a].index;
+      const int j = hulls[b].index;
+      if (grouping.rects_[static_cast<size_t>(i)].Overlaps(
+              grouping.rects_[static_cast<size_t>(j)])) {
+        grouping.neighbors_[static_cast<size_t>(i)].Add(j);
+        grouping.neighbors_[static_cast<size_t>(j)].Add(i);
+        if (grouping.union_find_.Union(i, j)) {
+          ++grouping.merges_;
+        }
+      }
+    }
+  }
+  grouping.groups_ = n - grouping.merges_;
+  return grouping;
 }
 
 Result<int> DynamicGrouping::AddLicense(const HyperRect& rect) {

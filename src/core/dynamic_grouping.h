@@ -25,6 +25,11 @@ namespace geolic {
 // insertion time are cached per license, so a removal rebuilds the
 // union-find from the cached adjacency masks without re-running any
 // geometry tests.
+//
+// A whole catalog is grouped at once by Build, a sort-and-sweep over
+// dimension 0 that runs the exact overlap test only on pairs whose
+// dimension-0 hulls intersect: O(N log N + such pairs) instead of the
+// N(N−1)/2 tests of N AddLicense calls, with the same result.
 class DynamicGrouping {
  public:
   // Dimensionality is fixed by the first license added.
@@ -33,6 +38,13 @@ class DynamicGrouping {
   // Dimensionality is fixed up front; every AddLicense — including the
   // first — is validated against it.
   explicit DynamicGrouping(int expected_dimensions);
+
+  // The grouping N AddLicense calls on DynamicGrouping(dimensions) would
+  // leave — the same neighbours, components, group count and merges —
+  // built in one sweep. Fails as AddLicense would on a rect of another
+  // dimensionality or on more than kMaxLicensesLarge rects.
+  static Result<DynamicGrouping> Build(int dimensions,
+                                       std::vector<HyperRect> rects);
 
   // Registers the next license's hyper-rectangle; returns its index.
   // The number of overlap tests performed equals the current size.

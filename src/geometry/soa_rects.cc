@@ -12,25 +12,26 @@ namespace {
 constexpr int64_t kFailLo = std::numeric_limits<int64_t>::max();
 constexpr int64_t kFailHi = std::numeric_limits<int64_t>::min();
 
-// Most frequent dimensionality — ties break toward the first seen, and a
-// uniform input (the only case the catalog produces) is just that value.
+// Most frequent dimensionality — ties break toward the first rect whose
+// dimensionality reaches the top count, and a uniform input (the only case
+// the catalog produces) is just that value. One counting pass, then one
+// pass for the tie-break.
 int MajorityDims(std::span<const HyperRect> rects) {
-  int best = 0;
+  std::vector<size_t> count_of;
   size_t best_count = 0;
-  for (size_t i = 0; i < rects.size(); ++i) {
-    const int dims = rects[i].dimensions();
-    size_t count = 0;
-    for (size_t j = 0; j < rects.size(); ++j) {
-      if (rects[j].dimensions() == dims) {
-        ++count;
-      }
+  for (const HyperRect& rect : rects) {
+    const size_t dims = static_cast<size_t>(rect.dimensions());
+    if (dims >= count_of.size()) {
+      count_of.resize(dims + 1, 0);
     }
-    if (count > best_count) {
-      best_count = count;
-      best = dims;
+    best_count = std::max(best_count, ++count_of[dims]);
+  }
+  for (const HyperRect& rect : rects) {
+    if (count_of[static_cast<size_t>(rect.dimensions())] == best_count) {
+      return rect.dimensions();
     }
   }
-  return best;
+  return 0;
 }
 
 inline void SetBit(uint64_t* words, size_t j) {

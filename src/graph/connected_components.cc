@@ -14,7 +14,7 @@ namespace {
 // hub (edges 2-0 and 2-1 with no 0-1 edge: the walk 0→2 never looks back
 // down to 1, wrongly splitting {0,1,2}). A DFS must scan *all* neighbours,
 // so we treat the bound as a transcription slip and scan j = 1..N; the
-// iterative-DFS and union-find implementations cross-check this in tests.
+// union-find implementation cross-checks this in tests.
 void DepthFirst(const AdjacencyMatrix& graph, int i, int k,
                 std::vector<int>* visited, ComponentSet* out) {
   out->components[static_cast<size_t>(k)] |= LicenseSet::Singleton(i);
@@ -41,37 +41,6 @@ ComponentSet FindComponentsDfs(const AdjacencyMatrix& graph) {
       out.components.push_back(LicenseSet());
       DepthFirst(graph, i, g, &visited, &out);
       ++g;
-    }
-  }
-  return out;
-}
-
-ComponentSet FindComponentsIterative(const AdjacencyMatrix& graph) {
-  const int n = graph.num_vertices();
-  GEOLIC_CHECK(n <= kMaxLicensesLarge);
-  ComponentSet out;
-  out.component_of.assign(static_cast<size_t>(n), -1);
-  std::vector<bool> visited(static_cast<size_t>(n), false);
-  std::vector<int> stack;
-  for (int start = 0; start < n; ++start) {
-    if (visited[static_cast<size_t>(start)]) {
-      continue;
-    }
-    const int k = static_cast<int>(out.components.size());
-    out.components.push_back(LicenseSet());
-    stack.push_back(start);
-    visited[static_cast<size_t>(start)] = true;
-    while (!stack.empty()) {
-      const int v = stack.back();
-      stack.pop_back();
-      out.components[static_cast<size_t>(k)] |= LicenseSet::Singleton(v);
-      out.component_of[static_cast<size_t>(v)] = k;
-      for (int j = 0; j < n; ++j) {
-        if (graph.HasEdge(v, j) && !visited[static_cast<size_t>(j)]) {
-          visited[static_cast<size_t>(j)] = true;
-          stack.push_back(j);
-        }
-      }
     }
   }
   return out;

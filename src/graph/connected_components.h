@@ -28,12 +28,8 @@ struct ComponentSet {
 // the adjacency matrix producing the Group / GroupSize arrays. This is the
 // faithful transcription; the returned ComponentSet packages the same
 // information (`components[k]` is row k of Group as a bitmask,
-// `SizeOf(k)` is GroupSize[k]). Requires ≤ 64 vertices.
+// `SizeOf(k)` is GroupSize[k]). Requires ≤ kMaxLicensesLarge vertices.
 ComponentSet FindComponentsDfs(const AdjacencyMatrix& graph);
-
-// Same result via an explicit-stack DFS — no recursion depth limits; used
-// to cross-check the faithful algorithm and for the ablation bench.
-ComponentSet FindComponentsIterative(const AdjacencyMatrix& graph);
 
 // Same result via union-find with path compression (ablation alternative).
 ComponentSet FindComponentsUnionFind(const AdjacencyMatrix& graph);

@@ -38,6 +38,17 @@ Result<int> LicenseCatalog::Add(License license) {
   return size() - 1;
 }
 
+LicenseCatalog LicenseCatalog::Without(const LicenseSet& removed) const {
+  LicenseCatalog out(schema_);
+  out.licenses_.reserve(licenses_.size());
+  for (int i = 0; i < size(); ++i) {
+    if (!removed.Contains(i)) {
+      out.licenses_.push_back(licenses_[static_cast<size_t>(i)]);
+    }
+  }
+  return out;
+}
+
 std::vector<int64_t> LicenseCatalog::AggregateCounts() const {
   std::vector<int64_t> counts;
   counts.reserve(licenses_.size());

@@ -27,6 +27,11 @@ class LicenseCatalog {
   // exceed kMaxLicensesLarge licenses.
   Result<int> Add(License license);
 
+  // This catalog minus the licenses in `removed`, survivors in index
+  // order. They passed Add's checks here, so the copy is O(N) with none
+  // re-run.
+  LicenseCatalog Without(const LicenseSet& removed) const;
+
   int size() const { return static_cast<int>(licenses_.size()); }
   bool empty() const { return licenses_.empty(); }
 

@@ -327,22 +327,12 @@ Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
   return state;
 }
 
-IssuanceService::IssuanceService(const LicenseCatalog* licenses,
-                                 const OnlineValidatorOptions& options,
+IssuanceService::IssuanceService(const OnlineValidatorOptions& options,
+                                 DynamicGrouping grouping,
                                  std::shared_ptr<CatalogEpoch> epoch0)
     : options_(options),
-      dyn_grouping_(licenses->schema().dimensions() > 0
-                        ? DynamicGrouping(licenses->schema().dimensions())
-                        : DynamicGrouping()),
+      dyn_grouping_(std::move(grouping)),
       metrics_(options.metrics != nullptr ? options.metrics : &owned_metrics_) {
-  // Mirror the catalog into the incremental grouping — the structure later
-  // reconfigurations update in place. Within a catalog every license
-  // shares content and permission, so rectangle overlap is license
-  // overlap and the components match FromLicenses exactly.
-  for (const License& license : licenses->licenses()) {
-    const Result<int> added = dyn_grouping_.AddLicense(license.rect());
-    GEOLIC_CHECK(added.ok());
-  }
   state_.store(std::move(epoch0), std::memory_order_release);
 }
 
@@ -466,12 +456,25 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
     return Status::InvalidArgument(
         "issuance service needs at least one redistribution license");
   }
+  // The epoch's grouping and the incremental one later reconfigurations
+  // update come from one sweep. Within a catalog every license shares
+  // content and permission, so rectangle overlap is license overlap and
+  // the components are FromLicenses'.
+  std::vector<HyperRect> rects;
+  rects.reserve(static_cast<size_t>(licenses->size()));
+  for (const License& license : licenses->licenses()) {
+    rects.push_back(license.rect());
+  }
+  GEOLIC_ASSIGN_OR_RETURN(
+      DynamicGrouping grouping,
+      DynamicGrouping::Build(licenses->schema().dimensions(),
+                             std::move(rects)));
   std::shared_ptr<CatalogEpoch> first =
       BuildEpoch(options, epoch, licenses, std::move(owned),
-                 LicenseGrouping::FromLicenses(*licenses));
+                 LicenseGrouping::FromComponents(grouping.Components()));
   // Not make_unique: the constructor is private.
   std::unique_ptr<IssuanceService> service(
-      new IssuanceService(licenses, options, first));
+      new IssuanceService(options, std::move(grouping), first));
   // Pre-load the history through the same routing the admission path uses
   // (records of already-validated issuances — they are not re-checked).
   for (const LogRecord& record : history.records()) {
@@ -845,22 +848,15 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   // Phase 1: next catalog + incremental grouping, fully off to the side —
   // admissions keep running against `cur` throughout.
   const int old_size = cur->catalog->size();
-  auto next_catalog = std::make_unique<LicenseCatalog>(&cur->catalog->schema());
+  auto next_catalog = std::make_unique<LicenseCatalog>(
+      cur->catalog->Without(plan.removed));
   IndexRemap remap;
   remap.removed = plan.removed;
   remap.skip_renumbering = options_.sim_skip_renumbering;
   remap.old_to_new.reserve(static_cast<size_t>(old_size));
   int next_index = 0;
   for (int i = 0; i < old_size; ++i) {
-    if (plan.removed.Contains(i)) {
-      remap.old_to_new.push_back(-1);
-      continue;
-    }
-    remap.old_to_new.push_back(next_index++);
-    GEOLIC_ASSIGN_OR_RETURN(const int added,
-                            next_catalog->Add(cur->catalog->at(i)));
-    GEOLIC_DCHECK(added == remap.old_to_new[static_cast<size_t>(i)]);
-    (void)added;
+    remap.old_to_new.push_back(plan.removed.Contains(i) ? -1 : next_index++);
   }
   // The grouping updates on a scratch copy, committed only on success —
   // a failed reconfiguration leaves no trace.

@@ -505,8 +505,8 @@ class IssuanceService {
     int64_t expire_cutoff = 0;
   };
 
-  IssuanceService(const LicenseCatalog* licenses,
-                  const OnlineValidatorOptions& options,
+  IssuanceService(const OnlineValidatorOptions& options,
+                  DynamicGrouping grouping,
                   std::shared_ptr<CatalogEpoch> epoch0);
 
   // `owned`, when set, is `licenses`; the service starts at `epoch`.

@@ -38,7 +38,7 @@ class CatalogServiceTest : public ::testing::Test {
     config_.max_licenses = 3;
     workload_ = std::make_unique<MultiTenantWorkload>(config_);
     source_ = std::make_unique<WorkloadTenantSource>(workload_.get());
-    dir_ = (fs::temp_directory_path() /
+    dir_ = (fs::path(testing::TestTmpDir()) /
             ("geolic-catalog-unit-" + std::to_string(getpid())))
                .string();
     fs::remove_all(dir_);

@@ -37,7 +37,7 @@ constexpr int kTrials = 500;
 constexpr int kOpsPerTrial = 14;
 
 std::string TrialDir(const char* tag, int trial) {
-  return (fs::temp_directory_path() /
+  return (fs::path(testing::TestTmpDir()) /
           ("geolic-evict-rt-" + std::to_string(getpid()) + "-" + tag + "-" +
            std::to_string(trial)))
       .string();

@@ -1,8 +1,14 @@
 #include "core/dynamic_grouping.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/grouping.h"
 #include "core/overlap_graph.h"
+#include "licensing/license_catalog.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -11,6 +17,62 @@ namespace {
 
 using testing::RandomRect;
 using testing::Rect;
+
+// One cell of a mixed catalog over a small domain, so overlaps and
+// touching endpoints are common: a narrow interval, a union of up to three
+// pieces, a category set near the low bit positions (its dimension-0 hull
+// lands inside the interval domain, so kind-mismatched pairs reach the
+// exact test), or an empty range of any kind.
+ConstraintRange MixedRange(Rng* rng) {
+  switch (rng->UniformIndex(6)) {
+    case 0:
+    case 1: {
+      const int64_t lo = rng->UniformInt(0, 60);
+      return ConstraintRange(Interval(lo, lo + rng->UniformInt(0, 12)));
+    }
+    case 2: {
+      std::vector<Interval> pieces;
+      const size_t count = 1 + rng->UniformIndex(3);
+      for (size_t p = 0; p < count; ++p) {
+        const int64_t lo = rng->UniformInt(0, 60);
+        pieces.emplace_back(lo, lo + rng->UniformInt(0, 6));
+      }
+      return ConstraintRange(MultiInterval::FromIntervals(std::move(pieces)));
+    }
+    case 3:
+    case 4:
+      return ConstraintRange(CategorySet(rng->Next() & 0x3F));
+    default:
+      switch (rng->UniformIndex(3)) {
+        case 0:
+          return ConstraintRange(Interval::Empty());
+        case 1:
+          return ConstraintRange(MultiInterval::FromIntervals({}));
+        default:
+          return ConstraintRange(CategorySet::Empty());
+      }
+  }
+}
+
+HyperRect MixedRect(Rng* rng, int dims) {
+  HyperRect rect;
+  for (int d = 0; d < dims; ++d) {
+    rect.AddDim(MixedRange(rng));
+  }
+  return rect;
+}
+
+void ExpectSameGrouping(const DynamicGrouping& actual,
+                        const DynamicGrouping& expected,
+                        const std::string& where) {
+  const ComponentSet a = actual.Components();
+  const ComponentSet e = expected.Components();
+  EXPECT_EQ(a.components, e.components) << where;
+  EXPECT_EQ(a.component_of, e.component_of) << where;
+  EXPECT_EQ(actual.group_count(), expected.group_count()) << where;
+  EXPECT_EQ(actual.merges(), expected.merges()) << where;
+  EXPECT_EQ(actual.size(), expected.size()) << where;
+}
 
 TEST(DynamicGroupingTest, StartsEmpty) {
   DynamicGrouping grouping;
@@ -218,6 +280,85 @@ TEST(DynamicGroupingTest, ComponentsMatchesStaticRecomputation) {
           << "trial " << trial << " after " << i + 1 << " licenses";
       ASSERT_EQ(actual.component_of, expected.component_of);
       ASSERT_EQ(dynamic.group_count(), expected.count());
+    }
+  }
+}
+
+TEST(DynamicGroupingTest, BuildLinksClosedIntervalsThatOnlyTouch) {
+  // [0,10] and [10,20] share the point 10; [21,30] touches neither.
+  Result<DynamicGrouping> built = DynamicGrouping::Build(
+      1, {Rect({{0, 10}}), Rect({{10, 20}}), Rect({{21, 30}})});
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(built->group_count(), 2);
+  EXPECT_EQ(built->merges(), 1);
+  EXPECT_EQ(built->GroupMaskOf(0), testing::Mask(0b011));
+  EXPECT_EQ(built->GroupMaskOf(2), testing::Mask(0b100));
+}
+
+TEST(DynamicGroupingTest, BuildRejectsWhatAddLicenseRejects) {
+  EXPECT_EQ(DynamicGrouping::Build(2, {Rect({{0, 10}, {0, 10}}),
+                                       Rect({{0, 10}})})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  std::vector<HyperRect> too_many(static_cast<size_t>(kMaxLicensesLarge) + 1,
+                                  Rect({{0, 10}}));
+  EXPECT_EQ(DynamicGrouping::Build(1, std::move(too_many)).status().code(),
+            StatusCode::kCapacityExceeded);
+  Result<DynamicGrouping> empty = DynamicGrouping::Build(3, {});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->size(), 0);
+  EXPECT_EQ(empty->group_count(), 0);
+  // The dimensionality is fixed, as DynamicGrouping(3) would fix it.
+  EXPECT_FALSE(empty->AddLicense(Rect({{0, 10}})).ok());
+  EXPECT_TRUE(empty->AddLicense(Rect({{0, 10}, {0, 10}, {0, 10}})).ok());
+}
+
+TEST(DynamicGroupingTest, BuildEqualsIncrementalAndStaticGroupings) {
+  // Property: on mixed catalogs (intervals, unions, categories,
+  // kind-mismatched and empty cells, 0-3 dimensions, n = 0..200) the
+  // sweep equals N AddLicense calls and FromLicenses, and stays equal to
+  // the incremental grouping under one random removal sequence.
+  Rng rng(testing::TestSeed(23232323));
+  for (int trial = 0; trial < 120; ++trial) {
+    const int dims = static_cast<int>(rng.UniformIndex(4));
+    const int n = static_cast<int>(rng.UniformInt(0, 200));
+    const ConstraintSchema schema = testing::IntervalSchema(dims);
+    LicenseCatalog catalog(&schema);
+    std::vector<HyperRect> rects;
+    DynamicGrouping incremental(dims);
+    for (int i = 0; i < n; ++i) {
+      HyperRect rect = MixedRect(&rng, dims);
+      ASSERT_TRUE(incremental.AddLicense(rect).ok());
+      ASSERT_TRUE(catalog
+                      .Add(License("L" + std::to_string(i), "K",
+                                   LicenseType::kRedistribution,
+                                   Permission::kPlay, rect, 10))
+                      .ok());
+      rects.push_back(std::move(rect));
+    }
+    Result<DynamicGrouping> built = DynamicGrouping::Build(dims, rects);
+    ASSERT_TRUE(built.ok());
+    const std::string where = "trial " + std::to_string(trial) + " (n=" +
+                              std::to_string(n) + ", dims=" +
+                              std::to_string(dims) + ")";
+    ExpectSameGrouping(*built, incremental, where);
+    const LicenseGrouping paper = LicenseGrouping::FromLicenses(catalog);
+    const ComponentSet swept = built->Components();
+    ASSERT_EQ(swept.components, paper.components().components) << where;
+    ASSERT_EQ(swept.component_of, paper.components().component_of) << where;
+    ASSERT_EQ(built->group_count(), paper.group_count()) << where;
+
+    while (built->size() > 0) {
+      const int victim =
+          static_cast<int>(rng.UniformIndex(static_cast<size_t>(built->size())));
+      ASSERT_TRUE(built->RemoveLicense(victim).ok());
+      ASSERT_TRUE(incremental.RemoveLicense(victim).ok());
+      ExpectSameGrouping(*built, incremental,
+                         where + " after removing " + std::to_string(victim));
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
     }
   }
 }

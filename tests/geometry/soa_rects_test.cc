@@ -184,5 +184,38 @@ TEST(SoaRectsTest, MultiPieceCellsReCheckExactly) {
   EXPECT_EQ(out[0], 1u);
 }
 
+TEST(SoaRectsTest, MajorityDimensionalityBreaksTiesTowardTheFirstRect) {
+  const auto rect_of = [](int dims) {
+    HyperRect rect;
+    for (int d = 0; d < dims; ++d) {
+      rect.AddDim(ConstraintRange(Interval(0, 10)));
+    }
+    return rect;
+  };
+  const auto majority = [&rect_of](const std::vector<int>& dims) {
+    std::vector<HyperRect> rects;
+    for (const int d : dims) {
+      rects.push_back(rect_of(d));
+    }
+    return SoaRects::Build(rects).dimensions();
+  };
+  EXPECT_EQ(majority({3, 2, 2, 3}), 3);     // Tie: rect 0 is seen first.
+  EXPECT_EQ(majority({2, 3, 3, 2}), 2);
+  EXPECT_EQ(majority({1, 0, 2, 0, 2}), 0);  // 0 and 2 tie; 0 comes first.
+  EXPECT_EQ(majority({2, 3, 3}), 3);        // A strict majority wins.
+  EXPECT_EQ(majority({0, 0}), 0);
+  EXPECT_EQ(majority({}), 0);
+
+  // The minority rects are answered by the scalar path, exactly.
+  std::vector<HyperRect> rects = {rect_of(3), rect_of(2), rect_of(2),
+                                  rect_of(3)};
+  const SoaRects soa = SoaRects::Build(rects);
+  uint64_t out[kMaxLicenseWords];
+  soa.Containing(rect_of(2), out);
+  EXPECT_EQ(out[0], 0b0110u);
+  soa.Overlapping(rect_of(3), out);
+  EXPECT_EQ(out[0], 0b1001u);
+}
+
 }  // namespace
 }  // namespace geolic

@@ -86,12 +86,12 @@ TEST(ConnectedComponentsTest, ComponentsOrderedBySmallestVertex) {
   EXPECT_EQ(components.components[3], LicenseSet::Singleton(4));
 }
 
-// Property: the paper-faithful recursive DFS, the iterative DFS, and
-// union-find agree on random graphs of every density.
+// Property: the paper-faithful recursive DFS and union-find agree on
+// random graphs of every density.
 class ComponentsAgreementTest
     : public ::testing::TestWithParam<std::pair<int, double>> {};
 
-TEST_P(ComponentsAgreementTest, AllThreeImplementationsAgree) {
+TEST_P(ComponentsAgreementTest, DfsAndUnionFindAgree) {
   const auto [n, density] = GetParam();
   Rng rng(static_cast<uint64_t>(n) * 7919 +
           static_cast<uint64_t>(density * 1000));
@@ -105,11 +105,8 @@ TEST_P(ComponentsAgreementTest, AllThreeImplementationsAgree) {
       }
     }
     const ComponentSet dfs = FindComponentsDfs(graph);
-    const ComponentSet iterative = FindComponentsIterative(graph);
     const ComponentSet union_find = FindComponentsUnionFind(graph);
-    EXPECT_EQ(dfs.components, iterative.components);
     EXPECT_EQ(dfs.components, union_find.components);
-    EXPECT_EQ(dfs.component_of, iterative.component_of);
     EXPECT_EQ(dfs.component_of, union_find.component_of);
 
     // Structural sanity: components partition the vertex set.

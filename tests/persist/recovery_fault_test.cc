@@ -868,7 +868,7 @@ TEST(RecoveryFaultTest, SpillBitFlipsFailTheirOwnTenantOnlyWithAnOffset) {
   const MultiTenantWorkload workload(config);
   WorkloadTenantSource source(&workload);
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
+      std::filesystem::path(testing::TestTmpDir()) /
       ("geolic-spill-matrix-" + std::to_string(::getpid()));
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

@@ -491,5 +491,50 @@ TEST(ServiceStateTest, DecodesWhatSnapshotEncodesAndNothingElse) {
   EXPECT_TRUE(rejects({}, 0));  // No licenses.
 }
 
+// The epoch's grouping comes from the sweep; on a catalog of chains,
+// touching endpoints and isolated licenses across two bitset words it
+// must be Algorithm 3's, after Create and after Restore alike.
+TEST(IssuanceServiceTest, GroupingAfterCreateAndRestoreIsFromLicenses) {
+  const ConstraintSchema schema = testing::IntervalSchema(2);
+  LicenseCatalog licenses(&schema);
+  Rng rng(testing::TestSeed(0x5EE9));
+  for (int i = 0; i < 90; ++i) {
+    const int64_t lo = 10 * rng.UniformInt(0, 60);
+    const int64_t y = rng.UniformInt(0, 3);
+    ASSERT_TRUE(licenses
+                    .Add(MakeRedistribution(
+                        schema, "L" + std::to_string(i),
+                        {{lo, lo + 10 * rng.UniformInt(0, 2)}, {y, y + 1}},
+                        50))
+                    .ok());
+  }
+  const auto expect_paper_grouping = [](const IssuanceService& service) {
+    const LicenseGrouping expected =
+        LicenseGrouping::FromLicenses(service.licenses());
+    EXPECT_EQ(service.grouping().components().components,
+              expected.components().components);
+    EXPECT_EQ(service.grouping().components().component_of,
+              expected.components().component_of);
+  };
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+  const LicenseGrouping paper = LicenseGrouping::FromLicenses(licenses);
+  ASSERT_GT(paper.group_count(), 1);
+  ASSERT_LT(paper.group_count(), licenses.size());
+  expect_paper_grouping(**service);
+
+  std::string bytes;
+  ASSERT_TRUE(EncodeServiceState((*service)->Snapshot(), &bytes).ok());
+  size_t pos = 0;
+  Result<ServiceState> decoded = DecodeServiceState(bytes, &pos, &schema);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  Result<std::unique_ptr<IssuanceService>> restored =
+      IssuanceService::Restore(std::move(decoded).value(), {});
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ((*restored)->licenses().size(), licenses.size());
+  expect_paper_grouping(**restored);
+}
+
 }  // namespace
 }  // namespace geolic
