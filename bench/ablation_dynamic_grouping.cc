@@ -4,11 +4,15 @@
 // plus the removal path (dense renumbering, Algorithm 5) under an
 // add/remove churn mix, and the bulk build of a whole catalog (what every
 // service epoch build pays): the sort-and-sweep DynamicGrouping::Build
-// versus N AddLicense calls versus LicenseGrouping::FromLicenses.
-// Machine-readable: --json_out=<path>.
+// versus N AddLicense calls versus LicenseGrouping::FromLicenses. Then
+// what a service build pays per record and per license on top: history
+// preload through CreateWithHistory, and a state payload's decode plus
+// Restore. Machine-readable: --json_out=<path>.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,8 +24,10 @@
 #include "licensing/constraint_schema.h"
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
+#include "service/issuance_service.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
+#include "workload/workload.h"
 
 namespace {
 
@@ -55,6 +61,30 @@ std::vector<HyperRect> PairRects(int n) {
   return rects;
 }
 
+// A catalog of `rects` over `schema` (interval dimensions C0..), every
+// license with budget `budget`.
+std::unique_ptr<LicenseCatalog> CatalogOf(const ConstraintSchema& schema,
+                                          const std::vector<HyperRect>& rects,
+                                          int64_t budget) {
+  auto catalog = std::make_unique<LicenseCatalog>(&schema);
+  for (size_t i = 0; i < rects.size(); ++i) {
+    GEOLIC_CHECK(catalog
+                     ->Add(License("L" + std::to_string(i), "K",
+                                   LicenseType::kRedistribution,
+                                   Permission::kPlay, rects[i], budget))
+                     .ok());
+  }
+  return catalog;
+}
+
+ConstraintSchema IntervalSchema(int dims) {
+  ConstraintSchema schema;
+  for (int d = 0; d < dims; ++d) {
+    GEOLIC_CHECK(schema.AddIntervalDimension("C" + std::to_string(d)).ok());
+  }
+  return schema;
+}
+
 struct BulkResult {
   int64_t sweep_ns = std::numeric_limits<int64_t>::max();
   int64_t incremental_ns = std::numeric_limits<int64_t>::max();
@@ -67,18 +97,8 @@ struct BulkResult {
 BulkResult TimeBulkBuilds(const std::vector<HyperRect>& rects, int reps,
                           int* sink) {
   const int dims = rects.front().dimensions();
-  ConstraintSchema schema;
-  for (int d = 0; d < dims; ++d) {
-    GEOLIC_CHECK(schema.AddIntervalDimension("C" + std::to_string(d)).ok());
-  }
-  LicenseCatalog catalog(&schema);
-  for (size_t i = 0; i < rects.size(); ++i) {
-    GEOLIC_CHECK(catalog
-                     .Add(License("L" + std::to_string(i), "K",
-                                  LicenseType::kRedistribution,
-                                  Permission::kPlay, rects[i], 1))
-                     .ok());
-  }
+  const ConstraintSchema schema = IntervalSchema(dims);
+  const std::unique_ptr<LicenseCatalog> catalog = CatalogOf(schema, rects, 1);
   const auto incremental_build = [&rects, dims]() {
     DynamicGrouping grouping(dims);
     for (const HyperRect& rect : rects) {
@@ -93,7 +113,7 @@ BulkResult TimeBulkBuilds(const std::vector<HyperRect>& rects, int reps,
   };
 
   const ComponentSet paper =
-      LicenseGrouping::FromLicenses(catalog).components();
+      LicenseGrouping::FromLicenses(*catalog).components();
   for (const ComponentSet& got :
        {sweep_build().Components(), incremental_build().Components()}) {
     GEOLIC_CHECK(got.components == paper.components);
@@ -111,7 +131,7 @@ BulkResult TimeBulkBuilds(const std::vector<HyperRect>& rects, int reps,
     result.incremental_ns =
         std::min(result.incremental_ns, incremental_timer.ElapsedNanos());
     Stopwatch paper_timer;
-    *sink += LicenseGrouping::FromLicenses(catalog).group_count();
+    *sink += LicenseGrouping::FromLicenses(*catalog).group_count();
     result.from_licenses_ns =
         std::min(result.from_licenses_ns, paper_timer.ElapsedNanos());
   }
@@ -169,6 +189,162 @@ int64_t RunChurn(const std::vector<HyperRect>& rects, int steps, int* sink) {
     *sink += grouping.group_count();
   }
   return timer.ElapsedNanos();
+}
+
+// `n` 1-D licenses dealt round-robin into `groups` overlap groups: license
+// i is member i / groups of group i % groups, so every group's members are
+// `groups` indexes apart and each one is a run of its own.
+std::vector<HyperRect> InterleavedRects(int n, int groups) {
+  std::vector<HyperRect> rects;
+  rects.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const int64_t lo = 1000 * (i % groups) + 5 * (i / groups);
+    rects.push_back(HyperRect({ConstraintRange(Interval(lo, lo + 50))}));
+  }
+  return rects;
+}
+
+// `records` records, each a random non-empty subset of one random overlap
+// group of `catalog` (what admissions leave: a satisfying set never spans
+// groups), count 1..4.
+LogStore RandomHistory(const LicenseCatalog& catalog, int records,
+                       uint64_t seed) {
+  const LicenseGrouping grouping = LicenseGrouping::FromLicenses(catalog);
+  Rng rng(seed);
+  LogStore history;
+  history.Reserve(static_cast<size_t>(records));
+  for (int r = 0; r < records; ++r) {
+    const int group = static_cast<int>(rng.UniformIndex(
+        static_cast<size_t>(grouping.group_count())));
+    const LicenseSet members = grouping.GroupMask(group);
+    LogRecord record;
+    while (record.set.Empty()) {
+      for (int i : members.Indexes()) {
+        if (rng.Bernoulli(0.5)) {
+          record.set.Add(i);
+        }
+      }
+    }
+    record.count = rng.UniformInt(1, 4);
+    GEOLIC_CHECK(history.Append(std::move(record)).ok());
+  }
+  return history;
+}
+
+// CollectLog must be `history` merged: one record per distinct set,
+// ascending, counts summed, ids dropped.
+void CheckCollectsMerged(const IssuanceService& service,
+                         const LogStore& history) {
+  std::map<LicenseSet, int64_t> merged;
+  for (const LogRecord& record : history.records()) {
+    merged[record.set] += record.count;
+  }
+  const LogStore collected = service.CollectLog();
+  const std::vector<LogRecord>& got = collected.records();
+  GEOLIC_CHECK(got.size() == merged.size());
+  size_t i = 0;
+  for (const auto& [set, count] : merged) {
+    GEOLIC_CHECK(got[i].set == set && got[i].count == count &&
+                 got[i].issued_license_id.empty());
+    ++i;
+  }
+}
+
+// Best of `reps` CreateWithHistory calls, after checking the preloaded
+// state.
+int64_t TimePreload(const LicenseCatalog& catalog, const LogStore& history,
+                    int reps, int* sink) {
+  const auto create = [&catalog, &history]() {
+    Result<std::unique_ptr<IssuanceService>> service =
+        IssuanceService::CreateWithHistory(&catalog, {}, history);
+    GEOLIC_CHECK(service.ok());
+    return std::move(service).value();
+  };
+  CheckCollectsMerged(*create(), history);
+  int64_t best = std::numeric_limits<int64_t>::max();
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch timer;
+    *sink += create()->shard_count();
+    best = std::min(best, timer.ElapsedNanos());
+  }
+  return best;
+}
+
+// Dense-churn's catalog: 12 licenses in one overlap group, with its
+// preload history (the satisfying sets of usage licenses drawn inside
+// random members).
+struct DenseChurnShape {
+  Workload workload;
+  LogStore history;
+};
+
+DenseChurnShape MakeDenseChurnShape(int records) {
+  WorkloadConfig config;
+  config.num_licenses = 12;
+  config.num_clusters = 1;
+  config.aggregate_min = int64_t{1} << 40;
+  config.aggregate_max = int64_t{1} << 40;
+  config.seed = 11;
+  WorkloadGenerator generator(config);
+  Result<Workload> workload = generator.GenerateLicensesOnly();
+  GEOLIC_CHECK(workload.ok());
+  DenseChurnShape shape{std::move(workload).value(), LogStore()};
+  const LicenseCatalog& licenses = *shape.workload.licenses;
+  Rng rng(1);
+  for (int r = 0; r < records; ++r) {
+    const License usage = generator.DrawUsageLicense(
+        shape.workload, static_cast<int>(rng.UniformInt(0, 11)), &rng, r);
+    LogRecord record;
+    for (int i = 0; i < licenses.size(); ++i) {
+      if (licenses.at(i).InstanceContains(usage)) {
+        record.set.Add(i);
+      }
+    }
+    record.count = usage.aggregate_count();
+    GEOLIC_CHECK(shape.history.Append(std::move(record)).ok());
+  }
+  return shape;
+}
+
+struct RestoreResult {
+  int64_t decode_ns = std::numeric_limits<int64_t>::max();
+  int64_t restore_ns = std::numeric_limits<int64_t>::max();
+  size_t payload_bytes = 0;
+};
+
+// Best of `reps` decodes and Restores of the state payload of a service
+// over `catalog` with `history`, after checking the restored state.
+RestoreResult TimeRestore(const LicenseCatalog& catalog,
+                          const LogStore& history, int reps, int* sink) {
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::CreateWithHistory(&catalog, {}, history);
+  GEOLIC_CHECK(service.ok());
+  std::string payload;
+  GEOLIC_CHECK(EncodeServiceState((*service)->Snapshot(), &payload).ok());
+  RestoreResult result;
+  result.payload_bytes = payload.size();
+  for (int rep = 0; rep <= reps; ++rep) {
+    Stopwatch decode_timer;
+    size_t pos = 0;
+    Result<ServiceState> state =
+        DecodeServiceState(payload, &pos, &catalog.schema());
+    const int64_t decode_ns = decode_timer.ElapsedNanos();
+    GEOLIC_CHECK(state.ok() && pos == payload.size());
+    Stopwatch restore_timer;
+    Result<std::unique_ptr<IssuanceService>> restored =
+        IssuanceService::Restore(std::move(state).value(), {});
+    const int64_t restore_ns = restore_timer.ElapsedNanos();
+    GEOLIC_CHECK(restored.ok());
+    if (rep == 0) {
+      // The check run is not timed.
+      CheckCollectsMerged(**restored, history);
+      continue;
+    }
+    *sink += (*restored)->shard_count();
+    result.decode_ns = std::min(result.decode_ns, decode_ns);
+    result.restore_ns = std::min(result.restore_ns, restore_ns);
+  }
+  return result;
 }
 
 }  // namespace
@@ -245,8 +421,77 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("# expected shape: the sweep grows with N log N plus the pairs "
-              "whose dimension-0 hulls meet; the other two grow with N^2; "
-              "sink=%d\n", sink);
+              "whose dimension-0 hulls meet; the other two grow with N^2\n");
+
+  constexpr int kPreloadRecords = 24000;
+  std::printf("\n# History preload: CreateWithHistory over %d records "
+              "(CollectLog checked equal to the merged history; best of %d "
+              "reps)\n", kPreloadRecords, reps);
+  std::printf("%14s  %6s  %6s  %8s  %8s  %10s  %12s\n", "layout", "n",
+              "groups", "max_runs", "records", "distinct", "create_ns");
+  const ConstraintSchema schema1 = IntervalSchema(1);
+  const DenseChurnShape dense = MakeDenseChurnShape(kPreloadRecords);
+  const std::unique_ptr<LicenseCatalog> interleaved =
+      CatalogOf(schema1, InterleavedRects(128, 11), int64_t{1} << 40);
+  const LogStore interleaved_history =
+      RandomHistory(*interleaved, kPreloadRecords, 7);
+  struct Preload {
+    const char* layout;
+    const LicenseCatalog* catalog;
+    const LogStore* history;
+  };
+  for (const Preload& preload :
+       {Preload{"dense_churn12", dense.workload.licenses.get(),
+                &dense.history},
+        Preload{"interleaved128", interleaved.get(), &interleaved_history}}) {
+    const LicenseGrouping grouping =
+        LicenseGrouping::FromLicenses(*preload.catalog);
+    int max_runs = 0;
+    for (int g = 0; g < grouping.group_count(); ++g) {
+      max_runs = std::max(max_runs,
+                          MemberRuns(grouping.GroupMask(g)).run_count());
+    }
+    const int64_t create_ns =
+        TimePreload(*preload.catalog, *preload.history, reps, &sink);
+    const size_t distinct = preload.history->MergedCounts().size();
+    std::printf("%14s  %6d  %6d  %8d  %8zu  %10zu  %12ld\n", preload.layout,
+                preload.catalog->size(), grouping.group_count(), max_runs,
+                preload.history->size(), distinct,
+                static_cast<long>(create_ns));
+    json.Row([&](JsonWriter& out) {
+      out.KeyValue("layout", preload.layout);
+      out.KeyValue("n", static_cast<int64_t>(preload.catalog->size()));
+      out.KeyValue("groups", static_cast<int64_t>(grouping.group_count()));
+      out.KeyValue("max_runs", static_cast<int64_t>(max_runs));
+      out.KeyValue("records", static_cast<int64_t>(preload.history->size()));
+      out.KeyValue("distinct", static_cast<int64_t>(distinct));
+      out.KeyValue("create_ns", create_ns);
+    });
+  }
+
+  std::printf("\n# State payload: DecodeServiceState then Restore, on the "
+              "pairs layout with 8 records per license (restored CollectLog "
+              "checked; best of %d reps)\n", reps);
+  std::printf("%6s  %8s  %10s  %12s  %12s\n", "n", "records", "bytes",
+              "decode_ns", "restore_ns");
+  for (const int n : {128, 1022}) {
+    const std::unique_ptr<LicenseCatalog> catalog =
+        CatalogOf(schema1, PairRects(n), int64_t{1} << 40);
+    const LogStore history = RandomHistory(*catalog, 8 * n, 9);
+    const RestoreResult result = TimeRestore(*catalog, history, reps, &sink);
+    std::printf("%6d  %8zu  %10zu  %12ld  %12ld\n", n, history.size(),
+                result.payload_bytes, static_cast<long>(result.decode_ns),
+                static_cast<long>(result.restore_ns));
+    json.Row([&](JsonWriter& out) {
+      out.KeyValue("layout", "pairs_state");
+      out.KeyValue("n", static_cast<int64_t>(n));
+      out.KeyValue("records", static_cast<int64_t>(history.size()));
+      out.KeyValue("payload_bytes", static_cast<int64_t>(result.payload_bytes));
+      out.KeyValue("decode_ns", result.decode_ns);
+      out.KeyValue("restore_ns", result.restore_ns);
+    });
+  }
+  std::printf("# sink=%d\n", sink);
   json.Write();
   return 0;
 }

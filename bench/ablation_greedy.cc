@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/greedy_validator.h"
+#include "bench/greedy_validator.h"
 #include "service/issuance_service.h"
 
 int main(int argc, char** argv) {

@@ -1,8 +1,12 @@
 #include "licensing/license_catalog.h"
 
+#include <string_view>
+#include <unordered_set>
+#include <utility>
+
 namespace geolic {
 
-Result<int> LicenseCatalog::Add(License license) {
+Status LicenseCatalog::CheckNext(const License& license) const {
   if (license.type() != LicenseType::kRedistribution) {
     return Status::InvalidArgument(
         "only redistribution licenses belong in a LicenseCatalog: " +
@@ -29,6 +33,11 @@ Result<int> LicenseCatalog::Add(License license) {
                                      license.id());
     }
   }
+  return Status::Ok();
+}
+
+Result<int> LicenseCatalog::Add(License license) {
+  GEOLIC_RETURN_IF_ERROR(CheckNext(license));
   for (const License& existing : licenses_) {
     if (existing.id() == license.id()) {
       return Status::AlreadyExists("duplicate license id: " + license.id());
@@ -36,6 +45,24 @@ Result<int> LicenseCatalog::Add(License license) {
   }
   licenses_.push_back(std::move(license));
   return size() - 1;
+}
+
+Result<LicenseCatalog> LicenseCatalog::FromLicenses(
+    const ConstraintSchema* schema, std::vector<License> licenses) {
+  LicenseCatalog catalog(schema);
+  catalog.licenses_.reserve(licenses.size());
+  std::unordered_set<std::string_view> ids;
+  ids.reserve(licenses.size());
+  for (License& license : licenses) {
+    GEOLIC_RETURN_IF_ERROR(catalog.CheckNext(license));
+    catalog.licenses_.push_back(std::move(license));
+    // The view is into the catalog's copy, which the reserve keeps put.
+    if (!ids.insert(catalog.licenses_.back().id()).second) {
+      return Status::AlreadyExists("duplicate license id: " +
+                                   catalog.licenses_.back().id());
+    }
+  }
+  return catalog;
 }
 
 LicenseCatalog LicenseCatalog::Without(const LicenseSet& removed) const {

@@ -27,6 +27,12 @@ class LicenseCatalog {
   // exceed kMaxLicensesLarge licenses.
   Result<int> Add(License license);
 
+  // A catalog of `licenses` in order, with Add's checks and errors, in
+  // O(N): duplicate ids are found through a hash set instead of Add's scan
+  // of every earlier id.
+  static Result<LicenseCatalog> FromLicenses(const ConstraintSchema* schema,
+                                             std::vector<License> licenses);
+
   // This catalog minus the licenses in `removed`, survivors in index
   // order. They passed Add's checks here, so the copy is O(N) with none
   // re-run.
@@ -55,6 +61,10 @@ class LicenseCatalog {
   Result<int> IndexOfId(const std::string& id) const;
 
  private:
+  // Add's checks of `license` as the catalog's next license, except the
+  // duplicate id.
+  Status CheckNext(const License& license) const;
+
   const ConstraintSchema* schema_;
   std::vector<License> licenses_;
 };

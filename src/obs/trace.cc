@@ -60,6 +60,25 @@ const char* TraceOutcomeName(TraceOutcome outcome) {
   return "unknown";
 }
 
+namespace {
+
+// GCC's -Wtsan flags fences because TSan cannot model fence-based
+// synchronization of *non-atomic* accesses. Every slot field is itself an
+// atomic, so TSan's race analysis is unaffected; the fences only order the
+// seqlock's version accesses against the field accesses.
+void SeqlockFence(std::memory_order order) {
+#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+  std::atomic_thread_fence(order);
+#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
+#pragma GCC diagnostic pop
+#endif
+}
+
+}  // namespace
+
 Tracer::Tracer(const TracerOptions& options) : options_(options) {
   const size_t capacity = std::bit_ceil(std::max<size_t>(options.ring_capacity, 64));
   slots_ = std::vector<Slot>(capacity);
@@ -74,9 +93,20 @@ void Tracer::Record(const TraceSpan& span) {
   Slot& slot = slots_[ticket & slot_mask_];
   // Seqlock write: odd version while the payload stores are in flight, so
   // a concurrent CollectSpans skips the slot instead of reading a torn
-  // span. (Two writers a full ring-wrap apart can interleave on one slot;
-  // their distinct version values make the reader skip that slot too.)
-  slot.version.store(2 * ticket + 1, std::memory_order_release);
+  // span. The odd version is claimed by CAS from an older ticket's even
+  // one, so only one writer at a time stores into the slot: a writer
+  // lapped by a full ring wrap, which finds the slot mid-write or already
+  // holding a newer span, drops its own span instead.
+  uint64_t seen = slot.version.load(std::memory_order_relaxed);
+  if ((seen & 1) != 0 || seen > 2 * ticket ||
+      !slot.version.compare_exchange_strong(seen, 2 * ticket + 1,
+                                            std::memory_order_relaxed)) {
+    spans_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // The payload stores stay after the odd version: a reader whose loads
+  // see any of them rereads a version that has moved on.
+  SeqlockFence(std::memory_order_release);
   slot.request_id.store(span.request_id, std::memory_order_relaxed);
   slot.start_nanos.store(span.start_nanos, std::memory_order_relaxed);
   slot.duration_nanos.store(span.duration_nanos, std::memory_order_relaxed);
@@ -132,18 +162,8 @@ std::vector<TraceSpan> Tracer::CollectSpans() const {
     span.duration_nanos = slot.duration_nanos.load(std::memory_order_relaxed);
     const uint64_t stage_outcome =
         slot.stage_outcome.load(std::memory_order_relaxed);
-    // GCC's -Wtsan flags fences because TSan cannot model fence-based
-    // synchronization of *non-atomic* accesses. Every field read above is
-    // itself an atomic load, so TSan's race analysis is unaffected; the
-    // fence only orders the version recheck after the field loads.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wtsan"
-#endif
-    std::atomic_thread_fence(std::memory_order_acquire);
-#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
-#pragma GCC diagnostic pop
-#endif
+    // Orders the version recheck after the field loads.
+    SeqlockFence(std::memory_order_acquire);
     if (slot.version.load(std::memory_order_relaxed) != v1) {
       continue;  // A writer lapped us mid-read; drop the torn span.
     }

@@ -147,12 +147,13 @@ struct TracerOptions {
 
 // Thread-safe, low-overhead span sink: a fixed-size seqlock ring of span
 // records plus per-stage latency histograms and a bounded slow-request
-// buffer. Recording a span is an atomic ticket fetch-add, five relaxed
-// stores, and two histogram RMWs — no locks on the hot path.
+// buffer. Recording a span is an atomic ticket fetch-add, a version CAS,
+// five relaxed stores, and two histogram RMWs — no locks on the hot path.
 //
 // The ring is diagnostic, not transactional: a reader that races a writer
 // on the same slot detects the torn slot via its version word and skips it,
-// and a writer lapped by a full ring wrap overwrites the oldest span.
+// a writer overwrites the oldest span, and a writer lapped by a full ring
+// wrap (the slot is mid-write or holds a newer span) drops its own span.
 class Tracer {
  public:
   explicit Tracer(const TracerOptions& options = {});
@@ -201,6 +202,11 @@ class Tracer {
   uint64_t spans_recorded() const {
     return next_ticket_.load(std::memory_order_relaxed);
   }
+  // Spans that never reached the ring: their writer was lapped by a full
+  // ring wrap (the stage profile still counts them).
+  uint64_t spans_dropped() const {
+    return spans_dropped_.load(std::memory_order_relaxed);
+  }
   // Requests that crossed the slow threshold (including ones whose sample
   // was later evicted from the bounded buffer).
   uint64_t slow_requests() const {
@@ -228,6 +234,7 @@ class Tracer {
   uint64_t sample_mask_;
   std::atomic<uint64_t> next_ticket_{0};
   std::atomic<uint64_t> next_request_id_{0};
+  std::atomic<uint64_t> spans_dropped_{0};
   StageProfile profile_;
 
   std::atomic<uint64_t> slow_requests_{0};

@@ -240,6 +240,24 @@ Status EvolveCatalog(const JournalEntry& entry, std::vector<License>* active,
 
 }  // namespace
 
+MemberRuns::MemberRuns(const LicenseSet& members) {
+  GEOLIC_CHECK(!members.Empty() && members.Size() <= kMaxDenseGroupSize);
+  uint32_t local = 0;
+  for (int w = 0; w < members.WordCount(); ++w) {
+    for (uint64_t bits = members.Word(w); bits != 0;) {
+      const int shift = std::countr_zero(bits);
+      const int length = std::countr_one(bits >> shift);
+      const uint64_t mask = (uint64_t{1} << length) - 1;
+      runs_[count_++] = Run{static_cast<uint16_t>(w),
+                            static_cast<uint8_t>(shift),
+                            static_cast<uint8_t>(local),
+                            static_cast<uint32_t>(mask)};
+      local += static_cast<uint32_t>(length);
+      bits &= ~(mask << shift);
+    }
+  }
+}
+
 Status EncodeServiceState(const ServiceState& state, std::string* out) {
   framing::PutScalar(out, kServiceStateVersion);
   framing::PutScalar(out, state.catalog_epoch);
@@ -276,9 +294,13 @@ Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
   if (license_count == 0) {
     return Status::ParseError("service state carries no licenses");
   }
-  state.licenses = std::make_unique<LicenseCatalog>(schema);
   SpanBuf span(bytes.substr(*pos));
   std::istream in(&span);
+  std::vector<License> licenses;
+  // The count is untrusted; a damaged one fails at the first missing
+  // license rather than reserving for it.
+  licenses.reserve(std::min<size_t>(license_count, kMaxLicensesLarge));
+  std::ostringstream again;
   for (uint32_t i = 0; i < license_count; ++i) {
     const size_t start = span.consumed();
     Result<License> license = ReadLicenseBinary(&in);
@@ -288,20 +310,24 @@ Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
     }
     // A license that decodes to something else (an empty interval, merged
     // pieces) is damage, not a state this encoder wrote.
-    std::ostringstream again;
+    again.str(std::string());
     GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(*license, &again));
     if (again.view() !=
         bytes.substr(*pos + start, span.consumed() - start)) {
       return Status::ParseError("license " + std::to_string(i) +
                                 " is not in canonical form");
     }
-    const Result<int> added = state.licenses->Add(std::move(license).value());
-    if (!added.ok()) {
-      return Status::ParseError("license " + std::to_string(i) + ": " +
-                                added.status().message());
-    }
+    licenses.push_back(std::move(license).value());
   }
   *pos += span.consumed();
+  Result<LicenseCatalog> catalog =
+      LicenseCatalog::FromLicenses(schema, std::move(licenses));
+  if (!catalog.ok()) {
+    return Status::ParseError("service state catalog: " +
+                              catalog.status().message());
+  }
+  state.licenses =
+      std::make_unique<LicenseCatalog>(std::move(catalog).value());
   uint64_t record_count = 0;
   if (!framing::GetScalar(bytes, pos, &record_count)) {
     return Status::ParseError("service state record count truncated");
@@ -359,13 +385,19 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
   // into these, so the per-request path never copies a LicenseSet.
   const LicenseGrouping& groups = epoch->grouping;
   epoch->all_mask = catalog->AllMask();
+  const auto add_scope = [&epoch](LicenseSet mask, int group, int size) {
+    EquationScope& scope = epoch->scopes.emplace_back();
+    scope.mask = std::move(mask);
+    scope.group = group;
+    scope.size = size;
+  };
   if (options.use_grouping) {
     epoch->scopes.reserve(static_cast<size_t>(groups.group_count()));
     for (int g = 0; g < groups.group_count(); ++g) {
-      epoch->scopes.push_back({groups.GroupMask(g), g, groups.GroupSize(g)});
+      add_scope(groups.GroupMask(g), g, groups.GroupSize(g));
     }
   } else {
-    epoch->scopes.push_back({epoch->all_mask, -1, catalog->size()});
+    add_scope(epoch->all_mask, -1, catalog->size());
   }
   size_t table_entries = 0;
   for (const EquationScope& scope : epoch->scopes) {
@@ -393,21 +425,10 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
     scope.aggregates = next_table;
     scope.counts = next_table + entries;  // C = 0 until records arrive.
     scope.sums = next_table + 2 * entries;
+    scope.runs = MemberRuns(scope.mask);
     next_table += 3 * entries;
   }
   return epoch;
-}
-
-uint32_t IssuanceService::CatalogEpoch::LocalMask(
-    const EquationScope& scope, const LicenseSet& set) const {
-  if (scope.group < 0) {
-    return static_cast<uint32_t>(set.Word(0));
-  }
-  uint32_t local = 0;
-  for (int i : set.Indexes()) {
-    local |= uint32_t{1} << grouping.PositionOf(i);
-  }
-  return local;
 }
 
 LicenseSet IssuanceService::CatalogEpoch::WithLocal(const EquationScope& scope,
@@ -494,8 +515,12 @@ Status IssuanceService::ApplySetToEpoch(CatalogEpoch* epoch,
     return Status::InvalidArgument(
         "history record references unknown license indexes");
   }
-  size_t shard = 0;
-  const EquationScope& scope = RouteSet(*epoch, set, &shard);
+  // RouteSet's scope; the shard is needed only on the tree branch.
+  const size_t g = options_.use_grouping
+                       ? static_cast<size_t>(epoch->grouping.GroupOf(
+                             set.Lowest()))
+                       : 0;
+  const EquationScope& scope = epoch->scopes[g];
   if (!set.IsSubsetOf(scope.mask)) {
     // Satisfying sets always lie within one overlap group (every member
     // contains the issued rectangle, so they pairwise overlap); a record
@@ -504,10 +529,10 @@ Status IssuanceService::ApplySetToEpoch(CatalogEpoch* epoch,
   }
   if (scope.dense()) {
     // C[S]; FinishEpochTables derives C⟨T⟩ from it.
-    scope.counts[epoch->LocalMask(scope, set)] += count;
+    scope.counts[scope.runs.LocalMask(set)] += count;
     return Status::Ok();
   }
-  return epoch->shards[shard]->tree.Insert(set, count);
+  return epoch->shards[g % epoch->shards.size()]->tree.Insert(set, count);
 }
 
 const IssuanceService::EquationScope& IssuanceService::RouteSet(
@@ -535,7 +560,7 @@ Status IssuanceService::AdmitLocked(const CatalogEpoch& epoch, Shard* shard,
   // for the simulation harness's mutation smoke mode stops early, so an
   // issuance that only that equation would reject slips through.
   decision->aggregate_valid = true;
-  const uint32_t local = scope.dense() ? epoch.LocalMask(scope, s) : 0;
+  const uint32_t local = scope.dense() ? scope.runs.LocalMask(s) : 0;
   const uint32_t free = scope.dense() ? scope.full_local() & ~local : 0;
   {
     ScopedStageTimer stage(trace, TraceStage::kEquationScan);
@@ -1323,7 +1348,7 @@ Status IssuanceService::CheckAgainstReplay(
   // Route the replay's sets as admissions would: an above-cap set into the
   // tree its shard should hold, a dense-scope set into the C[S] entry and
   // along its supersets into the C⟨T⟩ table its scope should hold. The
-  // local mask comes from the scope's members rather than LocalMask, and
+  // local mask comes from the scope's members rather than its runs, and
   // no zeta transform runs, so the expectation shares no code with how
   // recovery built the tables.
   std::vector<ValidationTree> expected_trees(epoch->shards.size());
@@ -1499,11 +1524,10 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
   std::unique_ptr<LicenseCatalog> owned;
   const LicenseCatalog* final_catalog = licenses;
   if (have_checkpoint || epoch != 0) {
-    owned = std::make_unique<LicenseCatalog>(&licenses->schema());
-    for (License& license : active) {
-      GEOLIC_ASSIGN_OR_RETURN(const int added, owned->Add(std::move(license)));
-      (void)added;
-    }
+    GEOLIC_ASSIGN_OR_RETURN(
+        LicenseCatalog catalog,
+        LicenseCatalog::FromLicenses(&licenses->schema(), std::move(active)));
+    owned = std::make_unique<LicenseCatalog>(std::move(catalog));
     final_catalog = owned.get();
   }
   LogStore combined_store;

@@ -1,6 +1,7 @@
 #ifndef GEOLIC_SERVICE_ISSUANCE_SERVICE_H_
 #define GEOLIC_SERVICE_ISSUANCE_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -39,6 +40,45 @@ namespace geolic {
 // slower (EXPERIMENTS.md, "Dense table cap").
 inline constexpr int kMaxDenseGroupSize = 12;
 static_assert(kMaxDenseGroupSize < 32, "local masks are uint32_t");
+
+// How a set of a dense group's licenses becomes the group's local mask
+// (paper Algorithm 5's order-preserving positions): the members as runs of
+// consecutive license indexes, each within one 64-bit word of a
+// LicenseSet, so a set translates with one shift and mask per run instead
+// of a loop over its indexes. A run ends at every gap in the member
+// indexes and at every word boundary; a group of at most
+// kMaxDenseGroupSize members has at most that many runs.
+class MemberRuns {
+ public:
+  MemberRuns() = default;
+  // Requires 1..kMaxDenseGroupSize members.
+  explicit MemberRuns(const LicenseSet& members);
+
+  // `set` as a local mask: bit p set iff the member at position p (the
+  // p-th lowest member index) is in `set`. Requires `set` ⊆ members.
+  uint32_t LocalMask(const LicenseSet& set) const {
+    uint32_t local = 0;
+    for (uint32_t r = 0; r < count_; ++r) {
+      const Run& run = runs_[r];
+      local |= static_cast<uint32_t>((set.Word(run.word) >> run.shift) &
+                                     run.mask)
+               << run.local;
+    }
+    return local;
+  }
+
+  int run_count() const { return static_cast<int>(count_); }
+
+ private:
+  struct Run {
+    uint16_t word = 0;  // LicenseSet word holding the run.
+    uint8_t shift = 0;  // Bit of its lowest member within that word.
+    uint8_t local = 0;  // Local position of its lowest member.
+    uint32_t mask = 0;  // (1 << run length) − 1.
+  };
+  std::array<Run, kMaxDenseGroupSize> runs_{};
+  uint32_t count_ = 0;
+};
 
 // Decision for one attempted license issuance.
 struct OnlineDecision {
@@ -427,10 +467,10 @@ class IssuanceService {
   // The licenses one issuance's equations range over: an overlap group,
   // or the whole catalog without grouping. Scopes of at most
   // kMaxDenseGroupSize licenses carry dense tables indexed by local mask
-  // (CatalogEpoch::LocalMask): `aggregates[T]` = A[T], immutable, and
-  // `counts[S]` = C[S] and `sums[T]` = C⟨T⟩, written only under the owning
-  // shard's mutex. All three are null above the cap, where the shard's
-  // pointer tree answers instead.
+  // (`runs`): `aggregates[T]` = A[T], immutable, and `counts[S]` = C[S]
+  // and `sums[T]` = C⟨T⟩, written only under the owning shard's mutex. All
+  // three are null above the cap, where the shard's pointer tree answers
+  // instead.
   struct EquationScope {
     LicenseSet mask;
     int group = -1;  // Overlap group; -1 for the whole catalog.
@@ -438,6 +478,7 @@ class IssuanceService {
     const int64_t* aggregates = nullptr;
     int64_t* counts = nullptr;
     int64_t* sums = nullptr;
+    MemberRuns runs;  // `mask`'s runs; dense scopes only.
 
     bool dense() const { return sums != nullptr; }
     size_t entries() const { return size_t{1} << size; }
@@ -486,8 +527,6 @@ class IssuanceService {
       return scope.group < 0 ? position
                              : grouping.OriginalIndexOf(scope.group, position);
     }
-    // `set` (which must lie in dense `scope`) as the scope's local mask.
-    uint32_t LocalMask(const EquationScope& scope, const LicenseSet& set) const;
     // `s` plus the licenses at the set bits of `local` (maps a local
     // equation mask back to license indexes).
     LicenseSet WithLocal(const EquationScope& scope, LicenseSet s,

@@ -1,4 +1,4 @@
-#include "core/greedy_validator.h"
+#include "bench/greedy_validator.h"
 
 #include <gtest/gtest.h>
 

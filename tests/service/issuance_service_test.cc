@@ -1,5 +1,7 @@
 #include "service/issuance_service.h"
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -534,6 +536,292 @@ TEST(IssuanceServiceTest, GroupingAfterCreateAndRestoreIsFromLicenses) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ((*restored)->licenses().size(), licenses.size());
   expect_paper_grouping(**restored);
+}
+
+// MemberRuns against the index walk it replaced (each member index's
+// position in the group, one index at a time), on member sets with gaps,
+// blocks across the 64- and 128-bit word boundaries, and high indexes.
+TEST(MemberRunsTest, LocalMaskMatchesIndexWalk) {
+  // Runs end at gaps and at word boundaries.
+  EXPECT_EQ(MemberRuns(LicenseSet::Full(12)).run_count(), 1);
+  EXPECT_EQ(MemberRuns(LicenseSet::FromIndexes({62, 63, 64, 65})).run_count(),
+            2);
+  EXPECT_EQ(
+      MemberRuns(LicenseSet::FromIndexes({1, 3, 127, 128, 129, 1023}))
+          .run_count(),
+      5);
+  EXPECT_EQ(MemberRuns(LicenseSet::FromIndexes(
+                           {0, 64, 128, 192, 256, 320, 384, 448, 512, 576,
+                            640, 1023}))
+                .run_count(),
+            12);
+
+  Rng rng(testing::TestSeed(0x2C115));
+  for (int trial = 0; trial < 2000; ++trial) {
+    // A block of consecutive members around a random point (often a
+    // word boundary), plus scattered ones.
+    const int size = static_cast<int>(rng.UniformInt(1, kMaxDenseGroupSize));
+    const int block = static_cast<int>(rng.UniformInt(1, size));
+    const int anchor = rng.Bernoulli(0.5)
+                           ? 64 * static_cast<int>(rng.UniformInt(1, 15))
+                           : static_cast<int>(rng.UniformInt(0, 1023));
+    LicenseSet members;
+    for (int i = 0; i < block; ++i) {
+      members.Add(std::clamp(anchor - block / 2, 0, 1024 - block) + i);
+    }
+    while (members.Size() < size) {
+      members.Add(static_cast<int>(rng.UniformInt(0, 1023)));
+    }
+    const MemberRuns runs(members);
+    const std::vector<int> indexes = members.ToIndexes();
+    for (int draw = 0; draw < 16; ++draw) {
+      LicenseSet set;
+      for (int i : indexes) {
+        if (rng.Bernoulli(0.5)) {
+          set.Add(i);
+        }
+      }
+      uint32_t want = 0;
+      for (int i : set.Indexes()) {
+        const auto at = std::lower_bound(indexes.begin(), indexes.end(), i);
+        want |= uint32_t{1} << (at - indexes.begin());
+      }
+      ASSERT_EQ(runs.LocalMask(set), want) << members << " " << set;
+    }
+  }
+}
+
+// A duplicate license id makes a state payload damage, not a catalog.
+TEST(ServiceStateTest, DuplicateLicenseIdIsParseError) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  for (const bool duplicate : {false, true}) {
+    ServiceState state;
+    state.licenses = std::make_unique<LicenseCatalog>(&schema);
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(state.licenses
+                      ->Add(MakeRedistribution(
+                          schema, "L" + std::to_string(i), {{i, i + 5}}, 10))
+                      .ok());
+    }
+    std::string payload;
+    ASSERT_TRUE(EncodeServiceState(state, &payload).ok());
+    if (duplicate) {
+      // Rename L29 to L17 in place: same length, canonical bytes.
+      const size_t at = payload.find("L29");
+      ASSERT_NE(at, std::string::npos);
+      payload.replace(at, 3, "L17");
+    }
+    size_t pos = 0;
+    const Result<ServiceState> got = DecodeServiceState(payload, &pos, &schema);
+    if (!duplicate) {
+      ASSERT_TRUE(got.ok()) << got.status().message();
+      EXPECT_EQ(got->licenses->size(), 40);
+      continue;
+    }
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kParseError);
+    EXPECT_NE(got.status().message().find("duplicate license id: L17"),
+              std::string::npos)
+        << got.status().message();
+  }
+}
+
+// A catalog of `n` licenses in overlap groups of 1..kMaxDenseGroupSize
+// members. Indexes are dealt to groups either scattered (shuffled) or in
+// consecutive blocks, and a block of consecutive indexes across each of
+// the word boundaries 64 and 128 joins one group, so groups hold multi-run
+// members that cross words. Group k's member at position p covers
+// [10000k + 10p, 10000k + 10p + 60]: neighbours overlap, groups do not.
+struct ScatteredCatalog {
+  std::unique_ptr<LicenseCatalog> licenses;
+  std::vector<std::vector<int>> groups;  // Member indexes, ascending.
+};
+
+ScatteredCatalog MakeScatteredCatalog(const ConstraintSchema& schema, int n,
+                                      bool scatter, Rng* rng) {
+  std::vector<int> group_of(static_cast<size_t>(n), -1);
+  std::vector<std::vector<int>> groups;
+  for (const int boundary : {64, 128}) {
+    if (boundary + 3 > n) {
+      continue;
+    }
+    groups.emplace_back();
+    for (int i = boundary - 3; i < boundary + 3; ++i) {
+      group_of[static_cast<size_t>(i)] = static_cast<int>(groups.size()) - 1;
+      groups.back().push_back(i);
+    }
+  }
+  std::vector<int> rest;
+  for (int i = 0; i < n; ++i) {
+    if (group_of[static_cast<size_t>(i)] < 0) {
+      rest.push_back(i);
+    }
+  }
+  if (scatter) {
+    for (size_t i = rest.size(); i > 1; --i) {
+      std::swap(rest[i - 1], rest[rng->UniformIndex(i)]);
+    }
+  }
+  // Straddling groups take a few scattered members too.
+  size_t next = 0;
+  for (std::vector<int>& group : groups) {
+    const size_t extra = static_cast<size_t>(rng->UniformInt(0, 6));
+    for (size_t e = 0; e < extra && next < rest.size(); ++e) {
+      group.push_back(rest[next++]);
+    }
+  }
+  while (next < rest.size()) {
+    const size_t size =
+        static_cast<size_t>(rng->UniformInt(1, kMaxDenseGroupSize));
+    groups.emplace_back();
+    for (size_t e = 0; e < size && next < rest.size(); ++e) {
+      groups.back().push_back(rest[next++]);
+    }
+  }
+  std::vector<std::pair<int64_t, int64_t>> span(static_cast<size_t>(n));
+  for (size_t k = 0; k < groups.size(); ++k) {
+    std::sort(groups[k].begin(), groups[k].end());
+    for (size_t p = 0; p < groups[k].size(); ++p) {
+      const int64_t lo = 10000 * static_cast<int64_t>(k) +
+                         10 * static_cast<int64_t>(p);
+      span[static_cast<size_t>(groups[k][p])] = {lo, lo + 60};
+    }
+  }
+  ScatteredCatalog catalog{std::make_unique<LicenseCatalog>(&schema),
+                           std::move(groups)};
+  for (int i = 0; i < n; ++i) {
+    GEOLIC_CHECK(catalog.licenses
+                     ->Add(MakeRedistribution(
+                         schema, "L" + std::to_string(i),
+                         {span[static_cast<size_t>(i)]},
+                         rng->UniformInt(20, 80)))
+                     .ok());
+  }
+  return catalog;
+}
+
+// Seeded property: on catalogs whose dense groups have scattered members
+// and runs across words 64 and 128, a random in-group history preloaded
+// through CreateWithHistory comes back from CollectLog merged, survives
+// Restore(Snapshot()) and the state payload, and a stream of TryIssue
+// decisions (with limiting equations) on both services equals the
+// ReferenceModel's.
+TEST(IssuanceServiceProperty, ScatteredDenseGroupsReplayAndAdmitLikeTheModel) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  Rng rng(testing::TestSeed(0x8E9A7));
+  std::vector<int> sizes = {1, 2, 12, 13, 63, 64, 65, 67, 127, 128, 131, 200};
+  for (int c = 0; c < 12; ++c) {
+    sizes.push_back(static_cast<int>(rng.UniformInt(1, 200)));
+  }
+  sizes.push_back(1020);
+  int over_budget = 0;  // Requests rejected by an equation, every case.
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    const int n = sizes[c];
+    SCOPED_TRACE("n = " + std::to_string(n) + ", case " + std::to_string(c));
+    const ScatteredCatalog catalog =
+        MakeScatteredCatalog(schema, n, c % 2 == 0, &rng);
+    const LicenseCatalog& licenses = *catalog.licenses;
+
+    LogStore history;
+    std::map<LicenseSet, int64_t> merged;
+    for (int r = 0; r < std::max(8, n); ++r) {
+      const std::vector<int>& group =
+          catalog.groups[rng.UniformIndex(catalog.groups.size())];
+      LicenseSet set;
+      while (set.Empty()) {
+        for (int i : group) {
+          if (rng.Bernoulli(0.5)) {
+            set.Add(i);
+          }
+        }
+      }
+      const int64_t count = rng.UniformInt(1, 3);
+      merged[set] += count;
+      ASSERT_TRUE(
+          history.Append({"H" + std::to_string(r), set, count}).ok());
+    }
+    // Records as "set x count" lines, so a mismatch prints readably.
+    const auto expect_merged = [&merged](const IssuanceService& service) {
+      std::vector<std::string> want;
+      for (const auto& [set, count] : merged) {
+        want.push_back(set.ToString() + " x " + std::to_string(count));
+      }
+      std::vector<std::string> got;
+      const LogStore collected = service.CollectLog();
+      for (const LogRecord& record : collected.records()) {
+        got.push_back(record.issued_license_id + record.set.ToString() +
+                      " x " + std::to_string(record.count));
+      }
+      EXPECT_EQ(got, want);
+    };
+
+    // Several groups per lock shard, so the replay routes through the
+    // shard stripe too. (Snapshot holds every shard lock at once, and
+    // TSan's deadlock detector tracks at most 64 held locks.)
+    OnlineValidatorOptions options;
+    options.shard_hint = c % 2 == 0 ? 16 : 5;
+    Result<std::unique_ptr<IssuanceService>> service =
+        IssuanceService::CreateWithHistory(&licenses, options, history);
+    ASSERT_TRUE(service.ok()) << service.status().message();
+    expect_merged(**service);
+    Result<std::unique_ptr<IssuanceService>> restored =
+        IssuanceService::Restore((*service)->Snapshot(), options);
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    expect_merged(**restored);
+    std::string payload;
+    ASSERT_TRUE(EncodeServiceState((*service)->Snapshot(), &payload).ok());
+    size_t pos = 0;
+    Result<ServiceState> decoded = DecodeServiceState(payload, &pos, &schema);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    Result<std::unique_ptr<IssuanceService>> reloaded =
+        IssuanceService::Restore(std::move(decoded).value(), options);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().message();
+    expect_merged(**reloaded);
+
+    ReferenceModel model(&licenses);
+    for (const auto& [set, count] : merged) {
+      model.Apply(set, count);
+    }
+    int accepted = 0;
+    for (int i = 0; i < 60; ++i) {
+      const size_t k = rng.UniformIndex(catalog.groups.size());
+      const int64_t x =
+          rng.Bernoulli(0.1)
+              ? -100
+              : 10000 * static_cast<int64_t>(k) +
+                    rng.UniformInt(0, 10 * static_cast<int64_t>(
+                                               catalog.groups[k].size()) +
+                                          50);
+      const License request = MakeUsage(schema, "U" + std::to_string(i),
+                                        {{x, x + 1}}, rng.UniformInt(1, 40));
+      const ReferenceModel::Decision want = model.TryIssue(request);
+      for (IssuanceService* twin : {service->get(), restored->get()}) {
+        const Result<OnlineDecision> got = twin->TryIssue(request);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got->instance_valid, want.instance_valid) << i;
+        ASSERT_EQ(got->aggregate_valid, want.aggregate_valid) << i;
+        ASSERT_EQ(got->satisfying_set, want.satisfying_set) << i;
+        if (want.instance_valid && !want.aggregate_valid) {
+          ++over_budget;
+          EXPECT_EQ(got->limiting.set, want.limiting_set) << i;
+          EXPECT_EQ(got->limiting.lhs, want.limiting_lhs) << i;
+          EXPECT_EQ(got->limiting.rhs, want.limiting_rhs) << i;
+        }
+      }
+      if (want.accepted()) {
+        ++accepted;
+        model.Apply(want.satisfying_set, request.aggregate_count());
+        merged[want.satisfying_set] += request.aggregate_count();
+      }
+    }
+    EXPECT_GT(accepted, 0);
+    expect_merged(**service);
+    expect_merged(**restored);
+    if (HasFailure()) {
+      return;  // One failing case says enough.
+    }
+  }
+  EXPECT_GT(over_budget, 0);
 }
 
 }  // namespace
