@@ -6,8 +6,8 @@
 // service epoch build pays): the sort-and-sweep DynamicGrouping::Build
 // versus N AddLicense calls versus LicenseGrouping::FromLicenses. Then
 // what a service build pays per record and per license on top: history
-// preload through CreateWithHistory, and a state payload's decode plus
-// Restore. Machine-readable: --json_out=<path>.
+// preload through CreateWithHistory against an empty Create, and a state
+// payload's decode plus Restore. Machine-readable: --json_out=<path>.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
@@ -25,6 +25,7 @@
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
 #include "service/issuance_service.h"
+#include "tests/service/issuance_service_peer.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "workload/workload.h"
@@ -251,7 +252,8 @@ void CheckCollectsMerged(const IssuanceService& service,
 }
 
 // Best of `reps` CreateWithHistory calls, after checking the preloaded
-// state.
+// state: CollectLog against the merged history, and every table and tree
+// against one ApplySetToEpoch per record.
 int64_t TimePreload(const LicenseCatalog& catalog, const LogStore& history,
                     int reps, int* sink) {
   const auto create = [&catalog, &history]() {
@@ -260,7 +262,13 @@ int64_t TimePreload(const LicenseCatalog& catalog, const LogStore& history,
     GEOLIC_CHECK(service.ok());
     return std::move(service).value();
   };
-  CheckCollectsMerged(*create(), history);
+  const std::unique_ptr<IssuanceService> checked = create();
+  CheckCollectsMerged(*checked, history);
+  Result<std::unique_ptr<IssuanceService>> per_record =
+      IssuanceServiceTestPeer::CreatePerRecord(&catalog, {}, history);
+  GEOLIC_CHECK(per_record.ok());
+  GEOLIC_CHECK(IssuanceServiceTestPeer::State(*checked) ==
+               IssuanceServiceTestPeer::State(**per_record));
   int64_t best = std::numeric_limits<int64_t>::max();
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch timer;
@@ -424,11 +432,14 @@ int main(int argc, char** argv) {
               "whose dimension-0 hulls meet; the other two grow with N^2\n");
 
   constexpr int kPreloadRecords = 24000;
-  std::printf("\n# History preload: CreateWithHistory over %d records "
-              "(CollectLog checked equal to the merged history; best of %d "
-              "reps)\n", kPreloadRecords, reps);
-  std::printf("%14s  %6s  %6s  %8s  %8s  %10s  %12s\n", "layout", "n",
-              "groups", "max_runs", "records", "distinct", "create_ns");
+  std::printf("\n# History preload: CreateWithHistory over %d records, and "
+              "an empty Create (records 0); tables checked against one "
+              "ApplySetToEpoch per record; best of %d reps; ns_per_record "
+              "= (create - empty create) / records\n",
+              kPreloadRecords, reps);
+  std::printf("%14s  %6s  %6s  %8s  %8s  %10s  %12s  %13s\n", "layout", "n",
+              "groups", "max_runs", "records", "distinct", "create_ns",
+              "ns_per_record");
   const ConstraintSchema schema1 = IntervalSchema(1);
   const DenseChurnShape dense = MakeDenseChurnShape(kPreloadRecords);
   const std::unique_ptr<LicenseCatalog> interleaved =
@@ -451,22 +462,40 @@ int main(int argc, char** argv) {
       max_runs = std::max(max_runs,
                           MemberRuns(grouping.GroupMask(g)).run_count());
     }
+    const int64_t empty_ns =
+        TimePreload(*preload.catalog, LogStore(), reps, &sink);
     const int64_t create_ns =
         TimePreload(*preload.catalog, *preload.history, reps, &sink);
+    const double ns_per_record =
+        static_cast<double>(create_ns - empty_ns) /
+        static_cast<double>(preload.history->size());
     const size_t distinct = preload.history->MergedCounts().size();
-    std::printf("%14s  %6d  %6d  %8d  %8zu  %10zu  %12ld\n", preload.layout,
-                preload.catalog->size(), grouping.group_count(), max_runs,
-                preload.history->size(), distinct,
-                static_cast<long>(create_ns));
-    json.Row([&](JsonWriter& out) {
-      out.KeyValue("layout", preload.layout);
-      out.KeyValue("n", static_cast<int64_t>(preload.catalog->size()));
-      out.KeyValue("groups", static_cast<int64_t>(grouping.group_count()));
-      out.KeyValue("max_runs", static_cast<int64_t>(max_runs));
-      out.KeyValue("records", static_cast<int64_t>(preload.history->size()));
-      out.KeyValue("distinct", static_cast<int64_t>(distinct));
-      out.KeyValue("create_ns", create_ns);
-    });
+    for (const bool empty : {true, false}) {
+      const size_t records = empty ? 0 : preload.history->size();
+      const int64_t ns = empty ? empty_ns : create_ns;
+      std::printf("%14s  %6d  %6d  %8d  %8zu  %10zu  %12ld", preload.layout,
+                  preload.catalog->size(), grouping.group_count(), max_runs,
+                  records, empty ? size_t{0} : distinct,
+                  static_cast<long>(ns));
+      if (empty) {
+        std::printf("  %13s\n", "-");
+      } else {
+        std::printf("  %13.1f\n", ns_per_record);
+      }
+      json.Row([&](JsonWriter& out) {
+        out.KeyValue("layout", preload.layout);
+        out.KeyValue("n", static_cast<int64_t>(preload.catalog->size()));
+        out.KeyValue("groups", static_cast<int64_t>(grouping.group_count()));
+        out.KeyValue("max_runs", static_cast<int64_t>(max_runs));
+        out.KeyValue("records", static_cast<int64_t>(records));
+        out.KeyValue("distinct",
+                     static_cast<int64_t>(empty ? size_t{0} : distinct));
+        out.KeyValue("create_ns", ns);
+        if (!empty) {
+          out.KeyValue("ns_per_record", ns_per_record);
+        }
+      });
+    }
   }
 
   std::printf("\n# State payload: DecodeServiceState then Restore, on the "

@@ -371,10 +371,9 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
   epoch->epoch = epoch_number;
   int shard_count = 1;
   if (options.use_grouping) {
-    shard_count = epoch->grouping.group_count();
-    if (options.shard_hint > 0) {
-      shard_count = std::min(shard_count, options.shard_hint);
-    }
+    shard_count = std::min(epoch->grouping.group_count(),
+                           options.shard_hint > 0 ? options.shard_hint
+                                                  : kDefaultMaxShards);
     shard_count = std::max(shard_count, 1);
   }
   epoch->shards.reserve(static_cast<size_t>(shard_count));
@@ -405,7 +404,9 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
       table_entries += 3 * scope.entries();  // A, C[S] and C⟨T⟩.
     }
   }
-  epoch->dense_tables = std::make_unique<int64_t[]>(table_entries);
+  // A is written whole below; only C[S] and C⟨T⟩ start at zero.
+  epoch->dense_tables = std::make_unique_for_overwrite<int64_t[]>(
+      table_entries);
   epoch->dense_table_bytes = table_entries * sizeof(int64_t);
   int64_t* next_table = epoch->dense_tables.get();
   for (EquationScope& scope : epoch->scopes) {
@@ -413,6 +414,7 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
       continue;
     }
     const size_t entries = scope.entries();
+    std::fill(next_table + entries, next_table + 3 * entries, 0);
     std::array<int64_t, kMaxDenseGroupSize> aggregates{};
     for (int p = 0; p < scope.size; ++p) {
       aggregates[static_cast<size_t>(p)] =
@@ -444,10 +446,17 @@ void IssuanceService::FinishEpochTables(const CatalogEpoch& epoch,
                                         const std::vector<bool>& finished) {
   for (size_t g = 0; g < epoch.scopes.size(); ++g) {
     const EquationScope& scope = epoch.scopes[g];
-    if (scope.dense() && (g >= finished.size() || !finished[g])) {
-      std::copy(scope.counts, scope.counts + scope.entries(), scope.sums);
-      ZetaTransform(std::span<int64_t>(scope.sums, scope.entries()));
+    if (!scope.dense() || (g < finished.size() && finished[g])) {
+      continue;
     }
+    const int64_t* counts = scope.counts;
+    const int64_t* counts_end = counts + scope.entries();
+    if (std::all_of(counts, counts_end,
+                    [](int64_t count) { return count == 0; })) {
+      continue;  // No issuance: every C⟨T⟩ is BuildEpoch's zero.
+    }
+    std::copy(counts, counts_end, scope.sums);
+    ZetaTransform(std::span<int64_t>(scope.sums, scope.entries()));
   }
 }
 
@@ -498,10 +507,7 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
       new IssuanceService(options, std::move(grouping), first));
   // Pre-load the history through the same routing the admission path uses
   // (records of already-validated issuances — they are not re-checked).
-  for (const LogRecord& record : history.records()) {
-    GEOLIC_RETURN_IF_ERROR(
-        service->ApplySetToEpoch(first.get(), record.set, record.count));
-  }
+  GEOLIC_RETURN_IF_ERROR(service->PreloadEpoch(first.get(), history));
   service->issue_sequence_.store(static_cast<int64_t>(history.size()),
                                  std::memory_order_relaxed);
   FinishEpochTables(*first);
@@ -533,6 +539,61 @@ Status IssuanceService::ApplySetToEpoch(CatalogEpoch* epoch,
     return Status::Ok();
   }
   return epoch->shards[g % epoch->shards.size()]->tree.Insert(set, count);
+}
+
+Status IssuanceService::PreloadEpoch(CatalogEpoch* epoch,
+                                     const LogStore& history) const {
+  // ApplySetToEpoch's routing, flattened per license index: the scope of
+  // a set whose lowest index it is, and, when that scope is dense and its
+  // members are one run below index 64 (dense-churn's group), the run and
+  // its C[S] table. A one-word set within the run is then C[S] at
+  // word >> shift: the run's shift-and-mask, and no further check. The
+  // array spans at least the 64 indexes a one-word set can start at.
+  struct Route {
+    const EquationScope* scope = nullptr;
+    uint64_t run = 0;
+    int64_t* counts = nullptr;
+    int shift = 0;
+  };
+  const size_t n = static_cast<size_t>(epoch->catalog->size());
+  std::vector<Route> routes(std::max<size_t>(n, kMaxLicensesInline));
+  for (size_t i = 0; i < n; ++i) {
+    Route& route = routes[i];
+    route.scope = &epoch->scopes[options_.use_grouping
+                                     ? static_cast<size_t>(
+                                           epoch->grouping.GroupOf(
+                                               static_cast<int>(i)))
+                                     : 0];
+    if (route.scope->dense() && route.scope->mask.WordCount() == 1 &&
+        route.scope->runs.run_count() == 1) {
+      route.run = route.scope->mask.AsWord();
+      route.counts = route.scope->counts;
+      route.shift = std::countr_zero(route.run);
+    }
+  }
+  for (const LogRecord& record : history.records()) {
+    const LicenseSet& set = record.set;
+    if (set.WordCount() == 1) {
+      const uint64_t word = set.AsWord();
+      GEOLIC_DCHECK(word != 0);  // A LogStore holds no empty set.
+      const Route& route = routes[static_cast<size_t>(std::countr_zero(word))];
+      if ((word & ~route.run) == 0) {
+        route.counts[word >> route.shift] += record.count;
+        continue;
+      }
+    }
+    const size_t lowest = static_cast<size_t>(set.Lowest());
+    if (lowest < n) {
+      const EquationScope& scope = *routes[lowest].scope;
+      if (scope.dense() && set.IsSubsetOf(scope.mask)) {
+        scope.counts[scope.runs.LocalMask(set)] += record.count;
+        continue;
+      }
+    }
+    // A tree insert, or the record's error.
+    GEOLIC_RETURN_IF_ERROR(ApplySetToEpoch(epoch, set, record.count));
+  }
+  return Status::Ok();
 }
 
 const IssuanceService::EquationScope& IssuanceService::RouteSet(

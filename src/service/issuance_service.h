@@ -41,6 +41,15 @@ namespace geolic {
 inline constexpr int kMaxDenseGroupSize = 12;
 static_assert(kMaxDenseGroupSize < 32, "local masks are uint32_t");
 
+// Lock shards of a service whose options leave shard_hint unset: one per
+// overlap group up to this many, over which wider catalogs' groups are
+// striped. On a few cores more stripes buy no parallelism, only a mutex
+// per group and longer all-shard cuts. A reconfiguration holds every
+// shard lock plus the reconfiguration and journal mutexes, and
+// ThreadSanitizer's deadlock detector aborts when one thread holds more
+// than 64 mutexes: so 64 − 2.
+inline constexpr int kDefaultMaxShards = 62;
+
 // How a set of a dense group's licenses becomes the group's local mask
 // (paper Algorithm 5's order-preserving positions): the members as runs of
 // consecutive license indexes, each within one 64-bit word of a
@@ -57,11 +66,14 @@ class MemberRuns {
   // `set` as a local mask: bit p set iff the member at position p (the
   // p-th lowest member index) is in `set`. Requires `set` ⊆ members.
   uint32_t LocalMask(const LicenseSet& set) const {
+    // The set's words in place; runs ascend by word, so the first run past
+    // the set's last word ends the walk (every later word reads zero).
+    const std::span<const uint64_t> words = set.WordSpan();
     uint32_t local = 0;
-    for (uint32_t r = 0; r < count_; ++r) {
+    for (uint32_t r = 0; r < count_ && runs_[r].word < words.size(); ++r) {
       const Run& run = runs_[r];
-      local |= static_cast<uint32_t>((set.Word(run.word) >> run.shift) &
-                                     run.mask)
+      local |= (static_cast<uint32_t>(words[run.word] >> run.shift) &
+                run.mask)
                << run.local;
     }
     return local;
@@ -118,7 +130,7 @@ struct OnlineValidatorOptions {
   IssuanceMetrics* metrics = nullptr;
   // Cap on the number of lock shards (groups are striped over
   // min(shard_hint, group_count) mutexes). <= 0 means one shard per
-  // overlap group.
+  // overlap group, up to kDefaultMaxShards.
   int shard_hint = 0;
   // Optional span sink for per-stage request tracing (obs/trace.h); must
   // outlive the service. Null = tracing off: the scoped timers reduce to
@@ -253,7 +265,8 @@ class IssuanceService {
   // single shard covering all licenses (every admission serializes — the
   // baseline the concurrency ablation measures against);
   // options.shard_hint caps the number of lock shards (groups are striped
-  // over min(hint, group_count) mutexes).
+  // over min(hint, group_count) mutexes; unset, over
+  // min(kDefaultMaxShards, group_count)).
   static Result<std::unique_ptr<IssuanceService>> Create(
       const LicenseCatalog* licenses, const OnlineValidatorOptions& options = {});
 
@@ -544,6 +557,9 @@ class IssuanceService {
     int64_t expire_cutoff = 0;
   };
 
+  // The preload oracle: the per-record path and the epoch's tables.
+  friend class IssuanceServiceTestPeer;
+
   IssuanceService(const OnlineValidatorOptions& options,
                   DynamicGrouping grouping,
                   std::shared_ptr<CatalogEpoch> epoch0);
@@ -555,8 +571,8 @@ class IssuanceService {
       uint64_t epoch = 0);
 
   // Assembles a fully-derived epoch (shards, scopes, instance geometry,
-  // A tables) around `catalog`, with zeroed C tables — the publish step is
-  // the caller's.
+  // A tables) around `catalog`, with zeroed C[S] and C⟨T⟩ tables — the
+  // publish step is the caller's.
   static std::shared_ptr<CatalogEpoch> BuildEpoch(
       const OnlineValidatorOptions& options, uint64_t epoch_number,
       const LicenseCatalog* catalog, std::unique_ptr<LicenseCatalog> owned,
@@ -569,10 +585,16 @@ class IssuanceService {
   Status ApplySetToEpoch(CatalogEpoch* epoch, const LicenseSet& set,
                          int64_t count) const;
 
+  // ApplySetToEpoch for every record of `history`, in one pass with the
+  // per-record checks inline: the same state and the same first error.
+  // Caller owns exclusivity: a service under construction.
+  Status PreloadEpoch(CatalogEpoch* epoch, const LogStore& history) const;
+
   // Derives every dense scope's C⟨T⟩ from its C[S] (a copy and one zeta
   // transform), except the scopes whose `finished` entry is set (tables a
-  // reconfiguration copied, C⟨T⟩ included). Runs once per epoch, after the
-  // last ApplySetToEpoch and before the epoch serves admissions.
+  // reconfiguration copied, C⟨T⟩ included) and those whose C[S] is all
+  // zero (their C⟨T⟩ stays BuildEpoch's zeros). Runs once per epoch, after
+  // the last ApplySetToEpoch and before the epoch serves admissions.
   static void FinishEpochTables(const CatalogEpoch& epoch,
                                 const std::vector<bool>& finished = {});
 

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -873,8 +874,10 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
   // within one slab by construction.
   constexpr int64_t kSlabStride = 2 * kDomain;
   const int slabs = config.cluster_slabs < 1 ? 1 : config.cluster_slabs;
+  // `hub`: the license contains its slab's hub point (every such license
+  // of a slab overlaps every other).
   const auto make_redistribution = [&](const std::string& id,
-                                       int64_t slab_lo) {
+                                       int64_t slab_lo, bool hub) {
     LicenseBuilder builder(workload.schema.get());
     builder.SetId(id)
         .SetContentKey("K")
@@ -884,7 +887,7 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
     for (int d = 0; d < dims; ++d) {
       int64_t lo = 0;
       int64_t hi = 0;
-      if (near_cap) {
+      if (hub) {
         lo = slab_lo + kHub - rng.UniformInt(0, 8);
         hi = slab_lo + kHub + rng.UniformInt(0, 8);
       } else {
@@ -897,13 +900,39 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
     GEOLIC_CHECK(license.ok());
     return *license;
   };
+  // Indexes go round-robin over the slabs, so a slab's members are
+  // `slabs` indexes apart. With several slabs, each word boundary inside
+  // the catalog (64, 128, ...) first takes a slab of its own: a block of
+  // consecutive indexes across the boundary, all around the slab's hub,
+  // so one dense group's member runs split at the boundary.
+  std::vector<int> slab_of(static_cast<size_t>(license_count), -1);
+  int block_slabs = 0;
+  for (int boundary = kMaxLicensesInline;
+       slabs > 1 && boundary < license_count && block_slabs + 1 < slabs;
+       boundary += kMaxLicensesInline) {
+    const int below = static_cast<int>(rng.UniformInt(1, 4));
+    const int above = static_cast<int>(
+        std::min<int64_t>(rng.UniformInt(1, 4), license_count - boundary));
+    for (int i = boundary - below; i < boundary + above; ++i) {
+      slab_of[static_cast<size_t>(i)] = block_slabs;
+    }
+    ++block_slabs;
+  }
+  for (int i = 0, next = 0; i < license_count; ++i) {
+    if (slab_of[static_cast<size_t>(i)] < 0) {
+      slab_of[static_cast<size_t>(i)] = block_slabs + next;
+      next = (next + 1) % (slabs - block_slabs);
+    }
+  }
   std::vector<std::string> known_ids;
   for (int i = 0; i < license_count; ++i) {
-    const int64_t slab_lo = (i % slabs) * kSlabStride;
+    const int slab = slab_of[static_cast<size_t>(i)];
     known_ids.push_back("L" + std::to_string(i + 1));
-    GEOLIC_CHECK(
-        workload.licenses->Add(make_redistribution(known_ids.back(), slab_lo))
-            .ok());
+    GEOLIC_CHECK(workload.licenses
+                     ->Add(make_redistribution(known_ids.back(),
+                                               slab * kSlabStride,
+                                               near_cap || slab < block_slabs))
+                     .ok());
   }
 
   int request_counter = 0;
@@ -973,7 +1002,7 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
               rng.UniformInt(0, static_cast<int64_t>(slabs) - 1) *
               kSlabStride;
           const std::string id = "A" + std::to_string(++acquire_counter);
-          op.requests.push_back(make_redistribution(id, slab_lo));
+          op.requests.push_back(make_redistribution(id, slab_lo, near_cap));
           known_ids.push_back(id);
         } else if (kind < 0.96) {
           op.kind = SimOpKind::kRevokeLicense;

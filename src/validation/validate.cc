@@ -195,8 +195,19 @@ void ZetaTransform(std::span<int64_t> table) {
   GEOLIC_DCHECK(std::has_single_bit(size));
   // Per bit, every set with the bit gains its partner without it; the
   // partners of one block are the contiguous block below it, so the inner
-  // loop vectorizes.
-  for (size_t stride = 1; stride < size; stride <<= 1) {
+  // loop vectorizes. Bits 0 and 1 (strides 1 and 2), whose blocks are too
+  // short for that, go together within each 4-entry block.
+  size_t stride = 1;
+  if (size >= 4) {
+    for (int64_t* t = table.data(); t != table.data() + size; t += 4) {
+      t[1] += t[0];
+      t[3] += t[2];
+      t[2] += t[0];
+      t[3] += t[1];
+    }
+    stride = 4;
+  }
+  for (; stride < size; stride <<= 1) {
     for (size_t block = 0; block < size; block += 2 * stride) {
       for (size_t set = block; set < block + stride; ++set) {
         table[set + stride] += table[set];
@@ -208,10 +219,14 @@ void ZetaTransform(std::span<int64_t> table) {
 void FillAggregateTable(std::span<const int64_t> values,
                         std::span<int64_t> table) {
   GEOLIC_DCHECK(table.size() == size_t{1} << values.size());
+  // The sets whose highest member is i are i's bit plus each set below
+  // it: one contiguous, vectorizable copy-and-add per member.
   table[0] = 0;
-  for (size_t set = 1; set < table.size(); ++set) {
-    const int lowest = std::countr_zero(set);
-    table[set] = table[set & (set - 1)] + values[static_cast<size_t>(lowest)];
+  for (size_t i = 0; i < values.size(); ++i) {
+    const size_t half = size_t{1} << i;
+    for (size_t set = 0; set < half; ++set) {
+      table[half + set] = table[set] + values[i];
+    }
   }
 }
 

@@ -117,7 +117,7 @@ Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,
 void ZetaTransform(std::span<int64_t> table);
 
 // table[S] = Σ_{i ∈ S} values[i], every equation RHS A[S], by the
-// lowest-bit recurrence. Requires table.size() == 2^values.size().
+// highest-bit recurrence. Requires table.size() == 2^values.size().
 void FillAggregateTable(std::span<const int64_t> values,
                         std::span<int64_t> table);
 

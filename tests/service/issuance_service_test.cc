@@ -1,6 +1,9 @@
 #include "service/issuance_service.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -12,6 +15,7 @@
 #include "persist/framing.h"
 #include "persist/journal.h"
 #include "persist/sync_file.h"
+#include "service/issuance_service_peer.h"
 #include "sim/reference_model.h"
 #include "test_util.h"
 
@@ -591,6 +595,7 @@ TEST(MemberRunsTest, LocalMaskMatchesIndexWalk) {
   }
 }
 
+
 // A duplicate license id makes a state payload damage, not a catalog.
 TEST(ServiceStateTest, DuplicateLicenseIdIsParseError) {
   const ConstraintSchema schema = IntervalSchema(1);
@@ -626,8 +631,8 @@ TEST(ServiceStateTest, DuplicateLicenseIdIsParseError) {
   }
 }
 
-// A catalog of `n` licenses in overlap groups of 1..kMaxDenseGroupSize
-// members. Indexes are dealt to groups either scattered (shuffled) or in
+// A catalog of `n` licenses in overlap groups of 1..`max_group` members.
+// Indexes are dealt to groups either scattered (shuffled) or in
 // consecutive blocks, and a block of consecutive indexes across each of
 // the word boundaries 64 and 128 joins one group, so groups hold multi-run
 // members that cross words. Group k's member at position p covers
@@ -638,7 +643,8 @@ struct ScatteredCatalog {
 };
 
 ScatteredCatalog MakeScatteredCatalog(const ConstraintSchema& schema, int n,
-                                      bool scatter, Rng* rng) {
+                                      bool scatter, Rng* rng,
+                                      int max_group = kMaxDenseGroupSize) {
   std::vector<int> group_of(static_cast<size_t>(n), -1);
   std::vector<std::vector<int>> groups;
   for (const int boundary : {64, 128}) {
@@ -671,8 +677,7 @@ ScatteredCatalog MakeScatteredCatalog(const ConstraintSchema& schema, int n,
     }
   }
   while (next < rest.size()) {
-    const size_t size =
-        static_cast<size_t>(rng->UniformInt(1, kMaxDenseGroupSize));
+    const size_t size = static_cast<size_t>(rng->UniformInt(1, max_group));
     groups.emplace_back();
     for (size_t e = 0; e < size && next < rest.size(); ++e) {
       groups.back().push_back(rest[next++]);
@@ -822,6 +827,275 @@ TEST(IssuanceServiceProperty, ScatteredDenseGroupsReplayAndAdmitLikeTheModel) {
     }
   }
   EXPECT_GT(over_budget, 0);
+}
+
+// Seeded oracle for the batched history preload: on catalogs with
+// single-run and multi-run dense groups (blocks across indexes 64 and
+// 128), above-cap groups, one-word and multi-word sets, and with or
+// without grouping, CreateWithHistory's one PreloadEpoch pass leaves the
+// same A, C[S] and C⟨T⟩ tables, trees, CollectLog and Snapshot bytes as
+// one ApplySetToEpoch per record, and fails with the same first error on
+// histories holding records with unknown indexes or spanning groups.
+// Every dense C⟨T⟩ is also checked against naive subset sums of C[S]
+// (empty tables included), and every A[T] against its members' sums.
+TEST(IssuanceServiceProperty, BatchedPreloadEqualsPerRecordPath) {
+  using Peer = IssuanceServiceTestPeer;
+  const ConstraintSchema schema = IntervalSchema(1);
+  Rng rng(testing::TestSeed(0x9E10AD));
+  std::vector<int> sizes = {1, 2, 12, 13, 63, 64, 65, 67, 127, 128, 131, 200};
+  for (int c = 0; c < 12; ++c) {
+    sizes.push_back(static_cast<int>(rng.UniformInt(1, 200)));
+  }
+  sizes.push_back(1020);
+  int errors_seen = 0;
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    const int n = sizes[c];
+    // Every third case also has groups above the cap; small catalogs also
+    // run without grouping (one scope over the whole catalog).
+    const int max_group = c % 3 == 0 ? kMaxDenseGroupSize + 4
+                                     : kMaxDenseGroupSize;
+    const ScatteredCatalog catalog =
+        MakeScatteredCatalog(schema, n, c % 2 == 0, &rng, max_group);
+    const LicenseCatalog& licenses = *catalog.licenses;
+    for (const bool grouped : {true, false}) {
+      if (!grouped && n > 2 * kMaxDenseGroupSize) {
+        continue;
+      }
+      SCOPED_TRACE("n = " + std::to_string(n) + ", case " +
+                   std::to_string(c) + (grouped ? "" : ", ungrouped"));
+      OnlineValidatorOptions options;
+      options.use_grouping = grouped;
+      options.shard_hint = static_cast<int>(c % 3) * 8;  // 0, 8 or 16.
+
+      LogStore history;
+      for (int r = 0; r < 4 * n + 16; ++r) {
+        const std::vector<int>& group =
+            catalog.groups[rng.UniformIndex(catalog.groups.size())];
+        LicenseSet set;
+        while (set.Empty()) {
+          for (int i : group) {
+            if (rng.Bernoulli(0.5)) {
+              set.Add(i);
+            }
+          }
+        }
+        ASSERT_TRUE(history.Append({"", set, rng.UniformInt(1, 3)}).ok());
+      }
+      Result<std::unique_ptr<IssuanceService>> batched =
+          IssuanceService::CreateWithHistory(&licenses, options, history);
+      Result<std::unique_ptr<IssuanceService>> per_record =
+          Peer::CreatePerRecord(&licenses, options, history);
+      ASSERT_TRUE(batched.ok()) << batched.status().message();
+      ASSERT_TRUE(per_record.ok()) << per_record.status().message();
+      const Peer::EpochState state = Peer::State(**batched);
+      ASSERT_TRUE(state == Peer::State(**per_record));
+      EXPECT_EQ((*batched)->CollectLog().records(),
+                (*per_record)->CollectLog().records());
+      std::string batched_bytes;
+      std::string per_record_bytes;
+      ASSERT_TRUE(
+          EncodeServiceState((*batched)->Snapshot(), &batched_bytes).ok());
+      ASSERT_TRUE(
+          EncodeServiceState((*per_record)->Snapshot(), &per_record_bytes)
+              .ok());
+      EXPECT_EQ(batched_bytes, per_record_bytes);
+      for (size_t d = 0; d < state.dense_masks.size(); ++d) {
+        const std::vector<int> members = state.dense_masks[d].ToIndexes();
+        for (uint32_t t = 0; t < state.sums[d].size(); ++t) {
+          int64_t lhs = 0;
+          int64_t rhs = 0;
+          for (uint32_t sub = t;; sub = (sub - 1) & t) {
+            lhs += state.counts[d][sub];
+            if (sub == 0) {
+              break;
+            }
+          }
+          for (uint32_t bits = t; bits != 0; bits &= bits - 1) {
+            rhs += licenses.at(members[static_cast<size_t>(
+                                   std::countr_zero(bits))])
+                       .aggregate_count();
+          }
+          ASSERT_EQ(state.sums[d][t], lhs) << "scope " << d << " T " << t;
+          ASSERT_EQ(state.aggregates[d][t], rhs) << "scope " << d << " T " << t;
+        }
+      }
+
+      // Bad records: an index beyond the catalog (possibly beside valid
+      // members), or members of two groups. The first one decides.
+      std::vector<size_t> group_of(static_cast<size_t>(n));
+      for (size_t k = 0; k < catalog.groups.size(); ++k) {
+        for (int i : catalog.groups[k]) {
+          group_of[static_cast<size_t>(i)] = k;
+        }
+      }
+      const auto error_of = [&](const LicenseSet& set) -> std::string {
+        if (!set.IsSubsetOf(LicenseSet::Full(n))) {
+          return "history record references unknown license indexes";
+        }
+        for (int i : set.Indexes()) {
+          if (grouped && group_of[static_cast<size_t>(i)] !=
+                             group_of[static_cast<size_t>(set.Lowest())]) {
+            return "history record spans overlap groups";
+          }
+        }
+        return "";
+      };
+      std::vector<LogRecord> records = history.records();
+      for (int b = 0; b < 3; ++b) {
+        LicenseSet set;
+        if (catalog.groups.size() < 2 || rng.Bernoulli(0.5)) {
+          set.Add(static_cast<int>(rng.UniformInt(n, kMaxLicensesLarge - 1)));
+          if (rng.Bernoulli(0.5)) {
+            set.Add(static_cast<int>(rng.UniformInt(0, n - 1)));
+          }
+        } else {
+          const size_t g = rng.UniformIndex(catalog.groups.size());
+          const size_t h =
+              (g + 1 + rng.UniformIndex(catalog.groups.size() - 1)) %
+              catalog.groups.size();
+          set.Add(catalog.groups[g].front());
+          set.Add(catalog.groups[h].back());
+        }
+        records.insert(records.begin() + static_cast<std::ptrdiff_t>(
+                                              rng.UniformIndex(
+                                                  records.size() + 1)),
+                       LogRecord{"", set, 1});
+      }
+      LogStore bad;
+      std::string first_error;
+      for (LogRecord& record : records) {
+        if (first_error.empty()) {
+          first_error = error_of(record.set);
+        }
+        ASSERT_TRUE(bad.Append(std::move(record)).ok());
+      }
+      const Result<std::unique_ptr<IssuanceService>> batched_bad =
+          IssuanceService::CreateWithHistory(&licenses, options, bad);
+      const Result<std::unique_ptr<IssuanceService>> per_record_bad =
+          Peer::CreatePerRecord(&licenses, options, bad);
+      ASSERT_EQ(batched_bad.ok(), per_record_bad.ok());
+      if (!batched_bad.ok()) {
+        ++errors_seen;
+        EXPECT_EQ(batched_bad.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(batched_bad.status().code(), per_record_bad.status().code());
+        EXPECT_EQ(batched_bad.status().message(),
+                  per_record_bad.status().message());
+        EXPECT_EQ(batched_bad.status().message(), first_error);
+      } else {
+        EXPECT_TRUE(first_error.empty());
+        EXPECT_TRUE(Peer::State(**batched_bad) ==
+                    Peer::State(**per_record_bad));
+      }
+      if (HasFailure()) {
+        return;  // One failing case says enough.
+      }
+    }
+  }
+  EXPECT_GT(errors_seen, 0);
+}
+
+// A wide catalog (1,020 licenses, over 100 overlap groups) under the
+// default striping, with a journal: admissions, Snapshot and
+// WriteCheckpoint from concurrent threads, an acquire and a revoke, then
+// the concurrent round again. A reconfiguration holds the most mutexes at
+// once (every shard lock, the reconfiguration and journal mutexes), which
+// kDefaultMaxShards keeps within ThreadSanitizer's 64 per thread. The
+// reconfigurations run while no other thread is live: GCC 12's
+// std::atomic<std::shared_ptr>, which publishes the epoch, is not
+// instrumented, so TSan would flag it against any concurrent pin.
+TEST(IssuanceServiceTest, WideCatalogAllShardPathsUnderConcurrency) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  Rng rng(testing::TestSeed(0x7A5A));
+  const ScatteredCatalog catalog =
+      MakeScatteredCatalog(schema, 1020, /*scatter=*/true, &rng);
+  ASSERT_GT(catalog.groups.size(), static_cast<size_t>(kDefaultMaxShards));
+  Result<std::unique_ptr<IssuanceService>> created =
+      IssuanceService::Create(catalog.licenses.get());
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  IssuanceService& service = **created;
+  EXPECT_EQ(service.shard_count(), kDefaultMaxShards);
+  Result<std::unique_ptr<JournalWriter>> journal =
+      JournalWriter::Create(std::make_unique<InMemorySyncFile>());
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE(service.AttachJournal(std::move(*journal)).ok());
+  const std::string checkpoint =
+      testing::TestTmpDir() + "wide_all_shard_paths.ckpt";
+
+  std::map<LicenseSet, int64_t> merged;  // Accepted sets, every round.
+  constexpr size_t kAdmitters = 3;
+  const auto concurrent_round = [&](int round) {
+    // Requests are drawn up front: the Rng is not shared across threads.
+    std::vector<std::vector<License>> requests(kAdmitters);
+    for (size_t t = 0; t < kAdmitters; ++t) {
+      for (int i = 0; i < 40; ++i) {
+        const size_t k = rng.UniformIndex(catalog.groups.size());
+        const int64_t x =
+            10000 * static_cast<int64_t>(k) +
+            rng.UniformInt(0, 10 * static_cast<int64_t>(
+                                       catalog.groups[k].size()) +
+                                  50);
+        requests[t].push_back(MakeUsage(
+            schema,
+            "U" + std::to_string(round) + "_" + std::to_string(t) + "_" +
+                std::to_string(i),
+            {{x, x + 1}}, rng.UniformInt(1, 40)));
+      }
+    }
+    std::vector<std::vector<OnlineDecision>> decisions(kAdmitters);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kAdmitters; ++t) {
+      threads.emplace_back([&, t] {
+        for (const License& request : requests[t]) {
+          const Result<OnlineDecision> decision = service.TryIssue(request);
+          EXPECT_TRUE(decision.ok());
+          decisions[t].push_back(decision.ok() ? *decision
+                                               : OnlineDecision());
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(service.Snapshot().licenses->size(), 1020);
+        EXPECT_TRUE(service.WriteCheckpoint(checkpoint).ok());
+      }
+    });
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    for (size_t t = 0; t < kAdmitters; ++t) {
+      for (size_t i = 0; i < requests[t].size(); ++i) {
+        if (decisions[t][i].accepted()) {
+          merged[decisions[t][i].satisfying_set] +=
+              requests[t][i].aggregate_count();
+        }
+      }
+    }
+  };
+
+  concurrent_round(0);
+  // A license far from every group joins at index 1020 and leaves again,
+  // so every other index keeps its number.
+  const Result<int> acquired = service.AcquireLicense(
+      MakeRedistribution(schema, "LX", {{-1000, -900}}, 50));
+  ASSERT_TRUE(acquired.ok()) << acquired.status().message();
+  EXPECT_EQ(*acquired, 1020);
+  EXPECT_EQ(service.shard_count(), kDefaultMaxShards);
+  ASSERT_TRUE(service.RevokeLicenseById("LX").ok());
+  concurrent_round(1);
+
+  std::vector<std::string> want;
+  for (const auto& [set, count] : merged) {
+    want.push_back(set.ToString() + " x " + std::to_string(count));
+  }
+  EXPECT_FALSE(want.empty());
+  std::vector<std::string> got;
+  const LogStore collected = service.CollectLog();
+  for (const LogRecord& record : collected.records()) {
+    got.push_back(record.set.ToString() + " x " +
+                  std::to_string(record.count));
+  }
+  EXPECT_EQ(got, want);
+  std::filesystem::remove(checkpoint);
 }
 
 }  // namespace

@@ -172,5 +172,51 @@ TEST(ZetaTransformTest, TurnsMergedCountsIntoEveryEquationLhs) {
   }
 }
 
+// Against naive subset sums at every size the service and the grouped
+// engine use, including the sizes below the 4-entry blocks: N = 0–14.
+TEST(ZetaTransformTest, EqualsNaiveSubsetSums) {
+  Rng rng(testing::TestSeed(0x2E7A));
+  for (int n = 0; n <= 14; ++n) {
+    std::vector<int64_t> counts(size_t{1} << n);
+    for (int64_t& count : counts) {
+      count = rng.Bernoulli(0.3) ? 0 : rng.UniformInt(-1000, 1000);
+    }
+    std::vector<int64_t> table = counts;
+    ZetaTransform(table);
+    for (size_t t = 0; t < table.size(); ++t) {
+      int64_t want = 0;
+      for (size_t sub = t;; sub = (sub - 1) & t) {
+        want += counts[sub];
+        if (sub == 0) {
+          break;
+        }
+      }
+      ASSERT_EQ(table[t], want) << "n = " << n << ", T = " << t;
+    }
+  }
+}
+
+// Every equation RHS A[T] against its members' naive sum, N = 0–14.
+TEST(FillAggregateTableTest, EqualsNaiveSums) {
+  Rng rng(testing::TestSeed(0xA66));
+  for (int n = 0; n <= 14; ++n) {
+    std::vector<int64_t> values(static_cast<size_t>(n));
+    for (int64_t& value : values) {
+      value = rng.UniformInt(0, int64_t{1} << 40);
+    }
+    std::vector<int64_t> table(size_t{1} << n, -1);
+    FillAggregateTable(values, table);
+    for (size_t t = 0; t < table.size(); ++t) {
+      int64_t want = 0;
+      for (int i = 0; i < n; ++i) {
+        if ((t >> i) & 1) {
+          want += values[static_cast<size_t>(i)];
+        }
+      }
+      ASSERT_EQ(table[t], want) << "n = " << n << ", T = " << t;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace geolic
