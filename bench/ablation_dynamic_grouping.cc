@@ -6,13 +6,19 @@
 // service epoch build pays): the sort-and-sweep DynamicGrouping::Build
 // versus N AddLicense calls versus LicenseGrouping::FromLicenses. Then
 // what a service build pays per record and per license on top: history
-// preload through CreateWithHistory against an empty Create, and a state
-// payload's decode plus Restore. Machine-readable: --json_out=<path>.
+// preload through CreateWithHistory against an empty Create, a state
+// payload's decode plus Restore, and the epoch builds of an empty Create,
+// an acquire and a revoke with their heap allocations (the binary counts
+// operator new: tests/alloc_counter.h). Machine-readable:
+// --json_out=<path>.
+#include <malloc.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +31,7 @@
 #include "licensing/license.h"
 #include "licensing/license_catalog.h"
 #include "service/issuance_service.h"
+#include "tests/alloc_counter.h"
 #include "tests/service/issuance_service_peer.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -100,21 +107,23 @@ BulkResult TimeBulkBuilds(const std::vector<HyperRect>& rects, int reps,
   const int dims = rects.front().dimensions();
   const ConstraintSchema schema = IntervalSchema(dims);
   const std::unique_ptr<LicenseCatalog> catalog = CatalogOf(schema, rects, 1);
-  const auto incremental_build = [&rects, dims]() {
+  const std::vector<const HyperRect*> pointers = catalog->Rects();
+  const auto incremental_build = [&pointers, dims]() {
     DynamicGrouping grouping(dims);
-    for (const HyperRect& rect : rects) {
-      GEOLIC_CHECK(grouping.AddLicense(rect).ok());
+    for (size_t i = 0; i < pointers.size(); ++i) {
+      GEOLIC_CHECK(
+          grouping.AddLicense(std::span(pointers).first(i + 1)).ok());
     }
     return grouping;
   };
-  const auto sweep_build = [&rects, dims]() {
-    Result<DynamicGrouping> grouping = DynamicGrouping::Build(dims, rects);
+  const auto sweep_build = [&pointers, dims]() {
+    Result<DynamicGrouping> grouping = DynamicGrouping::Build(dims, pointers);
     GEOLIC_CHECK(grouping.ok());
     return std::move(grouping).value();
   };
 
   const ComponentSet paper =
-      LicenseGrouping::FromLicenses(*catalog).components();
+      LicenseGrouping::FromLicenses(*catalog).Components();
   for (const ComponentSet& got :
        {sweep_build().Components(), incremental_build().Components()}) {
     GEOLIC_CHECK(got.components == paper.components);
@@ -142,10 +151,14 @@ BulkResult TimeBulkBuilds(const std::vector<HyperRect>& rects, int reps,
 // Full acquisition history of `rects`, maintained incrementally. Returns
 // elapsed nanos; `sink` defeats dead-code elimination.
 int64_t RunIncremental(const std::vector<HyperRect>& rects, int* sink) {
+  std::vector<const HyperRect*> pointers;
+  for (const HyperRect& rect : rects) {
+    pointers.push_back(&rect);
+  }
   Stopwatch timer;
   DynamicGrouping grouping;
-  for (const HyperRect& rect : rects) {
-    GEOLIC_CHECK(grouping.AddLicense(rect).ok());
+  for (size_t i = 0; i < rects.size(); ++i) {
+    GEOLIC_CHECK(grouping.AddLicense(std::span(pointers).first(i + 1)).ok());
     *sink += grouping.group_count();
   }
   return timer.ElapsedNanos();
@@ -172,20 +185,21 @@ int64_t RunChurn(const std::vector<HyperRect>& rects, int steps, int* sink) {
   Rng rng(4242);
   Stopwatch timer;
   DynamicGrouping grouping;
-  int live = 0;
+  std::vector<const HyperRect*> live;  // Rects in the pool.
+
   size_t next = 0;
-  const int target = std::max(2, static_cast<int>(rects.size()) / 2);
+  const size_t target = std::max<size_t>(2, rects.size() / 2);
   for (int step = 0; step < steps; ++step) {
-    const bool add = live == 0 || (rng.Bernoulli(0.5) && live < 2 * target);
+    const bool add =
+        live.empty() || (rng.Bernoulli(0.5) && live.size() < 2 * target);
     if (add) {
-      GEOLIC_CHECK(grouping.AddLicense(rects[next % rects.size()]).ok());
+      live.push_back(&rects[next % rects.size()]);
+      GEOLIC_CHECK(grouping.AddLicense(live).ok());
       ++next;
-      ++live;
     } else {
-      const int victim = static_cast<int>(rng.UniformIndex(
-          static_cast<size_t>(live)));
+      const int victim = static_cast<int>(rng.UniformIndex(live.size()));
       GEOLIC_CHECK(grouping.RemoveLicense(victim).ok());
-      --live;
+      live.erase(live.begin() + victim);
     }
     *sink += grouping.group_count();
   }
@@ -265,7 +279,7 @@ int64_t TimePreload(const LicenseCatalog& catalog, const LogStore& history,
   const std::unique_ptr<IssuanceService> checked = create();
   CheckCollectsMerged(*checked, history);
   Result<std::unique_ptr<IssuanceService>> per_record =
-      IssuanceServiceTestPeer::CreatePerRecord(&catalog, {}, history);
+      IssuanceServiceTestPeer::CreateFromCopies(&catalog, {}, history);
   GEOLIC_CHECK(per_record.ok());
   GEOLIC_CHECK(IssuanceServiceTestPeer::State(*checked) ==
                IssuanceServiceTestPeer::State(**per_record));
@@ -351,6 +365,72 @@ RestoreResult TimeRestore(const LicenseCatalog& catalog,
     *sink += (*restored)->shard_count();
     result.decode_ns = std::min(result.decode_ns, decode_ns);
     result.restore_ns = std::min(result.restore_ns, restore_ns);
+  }
+  return result;
+}
+
+struct EpochBuildResult {
+  int64_t create_ns = std::numeric_limits<int64_t>::max();
+  int64_t acquire_ns = std::numeric_limits<int64_t>::max();
+  int64_t revoke_ns = std::numeric_limits<int64_t>::max();
+  // Heap allocations of one call (the last rep's).
+  uint64_t create_allocs = 0;
+  uint64_t acquire_allocs = 0;
+  uint64_t revoke_allocs = 0;
+  // Heap bytes in use that one Create added (the service alive).
+  size_t create_heap_bytes = 0;
+  int shards = 0;
+};
+
+// Heap bytes in use (small-chunk arenas plus mmapped chunks).
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+// Best of `reps` empty Creates over `catalog`, and on each fresh service
+// the acquire of a copy of license 0's geometry (it joins that group, as
+// dense-churn's churn does) and the revoke of the newcomer; one untimed
+// warm-up round first.
+EpochBuildResult TimeEpochBuilds(const LicenseCatalog& catalog, int reps) {
+  const License& model = catalog.at(0);
+  const License extra("LX", model.content_key(), model.type(),
+                      model.permission(), model.rect(),
+                      model.aggregate_count());
+  EpochBuildResult result;
+  for (int rep = 0; rep <= reps; ++rep) {
+    uint64_t allocs = testing::AllocationCount();
+    const size_t heap = HeapInUse();
+    Stopwatch create_timer;
+    Result<std::unique_ptr<IssuanceService>> service =
+        IssuanceService::Create(&catalog);
+    const int64_t create_ns = create_timer.ElapsedNanos();
+    const uint64_t create_allocs = testing::AllocationCount() - allocs;
+    const size_t create_heap_bytes = HeapInUse() - heap;
+    GEOLIC_CHECK(service.ok());
+    allocs = testing::AllocationCount();
+    Stopwatch acquire_timer;
+    const Result<int> acquired = (*service)->AcquireLicense(extra);
+    const int64_t acquire_ns = acquire_timer.ElapsedNanos();
+    const uint64_t acquire_allocs = testing::AllocationCount() - allocs;
+    GEOLIC_CHECK(acquired.ok() && *acquired == catalog.size());
+    allocs = testing::AllocationCount();
+    Stopwatch revoke_timer;
+    const Status revoked = (*service)->RevokeLicense(*acquired);
+    const int64_t revoke_ns = revoke_timer.ElapsedNanos();
+    const uint64_t revoke_allocs = testing::AllocationCount() - allocs;
+    GEOLIC_CHECK(revoked.ok());
+    if (rep == 0) {
+      continue;
+    }
+    result.create_ns = std::min(result.create_ns, create_ns);
+    result.acquire_ns = std::min(result.acquire_ns, acquire_ns);
+    result.revoke_ns = std::min(result.revoke_ns, revoke_ns);
+    result.create_allocs = create_allocs;
+    result.create_heap_bytes = create_heap_bytes;
+    result.acquire_allocs = acquire_allocs;
+    result.revoke_allocs = revoke_allocs;
+    result.shards = (*service)->shard_count();
   }
   return result;
 }
@@ -519,6 +599,67 @@ int main(int argc, char** argv) {
       out.KeyValue("decode_ns", result.decode_ns);
       out.KeyValue("restore_ns", result.restore_ns);
     });
+  }
+  std::printf("\n# Epoch builds: an empty Create, then on that service the "
+              "acquire of a copy of license 0's geometry and the revoke of "
+              "the newcomer (best of %d reps; allocs = heap allocations of "
+              "one call; heap_kib = heap in use that Create added)\n", reps);
+  std::printf("%14s  %6s  %6s  %6s  %10s  %6s  %8s  %10s  %6s  %10s  %6s\n",
+              "layout", "n", "groups", "shards", "create_ns", "allocs",
+              "heap_kib", "acquire_ns", "allocs", "revoke_ns", "allocs");
+  const std::unique_ptr<LicenseCatalog> pairs128 =
+      CatalogOf(schema1, PairRects(128), int64_t{1} << 40);
+  const std::unique_ptr<LicenseCatalog> pairs1022 =
+      CatalogOf(schema1, PairRects(1022), int64_t{1} << 40);
+  // Densely overlapping and wide: one overlap group of ~N²/2 pairs.
+  const ConstraintSchema schema4 = IntervalSchema(4);
+  const std::unique_ptr<LicenseCatalog> random1022 =
+      CatalogOf(schema4, RandomRects(1022, 99), int64_t{1} << 40);
+  struct EpochLayout {
+    const char* layout;
+    const LicenseCatalog* catalog;
+  };
+  for (const EpochLayout& layout :
+       {EpochLayout{"pairs128", pairs128.get()},
+        EpochLayout{"pairs1022", pairs1022.get()},
+        EpochLayout{"random4d1022", random1022.get()},
+        EpochLayout{"dense_churn12", dense.workload.licenses.get()}}) {
+    const EpochBuildResult result = TimeEpochBuilds(*layout.catalog, reps);
+    const int groups =
+        LicenseGrouping::FromLicenses(*layout.catalog).group_count();
+    sink += result.shards;
+    std::printf(
+        "%14s  %6d  %6d  %6d  %10ld  %6lu  %8.1f  %10ld  %6lu  %10ld  %6lu\n",
+        layout.layout, layout.catalog->size(), groups, result.shards,
+        static_cast<long>(result.create_ns),
+        static_cast<unsigned long>(result.create_allocs),
+        static_cast<double>(result.create_heap_bytes) / 1024.0,
+        static_cast<long>(result.acquire_ns),
+        static_cast<unsigned long>(result.acquire_allocs),
+        static_cast<long>(result.revoke_ns),
+        static_cast<unsigned long>(result.revoke_allocs));
+    for (const char* step : {"create", "acquire", "revoke"}) {
+      const std::string name = step;
+      json.Row([&](JsonWriter& out) {
+        out.KeyValue("layout", layout.layout);
+        out.KeyValue("step", step);
+        out.KeyValue("n", static_cast<int64_t>(layout.catalog->size()));
+        out.KeyValue("groups", static_cast<int64_t>(groups));
+        out.KeyValue("shards", static_cast<int64_t>(result.shards));
+        out.KeyValue("ns", name == "create"    ? result.create_ns
+                           : name == "acquire" ? result.acquire_ns
+                                               : result.revoke_ns);
+        out.KeyValue("allocs",
+                     static_cast<int64_t>(name == "create" ? result.create_allocs
+                                          : name == "acquire"
+                                              ? result.acquire_allocs
+                                              : result.revoke_allocs));
+        if (name == "create") {
+          out.KeyValue("heap_bytes",
+                       static_cast<int64_t>(result.create_heap_bytes));
+        }
+      });
+    }
   }
   std::printf("# sink=%d\n", sink);
   json.Write();

@@ -5,7 +5,9 @@
 // configuration (grouping off) serializes every admission and bounds what
 // a global lock would achieve. Also measures the batched admission API,
 // which sorts a batch by shard and locks each touched shard once.
-// Machine-readable: --json_out=<path>.
+// --journal=1 attaches an in-memory write-ahead journal to every service
+// (each acceptance then also takes the journal mutex). Machine-readable:
+// --json_out=<path>.
 //
 // Budgets are set far above the request volume so every instance-valid
 // request is accepted and the accepted set is identical across thread
@@ -25,6 +27,8 @@
 #include "licensing/license_catalog.h"
 #include "obs/exposition.h"
 #include "obs/trace.h"
+#include "persist/journal.h"
+#include "persist/sync_file.h"
 #include "service/issuance_service.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -97,6 +101,22 @@ double RunThreaded(IssuanceService* service,
   return timer.ElapsedMillis();
 }
 
+// A service over `licenses`, with an in-memory journal when `journal`.
+std::unique_ptr<IssuanceService> MakeService(
+    const LicenseCatalog& licenses, const OnlineValidatorOptions& options,
+    bool journal) {
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses, options);
+  GEOLIC_CHECK(service.ok());
+  if (journal) {
+    Result<std::unique_ptr<JournalWriter>> writer =
+        JournalWriter::Create(std::make_unique<InMemorySyncFile>());
+    GEOLIC_CHECK(writer.ok());
+    GEOLIC_CHECK((*service)->AttachJournal(std::move(writer).value()).ok());
+  }
+  return std::move(service).value();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -112,6 +132,7 @@ int main(int argc, char** argv) {
                             std::max(8, ThreadPool::DefaultThreadCount())));
   const int batch_size = std::max(1, flags.Int("batch_size", 64));
   const std::string metrics_out = flags.Str("metrics_out", "");
+  const bool journal = flags.Int("journal", 0) != 0;
   JsonOut json(flags, "ablation_service_concurrency");
   flags.Finish();
 
@@ -122,8 +143,9 @@ int main(int argc, char** argv) {
       MakeRequests(schema, groups, request_count);
 
   std::printf("# Ablation: concurrent issuance throughput (%d overlap "
-              "groups, %d requests, hardware threads: %d)\n",
-              groups, request_count, ThreadPool::DefaultThreadCount());
+              "groups, %d requests, hardware threads: %d, journal: %s)\n",
+              groups, request_count, ThreadPool::DefaultThreadCount(),
+              journal ? "in memory" : "none");
   std::printf("%8s  %10s  %12s  %12s  %10s\n", "threads", "shards",
               "sharded_ms", "kreq_per_s", "speedup");
 
@@ -131,32 +153,31 @@ int main(int argc, char** argv) {
   std::string reference_tree;
   double serial_ms = 0.0;
   for (int threads = 1; threads <= max_threads; threads *= 2) {
-    Result<std::unique_ptr<IssuanceService>> service =
-        IssuanceService::Create(&licenses);
-    GEOLIC_CHECK(service.ok());
-    const double elapsed_ms = RunThreaded(service->get(), requests, threads);
+    const std::unique_ptr<IssuanceService> service =
+        MakeService(licenses, {}, journal);
+    const double elapsed_ms = RunThreaded(service.get(), requests, threads);
     if (threads == 1) {
       serial_ms = elapsed_ms;
-      Result<ValidationTree> tree = (*service)->CollectTree();
+      Result<ValidationTree> tree = service->CollectTree();
       GEOLIC_CHECK(tree.ok());
       reference_tree = tree->ToString();
     } else {
       // The accepted state must equal the serial run's, bit for bit.
-      Result<ValidationTree> tree = (*service)->CollectTree();
+      Result<ValidationTree> tree = service->CollectTree();
       GEOLIC_CHECK(tree.ok());
       GEOLIC_CHECK(tree->ToString() == reference_tree);
     }
-    GEOLIC_CHECK((*service)->metrics().Snap().accepted ==
+    GEOLIC_CHECK(service->metrics().Snap().accepted ==
                  static_cast<uint64_t>(request_count));
     std::printf("%8d  %10d  %12.2f  %12.1f  %9.2fx\n", threads,
-                (*service)->shard_count(), elapsed_ms,
+                service->shard_count(), elapsed_ms,
                 static_cast<double>(request_count) / elapsed_ms,
                 elapsed_ms > 0 ? serial_ms / elapsed_ms : 0.0);
     json.Row([&](JsonWriter& out) {
       out.KeyValue("mode", "sharded");
       out.KeyValue("threads", static_cast<int64_t>(threads));
       out.KeyValue("shards",
-                   static_cast<int64_t>((*service)->shard_count()));
+                   static_cast<int64_t>(service->shard_count()));
       out.KeyValue("elapsed_ms", elapsed_ms);
       out.KeyValue("kreq_per_s",
                    static_cast<double>(request_count) / elapsed_ms);
@@ -170,11 +191,10 @@ int main(int argc, char** argv) {
   {
     OnlineValidatorOptions options;
     options.shard_hint = 1;
-    Result<std::unique_ptr<IssuanceService>> service =
-        IssuanceService::Create(&licenses, options);
-    GEOLIC_CHECK(service.ok());
+    const std::unique_ptr<IssuanceService> service =
+        MakeService(licenses, options, journal);
     const double elapsed_ms =
-        RunThreaded(service->get(), requests, max_threads);
+        RunThreaded(service.get(), requests, max_threads);
     std::printf("# single lock (shard_hint=1, %d threads): %.2f ms "
                 "(%.1f kreq/s) — the global-lock bound\n",
                 max_threads, elapsed_ms,
@@ -190,9 +210,8 @@ int main(int argc, char** argv) {
 
   // Batched admission, single caller thread.
   {
-    Result<std::unique_ptr<IssuanceService>> service =
-        IssuanceService::Create(&licenses);
-    GEOLIC_CHECK(service.ok());
+    const std::unique_ptr<IssuanceService> service =
+        MakeService(licenses, {}, journal);
     Stopwatch timer;
     std::vector<License> batch;
     batch.reserve(static_cast<size_t>(batch_size));
@@ -201,17 +220,17 @@ int main(int argc, char** argv) {
       for (int b = 0; b < batch_size && i < requests.size(); ++b, ++i) {
         batch.push_back(requests[i]);
       }
-      GEOLIC_CHECK((*service)->TryIssueBatch(batch).ok());
+      GEOLIC_CHECK(service->TryIssueBatch(batch).ok());
     }
     const double elapsed_ms = timer.ElapsedMillis();
-    Result<ValidationTree> tree = (*service)->CollectTree();
+    Result<ValidationTree> tree = service->CollectTree();
     GEOLIC_CHECK(tree.ok());
     GEOLIC_CHECK(tree->ToString() == reference_tree);
     std::printf("# batched (size %d, 1 thread): %.2f ms (%.1f kreq/s)\n",
                 batch_size, elapsed_ms,
                 static_cast<double>(request_count) / elapsed_ms);
     std::printf("# metrics: %s\n",
-                (*service)->metrics().Snap().ToString().c_str());
+                service->metrics().Snap().ToString().c_str());
     json.Row([&](JsonWriter& out) {
       out.KeyValue("mode", "batched");
       out.KeyValue("batch_size", static_cast<int64_t>(batch_size));

@@ -1,5 +1,7 @@
 #include "core/grouping.h"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "core/overlap_graph.h"
@@ -7,37 +9,63 @@
 namespace geolic {
 
 LicenseGrouping LicenseGrouping::FromLicenses(const LicenseCatalog& licenses) {
-  return LicenseGrouping(FindComponentsDfs(BuildOverlapGraph(licenses)));
+  return FromGroupOf(
+      FindComponentsDfs(BuildOverlapGraph(licenses)).component_of);
 }
 
 LicenseGrouping LicenseGrouping::FromRects(
     const std::vector<HyperRect>& rects) {
-  return LicenseGrouping(FindComponentsDfs(BuildOverlapGraphFromRects(rects)));
+  return FromGroupOf(
+      FindComponentsDfs(BuildOverlapGraphFromRects(rects)).component_of);
 }
 
-LicenseGrouping LicenseGrouping::FromComponents(ComponentSet components) {
-  return LicenseGrouping(std::move(components));
+LicenseGrouping LicenseGrouping::FromGroupOf(std::vector<int> group_of) {
+  const int groups =
+      group_of.empty() ? 0 : *std::ranges::max_element(group_of) + 1;
+  return LicenseGrouping(std::move(group_of), groups);
 }
 
-LicenseGrouping::LicenseGrouping(ComponentSet components)
-    : components_(std::move(components)),
-      group_of_(components_.component_of),
-      position_(components_.component_of.size(), -1),
-      members_(components_.components.size()) {
-  for (size_t k = 0; k < components_.components.size(); ++k) {
-    // Algorithm 5 walks j = 1..N and assigns positions p = 1, 2, ... to the
-    // group's members in ascending original-index order; MaskToIndexes
-    // yields exactly that order.
-    members_[k] = (components_.components[k]).ToIndexes();
-    for (size_t p = 0; p < members_[k].size(); ++p) {
-      position_[static_cast<size_t>(members_[k][p])] = static_cast<int>(p);
-    }
+LicenseGrouping::LicenseGrouping(std::vector<int> group_of, int group_count)
+    : group_of_(std::move(group_of)),
+      position_(group_of_.size()),
+      members_(group_of_.size()),
+      offsets_(static_cast<size_t>(group_count) + 1, 0) {
+  // A counting sort by group. Scanning ascending, a license's position
+  // is the count of its group's members met so far — Algorithm 5 walks
+  // j = 1..N and assigns positions p = 1, 2, ... in that order.
+  for (size_t i = 0; i < group_of_.size(); ++i) {
+    GEOLIC_DCHECK(group_of_[i] >= 0 && group_of_[i] < group_count);
+    position_[i] = offsets_[static_cast<size_t>(group_of_[i]) + 1]++;
   }
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  for (size_t i = 0; i < group_of_.size(); ++i) {
+    members_[static_cast<size_t>(
+        offsets_[static_cast<size_t>(group_of_[i])] + position_[i])] =
+        static_cast<int>(i);
+  }
+}
+
+LicenseSet LicenseGrouping::GroupMask(int group) const {
+  LicenseSet mask;
+  for (const int index : Members(group)) {
+    mask.Add(index);
+  }
+  return mask;
+}
+
+ComponentSet LicenseGrouping::Components() const {
+  ComponentSet out;
+  out.component_of = group_of_;
+  out.components.reserve(static_cast<size_t>(group_count()));
+  for (int k = 0; k < group_count(); ++k) {
+    out.components.push_back(GroupMask(k));
+  }
+  return out;
 }
 
 LicenseSet LicenseGrouping::LocalToOriginalMask(int group,
                                                  LicenseSet local) const {
-  const std::vector<int>& members = members_[static_cast<size_t>(group)];
+  const std::span<const int> members = Members(group);
   LicenseSet original;
   for (int position : local.Indexes()) {
     GEOLIC_DCHECK(position < static_cast<int>(members.size()));
@@ -74,7 +102,7 @@ Result<std::vector<int64_t>> LicenseGrouping::GroupAggregates(
     return Status::InvalidArgument(
         "aggregate array smaller than the number of licenses");
   }
-  const std::vector<int>& members = members_[static_cast<size_t>(group)];
+  const std::span<const int> members = Members(group);
   std::vector<int64_t> out;
   out.reserve(members.size());
   for (int original : members) {

@@ -1,6 +1,7 @@
 #ifndef GEOLIC_CORE_GROUPING_H_
 #define GEOLIC_CORE_GROUPING_H_
 
+#include <span>
 #include <vector>
 
 #include "graph/connected_components.h"
@@ -24,23 +25,30 @@ class LicenseGrouping {
   // Groups raw hyper-rectangles.
   static LicenseGrouping FromRects(const std::vector<HyperRect>& rects);
 
-  // Groups from a pre-built component set (n = components.component_of
-  // size). Used by tests.
-  static LicenseGrouping FromComponents(ComponentSet components);
+  // Groups from each license's group number: `group_of[i]` is license
+  // i's group, groups numbered 0..g−1 in order of their smallest member
+  // (a ComponentSet's component_of, or DynamicGrouping::GroupOf).
+  static LicenseGrouping FromGroupOf(std::vector<int> group_of);
 
   int num_licenses() const {
     return static_cast<int>(group_of_.size());
   }
   // g — the number of groups.
-  int group_count() const {
-    return static_cast<int>(components_.components.size());
-  }
+  int group_count() const { return static_cast<int>(offsets_.size()) - 1; }
   // N_k — licenses in group k.
-  int GroupSize(int group) const { return components_.SizeOf(group); }
-  // Mask of the licenses in group k (original indexes).
-  LicenseSet GroupMask(int group) const {
-    return components_.components[static_cast<size_t>(group)];
+  int GroupSize(int group) const {
+    return offsets_[static_cast<size_t>(group) + 1] -
+           offsets_[static_cast<size_t>(group)];
   }
+  // Original indexes of group k's licenses, ascending (Algorithm 5's
+  // position order).
+  std::span<const int> Members(int group) const {
+    return std::span<const int>(members_).subspan(
+        static_cast<size_t>(offsets_[static_cast<size_t>(group)]),
+        static_cast<size_t>(GroupSize(group)));
+  }
+  // Mask of the licenses in group k (original indexes).
+  LicenseSet GroupMask(int group) const;
   // Group of license `index`.
   int GroupOf(int index) const {
     return group_of_[static_cast<size_t>(index)];
@@ -52,7 +60,8 @@ class LicenseGrouping {
   }
   // Original license index of position `position` in group `group`.
   int OriginalIndexOf(int group, int position) const {
-    return members_[static_cast<size_t>(group)][static_cast<size_t>(position)];
+    return members_[static_cast<size_t>(
+        offsets_[static_cast<size_t>(group)] + position)];
   }
 
   // Translates a mask over group `group`'s local positions back to original
@@ -68,15 +77,18 @@ class LicenseGrouping {
   Result<std::vector<int64_t>> GroupAggregates(
       int group, const std::vector<int64_t>& aggregates) const;
 
-  const ComponentSet& components() const { return components_; }
+  // The groups as a component set (member masks and component_of).
+  ComponentSet Components() const;
 
  private:
-  explicit LicenseGrouping(ComponentSet components);
+  LicenseGrouping(std::vector<int> group_of, int group_count);
 
-  ComponentSet components_;
-  std::vector<int> group_of_;                 // Per original index.
-  std::vector<int> position_;                 // Per original index.
-  std::vector<std::vector<int>> members_;     // Per group, ascending.
+  std::vector<int> group_of_;  // Per original index.
+  std::vector<int> position_;  // Per original index.
+  // Every license, group by group, ascending within a group: group k's
+  // members are members_[offsets_[k], offsets_[k + 1]).
+  std::vector<int> members_;
+  std::vector<int> offsets_;  // group_count() + 1 entries.
 };
 
 }  // namespace geolic

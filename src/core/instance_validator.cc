@@ -21,14 +21,7 @@ LicenseSet LinearInstanceValidator::SatisfyingSet(
 }
 
 SoaInstanceValidator::SoaInstanceValidator(const LicenseCatalog* licenses)
-    : licenses_(licenses) {
-  std::vector<HyperRect> rects;
-  rects.reserve(static_cast<size_t>(licenses->size()));
-  for (const License& license : licenses->licenses()) {
-    rects.push_back(license.rect());
-  }
-  rects_ = SoaRects::Build(rects);
-}
+    : licenses_(licenses), rects_(SoaRects::Build(licenses->Rects())) {}
 
 LicenseSet SoaInstanceValidator::SatisfyingSet(const License& issued) const {
   if (licenses_->empty()) {

@@ -16,19 +16,19 @@ constexpr int64_t kFailHi = std::numeric_limits<int64_t>::min();
 // dimensionality reaches the top count, and a uniform input (the only case
 // the catalog produces) is just that value. One counting pass, then one
 // pass for the tie-break.
-int MajorityDims(std::span<const HyperRect> rects) {
+int MajorityDims(std::span<const HyperRect* const> rects) {
   std::vector<size_t> count_of;
   size_t best_count = 0;
-  for (const HyperRect& rect : rects) {
-    const size_t dims = static_cast<size_t>(rect.dimensions());
+  for (const HyperRect* rect : rects) {
+    const size_t dims = static_cast<size_t>(rect->dimensions());
     if (dims >= count_of.size()) {
       count_of.resize(dims + 1, 0);
     }
     best_count = std::max(best_count, ++count_of[dims]);
   }
-  for (const HyperRect& rect : rects) {
-    if (count_of[static_cast<size_t>(rect.dimensions())] == best_count) {
-      return rect.dimensions();
+  for (const HyperRect* rect : rects) {
+    if (count_of[static_cast<size_t>(rect->dimensions())] == best_count) {
+      return rect->dimensions();
     }
   }
   return 0;
@@ -59,7 +59,7 @@ inline bool AllZero(const uint64_t* words, size_t count) {
 
 }  // namespace
 
-SoaRects SoaRects::Build(std::span<const HyperRect> rects) {
+SoaRects SoaRects::Build(std::span<const HyperRect* const> rects) {
   GEOLIC_DCHECK(rects.size() <= static_cast<size_t>(kMaxLicensesLarge));
   SoaRects soa;
   soa.n_ = rects.size();
@@ -79,7 +79,7 @@ SoaRects SoaRects::Build(std::span<const HyperRect> rects) {
   soa.regular_.assign(soa.words_, 0);
 
   for (size_t j = 0; j < rects.size(); ++j) {
-    const HyperRect& rect = rects[j];
+    const HyperRect& rect = *rects[j];
     if (rect.dimensions() != soa.dims_) {
       soa.irregular_.emplace_back(static_cast<uint32_t>(j), rect);
       continue;  // Fail-closed columns; the scalar check decides.

@@ -42,9 +42,11 @@ class SoaRects {
  public:
   SoaRects() = default;
 
-  // Compiles `rects` (at most kMaxLicensesLarge of them). Rect j keeps
-  // index j in every query result.
-  static SoaRects Build(std::span<const HyperRect> rects);
+  // Compiles `rects` (at most kMaxLicensesLarge of them), read in place:
+  // the compile copies only the few rects its columns cannot answer
+  // exactly (exact_, irregular_ below). Rect j keeps index j in every
+  // query result.
+  static SoaRects Build(std::span<const HyperRect* const> rects);
 
   int size() const { return static_cast<int>(n_); }
   int dimensions() const { return dims_; }

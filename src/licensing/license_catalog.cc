@@ -76,6 +76,15 @@ LicenseCatalog LicenseCatalog::Without(const LicenseSet& removed) const {
   return out;
 }
 
+std::vector<const HyperRect*> LicenseCatalog::Rects() const {
+  std::vector<const HyperRect*> rects;
+  rects.reserve(licenses_.size());
+  for (const License& license : licenses_) {
+    rects.push_back(&license.rect());
+  }
+  return rects;
+}
+
 std::vector<int64_t> LicenseCatalog::AggregateCounts() const {
   std::vector<int64_t> counts;
   counts.reserve(licenses_.size());

@@ -45,6 +45,9 @@ class LicenseCatalog {
     return licenses_[static_cast<size_t>(index)];
   }
   const std::vector<License>& licenses() const { return licenses_; }
+  // Every license's hyper-rectangle by index, in place: what the
+  // structures derived from the catalog's geometry are built from.
+  std::vector<const HyperRect*> Rects() const;
   const ConstraintSchema& schema() const { return *schema_; }
 
   // Mask of all N licenses.

@@ -376,10 +376,8 @@ std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
                                                   : kDefaultMaxShards);
     shard_count = std::max(shard_count, 1);
   }
-  epoch->shards.reserve(static_cast<size_t>(shard_count));
-  for (int s = 0; s < shard_count; ++s) {
-    epoch->shards.push_back(std::make_unique<Shard>());
-  }
+  // Shards are not movable (a mutex each): the vector is sized once.
+  epoch->shards = std::vector<Shard>(static_cast<size_t>(shard_count));
   // Precompute every equation scope once: RouteSet hands out references
   // into these, so the per-request path never copies a LicenseSet.
   const LicenseGrouping& groups = epoch->grouping;
@@ -487,30 +485,29 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
         "issuance service needs at least one redistribution license");
   }
   // The epoch's grouping and the incremental one later reconfigurations
-  // update come from one sweep. Within a catalog every license shares
-  // content and permission, so rectangle overlap is license overlap and
-  // the components are FromLicenses'.
-  std::vector<HyperRect> rects;
-  rects.reserve(static_cast<size_t>(licenses->size()));
-  for (const License& license : licenses->licenses()) {
-    rects.push_back(license.rect());
-  }
+  // update come from one sweep over the catalog's rects, read in place.
+  // Within a catalog every license shares content and permission, so
+  // rectangle overlap is license overlap and the components are
+  // FromLicenses'.
   GEOLIC_ASSIGN_OR_RETURN(
       DynamicGrouping grouping,
       DynamicGrouping::Build(licenses->schema().dimensions(),
-                             std::move(rects)));
+                             licenses->Rects()));
   std::shared_ptr<CatalogEpoch> first =
       BuildEpoch(options, epoch, licenses, std::move(owned),
-                 LicenseGrouping::FromComponents(grouping.Components()));
+                 LicenseGrouping::FromGroupOf(grouping.GroupOf()));
   // Not make_unique: the constructor is private.
   std::unique_ptr<IssuanceService> service(
       new IssuanceService(options, std::move(grouping), first));
   // Pre-load the history through the same routing the admission path uses
   // (records of already-validated issuances — they are not re-checked).
-  GEOLIC_RETURN_IF_ERROR(service->PreloadEpoch(first.get(), history));
-  service->issue_sequence_.store(static_cast<int64_t>(history.size()),
-                                 std::memory_order_relaxed);
-  FinishEpochTables(*first);
+  // Without one every table is BuildEpoch's zeros already.
+  if (!history.empty()) {
+    GEOLIC_RETURN_IF_ERROR(service->PreloadEpoch(first.get(), history));
+    service->issue_sequence_.store(static_cast<int64_t>(history.size()),
+                                   std::memory_order_relaxed);
+    FinishEpochTables(*first);
+  }
   return service;
 }
 
@@ -538,7 +535,7 @@ Status IssuanceService::ApplySetToEpoch(CatalogEpoch* epoch,
     scope.counts[scope.runs.LocalMask(set)] += count;
     return Status::Ok();
   }
-  return epoch->shards[g % epoch->shards.size()]->tree.Insert(set, count);
+  return epoch->shards[g % epoch->shards.size()].tree.Insert(set, count);
 }
 
 Status IssuanceService::PreloadEpoch(CatalogEpoch* epoch,
@@ -725,7 +722,7 @@ Result<OnlineDecision> IssuanceService::TryIssue(const License& issued) {
     size_t shard_index = 0;
     const EquationScope& scope = RouteSet(*epoch, decision.satisfying_set,
                                           &shard_index);
-    Shard* shard = epoch->shards[shard_index].get();
+    Shard* shard = &epoch->shards[shard_index];
     SimYield(options_, "pre_shard_lock");
     std::unique_lock<std::mutex> lock(shard->mutex, std::defer_lock);
     {
@@ -858,7 +855,7 @@ Status IssuanceService::TryIssueBatch(std::span<const License* const> batch,
     bool epoch_retired = false;
     while (at < pending_count) {
       const size_t shard_index = pending[at].shard;
-      Shard* shard = epoch->shards[shard_index].get();
+      Shard* shard = &epoch->shards[shard_index];
       SimYield(options_, "pre_shard_lock");
       std::unique_lock<std::mutex> lock(shard->mutex, std::defer_lock);
       {
@@ -951,7 +948,7 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   if (plan.acquire != nullptr) {
     GEOLIC_ASSIGN_OR_RETURN(result, next_catalog->Add(*plan.acquire));
     GEOLIC_ASSIGN_OR_RETURN(const int grouped,
-                            next_grouping.AddLicense(plan.acquire->rect()));
+                            next_grouping.AddLicense(next_catalog->Rects()));
     if (grouped != result) {
       return Status::Internal(
           "grouping and catalog disagree on the acquired index");
@@ -967,7 +964,7 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   const LicenseCatalog* next_catalog_ptr = next_catalog.get();
   std::shared_ptr<CatalogEpoch> next = BuildEpoch(
       options_, cur->epoch + 1, next_catalog_ptr, std::move(next_catalog),
-      LicenseGrouping::FromComponents(next_grouping.Components()));
+      LicenseGrouping::FromGroupOf(next_grouping.GroupOf()));
 
   // Phase 2: carry each shard's equation state over from its distinct
   // accepted sets — the compacted state the paper's dynamic steps work on
@@ -1032,7 +1029,7 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
     return ApplySetToEpoch(next.get(), carried, count);
   };
   for (size_t s = 0; s < old_shards; ++s) {
-    Shard* shard = cur->shards[s].get();
+    Shard* shard = &cur->shards[s];
     {
       std::lock_guard<std::mutex> lock(shard->mutex);
       snapshots[s].accepted = shard->accepted;
@@ -1084,7 +1081,7 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   const std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(*cur);
   for (size_t s = 0; s < old_shards; ++s) {
-    const Shard& shard = *cur->shards[s];
+    const Shard& shard = cur->shards[s];
     if (shard.accepted == snapshots[s].accepted) {
       continue;  // No admission since the snapshot.
     }
@@ -1250,8 +1247,8 @@ std::vector<std::unique_lock<std::mutex>> IssuanceService::LockShards(
     const CatalogEpoch& epoch) {
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(epoch.shards.size());
-  for (const std::unique_ptr<Shard>& shard : epoch.shards) {
-    locks.emplace_back(shard->mutex);
+  for (Shard& shard : epoch.shards) {
+    locks.emplace_back(shard.mutex);
   }
   return locks;
 }
@@ -1287,7 +1284,7 @@ void IssuanceService::ForEachShardSet(
       }
     }
   }
-  epoch.shards[shard]->tree.ForEachSet(read);
+  epoch.shards[shard].tree.ForEachSet(read);
 }
 
 void IssuanceService::ReadShardState(
@@ -1296,7 +1293,7 @@ void IssuanceService::ReadShardState(
   // CollectLog and needs the read to be one step of its schedule.
   const std::shared_ptr<const CatalogEpoch> epoch = Pin();
   for (size_t s = 0; s < epoch->shards.size(); ++s) {
-    std::lock_guard<std::mutex> lock(epoch->shards[s]->mutex);
+    std::lock_guard<std::mutex> lock(epoch->shards[s].mutex);
     ForEachShardSet(*epoch, s, read);
   }
 }
@@ -1444,7 +1441,7 @@ Status IssuanceService::CheckAgainstReplay(
   });
   GEOLIC_RETURN_IF_ERROR(status);
   for (size_t s = 0; s < epoch->shards.size(); ++s) {
-    Shard* shard = epoch->shards[s].get();
+    Shard* shard = &epoch->shards[s];
     std::lock_guard<std::mutex> lock(shard->mutex);
     if (shard->tree.ToString() != expected_trees[s].ToString() ||
         shard->tree.TotalCount() != expected_trees[s].TotalCount()) {
@@ -1458,7 +1455,7 @@ Status IssuanceService::CheckAgainstReplay(
       continue;
     }
     std::lock_guard<std::mutex> lock(
-        epoch->shards[g % epoch->shards.size()]->mutex);
+        epoch->shards[g % epoch->shards.size()].mutex);
     if (!std::equal(expected_counts[g].begin(), expected_counts[g].end(),
                     scope.counts) ||
         !std::equal(expected_sums[g].begin(), expected_sums[g].end(),

@@ -465,7 +465,10 @@ class IssuanceService {
   ExpositionInput Snap() const;
 
  private:
-  struct Shard {
+  // One cache line each: stripes sit side by side in one array, and
+  // threads admitting on neighbouring stripes would otherwise share the
+  // lines their mutexes and counters are written on.
+  struct alignas(64) Shard {
     std::mutex mutex;
     // Accepted sets of the shard's above-cap groups only (dense groups
     // keep theirs in the epoch's C[S] tables). Masks in the owning epoch's
@@ -526,7 +529,9 @@ class IssuanceService {
     std::unique_ptr<int64_t[]> dense_tables;
     size_t dense_table_bytes = 0;
     LicenseSet all_mask;
-    std::vector<std::unique_ptr<Shard>> shards;
+    // The lock stripes, in one allocation. Mutable like the tables'
+    // counts: each stripe's state is written under its own mutex.
+    mutable std::vector<Shard> shards;
     // Set (under every shard lock) when a newer epoch replaces this one.
     // An admission that observes it after locking re-pins and retries;
     // the publish order (state_ first, retired second) guarantees the

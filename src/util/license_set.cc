@@ -242,18 +242,6 @@ LicenseSet& LicenseSet::operator-=(const LicenseSet& other) {
   return *this;
 }
 
-LicenseSet LicenseSet::WithIndexErased(int index) const {
-  GEOLIC_DCHECK(index >= 0 && index < kMaxLicensesLarge);
-  LicenseSet out;
-  for (int i : Indexes()) {
-    if (i == index) {
-      continue;
-    }
-    out.Add(i > index ? i - 1 : i);
-  }
-  return out;
-}
-
 std::vector<int> LicenseSet::ToIndexes() const {
   std::vector<int> indexes;
   indexes.reserve(static_cast<size_t>(Size()));

@@ -248,12 +248,6 @@ class LicenseSet {
     }
   }
 
-  // Returns a copy with position `index` deleted from the index space:
-  // bit `index` is dropped and every higher bit shifts down by one. This is
-  // the renumbering primitive for license removal (paper Algorithm 5 keeps
-  // indexes dense, so revoking license r shifts r+1..N-1 down). O(Size()).
-  LicenseSet WithIndexErased(int index) const;
-
   // Removes the lowest license. Requires a non-empty set (the classic
   // `mask &= mask - 1` step of index-iteration loops).
   void RemoveLowest() {

@@ -27,7 +27,7 @@ LicenseGrouping PaperGrouping() {
   ComponentSet components;
   components.components = {testing::Mask(0b01011), testing::Mask(0b10100)};
   components.component_of = {0, 0, 1, 0, 1};
-  return LicenseGrouping::FromComponents(std::move(components));
+  return LicenseGrouping::FromGroupOf(std::move(components.component_of));
 }
 
 // The paper's figure 1 validation tree.
@@ -199,7 +199,7 @@ TEST(TreeDivisionPropertyTest, LhsPreservedUnderDivision) {
       components.components[static_cast<size_t>(k)] |= LicenseSet::Singleton(v);
     }
     const LicenseGrouping grouping =
-        LicenseGrouping::FromComponents(components);
+        LicenseGrouping::FromGroupOf(components.component_of);
 
     // Random log: every record's set stays within one group.
     ValidationTree tree;

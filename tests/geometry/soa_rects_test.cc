@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,14 @@ namespace {
 
 constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
 constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+
+std::vector<const HyperRect*> RectPointers(const std::vector<HyperRect>& rects) {
+  std::vector<const HyperRect*> pointers;
+  for (const HyperRect& rect : rects) {
+    pointers.push_back(&rect);
+  }
+  return pointers;
+}
 
 // Every kernel tier the host can actually execute (scalar always; the
 // wider tiers only where cpuid says so).
@@ -110,7 +119,7 @@ TEST(SoaRectsTest, FuzzEquivalenceAcrossTiersMatchesHyperRect) {
           rng.Bernoulli(0.05) ? dims + 1 : dims;
       rects.push_back(RandomRect(&rng, rect_dims));
     }
-    const SoaRects soa = SoaRects::Build(rects);
+    const SoaRects soa = SoaRects::Build(RectPointers(rects));
     const HyperRect query = RandomRect(
         &rng, rng.Bernoulli(0.05) ? dims + 1 : dims);
 
@@ -162,7 +171,7 @@ TEST(SoaRectsTest, MultiPieceCellsReCheckExactly) {
   gap.AddDim(ConstraintRange(
       MultiInterval::FromIntervals({Interval(0, 10), Interval(20, 30)})));
   rects.push_back(gap);
-  const SoaRects soa = SoaRects::Build(rects);
+  const SoaRects soa = SoaRects::Build(RectPointers(rects));
 
   HyperRect inside_gap;
   inside_gap.AddDim(ConstraintRange(Interval(12, 15)));
@@ -197,7 +206,7 @@ TEST(SoaRectsTest, MajorityDimensionalityBreaksTiesTowardTheFirstRect) {
     for (const int d : dims) {
       rects.push_back(rect_of(d));
     }
-    return SoaRects::Build(rects).dimensions();
+    return SoaRects::Build(RectPointers(rects)).dimensions();
   };
   EXPECT_EQ(majority({3, 2, 2, 3}), 3);     // Tie: rect 0 is seen first.
   EXPECT_EQ(majority({2, 3, 3, 2}), 2);
@@ -209,12 +218,48 @@ TEST(SoaRectsTest, MajorityDimensionalityBreaksTiesTowardTheFirstRect) {
   // The minority rects are answered by the scalar path, exactly.
   std::vector<HyperRect> rects = {rect_of(3), rect_of(2), rect_of(2),
                                   rect_of(3)};
-  const SoaRects soa = SoaRects::Build(rects);
+  const SoaRects soa = SoaRects::Build(RectPointers(rects));
   uint64_t out[kMaxLicenseWords];
   soa.Containing(rect_of(2), out);
   EXPECT_EQ(out[0], 0b0110u);
   soa.Overlapping(rect_of(3), out);
   EXPECT_EQ(out[0], 0b1001u);
+}
+
+// A build reads each rect where its owner keeps it (as the instance
+// validator reads a catalog's licenses) and keeps what it needs: once the
+// owners are gone it answers every query as a build over copies does.
+TEST(SoaRectsTest, BuildReadsRectsInPlaceAndOutlivesThem) {
+  Rng rng(0x50A0);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int dims = static_cast<int>(1 + rng.UniformIndex(6));
+    const size_t n = 1 + rng.UniformIndex(140);  // Crosses two words.
+    auto owners = std::make_unique<std::vector<HyperRect>>();
+    for (size_t j = 0; j < n; ++j) {
+      const int rect_dims = rng.Bernoulli(0.05) ? dims + 1 : dims;
+      owners->push_back(RandomRect(&rng, rect_dims));
+    }
+    const std::vector<HyperRect> copies = *owners;
+    const SoaRects in_place = SoaRects::Build(RectPointers(*owners));
+    owners.reset();
+    const SoaRects copied = SoaRects::Build(RectPointers(copies));
+    ASSERT_EQ(in_place.dimensions(), copied.dimensions());
+    for (int q = 0; q < 8; ++q) {
+      const HyperRect query = RandomRect(&rng, dims);
+      uint64_t got[kMaxLicenseWords];
+      uint64_t want[kMaxLicenseWords];
+      in_place.Containing(query, got);
+      copied.Containing(query, want);
+      for (size_t w = 0; w < copied.result_words(); ++w) {
+        ASSERT_EQ(got[w], want[w]) << "trial " << trial << " word " << w;
+      }
+      in_place.Overlapping(query, got);
+      copied.Overlapping(query, want);
+      for (size_t w = 0; w < copied.result_words(); ++w) {
+        ASSERT_EQ(got[w], want[w]) << "trial " << trial << " word " << w;
+      }
+    }
+  }
 }
 
 }  // namespace

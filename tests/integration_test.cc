@@ -169,8 +169,8 @@ TEST(IntegrationTest, TextRoundTripPreservesValidation) {
   }
   const LicenseGrouping grouping_a = LicenseGrouping::FromLicenses(original);
   const LicenseGrouping grouping_b = LicenseGrouping::FromLicenses(reparsed);
-  EXPECT_EQ(grouping_a.components().components,
-            grouping_b.components().components);
+  EXPECT_EQ(grouping_a.Components().components,
+            grouping_b.Components().components);
   EXPECT_EQ(original.AggregateCounts(), reparsed.AggregateCounts());
 }
 

@@ -226,19 +226,31 @@ TEST(TracerTest, ConcurrentCollectNeverYieldsTornSpans) {
   Tracer tracer(TracerOptions{.ring_capacity = 256,
                               .slow_request_nanos = 0});
   std::atomic<bool> stop{false};
+  // Writers that have recorded at least one span.
+  std::atomic<int> started{0};
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&tracer, &stop, t] {
+    writers.emplace_back([&tracer, &stop, &started, t] {
       const uint64_t id = static_cast<uint64_t>(t) + 1;
+      bool counted = false;
       while (!stop.load(std::memory_order_relaxed)) {
         // Each writer's spans carry its own signature: request_id == t+1,
         // duration == 1000 * (t+1), start == 7 * (t+1).
         tracer.Record(Span(id, TraceStage::kEquationScan, id * 7, id * 1000));
+        if (!counted) {
+          counted = true;
+          started.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
-  // Collect while the writers run, and check only after they are joined,
-  // so a failure reports instead of leaving joinable threads behind.
+  // Collect only once every writer has recorded: on a loaded machine the
+  // 500 collects could otherwise all finish before any writer ran. Check
+  // only after the writers are joined, so a failure reports instead of
+  // leaving joinable threads behind.
+  while (started.load(std::memory_order_acquire) < 4) {
+    std::this_thread::yield();
+  }
   std::vector<TraceSpan> torn;
   uint64_t collected = 0;
   for (int i = 0; i < 500; ++i) {

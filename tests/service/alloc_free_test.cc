@@ -1,12 +1,10 @@
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "service/issuance_service.h"
 #include "test_util.h"
 #include "util/request_arena.h"
@@ -20,69 +18,13 @@
 // whose nodes are allocated the first time a set is seen: there a warm-up
 // of the same request mix inserts every node the steady state touches.
 //
-// The counting hook replaces global operator new/delete, so it sees every
-// allocation in the process (including the test harness's own); the test
-// only compares the counter across the steady-state window, on the single
-// test thread. Pool-recycled LicenseSet spans never reach operator new,
-// which is exactly the property under test — with the pool compiled out
+// The counting hook (alloc_counter.h) sees every allocation in the
+// process (including the test harness's own); the test only compares the
+// counter across the steady-state window, on the single test thread.
+// Pool-recycled LicenseSet spans never reach operator new, which is
+// exactly the property under test — with the pool compiled out
 // (GEOLIC_LICENSE_SET_NO_POOL, the sanitizer builds) the guarantee does
 // not hold and the steady-state assertions are skipped.
-//
-// The replacements must stay out of the inliner: if GCC inlines a delete
-// body (sees the free) without the paired new body, -Wmismatched-new-delete
-// misfires on perfectly matched replacement pairs.
-#if defined(__GNUC__) || defined(__clang__)
-#define GEOLIC_TEST_NOINLINE __attribute__((noinline))
-#else
-#define GEOLIC_TEST_NOINLINE
-#endif
-
-namespace {
-std::atomic<uint64_t> g_news{0};
-}  // namespace
-
-GEOLIC_TEST_NOINLINE void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-GEOLIC_TEST_NOINLINE void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-
-GEOLIC_TEST_NOINLINE void* operator new(std::size_t size,
-                                        const std::nothrow_t&) noexcept {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-GEOLIC_TEST_NOINLINE void* operator new[](std::size_t size,
-                                          const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-
-GEOLIC_TEST_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
-GEOLIC_TEST_NOINLINE void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-GEOLIC_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-GEOLIC_TEST_NOINLINE void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-GEOLIC_TEST_NOINLINE void operator delete(void* p,
-                                          const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-GEOLIC_TEST_NOINLINE void operator delete[](void* p,
-                                            const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace geolic {
 namespace {
@@ -133,7 +75,7 @@ constexpr int kSteady = 512;
 uint64_t SteadyStateAllocations(IssuanceService* service,
                                 const std::vector<License>& requests) {
   std::vector<OnlineDecision> decisions(requests.size());
-  const uint64_t before = g_news.load(std::memory_order_relaxed);
+  const uint64_t before = testing::AllocationCount();
   for (int i = 0; i < kSteady; ++i) {
     for (const License& request : requests) {
       const Result<OnlineDecision> decision = service->TryIssue(request);
@@ -144,7 +86,7 @@ uint64_t SteadyStateAllocations(IssuanceService* service,
                                      std::span<OnlineDecision>(decisions))
                      .ok());
   }
-  return g_news.load(std::memory_order_relaxed) - before;
+  return testing::AllocationCount() - before;
 }
 
 TEST(AllocFreeTest, DenseGroupAdmitsWithoutHeapAllocationFromFirstRequest) {
@@ -220,12 +162,12 @@ TEST(AllocFreeTest, RequestArenaReusesBlocksAfterReset) {
   // Same block, same offset: the arena retains and reuses its blocks.
   EXPECT_EQ(arena.Allocate(64, 8), first);
 
-  const uint64_t before = g_news.load(std::memory_order_relaxed);
+  const uint64_t before = testing::AllocationCount();
   for (int i = 0; i < 1000; ++i) {
     const ArenaScope scope(&arena);
     (void)arena.AllocateArray<uint64_t>(16);
   }
-  EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(testing::AllocationCount() - before, 0u);
 }
 
 }  // namespace

@@ -16,29 +16,34 @@
 
 namespace geolic {
 
-// White-box access to IssuanceService for the history-preload oracle
-// (issuance_service_test, and bench/ablation_dynamic_grouping before it
-// times): the per-record path the reconfiguration carry keeps
-// (ApplySetToEpoch), and an epoch's equation state.
+// White-box access to IssuanceService for the epoch-build oracles
+// (issuance_service_test, epoch_build_property_test, and
+// bench/ablation_dynamic_grouping before it times): a service built the
+// reference way, and an epoch's derived state.
 class IssuanceServiceTestPeer {
  public:
-  // CreateWithHistory with one ApplySetToEpoch per history record instead
-  // of the batched PreloadEpoch pass.
-  static Result<std::unique_ptr<IssuanceService>> CreatePerRecord(
+  // CreateWithHistory the reference way. Every rect is copied out of the
+  // catalog; the epoch's grouping comes from the overlap graph of the
+  // copies (LicenseGrouping::FromRects, Algorithm 3's DFS) and the
+  // incremental grouping from one AddLicense per copy; the history goes
+  // in with one ApplySetToEpoch per record (the per-record path the
+  // reconfiguration carry keeps) instead of the batched PreloadEpoch pass.
+  static Result<std::unique_ptr<IssuanceService>> CreateFromCopies(
       const LicenseCatalog* licenses, const OnlineValidatorOptions& options,
       const LogStore& history) {
     std::vector<HyperRect> rects;
+    DynamicGrouping grouping(licenses->schema().dimensions());
     for (const License& license : licenses->licenses()) {
       rects.push_back(license.rect());
+      std::vector<const HyperRect*> registered;
+      for (const HyperRect& rect : rects) {
+        registered.push_back(&rect);
+      }
+      GEOLIC_RETURN_IF_ERROR(grouping.AddLicense(registered).status());
     }
-    GEOLIC_ASSIGN_OR_RETURN(
-        DynamicGrouping grouping,
-        DynamicGrouping::Build(licenses->schema().dimensions(),
-                               std::move(rects)));
     std::shared_ptr<IssuanceService::CatalogEpoch> epoch =
-        IssuanceService::BuildEpoch(
-            options, 0, licenses, nullptr,
-            LicenseGrouping::FromComponents(grouping.Components()));
+        IssuanceService::BuildEpoch(options, 0, licenses, nullptr,
+                                    LicenseGrouping::FromRects(rects));
     std::unique_ptr<IssuanceService> service(
         new IssuanceService(options, std::move(grouping), epoch));
     for (const LogRecord& record : history.records()) {
@@ -50,10 +55,14 @@ class IssuanceServiceTestPeer {
     return service;
   }
 
-  // An epoch's equation state: per dense scope its members and A, C[S]
-  // and C⟨T⟩ tables, and per shard its tree's sets.
+  // An epoch's derived state: its grouping (each license's group and
+  // Algorithm 5 position), its stripe count, per dense scope its members
+  // and A, C[S] and C⟨T⟩ tables, per above-cap scope its members, and
+  // per shard its tree's sets.
   struct EpochState {
-    std::vector<LicenseSet> dense_masks;
+    std::vector<int> group_of, position_of;
+    int shards = 0;
+    std::vector<LicenseSet> dense_masks, tree_masks;
     std::vector<std::vector<int64_t>> aggregates, counts, sums;
     std::vector<std::vector<std::pair<LicenseSet, int64_t>>> trees;
 
@@ -64,24 +73,42 @@ class IssuanceServiceTestPeer {
     const std::shared_ptr<const IssuanceService::CatalogEpoch> epoch =
         service.Pin();
     EpochState state;
-    for (const IssuanceService::EquationScope& scope : epoch->scopes) {
-      if (scope.dense()) {
-        const size_t entries = scope.entries();
-        state.dense_masks.push_back(scope.mask);
-        state.aggregates.emplace_back(scope.aggregates,
-                                      scope.aggregates + entries);
-        state.counts.emplace_back(scope.counts, scope.counts + entries);
-        state.sums.emplace_back(scope.sums, scope.sums + entries);
-      }
+    for (int i = 0; i < epoch->grouping.num_licenses(); ++i) {
+      state.group_of.push_back(epoch->grouping.GroupOf(i));
+      state.position_of.push_back(epoch->grouping.PositionOf(i));
     }
-    for (const auto& shard : epoch->shards) {
+    state.shards = static_cast<int>(epoch->shards.size());
+    for (const IssuanceService::EquationScope& scope : epoch->scopes) {
+      if (!scope.dense()) {
+        state.tree_masks.push_back(scope.mask);
+        continue;
+      }
+      const size_t entries = scope.entries();
+      state.dense_masks.push_back(scope.mask);
+      state.aggregates.emplace_back(scope.aggregates,
+                                    scope.aggregates + entries);
+      state.counts.emplace_back(scope.counts, scope.counts + entries);
+      state.sums.emplace_back(scope.sums, scope.sums + entries);
+    }
+    for (const IssuanceService::Shard& shard : epoch->shards) {
       std::vector<std::pair<LicenseSet, int64_t>>& sets =
           state.trees.emplace_back();
-      shard->tree.ForEachSet([&sets](const LicenseSet& set, int64_t count) {
+      shard.tree.ForEachSet([&sets](const LicenseSet& set, int64_t count) {
         sets.emplace_back(set, count);
       });
     }
     return state;
+  }
+
+  // The incremental grouping later reconfigurations update.
+  static const DynamicGrouping& Incremental(const IssuanceService& service) {
+    return service.dyn_grouping_;
+  }
+
+  // The current epoch's instance lookup: the satisfying set of `issued`.
+  static LicenseSet SatisfyingSet(const IssuanceService& service,
+                                  const License& issued) {
+    return service.Pin()->instance.SatisfyingSet(issued);
   }
 };
 

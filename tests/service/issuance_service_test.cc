@@ -517,10 +517,10 @@ TEST(IssuanceServiceTest, GroupingAfterCreateAndRestoreIsFromLicenses) {
   const auto expect_paper_grouping = [](const IssuanceService& service) {
     const LicenseGrouping expected =
         LicenseGrouping::FromLicenses(service.licenses());
-    EXPECT_EQ(service.grouping().components().components,
-              expected.components().components);
-    EXPECT_EQ(service.grouping().components().component_of,
-              expected.components().component_of);
+    EXPECT_EQ(service.grouping().Components().components,
+              expected.Components().components);
+    EXPECT_EQ(service.grouping().Components().component_of,
+              expected.Components().component_of);
   };
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses);
@@ -884,7 +884,7 @@ TEST(IssuanceServiceProperty, BatchedPreloadEqualsPerRecordPath) {
       Result<std::unique_ptr<IssuanceService>> batched =
           IssuanceService::CreateWithHistory(&licenses, options, history);
       Result<std::unique_ptr<IssuanceService>> per_record =
-          Peer::CreatePerRecord(&licenses, options, history);
+          Peer::CreateFromCopies(&licenses, options, history);
       ASSERT_TRUE(batched.ok()) << batched.status().message();
       ASSERT_TRUE(per_record.ok()) << per_record.status().message();
       const Peer::EpochState state = Peer::State(**batched);
@@ -972,7 +972,7 @@ TEST(IssuanceServiceProperty, BatchedPreloadEqualsPerRecordPath) {
       const Result<std::unique_ptr<IssuanceService>> batched_bad =
           IssuanceService::CreateWithHistory(&licenses, options, bad);
       const Result<std::unique_ptr<IssuanceService>> per_record_bad =
-          Peer::CreatePerRecord(&licenses, options, bad);
+          Peer::CreateFromCopies(&licenses, options, bad);
       ASSERT_EQ(batched_bad.ok(), per_record_bad.ok());
       if (!batched_bad.ok()) {
         ++errors_seen;

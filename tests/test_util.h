@@ -146,6 +146,18 @@ inline License MakeUsage(
 
 // Random hyper-rectangle with `dims` interval dimensions inside
 // [0, domain).
+// Pointers to `rects`: the form DynamicGrouping and SoaRects read a
+// catalog's rects in.
+inline std::vector<const HyperRect*> RectPointers(
+    const std::vector<HyperRect>& rects) {
+  std::vector<const HyperRect*> pointers;
+  pointers.reserve(rects.size());
+  for (const HyperRect& rect : rects) {
+    pointers.push_back(&rect);
+  }
+  return pointers;
+}
+
 inline HyperRect RandomRect(Rng* rng, int dims, int64_t domain) {
   std::vector<ConstraintRange> ranges;
   ranges.reserve(static_cast<size_t>(dims));

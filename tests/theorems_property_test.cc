@@ -31,7 +31,7 @@ GeneratedCase Generate(int n, uint64_t seed) {
   Result<Workload> workload = WorkloadGenerator(config).Generate();
   GEOLIC_CHECK(workload.ok());
   GeneratedCase out{std::make_unique<Workload>(*std::move(workload)),
-                    LicenseGrouping::FromComponents(ComponentSet{}),
+                    LicenseGrouping::FromGroupOf({}),
                     ValidationTree()};
   out.grouping = LicenseGrouping::FromLicenses(*out.workload->licenses);
   Result<ValidationTree> tree =
