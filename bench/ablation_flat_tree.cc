@@ -12,12 +12,14 @@
 // LicenseSet path) equations are enumerated per overlap group, the way the
 // grouped validators issue them. Before timing, every engine is checked
 // equation-by-equation against the pointer tree, and SumSubsetsBatch
-// against the forced word-sliced SumSubsetsBatchWideReference — the bench
-// aborts on any mismatch.
+// against per-query SumSubsets, the pinned-scalar batch and the forced
+// generic-width SumSubsetsBatchWideReference, in sums and in nodes visited
+// — the bench aborts on any mismatch.
 //
 // The default workload is the figure-7 shape at N=16 with dense overlap
 // (single cluster, high extents): the acceptance row printed last. Tiny CI
-// runs: --max_n=10 --records=1500 --max_wide_n=128. Release smoke:
+// runs (the ablation_flat_tree_smoke ctest): --max_n=10 --records=1500
+// --max_wide_n=128. Release smoke:
 // --max_wide_n=256. --max_wide_n=0 disables the wide sweep.
 // Machine-readable: --json_out=<path>.
 #include <algorithm>
@@ -138,30 +140,18 @@ EngineTiming TimeEquations(std::span<const LicenseSet> equations,
   return timing;
 }
 
-// kBaseline runs the preserved pre-SIMD word-sliced batch scan — the
-// baseline the dispatched SIMD batch row is measured against. kScalarLane
-// pins only the lane step to the scalar tier (the GEOLIC_FORCE_SCALAR
-// shape), isolating the lane-step delta from the scan-layer one.
-enum class BatchKind { kDispatched, kScalarLane, kBaseline };
-
+// The dispatched batch scan, issued 256 equations at a time as the
+// validators do.
 EngineTiming TimeBatched(std::span<const LicenseSet> equations,
-                         const FlatValidationTree& flat, BatchKind kind) {
+                         const FlatValidationTree& flat) {
   constexpr size_t kBatch = 256;
   int64_t sums[kBatch];
   EngineTiming timing;
   Stopwatch timer;
   for (size_t i = 0; i < equations.size(); i += kBatch) {
     const size_t batch = std::min(kBatch, equations.size() - i);
-    if (kind == BatchKind::kDispatched) {
-      flat.SumSubsetsBatch(equations.subspan(i, batch), {sums, batch},
-                           &timing.nodes);
-    } else if (kind == BatchKind::kScalarLane) {
-      flat.SumSubsetsBatchScalar(equations.subspan(i, batch), {sums, batch},
-                                 &timing.nodes);
-    } else {
-      flat.SumSubsetsBatchWordSliced(equations.subspan(i, batch),
-                                     {sums, batch}, &timing.nodes);
-    }
+    flat.SumSubsetsBatch(equations.subspan(i, batch), {sums, batch},
+                         &timing.nodes);
     for (size_t k = 0; k < batch; ++k) {
       timing.checksum += sums[k];
     }
@@ -175,13 +165,9 @@ struct RowResult {
   double flat_ms = 0.0;
   double pruned_ms = 0.0;
   double batch_ms = 0.0;
-  double batch_baseline_ms = 0.0;
   uint64_t pointer_nodes = 0;
   uint64_t pruned_nodes = 0;
   double pruned_speedup = 0.0;
-  // Dispatched (SIMD) batch vs the preserved word-sliced baseline — the
-  // tentpole's A/B on identical equations.
-  double simd_speedup = 0.0;
 };
 
 // Verifies equivalence equation-by-equation, then times each engine.
@@ -195,36 +181,33 @@ RowResult RunRow(const char* label, int n, const LogStore& log,
   GEOLIC_CHECK(flat.PresentLicenses() == tree->PresentLicenses());
 
   // Equivalence sweep (untimed, before any timing run): every engine,
-  // every equation; the inline fast path against the forced word-sliced
-  // reference; and the dispatched SIMD batch against the scalar lane
-  // tier, the generic-width reference, and the preserved pre-SIMD
-  // baseline — sums AND nodes_visited must be bit-identical.
+  // every equation; the inline fast path against the forced generic-width
+  // reference; and the dispatched batch against per-query SumSubsets, the
+  // pinned-scalar batch and the generic-width batch reference — sums AND
+  // nodes_visited must be bit-identical.
   std::vector<int64_t> batch_sums(equations.size());
   std::vector<int64_t> scalar_batch_sums(equations.size());
   std::vector<int64_t> wide_sums(equations.size());
-  std::vector<int64_t> baseline_sums(equations.size());
   uint64_t batch_nodes = 0;
   uint64_t scalar_batch_nodes = 0;
   uint64_t wide_nodes = 0;
-  uint64_t baseline_nodes = 0;
+  uint64_t serial_nodes = 0;
   flat.SumSubsetsBatch(equations, batch_sums, &batch_nodes);
   flat.SumSubsetsBatchScalar(equations, scalar_batch_sums,
                              &scalar_batch_nodes);
   flat.SumSubsetsBatchWideReference(equations, wide_sums, &wide_nodes);
-  flat.SumSubsetsBatchWordSliced(equations, baseline_sums, &baseline_nodes);
-  GEOLIC_CHECK(batch_nodes == scalar_batch_nodes);
-  GEOLIC_CHECK(batch_nodes == wide_nodes);
-  GEOLIC_CHECK(batch_nodes == baseline_nodes);
   for (size_t i = 0; i < equations.size(); ++i) {
     const int64_t reference = tree->SumSubsets(equations[i]);
     GEOLIC_CHECK(flat.SumSubsetsNoAccel(equations[i]) == reference);
-    GEOLIC_CHECK(flat.SumSubsets(equations[i]) == reference);
+    GEOLIC_CHECK(flat.SumSubsets(equations[i], &serial_nodes) == reference);
     GEOLIC_CHECK(flat.SumSubsetsWideReference(equations[i]) == reference);
     GEOLIC_CHECK(batch_sums[i] == reference);
     GEOLIC_CHECK(scalar_batch_sums[i] == reference);
     GEOLIC_CHECK(wide_sums[i] == reference);
-    GEOLIC_CHECK(baseline_sums[i] == reference);
   }
+  GEOLIC_CHECK(batch_nodes == serial_nodes);
+  GEOLIC_CHECK(batch_nodes == scalar_batch_nodes);
+  GEOLIC_CHECK(batch_nodes == wide_nodes);
 
   RowResult row;
   const EngineTiming pointer = TimeEquations(
@@ -239,33 +222,26 @@ RowResult RunRow(const char* label, int n, const LogStore& log,
       equations, [&flat](const LicenseSet& set, uint64_t* nodes) {
         return flat.SumSubsets(set, nodes);
       });
-  const EngineTiming batched =
-      TimeBatched(equations, flat, BatchKind::kDispatched);
-  const EngineTiming batched_baseline =
-      TimeBatched(equations, flat, BatchKind::kBaseline);
+  const EngineTiming batched = TimeBatched(equations, flat);
   GEOLIC_CHECK(pointer.checksum == no_accel.checksum);
   GEOLIC_CHECK(pointer.checksum == pruned.checksum);
   GEOLIC_CHECK(pointer.checksum == batched.checksum);
-  GEOLIC_CHECK(pointer.checksum == batched_baseline.checksum);
-  GEOLIC_CHECK(batched.nodes == batched_baseline.nodes);
+  GEOLIC_CHECK(batched.nodes == pruned.nodes);
 
   row.pointer_ms = pointer.millis;
   row.flat_ms = no_accel.millis;
   row.pruned_ms = pruned.millis;
   row.batch_ms = batched.millis;
-  row.batch_baseline_ms = batched_baseline.millis;
   row.pointer_nodes = pointer.nodes;
   row.pruned_nodes = pruned.nodes;
   row.pruned_speedup =
       batched.millis > 0 ? pointer.millis / batched.millis : 0.0;
-  row.simd_speedup =
-      batched.millis > 0 ? batched_baseline.millis / batched.millis : 0.0;
 
-  std::printf("%-18s %4d %8zu %9zu %9zu  %9.2f %9.2f %9.2f %9.2f %9.2f  "
-              "%7.2fx %7.2fx  %12llu %12llu\n",
+  std::printf("%-18s %4d %8zu %9zu %9zu  %9.2f %9.2f %9.2f %9.2f  "
+              "%7.2fx  %12llu %12llu\n",
               label, n, log.size(), flat.NodeCount(), equations.size(),
               pointer.millis, no_accel.millis, pruned.millis, batched.millis,
-              batched_baseline.millis, row.pruned_speedup, row.simd_speedup,
+              row.pruned_speedup,
               static_cast<unsigned long long>(pointer.nodes),
               static_cast<unsigned long long>(pruned.nodes));
   if (json != nullptr) {
@@ -279,11 +255,9 @@ RowResult RunRow(const char* label, int n, const LogStore& log,
       out.KeyValue("flat_ms", no_accel.millis);
       out.KeyValue("pruned_ms", pruned.millis);
       out.KeyValue("batch_ms", batched.millis);
-      out.KeyValue("batch_baseline_ms", batched_baseline.millis);
       out.KeyValue("pointer_nodes", pointer.nodes);
       out.KeyValue("pruned_nodes", pruned.nodes);
       out.KeyValue("speedup_pruned_batch", row.pruned_speedup);
-      out.KeyValue("speedup_simd_batch", row.simd_speedup);
       out.KeyValue("simd_tier", simd::ActiveKernels().name);
       out.KeyValue("equivalence", true);  // GEOLIC_CHECKed above.
     });
@@ -303,14 +277,11 @@ int main(int argc, char** argv) {
 
   std::printf("# Ablation: pointer vs flat vs flat+pruned equation "
               "evaluation (dense 2^N-1 for N<=20, per-group beyond)\n");
-  std::printf("# batch kernel tier: %s (base_ms runs the preserved pre-SIMD "
-              "word-sliced batch on the same equations)\n",
-              simd::ActiveKernels().name);
-  std::printf("%-18s %4s %8s %9s %9s  %9s %9s %9s %9s %9s  %8s %8s  "
-              "%12s %12s\n",
+  std::printf("# batch kernel tier: %s\n", simd::ActiveKernels().name);
+  std::printf("%-18s %4s %8s %9s %9s  %9s %9s %9s %9s  %8s  %12s %12s\n",
               "sweep", "N", "records", "nodes", "equations", "ptr_ms",
-              "flat_ms", "prune_ms", "batch_ms", "base_ms", "speedup",
-              "simd", "ptr_visits", "prune_visits");
+              "flat_ms", "prune_ms", "batch_ms", "speedup", "ptr_visits",
+              "prune_visits");
 
   // N sweep at dense overlap (the figure-7 x-axis).
   for (int n = 8; n <= max_n; n += 4) {
@@ -341,7 +312,6 @@ int main(int argc, char** argv) {
   // into ~N/8 overlap arenas, equations are enumerated per recovered
   // group — the shape the grouped validators issue at scale.
   constexpr int kGroupCapBits = 12;
-  double wide128_simd_speedup = 0.0;
   for (const int n : {128, 256, 1024}) {
     if (n > max_wide_n) {
       continue;
@@ -354,10 +324,7 @@ int main(int argc, char** argv) {
         GroupEquations(log, n, kGroupCapBits, &capped, &group_count);
     char label[32];
     std::snprintf(label, sizeof(label), "wide_group_n%d", n);
-    const RowResult wide_row = RunRow(label, n, log, equations, &json);
-    if (n == 128) {
-      wide128_simd_speedup = wide_row.simd_speedup;
-    }
+    RunRow(label, n, log, equations, &json);
     if (capped > 0) {
       std::printf("#   wide_group_n%d: %d of %d groups exceeded %d licenses;"
                   " truncated to logged sets + group equation\n",
@@ -374,11 +341,6 @@ int main(int argc, char** argv) {
   std::printf("# default workload: flat+pruned (batch) is %.2fx the pointer "
               "tree (acceptance floor: 2x); equivalence checks: PASS\n",
               row.pruned_speedup);
-  if (wide128_simd_speedup > 0.0) {
-    std::printf("# wide_group_n128: %s batch is %.2fx the word-sliced "
-                "baseline (acceptance floor: 1.5x on AVX2 hosts)\n",
-                simd::ActiveKernels().name, wide128_simd_speedup);
-  }
   json.Write();
   return 0;
 }

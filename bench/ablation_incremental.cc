@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/incremental_auditor.h"
+#include "bench/incremental_auditor.h"
 #include "util/stopwatch.h"
 #include "validation/validate.h"
 

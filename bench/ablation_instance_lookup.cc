@@ -1,22 +1,40 @@
-// Ablation: instance-based validation backends — O(N) linear scan versus
-// R-tree candidate lookup with exact confirmation (DESIGN.md design
-// choice). At single-content scale (N ≤ 64) the linear scan usually wins;
-// the R-tree pays off on large raw catalogues, benchmarked here at the box
-// level up to 16384 entries.
+// Ablation: instance-based validation (paper Section 3.1) — the SoA
+// column sweep the product runs (SoaInstanceValidator) versus a plain
+// linear scan, one License::InstanceContains test per licence. N spans one
+// result word (8), a full word (64), two words (128) and the library's
+// licence cap (1024). Before any timing, every fixture query's SoA set is
+// checked against the linear scan's, and the binary aborts on a mismatch.
+// Smoke run: --benchmark_min_time=0.01.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/instance_validator.h"
-#include "geometry/rtree.h"
 #include "licensing/license_catalog.h"
+#include "util/check.h"
 #include "util/random.h"
 #include "workload/workload.h"
 
 namespace geolic {
 namespace {
 
+// The baseline: one InstanceContains test per licence, in index order.
+LicenseSet LinearSatisfyingSet(const LicenseCatalog& licenses,
+                               const License& issued) {
+  LicenseSet set;
+  for (int i = 0; i < licenses.size(); ++i) {
+    if (licenses.at(i).InstanceContains(issued)) {
+      set.Add(i);
+    }
+  }
+  return set;
+}
+
+// The figure-7 licence shape at N licences, 256 usage queries each drawn
+// inside a random licence, and the SoA lookup over them — checked equal to
+// the linear scan on every query.
 struct LicenseFixture {
   explicit LicenseFixture(int n) {
     WorkloadConfig config = PaperSweepConfig(n);
@@ -25,102 +43,44 @@ struct LicenseFixture {
     Result<Workload> generated = generator.GenerateLicensesOnly();
     GEOLIC_CHECK(generated.ok());
     workload = std::make_unique<Workload>(*std::move(generated));
+    soa = std::make_unique<SoaInstanceValidator>(workload->licenses.get());
     Rng rng(42);
-    WorkloadGenerator drawer(config);
     for (int i = 0; i < 256; ++i) {
       const int parent = static_cast<int>(
           rng.UniformInt(0, workload->licenses->size() - 1));
-      queries.push_back(drawer.DrawUsageLicense(*workload, parent, &rng, i));
+      queries.push_back(
+          generator.DrawUsageLicense(*workload, parent, &rng, i));
+      GEOLIC_CHECK(soa->SatisfyingSet(queries.back()) ==
+                   LinearSatisfyingSet(*workload->licenses, queries.back()));
     }
   }
   std::unique_ptr<Workload> workload;
+  std::unique_ptr<SoaInstanceValidator> soa;
   std::vector<License> queries;
 };
 
+void BM_SoaInstanceLookup(benchmark::State& state) {
+  const LicenseFixture fixture(static_cast<int>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.soa->SatisfyingSet(
+        fixture.queries[i % fixture.queries.size()]));
+    ++i;
+  }
+}
+BENCHMARK(BM_SoaInstanceLookup)->Arg(8)->Arg(64)->Arg(128)->Arg(1024);
+
 void BM_LinearInstanceLookup(benchmark::State& state) {
   const LicenseFixture fixture(static_cast<int>(state.range(0)));
-  const LinearInstanceValidator validator(fixture.workload->licenses.get());
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        validator.SatisfyingSet(fixture.queries[i % fixture.queries.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_LinearInstanceLookup)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_RtreeInstanceLookup(benchmark::State& state) {
-  const LicenseFixture fixture(static_cast<int>(state.range(0)));
-  Result<RtreeInstanceValidator> validator =
-      RtreeInstanceValidator::Build(fixture.workload->licenses.get());
-  GEOLIC_CHECK(validator.ok());
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(validator->SatisfyingSet(
+    benchmark::DoNotOptimize(LinearSatisfyingSet(
+        *fixture.workload->licenses,
         fixture.queries[i % fixture.queries.size()]));
     ++i;
   }
 }
-BENCHMARK(BM_RtreeInstanceLookup)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-// Raw catalogue scale: thousands of boxes, point-ish queries.
-struct BoxFixture {
-  explicit BoxFixture(int n) : tree(4) {
-    Rng rng(7);
-    for (int i = 0; i < n; ++i) {
-      IntervalBox box;
-      for (int d = 0; d < 4; ++d) {
-        const int64_t lo = rng.UniformInt(0, 999900);
-        box.dims.push_back(Interval(lo, lo + rng.UniformInt(10, 5000)));
-      }
-      boxes.push_back(box);
-      GEOLIC_CHECK(tree.Insert(box, i).ok());
-    }
-    for (int q = 0; q < 256; ++q) {
-      IntervalBox box;
-      for (int d = 0; d < 4; ++d) {
-        const int64_t lo = rng.UniformInt(0, 999990);
-        box.dims.push_back(Interval(lo, lo + rng.UniformInt(1, 100)));
-      }
-      queries.push_back(box);
-    }
-  }
-  Rtree tree;
-  std::vector<IntervalBox> boxes;
-  std::vector<IntervalBox> queries;
-};
-
-void BM_LinearBoxContaining(benchmark::State& state) {
-  const BoxFixture fixture(static_cast<int>(state.range(0)));
-  size_t i = 0;
-  for (auto _ : state) {
-    const IntervalBox& query = fixture.queries[i % fixture.queries.size()];
-    std::vector<int64_t> hits;
-    for (size_t b = 0; b < fixture.boxes.size(); ++b) {
-      if (fixture.boxes[b].Contains(query)) {
-        hits.push_back(static_cast<int64_t>(b));
-      }
-    }
-    benchmark::DoNotOptimize(hits);
-    ++i;
-  }
-}
-BENCHMARK(BM_LinearBoxContaining)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384);
-
-void BM_RtreeBoxContaining(benchmark::State& state) {
-  const BoxFixture fixture(static_cast<int>(state.range(0)));
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fixture.tree.FindContaining(
-        fixture.queries[i % fixture.queries.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_RtreeBoxContaining)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_LinearInstanceLookup)->Arg(8)->Arg(64)->Arg(128)->Arg(1024);
 
 }  // namespace
 }  // namespace geolic

@@ -63,7 +63,7 @@ class GreedyOnlineValidator {
   const LicenseCatalog* licenses_;
   GreedyPolicy policy_;
   Rng rng_;
-  LinearInstanceValidator instance_validator_;
+  SoaInstanceValidator instance_validator_;
   std::vector<int64_t> remaining_;
   int64_t accepted_counts_ = 0;
 };

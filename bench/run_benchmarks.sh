@@ -6,8 +6,8 @@
 # build_dir defaults to ./build (must already contain compiled bench
 # binaries); out_dir defaults to ./bench_out. Produces:
 #   BENCH_simd.json              — ablation_flat_tree, incl. the
-#                                  SIMD-vs-scalar batch A/B rows and the
-#                                  active kernel tier
+#                                  batch scan's rows and the active
+#                                  kernel tier
 #   BENCH_concurrency.json       — ablation_service_concurrency thread
 #                                  sweep, batched admission, tracing
 #                                  overhead

@@ -51,7 +51,7 @@ int main() {
 
   // 2. Geometric instance-based validation: which redistribution licenses
   //    fully contain each usage license's hyper-rectangle?
-  const LinearInstanceValidator instance_validator(&licenses);
+  const SoaInstanceValidator instance_validator(&licenses);
   Result<License> lu1 =
       ParseLicense("(K; Play; T=[15/03/09, 19/03/09]; R=[India]; A=800)",
                    schema, LicenseType::kUsage, "LU1");

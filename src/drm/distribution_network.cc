@@ -181,7 +181,7 @@ Result<LicenseSet> DistributionNetwork::IssueUnchecked(
   (void)recipient;  // Rogue issues bypass recipient checks by design.
   const LicenseCatalog& received = state->service->licenses();
   const LicenseSet set =
-      LinearInstanceValidator(&received).SatisfyingSet(license);
+      SoaInstanceValidator(&received).SatisfyingSet(license);
   if (set.Empty()) {
     return Status::InvalidArgument(
         "license fails instance-based validation against every received "

@@ -61,15 +61,6 @@ Result<HyperRect> HyperRect::CommonRegion(
   return region;
 }
 
-std::vector<Interval> HyperRect::BoundingBox() const {
-  std::vector<Interval> box;
-  box.reserve(dims_.size());
-  for (const ConstraintRange& range : dims_) {
-    box.push_back(range.BoundingInterval());
-  }
-  return box;
-}
-
 std::string HyperRect::ToString() const {
   std::string out;
   for (size_t i = 0; i < dims_.size(); ++i) {

@@ -52,10 +52,6 @@ class HyperRect {
   // An empty list yields INVALID_ARGUMENT.
   static Result<HyperRect> CommonRegion(const std::vector<HyperRect>& rects);
 
-  // Pure-interval over-approximation for spatial indexing (see
-  // ConstraintRange::BoundingInterval).
-  std::vector<Interval> BoundingBox() const;
-
   // "[10, 20] x <cats:0x3>".
   std::string ToString() const;
 

@@ -23,9 +23,6 @@ Tier Detect() {
   if (TierAvailable(Tier::kAvx2)) {
     return Tier::kAvx2;
   }
-  if (TierAvailable(Tier::kSse42)) {
-    return Tier::kSse42;
-  }
   return Tier::kScalar;
 }
 
@@ -35,8 +32,6 @@ const char* TierName(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSse42:
-      return "sse4.2";
     case Tier::kAvx2:
       return "avx2";
   }
@@ -47,12 +42,6 @@ bool TierAvailable(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return true;
-    case Tier::kSse42:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("sse4.2") != 0;
-#else
-      return false;
-#endif
     case Tier::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2") != 0;
@@ -77,8 +66,6 @@ const Kernels& KernelsForTier(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return ScalarKernels();
-    case Tier::kSse42:
-      return Sse42Kernels();
     case Tier::kAvx2:
       return Avx2Kernels();
   }

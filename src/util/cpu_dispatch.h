@@ -11,7 +11,6 @@ namespace simd {
 // result — requests never re-probe.
 enum class Tier {
   kScalar = 0,
-  kSse42 = 1,
   kAvx2 = 2,
 };
 
@@ -35,7 +34,7 @@ const Kernels& ActiveKernels();
 
 // Kernel table for an explicit tier — the equivalence tests and ablation
 // A/B rows run every available tier over the same inputs. Callers must
-// check TierAvailable first for kSse42/kAvx2.
+// check TierAvailable first for kAvx2.
 const Kernels& KernelsForTier(Tier tier);
 
 }  // namespace simd

@@ -13,13 +13,14 @@ namespace simd {
 // scan, so the indirection amortizes. (The flat tree's batched equation
 // scan needs per-node granularity instead and therefore compiles whole
 // per tier in validation/flat_tree_batch_*.cc, sharing this module's
-// dispatch probe.) Each kernel exists in three tiers (scalar,
-// SSE4.2, AVX2), compiled into separate translation units with per-source
-// ISA flags so the rest of the tree never emits an instruction the host may
-// lack; util/cpu_dispatch.h probes the CPU once and hands out the widest
-// supported tier. Every tier computes the same pure integer predicate, so
-// results are bit-identical across tiers by construction — the equivalence
-// tests and ablation gates run all available tiers over the same inputs.
+// dispatch probe.) Each kernel exists in two tiers (scalar, AVX2),
+// compiled into separate translation units with per-source ISA flags so
+// the rest of the tree never emits an instruction the host may lack;
+// util/cpu_dispatch.h probes the CPU once and hands out AVX2 where the
+// host has it, scalar elsewhere. Both tiers compute the same pure integer
+// predicate, so results are bit-identical across tiers by construction —
+// the equivalence tests and ablation gates run all available tiers over
+// the same inputs.
 //
 // Bit layout contract: item j of a column maps to bit (j % 64) of
 // inout[j / 64], little-endian across words. Kernels AND their predicate
@@ -49,7 +50,7 @@ struct Kernels {
   void (*mask_intersects)(const uint64_t* masks, size_t n, uint64_t q_mask,
                           uint64_t* inout);
 
-  // "scalar", "sse4.2" or "avx2".
+  // "scalar" or "avx2".
   const char* name;
 };
 
@@ -58,11 +59,10 @@ struct Kernels {
 // unowned memory. Pad cells must hold fail-closed sentinel values.
 inline constexpr size_t kColumnPad = 8;
 
-// The three tiers. Scalar always runs; the SSE4.2/AVX2 kernels must only
-// be *called* on hosts where cpu_dispatch reports the tier available
-// (calling them merely returns the table — safe everywhere).
+// The two tiers. Scalar always runs; the AVX2 kernels must only be
+// *called* on hosts where cpu_dispatch reports the tier available (calling
+// Avx2Kernels() merely returns the table — safe everywhere).
 const Kernels& ScalarKernels();
-const Kernels& Sse42Kernels();
 const Kernels& Avx2Kernels();
 
 }  // namespace simd

@@ -1,7 +1,6 @@
 #include "validation/flat_tree.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "util/check.h"
@@ -192,10 +191,6 @@ void FlatValidationTree::SumSubsetsBatch(std::span<const LicenseSet> sets,
       touched = internal::SumSubsetsBatchAvx2Tier(BatchView(), single_word,
                                                   sets, sums);
       break;
-    case simd::Tier::kSse42:
-      touched = internal::SumSubsetsBatchSse42Tier(BatchView(), single_word,
-                                                   sets, sums);
-      break;
     default:
       touched = internal::SumSubsetsBatchScalarTier(BatchView(), single_word,
                                                     sets, sums);
@@ -225,99 +220,6 @@ void FlatValidationTree::SumSubsetsBatchWideReference(
       internal::SumSubsetsBatchGenericReference(BatchView(), sets, sums);
   if (nodes_visited != nullptr) {
     *nodes_visited += touched;
-  }
-}
-
-template <bool kSingleWord>
-void FlatValidationTree::SumSubsetsBatchWordSlicedImpl(
-    std::span<const LicenseSet> sets, std::span<int64_t> sums,
-    uint64_t* nodes_visited) const {
-  GEOLIC_DCHECK(sums.size() >= sets.size());
-  const size_t size = index_.size();
-  const uint32_t words = kSingleWord ? 1 : mask_words_;
-  uint64_t touched = 0;
-  for (size_t base = 0; base < sets.size(); base += 64) {
-    const size_t chunk = std::min<size_t>(64, sets.size() - base);
-    const LicenseSet* chunk_sets = sets.data() + base;
-    int64_t* chunk_sums = sums.data() + base;
-    for (size_t q = 0; q < chunk; ++q) {
-      chunk_sums[q] = 0;
-    }
-    // qwords[q * words + w]: query q's set, zero-extended to the compile's
-    // mask width so per-word tests never index past a narrow query.
-    constexpr size_t kQueryWordSlots =
-        64u * (kSingleWord ? 1u : static_cast<size_t>(kMaxLicenseWords));
-    uint64_t qwords[kQueryWordSlots];
-    for (size_t q = 0; q < chunk; ++q) {
-      for (uint32_t w = 0; w < words; ++w) {
-        qwords[q * words + w] = chunk_sets[q].Word(static_cast<int>(w));
-      }
-    }
-    // member[j]: lanes whose query set contains license j.
-    uint64_t member[kMaxLicensesLarge] = {};
-    for (size_t q = 0; q < chunk; ++q) {
-      for (int idx : chunk_sets[q].Indexes()) {
-        member[static_cast<size_t>(idx)] |= uint64_t{1} << q;
-      }
-    }
-    std::pair<uint32_t, uint64_t> stack[kMaxLicensesLarge + 1];
-    size_t depth = 0;
-    uint64_t alive = chunk == 64 ? ~uint64_t{0} : (uint64_t{1} << chunk) - 1;
-    size_t i = 0;
-    while (i < size) {
-      while (depth > 0 && stack[depth - 1].first == i) {
-        alive = stack[--depth].second;
-      }
-      touched += static_cast<uint64_t>(std::popcount(alive));
-      const uint64_t on_path = alive & member[index_[i]];
-      if (on_path == 0) {
-        i = subtree_end_[i];
-        continue;
-      }
-      const uint64_t* mask = &subtree_mask_words_[i * words];
-      const int64_t node_count = count_[i];
-      const int64_t node_sum = subtree_sum_[i];
-      uint64_t descend = 0;
-      for (uint64_t lanes = on_path; lanes != 0; lanes &= lanes - 1) {
-        const int q = std::countr_zero(lanes);
-        bool covered;
-        if constexpr (kSingleWord) {
-          covered = (mask[0] & ~qwords[q]) == 0;
-        } else {
-          covered = true;
-          const uint64_t* qw = &qwords[static_cast<uint32_t>(q) * words];
-          for (uint32_t w = 0; w < words; ++w) {
-            covered = covered && (mask[w] & ~qw[w]) == 0;
-          }
-        }
-        if (covered) {
-          chunk_sums[q] += node_sum;  // Covered: summarize, stop here.
-        } else {
-          chunk_sums[q] += node_count;
-          descend |= uint64_t{1} << q;
-        }
-      }
-      if (descend == 0 || subtree_end_[i] == i + 1) {
-        i = subtree_end_[i];
-        continue;
-      }
-      stack[depth++] = {subtree_end_[i], alive};
-      alive = descend;
-      ++i;
-    }
-  }
-  if (nodes_visited != nullptr) {
-    *nodes_visited += touched;
-  }
-}
-
-void FlatValidationTree::SumSubsetsBatchWordSliced(
-    std::span<const LicenseSet> sets, std::span<int64_t> sums,
-    uint64_t* nodes_visited) const {
-  if (mask_words_ == 1) {
-    SumSubsetsBatchWordSlicedImpl<true>(sets, sums, nodes_visited);
-  } else {
-    SumSubsetsBatchWordSlicedImpl<false>(sets, sums, nodes_visited);
   }
 }
 

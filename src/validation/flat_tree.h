@@ -93,23 +93,11 @@ class FlatValidationTree {
                        uint64_t* nodes_visited = nullptr) const;
 
   // The same batch scan pinned to the scalar lane tier (the per-lane
-  // bitmask loop always runs — what GEOLIC_FORCE_SCALAR dispatches to).
-  // Shares this revision's scan-layer improvements (column-major query
-  // words, trimmed per-chunk zeroing); only the lane step differs.
+  // bitmask loop always runs — what GEOLIC_FORCE_SCALAR dispatches to);
+  // only the lane step differs from SumSubsetsBatch.
   void SumSubsetsBatchScalar(std::span<const LicenseSet> sets,
                              std::span<int64_t> sums,
                              uint64_t* nodes_visited = nullptr) const;
-
-  // Ablation baseline, preserved verbatim: the pre-SIMD word-sliced batch
-  // scan (row-major query words, per-lane bit-scan loop, untrimmed
-  // per-chunk zeroing) exactly as it shipped before the vectorized scan
-  // replaced it. Kept — like SumSubsetsNoAccel — so the ablation's A/B
-  // measures this revision's full delta rather than a baseline that
-  // silently inherited its scan-layer improvements. Bit-identical sums
-  // and visit accounting to SumSubsetsBatch.
-  void SumSubsetsBatchWordSliced(std::span<const LicenseSet> sets,
-                                 std::span<int64_t> sums,
-                                 uint64_t* nodes_visited = nullptr) const;
 
   // Equivalence-gating references: the generic word-sliced implementations,
   // forced even when the compile is single-word (and, for the batch, pinned
@@ -149,10 +137,6 @@ class FlatValidationTree {
  private:
   template <bool kSingleWord>
   int64_t SumSubsetsImpl(const LicenseSet& set, uint64_t* nodes_visited) const;
-  template <bool kSingleWord>
-  void SumSubsetsBatchWordSlicedImpl(std::span<const LicenseSet> sets,
-                                     std::span<int64_t> sums,
-                                     uint64_t* nodes_visited) const;
 
   // Column-pointer view handed to the per-tier batch-scan entry points.
   internal::FlatTreeBatchView BatchView() const;

@@ -33,18 +33,14 @@ struct FlatTreeBatchView {
 // pruning — the batch's nodes_visited increment. `single_word` selects
 // the mask_words == 1 fast path; passing false forces the generic
 // word-sliced scan (the wide-reference equivalence gate uses this).
-// Results are bit-identical across tiers by construction. The SSE4.2 and
-// AVX2 entries must only be called on hosts where util/cpu_dispatch.h
-// reports the tier available; on toolchains built without the ISA they
-// degrade to the scalar tier.
+// Results are bit-identical across tiers by construction. The AVX2 entry
+// must only be called on hosts where util/cpu_dispatch.h reports the tier
+// available; on toolchains built without the ISA it degrades to the
+// scalar tier.
 uint64_t SumSubsetsBatchScalarTier(const FlatTreeBatchView& view,
                                    bool single_word,
                                    std::span<const LicenseSet> sets,
                                    std::span<int64_t> sums);
-uint64_t SumSubsetsBatchSse42Tier(const FlatTreeBatchView& view,
-                                  bool single_word,
-                                  std::span<const LicenseSet> sets,
-                                  std::span<int64_t> sums);
 uint64_t SumSubsetsBatchAvx2Tier(const FlatTreeBatchView& view,
                                  bool single_word,
                                  std::span<const LicenseSet> sets,

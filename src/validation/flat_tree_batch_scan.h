@@ -2,7 +2,7 @@
 #define GEOLIC_VALIDATION_FLAT_TREE_BATCH_SCAN_H_
 
 // Shared body of the 64-lane batched equation scan, included ONLY by the
-// per-ISA tier translation units (flat_tree_batch_{scalar,sse42,avx2}.cc).
+// per-ISA tier translation units (flat_tree_batch_{scalar,avx2}.cc).
 // Each tier instantiates BatchScan with its own LaneOps policy:
 //
 //   struct LaneOps {

@@ -115,7 +115,7 @@ License WorkloadGenerator::DrawUsageLicense(const Workload& workload,
 Result<Workload> WorkloadGenerator::Generate() {
   GEOLIC_ASSIGN_OR_RETURN(Workload workload, GenerateLicensesOnly());
   Rng rng(config_.seed ^ 0x9e3779b97f4a7c15ULL);
-  const LinearInstanceValidator instance_validator(workload.licenses.get());
+  const SoaInstanceValidator instance_validator(workload.licenses.get());
 
   for (int r = 0; r < config_.num_records; ++r) {
     const int parent =

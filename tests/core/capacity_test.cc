@@ -111,7 +111,7 @@ TEST(CapacityPropertyTest, QuoteMatchesOnlineAcceptanceBoundary) {
 
     // For random usage rects, the capacity quote equals the acceptance
     // boundary.
-    const LinearInstanceValidator instance(workload->licenses.get());
+    const SoaInstanceValidator instance(workload->licenses.get());
     for (int trial = 0; trial < 40; ++trial) {
       const int parent = static_cast<int>(
           rng.UniformInt(0, workload->licenses->size() - 1));

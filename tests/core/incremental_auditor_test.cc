@@ -1,4 +1,4 @@
-#include "core/incremental_auditor.h"
+#include "bench/incremental_auditor.h"
 
 #include <map>
 

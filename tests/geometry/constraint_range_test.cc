@@ -80,7 +80,7 @@ TEST(ConstraintRangeTest, BoundingIntervalForCategoriesSpansBits) {
 
 TEST(ConstraintRangeTest, BoundingIntervalIsOverApproximation) {
   // {bit0, bit5} and {bit2} do not overlap as sets, but their bounding
-  // intervals [0,5] and [2,2] do — the R-tree must treat its answers as
+  // intervals [0,5] and [2,2] do — a bounding-interval test yields
   // candidates only.
   const ConstraintRange sparse{CategorySet(0b100001)};
   const ConstraintRange middle{CategorySet(0b000100)};

@@ -95,16 +95,6 @@ TEST(HyperRectTest, CommonRegionOfEmptyListFails) {
   EXPECT_FALSE(HyperRect::CommonRegion({}).ok());
 }
 
-TEST(HyperRectTest, BoundingBoxMixesKinds) {
-  HyperRect rect;
-  rect.AddDim(ConstraintRange(Interval(3, 9)));
-  rect.AddDim(ConstraintRange(CategorySet(0b10010)));
-  const std::vector<Interval> box = rect.BoundingBox();
-  ASSERT_EQ(box.size(), 2u);
-  EXPECT_EQ(box[0], Interval(3, 9));
-  EXPECT_EQ(box[1], Interval(1, 4));
-}
-
 TEST(HyperRectTest, ToString) {
   EXPECT_EQ(Rect({{0, 1}, {2, 3}}).ToString(), "[0, 1] x [2, 3]");
 }

@@ -30,18 +30,15 @@ std::vector<const HyperRect*> RectPointers(const std::vector<HyperRect>& rects) 
 // wider tiers only where cpuid says so).
 std::vector<simd::Tier> AvailableTiers() {
   std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
-  if (simd::TierAvailable(simd::Tier::kSse42)) {
-    tiers.push_back(simd::Tier::kSse42);
-  }
   if (simd::TierAvailable(simd::Tier::kAvx2)) {
     tiers.push_back(simd::Tier::kAvx2);
   }
   return tiers;
 }
 
-// Bound values skewed toward the saturation edges the PR-4 Guttman fix
-// exercised: INT64 extremes and off-by-one neighbors show up often enough
-// that the fail-closed sentinels and closed-interval comparisons get hit.
+// Bound values skewed toward the saturation edges: INT64 extremes and
+// off-by-one neighbors show up often enough that the fail-closed sentinels
+// and closed-interval comparisons get hit.
 int64_t EdgyValue(Rng* rng) {
   switch (rng->UniformIndex(8)) {
     case 0:

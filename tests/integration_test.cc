@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/incremental_auditor.h"
+#include "bench/incremental_auditor.h"
 #include "drm/validation_authority.h"
 #include "licensing/license_parser.h"
 #include "service/issuance_service.h"

@@ -94,7 +94,7 @@ TEST(BlackoutWindowsTest, InstanceValidationRespectsBlackout) {
       .SetAggregateCount(100)
       .SetIntervalUnion("C1", {{0, 10}, {20, 30}});
   ASSERT_TRUE(set.Add(*builder.Build()).ok());
-  const LinearInstanceValidator validator(&set);
+  const SoaInstanceValidator validator(&set);
 
   // Inside the first window.
   EXPECT_EQ(validator.SatisfyingSet(MakeUsage(schema, "U1", {{2, 8}}, 1)),
@@ -134,18 +134,6 @@ TEST(BlackoutWindowsTest, OverlapGroupingSeesThroughGaps) {
 
   const LicenseGrouping grouping = LicenseGrouping::FromLicenses(set);
   EXPECT_EQ(grouping.group_count(), 2);  // The gap separates them.
-
-  // R-tree instance lookup (whose boxes are lossy bounding intervals) must
-  // still agree with the exact linear scan.
-  const LinearInstanceValidator linear(&set);
-  const Result<RtreeInstanceValidator> rtree =
-      RtreeInstanceValidator::Build(&set);
-  ASSERT_TRUE(rtree.ok());
-  for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
-           {2, 8}, {12, 18}, {8, 22}, {25, 28}}) {
-    const License usage = MakeUsage(schema, "Q", {{lo, hi}}, 1);
-    EXPECT_EQ(rtree->SatisfyingSet(usage), linear.SatisfyingSet(usage));
-  }
 }
 
 TEST(BlackoutWindowsTest, OnlineValidationWithWindows) {

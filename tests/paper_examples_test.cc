@@ -88,7 +88,7 @@ class PaperExamplesTest : public ::testing::Test {
 };
 
 TEST_F(PaperExamplesTest, Example1InstanceValidation) {
-  const LinearInstanceValidator validator(licenses_.get());
+  const SoaInstanceValidator validator(licenses_.get());
   // "L_U^1 satisfies all instance based constraints for L_D^1 and L_D^2."
   const License lu1 = Usage("LU1", "[15/03/09, 19/03/09]", "India", 800);
   EXPECT_EQ(validator.SatisfyingSet(lu1), testing::Mask(0b00011));
@@ -259,7 +259,7 @@ TEST_F(PaperExamplesTest, Section42GainIllustration) {
 TEST_F(PaperExamplesTest, Figure2InvalidUsageLicense) {
   // A usage license not inside any redistribution license is invalid
   // outright (figure 2's L_U^2 in the geometric illustration).
-  const LinearInstanceValidator validator(licenses_.get());
+  const SoaInstanceValidator validator(licenses_.get());
   // Africa is outside every example license's regions.
   const License stray = Usage("LUX", "[15/03/09, 19/03/09]", "Egypt", 10);
   EXPECT_TRUE(validator.SatisfyingSet(stray).Empty());

@@ -144,8 +144,20 @@ inline License MakeUsage(
   return *license;
 }
 
-// Random hyper-rectangle with `dims` interval dimensions inside
-// [0, domain).
+// Reference instance-based validation: the mask of catalog licenses whose
+// InstanceContains(issued) holds, by a plain loop over the catalog — the
+// oracle SoaInstanceValidator is checked against.
+inline LicenseSet BruteForceSatisfyingSet(const LicenseCatalog& licenses,
+                                          const License& issued) {
+  LicenseSet set;
+  for (int i = 0; i < licenses.size(); ++i) {
+    if (licenses.at(i).InstanceContains(issued)) {
+      set.Add(i);
+    }
+  }
+  return set;
+}
+
 // Pointers to `rects`: the form DynamicGrouping and SoaRects read a
 // catalog's rects in.
 inline std::vector<const HyperRect*> RectPointers(
@@ -158,6 +170,8 @@ inline std::vector<const HyperRect*> RectPointers(
   return pointers;
 }
 
+// Random hyper-rectangle with `dims` interval dimensions inside
+// [0, domain).
 inline HyperRect RandomRect(Rng* rng, int dims, int64_t domain) {
   std::vector<ConstraintRange> ranges;
   ranges.reserve(static_cast<size_t>(dims));

@@ -138,7 +138,7 @@ TEST_P(TheoremsPropertyTest, SatisfyingSetsAreAlwaysPairwiseOverlapping) {
   WorkloadGenerator generator(config);
   Result<Workload> workload = generator.GenerateLicensesOnly();
   ASSERT_TRUE(workload.ok());
-  const LinearInstanceValidator validator(workload->licenses.get());
+  const SoaInstanceValidator validator(workload->licenses.get());
   Rng rng(testing::TestSeed(23));
   for (int trial = 0; trial < 200; ++trial) {
     const int parent = static_cast<int>(

@@ -105,7 +105,7 @@ TEST(FlatTreeSimdTest, ActiveKernelsReportNonEmptyTierName) {
   const simd::Kernels& kernels = simd::ActiveKernels();
   EXPECT_NE(kernels.name, nullptr);
   EXPECT_NE(kernels.name[0], '\0');
-  // The active tier is one of the three known tables.
+  // The active tier is one of the two known tables.
   const simd::Tier tier = simd::ActiveTier();
   EXPECT_EQ(&simd::KernelsForTier(tier), &kernels);
 }

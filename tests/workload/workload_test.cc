@@ -131,11 +131,9 @@ TEST(WorkloadGeneratorTest, UsageCountsWithinPaperRange) {
 }
 
 TEST(WorkloadGeneratorTest, LogSetsMatchGeometry) {
-  // Every log record's set must equal the set of licenses geometrically
-  // containing a rectangle — re-derivable via the instance validator on
-  // the drawn usage rect is not possible post hoc, but each set must at
-  // least be consistent: all members pairwise overlapping (they share the
-  // usage rectangle).
+  // Every log record's set is the set of licenses containing one usage
+  // rectangle (LogSetsEqualBruteForceContainingSets), so its members
+  // pairwise overlap: they share that rectangle.
   WorkloadConfig config;
   config.num_licenses = 15;
   config.num_records = 400;
@@ -149,6 +147,37 @@ TEST(WorkloadGeneratorTest, LogSetsMatchGeometry) {
         EXPECT_TRUE(workload->licenses->at(members[i])
                         .OverlapsWith(workload->licenses->at(members[j])));
       }
+    }
+  }
+}
+
+TEST(WorkloadGeneratorTest, LogSetsEqualBruteForceContainingSets) {
+  // Replays Generate's draws (its record stream is seeded with
+  // seed ^ 0x9e3779b97f4a7c15) and checks that every logged set is exactly
+  // the set of licences containing the drawn usage licence, on catalogs of
+  // one, two and three result words.
+  for (const auto& [seed, n] :
+       std::vector<std::pair<uint64_t, int>>{{1, 12}, {7, 70}, {2010, 140}}) {
+    WorkloadConfig config;
+    config.num_licenses = n;
+    config.num_records = 600;
+    config.seed = seed;
+    WorkloadGenerator generator(config);
+    const Result<Workload> workload = generator.Generate();
+    ASSERT_TRUE(workload.ok());
+    ASSERT_EQ(workload->log.size(), 600u);
+    Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    for (int r = 0; r < config.num_records; ++r) {
+      const int parent = static_cast<int>(rng.UniformInt(0, n - 1));
+      const License usage =
+          generator.DrawUsageLicense(*workload, parent, &rng, r + 1);
+      const LogRecord& record =
+          workload->log.records()[static_cast<size_t>(r)];
+      ASSERT_EQ(record.issued_license_id, usage.id()) << "seed " << seed;
+      ASSERT_EQ(record.count, usage.aggregate_count()) << "seed " << seed;
+      EXPECT_EQ(record.set,
+                testing::BruteForceSatisfyingSet(*workload->licenses, usage))
+          << "seed " << seed << " record " << r;
     }
   }
 }
