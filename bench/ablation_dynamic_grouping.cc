@@ -286,7 +286,7 @@ int64_t TimePreload(const LicenseCatalog& catalog, const LogStore& history,
   int64_t best = std::numeric_limits<int64_t>::max();
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch timer;
-    *sink += create()->shard_count();
+    *sink += create()->licenses().size();
     best = std::min(best, timer.ElapsedNanos());
   }
   return best;
@@ -362,7 +362,7 @@ RestoreResult TimeRestore(const LicenseCatalog& catalog,
       CheckCollectsMerged(**restored, history);
       continue;
     }
-    *sink += (*restored)->shard_count();
+    *sink += (*restored)->licenses().size();
     result.decode_ns = std::min(result.decode_ns, decode_ns);
     result.restore_ns = std::min(result.restore_ns, restore_ns);
   }
@@ -379,7 +379,6 @@ struct EpochBuildResult {
   uint64_t revoke_allocs = 0;
   // Heap bytes in use that one Create added (the service alive).
   size_t create_heap_bytes = 0;
-  int shards = 0;
 };
 
 // Heap bytes in use (small-chunk arenas plus mmapped chunks).
@@ -430,7 +429,6 @@ EpochBuildResult TimeEpochBuilds(const LicenseCatalog& catalog, int reps) {
     result.create_heap_bytes = create_heap_bytes;
     result.acquire_allocs = acquire_allocs;
     result.revoke_allocs = revoke_allocs;
-    result.shards = (*service)->shard_count();
   }
   return result;
 }
@@ -604,8 +602,8 @@ int main(int argc, char** argv) {
               "acquire of a copy of license 0's geometry and the revoke of "
               "the newcomer (best of %d reps; allocs = heap allocations of "
               "one call; heap_kib = heap in use that Create added)\n", reps);
-  std::printf("%14s  %6s  %6s  %6s  %10s  %6s  %8s  %10s  %6s  %10s  %6s\n",
-              "layout", "n", "groups", "shards", "create_ns", "allocs",
+  std::printf("%14s  %6s  %6s  %10s  %6s  %8s  %10s  %6s  %10s  %6s\n",
+              "layout", "n", "groups", "create_ns", "allocs",
               "heap_kib", "acquire_ns", "allocs", "revoke_ns", "allocs");
   const std::unique_ptr<LicenseCatalog> pairs128 =
       CatalogOf(schema1, PairRects(128), int64_t{1} << 40);
@@ -627,10 +625,9 @@ int main(int argc, char** argv) {
     const EpochBuildResult result = TimeEpochBuilds(*layout.catalog, reps);
     const int groups =
         LicenseGrouping::FromLicenses(*layout.catalog).group_count();
-    sink += result.shards;
     std::printf(
-        "%14s  %6d  %6d  %6d  %10ld  %6lu  %8.1f  %10ld  %6lu  %10ld  %6lu\n",
-        layout.layout, layout.catalog->size(), groups, result.shards,
+        "%14s  %6d  %6d  %10ld  %6lu  %8.1f  %10ld  %6lu  %10ld  %6lu\n",
+        layout.layout, layout.catalog->size(), groups,
         static_cast<long>(result.create_ns),
         static_cast<unsigned long>(result.create_allocs),
         static_cast<double>(result.create_heap_bytes) / 1024.0,
@@ -645,7 +642,6 @@ int main(int argc, char** argv) {
         out.KeyValue("step", step);
         out.KeyValue("n", static_cast<int64_t>(layout.catalog->size()));
         out.KeyValue("groups", static_cast<int64_t>(groups));
-        out.KeyValue("shards", static_cast<int64_t>(result.shards));
         out.KeyValue("ns", name == "create"    ? result.create_ns
                            : name == "acquire" ? result.acquire_ns
                                                : result.revoke_ns);

@@ -1,13 +1,15 @@
 // Ablation: admission latency while the catalog is reconfiguring.
 //
-// The epoch/RCU shard-map swap promises that AcquireLicense / RevokeLicense
-// never stop issuance: admissions pin an epoch lock-free, and one that
-// loses the race to a reconfiguration retries against the new shard map.
-// This bench measures per-request admission latency in two phases — a
-// quiescent catalog, then a reconfiguration storm (a bridge license
-// acquired and revoked in a tight loop, merging and re-splitting two
-// shards each round) — and self-checks that the storm-phase p99 stays
-// within 5x of the quiescent p99.
+// One service lock guards admissions and reconfigurations alike: an
+// admission that arrives while AcquireLicense / RevokeLicense runs waits
+// for that whole reconfiguration (the next epoch's build, the carry of
+// every accepted set, the journal frame and the swap), so a storm stalls
+// issuance by up to one reconfiguration per admission. This bench measures
+// per-request admission latency in two phases — a quiescent catalog, then
+// a reconfiguration storm (a bridge license acquired and revoked in a
+// tight loop, merging and re-splitting two overlap groups each round) —
+// and self-checks that the storm-phase p99 stays within 5x of the
+// quiescent p99.
 //
 // A second section measures what one reconfiguration costs as the accepted
 // history grows: a catalog of one overlap group of N licenses (N = 12, the
@@ -84,7 +86,7 @@ std::vector<License> MakeRequests(const ConstraintSchema& schema, int groups,
 }
 
 // The storm license: spans clusters 0 and 1, so each acquisition merges
-// their shards and each revocation splits them again (figure 6, live).
+// their groups and each revocation splits them again (figure 6, live).
 License BridgeLicense(const ConstraintSchema& schema, int round) {
   LicenseBuilder builder(&schema);
   builder.SetId("X" + std::to_string(round))
@@ -362,9 +364,9 @@ int main(int argc, char** argv) {
   std::printf("%10s  %10" PRId64 "  %10" PRId64 "  %10" PRIu64 "\n", "storm",
               storm.p50_ns, storm.p99_ns, storm.reconfigs);
 
-  // The acceptance bar: reconfigurations may cost retries and shard-lock
-  // waits, but the epoch swap must keep the admission tail within 5x of a
-  // quiescent catalog. The 2µs floor keeps sub-microsecond quiescent tails
+  // The acceptance bar: an admission may wait out a reconfiguration that
+  // holds the service lock, but the admission tail must stay within 5x of
+  // a quiescent catalog. The 2µs floor keeps sub-microsecond quiescent tails
   // (where one scheduler tick is many multiples) from making the ratio
   // meaningless.
   const double floor_ns = 2000.0;

@@ -1,13 +1,12 @@
-// Ablation: issuance throughput vs thread count under the sharded
-// IssuanceService. Overlap groups share no validation equations (the
-// sharding corollary of the paper's Theorem 2), so per-group locks let
-// admissions from different groups proceed concurrently; the single-shard
-// configuration (grouping off) serializes every admission and bounds what
-// a global lock would achieve. Also measures the batched admission API,
-// which sorts a batch by shard and locks each touched shard once.
+// Ablation: issuance throughput vs thread count under IssuanceService's
+// one service lock. Every call — an admission, a whole batch, a
+// reconfiguration — is one step under that lock, so admissions from any
+// number of threads serialize, and the table shows what handing the lock
+// between threads costs against one thread admitting alone. Also measures
+// the batched admission API, which takes the lock once per batch.
 // --journal=1 attaches an in-memory write-ahead journal to every service
-// (each acceptance then also takes the journal mutex). Machine-readable:
-// --json_out=<path>.
+// (each acceptance then also frames a journal record under the lock).
+// Machine-readable: --json_out=<path>.
 //
 // Budgets are set far above the request volume so every instance-valid
 // request is accepted and the accepted set is identical across thread
@@ -146,12 +145,13 @@ int main(int argc, char** argv) {
               "groups, %d requests, hardware threads: %d, journal: %s)\n",
               groups, request_count, ThreadPool::DefaultThreadCount(),
               journal ? "in memory" : "none");
-  std::printf("%8s  %10s  %12s  %12s  %10s\n", "threads", "shards",
-              "sharded_ms", "kreq_per_s", "speedup");
+  std::printf("%8s  %12s  %12s  %10s\n", "threads", "elapsed_ms",
+              "kreq_per_s", "speedup");
 
   // Serial reference state for the determinism check.
   std::string reference_tree;
   double serial_ms = 0.0;
+  double widest_ms = 0.0;
   for (int threads = 1; threads <= max_threads; threads *= 2) {
     const std::unique_ptr<IssuanceService> service =
         MakeService(licenses, {}, journal);
@@ -169,15 +169,13 @@ int main(int argc, char** argv) {
     }
     GEOLIC_CHECK(service->metrics().Snap().accepted ==
                  static_cast<uint64_t>(request_count));
-    std::printf("%8d  %10d  %12.2f  %12.1f  %9.2fx\n", threads,
-                service->shard_count(), elapsed_ms,
+    widest_ms = elapsed_ms;
+    std::printf("%8d  %12.2f  %12.1f  %9.2fx\n", threads, elapsed_ms,
                 static_cast<double>(request_count) / elapsed_ms,
                 elapsed_ms > 0 ? serial_ms / elapsed_ms : 0.0);
     json.Row([&](JsonWriter& out) {
-      out.KeyValue("mode", "sharded");
+      out.KeyValue("mode", "threaded");
       out.KeyValue("threads", static_cast<int64_t>(threads));
-      out.KeyValue("shards",
-                   static_cast<int64_t>(service->shard_count()));
       out.KeyValue("elapsed_ms", elapsed_ms);
       out.KeyValue("kreq_per_s",
                    static_cast<double>(request_count) / elapsed_ms);
@@ -186,27 +184,10 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Global-lock baseline: grouped equation scopes (same per-request work)
-  // but a single mutex striping all groups, so admissions serialize.
-  {
-    OnlineValidatorOptions options;
-    options.shard_hint = 1;
-    const std::unique_ptr<IssuanceService> service =
-        MakeService(licenses, options, journal);
-    const double elapsed_ms =
-        RunThreaded(service.get(), requests, max_threads);
-    std::printf("# single lock (shard_hint=1, %d threads): %.2f ms "
-                "(%.1f kreq/s) — the global-lock bound\n",
-                max_threads, elapsed_ms,
-                static_cast<double>(request_count) / elapsed_ms);
-    json.Row([&](JsonWriter& out) {
-      out.KeyValue("mode", "single_lock");
-      out.KeyValue("threads", static_cast<int64_t>(max_threads));
-      out.KeyValue("elapsed_ms", elapsed_ms);
-      out.KeyValue("kreq_per_s",
-                   static_cast<double>(request_count) / elapsed_ms);
-    });
-  }
+  std::printf("# one service lock: the most threads admit at %.2fx the "
+              "1-thread rate (admissions serialize; the difference is the "
+              "lock hand-off)\n",
+              widest_ms > 0 ? serial_ms / widest_ms : 0.0);
 
   // Batched admission, single caller thread.
   {
@@ -320,8 +301,8 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::printf("# expected shape: throughput grows with threads until "
-              "min(groups, cores); single-shard stays flat at the 1-thread "
+  std::printf("# expected shape: no thread count beats 1 thread (one lock "
+              "serializes admissions); batched at or above the 1-thread "
               "rate; tracing overhead stays under 5%%\n");
   json.Write();
   return 0;

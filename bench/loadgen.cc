@@ -6,7 +6,7 @@
 // Reports client-side latency percentiles plus the server's own counters;
 // the headline number is the mean wire batch size (batched requests per
 // TryIssueBatch dispatch), which is > 1 whenever concurrent connections
-// actually coalesce into shared shard-lock acquisitions.
+// actually coalesce into shared service-lock acquisitions.
 //
 // --overload=1 shrinks the admission queue so the run demonstrates load
 // shedding: sheds become nonzero, protocol errors must stay zero, and

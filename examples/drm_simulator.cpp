@@ -7,10 +7,10 @@
 //
 // A second phase replays the same issuance load through a service-backed
 // ValidationAuthority from several threads at once: distributors' licenses
-// live in disjoint Z bands, so they form independent overlap groups and the
-// sharded IssuanceService admits them concurrently. The phase checks that
-// the concurrent state matches a single-threaded replay and prints the
-// service's metrics block.
+// live in disjoint Z bands, so they form independent overlap groups, and
+// the threads' admissions take turns under the IssuanceService's one lock.
+// The phase checks that the concurrent state matches a single-threaded
+// replay and prints the service's metrics block.
 //
 // Usage: drm_simulator [--seed=N] [--distributors=N] [--issues=N]
 //                      [--rogues=N] [--threads=N] [--metrics_out=PATH]
@@ -199,8 +199,8 @@ int main(int argc, char** argv) {
   }
   // Concurrent issuance through the validation authority: one content
   // domain holding every distributor's licenses. The Z bands never overlap
-  // across distributors, so the domain splits into per-band overlap groups
-  // and the sharded service validates the threads' requests in parallel.
+  // across distributors, so the domain splits into per-band overlap groups,
+  // and each thread's requests are checked against their own group only.
   // Full (unsampled) tracing: the simulator's load is small, and the stage
   // profile in --metrics_out should cover every admission.
   Tracer tracer;
@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
   const Result<const IssuanceService*> service = authority.ServiceFor(key);
   GEOLIC_CHECK(service.ok());
   // The concurrent tree must equal a single-threaded replay of what was
-  // accepted — the sharding theorem at work.
+  // accepted: every admission is one step under the service lock.
   const Result<ValidationTree> replay =
       ValidationTree::BuildFromLog((*service)->CollectLog());
   GEOLIC_CHECK(replay.ok());
@@ -264,11 +264,10 @@ int main(int argc, char** argv) {
   GEOLIC_CHECK(concurrent_tree.ok());
   GEOLIC_CHECK(concurrent_tree->ToString() == replay->ToString());
 
-  std::printf("\nConcurrent authority (%d threads, %d overlap groups, "
-              "%d lock shards): %d of %d accepted\n",
+  std::printf("\nConcurrent authority (%d threads, %d overlap groups): "
+              "%d of %d accepted\n",
               num_threads, (*service)->grouping().group_count(),
-              (*service)->shard_count(), concurrent_accepted.load(),
-              num_issues);
+              concurrent_accepted.load(), num_issues);
   std::printf("  service metrics: %s\n",
               (*service)->metrics().Snap().ToString().c_str());
   std::printf("  concurrent state == serial replay: yes\n");

@@ -33,8 +33,8 @@ namespace geolic {
 // only a popularity head is hot at any moment. The catalog layer exploits
 // that: tenants are *compiled* lazily — the first request for a content
 // materializes its baseline from the TenantSource, builds the grouping /
-// instance geometry / shards, and caches the resulting service in a
-// sharded LRU. When resident bytes exceed the budget, cold tenants are
+// instance geometry / equation tables, and caches the resulting service
+// in a sharded LRU. When resident bytes exceed the budget, cold tenants are
 // *spilled*: their evolved catalog + accepted log + epoch are written to a
 // per-tenant checkpoint (persist/checkpoint.h, kind = tenant-snapshot) and
 // the in-memory service is freed. Re-access reloads the spill
@@ -85,7 +85,7 @@ struct CatalogOptions {
   // Passed through to each pool writer (see persist/journal.h).
   int fsync_interval = 1;
 
-  // Per-tenant service options (grouping, shard hint, metrics, tracer —
+  // Per-tenant service options (grouping, metrics, tracer —
   // shared by every tenant service the catalog builds).
   OnlineValidatorOptions service_options;
 

@@ -23,10 +23,10 @@ namespace geolic {
 // every domain's licenses and log to disk.
 //
 // Thread-safety: ValidateIssue calls may run concurrently with each other
-// (they delegate to the lock-sharded service). Everything that mutates the
-// domain map or reconfigures or replaces services — RegisterRedistribution,
-// ClosePeriod, RestoreFull — must be externally serialized against all
-// other calls.
+// (they delegate to the domain's service, one step each under its lock).
+// Everything that mutates the domain map or reconfigures or replaces
+// services — RegisterRedistribution, ClosePeriod, RestoreFull — must be
+// externally serialized against all other calls.
 class ValidationAuthority {
  public:
   // Key of one validation domain.
@@ -63,9 +63,9 @@ class ValidationAuthority {
 
   // `schema` applies to every content handled by this authority and must
   // outlive it. `service_options` configures every domain's
-  // IssuanceService (grouping, shard hint, and the metrics/tracer sinks —
-  // which must outlive the authority when set; note a shared metrics block
-  // or tracer aggregates across all domains).
+  // IssuanceService (grouping, and the metrics/tracer sinks — which must
+  // outlive the authority when set; note a shared metrics block or tracer
+  // aggregates across all domains).
   explicit ValidationAuthority(const ConstraintSchema* schema,
                                const OnlineValidatorOptions& service_options =
                                    OnlineValidatorOptions{})
@@ -99,8 +99,8 @@ class ValidationAuthority {
   // The domain's live issuance service (metrics, batch admission).
   Result<const IssuanceService*> ServiceFor(const ContentKey& key) const;
 
-  // Batched admission for one domain (single lock acquisition per shard
-  // touched); decisions in input order. All licenses must belong to `key`.
+  // Batched admission for one domain (one lock acquisition for the whole
+  // batch); decisions in input order. All licenses must belong to `key`.
   Result<std::vector<OnlineDecision>> ValidateIssueBatch(
       const ContentKey& key, const std::vector<License>& batch);
 

@@ -23,7 +23,8 @@ namespace geolic {
 enum class TraceStage : uint8_t {
   kInstanceCheck = 0,    // Satisfying-set lookup by per-rect probe; no
                          // production path records it any more.
-  kShardLockWait,        // Time blocked acquiring the shard mutex.
+  kShardLockWait,        // Time blocked acquiring the service lock (the
+                         // name predates the one lock).
   kEquationScan,         // Per-group validation-equation evaluation.
   kJournalAppend,        // WAL frame append (may include an inline fsync).
   kJournalFsync,         // fsync of the journal file.
@@ -33,8 +34,10 @@ enum class TraceStage : uint8_t {
   kOfflineValidation,    // Offline V_T: equation-engine run.
   kInstanceSoaScan,      // SIMD SoA column sweep of the satisfying-set
                          // lookup (IssuanceService's instance check).
-  kShardSwap,            // Catalog reconfiguration: build + publish of a
-                         // new epoch's shard map (acquire/revoke/expire).
+  kShardSwap,            // Catalog reconfiguration under the service
+                         // lock: the next epoch's build, the carry of the
+                         // accepted sets, the journal frame and the swap
+                         // (acquire/revoke/expire).
   kNetRead,              // Socket readable to a complete decoded frame
                          // (recv + ring append + incremental decode).
   kNetBatchWait,         // Frame decoded to its admission at the end of

@@ -31,7 +31,8 @@ inline constexpr char kCheckpointMagic[8] =
 inline constexpr uint32_t kCheckpointVersion = 2;
 
 // What the payload contains; mismatches fail the read.
-// Kind 1 (a validation-tree body) is retired: it reads as unknown.
+// Kind 1 (a validation-tree body) is no longer written: it reads as
+// unknown.
 enum class CheckpointKind : uint32_t {
   kLogStore = 2,           // validation/log_store.h record table.
   kServiceSnapshot = 3,    // service/issuance_service.h checkpoint.

@@ -42,27 +42,6 @@ void AddToSupersets(int64_t* table, uint32_t local, uint32_t full,
   }
 }
 
-// Request timer that reads the simulation's virtual clock when hooks are
-// installed (making latency metrics a deterministic function of the seed)
-// and the monotonic wall clock otherwise.
-class RequestTimer {
- public:
-  explicit RequestTimer(SimHooks* hooks)
-      : hooks_(hooks), sim_start_(hooks != nullptr ? hooks->NowNanos() : 0) {}
-
-  int64_t ElapsedNanos() const {
-    if (hooks_ != nullptr) {
-      return static_cast<int64_t>(hooks_->NowNanos() - sim_start_);
-    }
-    return real_.ElapsedNanos();
-  }
-
- private:
-  SimHooks* hooks_;
-  uint64_t sim_start_;
-  Stopwatch real_;
-};
-
 constexpr uint32_t kServiceStateVersion = 1;
 
 // Read-only stream over a byte span, so ReadLicenseBinary decodes a
@@ -240,6 +219,27 @@ Status EvolveCatalog(const JournalEntry& entry, std::vector<License>* active,
 
 }  // namespace
 
+// Request timer that reads the simulation's virtual clock when hooks are
+// installed (making latency metrics a deterministic function of the seed)
+// and the monotonic wall clock otherwise.
+class IssuanceService::RequestTimer {
+ public:
+  explicit RequestTimer(SimHooks* hooks)
+      : hooks_(hooks), sim_start_(hooks != nullptr ? hooks->NowNanos() : 0) {}
+
+  int64_t ElapsedNanos() const {
+    if (hooks_ != nullptr) {
+      return static_cast<int64_t>(hooks_->NowNanos() - sim_start_);
+    }
+    return real_.ElapsedNanos();
+  }
+
+ private:
+  SimHooks* hooks_;
+  uint64_t sim_start_;
+  Stopwatch real_;
+};
+
 MemberRuns::MemberRuns(const LicenseSet& members) {
   GEOLIC_CHECK(!members.Empty() && members.Size() <= kMaxDenseGroupSize);
   uint32_t local = 0;
@@ -355,31 +355,22 @@ Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
 
 IssuanceService::IssuanceService(const OnlineValidatorOptions& options,
                                  DynamicGrouping grouping,
-                                 std::shared_ptr<CatalogEpoch> epoch0)
+                                 std::unique_ptr<CatalogEpoch> epoch0)
     : options_(options),
-      dyn_grouping_(std::move(grouping)),
-      metrics_(options.metrics != nullptr ? options.metrics : &owned_metrics_) {
-  state_.store(std::move(epoch0), std::memory_order_release);
-}
+      metrics_(options.metrics != nullptr ? options.metrics : &owned_metrics_),
+      epoch_(std::move(epoch0)),
+      dyn_grouping_(std::move(grouping)) {}
 
-std::shared_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
+std::unique_ptr<IssuanceService::CatalogEpoch> IssuanceService::BuildEpoch(
     const OnlineValidatorOptions& options, uint64_t epoch_number,
     const LicenseCatalog* catalog, std::unique_ptr<LicenseCatalog> owned,
     LicenseGrouping grouping) {
-  auto epoch = std::make_shared<CatalogEpoch>(catalog, std::move(owned),
+  auto epoch = std::make_unique<CatalogEpoch>(catalog, std::move(owned),
                                               std::move(grouping));
   epoch->epoch = epoch_number;
-  int shard_count = 1;
-  if (options.use_grouping) {
-    shard_count = std::min(epoch->grouping.group_count(),
-                           options.shard_hint > 0 ? options.shard_hint
-                                                  : kDefaultMaxShards);
-    shard_count = std::max(shard_count, 1);
-  }
-  // Shards are not movable (a mutex each): the vector is sized once.
-  epoch->shards = std::vector<Shard>(static_cast<size_t>(shard_count));
-  // Precompute every equation scope once: RouteSet hands out references
-  // into these, so the per-request path never copies a LicenseSet.
+  epoch->grouped = options.use_grouping;
+  // Precompute every equation scope once: Route hands out references into
+  // these, so the per-request path never copies a LicenseSet.
   const LicenseGrouping& groups = epoch->grouping;
   epoch->all_mask = catalog->AllMask();
   const auto add_scope = [&epoch](LicenseSet mask, int group, int size) {
@@ -440,6 +431,21 @@ LicenseSet IssuanceService::CatalogEpoch::WithLocal(const EquationScope& scope,
   return s;
 }
 
+void IssuanceService::CatalogEpoch::ForEachSet(
+    const std::function<void(const LicenseSet&, int64_t)>& read) const {
+  for (const EquationScope& scope : scopes) {
+    if (!scope.dense()) {
+      continue;
+    }
+    for (uint32_t local = 1; local <= scope.full_local(); ++local) {
+      if (scope.counts[local] != 0) {
+        read(WithLocal(scope, LicenseSet(), local), scope.counts[local]);
+      }
+    }
+  }
+  tree.ForEachSet(read);
+}
+
 void IssuanceService::FinishEpochTables(const CatalogEpoch& epoch,
                                         const std::vector<bool>& finished) {
   for (size_t g = 0; g < epoch.scopes.size(); ++g) {
@@ -493,37 +499,31 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
       DynamicGrouping grouping,
       DynamicGrouping::Build(licenses->schema().dimensions(),
                              licenses->Rects()));
-  std::shared_ptr<CatalogEpoch> first =
+  std::unique_ptr<CatalogEpoch> first =
       BuildEpoch(options, epoch, licenses, std::move(owned),
                  LicenseGrouping::FromGroupOf(grouping.GroupOf()));
-  // Not make_unique: the constructor is private.
-  std::unique_ptr<IssuanceService> service(
-      new IssuanceService(options, std::move(grouping), first));
   // Pre-load the history through the same routing the admission path uses
   // (records of already-validated issuances — they are not re-checked).
   // Without one every table is BuildEpoch's zeros already.
   if (!history.empty()) {
-    GEOLIC_RETURN_IF_ERROR(service->PreloadEpoch(first.get(), history));
-    service->issue_sequence_.store(static_cast<int64_t>(history.size()),
-                                   std::memory_order_relaxed);
+    GEOLIC_RETURN_IF_ERROR(PreloadEpoch(first.get(), history));
     FinishEpochTables(*first);
   }
+  // Not make_unique: the constructor is private.
+  std::unique_ptr<IssuanceService> service(
+      new IssuanceService(options, std::move(grouping), std::move(first)));
+  service->issue_sequence_ = static_cast<int64_t>(history.size());
   return service;
 }
 
 Status IssuanceService::ApplySetToEpoch(CatalogEpoch* epoch,
                                         const LicenseSet& set,
-                                        int64_t count) const {
+                                        int64_t count) {
   if (!set.IsSubsetOf(epoch->all_mask)) {
     return Status::InvalidArgument(
         "history record references unknown license indexes");
   }
-  // RouteSet's scope; the shard is needed only on the tree branch.
-  const size_t g = options_.use_grouping
-                       ? static_cast<size_t>(epoch->grouping.GroupOf(
-                             set.Lowest()))
-                       : 0;
-  const EquationScope& scope = epoch->scopes[g];
+  const EquationScope& scope = epoch->Route(set);
   if (!set.IsSubsetOf(scope.mask)) {
     // Satisfying sets always lie within one overlap group (every member
     // contains the issued rectangle, so they pairwise overlap); a record
@@ -535,11 +535,11 @@ Status IssuanceService::ApplySetToEpoch(CatalogEpoch* epoch,
     scope.counts[scope.runs.LocalMask(set)] += count;
     return Status::Ok();
   }
-  return epoch->shards[g % epoch->shards.size()].tree.Insert(set, count);
+  return epoch->tree.Insert(set, count);
 }
 
 Status IssuanceService::PreloadEpoch(CatalogEpoch* epoch,
-                                     const LogStore& history) const {
+                                     const LogStore& history) {
   // ApplySetToEpoch's routing, flattened per license index: the scope of
   // a set whose lowest index it is, and, when that scope is dense and its
   // members are one run below index 64 (dense-churn's group), the run and
@@ -556,7 +556,7 @@ Status IssuanceService::PreloadEpoch(CatalogEpoch* epoch,
   std::vector<Route> routes(std::max<size_t>(n, kMaxLicensesInline));
   for (size_t i = 0; i < n; ++i) {
     Route& route = routes[i];
-    route.scope = &epoch->scopes[options_.use_grouping
+    route.scope = &epoch->scopes[epoch->grouped
                                      ? static_cast<size_t>(
                                            epoch->grouping.GroupOf(
                                                static_cast<int>(i)))
@@ -593,23 +593,28 @@ Status IssuanceService::PreloadEpoch(CatalogEpoch* epoch,
   return Status::Ok();
 }
 
-const IssuanceService::EquationScope& IssuanceService::RouteSet(
-    const CatalogEpoch& epoch, const LicenseSet& s, size_t* shard) const {
-  if (options_.use_grouping) {
-    const int group = epoch.grouping.GroupOf(s.Lowest());
-    *shard = static_cast<size_t>(group) % epoch.shards.size();
-    return epoch.scopes[static_cast<size_t>(group)];
+std::unique_lock<std::mutex> IssuanceService::Lock(const char* point) const {
+  if (options_.sim_hooks == nullptr) {
+    return std::unique_lock<std::mutex>(mutex_);
   }
-  *shard = 0;
-  return epoch.scopes[0];
+  SimYield(options_, point);
+  // Nothing yields while holding the lock, so under the harness's single
+  // token it is free whenever a task asks; the loop keeps a contender from
+  // blocking the token should that ever change.
+  std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
+  while (!lock.owns_lock()) {
+    SimYield(options_, point);
+    lock.try_lock();
+  }
+  return lock;
 }
 
-Status IssuanceService::AdmitLocked(const CatalogEpoch& epoch, Shard* shard,
-                                    const License& issued,
-                                    const EquationScope& scope,
+Status IssuanceService::AdmitLocked(const License& issued,
                                     OnlineDecision* decision,
                                     RequestTrace* trace) {
+  CatalogEpoch& epoch = *epoch_;
   const LicenseSet& s = decision->satisfying_set;
+  const EquationScope& scope = epoch.Route(s);
   const int64_t count = issued.aggregate_count();
   GEOLIC_DCHECK(s.IsSubsetOf(scope.mask));
 
@@ -649,7 +654,7 @@ Status IssuanceService::AdmitLocked(const CatalogEpoch& epoch, Shard* shard,
           break;
         }
         const LicenseSet t = s | it.subset();
-        const int64_t cv = shard->tree.SumSubsets(t) + count;
+        const int64_t cv = epoch.tree.SumSubsets(t) + count;
         const int64_t av = epoch.catalog->AggregateSum(t);
         ++decision->equations_checked;
         if (cv > av) {
@@ -666,28 +671,53 @@ Status IssuanceService::AdmitLocked(const CatalogEpoch& epoch, Shard* shard,
   // equation state knowing an issuance the journal does not. A journal
   // failure rejects the admission with all state unchanged. The journal
   // is the only per-record history: without one, no record is built.
-  if (has_journal_.load(std::memory_order_acquire)) {
+  if (journal_ != nullptr) {
     ScopedStageTimer stage(trace, TraceStage::kJournalAppend);
     LogRecord record;
-    record.issued_license_id =
-        issued.id().empty()
-            ? "LU" + std::to_string(issue_sequence_.fetch_add(
-                         1, std::memory_order_relaxed) +
-                     1)
-            : issued.id();
+    record.issued_license_id = issued.id().empty()
+                                   ? "LU" + std::to_string(++issue_sequence_)
+                                   : issued.id();
     record.set = s;
     record.count = count;
-    std::lock_guard<std::mutex> lock(journal_mutex_);
     GEOLIC_RETURN_IF_ERROR(journal_->Append(journal_seq_ + 1, record));
     ++journal_seq_;
   }
   if (scope.dense()) {
     AddToSupersets(scope.sums, local, scope.full_local(), count);
     scope.counts[local] += count;
-  } else {
-    GEOLIC_RETURN_IF_ERROR(shard->tree.Insert(s, count));
+    return Status::Ok();
   }
-  ++shard->accepted;
+  return epoch.tree.Insert(s, count);
+}
+
+Status IssuanceService::IssueLocked(const License& issued,
+                                    const RequestTimer& timer,
+                                    OnlineDecision* decision,
+                                    RequestTrace* trace) {
+  decision->catalog_epoch = epoch_->epoch;
+  {
+    ScopedStageTimer stage(trace, TraceStage::kInstanceSoaScan);
+    decision->satisfying_set = epoch_->instance.SatisfyingSet(issued);
+  }
+  if (decision->satisfying_set.Empty()) {
+    metrics_->RecordRejectedInstance(timer.ElapsedNanos());
+    trace->Finish(TraceOutcome::kRejectedInstance);
+    return Status::Ok();  // Fails instance-based validation; nothing recorded.
+  }
+  decision->instance_valid = true;
+  const Status admitted = AdmitLocked(issued, decision, trace);
+  if (!admitted.ok()) {
+    trace->Finish(TraceOutcome::kError);
+    return admitted;
+  }
+  if (decision->aggregate_valid) {
+    metrics_->RecordAccepted(decision->equations_checked, timer.ElapsedNanos());
+    trace->Finish(TraceOutcome::kAccepted);
+  } else {
+    metrics_->RecordRejectedAggregate(decision->equations_checked,
+                                      timer.ElapsedNanos());
+    trace->Finish(TraceOutcome::kRejectedAggregate);
+  }
   return Status::Ok();
 }
 
@@ -699,59 +729,12 @@ Result<OnlineDecision> IssuanceService::TryIssue(const License& issued) {
   }
   OnlineDecision decision;
   RequestTrace trace(options_.tracer);
-  for (;;) {
-    // Pin the current epoch: the shared_ptr refcount is the reader count a
-    // retiring reconfiguration waits out. Lock-free fast-reject — the
-    // pinned geometry is immutable, so the satisfying-set lookup needs no
-    // shard lock.
-    const std::shared_ptr<const CatalogEpoch> epoch = Pin();
-    decision = OnlineDecision();
-    decision.catalog_epoch = epoch->epoch;
-    {
-      ScopedStageTimer stage(&trace, TraceStage::kInstanceSoaScan);
-      decision.satisfying_set = epoch->instance.SatisfyingSet(issued);
-    }
-    if (decision.satisfying_set.Empty()) {
-      metrics_->RecordRejectedInstance(timer.ElapsedNanos());
-      trace.Finish(TraceOutcome::kRejectedInstance);
-      return decision;  // Fails instance-based validation; nothing recorded.
-    }
-    decision.instance_valid = true;
-    SimYield(options_, "instance_checked");
-
-    size_t shard_index = 0;
-    const EquationScope& scope = RouteSet(*epoch, decision.satisfying_set,
-                                          &shard_index);
-    Shard* shard = &epoch->shards[shard_index];
-    SimYield(options_, "pre_shard_lock");
-    std::unique_lock<std::mutex> lock(shard->mutex, std::defer_lock);
-    {
-      ScopedStageTimer stage(&trace, TraceStage::kShardLockWait);
-      lock.lock();
-    }
-    if (epoch->retired.load(std::memory_order_acquire)) {
-      // A reconfiguration replaced this epoch between pin and lock: the
-      // satisfying set and routing are stale. The publish order (new state
-      // first, retired flag second) guarantees the re-pin sees the new
-      // epoch — retry against it.
-      continue;
-    }
-    const Status admitted = AdmitLocked(*epoch, shard, issued, scope,
-                                        &decision, &trace);
-    if (!admitted.ok()) {
-      trace.Finish(TraceOutcome::kError);
-      return admitted;
-    }
-    break;
+  std::unique_lock<std::mutex> lock;
+  {
+    ScopedStageTimer stage(&trace, TraceStage::kShardLockWait);
+    lock = Lock("pre_shard_lock");
   }
-  if (decision.aggregate_valid) {
-    metrics_->RecordAccepted(decision.equations_checked, timer.ElapsedNanos());
-    trace.Finish(TraceOutcome::kAccepted);
-  } else {
-    metrics_->RecordRejectedAggregate(decision.equations_checked,
-                                      timer.ElapsedNanos());
-    trace.Finish(TraceOutcome::kRejectedAggregate);
-  }
+  GEOLIC_RETURN_IF_ERROR(IssueLocked(issued, timer, &decision, &trace));
   return decision;
 }
 
@@ -789,150 +772,31 @@ Status IssuanceService::TryIssueBatch(std::span<const License* const> batch,
           "issued license must carry a positive count");
     }
   }
-
-  // Batch scratch lives in the calling thread's request arena and is
-  // released wholesale when the call returns — zero heap traffic after the
-  // arena's first-use warmup.
-  RequestArena& arena = ThreadLocalRequestArena();
-  const ArenaScope scratch(&arena);
-
-  // Requests still awaiting a decision. A round processes all of them
-  // against one pinned epoch; if a reconfiguration retires that epoch
-  // mid-round, the unadmitted remainder re-routes against the new one.
-  size_t* todo = arena.AllocateArray<size_t>(batch.size());
-  size_t todo_count = batch.size();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    todo[i] = i;
+  std::unique_lock<std::mutex> lock;
+  {
+    ScopedTracerSpan wait(options_.tracer, TraceStage::kShardLockWait);
+    lock = Lock("pre_shard_lock");
   }
-
-  struct Pending {
-    size_t shard;
-    size_t index;
-  };
-  while (todo_count > 0) {
-    const std::shared_ptr<const CatalogEpoch> epoch = Pin();
-
-    // Pass 1, lock-free: satisfying sets, instance rejects, shard routing.
-    // Scopes are routed per admission in pass 2 (a reference lookup, not a
-    // copy), so a pending entry stays a trivially-destructible POD the
-    // arena can drop without running destructors.
-    Pending* pending = arena.AllocateArray<Pending>(todo_count);
-    size_t pending_count = 0;
-    {
-      // One standalone span for the whole lock-free pass (request_id 0):
-      // the per-request work here is too fine to time individually.
-      ScopedTracerSpan pass1(options_.tracer, TraceStage::kInstanceSoaScan);
-      for (size_t k = 0; k < todo_count; ++k) {
-        const size_t i = todo[k];
-        decisions[i] = OnlineDecision();
-        decisions[i].catalog_epoch = epoch->epoch;
-        decisions[i].satisfying_set =
-            epoch->instance.SatisfyingSet(*batch[i]);
-        if (decisions[i].satisfying_set.Empty()) {
-          metrics_->RecordRejectedInstance(timer.ElapsedNanos());
-          continue;
-        }
-        decisions[i].instance_valid = true;
-        size_t shard_index = 0;
-        (void)RouteSet(*epoch, decisions[i].satisfying_set, &shard_index);
-        pending[pending_count++] = Pending{shard_index, i};
-      }
-    }
-
-    // Pass 2: group by shard so each touched shard is locked once per
-    // round. Sorting by (shard, index) keeps the batch's relative order
-    // within a shard — the same order a stable shard-only sort would give,
-    // without stable_sort's temporary buffer — so the decisions match a
-    // sequential TryIssue loop (cross-shard order cannot matter: different
-    // shards share no equations).
-    std::sort(pending, pending + pending_count,
-              [](const Pending& a, const Pending& b) {
-                return a.shard != b.shard ? a.shard < b.shard
-                                          : a.index < b.index;
-              });
-    SimYield(options_, "batch_routed");
-    size_t at = 0;
-    bool epoch_retired = false;
-    while (at < pending_count) {
-      const size_t shard_index = pending[at].shard;
-      Shard* shard = &epoch->shards[shard_index];
-      SimYield(options_, "pre_shard_lock");
-      std::unique_lock<std::mutex> lock(shard->mutex, std::defer_lock);
-      {
-        ScopedTracerSpan wait(options_.tracer, TraceStage::kShardLockWait);
-        lock.lock();
-      }
-      if (epoch->retired.load(std::memory_order_acquire)) {
-        epoch_retired = true;
-        break;
-      }
-      for (; at < pending_count && pending[at].shard == shard_index; ++at) {
-        const Pending& p = pending[at];
-        RequestTrace trace(options_.tracer);
-        size_t routed_shard = 0;
-        const EquationScope& scope =
-            RouteSet(*epoch, decisions[p.index].satisfying_set, &routed_shard);
-        const Status admitted = AdmitLocked(*epoch, shard, *batch[p.index],
-                                            scope, &decisions[p.index],
-                                            &trace);
-        if (!admitted.ok()) {
-          trace.Finish(TraceOutcome::kError);
-          return admitted;
-        }
-        if (decisions[p.index].aggregate_valid) {
-          metrics_->RecordAccepted(decisions[p.index].equations_checked,
-                                   timer.ElapsedNanos());
-          trace.Finish(TraceOutcome::kAccepted);
-        } else {
-          metrics_->RecordRejectedAggregate(
-              decisions[p.index].equations_checked, timer.ElapsedNanos());
-          trace.Finish(TraceOutcome::kRejectedAggregate);
-        }
-      }
-    }
-    if (!epoch_retired) {
-      return Status::Ok();
-    }
-    // A reconfiguration landed mid-round. Decisions already finalized
-    // stand (they linearized before the swap); the remainder retries
-    // against the new epoch.
-    size_t remaining = 0;
-    for (size_t k = at; k < pending_count; ++k) {
-      todo[remaining++] = pending[k].index;
-    }
-    todo_count = remaining;
+  // In input order, so the decisions are a sequential TryIssue loop's.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    decisions[i] = OnlineDecision();
+    RequestTrace trace(options_.tracer);
+    GEOLIC_RETURN_IF_ERROR(
+        IssueLocked(*batch[i], timer, &decisions[i], &trace));
   }
   return Status::Ok();
 }
 
 // --- Live license lifecycle ---
 
-std::unique_lock<std::mutex> IssuanceService::LockReconfig() {
-  SimYield(options_, "pre_reconfig");
-  if (options_.sim_hooks == nullptr) {
-    return std::unique_lock<std::mutex>(reconfig_mutex_);
-  }
-  // Under the simulation harness a reconfiguration yields while holding
-  // this lock (between its snapshot and its catch-up), so a contender
-  // yields until the lock frees instead of blocking the scheduler's single
-  // token.
-  std::unique_lock<std::mutex> lock(reconfig_mutex_, std::try_to_lock);
-  while (!lock.owns_lock()) {
-    SimYield(options_, "reconfig_busy");
-    lock.try_lock();
-  }
-  return lock;
-}
-
 Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   ScopedTracerSpan span(options_.tracer, TraceStage::kShardSwap);
-  const std::shared_ptr<const CatalogEpoch> cur = Pin();
+  const CatalogEpoch& cur = *epoch_;
 
-  // Phase 1: next catalog + incremental grouping, fully off to the side —
-  // admissions keep running against `cur` throughout.
-  const int old_size = cur->catalog->size();
+  // The next catalog and incremental grouping.
+  const int old_size = cur.catalog->size();
   auto next_catalog = std::make_unique<LicenseCatalog>(
-      cur->catalog->Without(plan.removed));
+      cur.catalog->Without(plan.removed));
   IndexRemap remap;
   remap.removed = plan.removed;
   remap.skip_renumbering = options_.sim_skip_renumbering;
@@ -962,174 +826,63 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
     }
   }
   const LicenseCatalog* next_catalog_ptr = next_catalog.get();
-  std::shared_ptr<CatalogEpoch> next = BuildEpoch(
-      options_, cur->epoch + 1, next_catalog_ptr, std::move(next_catalog),
+  std::unique_ptr<CatalogEpoch> next = BuildEpoch(
+      options_, cur.epoch + 1, next_catalog_ptr, std::move(next_catalog),
       LicenseGrouping::FromGroupOf(next_grouping.GroupOf()));
 
-  // Phase 2: carry each shard's equation state over from its distinct
-  // accepted sets — the compacted state the paper's dynamic steps work on
-  // (Algorithm 4 re-divides it into the new overlap groups, Algorithm 5
-  // renumbers it) — so the cost follows the distinct sets and table sizes.
-  // Under the shard's lock (one at a time: issuance on the other shards
-  // never stalls) each dense scope's C[S] table is copied into `snapshot`
-  // and the above-cap tree's sets into the shard's `tree_sets`; off the
-  // lock every surviving set is renumbered and routed into the next
-  // epoch's C[S] tables and trees. A dense group whose members the
-  // reconfiguration leaves as they are (renumbered or not: local positions
-  // keep index order) instead has its C[S] and C⟨T⟩ tables copied verbatim
-  // into its successor, whose C[S] copy then serves as the snapshot.
-  // Admissions that land after a shard's snapshot are caught up in phase
-  // 3.
-  struct ShardSnapshot {
-    uint64_t accepted = 0;  // Shard::accepted at the snapshot.
-    std::vector<std::pair<LicenseSet, int64_t>> tree_sets;  // Preorder.
-  };
-  const size_t old_shards = cur->shards.size();
-  std::vector<ShardSnapshot> snapshots(old_shards);
-  // Per current scope: the next epoch's scope with the same members when
-  // both are dense (its tables are then copied verbatim), else null.
-  std::vector<const EquationScope*> copy_to(cur->scopes.size(), nullptr);
+  // Carry the equation state over from the distinct accepted sets — the
+  // compacted state the paper's dynamic steps work on (Algorithm 4
+  // re-divides it into the new overlap groups, Algorithm 5 renumbers it) —
+  // so the cost follows the distinct sets and table sizes. A dense group
+  // whose members the reconfiguration leaves as they are (renumbered or
+  // not: local positions keep index order) has its C[S] and C⟨T⟩ tables
+  // copied verbatim into its successor; every other dense C[S] entry and
+  // tree set is renumbered and routed into the next epoch's tables and
+  // tree.
   // Per next scope: whether its tables are a copy (C⟨T⟩ included).
   std::vector<bool> copied(next->scopes.size(), false);
-  for (size_t g = 0; g < cur->scopes.size(); ++g) {
-    LicenseSet members = cur->scopes[g].mask;
-    if (!cur->scopes[g].dense() || !remap.Apply(&members) ||
-        !members.IsSubsetOf(next->all_mask)) {
-      continue;
-    }
-    size_t shard = 0;
-    const EquationScope& to = RouteSet(*next, members, &shard);
-    if (to.dense() && to.mask == members) {
-      copy_to[g] = &to;
-      copied[static_cast<size_t>(&to - next->scopes.data())] = true;
-    }
-  }
-  // Every other dense scope's C[S] as the snapshot saw it, one table
-  // after another.
-  std::vector<size_t> snapshot_at(cur->scopes.size(), 0);
-  size_t snapshot_entries = 0;
-  for (size_t g = 0; g < cur->scopes.size(); ++g) {
-    if (cur->scopes[g].dense() && copy_to[g] == nullptr) {
-      snapshot_at[g] = snapshot_entries;
-      snapshot_entries += cur->scopes[g].entries();
-    }
-  }
-  std::vector<int64_t> snapshot(snapshot_entries);
-  const auto snapshot_of = [&](size_t g) {
-    return copy_to[g] != nullptr ? copy_to[g]->counts
-                                 : snapshot.data() + snapshot_at[g];
-  };
-  // Carries `count` more issuances of current-epoch set `set` into the
-  // next epoch, unless the reconfiguration drops the set.
   const auto carry = [&](const LicenseSet& set, int64_t count) {
     LicenseSet carried = set;
     if (!remap.Apply(&carried)) {
-      return Status::Ok();
+      return Status::Ok();  // Touches a removed license: dropped.
     }
     return ApplySetToEpoch(next.get(), carried, count);
   };
-  for (size_t s = 0; s < old_shards; ++s) {
-    Shard* shard = &cur->shards[s];
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      snapshots[s].accepted = shard->accepted;
-      for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
-        const EquationScope& scope = cur->scopes[g];
-        if (const EquationScope* to = copy_to[g]; to != nullptr) {
-          std::copy(scope.sums, scope.sums + scope.entries(), to->sums);
-        }
-        if (scope.dense()) {
-          std::copy(scope.counts, scope.counts + scope.entries(),
-                    snapshot_of(g));
-        }
-      }
-      shard->tree.ForEachSet(
-          [&tree_sets = snapshots[s].tree_sets](const LicenseSet& set,
-                                                int64_t count) {
-            tree_sets.emplace_back(set, count);
-          });
+  for (const EquationScope& scope : cur.scopes) {
+    if (!scope.dense()) {
+      continue;
     }
-    for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
-      const EquationScope& scope = cur->scopes[g];
-      if (!scope.dense() || copy_to[g] != nullptr) {
+    LicenseSet members = scope.mask;
+    if (remap.Apply(&members) && members.IsSubsetOf(next->all_mask)) {
+      const EquationScope& to = next->Route(members);
+      if (to.dense() && to.mask == members) {
+        std::copy(scope.counts, scope.counts + scope.entries(), to.counts);
+        std::copy(scope.sums, scope.sums + scope.entries(), to.sums);
+        copied[static_cast<size_t>(&to - next->scopes.data())] = true;
         continue;
       }
-      const int64_t* counts = snapshot_of(g);
-      for (uint32_t local = 1; local <= scope.full_local(); ++local) {
-        if (counts[local] != 0) {
-          GEOLIC_RETURN_IF_ERROR(
-              carry(cur->WithLocal(scope, LicenseSet(), local),
-                    counts[local]));
-        }
-      }
     }
-    for (const auto& [set, count] : snapshots[s].tree_sets) {
-      GEOLIC_RETURN_IF_ERROR(carry(set, count));
+    for (uint32_t local = 1; local <= scope.full_local(); ++local) {
+      if (scope.counts[local] != 0) {
+        GEOLIC_RETURN_IF_ERROR(
+            carry(cur.WithLocal(scope, LicenseSet(), local),
+                  scope.counts[local]));
+      }
     }
   }
-
-  // Admissions may land between the snapshot and the catch-up; the
-  // simulation harness schedules them here (only reconfig_mutex_ is held).
-  SimYield(options_, "reconfig_snapshotted");
-
-  // Phase 3: catch-up, journal, publish — under every current shard lock
-  // (index order) and then the journal lock, the same order the admission
-  // path uses, so no admission is in flight half-applied while we cut
-  // over and none can start against the old epoch after we publish. The
-  // catch-up carries what each shard's state gained since its snapshot:
-  // the difference of every C[S] entry and tree set against the snapshot.
-  const std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(*cur);
-  for (size_t s = 0; s < old_shards; ++s) {
-    const Shard& shard = cur->shards[s];
-    if (shard.accepted == snapshots[s].accepted) {
-      continue;  // No admission since the snapshot.
+  Status carried = Status::Ok();
+  cur.tree.ForEachSet([&](const LicenseSet& set, int64_t count) {
+    if (carried.ok()) {
+      carried = carry(set, count);
     }
-    for (size_t g = s; g < cur->scopes.size(); g += old_shards) {
-      const EquationScope& scope = cur->scopes[g];
-      if (!scope.dense()) {
-        continue;
-      }
-      const EquationScope* to = copy_to[g];
-      int64_t* before = snapshot_of(g);
-      for (uint32_t local = 1; local <= scope.full_local(); ++local) {
-        const int64_t added = scope.counts[local] - before[local];
-        if (added == 0) {
-          continue;
-        }
-        if (to != nullptr) {
-          // A copied table is already C⟨T⟩: add along the supersets, at
-          // the same local positions.
-          before[local] += added;
-          AddToSupersets(to->sums, local, to->full_local(), added);
-        } else {
-          GEOLIC_RETURN_IF_ERROR(
-              carry(cur->WithLocal(scope, LicenseSet(), local), added));
-        }
-      }
-    }
-    // Both walks are in preorder and the tree only grew, so the snapshot's
-    // sets come up in the same order.
-    const std::vector<std::pair<LicenseSet, int64_t>>& tree_before =
-        snapshots[s].tree_sets;
-    size_t at = 0;
-    Status carried = Status::Ok();
-    shard.tree.ForEachSet([&](const LicenseSet& set, int64_t count) {
-      if (at < tree_before.size() && tree_before[at].first == set) {
-        count -= tree_before[at++].second;
-      }
-      if (count != 0 && carried.ok()) {
-        carried = carry(set, count);
-      }
-    });
-    GEOLIC_RETURN_IF_ERROR(carried);
-  }
+  });
+  GEOLIC_RETURN_IF_ERROR(carried);
   FinishEpochTables(*next, copied);
-  if (has_journal_.load(std::memory_order_acquire)) {
+
+  if (journal_ != nullptr) {
     // Write-ahead: the reconfiguration frame reaches the journal before
-    // the new epoch publishes; a journal failure aborts the whole
+    // the new epoch replaces the old; a journal failure aborts the whole
     // reconfiguration with the old epoch untouched.
-    std::lock_guard<std::mutex> journal_lock(journal_mutex_);
     if (plan.acquire != nullptr) {
       GEOLIC_RETURN_IF_ERROR(
           journal_->AppendAcquire(journal_seq_ + 1, *plan.acquire));
@@ -1143,32 +896,26 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
     }
     ++journal_seq_;
   }
-  // Publish, then retire — in this order: a reader that finds its pinned
-  // epoch retired is guaranteed to observe the new state on re-pin. The
-  // old epoch's memory is reclaimed when its last in-flight reader drops
-  // its pin (the shared_ptr count).
-  state_.store(std::shared_ptr<const CatalogEpoch>(next),
-               std::memory_order_release);
-  cur->retired.store(true, std::memory_order_release);
+  epoch_ = std::move(next);
   dyn_grouping_ = std::move(next_grouping);
   return result;
 }
 
 Result<int> IssuanceService::AcquireLicense(const License& license) {
-  const std::unique_lock<std::mutex> reconfig_lock = LockReconfig();
+  const std::unique_lock<std::mutex> lock = Lock("pre_reconfig");
   ReconfigPlan plan;
   plan.acquire = &license;
   return ReconfigureLocked(plan);
 }
 
 Status IssuanceService::RevokeLicense(int index) {
-  const std::unique_lock<std::mutex> reconfig_lock = LockReconfig();
+  const std::unique_lock<std::mutex> lock = Lock("pre_reconfig");
   return RevokeIndexLocked(index);
 }
 
 Status IssuanceService::RevokeLicenseById(const std::string& id) {
-  const std::unique_lock<std::mutex> reconfig_lock = LockReconfig();
-  const Result<int> index = Pin()->catalog->IndexOfId(id);
+  const std::unique_lock<std::mutex> lock = Lock("pre_reconfig");
+  const Result<int> index = epoch_->catalog->IndexOfId(id);
   if (!index.ok()) {
     return index.status();
   }
@@ -1176,31 +923,49 @@ Status IssuanceService::RevokeLicenseById(const std::string& id) {
 }
 
 Status IssuanceService::RevokeIndexLocked(int index) {
-  const std::shared_ptr<const CatalogEpoch> cur = Pin();
-  if (index < 0 || index >= cur->catalog->size()) {
+  const LicenseCatalog& catalog = *epoch_->catalog;
+  if (index < 0 || index >= catalog.size()) {
     return Status::OutOfRange("revoke index out of range");
   }
-  if (cur->catalog->size() == 1) {
+  if (catalog.size() == 1) {
     // An empty catalog has nothing to route or validate against.
     return Status::FailedPrecondition("cannot revoke the last license");
   }
   ReconfigPlan plan;
   plan.removed.Add(index);
   plan.revoke_index = index;
-  plan.revoke_id = cur->catalog->at(index).id();
+  plan.revoke_id = catalog.at(index).id();
   return ReconfigureLocked(plan).status();
 }
 
 Result<int> IssuanceService::ExpireDimensionBelow(int dim, int64_t cutoff) {
-  const std::unique_lock<std::mutex> reconfig_lock = LockReconfig();
-  const std::shared_ptr<const CatalogEpoch> cur = Pin();
+  const std::unique_lock<std::mutex> lock = Lock("pre_reconfig");
+  return ExpireDimensionBelowLocked(dim, cutoff);
+}
+
+Result<int> IssuanceService::ExpireBefore(Date cutoff) {
+  const std::unique_lock<std::mutex> lock = Lock("pre_reconfig");
+  // Every epoch's catalog shares the caller's schema.
+  const ConstraintSchema& schema = epoch_->catalog->schema();
+  for (int dim = 0; dim < schema.dimensions(); ++dim) {
+    if (schema.kind(dim) == DimensionKind::kInterval &&
+        schema.format(dim) == IntervalFormat::kDate) {
+      return ExpireDimensionBelowLocked(dim, cutoff.day_number());
+    }
+  }
+  return Status::InvalidArgument(
+      "schema has no date dimension to expire against");
+}
+
+Result<int> IssuanceService::ExpireDimensionBelowLocked(int dim,
+                                                        int64_t cutoff) {
+  const LicenseCatalog& catalog = *epoch_->catalog;
   GEOLIC_ASSIGN_OR_RETURN(const std::vector<int> expired,
-                          ComputeExpired(cur->catalog->licenses(), dim,
-                                         cutoff));
+                          ComputeExpired(catalog.licenses(), dim, cutoff));
   if (expired.empty()) {
     return 0;  // Nothing expires: no epoch change, no journal frame.
   }
-  if (static_cast<int>(expired.size()) == cur->catalog->size()) {
+  if (static_cast<int>(expired.size()) == catalog.size()) {
     return Status::FailedPrecondition("expiry would remove every license");
   }
   ReconfigPlan plan;
@@ -1212,97 +977,36 @@ Result<int> IssuanceService::ExpireDimensionBelow(int dim, int64_t cutoff) {
   return ReconfigureLocked(plan);
 }
 
-Result<int> IssuanceService::ExpireBefore(Date cutoff) {
-  // The schema is shared by every epoch, so reading it unpinned is safe.
-  const ConstraintSchema& schema = Pin()->catalog->schema();
-  for (int dim = 0; dim < schema.dimensions(); ++dim) {
-    if (schema.kind(dim) == DimensionKind::kInterval &&
-        schema.format(dim) == IntervalFormat::kDate) {
-      return ExpireDimensionBelow(dim, cutoff.day_number());
-    }
-  }
-  return Status::InvalidArgument(
-      "schema has no date dimension to expire against");
+uint64_t IssuanceService::catalog_epoch() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return epoch_->epoch;
 }
 
-uint64_t IssuanceService::catalog_epoch() const { return Pin()->epoch; }
-
 const LicenseCatalog& IssuanceService::licenses() const {
-  return *Pin()->catalog;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return *epoch_->catalog;
 }
 
 const LicenseGrouping& IssuanceService::grouping() const {
-  return Pin()->grouping;
-}
-
-int IssuanceService::shard_count() const {
-  return static_cast<int>(Pin()->shards.size());
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return epoch_->grouping;
 }
 
 size_t IssuanceService::dense_table_bytes() const {
-  return Pin()->dense_table_bytes;
-}
-
-std::vector<std::unique_lock<std::mutex>> IssuanceService::LockShards(
-    const CatalogEpoch& epoch) {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(epoch.shards.size());
-  for (Shard& shard : epoch.shards) {
-    locks.emplace_back(shard.mutex);
-  }
-  return locks;
-}
-
-std::shared_ptr<const IssuanceService::CatalogEpoch>
-IssuanceService::PinLocked(
-    std::vector<std::unique_lock<std::mutex>>* locks) const {
-  for (;;) {
-    std::shared_ptr<const CatalogEpoch> epoch = Pin();
-    SimYield(options_, "pre_collect_lock");
-    *locks = LockShards(*epoch);
-    if (!epoch->retired.load(std::memory_order_acquire)) {
-      return epoch;
-    }
-    // A reconfiguration retired the pinned epoch before we got its locks:
-    // the journal already holds its successor's reconfiguration frame.
-    locks->clear();
-  }
-}
-
-void IssuanceService::ForEachShardSet(
-    const CatalogEpoch& epoch, size_t shard,
-    const std::function<void(const LicenseSet&, int64_t)>& read) {
-  for (size_t g = shard; g < epoch.scopes.size(); g += epoch.shards.size()) {
-    const EquationScope& scope = epoch.scopes[g];
-    if (!scope.dense()) {
-      continue;
-    }
-    for (uint32_t local = 1; local <= scope.full_local(); ++local) {
-      if (scope.counts[local] != 0) {
-        read(epoch.WithLocal(scope, LicenseSet(), local),
-             scope.counts[local]);
-      }
-    }
-  }
-  epoch.shards[shard].tree.ForEachSet(read);
-}
-
-void IssuanceService::ReadShardState(
-    const std::function<void(const LicenseSet&, int64_t)>& read) const {
-  // No simulation yield in here: the harness reconciles its model from
-  // CollectLog and needs the read to be one step of its schedule.
-  const std::shared_ptr<const CatalogEpoch> epoch = Pin();
-  for (size_t s = 0; s < epoch->shards.size(); ++s) {
-    std::lock_guard<std::mutex> lock(epoch->shards[s].mutex);
-    ForEachShardSet(*epoch, s, read);
-  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return epoch_->dense_table_bytes;
 }
 
 LogStore IssuanceService::CollectLog() const {
+  // No simulation yield: the harness reconciles its model from CollectLog
+  // and needs the read to be one step of its schedule.
   std::vector<std::pair<LicenseSet, int64_t>> sets;
-  ReadShardState([&sets](const LicenseSet& set, int64_t count) {
-    sets.emplace_back(set, count);
-  });
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    epoch_->ForEachSet([&sets](const LicenseSet& set, int64_t count) {
+      sets.emplace_back(set, count);
+    });
+  }
   return SortedLog(std::move(sets));
 }
 
@@ -1323,34 +1027,38 @@ Status IssuanceService::AttachJournal(std::unique_ptr<JournalWriter> journal) {
     return Status::InvalidArgument(
         "journal already carries frames; attach a fresh journal file");
   }
-  if (Pin()->epoch != 0) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (epoch_->epoch != 0) {
     // Replay needs the journal to cover every reconfiguration since the
     // construction-time catalog; attaching after one would leave a gap no
     // recovery could bridge.
     return Status::FailedPrecondition(
         "attach the journal before any catalog reconfiguration");
   }
-  std::lock_guard<std::mutex> lock(journal_mutex_);
   if (journal_ != nullptr) {
     return Status::FailedPrecondition("a journal is already attached");
   }
   journal_ = std::move(journal);
   journal_->set_tracer(options_.tracer);
   journal_seq_ = 0;
-  has_journal_.store(true, std::memory_order_release);
   return Status::Ok();
 }
 
 Status IssuanceService::SyncJournal() {
-  std::lock_guard<std::mutex> lock(journal_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   if (journal_ == nullptr) {
     return Status::Ok();
   }
   return journal_->Sync();
 }
 
+bool IssuanceService::has_journal() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return journal_ != nullptr;
+}
+
 uint64_t IssuanceService::journal_sequence() const {
-  std::lock_guard<std::mutex> lock(journal_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return journal_seq_;
 }
 
@@ -1361,32 +1069,26 @@ ExpositionInput IssuanceService::Snap() const {
     input.has_stages = true;
     input.stages = options_.tracer->ProfileSnapshot();
   }
-  if (has_journal()) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (journal_ != nullptr) {
     input.has_journal = true;
-    input.journal_sequence = journal_sequence();
+    input.journal_sequence = journal_seq_;
   }
   return input;
 }
 
 ServiceState IssuanceService::Snapshot() const {
-  // Exact cut: every shard lock in index order, then the journal lock —
-  // the same order AdmitLocked and ReconfigureLocked use, so no admission
-  // can be half-applied (journaled but not yet in its shard) while we
-  // read.
-  std::vector<std::unique_lock<std::mutex>> shard_locks;
-  const std::shared_ptr<const CatalogEpoch> epoch = PinLocked(&shard_locks);
-  std::lock_guard<std::mutex> journal_lock(journal_mutex_);
-
   std::vector<std::pair<LicenseSet, int64_t>> sets;
-  for (size_t s = 0; s < epoch->shards.size(); ++s) {
-    ForEachShardSet(*epoch, s, [&sets](const LicenseSet& set, int64_t count) {
+  ServiceState state;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    epoch_->ForEachSet([&sets](const LicenseSet& set, int64_t count) {
       sets.emplace_back(set, count);
     });
+    state.catalog_epoch = epoch_->epoch;
+    state.covered_seq = journal_seq_;
+    state.licenses = std::make_unique<LicenseCatalog>(*epoch_->catalog);
   }
-  ServiceState state;
-  state.catalog_epoch = epoch->epoch;
-  state.covered_seq = journal_seq_;
-  state.licenses = std::make_unique<LicenseCatalog>(*epoch->catalog);
   state.records = SortedLog(std::move(sets));
   return state;
 }
@@ -1402,64 +1104,55 @@ Status IssuanceService::WriteCheckpoint(const std::string& path) const {
 
 Status IssuanceService::CheckAgainstReplay(
     const ValidationTree& serial) const {
-  const std::shared_ptr<const CatalogEpoch> epoch = Pin();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const CatalogEpoch& epoch = *epoch_;
   // Route the replay's sets as admissions would: an above-cap set into the
-  // tree its shard should hold, a dense-scope set into the C[S] entry and
-  // along its supersets into the C⟨T⟩ table its scope should hold. The
-  // local mask comes from the scope's members rather than its runs, and
-  // no zeta transform runs, so the expectation shares no code with how
-  // recovery built the tables.
-  std::vector<ValidationTree> expected_trees(epoch->shards.size());
-  std::vector<std::vector<int64_t>> expected_counts(epoch->scopes.size());
-  std::vector<std::vector<int64_t>> expected_sums(epoch->scopes.size());
-  for (size_t g = 0; g < epoch->scopes.size(); ++g) {
-    if (epoch->scopes[g].dense()) {
-      expected_counts[g].resize(epoch->scopes[g].entries());
-      expected_sums[g].resize(epoch->scopes[g].entries());
+  // tree, a dense-scope set into the C[S] entry and along its supersets
+  // into the C⟨T⟩ table its scope should hold. The local mask comes from
+  // the scope's members rather than its runs, and no zeta transform runs,
+  // so the expectation shares no code with how recovery built the tables.
+  ValidationTree expected_tree;
+  std::vector<std::vector<int64_t>> expected_counts(epoch.scopes.size());
+  std::vector<std::vector<int64_t>> expected_sums(epoch.scopes.size());
+  for (size_t g = 0; g < epoch.scopes.size(); ++g) {
+    if (epoch.scopes[g].dense()) {
+      expected_counts[g].resize(epoch.scopes[g].entries());
+      expected_sums[g].resize(epoch.scopes[g].entries());
     }
   }
   Status status = Status::Ok();
   serial.ForEachSet([&](const LicenseSet& set, int64_t count) {
-    size_t shard = 0;
-    const EquationScope& scope = RouteSet(*epoch, set, &shard);
+    const EquationScope& scope = epoch.Route(set);
     if (!status.ok()) {
       return;
     }
     if (!scope.dense()) {
-      status = expected_trees[shard].Insert(set, count);
+      status = expected_tree.Insert(set, count);
       return;
     }
     uint32_t local = 0;
     for (int p = 0; p < scope.size; ++p) {
-      if (set.Contains(epoch->Member(scope, p))) {
+      if (set.Contains(epoch.Member(scope, p))) {
         local |= uint32_t{1} << p;
       }
     }
-    const size_t g = static_cast<size_t>(&scope - epoch->scopes.data());
+    const size_t g = static_cast<size_t>(&scope - epoch.scopes.data());
     expected_counts[g][local] += count;
     AddToSupersets(expected_sums[g].data(), local, scope.full_local(), count);
   });
   GEOLIC_RETURN_IF_ERROR(status);
-  for (size_t s = 0; s < epoch->shards.size(); ++s) {
-    Shard* shard = &epoch->shards[s];
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    if (shard->tree.ToString() != expected_trees[s].ToString() ||
-        shard->tree.TotalCount() != expected_trees[s].TotalCount()) {
-      return Status::Internal(
-          "recovered shard tree diverges from a serial replay");
-    }
+  if (epoch.tree.ToString() != expected_tree.ToString() ||
+      epoch.tree.TotalCount() != expected_tree.TotalCount()) {
+    return Status::Internal(
+        "recovered validation tree diverges from a serial replay");
   }
-  for (size_t g = 0; g < epoch->scopes.size(); ++g) {
-    const EquationScope& scope = epoch->scopes[g];
-    if (!scope.dense()) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(
-        epoch->shards[g % epoch->shards.size()].mutex);
-    if (!std::equal(expected_counts[g].begin(), expected_counts[g].end(),
-                    scope.counts) ||
-        !std::equal(expected_sums[g].begin(), expected_sums[g].end(),
-                    scope.sums)) {
+  for (size_t g = 0; g < epoch.scopes.size(); ++g) {
+    const EquationScope& scope = epoch.scopes[g];
+    if (scope.dense() &&
+        (!std::equal(expected_counts[g].begin(), expected_counts[g].end(),
+                     scope.counts) ||
+         !std::equal(expected_sums[g].begin(), expected_sums[g].end(),
+                     scope.sums))) {
       return Status::Internal(
           "recovered equation table diverges from a serial replay");
     }
@@ -1596,7 +1289,7 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
   GEOLIC_ASSIGN_OR_RETURN(
       std::unique_ptr<IssuanceService> service,
       CreateOwned(final_catalog, std::move(owned), options, combined_store));
-  // Cross-check the sharded rebuild against a serial replay of the same
+  // Cross-check the rebuild against a serial replay of the same
   // records: recovery must reproduce the exact pre-crash accepted set or
   // fail — never return silently wrong state.
   GEOLIC_ASSIGN_OR_RETURN(const ValidationTree recovered,

@@ -2,7 +2,6 @@
 #define GEOLIC_SERVICE_ISSUANCE_SERVICE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -33,22 +32,13 @@ namespace geolic {
 // Largest equation scope (an overlap group, or the whole catalog without
 // grouping) whose admission equations IssuanceService answers from dense
 // tables: three 2^N-entry int64 tables, 96 KiB at the cap. Larger scopes
-// fall back to the shard's pointer validation tree. The cap is the largest
+// fall back to the pointer validation tree. The cap is the largest
 // N at which building the tables (at Create, every reconfiguration and
 // Recover) costs no more time or memory than the tree, even for a short
 // history: at N = 13 a reconfiguration over 64 records is already 1.4×
 // slower (EXPERIMENTS.md, "Dense table cap").
 inline constexpr int kMaxDenseGroupSize = 12;
 static_assert(kMaxDenseGroupSize < 32, "local masks are uint32_t");
-
-// Lock shards of a service whose options leave shard_hint unset: one per
-// overlap group up to this many, over which wider catalogs' groups are
-// striped. On a few cores more stripes buy no parallelism, only a mutex
-// per group and longer all-shard cuts. A reconfiguration holds every
-// shard lock plus the reconfiguration and journal mutexes, and
-// ThreadSanitizer's deadlock detector aborts when one thread holds more
-// than 64 mutexes: so 64 − 2.
-inline constexpr int kDefaultMaxShards = 62;
 
 // How a set of a dense group's licenses becomes the group's local mask
 // (paper Algorithm 5's order-preserving positions): the members as runs of
@@ -121,17 +111,13 @@ struct OnlineDecision {
 // their callers (drm/, catalog/, net/).
 struct OnlineValidatorOptions {
   // Scope per-issuance equation checks to S's overlap group (paper
-  // Theorem 2), shrinking 2^(N−k) checks to 2^(N_g−k). This is also the
-  // sharding theorem: off means one global shard.
+  // Theorem 2), shrinking 2^(N−k) checks to 2^(N_g−k). Off means one
+  // scope over the whole catalog.
   bool use_grouping = true;
   // Optional sink for decision counters and latency; must outlive the
   // service, which uses it as its metrics block (and owns a private one
   // otherwise).
   IssuanceMetrics* metrics = nullptr;
-  // Cap on the number of lock shards (groups are striped over
-  // min(shard_hint, group_count) mutexes). <= 0 means one shard per
-  // overlap group, up to kDefaultMaxShards.
-  int shard_hint = 0;
   // Optional span sink for per-stage request tracing (obs/trace.h); must
   // outlive the service. Null = tracing off: the scoped timers reduce to
   // one branch and no clock reads.
@@ -194,16 +180,9 @@ Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
 // paper's online regime, and the one implementation of admission in the
 // library (sim/ReferenceModel is its executable specification). When a
 // license with satisfying set S (|S| = k) arrives, only equations whose set
-// contains S gain counts, so only those are checked: every T ⊇ S within
-// S's overlap group, 2^(N_g−k) equations.
-//
-// The paper's grouping result doubles as a sharding theorem: licenses in
-// different overlap groups share no validation equations (Theorem 2), so
-// issuances whose satisfying sets fall in different groups can admit fully
-// in parallel with no coordination. The service therefore splits its
-// equation state into per-overlap-group shards, each guarded by its own
-// mutex; a request only ever locks the one shard its satisfying set lives
-// in.
+// contains S gain counts, so only those are checked: every T ⊆ S's overlap
+// group with T ⊇ S, 2^(N_g−k) equations (paper Theorem 2: licenses in
+// different overlap groups share no equations).
 //
 // Admission state per overlap group: the paper's equations read the log
 // only through C[S], the total count per exact satisfying set, so that is
@@ -211,68 +190,45 @@ Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
 // accepted records (the journal is the per-record history). A group of at
 // most kMaxDenseGroupSize licenses keeps three dense tables indexed by the
 // group-local mask (paper Algorithm 5's order-preserving positions) —
-// A[T], fixed per epoch, and C[S] and C⟨T⟩, updated under the shard lock.
-// An issuance with satisfying set S checks its 2^(N_g−k) equations as one
-// ascending pass over the supersets of S in C⟨T⟩, and an acceptance adds
-// its count along the same pass and at C[S]. Larger groups keep the
-// pointer validation tree (which holds C[S] per node) and its
-// per-equation subset walk.
+// A[T], fixed per epoch, and C[S] and C⟨T⟩. An issuance with satisfying
+// set S checks its 2^(N_g−k) equations as one ascending pass over the
+// supersets of S in C⟨T⟩, and an acceptance adds its count along the same
+// pass and at C[S]. Larger groups share one pointer validation tree (which
+// holds C[S] per node) and its per-equation subset walk: a group's
+// equations sum only subsets of the group, so the other groups' sets in
+// the tree never count.
 //
 // Live license lifecycle (paper Figure 6 + Algorithms 4–5): the catalog,
-// grouping, instance geometry and shard map together form one immutable
-// `CatalogEpoch`, published through an atomic shared_ptr. AcquireLicense /
-// RevokeLicense / ExpireBefore build the next epoch off to the side from
-// the distinct accepted sets: each dense scope's C[S] table is read entry
-// by entry (or, when its group's members are unchanged, its C[S] and C⟨T⟩
-// tables are copied verbatim), each tree read set by set, and every
-// surviving set renumbered densely past a removal, re-divided into the new
-// overlap groups and rebuilt into the new groups' tables (one zeta
-// transform each) or trees. The new epoch is published with a single
-// atomic swap and the old one marked retired.
-// Issuance never stops: readers pin the current epoch (a shared_ptr ref,
-// no lock) for the instance fast-reject, and an admission that finds its
-// pinned epoch retired after taking the shard lock simply re-pins and
-// retries against the new shard map. The retired epoch is freed when its
-// last in-flight reader drains (the shared_ptr count).
+// grouping, instance geometry and equation state together form one
+// `CatalogEpoch`. AcquireLicense / RevokeLicense / ExpireBefore build the
+// next epoch from the distinct accepted sets: each dense scope's C[S]
+// table is read entry by entry (or, when its group's members are
+// unchanged, its C[S] and C⟨T⟩ tables are copied verbatim), the tree read
+// set by set, and every surviving set renumbered densely past a removal,
+// re-divided into the new overlap groups and rebuilt into the new groups'
+// tables (one zeta transform each) or the tree. The reconfiguration frame
+// is journaled, and the new epoch replaces the old one.
 //
-// Concurrency contract:
-//  * TryIssue / TryIssueBatch are safe to call from any number of threads,
-//    including concurrently with the lifecycle calls.
-//  * The instance-based fast-reject path is lock-free: the satisfying-set
-//    lookup reads only the pinned epoch's immutable geometry.
-//  * Lifecycle calls serialize against each other (one reconfiguration at
-//    a time) but never against the admission fast path.
-//  * CollectLog / CollectTree lock shards one at a time and return
-//    snapshots; they can run concurrently with issuance (the snapshot is a
-//    consistent prefix per shard, not a cross-shard instant) and with
-//    reconfigurations (every set is numbered in the one epoch the read
-//    pinned: a retired epoch's state stays as it was at its retirement).
-//    Snapshot (and WriteCheckpoint) takes every shard lock for an exact
-//    cut.
-//  * Accessors (licenses, grouping, shard_count) read the current epoch;
-//    the references they return are valid until the next reconfiguration.
-//
-// Admissions are linearized per shard, so for any interleaving the final
-// state equals a serial replay of the accepted set (cross-shard order is
-// immaterial because the shards share no equations). A reconfiguration
-// linearizes at its publish point: admissions before it are carried into
-// the new epoch (renumbered, with sets touching a removed license
-// cascade-dropped), admissions after it run against the new catalog.
+// Concurrency contract: one mutex guards the epoch, the journal and the
+// issue sequence, and every public call that reads or writes them holds it
+// throughout. So every call is one atomic step — TryIssue, a whole
+// TryIssueBatch, a reconfiguration, a CollectLog or a Snapshot — and any
+// interleaving of calls from any number of threads ends in the state (and
+// gives the decisions) of applying the calls one after another in the
+// order they took the lock: sim/ReferenceModel applying the same ops. The
+// references that licenses() and grouping() return stay valid until the
+// next reconfiguration.
 class IssuanceService {
  public:
   // `licenses` must be non-empty and outlive the service; so must
-  // `options.metrics` when set. options.use_grouping=false degrades to a
-  // single shard covering all licenses (every admission serializes — the
-  // baseline the concurrency ablation measures against);
-  // options.shard_hint caps the number of lock shards (groups are striped
-  // over min(hint, group_count) mutexes; unset, over
-  // min(kDefaultMaxShards, group_count)).
+  // `options.metrics` when set. options.use_grouping=false checks every
+  // issuance against the whole catalog's equations (the baseline the
+  // grouping ablations measure against).
   static Result<std::unique_ptr<IssuanceService>> Create(
       const LicenseCatalog* licenses, const OnlineValidatorOptions& options = {});
 
-  // Pre-loads already-validated issuances (not re-checked) into the
-  // shards. Fails if a record references an index outside `licenses` or
-  // spans overlap groups.
+  // Pre-loads already-validated issuances (not re-checked). Fails if a
+  // record references an index outside `licenses` or spans overlap groups.
   static Result<std::unique_ptr<IssuanceService>> CreateWithHistory(
       const LicenseCatalog* licenses, const OnlineValidatorOptions& options,
       const LogStore& history);
@@ -322,12 +278,9 @@ class IssuanceService {
   // decision carries the catalog epoch it was made against.
   Result<OnlineDecision> TryIssue(const License& issued);
 
-  // Admits a batch, returning decisions in input order. Requests are
-  // processed shard-by-shard (one lock acquisition per shard touched, not
-  // per request); within a shard the batch's relative order is preserved,
-  // so the decisions equal a sequential TryIssue loop over the batch. If a
-  // reconfiguration lands mid-batch, the not-yet-admitted remainder
-  // retries against the new epoch — decisions then carry mixed epochs.
+  // Admits a batch under one lock acquisition, returning decisions in
+  // input order: the decisions of a sequential TryIssue loop over the
+  // batch, all made against one catalog epoch.
   Result<std::vector<OnlineDecision>> TryIssueBatch(
       const std::vector<License>& batch);
 
@@ -346,14 +299,14 @@ class IssuanceService {
   Status TryIssueBatch(std::span<const License* const> batch,
                        std::span<OnlineDecision> decisions);
 
-  // --- Live license lifecycle (one reconfiguration at a time) ---
+  // --- Live license lifecycle ---
 
   // Adds `license` to the running catalog; returns its index in the new
   // epoch (always the highest — existing indexes are unchanged by an
   // acquisition). The license must match the catalog's content key,
   // permission, type and dimensionality, and carry a unique id. The
   // overlap grouping updates incrementally (DynamicGrouping); if the
-  // newcomer bridges groups, their shards merge in the new epoch.
+  // newcomer bridges groups, they merge in the new epoch.
   Result<int> AcquireLicense(const License& license);
 
   // Removes the license at `index` (current-epoch index). Cascade
@@ -365,9 +318,9 @@ class IssuanceService {
   Status RevokeLicense(int index);
 
   // Id-addressed form: resolves `id` to its current-epoch index under the
-  // reconfiguration lock, so the caller cannot race a concurrent
-  // reconfiguration that renumbers indexes between lookup and revoke.
-  // Fails with NotFound when no license carries `id`.
+  // service lock, so the caller cannot race a concurrent reconfiguration
+  // that renumbers indexes between lookup and revoke. Fails with NotFound
+  // when no license carries `id`.
   Status RevokeLicenseById(const std::string& id);
 
   // Revokes every license whose validity-period dimension ends strictly
@@ -391,9 +344,9 @@ class IssuanceService {
   // set order — what LogStore::Compacted makes of any serial replay of
   // the accepted set. Feedable to the offline validators, which decide
   // the same on it as on the per-record log; ids and admission order live
-  // only in the journal. The records are all numbered in one catalog
-  // epoch, even when reconfigurations run concurrently; licenses() may
-  // already describe a later epoch by the time this returns.
+  // only in the journal. The records are numbered in the catalog epoch
+  // current at the read; licenses() may already describe a later epoch by
+  // the time this returns.
   LogStore CollectLog() const;
 
   // Snapshot of the combined validation tree, built offline from
@@ -406,34 +359,29 @@ class IssuanceService {
   Result<FlatValidationTree> CollectFlatTree() const;
 
   // Turns on write-ahead journaling: every subsequently accepted issuance
-  // is framed and appended to `journal` before the shard's in-memory state
-  // changes or the decision returns, so a crash can never have accepted an
+  // is framed and appended to `journal` before the in-memory state changes
+  // or the decision returns, so a crash can never have accepted an
   // issuance the journal does not know. Reconfigurations journal the same
-  // way (frame first, publish second). A journal append failure rejects
-  // the admission or reconfiguration with all state unchanged.
-  // Must be called before issuance traffic starts (it is not synchronized
-  // against in-flight TryIssue calls) and before any reconfiguration (the
-  // journal must cover the catalog's evolution from epoch 0); fails if a
-  // journal is already attached or frames were already written to this
-  // journal.
+  // way (frame first, swap second). A journal append failure rejects the
+  // admission or reconfiguration with all state unchanged.
+  // Must be called before issuance traffic starts (admissions before it
+  // are in no journal) and before any reconfiguration (the journal must
+  // cover the catalog's evolution from epoch 0); fails if a journal is
+  // already attached or frames were already written to this journal.
   Status AttachJournal(std::unique_ptr<JournalWriter> journal);
 
   // Forces every journaled frame to stable storage (for fsync_interval
   // batching); no-op without a journal.
   Status SyncJournal();
 
-  bool has_journal() const {
-    return has_journal_.load(std::memory_order_acquire);
-  }
+  bool has_journal() const;
 
   // Sequence number of the last journaled frame (0 = none yet).
   uint64_t journal_sequence() const;
 
   // The current catalog, its epoch, the accepted sets (CollectLog's
-  // compacted records) and the journal sequence they cover, taken under
-  // every shard lock (in index order) and then the journal lock, so the cut
-  // is exact. Safe to call while issuance traffic and reconfigurations are
-  // running.
+  // compacted records) and the journal sequence they cover, read under the
+  // service lock, so the cut is exact.
   ServiceState Snapshot() const;
 
   // Writes Snapshot() into a v2 checkpoint file (persist/checkpoint.h,
@@ -442,14 +390,13 @@ class IssuanceService {
   Status WriteCheckpoint(const std::string& path) const;
 
   // Current-epoch views; the references stay valid until the next
-  // reconfiguration retires the epoch (plus reader drain).
+  // reconfiguration.
   const LicenseCatalog& licenses() const;
   const LicenseGrouping& grouping() const;
   const OnlineValidatorOptions& options() const { return options_; }
-  int shard_count() const;
   // Bytes of the current epoch's dense equation tables: 24·2^N_g for each
   // group of at most kMaxDenseGroupSize licenses. A reconfiguration holds
-  // a second epoch's tables until the old epoch's readers drain.
+  // a second epoch's tables while it builds them.
   size_t dense_table_bytes() const;
 
   // Decision counters and latency histogram. Points at options.metrics
@@ -465,28 +412,12 @@ class IssuanceService {
   ExpositionInput Snap() const;
 
  private:
-  // One cache line each: stripes sit side by side in one array, and
-  // threads admitting on neighbouring stripes would otherwise share the
-  // lines their mutexes and counters are written on.
-  struct alignas(64) Shard {
-    std::mutex mutex;
-    // Accepted sets of the shard's above-cap groups only (dense groups
-    // keep theirs in the epoch's C[S] tables). Masks in the owning epoch's
-    // license indexes.
-    ValidationTree tree;
-    // Admissions applied to the shard since its epoch was built; a
-    // reconfiguration's catch-up skips a shard whose count has not moved
-    // since its snapshot.
-    uint64_t accepted = 0;
-  };
-
   // The licenses one issuance's equations range over: an overlap group,
   // or the whole catalog without grouping. Scopes of at most
   // kMaxDenseGroupSize licenses carry dense tables indexed by local mask
   // (`runs`): `aggregates[T]` = A[T], immutable, and `counts[S]` = C[S]
-  // and `sums[T]` = C⟨T⟩, written only under the owning shard's mutex. All
-  // three are null above the cap, where the shard's pointer tree answers
-  // instead.
+  // and `sums[T]` = C⟨T⟩. All three are null above the cap, where the
+  // epoch's pointer tree answers instead.
   struct EquationScope {
     LicenseSet mask;
     int group = -1;  // Overlap group; -1 for the whole catalog.
@@ -501,9 +432,9 @@ class IssuanceService {
     uint32_t full_local() const { return (uint32_t{1} << size) - 1; }
   };
 
-  // One immutable generation of the catalog + derived admission state.
-  // Everything here is fixed at build time except the shard contents
-  // (guarded by the shard mutexes) and the retirement flag.
+  // One generation of the catalog + derived admission state. Everything
+  // here is fixed at build time except the equation state: the dense
+  // scopes' C[S] and C⟨T⟩ tables and `tree`.
   struct CatalogEpoch {
     CatalogEpoch(const LicenseCatalog* catalog_in,
                  std::unique_ptr<LicenseCatalog> owned,
@@ -519,7 +450,7 @@ class IssuanceService {
     std::unique_ptr<LicenseCatalog> owned_catalog;
     const LicenseCatalog* catalog;
     LicenseGrouping grouping;
-    SoaInstanceValidator instance;  // Immutable ⇒ lock-free.
+    SoaInstanceValidator instance;
     // Equation scopes, one per overlap group (one for the whole catalog
     // without grouping) — built once so the hot path hands out references
     // instead of copying a LicenseSet (which may heap-allocate) per
@@ -529,14 +460,10 @@ class IssuanceService {
     std::unique_ptr<int64_t[]> dense_tables;
     size_t dense_table_bytes = 0;
     LicenseSet all_mask;
-    // The lock stripes, in one allocation. Mutable like the tables'
-    // counts: each stripe's state is written under its own mutex.
-    mutable std::vector<Shard> shards;
-    // Set (under every shard lock) when a newer epoch replaces this one.
-    // An admission that observes it after locking re-pins and retries;
-    // the publish order (state_ first, retired second) guarantees the
-    // retry sees the new epoch.
-    mutable std::atomic<bool> retired{false};
+    bool grouped = true;  // OnlineValidatorOptions::use_grouping.
+    // Accepted sets of the above-cap scopes only (dense scopes keep theirs
+    // in their C[S] tables), in this epoch's license indexes.
+    ValidationTree tree;
 
     // License index at bit `position` of `scope`'s local masks: Algorithm
     // 5's order-preserving numbering within a group, the identity for the
@@ -549,6 +476,18 @@ class IssuanceService {
     // equation mask back to license indexes).
     LicenseSet WithLocal(const EquationScope& scope, LicenseSet s,
                          uint32_t local) const;
+    // Equation scope of satisfying set `s`: its group's, or the whole
+    // catalog's without grouping. The reference aliases a scope built
+    // with the epoch — no copy.
+    const EquationScope& Route(const LicenseSet& s) const {
+      const size_t g =
+          grouped ? static_cast<size_t>(grouping.GroupOf(s.Lowest())) : 0;
+      return scopes[g];
+    }
+    // Calls `read(set, count)` for every distinct accepted set: the dense
+    // scopes' non-zero C[S] entries, then the tree's sets.
+    void ForEachSet(
+        const std::function<void(const LicenseSet&, int64_t)>& read) const;
   };
 
   // What one reconfiguration does, in current-epoch index space.
@@ -567,7 +506,7 @@ class IssuanceService {
 
   IssuanceService(const OnlineValidatorOptions& options,
                   DynamicGrouping grouping,
-                  std::shared_ptr<CatalogEpoch> epoch0);
+                  std::unique_ptr<CatalogEpoch> epoch0);
 
   // `owned`, when set, is `licenses`; the service starts at `epoch`.
   static Result<std::unique_ptr<IssuanceService>> CreateOwned(
@@ -575,10 +514,9 @@ class IssuanceService {
       const OnlineValidatorOptions& options, const LogStore& history,
       uint64_t epoch = 0);
 
-  // Assembles a fully-derived epoch (shards, scopes, instance geometry,
-  // A tables) around `catalog`, with zeroed C[S] and C⟨T⟩ tables — the
-  // publish step is the caller's.
-  static std::shared_ptr<CatalogEpoch> BuildEpoch(
+  // Assembles a fully-derived epoch (scopes, instance geometry, A tables)
+  // around `catalog`, with zeroed C[S] and C⟨T⟩ tables and an empty tree.
+  static std::unique_ptr<CatalogEpoch> BuildEpoch(
       const OnlineValidatorOptions& options, uint64_t epoch_number,
       const LicenseCatalog* catalog, std::unique_ptr<LicenseCatalog> owned,
       LicenseGrouping grouping);
@@ -586,14 +524,14 @@ class IssuanceService {
   // Adds `count` issuances of satisfying set `set` to `epoch`'s equation
   // state — a tree insert, or a point-add to a dense scope's C[S] — after
   // checking it lies in one scope. Caller owns exclusivity: history
-  // preload at construction, or an off-side epoch build.
-  Status ApplySetToEpoch(CatalogEpoch* epoch, const LicenseSet& set,
-                         int64_t count) const;
+  // preload at construction, or a reconfiguration's next epoch.
+  static Status ApplySetToEpoch(CatalogEpoch* epoch, const LicenseSet& set,
+                                int64_t count);
 
   // ApplySetToEpoch for every record of `history`, in one pass with the
   // per-record checks inline: the same state and the same first error.
   // Caller owns exclusivity: a service under construction.
-  Status PreloadEpoch(CatalogEpoch* epoch, const LogStore& history) const;
+  static Status PreloadEpoch(CatalogEpoch* epoch, const LogStore& history);
 
   // Derives every dense scope's C⟨T⟩ from its C[S] (a copy and one zeta
   // transform), except the scopes whose `finished` entry is set (tables a
@@ -605,90 +543,60 @@ class IssuanceService {
 
   // Recover's cross-check against `serial`, a replay of the recovered
   // records built independently of the service: every dense C⟨T⟩ must
-  // equal the sum of the replay's counts over subsets of T, and every
-  // shard's tree the replay's above-cap sets routed to it.
+  // equal the sum of the replay's counts over subsets of T, and the tree
+  // the replay's above-cap sets.
   Status CheckAgainstReplay(const ValidationTree& serial) const;
 
-  // Takes reconfig_mutex_ (cooperatively under the simulation harness,
-  // which suspends a reconfiguration while it holds the lock).
-  std::unique_lock<std::mutex> LockReconfig();
+  // Takes mutex_. Under the simulation harness it first yields at `point`
+  // (the call's one simulation step starts there), and a contender yields
+  // at `point` again and retries instead of blocking the scheduler's
+  // single token.
+  std::unique_lock<std::mutex> Lock(const char* point) const;
 
-  // The shared reconfiguration path (caller holds reconfig_mutex_): builds
-  // the next epoch from `plan`, journals it, publishes, retires. Returns
-  // the acquired index or the removed count.
+  // The shared reconfiguration path (caller holds mutex_): builds the next
+  // epoch from `plan`, carries every distinct accepted set into it,
+  // journals the frame and swaps the epoch in. Returns the acquired index
+  // or the removed count.
   Result<int> ReconfigureLocked(const ReconfigPlan& plan);
 
-  // Validates and executes a single-index revocation. Caller holds
-  // reconfig_mutex_, so `index` is stable in the current epoch.
+  // Validates and executes a single-index revocation. Caller holds mutex_.
   Status RevokeIndexLocked(int index);
 
-  std::shared_ptr<const CatalogEpoch> Pin() const {
-    return state_.load(std::memory_order_acquire);
-  }
+  // ExpireDimensionBelow's body. Caller holds mutex_.
+  Result<int> ExpireDimensionBelowLocked(int dim, int64_t cutoff);
 
-  // Every shard lock of `epoch`, taken in index order.
-  static std::vector<std::unique_lock<std::mutex>> LockShards(
-      const CatalogEpoch& epoch);
-
-  // Pins the current epoch and takes all of its shard locks (into
-  // `locks`), retrying when a reconfiguration retires the pinned epoch
-  // first — a retired epoch's reconfiguration frame is already journaled,
-  // so its state no longer matches the journal sequence. The shards'
-  // contents are then the current epoch's, frozen while `locks` is held.
-  std::shared_ptr<const CatalogEpoch> PinLocked(
-      std::vector<std::unique_lock<std::mutex>>* locks) const;
-
-  // Calls `read(set, count)` for every distinct accepted set of shard
-  // `shard` of `epoch`: its dense scopes' non-zero C[S] entries, then its
-  // tree's sets. Caller holds the shard's lock.
-  static void ForEachShardSet(
-      const CatalogEpoch& epoch, size_t shard,
-      const std::function<void(const LicenseSet&, int64_t)>& read);
-
-  // ForEachShardSet over every shard of the current epoch, holding only
-  // that shard's lock (an audit stalls admissions one shard at a time).
-  // Every set is numbered in the pinned epoch: a reconfiguration that
-  // retires it midway leaves its state as it was at the retirement.
-  void ReadShardState(
-      const std::function<void(const LicenseSet&, int64_t)>& read) const;
-
-  // Equation scope for satisfying set `s` within `epoch` (its group, or
-  // the full catalog without grouping), plus the owning shard index. The
-  // returned reference aliases a scope precomputed at epoch build — no
-  // copy, valid for the epoch's lifetime.
-  const EquationScope& RouteSet(const CatalogEpoch& epoch, const LicenseSet& s,
-                                size_t* shard) const;
-  // Equation check + table/tree update for one request. Caller holds
-  // `shard.mutex` on a shard of `epoch`. `decision` already carries the
+  // Equation check + table/tree update for one request against the
+  // current epoch. Caller holds mutex_. `decision` already carries the
   // satisfying set; `trace` collects the equation-scan and journal-append
   // spans (never null — pass a RequestTrace built from a null tracer to
   // run untraced).
-  Status AdmitLocked(const CatalogEpoch& epoch, Shard* shard,
-                     const License& issued, const EquationScope& scope,
+  Status AdmitLocked(const License& issued, OnlineDecision* decision,
+                     RequestTrace* trace);
+
+  // Reads the request's clock from the simulation's virtual clock under
+  // sim_hooks, from the wall clock otherwise.
+  class RequestTimer;
+
+  // One request of TryIssue or TryIssueBatch. Caller holds mutex_. Stamps
+  // the epoch, looks up the satisfying set and, when it is not empty,
+  // admits it (AdmitLocked); then records the outcome in the metrics and
+  // finishes `trace`. A non-ok status is an internal or journal error.
+  Status IssueLocked(const License& issued, const RequestTimer& timer,
                      OnlineDecision* decision, RequestTrace* trace);
 
   OnlineValidatorOptions options_;
-  // The current epoch. Readers pin with a plain atomic load (shared_ptr
-  // refcount = reader count); Reconfigure is the only writer.
-  std::atomic<std::shared_ptr<const CatalogEpoch>> state_;
-  // Serializes reconfigurations and guards dyn_grouping_. Lock order:
-  // reconfig_mutex_ → shard mutexes (index order) → journal_mutex_.
-  mutable std::mutex reconfig_mutex_;
-  // Incremental overlap components, mirrored into each epoch's grouping.
-  DynamicGrouping dyn_grouping_;
   IssuanceMetrics owned_metrics_;
   IssuanceMetrics* metrics_;  // == options_.metrics or &owned_metrics_.
-  std::atomic<int64_t> issue_sequence_{0};
 
-  // Write-ahead journal. `has_journal_` gates the accept path so services
-  // without a journal never touch `journal_mutex_` (the sharded fast path
-  // stays lock-disjoint across groups). Lock order: shard mutex(es), then
-  // journal_mutex_ — AdmitLocked, Reconfigure and Snapshot all
-  // follow it.
-  std::atomic<bool> has_journal_{false};
-  mutable std::mutex journal_mutex_;
-  std::unique_ptr<JournalWriter> journal_;  // Guarded by journal_mutex_.
-  uint64_t journal_seq_ = 0;                // Guarded by journal_mutex_.
+  // The service lock: it guards everything below.
+  mutable std::mutex mutex_;
+  std::unique_ptr<CatalogEpoch> epoch_;  // The current epoch; never null.
+  // Incremental overlap components, mirrored into each epoch's grouping.
+  DynamicGrouping dyn_grouping_;
+  int64_t issue_sequence_ = 0;  // Admissions numbered for "LU<n>" ids.
+  // Write-ahead journal; null until AttachJournal.
+  std::unique_ptr<JournalWriter> journal_;
+  uint64_t journal_seq_ = 0;
 };
 
 }  // namespace geolic

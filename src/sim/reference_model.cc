@@ -100,7 +100,6 @@ ReferenceModel::Decision ReferenceModel::TryIssue(
 
 void ReferenceModel::Apply(const LicenseSet& set, int64_t count) {
   counts_[set] += count;
-  ++version_;
 }
 
 int64_t ReferenceModel::SumSubsets(const LicenseSet& t) const {

@@ -66,10 +66,6 @@ class ReferenceModel {
   // over-issued.
   Status CheckInvariant() const;
 
-  // Number of Apply calls so far — lets the harness detect whether other
-  // tasks interleaved with a multi-step operation.
-  uint64_t version() const { return version_; }
-
   const std::map<LicenseSet, int64_t>& counts() const { return counts_; }
 
   // The geometric overlap components (disjoint, covering all licenses).
@@ -89,7 +85,6 @@ class ReferenceModel {
   // brute force feasible past a few dozen licenses.
   std::vector<LicenseSet> components_;
   std::map<LicenseSet, int64_t> counts_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace geolic

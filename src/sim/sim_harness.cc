@@ -9,6 +9,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -29,6 +30,28 @@ namespace {
 // Largest per-request count the generator emits; the recovery diff uses it
 // to bound how big an unobserved in-flight admission can be.
 constexpr int64_t kMaxRequestCount = 3;
+
+// FNV-1a (64-bit) over every op's outcome, the final log and the journal
+// bytes: the per-seed digest sim_runner prints (SimResult::digest).
+constexpr uint64_t kDigestSeed = 0xcbf29ce484222325ULL;
+
+void MixDigest(uint64_t* digest, std::string_view bytes) {
+  for (const char c : bytes) {
+    *digest = (*digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+}
+
+// Everything a decision says, as the digest reads it.
+std::string DecisionText(const OnlineDecision& decision) {
+  return std::to_string(decision.catalog_epoch) +
+         (decision.instance_valid ? " i" : " -") +
+         (decision.aggregate_valid ? "a " : "- ") +
+         decision.satisfying_set.ToHex() + " " +
+         decision.limiting.set.ToHex() + " " +
+         std::to_string(decision.limiting.lhs) + " " +
+         std::to_string(decision.limiting.rhs) + " " +
+         std::to_string(decision.equations_checked) + ";";
+}
 
 std::string MaskText(const LicenseSet& mask) { return mask.ToHex(); }
 
@@ -85,9 +108,6 @@ struct SimState {
   std::unique_ptr<LicenseCatalog> model_catalog_owner;
   std::unique_ptr<ReferenceModel> model;
   uint64_t model_epoch = 0;
-  // One old→new index map per reconfiguration (-1 = removed), so batch
-  // decisions pinned to an older epoch can be translated forward.
-  std::vector<std::vector<int>> remap_chain;
   InMemorySyncFile* disk = nullptr;  // The journal's platter.
   SimScheduler* scheduler = nullptr;
   std::string scratch_dir;
@@ -109,10 +129,9 @@ struct SimState {
   // A batch died on the fault: the in-flight admission is unknown, so the
   // recovery diff falls back to a bounded one-record allowance.
   bool batch_error = false;
-  int batches_in_flight = 0;
-  // ReconcileModelFromServiceLog calls so far. A batch parked mid-flight
-  // across one may already have its admissions counted by it.
-  uint64_t reconciles = 0;
+  // Running hash of every op's outcome, the final log and the journal
+  // bytes (SimResult::digest).
+  uint64_t digest = kDigestSeed;
 
   std::string failure;  // First conformance violation; empty = clean.
   std::vector<std::string> op_trace;
@@ -127,27 +146,6 @@ void Fail(SimState* state, const std::string& what) {
   if (state->failure.empty()) {
     state->failure = what;
   }
-}
-
-// Translates `set` from the index space of `from_epoch` into the current
-// model epoch's space by walking the remap chain. Returns false when any
-// member was removed along the way — the service cascade-drops such
-// records during the reconfiguration, so the model must too.
-bool TranslateSet(const SimState& state, uint64_t from_epoch,
-                  LicenseSet* set) {
-  for (uint64_t e = from_epoch; e < state.model_epoch; ++e) {
-    const std::vector<int>& map = state.remap_chain[static_cast<size_t>(e)];
-    LicenseSet out;
-    for (int i : set->Indexes()) {
-      if (i >= static_cast<int>(map.size()) ||
-          map[static_cast<size_t>(i)] < 0) {
-        return false;
-      }
-      out.Add(map[static_cast<size_t>(i)]);
-    }
-    *set = out;
-  }
-  return true;
 }
 
 // Rebuilds the reference model around the catalog that results from
@@ -183,7 +181,6 @@ void ApplyReconfigToModel(SimState* state, const PendingReconfig& pending) {
     }
     fresh->Apply(remapped, count);
   }
-  state->remap_chain.push_back(std::move(old_to_new));
   state->model = std::move(fresh);  // Old model dies before its catalog.
   state->model_catalog_owner = std::move(next);
   state->model_catalog = state->model_catalog_owner.get();
@@ -202,15 +199,14 @@ void CheckEpochLockstep(SimState* state, const char* when) {
   }
 }
 
-// Compares one service decision against the reference model. `strong`
-// demands exact agreement (accept/reject and the full limiting equation);
-// the weak form — used while another task's batch is mid-flight, when the
-// model legitimately lags the service — still pins the immutable geometry
-// and requires any rejection to cite a genuinely coherent equation.
-std::string CompareDecision(const LicenseCatalog& licenses,
-                            const ReferenceModel& model,
+// Compares one service decision against the reference model: the
+// satisfying set, accept/reject and the full limiting equation must agree
+// exactly. Every service call is one step under the service lock, and the
+// executor updates the model right after it returns, so the model holds
+// exactly the state the service decided against.
+std::string CompareDecision(const ReferenceModel& model,
                             const License& request,
-                            const OnlineDecision& got, bool strong) {
+                            const OnlineDecision& got) {
   const ReferenceModel::Decision want = model.TryIssue(request);
   if (got.instance_valid != want.instance_valid ||
       got.satisfying_set != want.satisfying_set) {
@@ -221,41 +217,23 @@ std::string CompareDecision(const LicenseCatalog& licenses,
   if (!want.instance_valid) {
     return "";
   }
-  if (strong) {
-    if (got.aggregate_valid != want.aggregate_valid) {
-      return std::string("decision mismatch for ") + request.id() +
-             ": service " + (got.aggregate_valid ? "accepted" : "rejected") +
-             ", brute-force eq. 1 says " +
-             (want.aggregate_valid ? "accept" : "reject");
-    }
-    if (!want.aggregate_valid &&
-        (got.limiting.set != want.limiting_set ||
-         got.limiting.lhs != want.limiting_lhs ||
-         got.limiting.rhs != want.limiting_rhs)) {
-      return "limiting equation mismatch for " + request.id() + ": service " +
-             MaskText(got.limiting.set) + " (" +
-             std::to_string(got.limiting.lhs) + " > " +
-             std::to_string(got.limiting.rhs) + "), brute force " +
-             MaskText(want.limiting_set) + " (" +
-             std::to_string(want.limiting_lhs) + " > " +
-             std::to_string(want.limiting_rhs) + ")";
-    }
-    return "";
+  if (got.aggregate_valid != want.aggregate_valid) {
+    return std::string("decision mismatch for ") + request.id() +
+           ": service " + (got.aggregate_valid ? "accepted" : "rejected") +
+           ", brute-force eq. 1 says " +
+           (want.aggregate_valid ? "accept" : "reject");
   }
-  if (!got.aggregate_valid) {
-    if (got.limiting.lhs <= got.limiting.rhs) {
-      return "rejection for " + request.id() +
-             " cites a non-violated equation";
-    }
-    if (got.limiting.rhs != licenses.AggregateSum(got.limiting.set)) {
-      return "rejection for " + request.id() +
-             " cites a wrong aggregate budget for " +
-             MaskText(got.limiting.set);
-    }
-    if (!(got.satisfying_set).IsSubsetOf(got.limiting.set)) {
-      return "limiting set for " + request.id() +
-             " does not contain the satisfying set";
-    }
+  if (!want.aggregate_valid &&
+      (got.limiting.set != want.limiting_set ||
+       got.limiting.lhs != want.limiting_lhs ||
+       got.limiting.rhs != want.limiting_rhs)) {
+    return "limiting equation mismatch for " + request.id() + ": service " +
+           MaskText(got.limiting.set) + " (" +
+           std::to_string(got.limiting.lhs) + " > " +
+           std::to_string(got.limiting.rhs) + "), brute force " +
+           MaskText(want.limiting_set) + " (" +
+           std::to_string(want.limiting_lhs) + " > " +
+           std::to_string(want.limiting_rhs) + ")";
   }
   return "";
 }
@@ -301,7 +279,6 @@ void NoteReconfigFailure(SimState* state, PendingReconfig pending,
 // service may only ever be AHEAD of the model — a missing record means an
 // acknowledged admission vanished.
 void ReconcileModelFromServiceLog(SimState* state) {
-  ++state->reconciles;
   const std::unordered_map<LicenseSet, int64_t> merged =
       state->service->CollectLog().MergedCounts();
   for (const auto& [set, count] : state->model->counts()) {
@@ -359,6 +336,27 @@ bool CheckWireRoundTrip(SimState* state, const License& request) {
   return true;
 }
 
+// Checks a decision of the current op against the model, digests it and
+// applies it to the model when accepted. `what` names it in failures.
+void CheckAndApply(SimState* state, const std::string& what,
+                   const License& request, const OnlineDecision& got) {
+  if (got.catalog_epoch != state->model_epoch) {
+    Fail(state, what + " decided in epoch " +
+                    std::to_string(got.catalog_epoch) + ", model at " +
+                    std::to_string(state->model_epoch));
+    return;
+  }
+  const std::string mismatch = CompareDecision(*state->model, request, got);
+  if (!mismatch.empty()) {
+    Fail(state, what + ": " + mismatch);
+    return;
+  }
+  MixDigest(&state->digest, DecisionText(got));
+  if (got.accepted()) {
+    state->model->Apply(got.satisfying_set, request.aggregate_count());
+  }
+}
+
 void ExecuteTryIssue(SimState* state, const SimOp& op) {
   const License& request = op.requests[0];
   if (!CheckWireRoundTrip(state, request)) {
@@ -366,28 +364,11 @@ void ExecuteTryIssue(SimState* state, const SimOp& op) {
   }
   const Result<OnlineDecision> got = state->service->TryIssue(request);
   if (!got.ok()) {
+    MixDigest(&state->digest, "issue error;");
     NoteJournalError(state, request);
     return;
   }
-  // A single issue retries internally until it admits (or rejects) in the
-  // epoch that is current at return, and nothing can run between that and
-  // this comparison, so the decision is always in the model's space.
-  if (got->catalog_epoch != state->model_epoch) {
-    Fail(state, "issue " + request.id() + " decided in epoch " +
-                    std::to_string(got->catalog_epoch) + ", model at " +
-                    std::to_string(state->model_epoch));
-    return;
-  }
-  const bool strong = state->batches_in_flight == 0;
-  const std::string mismatch = CompareDecision(
-      *state->model_catalog, *state->model, request, *got, strong);
-  if (!mismatch.empty()) {
-    Fail(state, mismatch);
-    return;
-  }
-  if (got->accepted()) {
-    state->model->Apply(got->satisfying_set, request.aggregate_count());
-  }
+  CheckAndApply(state, "issue " + request.id(), request, *got);
   RunInvariantSweep(state, "after issue");
 }
 
@@ -397,69 +378,26 @@ void ExecuteBatch(SimState* state, const SimOp& op) {
       return;
     }
   }
-  ++state->batches_in_flight;
-  const uint64_t version_before = state->model->version();
-  const uint64_t epoch_before = state->model_epoch;
-  const uint64_t reconciles_before = state->reconciles;
   const Result<std::vector<OnlineDecision>> got =
       state->service->TryIssueBatch(op.requests);
-  --state->batches_in_flight;
   if (!got.ok()) {
+    MixDigest(&state->digest, "batch error;");
     if (state->workload->fault_kind == 0) {
       Fail(state, "batch error without a scheduled fault");
       return;
     }
-    // The faulted append belongs to an unknown request inside the batch.
+    // The faulted append belongs to an unknown request inside the batch,
+    // and the requests before it were admitted unobserved.
     state->journal_error_seen = true;
     state->batch_error = true;
     ReconcileModelFromServiceLog(state);
     return;
   }
-  // Exact sequential semantics are checkable only when nothing else
-  // admitted during the batch: no model change, no reconfiguration, and no
-  // other batch still parked mid-flight with unobserved admissions.
-  const bool strong = state->model->version() == version_before &&
-                      state->model_epoch == epoch_before &&
-                      state->batches_in_flight == 0;
-  // Another batch failed while this one was parked and raised the model to
-  // the service log, which already held this batch's earlier admissions:
-  // applying the decisions would count those twice, so the model is raised
-  // to the log again instead.
-  const bool reconciled = state->reconciles != reconciles_before;
-  for (size_t i = 0; i < op.requests.size(); ++i) {
-    const OnlineDecision& decision = (*got)[i];
-    if (decision.catalog_epoch > state->model_epoch) {
-      Fail(state, "batch[" + std::to_string(i) + "] decided in future epoch " +
-                      std::to_string(decision.catalog_epoch));
-      return;
-    }
-    if (decision.catalog_epoch < state->model_epoch) {
-      // Admitted before a reconfiguration that landed mid-batch: the
-      // satisfying set lives in an older index space. Translate it
-      // forward; a record the reconfiguration cascade-dropped must not be
-      // counted (the service dropped it too).
-      if (decision.accepted() && !reconciled) {
-        LicenseSet set = decision.satisfying_set;
-        if (TranslateSet(*state, decision.catalog_epoch, &set)) {
-          state->model->Apply(set, op.requests[i].aggregate_count());
-        }
-      }
-      continue;
-    }
-    const std::string mismatch =
-        CompareDecision(*state->model_catalog, *state->model, op.requests[i],
-                        decision, strong);
-    if (!mismatch.empty()) {
-      Fail(state, "batch[" + std::to_string(i) + "]: " + mismatch);
-      return;
-    }
-    if (decision.accepted() && !reconciled) {
-      state->model->Apply(decision.satisfying_set,
-                          op.requests[i].aggregate_count());
-    }
-  }
-  if (reconciled) {
-    ReconcileModelFromServiceLog(state);
+  // The whole batch is one step under the service lock: its decisions are
+  // a sequential TryIssue loop's against the model as it stands.
+  for (size_t i = 0; i < op.requests.size() && state->failure.empty(); ++i) {
+    CheckAndApply(state, "batch[" + std::to_string(i) + "]", op.requests[i],
+                  (*got)[i]);
   }
   RunInvariantSweep(state, "after batch");
 }
@@ -469,6 +407,8 @@ void ExecuteCheckpoint(SimState* state) {
       state->scratch_dir + "/ckpt_" +
       std::to_string(++state->checkpoints_written) + ".gck";
   const Status written = state->service->WriteCheckpoint(path);
+  MixDigest(&state->digest,
+            written.ok() ? "checkpoint ok;" : "checkpoint error;");
   if (!written.ok()) {
     Fail(state, std::string("checkpoint write failed: ") + written.message());
     return;
@@ -478,6 +418,7 @@ void ExecuteCheckpoint(SimState* state) {
 
 void ExecuteSync(SimState* state) {
   const Status synced = state->service->SyncJournal();
+  MixDigest(&state->digest, synced.ok() ? "sync ok;" : "sync error;");
   if (!synced.ok() && state->workload->fault_kind == 0) {
     Fail(state, std::string("sync failed without a scheduled fault: ") +
                     synced.message());
@@ -490,6 +431,8 @@ void ExecuteAcquire(SimState* state, const SimOp& op) {
   pending.is_acquire = true;
   pending.acquired = license;
   const Result<int> got = state->service->AcquireLicense(license);
+  MixDigest(&state->digest,
+            "acquire " + (got.ok() ? std::to_string(*got) : "error") + ";");
   if (!got.ok()) {
     NoteReconfigFailure(state, std::move(pending), got.status());
     CheckEpochLockstep(state, "after failed acquire");
@@ -512,9 +455,10 @@ void ExecuteAcquire(SimState* state, const SimOp& op) {
 void ExecuteRevoke(SimState* state, const SimOp& op) {
   // Revoke by id: a reconfiguration by another task can renumber indexes
   // inside this call's yield, so the service resolves the id under its
-  // own reconfiguration lock. The model resolves AFTER the call returns —
+  // lock. The model resolves AFTER the call returns —
   // nothing can run in between, so both resolve in the same epoch.
   const Status got = state->service->RevokeLicenseById(op.revoke_id);
+  MixDigest(&state->digest, got.ok() ? "revoke ok;" : "revoke refused;");
   const Result<int> index = state->model_catalog->IndexOfId(op.revoke_id);
   if (!index.ok()) {
     // Never acquired, or already revoked/expired: the service must have
@@ -547,6 +491,8 @@ void ExecuteRevoke(SimState* state, const SimOp& op) {
 void ExecuteExpire(SimState* state, const SimOp& op) {
   const Result<int> got =
       state->service->ExpireDimensionBelow(0, op.expire_cutoff);
+  MixDigest(&state->digest,
+            "expire " + (got.ok() ? std::to_string(*got) : "error") + ";");
   // The expected removal is evaluated on the model catalog AFTER the call:
   // the service computed against the epoch current at execution, no other
   // task has run since, and the model has not applied yet — so both see
@@ -811,12 +757,13 @@ void FinalChecks(SimState* state, const SimConfig& config,
     }
     state->op_trace.push_back("post-recovery " + DescribeOp(op));
     ++state->ops_executed;
-    const std::string mismatch = CompareDecision(
-        *state->model_catalog, *state->model, request, *got, true);
+    const std::string mismatch =
+        CompareDecision(*state->model, request, *got);
     if (!mismatch.empty()) {
       Fail(state, "post-recovery: " + mismatch);
       return;
     }
+    MixDigest(&state->digest, DecisionText(*got));
     if (got->accepted()) {
       state->model->Apply(got->satisfying_set, request.aggregate_count());
     }
@@ -851,15 +798,17 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
                      .ok());
   }
   workload.licenses = std::make_unique<LicenseCatalog>(workload.schema.get());
-  // Lifecycle seeds also draw the service's lock striping and, for a
-  // quarter of them, a catalog at the dense-table cap: one overlap group
-  // of kMaxDenseGroupSize - 1 or kMaxDenseGroupSize licenses around a
-  // common hub point, which acquisitions (also hub-shaped) push over the
-  // cap and revocations pull back under it — reconfigurations then carry
-  // equation state between dense tables and trees.
+  // A quarter of the lifecycle seeds draw a catalog at the dense-table
+  // cap: one overlap group of kMaxDenseGroupSize - 1 or kMaxDenseGroupSize
+  // licenses around a common hub point, which acquisitions (also
+  // hub-shaped) push over the cap and revocations pull back under it —
+  // reconfigurations then carry equation state between dense tables and
+  // the tree.
   bool near_cap = false;
   if (config.lifecycle_ops) {
-    workload.shard_hint = rng.Bernoulli(0.5) ? 2 : 0;
+    // A bit the generator once spent on the service's lock striping,
+    // still drawn so that every seed builds the same catalog and ops.
+    (void)rng.Bernoulli(0.5);
     near_cap = config.cluster_slabs <= 1 && rng.Bernoulli(0.25);
   }
   const int license_count =
@@ -944,8 +893,8 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
         .SetPermission(Permission::kPlay)
         .SetAggregateCount(rng.UniformInt(1, kMaxRequestCount));
     if (rng.Bernoulli(0.15)) {
-      // Anywhere in a random slab: often instance-invalid — the lock-free
-      // fast-reject path.
+      // Anywhere in a random slab: often instance-invalid — the
+      // instance-reject path.
       const int64_t slab_lo =
           rng.UniformInt(0, static_cast<int64_t>(slabs) - 1) * kSlabStride;
       for (int d = 0; d < dims; ++d) {
@@ -1058,7 +1007,6 @@ SimResult RunWorkload(const SimWorkload& workload, uint64_t seed,
   options.sim_hooks = &scheduler;
   options.sim_skip_last_equation = config.inject_equation_skip;
   options.sim_skip_renumbering = config.inject_skip_renumbering;
-  options.shard_hint = workload.shard_hint;
 
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(workload.licenses.get(), options);
@@ -1107,6 +1055,14 @@ SimResult RunWorkload(const SimWorkload& workload, uint64_t seed,
   }
   scheduler.Run();
 
+  // The state the ops left: its compacted log and the journal's bytes.
+  const LogStore final_log = state.service->CollectLog();
+  std::string log_bytes;
+  for (const LogRecord& record : final_log.records()) {
+    EncodeLogRecord(record, &log_bytes);
+  }
+  MixDigest(&state.digest, log_bytes);
+  MixDigest(&state.digest, state.disk->contents());
   if (state.failure.empty()) {
     FinalChecks(&state, config, options);
   }
@@ -1118,6 +1074,7 @@ SimResult RunWorkload(const SimWorkload& workload, uint64_t seed,
   result.failure = state.failure;
   result.op_trace = std::move(state.op_trace);
   result.ops_executed = state.ops_executed;
+  result.digest = state.digest;
   return result;
 }
 

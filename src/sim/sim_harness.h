@@ -79,10 +79,6 @@ struct SimWorkload {
   size_t fault_keep_bytes = 0;
   // Single-threaded ops replayed against the recovered service.
   std::vector<SimOp> post_recovery_ops;
-  // OnlineValidatorOptions::shard_hint of the service under test (drawn
-  // per seed in lifecycle mode: 0 = a shard per group, 2 = groups striped
-  // over two locks, so reconfigurations split and merge shared shards).
-  int shard_hint = 0;
 };
 
 // Opt-out mask for the shrinker: enabled[c][i] == false drops client c's
@@ -97,6 +93,10 @@ struct SimResult {
   // linearization order, for failure traces.
   std::vector<std::string> op_trace;
   size_t ops_executed = 0;
+  // Hash of every op's outcome (decisions included, post-recovery ones
+  // too), the compacted log the ops left and the journal's bytes: equal
+  // digests for a seed mean the same run.
+  uint64_t digest = 0;
 };
 
 // Deterministically generates the workload for `seed`.

@@ -16,11 +16,10 @@ namespace geolic {
 // replay chosen interleavings of concurrent operations from a single seed.
 // Contract for adding a hook point: the caller must hold NO locks at a
 // Yield (a suspended lock holder would deadlock the single-token
-// scheduler), which is also why the points sit at the lock-free seams of
-// the request path rather than inside critical sections. The one exception
-// is IssuanceService's reconfiguration lock, which the service takes
-// cooperatively (try-lock, yield, retry) whenever hooks are installed, so
-// a reconfiguration may yield while holding it.
+// scheduler). IssuanceService's yield points all sit before its one
+// service lock ("pre_shard_lock", "pre_reconfig", "pre_checkpoint"), so
+// every service call runs as one step of the schedule; with hooks
+// installed it takes the lock cooperatively (try-lock, yield, retry).
 //
 // NowNanos is the simulation's virtual clock. When hooks are installed the
 // service timestamps request latency from it instead of the wall clock, so
@@ -30,7 +29,7 @@ class SimHooks {
   virtual ~SimHooks() = default;
 
   // Possible suspension point; `point` names the seam (e.g.
-  // "pre_shard_lock") for interleaving traces. Must be called lock-free.
+  // "pre_reconfig") for interleaving traces. Must be called lock-free.
   virtual void Yield(const char* point) = 0;
 
   // Virtual time in nanoseconds; monotonically non-decreasing.

@@ -120,20 +120,20 @@ Result<ValidationReport> ExhaustiveSharded(
     return report;
   }
   const uint64_t total = FullWord(n);  // Number of non-empty sets = 2^n − 1.
-  const uint64_t shard_count =
+  const uint64_t slice_count =
       std::min<uint64_t>(static_cast<uint64_t>(num_threads) * 4, total);
-  std::vector<std::vector<EquationResult>> shard_violations(shard_count);
-  std::vector<uint64_t> shard_nodes(shard_count, 0);
+  std::vector<std::vector<EquationResult>> slice_violations(slice_count);
+  std::vector<uint64_t> slice_nodes(slice_count, 0);
 
   {
     ThreadPool pool(num_threads);
-    for (uint64_t shard = 0; shard < shard_count; ++shard) {
+    for (uint64_t shard = 0; shard < slice_count; ++shard) {
       // Masks 1..full split into contiguous shards.
-      const uint64_t begin = 1 + shard * total / shard_count;
-      const uint64_t end = (shard + 1) * total / shard_count;
+      const uint64_t begin = 1 + shard * total / slice_count;
+      const uint64_t end = (shard + 1) * total / slice_count;
       pool.Schedule([&tree, &aggregates, begin, end,
-                     violations = &shard_violations[shard],
-                     nodes = &shard_nodes[shard]] {
+                     violations = &slice_violations[shard],
+                     nodes = &slice_nodes[shard]] {
         EvaluateRange(tree, aggregates, begin, end, violations, nodes);
       });
     }
@@ -141,11 +141,11 @@ Result<ValidationReport> ExhaustiveSharded(
   }
 
   report.equations_evaluated = total;
-  for (uint64_t shard = 0; shard < shard_count; ++shard) {
-    report.nodes_visited += shard_nodes[shard];
+  for (uint64_t shard = 0; shard < slice_count; ++shard) {
+    report.nodes_visited += slice_nodes[shard];
     report.violations.insert(report.violations.end(),
-                             shard_violations[shard].begin(),
-                             shard_violations[shard].end());
+                             slice_violations[shard].begin(),
+                             slice_violations[shard].end());
   }
   return report;
 }

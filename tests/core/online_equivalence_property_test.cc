@@ -326,12 +326,11 @@ TEST(OnlineEquivalenceProperty, IssuanceServiceMatchesReferenceModel) {
   const uint64_t base = TestSeed(1000);
   for (uint64_t seed = base; seed < base + 500; ++seed) {
     const Workload w = Generate(seed);
-    // 0: one shard per group; 1: every group striped onto one shard;
-    // 2: no grouping (one scope over the whole catalog).
-    for (int config = 0; config < 3; ++config) {
+    // 0: one scope per overlap group; 1: no grouping (one scope over the
+    // whole catalog).
+    for (int config = 0; config < 2; ++config) {
       OnlineValidatorOptions options;
-      options.use_grouping = config != 2;
-      options.shard_hint = config == 1 ? 1 : 0;
+      options.use_grouping = config == 0;
       const std::string where = "seed " + std::to_string(seed) + " config " +
                                 std::to_string(config);
       Result<std::unique_ptr<IssuanceService>> created =

@@ -248,7 +248,7 @@ TEST(ValidationAuthorityTest, ClosePeriodSettlesAndResets) {
 
 // After a second registration the domain's catalog belongs to its
 // service's epoch; closing the period must leave the next period's service
-// with licenses of its own, not the retired service's.
+// with licenses of its own, not the replaced service's.
 TEST(ValidationAuthorityTest, ClosePeriodAfterAcquisitionKeepsLicenses) {
   const ConstraintSchema schema = IntervalSchema(1);
   ValidationAuthority authority(&schema);

@@ -200,9 +200,9 @@ TEST(CheckpointTest, KindNames) {
 // Kind 1 held a validation-tree body, which is no longer written: a frame
 // carrying it is an unknown kind to every reader.
 TEST(CheckpointTest, RetiredTreeKindIsUnknown) {
-  const auto retired = static_cast<CheckpointKind>(1);
-  EXPECT_STREQ(CheckpointKindName(retired), "unknown");
-  const std::string framed = Framed(retired, "tree bytes");
+  const auto tree_kind = static_cast<CheckpointKind>(1);
+  EXPECT_STREQ(CheckpointKindName(tree_kind), "unknown");
+  const std::string framed = Framed(tree_kind, "tree bytes");
   for (const CheckpointKind kind :
        {CheckpointKind::kLogStore, CheckpointKind::kServiceSnapshot,
         CheckpointKind::kTenantSnapshot, CheckpointKind::kAuthoritySnapshot}) {

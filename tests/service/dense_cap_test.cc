@@ -159,59 +159,53 @@ TEST(DenseCapTest, GroupsAtAndAboveTheCapMatchReferenceModel) {
     ASSERT_TRUE(licenses.Add(license).ok());
   }
 
-  // One shard per group, then both groups striped onto one shard (whose
-  // pointer tree then holds only the above-cap group's sets).
-  for (const int shard_hint : {0, 1}) {
-    SCOPED_TRACE("shard_hint=" + std::to_string(shard_hint));
-    OnlineValidatorOptions options;
-    options.shard_hint = shard_hint;
-    Result<std::unique_ptr<IssuanceService>> service =
-        IssuanceService::Create(&licenses, options);
-    ASSERT_TRUE(service.ok());
-    EXPECT_EQ(SortedGroupSizes(**service),
-              (std::vector<int>{kMaxDenseGroupSize, kMaxDenseGroupSize + 1}));
-    const std::string journal_path = ::testing::TempDir() +
-                                     "dense_cap_" +
-                                     std::to_string(shard_hint) + ".gjl";
-    Result<std::unique_ptr<JournalWriter>> journal =
-        JournalWriter::Open(journal_path);
-    ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
+  // The below-cap group answers from its dense tables, the above-cap one
+  // from the pointer tree (which holds only that group's sets).
+  const OnlineValidatorOptions options;
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses, options);
+  ASSERT_TRUE(service.ok());
+  EXPECT_EQ(SortedGroupSizes(**service),
+            (std::vector<int>{kMaxDenseGroupSize, kMaxDenseGroupSize + 1}));
+  const std::string journal_path = ::testing::TempDir() + "dense_cap.gjl";
+  Result<std::unique_ptr<JournalWriter>> journal =
+      JournalWriter::Open(journal_path);
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
 
-    Rng rng(17);
-    std::vector<License> requests;
-    for (int r = 0; r < 240; ++r) {
-      if (r % 40 == 39) {
-        requests.push_back(MakeUsage(schema, "U" + std::to_string(r),
-                                     {{5000, 5001}}, 1));  // No license.
-      } else if (rng.Bernoulli(0.5)) {
-        requests.push_back(
-            GroupRequest(schema, &rng, 0, kMaxDenseGroupSize, 3, r));
-      } else {
-        requests.push_back(
-            GroupRequest(schema, &rng, 1000, kMaxDenseGroupSize + 1, 3, r));
-      }
+  Rng rng(17);
+  std::vector<License> requests;
+  for (int r = 0; r < 240; ++r) {
+    if (r % 40 == 39) {
+      requests.push_back(MakeUsage(schema, "U" + std::to_string(r),
+                                   {{5000, 5001}}, 1));  // No license.
+    } else if (rng.Bernoulli(0.5)) {
+      requests.push_back(
+          GroupRequest(schema, &rng, 0, kMaxDenseGroupSize, 3, r));
+    } else {
+      requests.push_back(
+          GroupRequest(schema, &rng, 1000, kMaxDenseGroupSize + 1, 3, r));
     }
-    Mirror mirror(&schema, initial);
-    IssueAndCheck(service->get(), &mirror, requests);
-    EXPECT_GT(mirror.accepts(), 20);
-    EXPECT_GT(mirror.rejects(), 20);
-
-    // Recovery rebuilds both forms and cross-checks each against a serial
-    // replay; the recovered service then decides as the live one would.
-    ASSERT_TRUE((*service)->SyncJournal().ok());
-    Result<std::unique_ptr<IssuanceService>> recovered =
-        IssuanceService::Recover(&licenses, options, "", journal_path);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-    EXPECT_EQ((*recovered)->CollectTree()->ToString(),
-              (*service)->CollectTree()->ToString());
-    std::vector<License> more;
-    for (int r = 0; r < 40; ++r) {
-      more.push_back(GroupRequest(schema, &rng, r % 2 == 0 ? 0 : 1000,
-                                  kMaxDenseGroupSize + r % 2, 3, 1000 + r));
-    }
-    IssueAndCheck(recovered->get(), &mirror, more);
   }
+  Mirror mirror(&schema, initial);
+  IssueAndCheck(service->get(), &mirror, requests);
+  EXPECT_GT(mirror.accepts(), 20);
+  EXPECT_GT(mirror.rejects(), 20);
+
+  // Recovery rebuilds both forms and cross-checks each against a serial
+  // replay; the recovered service then decides as the live one would.
+  ASSERT_TRUE((*service)->SyncJournal().ok());
+  Result<std::unique_ptr<IssuanceService>> recovered =
+      IssuanceService::Recover(&licenses, options, "", journal_path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ((*recovered)->CollectTree()->ToString(),
+            (*service)->CollectTree()->ToString());
+  std::vector<License> more;
+  for (int r = 0; r < 40; ++r) {
+    more.push_back(GroupRequest(schema, &rng, r % 2 == 0 ? 0 : 1000,
+                                kMaxDenseGroupSize + r % 2, 3, 1000 + r));
+  }
+  IssueAndCheck(recovered->get(), &mirror, more);
 }
 
 TEST(DenseCapTest, MergeAboveTheCapAndSplitBackMatchReferenceModel) {

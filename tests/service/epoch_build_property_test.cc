@@ -196,12 +196,10 @@ void CheckCatalog(const ConstraintSchema& schema, int n, int steps,
   const LicenseCatalog licenses = MixedCatalog(schema, n, rng);
   OnlineValidatorOptions options;
   options.use_grouping = n > 12 || rng->Bernoulli(0.8);
-  options.shard_hint = static_cast<int>(rng->UniformIndex(3)) * 3 - 1;
   const LogStore history = History(licenses, 3 * n, rng);
   const std::string where = "n=" + std::to_string(n) + " dims=" +
                             std::to_string(dims) + " grouping=" +
-                            std::to_string(options.use_grouping) +
-                            " hint=" + std::to_string(options.shard_hint);
+                            std::to_string(options.use_grouping);
 
   Result<std::unique_ptr<IssuanceService>> in_place =
       IssuanceService::CreateWithHistory(&licenses, options, history);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -41,43 +42,40 @@ class IssuanceServiceTestPeer {
       }
       GEOLIC_RETURN_IF_ERROR(grouping.AddLicense(registered).status());
     }
-    std::shared_ptr<IssuanceService::CatalogEpoch> epoch =
+    std::unique_ptr<IssuanceService::CatalogEpoch> epoch =
         IssuanceService::BuildEpoch(options, 0, licenses, nullptr,
                                     LicenseGrouping::FromRects(rects));
-    std::unique_ptr<IssuanceService> service(
-        new IssuanceService(options, std::move(grouping), epoch));
     for (const LogRecord& record : history.records()) {
-      GEOLIC_RETURN_IF_ERROR(
-          service->ApplySetToEpoch(epoch.get(), record.set, record.count));
+      GEOLIC_RETURN_IF_ERROR(IssuanceService::ApplySetToEpoch(
+          epoch.get(), record.set, record.count));
     }
-    service->issue_sequence_.store(static_cast<int64_t>(history.size()));
     IssuanceService::FinishEpochTables(*epoch);
+    std::unique_ptr<IssuanceService> service(
+        new IssuanceService(options, std::move(grouping), std::move(epoch)));
+    service->issue_sequence_ = static_cast<int64_t>(history.size());
     return service;
   }
 
   // An epoch's derived state: its grouping (each license's group and
-  // Algorithm 5 position), its stripe count, per dense scope its members
-  // and A, C[S] and C⟨T⟩ tables, per above-cap scope its members, and
-  // per shard its tree's sets.
+  // Algorithm 5 position), per dense scope its members and A, C[S] and
+  // C⟨T⟩ tables, per above-cap scope its members, and its tree's sets.
   struct EpochState {
     std::vector<int> group_of, position_of;
-    int shards = 0;
     std::vector<LicenseSet> dense_masks, tree_masks;
     std::vector<std::vector<int64_t>> aggregates, counts, sums;
-    std::vector<std::vector<std::pair<LicenseSet, int64_t>>> trees;
+    std::vector<std::pair<LicenseSet, int64_t>> tree;
 
     friend bool operator==(const EpochState&, const EpochState&) = default;
   };
 
   static EpochState State(const IssuanceService& service) {
-    const std::shared_ptr<const IssuanceService::CatalogEpoch> epoch =
-        service.Pin();
+    const std::lock_guard<std::mutex> lock(service.mutex_);
+    const IssuanceService::CatalogEpoch* epoch = service.epoch_.get();
     EpochState state;
     for (int i = 0; i < epoch->grouping.num_licenses(); ++i) {
       state.group_of.push_back(epoch->grouping.GroupOf(i));
       state.position_of.push_back(epoch->grouping.PositionOf(i));
     }
-    state.shards = static_cast<int>(epoch->shards.size());
     for (const IssuanceService::EquationScope& scope : epoch->scopes) {
       if (!scope.dense()) {
         state.tree_masks.push_back(scope.mask);
@@ -90,25 +88,23 @@ class IssuanceServiceTestPeer {
       state.counts.emplace_back(scope.counts, scope.counts + entries);
       state.sums.emplace_back(scope.sums, scope.sums + entries);
     }
-    for (const IssuanceService::Shard& shard : epoch->shards) {
-      std::vector<std::pair<LicenseSet, int64_t>>& sets =
-          state.trees.emplace_back();
-      shard.tree.ForEachSet([&sets](const LicenseSet& set, int64_t count) {
-        sets.emplace_back(set, count);
-      });
-    }
+    epoch->tree.ForEachSet([&state](const LicenseSet& set, int64_t count) {
+      state.tree.emplace_back(set, count);
+    });
     return state;
   }
 
   // The incremental grouping later reconfigurations update.
   static const DynamicGrouping& Incremental(const IssuanceService& service) {
+    const std::lock_guard<std::mutex> lock(service.mutex_);
     return service.dyn_grouping_;
   }
 
   // The current epoch's instance lookup: the satisfying set of `issued`.
   static LicenseSet SatisfyingSet(const IssuanceService& service,
                                   const License& issued) {
-    return service.Pin()->instance.SatisfyingSet(issued);
+    const std::lock_guard<std::mutex> lock(service.mutex_);
+    return service.epoch_->instance.SatisfyingSet(issued);
   }
 };
 

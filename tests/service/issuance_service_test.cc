@@ -122,7 +122,7 @@ TEST(IssuanceServiceTest, ConcurrentStressMatchesSerialReplay) {
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses);
   ASSERT_TRUE(service.ok());
-  ASSERT_EQ((*service)->shard_count(), 3);
+  ASSERT_EQ((*service)->grouping().group_count(), 3);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 80;  // 20 requests per group + 20 invalid.
@@ -199,26 +199,7 @@ TEST(IssuanceServiceTest, BatchMatchesSequentialIssue) {
   EXPECT_EQ(metrics.batched_requests, 50u);
 }
 
-TEST(IssuanceServiceTest, ShardHintCapsLockShards) {
-  const ConstraintSchema schema = IntervalSchema(1);
-  const LicenseCatalog licenses = ThreeGroupSet(schema, 4);
-
-  OnlineValidatorOptions options;
-  options.shard_hint = 2;
-  Result<std::unique_ptr<IssuanceService>> service =
-      IssuanceService::Create(&licenses, options);
-  ASSERT_TRUE(service.ok());
-  EXPECT_EQ((*service)->shard_count(), 2);  // 3 groups striped over 2 locks.
-
-  // Striping shares locks, not equations: decisions stay per-group. Six
-  // requests per group; only {L5} (budget 4) rejects any.
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
-  }
-  EXPECT_EQ((*service)->CollectLog().TotalCount(), 6 + 6 + 4);
-}
-
-TEST(IssuanceServiceTest, UngroupedDegradesToSingleShard) {
+TEST(IssuanceServiceTest, UngroupedAcceptsWhatGroupedAccepts) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 4);
 
@@ -227,7 +208,6 @@ TEST(IssuanceServiceTest, UngroupedDegradesToSingleShard) {
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses, options);
   ASSERT_TRUE(service.ok());
-  EXPECT_EQ((*service)->shard_count(), 1);
 
   // Same accepted set as grouped (grouping changes cost, not outcomes).
   for (int i = 0; i < 24; ++i) {
@@ -760,11 +740,7 @@ TEST(IssuanceServiceProperty, ScatteredDenseGroupsReplayAndAdmitLikeTheModel) {
       EXPECT_EQ(got, want);
     };
 
-    // Several groups per lock shard, so the replay routes through the
-    // shard stripe too. (Snapshot holds every shard lock at once, and
-    // TSan's deadlock detector tracks at most 64 held locks.)
-    OnlineValidatorOptions options;
-    options.shard_hint = c % 2 == 0 ? 16 : 5;
+    const OnlineValidatorOptions options;
     Result<std::unique_ptr<IssuanceService>> service =
         IssuanceService::CreateWithHistory(&licenses, options, history);
     ASSERT_TRUE(service.ok()) << service.status().message();
@@ -865,7 +841,6 @@ TEST(IssuanceServiceProperty, BatchedPreloadEqualsPerRecordPath) {
                    std::to_string(c) + (grouped ? "" : ", ungrouped"));
       OnlineValidatorOptions options;
       options.use_grouping = grouped;
-      options.shard_hint = static_cast<int>(c % 3) * 8;  // 0, 8 or 16.
 
       LogStore history;
       for (int r = 0; r < 4 * n + 16; ++r) {
@@ -994,35 +969,31 @@ TEST(IssuanceServiceProperty, BatchedPreloadEqualsPerRecordPath) {
   EXPECT_GT(errors_seen, 0);
 }
 
-// A wide catalog (1,020 licenses, over 100 overlap groups) under the
-// default striping, with a journal: admissions, Snapshot and
-// WriteCheckpoint from concurrent threads, an acquire and a revoke, then
-// the concurrent round again. A reconfiguration holds the most mutexes at
-// once (every shard lock, the reconfiguration and journal mutexes), which
-// kDefaultMaxShards keeps within ThreadSanitizer's 64 per thread. The
-// reconfigurations run while no other thread is live: GCC 12's
-// std::atomic<std::shared_ptr>, which publishes the epoch, is not
-// instrumented, so TSan would flag it against any concurrent pin.
-TEST(IssuanceServiceTest, WideCatalogAllShardPathsUnderConcurrency) {
+// A wide catalog (1,020 licenses, over 100 overlap groups) with a
+// journal: admissions, Snapshot, WriteCheckpoint and acquire/revoke
+// reconfigurations from concurrent threads, twice over. Every call takes
+// the one service lock, so ThreadSanitizer sees every path race every
+// other.
+TEST(IssuanceServiceTest, WideCatalogAllPathsUnderConcurrency) {
   const ConstraintSchema schema = IntervalSchema(1);
   Rng rng(testing::TestSeed(0x7A5A));
   const ScatteredCatalog catalog =
       MakeScatteredCatalog(schema, 1020, /*scatter=*/true, &rng);
-  ASSERT_GT(catalog.groups.size(), static_cast<size_t>(kDefaultMaxShards));
+  ASSERT_GT(catalog.groups.size(), 100u);
   Result<std::unique_ptr<IssuanceService>> created =
       IssuanceService::Create(catalog.licenses.get());
   ASSERT_TRUE(created.ok()) << created.status().message();
   IssuanceService& service = **created;
-  EXPECT_EQ(service.shard_count(), kDefaultMaxShards);
   Result<std::unique_ptr<JournalWriter>> journal =
       JournalWriter::Create(std::make_unique<InMemorySyncFile>());
   ASSERT_TRUE(journal.ok());
   ASSERT_TRUE(service.AttachJournal(std::move(*journal)).ok());
   const std::string checkpoint =
-      testing::TestTmpDir() + "wide_all_shard_paths.ckpt";
+      testing::TestTmpDir() + "wide_all_paths.ckpt";
 
   std::map<LicenseSet, int64_t> merged;  // Accepted sets, every round.
   constexpr size_t kAdmitters = 3;
+  constexpr int kReconfigRounds = 2;
   const auto concurrent_round = [&](int round) {
     // Requests are drawn up front: the Rng is not shared across threads.
     std::vector<std::vector<License>> requests(kAdmitters);
@@ -1055,8 +1026,24 @@ TEST(IssuanceServiceTest, WideCatalogAllShardPathsUnderConcurrency) {
     }
     threads.emplace_back([&] {
       for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(service.Snapshot().licenses->size(), 1020);
+        // The catalog with or without the transient license below.
+        const int size = service.Snapshot().licenses->size();
+        EXPECT_TRUE(size == 1020 || size == 1021) << size;
         EXPECT_TRUE(service.WriteCheckpoint(checkpoint).ok());
+      }
+    });
+    // A license far from every group joins at index 1020 and leaves
+    // again, so every other index keeps its number and no request's
+    // satisfying set ever holds it.
+    threads.emplace_back([&] {
+      for (int i = 0; i < kReconfigRounds; ++i) {
+        const Result<int> acquired = service.AcquireLicense(
+            MakeRedistribution(schema, "LX", {{-1000, -900}}, 50));
+        EXPECT_TRUE(acquired.ok()) << acquired.status().message();
+        if (acquired.ok()) {
+          EXPECT_EQ(*acquired, 1020);
+        }
+        EXPECT_TRUE(service.RevokeLicenseById("LX").ok());
       }
     });
     for (std::thread& thread : threads) {
@@ -1073,15 +1060,9 @@ TEST(IssuanceServiceTest, WideCatalogAllShardPathsUnderConcurrency) {
   };
 
   concurrent_round(0);
-  // A license far from every group joins at index 1020 and leaves again,
-  // so every other index keeps its number.
-  const Result<int> acquired = service.AcquireLicense(
-      MakeRedistribution(schema, "LX", {{-1000, -900}}, 50));
-  ASSERT_TRUE(acquired.ok()) << acquired.status().message();
-  EXPECT_EQ(*acquired, 1020);
-  EXPECT_EQ(service.shard_count(), kDefaultMaxShards);
-  ASSERT_TRUE(service.RevokeLicenseById("LX").ok());
   concurrent_round(1);
+  EXPECT_EQ(service.catalog_epoch(), 2u * 2 * kReconfigRounds);
+  EXPECT_EQ(service.licenses().size(), 1020);
 
   std::vector<std::string> want;
   for (const auto& [set, count] : merged) {

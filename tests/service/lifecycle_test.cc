@@ -1,5 +1,5 @@
 // Live license lifecycle on a running IssuanceService: acquire/revoke/
-// expire reconfigurations, epoch bumps, shard merge/split, cascade
+// expire reconfigurations, epoch bumps, group merge/split, cascade
 // revocation, journaled reconfiguration recovery, and the epoch-tagged
 // checkpoint format.
 
@@ -10,9 +10,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
-#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,9 +23,9 @@
 #include "persist/journal.h"
 #include "persist/sync_file.h"
 #include "service/issuance_service.h"
+#include "sim/reference_model.h"
 #include "test_util.h"
 #include "util/date.h"
-#include "util/sim_hooks.h"
 
 namespace geolic {
 namespace {
@@ -59,7 +60,7 @@ TEST(LifecycleTest, AcquireAppendsBumpsEpochAndAdmits) {
       IssuanceService::Create(&licenses);
   ASSERT_TRUE(service.ok());
   EXPECT_EQ((*service)->catalog_epoch(), 0u);
-  ASSERT_EQ((*service)->shard_count(), 3);
+  ASSERT_EQ((*service)->grouping().group_count(), 3);
 
   const Result<int> index = (*service)->AcquireLicense(
       MakeRedistribution(schema, "L6", {{300, 320}}, 5));
@@ -67,7 +68,7 @@ TEST(LifecycleTest, AcquireAppendsBumpsEpochAndAdmits) {
   EXPECT_EQ(*index, 5);  // Appended: existing indexes unchanged.
   EXPECT_EQ((*service)->catalog_epoch(), 1u);
   EXPECT_EQ((*service)->licenses().size(), 6);
-  EXPECT_EQ((*service)->shard_count(), 4);  // New isolated group.
+  EXPECT_EQ((*service)->grouping().group_count(), 4);  // Isolated.
 
   // The acquired license admits immediately.
   const Result<OnlineDecision> got =
@@ -78,7 +79,7 @@ TEST(LifecycleTest, AcquireAppendsBumpsEpochAndAdmits) {
   EXPECT_EQ(got->catalog_epoch, 1u);
 }
 
-TEST(LifecycleTest, AcquireBridgeMergesShardsWithoutLosingRecords) {
+TEST(LifecycleTest, AcquireBridgeMergesGroupsWithoutLosingRecords) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
   Result<std::unique_ptr<IssuanceService>> service =
@@ -89,15 +90,14 @@ TEST(LifecycleTest, AcquireBridgeMergesShardsWithoutLosingRecords) {
       (*service)->TryIssue(MakeUsage(schema, "U2", {{111, 119}}, 3)).ok());
 
   // {15, 115} overlaps L1..L4: figure 6's merge, live — groups {L1,L2} and
-  // {L3,L4} collapse into one shard.
+  // {L3,L4} collapse into one group.
   const Result<int> index = (*service)->AcquireLicense(
       MakeRedistribution(schema, "B", {{15, 115}}, 100));
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(*index, 5);
   EXPECT_EQ((*service)->grouping().group_count(), 2);
-  EXPECT_EQ((*service)->shard_count(), 2);
 
-  // Both pre-merge records survived the shard merge, untouched (an acquire
+  // Both pre-merge records survived the merge, untouched (an acquire
   // never renumbers).
   const auto merged = (*service)->CollectLog().MergedCounts();
   ASSERT_EQ(merged.size(), 2u);
@@ -259,6 +259,104 @@ TEST(LifecycleTest, ExpireBeforeFindsTheDateDimension) {
   EXPECT_FALSE((*undated)->ExpireBefore(jan1).ok());
 }
 
+// ExpireBefore reads the schema and computes the expired set under the
+// same lock hold as its reconfiguration, so it races acquire/revoke and
+// admissions on other threads like any other call: each expiry removes
+// exactly the one license its cutoff passes, whatever epoch it lands in.
+TEST(LifecycleTest, ExpireBeforeRacesAcquireRevokeAndAdmissions) {
+  ConstraintSchema schema;
+  ASSERT_TRUE(schema.AddIntervalDimension("C1").ok());
+  ASSERT_TRUE(
+      schema.AddIntervalDimension("valid", IntervalFormat::kDate).ok());
+  const int64_t jan1 = Date::FromCivil(2026, 1, 1)->day_number();
+  const auto make = [&](const std::string& id, LicenseType type, int64_t lo,
+                        int64_t hi, int64_t last_valid_day, int64_t count) {
+    LicenseBuilder builder(&schema);
+    builder.SetId(id)
+        .SetContentKey("K")
+        .SetType(type)
+        .SetPermission(Permission::kPlay)
+        .SetAggregateCount(count);
+    builder.SetInterval("C1", lo, hi);
+    builder.SetInterval("valid", 0, last_valid_day);
+    const Result<License> license = builder.Build();
+    EXPECT_TRUE(license.ok());
+    return *license;
+  };
+  // K0..K3 cover every admission and never expire; E<d>, in an overlap
+  // group of its own, is valid through day jan1 + d; the transient T sits
+  // apart from both.
+  constexpr int kExpiring = 40;
+  LicenseCatalog licenses(&schema);
+  for (int k = 0; k < 4; ++k) {
+    ASSERT_TRUE(licenses
+                    .Add(make("K" + std::to_string(k),
+                              LicenseType::kRedistribution, 0, 100 + k,
+                              jan1 + 1000, 1000000))
+                    .ok());
+  }
+  for (int d = 0; d < kExpiring; ++d) {
+    ASSERT_TRUE(licenses
+                    .Add(make("E" + std::to_string(d),
+                              LicenseType::kRedistribution, 200, 300,
+                              jan1 + d, 1000000))
+                    .ok());
+  }
+  Result<std::unique_ptr<IssuanceService>> created =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(created.ok());
+  IssuanceService& service = **created;
+
+  constexpr int kRounds = 100;
+  constexpr int kAdmissions = 1000;
+  std::atomic<int> failures{0};
+  std::vector<Result<int>> expired;
+  std::thread admit([&] {
+    for (int i = 0; i < kAdmissions; ++i) {
+      const Result<OnlineDecision> got = service.TryIssue(
+          make("U" + std::to_string(i), LicenseType::kUsage, 10, 20,
+               jan1 + 500, 1));
+      if (!got.ok() || !got->accepted()) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::thread churn([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      if (!service
+               .AcquireLicense(make("T", LicenseType::kRedistribution, 500,
+                                    600, jan1 + 1000, 10))
+               .ok() ||
+          !service.RevokeLicenseById("T").ok()) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::thread expire([&] {
+    for (int d = 0; d < kExpiring; ++d) {
+      // Strictly before jan1 + d + 1: only E<d> is left to expire.
+      expired.push_back(
+          service.ExpireBefore(Date::FromDayNumber(jan1 + d + 1)));
+    }
+  });
+  admit.join();
+  churn.join();
+  expire.join();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_EQ(expired.size(), static_cast<size_t>(kExpiring));
+  for (int d = 0; d < kExpiring; ++d) {
+    ASSERT_TRUE(expired[static_cast<size_t>(d)].ok()) << d;
+    EXPECT_EQ(*expired[static_cast<size_t>(d)], 1) << d;
+  }
+  EXPECT_EQ(service.catalog_epoch(), uint64_t{2 * kRounds + kExpiring});
+  ASSERT_EQ(service.licenses().size(), 4);
+  // Every admission counted against K0..K3, renumbered to 0..3 throughout.
+  const LogStore log = service.CollectLog();
+  ASSERT_EQ(log.records().size(), 1u);
+  EXPECT_EQ(log.records()[0].set, testing::Mask(0b1111));
+  EXPECT_EQ(log.records()[0].count, kAdmissions);
+}
+
 TEST(LifecycleTest, JournaledLifecycleRecoversToLiveState) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
@@ -317,45 +415,14 @@ TEST(LifecycleTest, JournaledLifecycleRecoversToLiveState) {
             (*service)->CollectLog().MergedCounts());
 }
 
-// Admits `requests` on the reconfiguring thread itself when an armed
-// reconfiguration reaches the point between its phase-2 snapshot and its
-// phase-3 catch-up (the "reconfig_snapshotted" yield, where only the
-// reconfiguration lock is held): admissions in exactly the window the
-// catch-up exists for, deterministically.
-class AdmitBetweenSnapshotAndCatchUp : public SimHooks {
- public:
-  void Arm(IssuanceService* service, std::vector<License> requests) {
-    service_ = service;
-    requests_ = std::move(requests);
-  }
-  bool armed() const { return service_ != nullptr; }
-
-  void Yield(const char* point) override {
-    if (service_ == nullptr ||
-        std::string_view(point) != "reconfig_snapshotted") {
-      return;
-    }
-    IssuanceService* service = std::exchange(service_, nullptr);
-    for (const License& request : requests_) {
-      const Result<OnlineDecision> got = service->TryIssue(request);
-      ASSERT_TRUE(got.ok());
-      EXPECT_TRUE(got->accepted()) << request.id();
-    }
-  }
-  uint64_t NowNanos() override { return 0; }
-
- private:
-  IssuanceService* service_ = nullptr;
-  std::vector<License> requests_;
-};
-
-// Phase 3 carries what the shards gained after their snapshot — by
-// diffing C[S] (copied dense tables, rebuilt dense tables) and the tree's
-// sets (an above-cap group) against the snapshot. A twin that admits the
-// same requests before the same reconfiguration must end in the same
-// state: the same compacted log, and the same C⟨T⟩ wherever a probe too
-// large for any budget is rejected at its own satisfying set.
-TEST(LifecycleTest, AdmissionsBetweenSnapshotAndCatchUpAreCarried) {
+// Every call is one step under the service lock, so admissions racing
+// reconfigurations on other threads decide exactly as the reference model
+// applying the same calls in lock order. The journal is appended under the
+// lock, so its frames give that order for the accepted admissions and the
+// reconfigurations. The rejections are order-free by construction: no
+// license covers the request, or it asks for more than the whole budget of
+// L5, which no accepted request counts against.
+TEST(LifecycleTest, ReconfigurationsRacingAdmissionsMatchTheModelInLockOrder) {
   constexpr int64_t kBudget = 1000000;
   const ConstraintSchema schema = IntervalSchema(1);
   LicenseCatalog licenses = ThreeGroupSet(schema, kBudget);
@@ -366,78 +433,231 @@ TEST(LifecycleTest, AdmissionsBetweenSnapshotAndCatchUpAreCarried) {
                                             {{1000 - i, 1100 + i}}, kBudget))
                     .ok());
   }
-  AdmitBetweenSnapshotAndCatchUp hooks;
-  OnlineValidatorOptions options;
-  options.sim_hooks = &hooks;
-  Result<std::unique_ptr<IssuanceService>> service =
-      IssuanceService::Create(&licenses, options);
-  Result<std::unique_ptr<IssuanceService>> twin =
+  Result<std::unique_ptr<IssuanceService>> created =
       IssuanceService::Create(&licenses);
-  ASSERT_TRUE(service.ok());
-  ASSERT_TRUE(twin.ok());
+  ASSERT_TRUE(created.ok());
+  IssuanceService& service = **created;
+  auto platter = std::make_unique<InMemorySyncFile>();
+  const InMemorySyncFile* disk = platter.get();
+  Result<std::unique_ptr<JournalWriter>> writer =
+      JournalWriter::Create(std::move(platter));
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(service.AttachJournal(std::move(*writer)).ok());
 
-  const std::vector<std::pair<int64_t, int64_t>> regions = {
-      {12, 18},      // {L1, L2}, or {L2} once L1 is gone.
-      {25, 28},      // {L2}
-      {111, 119},    // {L3, L4}
-      {205, 215},    // {L5}
-      {1050, 1050},  // Every W.
-      {999, 999},    // W1..W12.
-      {1105, 1105}}; // W5..W12.
-  const auto requests = [&](int64_t count) {
-    std::vector<License> made;
-    for (const auto& [lo, hi] : regions) {
-      made.push_back(MakeUsage(
-          schema, "U" + std::to_string(lo) + "x" + std::to_string(count),
-          {{lo, hi}}, count));
-    }
-    return made;
+  // Each admitting thread cycles through five calls: two issues in the
+  // small groups, a batch (every W, no license, W1..W12), an issue over
+  // L5's whole budget and one in W5..W12.
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 150;
+  struct Issued {
+    License request;
+    OnlineDecision decision;
   };
-  int round = 0;
-  const auto step = [&](const std::function<Status(IssuanceService*)>&
-                            reconfigure) {
-    SCOPED_TRACE("step " + std::to_string(round));
-    const std::vector<License> window = requests(++round);
-    hooks.Arm(service->get(), window);
-    ASSERT_TRUE(reconfigure(service->get()).ok());
-    EXPECT_FALSE(hooks.armed());  // The window ran.
-    for (const License& request : window) {
-      ASSERT_TRUE((*twin)->TryIssue(request)->accepted());
-    }
-    ASSERT_TRUE(reconfigure(twin->get()).ok());
-
-    EXPECT_EQ((*service)->CollectLog().records(),
-              (*twin)->CollectLog().records());
-    EXPECT_EQ((*service)->CollectTree()->ToString(),
-              (*twin)->CollectTree()->ToString());
-    for (const License& probe : requests(kBudget * 100)) {
-      const Result<OnlineDecision> got = (*service)->TryIssue(probe);
-      const Result<OnlineDecision> want = (*twin)->TryIssue(probe);
-      ASSERT_TRUE(got.ok());
-      ASSERT_TRUE(want.ok());
-      EXPECT_FALSE(got->aggregate_valid) << probe.id();
-      EXPECT_EQ(got->satisfying_set, want->satisfying_set) << probe.id();
-      EXPECT_EQ(got->limiting.set, want->limiting.set) << probe.id();
-      EXPECT_EQ(got->limiting.lhs, want->limiting.lhs) << probe.id();
-    }
-  };
-  // Nothing dropped or regrouped: every dense table is copied verbatim.
-  step([&](IssuanceService* s) {
-    return s->AcquireLicense(
+  std::vector<std::vector<Issued>> issued(kThreads);
+  std::atomic<int> calls{0};
+  std::atomic<int> finished{0};  // Threads done, whether or not they failed.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<Issued>& of_thread = issued[static_cast<size_t>(t)];
+      for (int i = 0; i < kCalls; ++i) {
+        const std::string id = "U" + std::to_string(t) + "_" +
+                               std::to_string(i) + "_";
+        const auto usage = [&](int b, int64_t lo, int64_t hi,
+                               int64_t count) {
+          return MakeUsage(schema, id + std::to_string(b), {{lo, hi}},
+                           count);
+        };
+        std::vector<License> requests;
+        switch (i % 5) {
+          case 0: requests = {usage(0, 12, 18, 1)}; break;
+          case 1: requests = {usage(0, 111, 119, 2)}; break;
+          case 2:
+            requests = {usage(0, 1050, 1050, 1), usage(1, 500, 510, 1),
+                        usage(2, 999, 999, 3)};
+            break;
+          case 3: requests = {usage(0, 205, 215, kBudget + 1)}; break;
+          default: requests = {usage(0, 1105, 1105, 1)}; break;
+        }
+        if (requests.size() == 1) {
+          const Result<OnlineDecision> got = service.TryIssue(requests[0]);
+          if (!got.ok()) {
+            ADD_FAILURE() << "TryIssue: " << got.status().message();
+            break;
+          }
+          of_thread.push_back({requests[0], *got});
+        } else {
+          const Result<std::vector<OnlineDecision>> got =
+              service.TryIssueBatch(requests);
+          if (!got.ok()) {
+            ADD_FAILURE() << "TryIssueBatch: " << got.status().message();
+            break;
+          }
+          for (size_t b = 0; b < requests.size(); ++b) {
+            of_thread.push_back({requests[b], (*got)[b]});
+          }
+        }
+        calls.fetch_add(1, std::memory_order_relaxed);
+      }
+      finished.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  // The reconfigurations, each once the admissions have made some
+  // progress: a bridge merges {L1, L2} and {L3, L4} and leaves again
+  // (cascading the sets that hold it), an isolated license joins, L1's
+  // revocation renumbers every index above it, and W0's drops the
+  // above-cap group to the cap (tree to table).
+  const std::vector<std::function<Status()>> reconfigurations = {
+      [&] {
+        return service
+            .AcquireLicense(
+                MakeRedistribution(schema, "B1", {{15, 115}}, kBudget))
+            .status();
+      },
+      [&] { return service.RevokeLicenseById("B1"); },
+      [&] {
+        return service
+            .AcquireLicense(
                 MakeRedistribution(schema, "N1", {{300, 320}}, kBudget))
-        .status();
-  });
-  // {L1, L2} loses L1 (cascading {L1, L2}) and is rebuilt from C[S]; the
-  // other groups renumber down one and keep copied tables.
-  step([](IssuanceService* s) { return s->RevokeLicense(0); });
-  // A bridge merges {L2} and {L3, L4} into one rebuilt group.
-  step([&](IssuanceService* s) {
-    return s->AcquireLicense(
-                MakeRedistribution(schema, "B1", {{25, 115}}, kBudget))
-        .status();
-  });
-  // The above-cap group loses W0 and drops to the cap: tree to table.
-  step([](IssuanceService* s) { return s->RevokeLicenseById("W0"); });
+            .status();
+      },
+      [&] { return service.RevokeLicense(0); },
+      [&] {
+        return service
+            .AcquireLicense(
+                MakeRedistribution(schema, "B2", {{15, 115}}, kBudget))
+            .status();
+      },
+      [&] { return service.RevokeLicenseById("W0"); },
+  };
+  // Every thread is joined before any assertion can return.
+  const int total = kThreads * kCalls;
+  std::vector<Status> reconfigured;
+  for (size_t r = 0; r < reconfigurations.size(); ++r) {
+    const int progress = static_cast<int>(
+        (r + 1) * total / (reconfigurations.size() + 1));
+    while (calls.load(std::memory_order_relaxed) < progress &&
+           finished.load(std::memory_order_relaxed) < kThreads) {
+      std::this_thread::yield();
+    }
+    reconfigured.push_back(reconfigurations[r]());
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  for (size_t r = 0; r < reconfigured.size(); ++r) {
+    ASSERT_TRUE(reconfigured[r].ok())
+        << "reconfiguration " << r << ": " << reconfigured[r].message();
+  }
+
+  std::map<std::string, const Issued*> by_id;
+  for (const std::vector<Issued>& of_thread : issued) {
+    for (const Issued& entry : of_thread) {
+      by_id[entry.request.id()] = &entry;
+    }
+  }
+  // Replay the journal's frames through the model, evolving its catalog
+  // at each reconfiguration frame; keep every epoch's catalog.
+  const Result<JournalReplay> replay = JournalReader::Parse(disk->contents());
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
+  std::vector<std::unique_ptr<LicenseCatalog>> catalogs;
+  catalogs.push_back(std::make_unique<LicenseCatalog>(licenses));
+  auto model = std::make_unique<ReferenceModel>(catalogs.back().get());
+  std::set<std::string> journaled;
+  for (const JournalEntry& entry : replay->entries) {
+    const LicenseCatalog& catalog = *catalogs.back();
+    if (entry.kind == JournalEntryKind::kAdmission) {
+      const std::string& id = entry.record.issued_license_id;
+      ASSERT_TRUE(by_id.count(id) != 0) << id;
+      const Issued& admitted = *by_id[id];
+      const ReferenceModel::Decision want = model->TryIssue(admitted.request);
+      EXPECT_TRUE(want.instance_valid && want.aggregate_valid) << id;
+      EXPECT_EQ(want.satisfying_set, entry.record.set) << id;
+      EXPECT_TRUE(admitted.decision.accepted()) << id;
+      EXPECT_EQ(admitted.decision.satisfying_set, entry.record.set) << id;
+      EXPECT_EQ(admitted.decision.catalog_epoch, catalogs.size() - 1) << id;
+      model->Apply(entry.record.set, entry.record.count);
+      journaled.insert(id);
+      continue;
+    }
+    // A reconfiguration frame: the next catalog, and every count carried
+    // into it (cascade-dropped when it holds a revoked license, renumbered
+    // densely past it).
+    auto next = std::make_unique<LicenseCatalog>(&schema);
+    std::vector<int> old_to_new;
+    for (int i = 0; i < catalog.size(); ++i) {
+      const bool revoked = entry.kind == JournalEntryKind::kRevoke &&
+                           i == entry.revoked_index;
+      old_to_new.push_back(revoked ? -1 : next->size());
+      if (!revoked) {
+        ASSERT_TRUE(next->Add(catalog.at(i)).ok());
+      }
+    }
+    if (entry.kind == JournalEntryKind::kAcquire) {
+      ASSERT_TRUE(next->Add(*entry.acquired).ok());
+    }
+    auto next_model = std::make_unique<ReferenceModel>(next.get());
+    for (const auto& [set, count] : model->counts()) {
+      LicenseSet carried;
+      bool kept = true;
+      for (int i : set.Indexes()) {
+        const int to = old_to_new[static_cast<size_t>(i)];
+        kept = kept && to >= 0;
+        if (to >= 0) {
+          carried.Add(to);
+        }
+      }
+      if (kept) {
+        next_model->Apply(carried, count);
+      }
+    }
+    catalogs.push_back(std::move(next));
+    model = std::move(next_model);
+  }
+  ASSERT_EQ(catalogs.size(), reconfigurations.size() + 1);
+  EXPECT_EQ(service.catalog_epoch(), reconfigurations.size());
+
+  // Every decision the journal does not hold is one of the order-free
+  // rejections, against the catalog of the epoch it names.
+  int rejected = 0;
+  for (const auto& [id, entry] : by_id) {
+    if (journaled.count(id) != 0) {
+      continue;
+    }
+    ++rejected;
+    const OnlineDecision& decision = entry->decision;
+    EXPECT_FALSE(decision.accepted()) << id;
+    ASSERT_LT(decision.catalog_epoch, catalogs.size()) << id;
+    const LicenseCatalog& catalog = *catalogs[decision.catalog_epoch];
+    if (entry->request.aggregate_count() <= kBudget) {
+      EXPECT_FALSE(decision.instance_valid) << id;  // [500, 510].
+      continue;
+    }
+    LicenseSet l5;
+    l5.Add(*catalog.IndexOfId("L5"));
+    EXPECT_EQ(decision.satisfying_set, l5) << id;
+    EXPECT_EQ(decision.limiting.set, l5) << id;
+    EXPECT_EQ(decision.limiting.lhs, kBudget + 1) << id;
+    EXPECT_EQ(decision.limiting.rhs, kBudget) << id;
+  }
+  // One [500, 510] request per batch and one L5 request per thread cycle.
+  EXPECT_EQ(rejected, 2 * kThreads * kCalls / 5);
+
+  // The final state is the model's, in the final epoch's numbering.
+  const LicenseCatalog& final_catalog = *catalogs.back();
+  ASSERT_EQ(service.licenses().size(), final_catalog.size());
+  for (int i = 0; i < final_catalog.size(); ++i) {
+    EXPECT_EQ(service.licenses().at(i).id(), final_catalog.at(i).id());
+  }
+  const std::unordered_map<LicenseSet, int64_t> collected =
+      service.CollectLog().MergedCounts();
+  EXPECT_EQ(collected.size(), model->counts().size());
+  for (const auto& [set, count] : model->counts()) {
+    const auto it = collected.find(set);
+    ASSERT_TRUE(it != collected.end()) << set;
+    EXPECT_EQ(it->second, count) << set;
+  }
 }
 
 // The service keeps C[S] per distinct set, not its records: CollectLog
@@ -879,22 +1099,24 @@ TEST(LifecycleTest, ReconfigStormRacesConcurrentIssuance) {
     });
   }
   // The storm: repeated acquire+revoke of a bridge license that merges the
-  // {L1,L2} and {L3,L4} shards on the way in and splits them on the way
+  // {L1,L2} and {L3,L4} groups on the way in and splits them on the way
   // out, while issuance keeps running.
+  // The issuers are joined before any assertion can return.
   for (int round = 0; round < 20; ++round) {
     const std::string id = "X" + std::to_string(round);
     const Result<int> acquired = s->AcquireLicense(
         MakeRedistribution(schema, id, {{15, 115}}, 1000000));
-    ASSERT_TRUE(acquired.ok()) << acquired.status().message();
-    ASSERT_TRUE(s->RevokeLicenseById(id).ok());
+    EXPECT_TRUE(acquired.ok()) << acquired.status().message();
+    EXPECT_TRUE(s->RevokeLicenseById(id).ok());
   }
   for (std::thread& thread : issuers) {
     thread.join();
   }
+  ASSERT_FALSE(::testing::Test::HasFailure());
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(s->catalog_epoch(), 40u);
   EXPECT_EQ(s->licenses().size(), 5);
-  EXPECT_EQ(s->shard_count(), 3);
+  EXPECT_EQ(s->grouping().group_count(), 3);
 
   // Requests admitted under the transient bridge epochs were recorded with
   // the bridge in scope; after its revocation their sets cascade or remap
@@ -904,9 +1126,8 @@ TEST(LifecycleTest, ReconfigStormRacesConcurrentIssuance) {
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->TotalCount(), s->CollectLog().TotalCount());
 
-  // Admissions that raced a reconfiguration's snapshot were carried over
-  // by its catch-up: the equation state must equal one rebuilt from the
-  // log. A request over every budget is rejected at its own satisfying
+  // Admissions that raced the reconfigurations were carried over by them:
+  // the equation state must equal one rebuilt from the log. A request over every budget is rejected at its own satisfying
   // set S with lhs = C<S> + count, so each probe reads one C<S>.
   const LogStore log = s->CollectLog();
   Result<std::unique_ptr<IssuanceService>> rebuilt =

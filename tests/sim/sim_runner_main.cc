@@ -23,6 +23,9 @@
 //                                      plants the cross-tenant frame
 //                                      misrouting bug instead
 //
+// A sweep prints each clean seed's digest (`seed N digest <hex>`: a hash of
+// its decisions, final log and journal bytes) and --seed=N prints the same
+// digest, so two builds run the same schedule iff their lines are equal.
 // Every failure is reported with the one command that reproduces it.
 // Exit codes: 0 = pass, 1 = conformance failure (or, in mutation smoke
 // mode, planted bug NOT caught), 2 = bad usage.
@@ -226,8 +229,8 @@ int main(int argc, char** argv) {
   if (have_single) {
     const geolic::SimResult result = geolic::RunSimulation(single_seed, config);
     if (result.ok) {
-      std::printf("seed %" PRIu64 " OK (%zu ops)\n", result.seed,
-                  result.ops_executed);
+      std::printf("seed %" PRIu64 " OK (%zu ops, digest %016" PRIx64 ")\n",
+                  result.seed, result.ops_executed, result.digest);
       return 0;
     }
     PrintFailure(result, config, wide_n);
@@ -267,6 +270,8 @@ int main(int argc, char** argv) {
       PrintFailure(result, config, wide_n);
       return 1;
     }
+    std::printf("seed %" PRIu64 " digest %016" PRIx64 "\n", s,
+                result.digest);
     if ((s - start_seed + 1) % 100 == 0) {
       std::printf("  ... %" PRIu64 "/%" PRIu64 " seeds clean\n",
                   s - start_seed + 1, sweep);

@@ -209,20 +209,41 @@ TEST(SimHarnessTest, ForcedFaultSweepPassesClean) {
   }
 }
 
-// Lifecycle seeds must exercise both lock stripings and reconfigurations
-// that carry equation state across the dense-table cap: some seeds start
-// with a group just under it and acquire enough overlapping licenses to
-// grow past it.
-TEST(SimHarnessTest, LifecycleSeedsCoverStripingAndTheDenseCap) {
+// Lifecycle seeds must race reconfigurations against admissions (one
+// client reconfigures while another admits, so the schedule can put
+// either first) and carry equation state across the dense-table cap: some
+// seeds start with a group just under it and acquire enough overlapping
+// licenses to grow past it.
+TEST(SimHarnessTest, LifecycleSeedsRaceReconfigurationsAndCrossTheDenseCap) {
   SimConfig config;
   config.lifecycle_ops = true;
   const uint64_t base = TestSeed(1);
-  int hint0 = 0;
-  int hint2 = 0;
+  int racing = 0;
   int crossing = 0;
   for (uint64_t seed = base; seed < base + 200; ++seed) {
     const SimWorkload workload = GenerateWorkload(seed, config);
-    (workload.shard_hint == 0 ? hint0 : hint2) += 1;
+    std::vector<bool> reconfigures;
+    std::vector<bool> admits;
+    for (const std::vector<SimOp>& ops : workload.client_ops) {
+      reconfigures.push_back(false);
+      admits.push_back(false);
+      for (const SimOp& op : ops) {
+        const bool admission = op.kind == SimOpKind::kTryIssue ||
+                               op.kind == SimOpKind::kTryIssueBatch;
+        const bool reconfiguration = op.kind == SimOpKind::kAcquireLicense ||
+                                     op.kind == SimOpKind::kRevokeLicense ||
+                                     op.kind == SimOpKind::kExpireBefore;
+        admits.back() = admits.back() || admission;
+        reconfigures.back() = reconfigures.back() || reconfiguration;
+      }
+    }
+    bool races = false;
+    for (size_t a = 0; a < admits.size(); ++a) {
+      for (size_t r = 0; r < reconfigures.size(); ++r) {
+        races = races || (a != r && admits[a] && reconfigures[r]);
+      }
+    }
+    racing += races ? 1 : 0;
     LicenseCatalog grown = *workload.licenses;
     int largest_start = 0;
     const LicenseGrouping start = LicenseGrouping::FromLicenses(grown);
@@ -245,8 +266,7 @@ TEST(SimHarnessTest, LifecycleSeedsCoverStripingAndTheDenseCap) {
       }
     }
   }
-  EXPECT_GE(hint0, 50);
-  EXPECT_GE(hint2, 50);
+  EXPECT_GE(racing, 150);
   EXPECT_GE(crossing, 10);
 }
 

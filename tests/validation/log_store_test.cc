@@ -229,7 +229,7 @@ TEST(LogStoreTest, BinaryRejectsTruncatedFile) {
   std::remove(path.c_str());
 }
 
-// A file in the retired unchecksummed layout ("GLOGBIN1" then the record
+// A file in the old unchecksummed layout ("GLOGBIN1" then the record
 // table) is not a checkpoint and fails the load.
 TEST(LogStoreTest, LegacyMagicFailsTheLoad) {
   LogStore store;
