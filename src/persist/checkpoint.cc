@@ -1,6 +1,5 @@
 #include "persist/checkpoint.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -157,7 +156,7 @@ Status WriteCheckpointFileDurable(CheckpointKind kind,
 
   const std::string tmp_path = path + ".tmp";
   GEOLIC_ASSIGN_OR_RETURN(std::unique_ptr<PosixSyncFile> tmp,
-                          PosixSyncFile::Create(tmp_path));
+                          PosixSyncFile::CreateTemp(tmp_path));
   Status written = tmp->Append(bytes);
   if (written.ok()) {
     written = tmp->Sync();
@@ -179,25 +178,7 @@ Status WriteCheckpointFileDurable(CheckpointKind kind,
   }
 
   // Durability of the rename itself: fsync the containing directory.
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd < 0) {
-    return Status::IoError("open directory " + dir +
-                           " failed: " + std::strerror(errno));
-  }
-  if (::fsync(dir_fd) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(dir_fd);
-    return Status::IoError("fsync directory " + dir + " failed: " + reason);
-  }
-  if (::close(dir_fd) != 0) {
-    return Status::IoError("close directory " + dir +
-                           " failed: " + std::strerror(errno));
-  }
-  return Status::Ok();
+  return SyncParentDirectory(path);
 }
 
 Result<std::string> ReadCheckpointFile(CheckpointKind expected_kind,

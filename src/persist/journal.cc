@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <sstream>
 
 #include "licensing/license_serialization.h"
@@ -275,12 +274,11 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::Create(
   }
   auto writer = std::unique_ptr<JournalWriter>(
       new JournalWriter(std::move(file), options));
-  // The magic is synced unconditionally so an acknowledged journal can
-  // never be mistaken for garbage: a later crash leaves, at worst, a torn
-  // frame after a valid magic.
+  // The magic becomes durable with the first Sync, together with the
+  // frames that sync acknowledges. A crash before it leaves a prefix of
+  // the magic, which the reader replays as no frames.
   GEOLIC_RETURN_IF_ERROR(writer->file_->Append(
       std::string_view(kJournalMagic, sizeof(kJournalMagic))));
-  GEOLIC_RETURN_IF_ERROR(writer->file_->Sync());
   return writer;
 }
 
@@ -542,8 +540,13 @@ size_t DataEnd(std::string_view bytes) {
 }  // namespace
 
 Result<JournalReplay> JournalReader::Parse(std::string_view bytes) {
-  if (bytes.size() < sizeof(kJournalMagic) ||
-      std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
+  const std::string_view magic(kJournalMagic, sizeof(kJournalMagic));
+  // A strict prefix of the magic (the empty file included) is a journal a
+  // crash left before its first sync: no frame was acknowledged.
+  if (bytes.size() < magic.size() && magic.starts_with(bytes)) {
+    return JournalReplay{};
+  }
+  if (!bytes.starts_with(magic)) {
     return Status::ParseError(
         "not a geolic journal (bad magic at offset 0)");
   }

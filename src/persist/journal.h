@@ -26,7 +26,7 @@ namespace geolic {
 // before the admission mutates in-memory state or the decision returns.
 //
 // File layout (little-endian):
-//   magic "GLJRNL2\0" (8 bytes), then frames:
+//   magic "GLJRNL2\0" (8 bytes, durable with the first sync), then frames:
 //     payload_len u32 | seq u64 | synced_seq u64 | header_crc u32 (CRC32C
 //     of the 20 preceding bytes) | payload_crc u32 (CRC32C of the payload)
 //     | payload
@@ -61,10 +61,13 @@ namespace geolic {
 // Reconfig frames share the admission sequence space: replay applies them
 // in order, renumbering every earlier admission record past a removal.
 //
-// Recovery semantics (JournalReader). A log on a PosixSyncFile writes in
-// place ahead of a reserved zero tail (persist/sync_file.h), so the file
-// size does not say where the writer stopped. The reader picks its rules
-// from the image:
+// Recovery semantics (JournalReader). A strict prefix of the magic, the
+// empty file included, is a journal a crash left before its first sync:
+// it replays as no frames (torn_tail is not set), as a cut replays the
+// whole frames inside it. Any other short image or bad magic fails.
+// Past the magic, a log on a PosixSyncFile writes in place ahead of a
+// reserved zero tail (persist/sync_file.h), so the file size does not say
+// where the writer stopped. The reader picks its rules from the image:
 //  * Strict rules — a closed journal, or any image that is not a whole
 //    number of kReserveStepBytes ending in kReservedZeroTailBytes of
 //    zeros. A frame whose bytes end at EOF before completing (torn write /
@@ -104,7 +107,9 @@ struct JournalOptions {
 // serializes appends behind its journal mutex.
 class JournalWriter {
  public:
-  // Takes ownership of `file`, writes and syncs the 8-byte magic.
+  // Takes ownership of `file` and appends the 8-byte magic without
+  // syncing it: the first Sync makes the magic durable with the frames it
+  // acknowledges (on a PosixSyncFile, the file's name too).
   static Result<std::unique_ptr<JournalWriter>> Create(
       std::unique_ptr<SyncFile> file, const JournalOptions& options = {});
 

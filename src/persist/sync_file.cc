@@ -17,6 +17,26 @@ Status Errno(const std::string& op, const std::string& path) {
 
 }  // namespace
 
+Status SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : path.substr(0, slash == 0 ? 1 : slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) {
+    return Errno("open directory", dir);
+  }
+  if (::fsync(dir_fd) != 0) {
+    const Status status = Errno("fsync directory", dir);
+    ::close(dir_fd);
+    return status;
+  }
+  if (::close(dir_fd) != 0) {
+    return Errno("close directory", dir);
+  }
+  return Status::Ok();
+}
+
 Result<std::unique_ptr<PosixSyncFile>> PosixSyncFile::Create(
     const std::string& path) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -24,6 +44,13 @@ Result<std::unique_ptr<PosixSyncFile>> PosixSyncFile::Create(
     return Errno("open", path);
   }
   return std::unique_ptr<PosixSyncFile>(new PosixSyncFile(path, fd));
+}
+
+Result<std::unique_ptr<PosixSyncFile>> PosixSyncFile::CreateTemp(
+    const std::string& path) {
+  GEOLIC_ASSIGN_OR_RETURN(std::unique_ptr<PosixSyncFile> file, Create(path));
+  file->name_synced_ = true;
+  return file;
 }
 
 PosixSyncFile::~PosixSyncFile() {
@@ -101,6 +128,10 @@ Status PosixSyncFile::Sync() {
   // but no metadata commit for timestamps alone.
   if (::fdatasync(fd_) != 0) {
     return Errno("fdatasync", path_);
+  }
+  if (!name_synced_) {
+    GEOLIC_RETURN_IF_ERROR(SyncParentDirectory(path_));
+    name_synced_ = true;
   }
   synced_ = true;
   return Status::Ok();

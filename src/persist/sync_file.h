@@ -39,6 +39,11 @@ class SyncFile {
 inline constexpr uint64_t kReserveStepBytes = 64 * 1024;
 inline constexpr uint64_t kReservedZeroTailBytes = 4 * 1024;
 
+// fsyncs the directory that holds `path`, making its entries (a new
+// file's name, a rename into it) durable. fsync(2) on a file promises
+// nothing for the directory entry that names it.
+Status SyncParentDirectory(const std::string& path);
+
 // POSIX implementation over pwrite/fdatasync.
 //
 // Until its first completed Sync the file grows with every Append, so a
@@ -55,10 +60,20 @@ inline constexpr uint64_t kReservedZeroTailBytes = 4 * 1024;
 // truncates to the written length and syncs, so a closed file holds
 // exactly its bytes; a file dropped without Close keeps its reserved zero
 // tail, which the journal reader reads as a crash image.
+//
+// The first completed Sync of a file from Create also fsyncs its parent
+// directory, once, so the file's name is durable with the first bytes a
+// sync acknowledges; creating the file syncs nothing.
 class PosixSyncFile : public SyncFile {
  public:
   // Creates (or truncates) `path` for writing.
   static Result<std::unique_ptr<PosixSyncFile>> Create(
+      const std::string& path);
+
+  // As Create, for a temp file that the caller renames into place and
+  // whose directory it fsyncs after the rename: no Sync fsyncs the
+  // directory.
+  static Result<std::unique_ptr<PosixSyncFile>> CreateTemp(
       const std::string& path);
 
   ~PosixSyncFile() override;  // Closes the descriptor; errors are dropped.
@@ -81,6 +96,7 @@ class PosixSyncFile : public SyncFile {
   uint64_t size_ = 0;         // File size: written_ plus any reservation.
   bool synced_ = false;       // A Sync completed: appends reserve ahead.
   bool reserving_ = true;     // Cleared for good by a failed reservation.
+  bool name_synced_ = false;  // The parent directory needs no fsync.
 };
 
 // In-memory implementation for tests and benches. `contents()` is what a

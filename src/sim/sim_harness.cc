@@ -572,7 +572,7 @@ void ExecuteOp(SimState* state, const SimOp& op) {
 void CheckRecoveredCounts(
     SimState* state, const RecoveryStats& stats,
     const std::unordered_map<LicenseSet, int64_t>& recovered) {
-  if (state->have_maybe_reconfig &&
+  if (state->have_maybe_reconfig && state->workload->fault_kind != 2 &&
       stats.reconfig_records_replayed == state->model_epoch + 1) {
     ApplyReconfigToModel(state, state->maybe_reconfig);
   } else if (stats.reconfig_records_replayed != state->model_epoch) {
@@ -608,6 +608,13 @@ void CheckRecoveredCounts(
     }
   }
   if (extras.empty()) {
+    return;
+  }
+  if (state->workload->fault_kind == 2) {
+    // Recovered from the synced bytes alone: the faulted op's frame never
+    // had a completed sync, so nothing beyond the model may come back.
+    Fail(state, "recovery kept a record no completed sync covered: " +
+                    MaskText(extras.begin()->first));
     return;
   }
   if (extras.size() > 1) {
@@ -712,14 +719,19 @@ void FinalChecks(SimState* state, const SimConfig& config,
   }
 
   // Crash-recovery round trip: the platter contents are exactly what a
-  // recovery pass would find after the process died here. Recovery always
-  // starts from the EPOCH-0 catalog — the journal's reconfiguration
-  // records must re-derive the final catalog on their own.
+  // recovery pass would find after the process died here. A failing fsync
+  // stands for a power loss, which keeps only what a completed sync
+  // covered (nothing, when no sync completed); a torn append keeps every
+  // byte that reached the file. Recovery always starts from the EPOCH-0
+  // catalog — the journal's reconfiguration records must re-derive the
+  // final catalog on their own.
   const std::string journal_path = state->scratch_dir + "/journal.gjl";
   {
     std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
     GEOLIC_CHECK(out.good());
-    const std::string& bytes = state->disk->contents();
+    const std::string bytes = state->workload->fault_kind == 2
+                                  ? state->disk->synced_contents()
+                                  : state->disk->contents();
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     GEOLIC_CHECK(out.good());
   }

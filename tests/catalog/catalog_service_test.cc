@@ -317,6 +317,47 @@ TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
   EXPECT_TRUE((*recovered)->Close().ok());
 }
 
+TEST_F(CatalogServiceTest, RecoverReadsAnEmptyPoolFileAsNoFrames) {
+  // A pool writer that never completed a sync may leave its file empty
+  // after a crash: its magic was never made durable and no frame on it
+  // was acknowledged. Recovery reads it as no frames and replays the rest
+  // of the pool.
+  options_.fsync_interval = 1;
+  uint64_t tenant = 0;
+  int64_t accepted = 0;
+  std::string empty_path;
+  {
+    Result<std::unique_ptr<CatalogService>> catalog =
+        CatalogService::Create(source_.get(), options_);
+    ASSERT_TRUE(catalog.ok());
+    const int used = (*catalog)->WriterIndexForTenant(tenant);
+    empty_path = (*catalog)->JournalPath(1 - used);
+    for (int i = 0; i < 3; ++i) {
+      const License request = Request(tenant);
+      Result<OnlineDecision> decision = (*catalog)->TryIssue(tenant, request);
+      ASSERT_TRUE(decision.ok());
+      if (decision->accepted()) {
+        accepted += request.aggregate_count();
+      }
+    }
+    catalog->reset();  // Crash: destroy without Close.
+  }
+  fs::resize_file(empty_path, 0);
+
+  CatalogRecoveryStats rstats;
+  Result<std::unique_ptr<CatalogService>> recovered =
+      CatalogService::Recover(source_.get(), options_, &rstats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(rstats.journal_frames, 3u);
+  EXPECT_EQ(rstats.torn_tails, 0u);
+  Result<CatalogService::TenantSnapshot> snapshot =
+      (*recovered)->SnapshotTenant(tenant);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->log.TotalCount(), accepted);
+  EXPECT_EQ(snapshot->tenant_seq, 3u);
+  EXPECT_TRUE((*recovered)->Close().ok());
+}
+
 TEST_F(CatalogServiceTest, FreshCreateRemovesStaleSpills) {
   // Evolve a tenant, spill it, and shut down cleanly so nothing is left
   // in the journals.

@@ -204,12 +204,19 @@ TEST(CrashImageTest, LogReservesAheadAndCloseTruncates) {
 }
 
 TEST(CrashImageTest, ReservationKeepsTheZeroTailAcrossSteps) {
-  // Across several 64 KiB steps, after every append: the file is a whole
-  // number of steps and the written end never enters the last 4 KiB.
+  // Across several 64 KiB steps, after every append that follows the first
+  // sync: the file is a whole number of steps and the written end never
+  // enters the last 4 KiB. Before that sync the file holds exactly its
+  // bytes.
   OpenJournal journal = StartJournal("crash_steps.gjl", 1);
   while (journal.file->written() < 3 * kReserveStepBytes) {
+    const bool synced_before = journal.file->synced() > 0;
     AppendNext(&journal);
     const uint64_t size = std::filesystem::file_size(journal.path);
+    if (!synced_before) {
+      ASSERT_EQ(size, journal.file->written());
+      continue;
+    }
     ASSERT_EQ(size % kReserveStepBytes, 0u) << journal.file->written();
     ASSERT_GE(size, journal.file->written() + kReservedZeroTailBytes);
     ASSERT_LT(size, journal.file->written() + kReservedZeroTailBytes +
@@ -233,6 +240,38 @@ TEST(CrashImageTest, WriteOnceFileNeverReserves) {
   EXPECT_EQ(std::filesystem::file_size(path), bytes.size());
   ASSERT_TRUE((*file)->Close().ok());
   EXPECT_EQ(ReadBytes(path), bytes);
+}
+
+TEST(CrashImageTest, EveryCutBeforeTheFirstSyncRecoversItsWholeFrames) {
+  // Creating a journal syncs nothing: at fsync_interval 4 the magic and
+  // frames 1-4 are written to a growing file, and the sync after frame 4
+  // is the first. A crash before it can leave any prefix of those bytes.
+  // Each recovers exactly the whole frames inside the cut, and a cut
+  // inside the magic (the empty file included) recovers none.
+  OpenJournal journal = StartJournal("crash_first_sync.gjl", 4);
+  for (int i = 1; i <= 4; ++i) {
+    EXPECT_EQ(journal.file->synced(), 0u) << i;
+    AppendNext(&journal);
+  }
+  const std::vector<size_t>& b = journal.boundaries;
+  ASSERT_EQ(journal.file->synced(), b.back());
+  const std::string written = ReadBytes(journal.path);
+  ASSERT_EQ(written.size(), b.back());  // Nothing reserved before the sync.
+  for (size_t cut = 0; cut <= written.size(); ++cut) {
+    const Result<JournalReplay> replay = RecoverImage(written.substr(0, cut));
+    ASSERT_TRUE(replay.ok()) << "cut=" << cut << ": "
+                             << replay.status().message();
+    size_t whole = 0;
+    while (whole + 1 < b.size() && b[whole + 1] <= cut) {
+      ++whole;
+    }
+    ASSERT_EQ(replay->entries.size(), whole) << "cut=" << cut;
+    for (size_t i = 0; i < whole; ++i) {
+      EXPECT_EQ(replay->entries[i].seq, i + 1) << "cut=" << cut;
+    }
+    EXPECT_EQ(replay->torn_tail, cut > b[0] && cut != b[whole])
+        << "cut=" << cut;
+  }
 }
 
 TEST(CrashImageTest, EveryPrefixCutOfTheUnsyncedWindowRecovers) {
@@ -520,11 +559,13 @@ TEST(CrashImageTest, CrashDuringAReservationRecoversAtTheOldSize) {
       const uint64_t before = std::filesystem::file_size(journal.path);
       const size_t synced_before = journal.file->synced();
       AppendNext(&journal);
-      if (std::filesystem::file_size(journal.path) == before) {
-        continue;
+      const uint64_t after = std::filesystem::file_size(journal.path);
+      if (after == before || after % kReserveStepBytes != 0) {
+        continue;  // No reservation: the file grows before its first sync.
       }
-      // Past the first step (which grows a file holding only the magic),
-      // take the first step whose window is non-empty when there is one.
+      // Past the first step (which grows a file holding only the frames
+      // of the first sync), take the first step whose window is non-empty
+      // when there is one.
       ++steps;
       if (steps >= 2 && (interval == 1 || synced_before <
                                               journal.boundaries.end()[-2])) {

@@ -69,17 +69,32 @@ TEST(JournalTest, EmptyJournalIsJustTheMagic) {
       JournalWriter::Create(std::move(file));
   ASSERT_TRUE(writer.ok());  // Keeps the writer (and the disk) alive.
   EXPECT_EQ(disk->contents().size(), sizeof(kJournalMagic));
-  // The magic is synced immediately so recovery never sees garbage.
-  EXPECT_EQ(disk->synced_size(), sizeof(kJournalMagic));
-  const Result<JournalReplay> replay = JournalReader::Parse(disk->contents());
-  ASSERT_TRUE(replay.ok());
-  EXPECT_TRUE(replay->entries.empty());
-  EXPECT_FALSE(replay->torn_tail);
+  // Creating syncs nothing: the magic becomes durable with the first frame.
+  EXPECT_EQ(disk->synced_size(), 0u);
+  for (const std::string& image : {disk->contents(), disk->synced_contents()}) {
+    const Result<JournalReplay> replay = JournalReader::Parse(image);
+    ASSERT_TRUE(replay.ok()) << replay.status().message();
+    EXPECT_TRUE(replay->entries.empty());
+    EXPECT_FALSE(replay->torn_tail);
+  }
+  ASSERT_TRUE((*writer)->Append(1, Record("LU", 0x1, 1)).ok());
+  EXPECT_GT(disk->synced_size(), sizeof(kJournalMagic));
+  EXPECT_EQ(disk->synced_contents().substr(0, sizeof(kJournalMagic)),
+            std::string_view(kJournalMagic, sizeof(kJournalMagic)));
 }
 
 TEST(JournalTest, RejectsBadMagic) {
   EXPECT_FALSE(JournalReader::Parse("NOTAJRNL").ok());
-  EXPECT_FALSE(JournalReader::Parse("").ok());
+  EXPECT_FALSE(JournalReader::Parse("GLX").ok());
+  EXPECT_FALSE(JournalReader::Parse(std::string(5, '\0')).ok());
+  // A strict prefix of the magic, the empty file included, is a journal a
+  // crash left before its first sync: it replays as no frames.
+  for (size_t cut = 0; cut < sizeof(kJournalMagic); ++cut) {
+    const Result<JournalReplay> replay =
+        JournalReader::Parse(std::string_view(kJournalMagic, cut));
+    ASSERT_TRUE(replay.ok()) << "cut=" << cut;
+    EXPECT_TRUE(replay->entries.empty()) << "cut=" << cut;
+  }
 }
 
 TEST(JournalTest, FsyncEveryAppendKeepsDiskSynced) {
@@ -107,8 +122,8 @@ TEST(JournalTest, FsyncBatchingTrailsByAtMostTheInterval) {
 
   for (uint64_t seq = 1; seq <= 3; ++seq) {
     ASSERT_TRUE((*writer)->Append(seq, Record("LU", 0x1, 1)).ok());
-    // Not yet at the interval: only the magic is acknowledged durable.
-    EXPECT_EQ(disk->synced_size(), sizeof(kJournalMagic)) << seq;
+    // Not yet at the interval: nothing, not even the magic, is synced.
+    EXPECT_EQ(disk->synced_size(), 0u) << seq;
   }
   ASSERT_TRUE((*writer)->Append(4, Record("LU", 0x1, 1)).ok());
   EXPECT_EQ(disk->synced_size(), disk->contents().size());

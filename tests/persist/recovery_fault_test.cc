@@ -177,14 +177,17 @@ TEST(RecoveryFaultTest, TruncatedTailAlwaysRecoversAPrefix) {
   // Cut the journal at EVERY byte length. Each cut either replays cleanly
   // (a prefix of the entries, torn tail iff the cut is mid-frame) or —
   // never — reports entries that were not written. Cuts inside the magic
-  // fail loudly instead.
+  // replay no frames.
   std::vector<size_t> boundaries;
   const std::string full = JournalBytes(6, &boundaries);
   for (size_t cut = 0; cut <= full.size(); ++cut) {
     const Result<JournalReplay> replay =
         JournalReader::Parse(full.substr(0, cut));
     if (cut < sizeof(kJournalMagic)) {
-      EXPECT_FALSE(replay.ok()) << "cut=" << cut;
+      // A prefix of the magic: a crash before the first sync.
+      ASSERT_TRUE(replay.ok()) << "cut=" << cut;
+      EXPECT_TRUE(replay->entries.empty()) << "cut=" << cut;
+      EXPECT_FALSE(replay->torn_tail) << "cut=" << cut;
       continue;
     }
     ASSERT_TRUE(replay.ok()) << "cut=" << cut << ": "
@@ -290,7 +293,10 @@ TEST(RecoveryFaultTest, TruncatedLifecycleTailAlwaysRecoversAPrefix) {
     const Result<JournalReplay> replay =
         JournalReader::Parse(full.substr(0, cut));
     if (cut < sizeof(kJournalMagic)) {
-      EXPECT_FALSE(replay.ok()) << "cut=" << cut;
+      // A prefix of the magic: a crash before the first sync.
+      ASSERT_TRUE(replay.ok()) << "cut=" << cut;
+      EXPECT_TRUE(replay->entries.empty()) << "cut=" << cut;
+      EXPECT_FALSE(replay->torn_tail) << "cut=" << cut;
       continue;
     }
     ASSERT_TRUE(replay.ok()) << "cut=" << cut << ": "
@@ -834,7 +840,10 @@ TEST(RecoveryFaultTest, TruncatedTenantTailAlwaysRecoversAPrefix) {
     const Result<JournalReplay> replay =
         JournalReader::Parse(full.substr(0, cut));
     if (cut < sizeof(kJournalMagic)) {
-      EXPECT_FALSE(replay.ok()) << "cut=" << cut;
+      // A prefix of the magic: a crash before the first sync.
+      ASSERT_TRUE(replay.ok()) << "cut=" << cut;
+      EXPECT_TRUE(replay->entries.empty()) << "cut=" << cut;
+      EXPECT_FALSE(replay->torn_tail) << "cut=" << cut;
       continue;
     }
     ASSERT_TRUE(replay.ok()) << "cut=" << cut << ": "

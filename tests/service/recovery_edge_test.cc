@@ -5,6 +5,7 @@
 // accepted requests on a fresh service, and RecoveryStats must account for
 // exactly where each record came from.
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "persist/journal.h"
+#include "persist/sync_file.h"
 #include "service/issuance_service.h"
 #include "test_util.h"
 
@@ -137,6 +139,68 @@ TEST(RecoveryEdgeTest, EmptyJournalAfterCheckpointRecoversCheckpointExactly) {
   const std::unique_ptr<IssuanceService> serial =
       SerialReplay(schema, licenses, kRequests);
   ExpectSameState(recovered->get(), serial.get());
+}
+
+TEST(RecoveryEdgeTest, JournalCutInsideItsMagicRecoversTheCheckpointExactly) {
+  // A journal that a crash left before its first sync holds a prefix of
+  // its magic: nothing at all, or some of its 8 bytes. No frame on it was
+  // acknowledged, so recovery yields exactly the checkpoint's state, or an
+  // empty working service without one.
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = TwoGroupSet(schema);
+  const std::string checkpoint_path =
+      ::testing::TempDir() + "edge_magic_cut.gck";
+  const std::string journal_path = ::testing::TempDir() + "edge_magic_cut.gjl";
+  constexpr int kRequests = 10;
+  size_t checkpoint_sets = 0;
+  {
+    Result<std::unique_ptr<IssuanceService>> service =
+        IssuanceService::Create(&licenses);
+    ASSERT_TRUE(service.ok());
+    Result<std::unique_ptr<JournalWriter>> journal =
+        JournalWriter::Create(std::make_unique<InMemorySyncFile>());
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
+    for (int i = 0; i < kRequests; ++i) {
+      ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
+    }
+    checkpoint_sets = (*service)->CollectLog().size();
+    ASSERT_TRUE((*service)->WriteCheckpoint(checkpoint_path).ok());
+  }
+  const std::unique_ptr<IssuanceService> serial =
+      SerialReplay(schema, licenses, kRequests);
+  const std::unique_ptr<IssuanceService> empty =
+      SerialReplay(schema, licenses, 0);
+
+  for (const size_t cut : {size_t{0}, size_t{5}}) {
+    {
+      std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
+      out.write(kJournalMagic, static_cast<std::streamsize>(cut));
+      ASSERT_TRUE(out.good());
+    }
+    for (const bool with_checkpoint : {false, true}) {
+      SCOPED_TRACE("cut=" + std::to_string(cut) +
+                   " checkpoint=" + std::to_string(with_checkpoint));
+      RecoveryStats stats;
+      Result<std::unique_ptr<IssuanceService>> recovered =
+          IssuanceService::Recover(&licenses, {},
+                                   with_checkpoint ? checkpoint_path : "",
+                                   journal_path, &stats);
+      ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+      EXPECT_EQ(stats.checkpoint_records,
+                with_checkpoint ? checkpoint_sets : 0u);
+      EXPECT_EQ(stats.journal_records_replayed, 0u);
+      EXPECT_EQ(stats.journal_records_skipped, 0u);
+      EXPECT_FALSE(stats.journal_torn_tail);
+      ExpectSameState(recovered->get(),
+                      with_checkpoint ? serial.get() : empty.get());
+      // The recovered service admits like the state it recovered.
+      const Result<OnlineDecision> decision =
+          (*recovered)->TryIssue(RequestAt(schema, kRequests));
+      ASSERT_TRUE(decision.ok());
+      EXPECT_TRUE(decision->accepted());
+    }
+  }
 }
 
 TEST(RecoveryEdgeTest, CheckpointCoveringZeroFramesReplaysWholeJournal) {
