@@ -8,8 +8,10 @@
 // per-request admission latency in two phases — a quiescent catalog, then
 // a reconfiguration storm (a bridge license acquired and revoked in a
 // tight loop, merging and re-splitting two overlap groups each round) —
-// and self-checks that the storm-phase p99 stays within 5x of the
-// quiescent p99.
+// and self-checks that the storm-phase p99 of the best rep stays within 5x
+// of the quiescent p99 of the best rep. The median rep of each phase (by
+// p99) is reported beside the best, so a tail that only some reps show is
+// visible without failing the check.
 //
 // A second section measures what one reconfiguration costs as the accepted
 // history grows: a catalog of one overlap group of N licenses (N = 12, the
@@ -342,27 +344,38 @@ int main(int argc, char** argv) {
   std::printf("# Ablation: admission latency, quiescent vs reconfiguration "
               "storm (%d groups, %d requests, best of %d reps)\n",
               groups, request_count, reps);
-  std::printf("%10s  %10s  %10s  %10s\n", "phase", "p50_ns", "p99_ns",
-              "reconfigs");
+  std::printf("%10s  %6s  %10s  %10s  %10s\n", "phase", "rep", "p50_ns",
+              "p99_ns", "reconfigs");
 
-  // Best-of-reps on both sides: scheduling noise hits each phase alike.
-  PhaseResult quiescent;
-  PhaseResult storm;
+  // Every rep of each phase, sorted by p99: the best (first) on both sides
+  // for the check, since scheduling noise hits each phase alike, and the
+  // median beside it.
+  std::vector<PhaseResult> quiescent_reps;
+  std::vector<PhaseResult> storm_reps;
   for (int rep = 0; rep < reps; ++rep) {
-    const PhaseResult q = RunPhase(licenses, requests, /*storm=*/false);
-    const PhaseResult r = RunPhase(licenses, requests, /*storm=*/true);
-    if (rep == 0 || q.p99_ns < quiescent.p99_ns) {
-      quiescent = q;
-    }
-    if (rep == 0 || r.p99_ns < storm.p99_ns) {
-      storm = r;
-    }
+    quiescent_reps.push_back(RunPhase(licenses, requests, /*storm=*/false));
+    storm_reps.push_back(RunPhase(licenses, requests, /*storm=*/true));
   }
+  const auto by_p99 = [](const PhaseResult& a, const PhaseResult& b) {
+    return a.p99_ns < b.p99_ns;
+  };
+  std::stable_sort(quiescent_reps.begin(), quiescent_reps.end(), by_p99);
+  std::stable_sort(storm_reps.begin(), storm_reps.end(), by_p99);
+  const size_t median = static_cast<size_t>(reps) / 2;
+  const PhaseResult& quiescent = quiescent_reps.front();
+  const PhaseResult& storm = storm_reps.front();
+  const PhaseResult& quiescent_median = quiescent_reps[median];
+  const PhaseResult& storm_median = storm_reps[median];
 
-  std::printf("%10s  %10" PRId64 "  %10" PRId64 "  %10s\n", "quiescent",
-              quiescent.p50_ns, quiescent.p99_ns, "0");
-  std::printf("%10s  %10" PRId64 "  %10" PRId64 "  %10" PRIu64 "\n", "storm",
-              storm.p50_ns, storm.p99_ns, storm.reconfigs);
+  const auto print = [](const char* phase, const char* rep,
+                        const PhaseResult& result) {
+    std::printf("%10s  %6s  %10" PRId64 "  %10" PRId64 "  %10" PRIu64 "\n",
+                phase, rep, result.p50_ns, result.p99_ns, result.reconfigs);
+  };
+  print("quiescent", "best", quiescent);
+  print("quiescent", "median", quiescent_median);
+  print("storm", "best", storm);
+  print("storm", "median", storm_median);
 
   // The acceptance bar: an admission may wait out a reconfiguration that
   // holds the service lock, but the admission tail must stay within 5x of
@@ -383,6 +396,8 @@ int main(int argc, char** argv) {
     out.KeyValue("p50_ns", quiescent.p50_ns);
     out.KeyValue("p99_ns", quiescent.p99_ns);
     out.KeyValue("reconfigs", static_cast<int64_t>(0));
+    out.KeyValue("median_p50_ns", quiescent_median.p50_ns);
+    out.KeyValue("median_p99_ns", quiescent_median.p99_ns);
   });
   json.Row([&](JsonWriter& out) {
     out.KeyValue("phase", "storm");
@@ -390,6 +405,10 @@ int main(int argc, char** argv) {
     out.KeyValue("p99_ns", storm.p99_ns);
     out.KeyValue("reconfigs", static_cast<int64_t>(storm.reconfigs));
     out.KeyValue("p99_ratio", ratio);
+    out.KeyValue("median_p50_ns", storm_median.p50_ns);
+    out.KeyValue("median_p99_ns", storm_median.p99_ns);
+    out.KeyValue("median_reconfigs",
+                 static_cast<int64_t>(storm_median.reconfigs));
   });
 
   RunReconfigSection(&json);

@@ -194,14 +194,15 @@ int main(int argc, char** argv) {
     const std::unique_ptr<IssuanceService> service =
         MakeService(licenses, {}, journal);
     Stopwatch timer;
-    std::vector<License> batch;
+    std::vector<const License*> batch;
     batch.reserve(static_cast<size_t>(batch_size));
+    std::vector<OnlineDecision> decisions(static_cast<size_t>(batch_size));
     for (size_t i = 0; i < requests.size();) {
       batch.clear();
       for (int b = 0; b < batch_size && i < requests.size(); ++b, ++i) {
-        batch.push_back(requests[i]);
+        batch.push_back(&requests[i]);
       }
-      GEOLIC_CHECK(service->TryIssueBatch(batch).ok());
+      GEOLIC_CHECK(service->TryIssueBatch(batch, decisions).ok());
     }
     const double elapsed_ms = timer.ElapsedMillis();
     Result<ValidationTree> tree = service->CollectTree();

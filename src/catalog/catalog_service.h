@@ -1,7 +1,6 @@
 #ifndef GEOLIC_CATALOG_CATALOG_SERVICE_H_
 #define GEOLIC_CATALOG_CATALOG_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -34,7 +33,7 @@ namespace geolic {
 // that: tenants are *compiled* lazily — the first request for a content
 // materializes its baseline from the TenantSource, builds the grouping /
 // instance geometry / equation tables, and caches the resulting service
-// in a sharded LRU. When resident bytes exceed the budget, cold tenants are
+// in an LRU. When resident bytes exceed the budget, cold tenants are
 // *spilled*: their evolved catalog + accepted log + epoch are written to a
 // per-tenant checkpoint (persist/checkpoint.h, kind = tenant-snapshot) and
 // the in-memory service is freed. Re-access reloads the spill
@@ -42,47 +41,36 @@ namespace geolic {
 // (including `catalog_epoch`: the reloaded service continues at the
 // spilled epoch).
 //
-// Durability multiplexes every tenant onto a small pool of shared
-// journals: each op appends one tenant-tagged v3 frame (tenant_id +
-// per-tenant contiguous tenant_seq + the op) to the writer the tenant
-// hashes to, *before* the op executes — intent logging, replayed by
-// re-execution. Catalog-wide Recover parses the pool, groups frames by
-// tenant, verifies routing and per-tenant seq contiguity (a misrouted
-// frame fails loudly instead of replaying into the wrong tenant), rebuilds
-// every touched tenant sequentially (spill + tail re-execution), re-spills
-// it, and only then truncates the journals — the checkpoint-then-truncate
-// cutover.
+// Durability multiplexes every tenant onto one journal: each op appends
+// one tenant-tagged v3 frame (tenant_id + per-tenant contiguous tenant_seq
+// + the op) *before* the op executes — intent logging, replayed by
+// re-execution. Recover parses the journal, groups frames by tenant,
+// verifies per-tenant seq contiguity (a lost, duplicated or forged frame
+// fails loudly instead of replaying into a tenant), rebuilds every touched
+// tenant sequentially (spill + tail re-execution), re-spills it, and only
+// then truncates the journal — the checkpoint-then-truncate cutover.
 //
-// Lock order (strict): tenant mutex → { LRU-shard mutex | journal-writer
-// mutex } (both leaves). No code path holds two tenant mutexes, so
-// eviction (which locks the victim) runs only after the requester's tenant
-// mutex is released.
+// One mutex guards the whole catalog — the resident tenants, the LRU, the
+// counters and the journal — and every public call holds it throughout,
+// so each call is one serial step of its tenant's ReferenceModel and the
+// journal's frame order is the lock order.
 
 // Counters snapshot — the exposition section doubles as the plain stats
 // carrier so bench/CI asserts read the same numbers Prometheus exports.
 using CatalogStats = ExpositionInput::CatalogSection;
 
 struct CatalogOptions {
-  // Directory holding the journal pool ("catalog-journal-<k>.wal") and the
+  // Directory holding the journal ("catalog-journal-0.wal") and the
   // per-tenant spill checkpoints ("tenant-<id>.spill"). Created if absent.
   std::string dir;
 
   // Resident-tenant memory budget (approximate accounting: a fixed base
   // per tenant + per-license + per-record costs + the service's dense
-  // equation tables). Split evenly across the
-  // LRU shards; each shard always keeps at least its most recent tenant
-  // resident, so the effective floor is `lru_shards` tenants.
+  // equation tables). The most recently used tenant always stays
+  // resident, so the floor is one tenant.
   size_t memory_budget_bytes = 64ull << 20;
 
-  // LRU shards (popularity cache stripes). More shards = less lock
-  // contention on the hot lookup path, coarser budget enforcement.
-  int lru_shards = 8;
-
-  // Shared journal writers; tenants route by hash, so one tenant's frames
-  // always land in one journal, in order.
-  int journal_writers = 4;
-
-  // Passed through to each pool writer (see persist/journal.h).
+  // Passed through to the journal writer (see persist/journal.h).
   int fsync_interval = 1;
 
   // Per-tenant service options (grouping, metrics, tracer —
@@ -93,23 +81,19 @@ struct CatalogOptions {
   // service_options.tracer. Must outlive the service when set.
   Tracer* tracer = nullptr;
 
-  // Test hook: builds the SyncFile a pool journal writes through (fault
-  // injection wraps PosixSyncFile in a FaultyFile). Defaults to
-  // PosixSyncFile::Create(path).
+  // Test hook: builds the SyncFile the journal writes through (fault
+  // injection wraps PosixSyncFile in a FaultyFile). The index is always
+  // 0. Defaults to PosixSyncFile::Create(path).
   std::function<Result<std::unique_ptr<SyncFile>>(const std::string& path,
                                                   int writer_index)>
       journal_file_factory;
-
-  // Planted bug for the sim harness's misrouting mutation: periodically
-  // stamps a frame with a sibling tenant's id. Recovery must catch it.
-  bool sim_misroute_frames = false;
 
   Status Validate() const;
 };
 
 // What catalog-wide Recover did.
 struct CatalogRecoveryStats {
-  size_t journal_frames = 0;       // Tenant frames parsed from the pool.
+  size_t journal_frames = 0;       // Tenant frames parsed from the journal.
   size_t tenants_recovered = 0;    // Distinct tenants rebuilt.
   size_t frames_replayed = 0;      // Frames past each tenant's spill.
   size_t frames_skipped = 0;       // Frames a spill already covered.
@@ -117,25 +101,27 @@ struct CatalogRecoveryStats {
                                    // failed, exactly as they did live.
   size_t spill_loads = 0;          // Tenants rebuilt starting from a spill.
   size_t compiles = 0;             // Tenants rebuilt from the source alone.
-  int torn_tails = 0;              // Journals ending in a torn write.
+  int torn_tails = 0;              // 1 when the journal ends in a torn write.
 };
 
 class CatalogService {
  public:
-  // Fresh catalog: empty LRU, truncated journal pool, and any tenant
-  // spill files left in a reused directory deleted — Create never
-  // resurrects an earlier generation's evolved tenant state (use Recover
-  // after a crash). `source` must outlive the service.
+  // Fresh catalog: empty LRU, truncated journal, and any tenant spill
+  // files and stale catalog-journal-<k>.wal (k >= 1) left in a reused
+  // directory deleted — Create never resurrects an earlier generation's
+  // evolved tenant state (use Recover after a crash). `source` must
+  // outlive the service.
   static Result<std::unique_ptr<CatalogService>> Create(
       TenantSource* source, const CatalogOptions& options);
 
-  // Crash recovery: rebuilds every tenant the journal pool touched (spill
-  // + replay, one at a time — memory stays bounded no matter how many
-  // tenants the crash left dirty), re-spills each, then opens fresh
-  // journals. Tenants whose state is fully covered by their spill are left
+  // Crash recovery: rebuilds every tenant the journal touched (spill +
+  // replay, one at a time — memory stays bounded no matter how many
+  // tenants the crash left dirty), re-spills each, then opens a fresh
+  // journal. Tenants whose state is fully covered by their spill are left
   // cold on disk. Fails loudly on any corruption that is not a clean torn
-  // tail: CRC damage, a frame in the wrong pool journal, a per-tenant
-  // sequence gap or duplicate.
+  // tail: CRC damage, a per-tenant sequence gap or duplicate, a journal
+  // resuming past a spill — and on a catalog-journal-<k>.wal with k >= 1,
+  // whose acknowledged ops this catalog would otherwise ignore.
   static Result<std::unique_ptr<CatalogService>> Recover(
       TenantSource* source, const CatalogOptions& options,
       CatalogRecoveryStats* stats = nullptr);
@@ -149,13 +135,11 @@ class CatalogService {
   // executes, and may evict colder tenants afterwards. A journal append
   // failure rejects the op with tenant state unchanged (the frame is
   // maybe-persisted; recovery may replay it — the documented allowance),
-  // and if the failure poisoned the pool writer the catalog *fail-stops*:
-  // every subsequent mutating op on every tenant is rejected with
-  // FailedPrecondition until the process restarts via Recover. Limping on
-  // with one dead writer would silently stop journaling the tenants that
-  // hash to it — a sticky partial outage — so the whole catalog goes
-  // loudly read-only instead (spills/snapshots still work; they do not
-  // journal). The `poisoned_writers` stat counts poisoned writers.
+  // and if the failure poisoned the journal writer the catalog
+  // *fail-stops*: every subsequent mutating op on every tenant is rejected
+  // with FailedPrecondition until the process restarts via Recover
+  // (spills/snapshots still work; they do not journal). The
+  // `poisoned_writers` stat is then 1.
 
   // Online admission for tenant `tenant_id`. The decision's catalog_epoch
   // is in the tenant's cumulative numbering (spill/reload-invariant).
@@ -188,11 +172,11 @@ class CatalogService {
   };
   Result<TenantSnapshot> SnapshotTenant(uint64_t tenant_id);
 
-  // Forces every pool journal to stable storage.
+  // Forces the journal to stable storage.
   Status SyncJournals();
 
-  // Flushes and closes the journal pool. Idempotent; called by the
-  // destructor best-effort.
+  // Flushes and closes the journal. Idempotent; called by the destructor
+  // best-effort.
   Status Close();
 
   // Counter snapshot (also embedded in Snap()).
@@ -206,140 +190,98 @@ class CatalogService {
   const CatalogOptions& options() const { return options_; }
 
   // Journal / spill paths (exposed so tests can corrupt them).
-  std::string JournalPath(int writer_index) const;
+  std::string JournalPath() const;
   std::string SpillPath(uint64_t tenant_id) const;
 
-  // The pool writer index tenant `tenant_id` routes to.
-  int WriterIndexForTenant(uint64_t tenant_id) const;
-
  private:
-  // One content's cached state. `mutex` serializes ops, materialization
-  // and spill; everything below it is guarded by it.
+  // One resident content's state.
   struct Tenant {
-    explicit Tenant(uint64_t id) : tenant_id(id) {}
-    const uint64_t tenant_id;
-    std::mutex mutex;
-    bool resident = false;
     std::unique_ptr<ConstraintSchema> schema;
     // Owns the tenant's catalog (built over `schema`); its epoch is the
     // tenant's cumulative epoch (a reload continues it).
     std::unique_ptr<IssuanceService> service;
-    // Last journaled per-tenant op sequence (0 = none yet).
+    // Last journaled per-tenant op sequence (0 = none yet). A spill
+    // carries it as its covered_seq.
     uint64_t tenant_seq = 0;
     size_t approx_bytes = 0;
     // The part of approx_bytes charged for the service's dense equation
     // tables (IssuanceService::dense_table_bytes at the last charge).
     size_t table_bytes = 0;
-  };
-
-  struct LruShard {
-    mutable std::mutex mutex;
-    // All known tenants of this stripe (resident or spilled shells).
-    std::unordered_map<uint64_t, std::shared_ptr<Tenant>> tenants;
-    // Resident tenants only, most recent first.
-    std::list<uint64_t> lru;
-    std::unordered_map<uint64_t, std::list<uint64_t>::iterator> lru_pos;
-    // Approximate resident bytes (atomic so the op path can grow it
-    // without the shard lock).
-    std::atomic<size_t> resident_bytes{0};
-  };
-
-  struct PoolWriter {
-    std::mutex mutex;
-    std::unique_ptr<JournalWriter> writer;  // Guarded by mutex.
-    uint64_t next_seq = 0;                  // Frames appended; guarded.
-    bool counted_poisoned = false;          // Health counter dedup; guarded.
+    // The tenant's entry in lru_.
+    std::list<uint64_t>::iterator lru_pos;
   };
 
   CatalogService(TenantSource* source, const CatalogOptions& options);
 
-  // Deletes every tenant-*.spill (and interrupted .spill.tmp) in `dir` —
-  // Create's fresh-catalog guarantee for reused directories.
-  static Status RemoveSpillFiles(const std::string& dir);
+  // Methods suffixed Locked run with mutex_ held.
 
-  // Truncates and opens the journal pool; flips journaling on.
-  Status OpenJournals();
+  // Truncates and opens the journal.
+  Status OpenJournal();
 
-  LruShard& ShardFor(uint64_t tenant_id);
-  PoolWriter& WriterFor(uint64_t tenant_id);
-
-  // Fetches (or creates) the tenant entry; shard lock only.
-  std::shared_ptr<Tenant> GetTenant(uint64_t tenant_id);
-
-  // Makes `tenant` resident (spill reload or first-touch compile) and
-  // registers it with its LRU shard. Caller holds tenant->mutex.
-  Status EnsureResidentLocked(Tenant* tenant);
+  // Makes `tenant_id` resident (spill reload or first-touch compile) and
+  // moves it to the LRU front.
+  Result<Tenant*> EnsureResidentLocked(uint64_t tenant_id);
 
   // Re-charges a resident tenant's dense equation tables after a
   // reconfiguration, which resizes them when groups merge or split.
-  // Caller holds tenant->mutex.
   void ChargeTablesLocked(Tenant* tenant);
 
-  // Builds the tenant's in-memory state from a spill payload. Caller holds
-  // tenant->mutex.
-  Status LoadSpillLocked(Tenant* tenant, const std::string& payload);
+  // Builds a tenant's in-memory state from a spill payload.
+  Status LoadSpill(uint64_t tenant_id, const std::string& payload,
+                   Tenant* tenant);
 
-  // Builds the tenant's in-memory state from the source baseline. Caller
-  // holds tenant->mutex.
-  Status CompileLocked(Tenant* tenant);
+  // Builds a tenant's in-memory state from the source baseline.
+  Status Compile(uint64_t tenant_id, Tenant* tenant);
 
   // Appends the intent frame for the op about to execute; advances
-  // tenant->tenant_seq on success. Caller holds tenant->mutex and fills
-  // every frame field except tenant_id / tenant_seq. A failure that
-  // poisoned the pool writer fail-stops the catalog.
-  Status JournalOpLocked(Tenant* tenant, TenantOpFrame* frame);
+  // tenant->tenant_seq on success. The caller fills every frame field
+  // except tenant_id / tenant_seq. A failure that poisoned the writer
+  // fail-stops the catalog.
+  Status JournalOpLocked(uint64_t tenant_id, Tenant* tenant,
+                         TenantOpFrame* frame);
 
-  // Non-OK once the catalog has fail-stopped (a pool writer poisoned);
+  // Non-OK once the catalog has fail-stopped (the writer poisoned);
   // mutating ops check it on entry.
-  Status CheckAcceptingOps() const;
-
-  // Records `pool`'s writer as poisoned (once) and fail-stops the
-  // catalog. Caller holds pool.mutex.
-  void NotePoisonedWriterLocked(PoolWriter& pool);
+  Status CheckAcceptingOpsLocked() const;
 
   // Writes the spill checkpoint and frees the tenant's in-memory state.
-  // Caller holds tenant->mutex. `evicting` selects the evict vs explicit
-  // spill counters/trace stage.
-  Status SpillLocked(Tenant* tenant, bool evicting);
+  // No-op if the tenant is not resident. `evicting` selects the evict vs
+  // explicit spill counters/trace stage.
+  Status SpillLocked(uint64_t tenant_id, bool evicting);
 
-  // Serializes a resident tenant's state into a spill payload. Caller
-  // holds tenant->mutex.
-  Result<std::string> EncodeSpillLocked(const Tenant& tenant) const;
+  // Runs `op` on the resident tenant `tenant_id` (materializing it), then
+  // evicts down to the budget whether or not the op succeeded.
+  template <typename Op>
+  auto OnTenantLocked(uint64_t tenant_id, Op op) -> decltype(op(nullptr));
 
-  // Moves `tenant_id` to its shard's LRU front (must be resident).
-  void TouchLru(LruShard& shard, uint64_t tenant_id);
+  // Spills LRU-tail tenants until the residents fit the budget, always
+  // keeping the most recent one.
+  void MaybeEvictLocked();
 
-  // Spills LRU-tail tenants of `shard` until it fits its budget slice
-  // (always keeping one resident). Never called with a tenant mutex held.
-  void MaybeEvict(LruShard& shard);
+  // Replays one journaled op during recovery (no journaling);
+  // deterministic op-level failures are counted, not errors.
+  static Status ReplayOp(IssuanceService* service, const TenantOpFrame& frame,
+                         CatalogRecoveryStats* stats);
 
-  // Replays one journaled op during recovery (no journaling). Caller holds
-  // tenant->mutex; deterministic op-level failures are counted, not
-  // errors.
-  Status ReplayOpLocked(Tenant* tenant, const TenantOpFrame& frame,
-                        CatalogRecoveryStats* stats);
+  TenantSource* const source_;
+  const CatalogOptions options_;
 
-  TenantSource* source_;
-  CatalogOptions options_;
-  size_t shard_budget_bytes_ = 0;  // memory_budget_bytes / lru_shards.
-  bool journaling_enabled_ = false;
-  // Fail-stop latch: set when any pool writer poisons, never cleared —
+  // Guards everything below.
+  mutable std::mutex mutex_;
+  // Resident tenants only: a spilled tenant lives in its spill file.
+  std::unordered_map<uint64_t, Tenant> tenants_;
+  // Resident tenant ids, most recent first.
+  std::list<uint64_t> lru_;
+  size_t resident_bytes_ = 0;  // Sum of the residents' approx_bytes.
+  std::unique_ptr<JournalWriter> journal_;
+  uint64_t journal_seq_ = 0;  // Frames appended to journal_.
+  // Fail-stop latch: set when the writer poisons, never cleared —
   // recovery builds a new service.
-  std::atomic<bool> failed_{false};
-  std::vector<std::unique_ptr<LruShard>> shards_;
-  std::vector<std::unique_ptr<PoolWriter>> writers_;
+  bool failed_ = false;
 
-  // Counters (CatalogStats is the snapshot form).
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> compiles_{0};
-  std::atomic<uint64_t> loads_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> spills_{0};
-  std::atomic<uint64_t> recovered_tenants_{0};
-  std::atomic<uint64_t> journal_frames_{0};
-  std::atomic<uint64_t> resident_tenants_{0};
-  std::atomic<uint64_t> poisoned_writers_{0};
+  // Counters; stats() fills in the gauges (resident tenants and bytes,
+  // poisoned writers).
+  CatalogStats counters_;
 };
 
 }  // namespace geolic

@@ -289,8 +289,8 @@ std::string RenderPrometheusText(const ExpositionInput& input) {
     out += "geolic_catalog_recovered_tenants_total{" + svc + "} " +
            std::to_string(cat.recovered_tenants) + "\n";
     AppendFamilyHeader("geolic_catalog_journal_frames_total", "counter",
-                       "Tenant-tagged frames appended to the shared "
-                       "journal pool.",
+                       "Tenant-tagged frames appended to the catalog "
+                       "journal.",
                        &out);
     out += "geolic_catalog_journal_frames_total{" + svc + "} " +
            std::to_string(cat.journal_frames) + "\n";
@@ -303,8 +303,8 @@ std::string RenderPrometheusText(const ExpositionInput& input) {
     out += "geolic_catalog_resident_bytes{" + svc + "} " +
            std::to_string(cat.resident_bytes) + "\n";
     AppendFamilyHeader("geolic_catalog_poisoned_writers", "gauge",
-                       "Pool journal writers poisoned by an I/O error "
-                       "(nonzero: the catalog has fail-stopped).",
+                       "1 when the catalog journal writer was poisoned by "
+                       "an I/O error (the catalog has fail-stopped).",
                        &out);
     out += "geolic_catalog_poisoned_writers{" + svc + "} " +
            std::to_string(cat.poisoned_writers) + "\n";

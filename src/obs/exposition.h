@@ -61,12 +61,12 @@ struct ExpositionInput {
     uint64_t evictions = 0;   // Tenants pushed out by the memory budget.
     uint64_t spills = 0;      // Spill checkpoints written (evict + recover).
     uint64_t recovered_tenants = 0;  // Tenants rebuilt by catalog Recover.
-    uint64_t journal_frames = 0;     // Tenant frames appended to the pool.
+    uint64_t journal_frames = 0;     // Tenant frames journaled.
     uint64_t resident_tenants = 0;   // Gauge: tenants resident right now.
     uint64_t resident_bytes = 0;     // Gauge: approx bytes they occupy.
-    uint64_t poisoned_writers = 0;   // Gauge: pool journal writers dead
-                                     // after an I/O error (nonzero means
-                                     // the catalog has fail-stopped).
+    uint64_t poisoned_writers = 0;   // Gauge: 1 when the journal writer
+                                     // died on an I/O error (the catalog
+                                     // has fail-stopped), else 0.
   } catalog;
 };
 

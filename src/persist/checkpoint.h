@@ -61,7 +61,7 @@ Status WriteCheckpointFile(CheckpointKind kind, std::string_view payload,
 // one is found — never a torn mix, and never a page-cache-only write that
 // power loss can drop. Required wherever dependent state is discarded once
 // the checkpoint "exists" (the catalog's checkpoint-then-truncate cutover
-// truncates the journal pool on the strength of the spill files). Callers
+// truncates the journal on the strength of the spill files). Callers
 // must serialize concurrent writes to the same `path` (the temp name is
 // derived from it).
 Status WriteCheckpointFileDurable(CheckpointKind kind,

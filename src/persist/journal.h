@@ -54,10 +54,10 @@ namespace geolic {
 //              id_len u32 | id bytes; op 4 expire: dim u32 | cutoff i64.
 //              tenant_seq is the tenant's own contiguous op counter
 //              (1, 2, ...): catalog recovery groups frames by tenant_id and
-//              rejects per-tenant gaps or reordering, so a misrouted frame
-//              can never silently replay into the wrong tenant. Tenant
-//              frames are intent records (logged before the op executes);
-//              replay re-executes them deterministically.
+//              rejects per-tenant gaps or duplicates, so a lost or forged
+//              frame can never silently replay. Tenant frames are intent
+//              records (logged before the op executes); replay re-executes
+//              them deterministically.
 // Reconfig frames share the admission sequence space: replay applies them
 // in order, renumbering every earlier admission record past a removal.
 //
@@ -132,7 +132,7 @@ class JournalWriter {
                       const std::vector<int>& removed_indexes);
 
   // Tenant-tagged catalog frame (see the format comment above): one
-  // multi-tenant op, routed onto this shared writer by the catalog layer.
+  // multi-tenant op, multiplexed onto this writer by the catalog layer.
   // `seq` is this writer's frame sequence; `op.tenant_seq` is the tenant's
   // own contiguous counter.
   Status AppendTenantOp(uint64_t seq, const struct TenantOpFrame& op);
@@ -205,7 +205,7 @@ enum class TenantOpKind : uint8_t {
   kExpire = 4,   // ExpireDimensionBelow.
 };
 
-// One multi-tenant catalog op, as framed onto a shared writer.
+// One multi-tenant catalog op, as framed onto the catalog journal.
 struct TenantOpFrame {
   uint64_t tenant_id = 0;
   uint64_t tenant_seq = 0;  // Per-tenant contiguous counter, starts at 1.

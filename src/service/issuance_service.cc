@@ -12,7 +12,6 @@
 #include "persist/checkpoint.h"
 #include "persist/framing.h"
 #include "util/check.h"
-#include "util/request_arena.h"
 #include "util/stopwatch.h"
 #include "validation/validate.h"
 
@@ -736,29 +735,6 @@ Result<OnlineDecision> IssuanceService::TryIssue(const License& issued) {
   }
   GEOLIC_RETURN_IF_ERROR(IssueLocked(issued, timer, &decision, &trace));
   return decision;
-}
-
-Result<std::vector<OnlineDecision>> IssuanceService::TryIssueBatch(
-    const std::vector<License>& batch) {
-  std::vector<OnlineDecision> decisions(batch.size());
-  GEOLIC_RETURN_IF_ERROR(TryIssueBatch(std::span<const License>(batch),
-                                       std::span<OnlineDecision>(decisions)));
-  return decisions;
-}
-
-Status IssuanceService::TryIssueBatch(std::span<const License> batch,
-                                      std::span<OnlineDecision> decisions) {
-  // Thin shim over the pointer form: the pointer array is arena scratch,
-  // so this stays allocation-free after warmup.
-  RequestArena& arena = ThreadLocalRequestArena();
-  const ArenaScope scratch(&arena);
-  const License** pointers =
-      arena.AllocateArray<const License*>(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    pointers[i] = &batch[i];
-  }
-  return TryIssueBatch(
-      std::span<const License* const>(pointers, batch.size()), decisions);
 }
 
 Status IssuanceService::TryIssueBatch(std::span<const License* const> batch,

@@ -278,24 +278,13 @@ class IssuanceService {
   // decision carries the catalog epoch it was made against.
   Result<OnlineDecision> TryIssue(const License& issued);
 
-  // Admits a batch under one lock acquisition, returning decisions in
-  // input order: the decisions of a sequential TryIssue loop over the
-  // batch, all made against one catalog epoch.
-  Result<std::vector<OnlineDecision>> TryIssueBatch(
-      const std::vector<License>& batch);
-
-  // Allocation-free variant: identical decision semantics, but the caller
-  // owns the decision storage (`decisions.size() >= batch.size()`; entries
-  // are overwritten) and all batch scratch comes from the calling thread's
-  // RequestArena — after warmup the steady state performs no heap
-  // allocation (see docs/DESIGN.md, "Arena lifetime rules").
-  Status TryIssueBatch(std::span<const License> batch,
-                       std::span<OnlineDecision> decisions);
-
-  // Pointer-batch intake for callers whose requests are not contiguous —
+  // Admits a batch under one lock acquisition, writing decisions in input
+  // order into `decisions` (`decisions.size() >= batch.size()`; entries
+  // are overwritten): the decisions of a sequential TryIssue loop over the
+  // batch, all made against one catalog epoch. The batch is pointers, so
   // the network front-end (net/server.h) admits each reactor turn's
-  // decoded requests without copying the licenses into a dense array.
-  // Same semantics and arena discipline as the span form above.
+  // decoded requests without copying them into a dense array, and the
+  // call makes no heap allocation of its own.
   Status TryIssueBatch(std::span<const License* const> batch,
                        std::span<OnlineDecision> decisions);
 

@@ -102,12 +102,18 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
       static_cast<int>(rng.UniformInt(config.min_ops, config.max_ops));
 
   // Small per-tenant geometries keep the brute-force model exponential in
-  // a number that stays tiny.
+  // a number that stays tiny; small aggregates against the usage counts
+  // let a run's few dozen issues exhaust them, so aggregate rejections
+  // (and their limiting equations) are checked too.
   MultiTenantConfig mt;
   mt.num_tenants = static_cast<uint64_t>(tenants);
   mt.zipf_s = 1.1;
   mt.seed = seed ^ 0xCA7A106ull;
   mt.base.dimensions = 2;
+  mt.base.aggregate_min = 60;
+  mt.base.aggregate_max = 400;
+  mt.base.usage_count_min = 10;
+  mt.base.usage_count_max = 40;
   mt.min_licenses = 2;
   mt.max_licenses = 4;
   const MultiTenantWorkload workload(mt);
@@ -119,18 +125,23 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
        std::to_string(seed));
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+  // Removes the run's directory on every return, failures included,
+  // after the catalogs declared below have closed.
+  struct RemoveDir {
+    std::filesystem::path dir;
+    ~RemoveDir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+    }
+  } const remove_dir{dir};
 
-  // Seed-chosen fault schedule: one pool writer tears an append or starts
+  // Seed-chosen fault schedule: the journal tears an append or starts
   // failing fsync at a fixed future append, chosen before the run starts.
   int fault_kind = 0;  // 0 = none, 1 = torn append, 2 = failing fsync.
-  int fault_writer = 0;
   uint64_t fault_append = 0;
   size_t fault_keep_bytes = 0;
   if (config.force_fault || rng.Bernoulli(config.fault_probability)) {
     fault_kind = rng.Bernoulli(0.5) ? 1 : 2;
-    fault_writer =
-        static_cast<int>(rng.UniformIndex(
-            static_cast<size_t>(config.journal_writers)));
     fault_append = static_cast<uint64_t>(
         rng.UniformInt(1, std::max(1, total_ops / 2)));
     fault_keep_bytes = static_cast<size_t>(rng.UniformInt(0, 96));
@@ -139,19 +150,16 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
   CatalogOptions options;
   options.dir = dir.string();
   options.memory_budget_bytes = config.memory_budget_bytes;
-  options.lru_shards = config.lru_shards;
-  options.journal_writers = config.journal_writers;
   options.fsync_interval = 1;
-  options.sim_misroute_frames = config.inject_misroute;
-  std::vector<FaultyFile*> faulty(
-      static_cast<size_t>(config.journal_writers), nullptr);
+  options.service_options.sim_skip_last_equation = config.inject_equation_skip;
+  FaultyFile* faulty = nullptr;
   options.journal_file_factory =
       [&faulty](const std::string& path,
-                int writer_index) -> Result<std::unique_ptr<SyncFile>> {
+                int) -> Result<std::unique_ptr<SyncFile>> {
     GEOLIC_ASSIGN_OR_RETURN(std::unique_ptr<PosixSyncFile> base,
                             PosixSyncFile::Create(path));
     auto file = std::make_unique<FaultyFile>(std::move(base));
-    faulty[static_cast<size_t>(writer_index)] = file.get();
+    faulty = file.get();
     return std::unique_ptr<SyncFile>(std::move(file));
   };
 
@@ -164,11 +172,9 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
   // Arm the schedule only now: Create's own journal-header appends must
   // not consume it — the fault belongs to the op stream.
   if (fault_kind == 1) {
-    faulty[static_cast<size_t>(fault_writer)]->ScheduleTearAppend(
-        fault_append, fault_keep_bytes);
+    faulty->ScheduleTearAppend(fault_append, fault_keep_bytes);
   } else if (fault_kind == 2) {
-    faulty[static_cast<size_t>(fault_writer)]->ScheduleFailSyncAfterAppend(
-        fault_append);
+    faulty->ScheduleFailSyncAfterAppend(fault_append);
   }
 
   std::map<uint64_t, TenantOracle> oracles;
@@ -229,24 +235,16 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
       }
       if (!catalog_failed) {
         // The first failure is the faulted append itself — only it is
-        // maybe-persisted, and it must have hit the scheduled writer. It
-        // poisons that writer, so the catalog fail-stops.
+        // maybe-persisted. It poisons the writer, so the catalog
+        // fail-stops.
         catalog_failed = true;
-        const int writer = catalog->WriterIndexForTenant(tenant);
-        if (writer != fault_writer) {
-          return fail(TenantTag(tenant) + " issue failed on writer " +
-                      std::to_string(writer) + " but the fault was " +
-                      "scheduled on writer " + std::to_string(fault_writer) +
-                      ": " + got.status().message());
-        }
         oracle.maybe_pending = true;
         oracle.maybe_would_accept = want.accepted();
         oracle.maybe_set = want.satisfying_set;
         oracle.maybe_count = request.aggregate_count();
         result.op_trace.push_back(TenantTag(tenant) +
-                                  " issue FAIL (writer " +
-                                  std::to_string(writer) +
-                                  " dead, catalog fail-stopped)");
+                                  " issue FAIL (journal dead, catalog "
+                                  "fail-stopped)");
       } else {
         result.op_trace.push_back(TenantTag(tenant) +
                                   " issue FAIL (fail-stopped)");
@@ -256,7 +254,7 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
     if (catalog_failed) {
       return fail(TenantTag(tenant) + " op " + std::to_string(op) +
                   " succeeded after the catalog fail-stopped — mutations "
-                  "must be rejected once a pool writer is poisoned");
+                  "must be rejected once the journal writer is poisoned");
     }
     const std::string mismatch =
         CompareDecision(*got, want, TenantTag(tenant) + " op " +
@@ -281,19 +279,15 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
   }
 
   // Crash: drop the live catalog without any orderly spill, then recover
-  // from the journal pool + whatever spills eviction left behind.
+  // from the journal + whatever spills eviction left behind.
   catalog.reset();
 
   CatalogOptions recover_options = options;
   recover_options.journal_file_factory = nullptr;
-  recover_options.sim_misroute_frames = false;
   CatalogRecoveryStats rstats;
   Result<std::unique_ptr<CatalogService>> recovered =
       CatalogService::Recover(&source, recover_options, &rstats);
   if (!recovered.ok()) {
-    // The catch path for the planted misrouting bug — and a real failure
-    // for a clean run.
-    std::filesystem::remove_all(dir, ec);
     return fail("recovery failed: " + recovered.status().message());
   }
 
@@ -302,7 +296,6 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
     Result<CatalogService::TenantSnapshot> snap =
         (*recovered)->SnapshotTenant(tenant);
     if (!snap.ok()) {
-      std::filesystem::remove_all(dir, ec);
       return fail(tag + " snapshot after recovery failed: " +
                   snap.status().message());
     }
@@ -318,7 +311,6 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
       with_maybe[oracle.maybe_set] += oracle.maybe_count;
     }
     if (got_counts != expected && got_counts != with_maybe) {
-      std::filesystem::remove_all(dir, ec);
       return fail(tag + " recovered " + std::to_string(got_counts.size()) +
                   " accepted sets totalling " +
                   std::to_string(TotalCount(got_counts)) +
@@ -330,7 +322,6 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
                        : ""));
     }
     if (snap->epoch != 0) {
-      std::filesystem::remove_all(dir, ec);
       return fail(tag + " recovered at cumulative epoch " +
                   std::to_string(snap->epoch) +
                   " without any reconfiguration");
@@ -343,7 +334,6 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
     }
     const Status invariant = fresh.CheckInvariant();
     if (!invariant.ok()) {
-      std::filesystem::remove_all(dir, ec);
       return fail(tag + " recovered state violates eq. 1: " +
                   invariant.message());
     }
@@ -356,14 +346,12 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
       Result<OnlineDecision> got = (*recovered)->TryIssue(tenant, request);
       ++result.ops_executed;
       if (!got.ok()) {
-        std::filesystem::remove_all(dir, ec);
         return fail(tag + " post-recovery issue failed: " +
                     got.status().message());
       }
       const std::string mismatch = CompareDecision(
           *got, want, tag + " post-recovery probe " + std::to_string(probe));
       if (!mismatch.empty()) {
-        std::filesystem::remove_all(dir, ec);
         return fail(mismatch);
       }
       if (got->accepted()) {
@@ -376,7 +364,6 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
 
   (void)(*recovered)->Close();
   recovered->reset();
-  std::filesystem::remove_all(dir, ec);
   return result;
 }
 

@@ -12,10 +12,10 @@ namespace geolic {
 // issues, forced spills and journal syncs runs against a CatalogService
 // squeezed under a tiny memory budget (so eviction/reload churns
 // constantly), with every decision checked against a per-tenant
-// ReferenceModel. A scheduled FaultyFile fault kills one of the shared
-// pool journals mid-run — torn append or failing fsync — after which the
-// run crashes the catalog and drives CatalogService::Recover, then checks
-// per-tenant recovery conformance:
+// ReferenceModel. A scheduled FaultyFile fault kills the catalog journal
+// mid-run — torn append or failing fsync — after which the run crashes the
+// catalog and drives CatalogService::Recover, then checks per-tenant
+// recovery conformance:
 //
 //  * every tenant's recovered accepted-log length matches the model,
 //    modulo the one maybe-persisted op the faulted append is allowed to
@@ -25,12 +25,11 @@ namespace geolic {
 //  * post-recovery issues keep agreeing with the rebuilt model, decision
 //    for decision.
 //
-// Mutation mode (inject_misroute) plants the cross-tenant frame
-// misrouting bug (CatalogOptions::sim_misroute_frames): every few ops a
-// journal frame is stamped with a sibling tenant's id. A correct harness
-// must FAIL such runs — recovery either rejects the pool loudly (routing
-// or per-tenant sequence check) or the replayed-into-the-wrong-tenant
-// state trips the conformance checks.
+// Mutation mode (inject_equation_skip) plants the equation-skip bug in
+// every tenant service (OnlineValidatorOptions::sim_skip_last_equation):
+// an issuance that only the last equation would reject slips through. A
+// correct harness must FAIL such runs on a decision that disagrees with
+// the tenant's model.
 struct CatalogSimConfig {
   // Tenant population for the run (inclusive draw). sim_runner --tenants=T
   // pins both to T.
@@ -46,15 +45,11 @@ struct CatalogSimConfig {
   // Chance a journal fault is scheduled for the run; force_fault pins 1.
   double fault_probability = 0.5;
   bool force_fault = false;
-  // Shared-journal pool shape. Two writers is the smallest pool where
-  // misrouting across journals is possible at all.
-  int journal_writers = 2;
-  int lru_shards = 2;
-  // Tiny budget = constant eviction pressure (the per-shard floor keeps
-  // one tenant resident per shard).
+  // Tiny budget = constant eviction pressure (the floor keeps the most
+  // recent tenant resident).
   size_t memory_budget_bytes = 1;
-  // Plant the cross-tenant misrouting bug; see above.
-  bool inject_misroute = false;
+  // Plant the equation-skip bug; see above.
+  bool inject_equation_skip = false;
 };
 
 struct CatalogSimResult {

@@ -378,9 +378,12 @@ void ExecuteBatch(SimState* state, const SimOp& op) {
       return;
     }
   }
-  const Result<std::vector<OnlineDecision>> got =
-      state->service->TryIssueBatch(op.requests);
-  if (!got.ok()) {
+  std::vector<const License*> batch;
+  for (const License& request : op.requests) {
+    batch.push_back(&request);
+  }
+  std::vector<OnlineDecision> got(op.requests.size());
+  if (!state->service->TryIssueBatch(batch, got).ok()) {
     MixDigest(&state->digest, "batch error;");
     if (state->workload->fault_kind == 0) {
       Fail(state, "batch error without a scheduled fault");
@@ -397,7 +400,7 @@ void ExecuteBatch(SimState* state, const SimOp& op) {
   // a sequential TryIssue loop's against the model as it stands.
   for (size_t i = 0; i < op.requests.size() && state->failure.empty(); ++i) {
     CheckAndApply(state, "batch[" + std::to_string(i) + "]", op.requests[i],
-                  (*got)[i]);
+                  got[i]);
   }
   RunInvariantSweep(state, "after batch");
 }

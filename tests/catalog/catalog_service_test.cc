@@ -2,15 +2,20 @@
 // (catalog/catalog_service.h): lazy compilation and hit accounting, LRU
 // eviction under a tiny budget, the resident charge for dense equation
 // tables and for acceptances above the dense cap, explicit spill/reload
-// transparency, and journal-backed crash
-// recovery of an evolved tenant.
+// transparency, journal-backed crash recovery of an evolved tenant and
+// its per-tenant sequence checks, stale pool journals, fail-stop on a
+// poisoned writer, and four threads checked against per-tenant reference
+// models in the journal's lock order.
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,8 +23,10 @@
 #include "catalog/catalog_service.h"
 #include "catalog/tenant_source.h"
 #include "persist/faulty_file.h"
+#include "persist/journal.h"
 #include "persist/sync_file.h"
 #include "service/issuance_service.h"
+#include "sim/reference_model.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "workload/multi_tenant.h"
@@ -43,8 +50,6 @@ class CatalogServiceTest : public ::testing::Test {
                .string();
     fs::remove_all(dir_);
     options_.dir = dir_;
-    options_.journal_writers = 2;
-    options_.lru_shards = 1;
     options_.fsync_interval = 0;
   }
 
@@ -72,10 +77,10 @@ TEST_F(CatalogServiceTest, RejectsBadOptions) {
   bad.dir.clear();
   EXPECT_FALSE(CatalogService::Create(source_.get(), bad).ok());
   bad = options_;
-  bad.journal_writers = 0;
+  bad.memory_budget_bytes = 0;
   EXPECT_FALSE(CatalogService::Create(source_.get(), bad).ok());
   bad = options_;
-  bad.lru_shards = 0;
+  bad.fsync_interval = -1;
   EXPECT_FALSE(CatalogService::Create(source_.get(), bad).ok());
 }
 
@@ -108,7 +113,7 @@ TEST_F(CatalogServiceTest, LazyCompileThenCacheHit) {
 }
 
 TEST_F(CatalogServiceTest, TinyBudgetEvictsColdTenants) {
-  options_.memory_budget_bytes = 1;  // Floor: one resident tenant/shard.
+  options_.memory_budget_bytes = 1;  // Floor: one resident tenant.
   Result<std::unique_ptr<CatalogService>> catalog =
       CatalogService::Create(source_.get(), options_);
   ASSERT_TRUE(catalog.ok());
@@ -298,7 +303,7 @@ TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
         accepted += request.aggregate_count();
       }
     }
-    // Crash: destroy without Close. The journal pool has every frame.
+    // Crash: destroy without Close. The journal has every frame.
     catalog->reset();
   }
 
@@ -317,21 +322,17 @@ TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
   EXPECT_TRUE((*recovered)->Close().ok());
 }
 
-TEST_F(CatalogServiceTest, RecoverReadsAnEmptyPoolFileAsNoFrames) {
-  // A pool writer that never completed a sync may leave its file empty
-  // after a crash: its magic was never made durable and no frame on it
-  // was acknowledged. Recovery reads it as no frames and replays the rest
-  // of the pool.
-  options_.fsync_interval = 1;
-  uint64_t tenant = 0;
+TEST_F(CatalogServiceTest, RecoverReadsAnEmptyJournalAsNoFrames) {
+  // A journal that never completed a sync may be empty after a crash: its
+  // magic was never made durable and none of its frames was acknowledged
+  // as synced. Recovery reads it as no frames and serves the tenant from
+  // its spill.
+  const uint64_t tenant = 0;
   int64_t accepted = 0;
-  std::string empty_path;
   {
     Result<std::unique_ptr<CatalogService>> catalog =
         CatalogService::Create(source_.get(), options_);
     ASSERT_TRUE(catalog.ok());
-    const int used = (*catalog)->WriterIndexForTenant(tenant);
-    empty_path = (*catalog)->JournalPath(1 - used);
     for (int i = 0; i < 3; ++i) {
       const License request = Request(tenant);
       Result<OnlineDecision> decision = (*catalog)->TryIssue(tenant, request);
@@ -340,16 +341,17 @@ TEST_F(CatalogServiceTest, RecoverReadsAnEmptyPoolFileAsNoFrames) {
         accepted += request.aggregate_count();
       }
     }
+    ASSERT_TRUE((*catalog)->SpillTenant(tenant).ok());
     catalog->reset();  // Crash: destroy without Close.
   }
-  fs::resize_file(empty_path, 0);
+  fs::resize_file(dir_ + "/catalog-journal-0.wal", 0);
 
   CatalogRecoveryStats rstats;
   Result<std::unique_ptr<CatalogService>> recovered =
       CatalogService::Recover(source_.get(), options_, &rstats);
   ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-  EXPECT_EQ(rstats.journal_frames, 3u);
-  EXPECT_EQ(rstats.torn_tails, 0u);
+  EXPECT_EQ(rstats.journal_frames, 0u);
+  EXPECT_EQ(rstats.torn_tails, 0);
   Result<CatalogService::TenantSnapshot> snapshot =
       (*recovered)->SnapshotTenant(tenant);
   ASSERT_TRUE(snapshot.ok());
@@ -370,10 +372,15 @@ TEST_F(CatalogServiceTest, FreshCreateRemovesStaleSpills) {
     ASSERT_TRUE(fs::exists((*catalog)->SpillPath(2)));
     EXPECT_TRUE((*catalog)->Close().ok());
   }
-  // Plant an interrupted temp spill too — Create must sweep both.
+  // Plant an interrupted temp spill and a pool journal of a layout with
+  // several writers too — Create must sweep them all.
   {
     std::ofstream stale(dir_ + "/tenant-5.spill.tmp", std::ios::binary);
     stale << "torn spill write";
+  }
+  {
+    std::ofstream stale(dir_ + "/catalog-journal-3.wal", std::ios::binary);
+    stale << "old pool journal";
   }
 
   // A *fresh* catalog over the same directory must not resurrect the old
@@ -383,6 +390,8 @@ TEST_F(CatalogServiceTest, FreshCreateRemovesStaleSpills) {
   ASSERT_TRUE(fresh.ok()) << fresh.status().message();
   EXPECT_FALSE(fs::exists((*fresh)->SpillPath(2)));
   EXPECT_FALSE(fs::exists(dir_ + "/tenant-5.spill.tmp"));
+  EXPECT_FALSE(fs::exists(dir_ + "/catalog-journal-3.wal"));
+  EXPECT_TRUE(fs::exists((*fresh)->JournalPath()));
 
   // First touch compiles from the baseline — no spill load, no history.
   Result<CatalogService::TenantSnapshot> snapshot =
@@ -395,47 +404,157 @@ TEST_F(CatalogServiceTest, FreshCreateRemovesStaleSpills) {
   EXPECT_TRUE((*fresh)->Close().ok());
 }
 
+TEST_F(CatalogServiceTest, RecoverRefusesAStalePoolJournal) {
+  {
+    Result<std::unique_ptr<CatalogService>> catalog =
+        CatalogService::Create(source_.get(), options_);
+    ASSERT_TRUE(catalog.ok());
+    ASSERT_TRUE((*catalog)->TryIssue(2, Request(2)).ok());
+    EXPECT_TRUE((*catalog)->Close().ok());
+  }
+  // A pool file another layout acknowledged ops in: recovering without it
+  // would silently drop them.
+  const std::string stale = dir_ + "/catalog-journal-1.wal";
+  {
+    std::ofstream out(stale, std::ios::binary);
+    out << "old pool journal";
+  }
+  Result<std::unique_ptr<CatalogService>> recovered =
+      CatalogService::Recover(source_.get(), options_);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_NE(recovered.status().message().find(stale), std::string::npos)
+      << recovered.status().message();
+  // Neither file was touched.
+  EXPECT_TRUE(fs::exists(stale));
+  EXPECT_GT(fs::file_size(dir_ + "/catalog-journal-0.wal"), 8u);
+
+  // The catalog-journal-0.wal itself and other names are not pool files.
+  fs::remove(stale);
+  {
+    std::ofstream out(dir_ + "/catalog-journal-x.wal", std::ios::binary);
+    out << "not a pool index";
+  }
+  EXPECT_TRUE(CatalogService::Recover(source_.get(), options_).ok());
+}
+
+// Writes `frames` as a whole journal at `path`, writer frames 1, 2, ...
+void WriteTenantJournal(const std::string& path,
+                        const std::vector<TenantOpFrame>& frames) {
+  Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(path);
+  ASSERT_TRUE(writer.ok()) << writer.status().message();
+  for (size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_TRUE((*writer)->AppendTenantOp(i + 1, frames[i]).ok());
+  }
+  ASSERT_TRUE((*writer)->Close().ok());
+}
+
+TenantOpFrame IssueFrame(uint64_t tenant, uint64_t tenant_seq,
+                         const License& usage) {
+  TenantOpFrame frame;
+  frame.tenant_id = tenant;
+  frame.tenant_seq = tenant_seq;
+  frame.op = TenantOpKind::kIssue;
+  frame.license = usage;
+  return frame;
+}
+
+// Recover checks each tenant's tenant_seq run: contiguous from the op
+// after its spill's covered_seq. A gap, a duplicate, or a run resuming
+// past the spill fails with a ParseError naming the tenant, even when the
+// other tenants' runs are clean.
+TEST_F(CatalogServiceTest, RecoverRejectsBrokenTenantSequences) {
+  struct Case {
+    const char* name;
+    std::vector<uint64_t> seqs;  // Tenant 2's frames, in journal order.
+    bool spill_first;            // Spill tenant 2 at op 2 beforehand.
+    const char* expected;        // Substring of the error.
+  };
+  const std::vector<Case> cases = {
+      {"gap", {1, 2, 4}, false, "jumps from 2 to 4"},
+      {"duplicate", {1, 2, 2}, false, "jumps from 2 to 2"},
+      {"resumes past the spill", {4, 5}, true,
+       "spill covers op 2 but the journal resumes at op 4"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    fs::remove_all(dir_);
+    {
+      Result<std::unique_ptr<CatalogService>> catalog =
+          CatalogService::Create(source_.get(), options_);
+      ASSERT_TRUE(catalog.ok());
+      if (c.spill_first) {
+        ASSERT_TRUE((*catalog)->TryIssue(2, Request(2)).ok());
+        ASSERT_TRUE((*catalog)->TryIssue(2, Request(2)).ok());
+        ASSERT_TRUE((*catalog)->SpillTenant(2).ok());
+      }
+      EXPECT_TRUE((*catalog)->Close().ok());
+    }
+    std::vector<TenantOpFrame> frames;
+    uint64_t bystander_seq = 0;
+    for (const uint64_t seq : c.seqs) {
+      frames.push_back(IssueFrame(5, ++bystander_seq, Request(5)));
+      frames.push_back(IssueFrame(2, seq, Request(2)));
+    }
+    WriteTenantJournal(dir_ + "/catalog-journal-0.wal", frames);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+    Result<std::unique_ptr<CatalogService>> recovered =
+        CatalogService::Recover(source_.get(), options_);
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+    const std::string& message = recovered.status().message();
+    EXPECT_NE(message.find("tenant 2:"), std::string::npos) << message;
+    EXPECT_NE(message.find(c.expected), std::string::npos) << message;
+  }
+
+  // The same journal with a contiguous run recovers.
+  fs::remove_all(dir_);
+  fs::create_directories(dir_);
+  WriteTenantJournal(dir_ + "/catalog-journal-0.wal",
+                     {IssueFrame(2, 1, Request(2)),
+                      IssueFrame(5, 1, Request(5)),
+                      IssueFrame(2, 2, Request(2))});
+  CatalogRecoveryStats rstats;
+  Result<std::unique_ptr<CatalogService>> recovered =
+      CatalogService::Recover(source_.get(), options_, &rstats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(rstats.frames_replayed, 3u);
+  EXPECT_EQ(rstats.tenants_recovered, 2u);
+}
+
 TEST_F(CatalogServiceTest, PoisonedWriterFailStopsTheCatalog) {
-  // Route journal I/O through fault injectors so one writer can die
+  // Route journal I/O through a fault injector so the writer can die
   // mid-run.
   options_.fsync_interval = 1;
-  std::vector<FaultyFile*> faulty(
-      static_cast<size_t>(options_.journal_writers), nullptr);
+  FaultyFile* faulty = nullptr;
   options_.journal_file_factory =
       [&faulty](const std::string& path,
                 int writer_index) -> Result<std::unique_ptr<SyncFile>> {
+    EXPECT_EQ(writer_index, 0);
     GEOLIC_ASSIGN_OR_RETURN(std::unique_ptr<PosixSyncFile> base,
                             PosixSyncFile::Create(path));
     auto file = std::make_unique<FaultyFile>(std::move(base));
-    faulty[static_cast<size_t>(writer_index)] = file.get();
+    faulty = file.get();
     return std::unique_ptr<SyncFile>(std::move(file));
   };
   Result<std::unique_ptr<CatalogService>> catalog =
       CatalogService::Create(source_.get(), options_);
   ASSERT_TRUE(catalog.ok());
 
-  // Two tenants routing to different pool writers.
-  uint64_t victim = 0;
-  uint64_t bystander = 1;
-  while ((*catalog)->WriterIndexForTenant(bystander) ==
-         (*catalog)->WriterIndexForTenant(victim)) {
-    ++bystander;
-  }
-  ASSERT_LT(bystander, config_.num_tenants);
+  const uint64_t victim = 0;
+  const uint64_t bystander = 1;
   ASSERT_TRUE((*catalog)->TryIssue(victim, Request(victim)).ok());
   ASSERT_TRUE((*catalog)->TryIssue(bystander, Request(bystander)).ok());
 
-  // Kill the victim's writer: the faulted op fails with the I/O error...
-  faulty[static_cast<size_t>((*catalog)->WriterIndexForTenant(victim))]
-      ->CrashNow();
+  // Kill the writer: the faulted op fails with the I/O error...
+  faulty->CrashNow();
   Result<OnlineDecision> faulted =
       (*catalog)->TryIssue(victim, Request(victim));
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().code(), StatusCode::kIoError);
 
-  // ...and the whole catalog fail-stops: tenants on the healthy writer
-  // are rejected too (no silent partial outage), with the health counter
-  // exposed.
+  // ...and the whole catalog fail-stops: other tenants are rejected too,
+  // with the health counter exposed.
   Result<OnlineDecision> rejected =
       (*catalog)->TryIssue(bystander, Request(bystander));
   ASSERT_FALSE(rejected.ok());
@@ -446,8 +565,11 @@ TEST_F(CatalogServiceTest, PoisonedWriterFailStopsTheCatalog) {
   EXPECT_FALSE((*catalog)->RevokeLicenseById(bystander, "nope").ok());
   EXPECT_EQ((*catalog)->stats().poisoned_writers, 1u);
 
-  // Read-side maintenance still works: spilling journals nothing.
+  // Read-side maintenance still works: spilling journals nothing. A
+  // failed sync keeps the one poisoned writer counted once.
   EXPECT_TRUE((*catalog)->SpillTenant(bystander).ok());
+  EXPECT_FALSE((*catalog)->SyncJournals().ok());
+  EXPECT_EQ((*catalog)->stats().poisoned_writers, 1u);
 
   // Recovery over the same directory restores service; the maybe-persisted
   // faulted frame is allowed to replay.
@@ -464,17 +586,285 @@ TEST_F(CatalogServiceTest, PoisonedWriterFailStopsTheCatalog) {
   EXPECT_TRUE((*recovered)->Close().ok());
 }
 
-TEST_F(CatalogServiceTest, WriterRoutingIsStablePerTenant) {
-  Result<std::unique_ptr<CatalogService>> catalog =
-      CatalogService::Create(source_.get(), options_);
-  ASSERT_TRUE(catalog.ok());
-  for (uint64_t tenant = 0; tenant < 8; ++tenant) {
-    const int writer = (*catalog)->WriterIndexForTenant(tenant);
-    EXPECT_GE(writer, 0);
-    EXPECT_LT(writer, options_.journal_writers);
-    EXPECT_EQ(writer, (*catalog)->WriterIndexForTenant(tenant));
+// Four threads issue, acquire and revoke licences and spill across the
+// eight tenants under a budget of about two residents, so evictions and
+// reloads interleave with every op. The one catalog lock makes the
+// journal's frame order the order the ops ran in: replaying each
+// tenant's frames in that order through its own ReferenceModel (evolving
+// its catalog at each acquire and revoke) must reproduce every decision,
+// index and error, and the final snapshot of every tenant.
+TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
+  constexpr size_t kThreads = 4;
+  constexpr int kOpsPerThread = 100;
+  options_.memory_budget_bytes = 48 << 10;
+
+  // The ops, drawn up front: mostly issues, an acquire of a copy of the
+  // tenant's licence 0 followed by its revocation, and spills.
+  enum class Kind { kIssue, kAcquire, kRevoke, kSpill };
+  struct Op {
+    Kind kind = Kind::kIssue;
+    uint64_t tenant = 0;
+    std::optional<License> license;  // kIssue / kAcquire.
+    std::string revoke_id;           // kRevoke.
+  };
+  std::map<uint64_t, Workload> baselines;
+  for (uint64_t tenant = 0; tenant < config_.num_tenants; ++tenant) {
+    Result<Workload> baseline = workload_->MakeTenant(tenant);
+    ASSERT_TRUE(baseline.ok());
+    baselines.emplace(tenant, std::move(*baseline));
   }
-  EXPECT_TRUE((*catalog)->Close().ok());
+  const auto copy_of_first = [&](uint64_t tenant, const std::string& id) {
+    const Workload& baseline = baselines.at(tenant);
+    const License& original = baseline.licenses->at(0);
+    LicenseBuilder builder(baseline.schema.get());
+    builder.SetId(id)
+        .SetContentKey(original.content_key())
+        .SetType(original.type())
+        .SetPermission(original.permission())
+        .SetAggregateCount(original.aggregate_count());
+    for (int d = 0; d < baseline.schema->dimensions(); ++d) {
+      builder.SetRange(baseline.schema->name(d), original.rect().dim(d));
+    }
+    Result<License> built = builder.Build();
+    GEOLIC_CHECK(built.ok());
+    return *std::move(built);
+  };
+  std::vector<std::vector<Op>> ops(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      Op op;
+      op.tenant = rng_.UniformIndex(config_.num_tenants);
+      switch (i % 10) {
+        case 7:
+          op.kind = Kind::kAcquire;
+          op.license = copy_of_first(op.tenant, "A" + std::to_string(t) +
+                                                    "_" + std::to_string(i));
+          break;
+        case 8:  // Revokes the previous op's acquisition.
+          op.kind = Kind::kRevoke;
+          op.tenant = ops[t].back().tenant;
+          op.revoke_id = ops[t].back().license->id();
+          break;
+        case 9:
+          op.kind = Kind::kSpill;
+          break;
+        default:
+          op.kind = Kind::kIssue;
+          op.license = workload_->DrawRequest(baselines.at(op.tenant), &rng_,
+                                              ++sequence_);
+          break;
+      }
+      ops[t].push_back(std::move(op));
+    }
+  }
+
+  Result<std::unique_ptr<CatalogService>> created =
+      CatalogService::Create(source_.get(), options_);
+  ASSERT_TRUE(created.ok());
+  CatalogService& catalog = **created;
+  struct Outcome {
+    Status status;
+    OnlineDecision decision;  // kIssue.
+    int index = -1;           // kAcquire.
+  };
+  std::vector<std::vector<Outcome>> outcomes(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const Op& op : ops[t]) {
+        Outcome outcome;
+        switch (op.kind) {
+          case Kind::kIssue: {
+            Result<OnlineDecision> got = catalog.TryIssue(op.tenant,
+                                                          *op.license);
+            outcome.status = got.status();
+            if (got.ok()) {
+              outcome.decision = *got;
+            }
+            break;
+          }
+          case Kind::kAcquire: {
+            Result<int> got = catalog.AcquireLicense(op.tenant, *op.license);
+            outcome.status = got.status();
+            if (got.ok()) {
+              outcome.index = *got;
+            }
+            break;
+          }
+          case Kind::kRevoke:
+            outcome.status = catalog.RevokeLicenseById(op.tenant,
+                                                       op.revoke_id);
+            break;
+          case Kind::kSpill:
+            outcome.status = catalog.SpillTenant(op.tenant);
+            break;
+        }
+        outcomes[t].push_back(outcome);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  // Ops by the id their frame carries: a usage request's or acquired
+  // licence's id, and the revoked id.
+  std::map<std::pair<TenantOpKind, std::string>, std::pair<const Op*,
+                                                           const Outcome*>>
+      by_frame;
+  size_t journaled_ops = 0;
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < ops[t].size(); ++i) {
+      const Op& op = ops[t][i];
+      const Outcome& outcome = outcomes[t][i];
+      if (op.kind == Kind::kSpill) {
+        EXPECT_TRUE(outcome.status.ok()) << outcome.status.message();
+        continue;
+      }
+      ++journaled_ops;
+      const TenantOpKind kind =
+          op.kind == Kind::kIssue     ? TenantOpKind::kIssue
+          : op.kind == Kind::kAcquire ? TenantOpKind::kAcquire
+                                      : TenantOpKind::kRevoke;
+      const std::string id =
+          op.kind == Kind::kRevoke ? op.revoke_id : op.license->id();
+      ASSERT_TRUE(by_frame.emplace(std::pair(kind, id),
+                                   std::pair(&op, &outcome))
+                      .second)
+          << id;
+    }
+  }
+  const CatalogStats stats = catalog.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.loads, 0u);
+  EXPECT_EQ(stats.journal_frames, journaled_ops);
+  std::map<uint64_t, CatalogService::TenantSnapshot> snapshots;
+  for (const auto& [tenant, baseline] : baselines) {
+    Result<CatalogService::TenantSnapshot> snapshot =
+        catalog.SnapshotTenant(tenant);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().message();
+    snapshots.emplace(tenant, *std::move(snapshot));
+  }
+  ASSERT_TRUE(catalog.Close().ok());
+
+  // Each tenant's model, catalog and epoch as its frames replay.
+  struct Replica {
+    std::vector<std::unique_ptr<LicenseCatalog>> catalogs;
+    std::unique_ptr<ReferenceModel> model;
+    uint64_t frames = 0;
+  };
+  std::map<uint64_t, Replica> replicas;
+  for (const auto& [tenant, baseline] : baselines) {
+    Replica& replica = replicas[tenant];
+    replica.catalogs.push_back(
+        std::make_unique<LicenseCatalog>(*baseline.licenses));
+    replica.model =
+        std::make_unique<ReferenceModel>(replica.catalogs.back().get());
+  }
+  const Result<JournalReplay> replay =
+      JournalReader::ReadFile(dir_ + "/catalog-journal-0.wal");
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
+  ASSERT_EQ(replay->entries.size(), journaled_ops);
+  for (const JournalEntry& entry : replay->entries) {
+    const TenantOpFrame& frame = entry.tenant;
+    Replica& replica = replicas.at(frame.tenant_id);
+    EXPECT_EQ(frame.tenant_seq, ++replica.frames);
+    const std::string id = frame.op == TenantOpKind::kRevoke
+                               ? frame.revoke_id
+                               : frame.license->id();
+    const auto it = by_frame.find(std::pair(frame.op, id));
+    ASSERT_NE(it, by_frame.end()) << id;
+    const Op& op = *it->second.first;
+    const Outcome& outcome = *it->second.second;
+    ASSERT_EQ(op.tenant, frame.tenant_id) << id;
+    const LicenseCatalog& current = *replica.catalogs.back();
+    const uint64_t epoch = replica.catalogs.size() - 1;
+    if (frame.op == TenantOpKind::kIssue) {
+      ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();
+      const ReferenceModel::Decision want = replica.model->TryIssue(
+          *op.license);
+      const OnlineDecision& got = outcome.decision;
+      EXPECT_EQ(got.instance_valid, want.instance_valid) << id;
+      EXPECT_EQ(got.aggregate_valid, want.aggregate_valid) << id;
+      EXPECT_EQ(got.catalog_epoch, epoch) << id;
+      if (want.instance_valid) {
+        EXPECT_EQ(got.satisfying_set, want.satisfying_set) << id;
+      }
+      if (want.instance_valid && !want.aggregate_valid) {
+        EXPECT_EQ(got.limiting.set, want.limiting_set) << id;
+        EXPECT_EQ(got.limiting.lhs, want.limiting_lhs) << id;
+        EXPECT_EQ(got.limiting.rhs, want.limiting_rhs) << id;
+      }
+      if (want.accepted()) {
+        replica.model->Apply(want.satisfying_set,
+                             op.license->aggregate_count());
+      }
+      continue;
+    }
+    // A reconfiguration: the next catalog, and every count carried into
+    // it (dropped when it holds a revoked licence, renumbered densely
+    // past it).
+    auto next = std::make_unique<LicenseCatalog>(&current.schema());
+    std::vector<int> old_to_new;
+    std::optional<int> revoked;
+    if (frame.op == TenantOpKind::kRevoke) {
+      const Result<int> index = current.IndexOfId(frame.revoke_id);
+      if (index.ok()) {
+        revoked = *index;
+      }
+    }
+    for (int i = 0; i < current.size(); ++i) {
+      old_to_new.push_back(revoked == i ? -1 : next->size());
+      if (revoked != i) {
+        ASSERT_TRUE(next->Add(current.at(i)).ok());
+      }
+    }
+    if (frame.op == TenantOpKind::kAcquire) {
+      ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();
+      EXPECT_EQ(outcome.index, current.size()) << id;
+      ASSERT_TRUE(next->Add(*op.license).ok());
+    } else {
+      ASSERT_EQ(frame.op, TenantOpKind::kRevoke);
+      // Its acquisition always ran first: the same thread issued it.
+      ASSERT_TRUE(revoked.has_value()) << id;
+      ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();
+    }
+    auto next_model = std::make_unique<ReferenceModel>(next.get());
+    for (const auto& [set, count] : replica.model->counts()) {
+      LicenseSet carried;
+      bool kept = true;
+      for (int i : set.Indexes()) {
+        const int to = old_to_new[static_cast<size_t>(i)];
+        kept = kept && to >= 0;
+        if (to >= 0) {
+          carried.Add(to);
+        }
+      }
+      if (kept) {
+        next_model->Apply(carried, count);
+      }
+    }
+    replica.catalogs.push_back(std::move(next));
+    replica.model = std::move(next_model);
+  }
+
+  for (const auto& [tenant, replica] : replicas) {
+    SCOPED_TRACE("tenant " + std::to_string(tenant));
+    const CatalogService::TenantSnapshot& snapshot = snapshots.at(tenant);
+    const LicenseCatalog& licenses = *replica.catalogs.back();
+    ASSERT_EQ(snapshot.licenses.size(), static_cast<size_t>(licenses.size()));
+    for (int i = 0; i < licenses.size(); ++i) {
+      EXPECT_EQ(snapshot.licenses[static_cast<size_t>(i)].id(),
+                licenses.at(i).id());
+    }
+    std::map<LicenseSet, int64_t> counts;
+    for (const LogRecord& record : snapshot.log.records()) {
+      counts[record.set] += record.count;
+    }
+    EXPECT_EQ(counts, replica.model->counts());
+    EXPECT_EQ(snapshot.epoch, replica.catalogs.size() - 1);
+    EXPECT_EQ(snapshot.tenant_seq, replica.frames);
+  }
 }
 
 }  // namespace

@@ -110,14 +110,11 @@ void RunTrial(int trial) {
 
   CatalogOptions churn_options;
   churn_options.dir = churn_dir;
-  churn_options.memory_budget_bytes = 1;  // Evict everything evictable.
-  churn_options.lru_shards = 1;           // Floor = one resident tenant.
-  churn_options.journal_writers = 2;
+  churn_options.memory_budget_bytes = 1;  // Floor = one resident tenant.
   churn_options.fsync_interval = 0;
 
   CatalogOptions resident_options;
   resident_options.dir = resident_dir;
-  resident_options.journal_writers = 2;
   resident_options.fsync_interval = 0;
 
   Result<std::unique_ptr<CatalogService>> churn_or =

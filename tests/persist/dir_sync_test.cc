@@ -1,0 +1,193 @@
+// Directory fsyncs are what make a new file's name durable, and no other
+// test sees them: InMemorySyncFile and the crash-image tests model file
+// contents, not directory entries. This binary interposes fsync(2) —
+// every call the library makes resolves to the definition below, which
+// records the directories it is handed and forwards through
+// dlsym(RTLD_NEXT, "fsync") — and checks where the persist layer makes a
+// name durable:
+//  * creating a journal fsyncs no directory;
+//  * the journal's first completed Sync fsyncs its parent directory once,
+//    and later syncs fsync none;
+//  * WriteCheckpointFileDurable, the catalog's spill publish, fsyncs the
+//    directory after its rename, when the new name is in place.
+#include <dlfcn.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "catalog/catalog_service.h"
+#include "catalog/tenant_source.h"
+#include "persist/checkpoint.h"
+#include "persist/journal.h"
+#include "test_util.h"
+#include "workload/multi_tenant.h"
+
+namespace {
+
+struct DirSync {
+  std::string dir;
+  // Whether the probe path (when set) existed when the directory was
+  // synced, and its ".tmp" sibling did not.
+  bool probe_in_place = false;
+};
+
+std::mutex g_mutex;
+std::vector<DirSync> g_dir_syncs;  // Guarded by g_mutex.
+std::string g_probe;               // Guarded by g_mutex.
+
+void RecordIfDirectory(int fd) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || !S_ISDIR(st.st_mode)) {
+    return;
+  }
+  std::error_code ec;
+  const std::filesystem::path dir = std::filesystem::read_symlink(
+      "/proc/self/fd/" + std::to_string(fd), ec);
+  std::lock_guard<std::mutex> lock(g_mutex);
+  DirSync sync;
+  sync.dir = ec ? std::string("?") : dir.string();
+  if (!g_probe.empty()) {
+    sync.probe_in_place = std::filesystem::exists(g_probe, ec) &&
+                          !std::filesystem::exists(g_probe + ".tmp", ec);
+  }
+  g_dir_syncs.push_back(sync);
+}
+
+}  // namespace
+
+extern "C" int fsync(int fd) {
+  using Fsync = int (*)(int);
+  static const Fsync next =
+      reinterpret_cast<Fsync>(::dlsym(RTLD_NEXT, "fsync"));
+  RecordIfDirectory(fd);
+  return next(fd);
+}
+
+namespace geolic {
+namespace {
+
+namespace fs = std::filesystem;
+
+class DirSyncTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::weakly_canonical(fs::path(testing::TestTmpDir()) /
+                                ("geolic-dir-sync-" +
+                                 std::to_string(::getpid())))
+               .string();
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    Reset();
+  }
+
+  void TearDown() override {
+    {
+      std::lock_guard<std::mutex> lock(g_mutex);
+      g_probe.clear();
+    }
+    fs::remove_all(dir_);
+  }
+
+  static void Reset() {
+    std::lock_guard<std::mutex> lock(g_mutex);
+    g_dir_syncs.clear();
+  }
+
+  static std::vector<DirSync> Taken() {
+    std::lock_guard<std::mutex> lock(g_mutex);
+    return g_dir_syncs;
+  }
+
+  static void Probe(const std::string& path) {
+    std::lock_guard<std::mutex> lock(g_mutex);
+    g_probe = path;
+  }
+
+  std::string dir_;
+};
+
+// The interposer must see a direct call, or every other case here proves
+// nothing.
+TEST_F(DirSyncTest, InterposerSeesDirectoryFsyncs) {
+  ASSERT_TRUE(SyncParentDirectory(dir_ + "/any").ok());
+  const std::vector<DirSync> syncs = Taken();
+  ASSERT_EQ(syncs.size(), 1u);
+  EXPECT_EQ(syncs[0].dir, dir_);
+}
+
+TEST_F(DirSyncTest, JournalNameBecomesDurableAtItsFirstSync) {
+  const std::string path = dir_ + "/journal.wal";
+  Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(
+      path, JournalOptions{.fsync_interval = 0});
+  ASSERT_TRUE(writer.ok()) << writer.status().message();
+  LogRecord record;
+  record.set = testing::Mask(0b1);
+  record.count = 1;
+  ASSERT_TRUE((*writer)->Append(1, record).ok());
+  EXPECT_TRUE(Taken().empty()) << "creating a journal fsynced a directory";
+
+  ASSERT_TRUE((*writer)->Sync().ok());
+  std::vector<DirSync> syncs = Taken();
+  ASSERT_EQ(syncs.size(), 1u);
+  EXPECT_EQ(syncs[0].dir, dir_);
+
+  Reset();
+  ASSERT_TRUE((*writer)->Append(2, record).ok());
+  ASSERT_TRUE((*writer)->Sync().ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+  EXPECT_TRUE(Taken().empty()) << "a later sync fsynced a directory again";
+}
+
+TEST_F(DirSyncTest, CheckpointPublishSyncsTheDirectoryAfterItsRename) {
+  const std::string path = dir_ + "/state.ckpt";
+  Probe(path);
+  ASSERT_TRUE(WriteCheckpointFileDurable(CheckpointKind::kTenantSnapshot,
+                                         "payload", path)
+                  .ok());
+  const std::vector<DirSync> syncs = Taken();
+  ASSERT_EQ(syncs.size(), 1u);
+  EXPECT_EQ(syncs[0].dir, dir_);
+  EXPECT_TRUE(syncs[0].probe_in_place)
+      << "the directory was synced before the rename";
+}
+
+TEST_F(DirSyncTest, CatalogSpillSyncsTheDirectoryAfterItsRename) {
+  MultiTenantConfig config;
+  config.num_tenants = 4;
+  config.base.dimensions = 2;
+  config.min_licenses = 2;
+  config.max_licenses = 3;
+  const MultiTenantWorkload workload(config);
+  WorkloadTenantSource source(&workload);
+  CatalogOptions options;
+  options.dir = dir_;
+  options.fsync_interval = 0;
+  Result<std::unique_ptr<CatalogService>> catalog =
+      CatalogService::Create(&source, options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().message();
+  Result<Workload> baseline = workload.MakeTenant(1);
+  ASSERT_TRUE(baseline.ok());
+  Rng rng(testing::TestSeed(7));
+  ASSERT_TRUE(
+      (*catalog)->TryIssue(1, workload.DrawRequest(*baseline, &rng, 1)).ok());
+  EXPECT_TRUE(Taken().empty());
+
+  Probe((*catalog)->SpillPath(1));
+  ASSERT_TRUE((*catalog)->SpillTenant(1).ok());
+  const std::vector<DirSync> syncs = Taken();
+  ASSERT_EQ(syncs.size(), 1u);
+  EXPECT_EQ(syncs[0].dir, dir_);
+  EXPECT_TRUE(syncs[0].probe_in_place)
+      << "the directory was synced before the rename";
+  EXPECT_TRUE((*catalog)->Close().ok());
+}
+
+}  // namespace
+}  // namespace geolic

@@ -735,8 +735,8 @@ TEST(RecoveryFaultTest, AttachJournalGuards) {
 // --- Tenant-tagged frames & per-tenant spill containers --------------------
 
 // Journal bytes carrying the multi-tenant catalog's v3 tenant-tagged frame
-// in every TenantOpKind, interleaved across two tenants the way a shared
-// pool writer interleaves them.
+// in every TenantOpKind, interleaved across two tenants the way the
+// catalog journal interleaves them.
 std::string TenantJournalBytes(const ConstraintSchema& schema,
                                std::vector<size_t>* boundaries = nullptr) {
   auto file = std::make_unique<InMemorySyncFile>();

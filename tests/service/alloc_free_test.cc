@@ -1,5 +1,4 @@
 #include <memory>
-#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,14 +6,12 @@
 #include "alloc_counter.h"
 #include "service/issuance_service.h"
 #include "test_util.h"
-#include "util/request_arena.h"
 
 // Proves the steady-state admission path is zero-malloc. For an overlap
 // group within kMaxDenseGroupSize the equation tables (C[S] included) are
-// sized when the epoch is built, so the very first TryIssue is already
-// allocation-free — including satisfying sets never seen before; only the
-// span TryIssueBatch overload's request arena needs
-// one warm-up call. A group above the cap admits through the pointer tree,
+// sized when the epoch is built, so the very first TryIssue and
+// TryIssueBatch are already allocation-free — including satisfying sets
+// never seen before. A group above the cap admits through the pointer tree,
 // whose nodes are allocated the first time a set is seen: there a warm-up
 // of the same request mix inserts every node the steady state touches.
 //
@@ -71,9 +68,10 @@ std::vector<License> RequestMix(const ConstraintSchema& schema,
 constexpr int kSteady = 512;
 
 // Heap allocations made by kSteady rounds of the request mix, each through
-// TryIssue and then the span TryIssueBatch overload.
+// TryIssue and then TryIssueBatch.
 uint64_t SteadyStateAllocations(IssuanceService* service,
                                 const std::vector<License>& requests) {
+  const std::vector<const License*> batch = testing::PointersTo(requests);
   std::vector<OnlineDecision> decisions(requests.size());
   const uint64_t before = testing::AllocationCount();
   for (int i = 0; i < kSteady; ++i) {
@@ -81,10 +79,7 @@ uint64_t SteadyStateAllocations(IssuanceService* service,
       const Result<OnlineDecision> decision = service->TryIssue(request);
       GEOLIC_CHECK(decision.ok());
     }
-    GEOLIC_CHECK(service
-                     ->TryIssueBatch(std::span<const License>(requests),
-                                     std::span<OnlineDecision>(decisions))
-                     .ok());
+    GEOLIC_CHECK(service->TryIssueBatch(batch, decisions).ok());
   }
   return testing::AllocationCount() - before;
 }
@@ -102,18 +97,7 @@ TEST(AllocFreeTest, DenseGroupAdmitsWithoutHeapAllocationFromFirstRequest) {
   IssuanceService& service = **created;
   const std::vector<License> requests = RequestMix(schema, kMaxDenseGroupSize);
 
-  // The only warm-up: one batch of instance rejects sizes the calling
-  // thread's request arena. No satisfying set of the mix is seen before
-  // the measured window.
-  const std::vector<License> misses(
-      requests.size(), MakeUsage(schema, "U-miss", {{900, 910}}, 1));
-  std::vector<OnlineDecision> decisions(misses.size());
-  ASSERT_TRUE(service
-                  .TryIssueBatch(std::span<const License>(misses),
-                                 std::span<OnlineDecision>(decisions))
-                  .ok());
-  EXPECT_EQ(service.metrics().Snap().accepted, 0u);
-
+  // No warm-up: no request of the mix is seen before the measured window.
   const uint64_t allocations = SteadyStateAllocations(&service, requests);
   EXPECT_EQ(allocations, 0u)
       << allocations << " heap allocations in the steady-state window";
@@ -136,38 +120,20 @@ TEST(AllocFreeTest, AboveCapGroupAdmitsWithoutHeapAllocationAfterWarmup) {
       RequestMix(schema, kMaxDenseGroupSize + 1);
   constexpr int kWarmup = 64;
 
-  // Warm-up with the same mix: arena blocks and every tree node the steady
-  // state will touch.
+  // Warm-up with the same mix: every tree node the steady state will
+  // touch.
+  const std::vector<const License*> batch = testing::PointersTo(requests);
   std::vector<OnlineDecision> decisions(requests.size());
   for (int i = 0; i < kWarmup; ++i) {
     for (const License& request : requests) {
       ASSERT_TRUE(service.TryIssue(request).ok());
     }
-    ASSERT_TRUE(service
-                    .TryIssueBatch(std::span<const License>(requests),
-                                   std::span<OnlineDecision>(decisions))
-                    .ok());
+    ASSERT_TRUE(service.TryIssueBatch(batch, decisions).ok());
   }
 
   const uint64_t allocations = SteadyStateAllocations(&service, requests);
   EXPECT_EQ(allocations, 0u)
       << allocations << " heap allocations in the steady-state window";
-}
-
-TEST(AllocFreeTest, RequestArenaReusesBlocksAfterReset) {
-  RequestArena arena(256);
-  void* first = arena.Allocate(64, 8);
-  ASSERT_NE(first, nullptr);
-  arena.Reset();
-  // Same block, same offset: the arena retains and reuses its blocks.
-  EXPECT_EQ(arena.Allocate(64, 8), first);
-
-  const uint64_t before = testing::AllocationCount();
-  for (int i = 0; i < 1000; ++i) {
-    const ArenaScope scope(&arena);
-    (void)arena.AllocateArray<uint64_t>(16);
-  }
-  EXPECT_EQ(testing::AllocationCount() - before, 0u);
 }
 
 }  // namespace

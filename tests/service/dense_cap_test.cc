@@ -124,8 +124,9 @@ void IssueAndCheck(IssuanceService* service, Mirror* mirror,
     if (at % 8 == 0 && at + 4 <= requests.size()) {
       std::vector<OnlineDecision> decisions(4);
       ASSERT_TRUE(service
-                      ->TryIssueBatch(std::span<const License>(&requests[at], 4),
-                                      std::span<OnlineDecision>(decisions))
+                      ->TryIssueBatch(testing::PointersTo(
+                                          std::span(&requests[at], 4)),
+                                      decisions)
                       .ok());
       for (size_t k = 0; k < 4; ++k) {
         mirror->Check(requests[at + k], decisions[k]);

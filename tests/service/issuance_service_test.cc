@@ -175,18 +175,17 @@ TEST(IssuanceServiceTest, BatchMatchesSequentialIssue) {
   for (int i = 0; i < 50; ++i) {
     batch.push_back(RequestAt(schema, i));
   }
-  const Result<std::vector<OnlineDecision>> got =
-      (*batched)->TryIssueBatch(batch);
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), batch.size());
+  std::vector<OnlineDecision> got(batch.size());
+  ASSERT_TRUE(
+      (*batched)->TryIssueBatch(testing::PointersTo(batch), got).ok());
 
   for (size_t i = 0; i < batch.size(); ++i) {
     const Result<OnlineDecision> want = (*sequential)->TryIssue(batch[i]);
     ASSERT_TRUE(want.ok());
-    EXPECT_EQ((*got)[i].instance_valid, want->instance_valid) << i;
-    EXPECT_EQ((*got)[i].aggregate_valid, want->aggregate_valid) << i;
-    EXPECT_EQ((*got)[i].satisfying_set, want->satisfying_set) << i;
-    EXPECT_EQ((*got)[i].equations_checked, want->equations_checked) << i;
+    EXPECT_EQ(got[i].instance_valid, want->instance_valid) << i;
+    EXPECT_EQ(got[i].aggregate_valid, want->aggregate_valid) << i;
+    EXPECT_EQ(got[i].satisfying_set, want->satisfying_set) << i;
+    EXPECT_EQ(got[i].equations_checked, want->equations_checked) << i;
   }
   const Result<ValidationTree> got_tree = (*batched)->CollectTree();
   const Result<ValidationTree> want_tree = (*sequential)->CollectTree();
@@ -379,7 +378,9 @@ TEST(IssuanceServiceTest, RejectsNonPositiveCount) {
                       testing::Rect({{0, 1}}), 0);
   EXPECT_EQ((*service)->TryIssue(usage).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ((*service)->TryIssueBatch({usage}).status().code(),
+  const License* batch[] = {&usage};
+  OnlineDecision decision;
+  EXPECT_EQ((*service)->TryIssueBatch(batch, {&decision, 1}).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ((*service)->metrics().Snap().total_requests(), 0u);
   EXPECT_TRUE((*service)->CollectLog().empty());

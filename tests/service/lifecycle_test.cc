@@ -487,14 +487,15 @@ TEST(LifecycleTest, ReconfigurationsRacingAdmissionsMatchTheModelInLockOrder) {
           }
           of_thread.push_back({requests[0], *got});
         } else {
-          const Result<std::vector<OnlineDecision>> got =
-              service.TryIssueBatch(requests);
-          if (!got.ok()) {
-            ADD_FAILURE() << "TryIssueBatch: " << got.status().message();
+          std::vector<OnlineDecision> got(requests.size());
+          const Status admitted =
+              service.TryIssueBatch(testing::PointersTo(requests), got);
+          if (!admitted.ok()) {
+            ADD_FAILURE() << "TryIssueBatch: " << admitted.message();
             break;
           }
           for (size_t b = 0; b < requests.size(); ++b) {
-            of_thread.push_back({requests[b], (*got)[b]});
+            of_thread.push_back({requests[b], got[b]});
           }
         }
         calls.fetch_add(1, std::memory_order_relaxed);

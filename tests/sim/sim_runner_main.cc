@@ -18,10 +18,10 @@
 //                                      behind a CatalogService under a tiny
 //                                      LRU budget, per-tenant reference
 //                                      models, FaultyFile faults on the
-//                                      shared journal pool, crash-recovery
+//                                      catalog journal, crash-recovery
 //                                      conformance; with --mutation_smoke,
-//                                      plants the cross-tenant frame
-//                                      misrouting bug instead
+//                                      plants the equation-skip bug in
+//                                      every tenant service
 //
 // A sweep prints each clean seed's digest (`seed N digest <hex>`: a hash of
 // its decisions, final log and journal bytes) and --seed=N prints the same
@@ -103,7 +103,7 @@ int RunCatalogMode(uint64_t tenants, uint64_t seeds, uint64_t start_seed,
   geolic::CatalogSimConfig config;
   config.min_tenants = static_cast<int>(tenants);
   config.max_tenants = static_cast<int>(tenants);
-  config.inject_misroute = mutation_smoke;
+  config.inject_equation_skip = mutation_smoke;
 
   if (have_single) {
     const geolic::CatalogSimResult result =
@@ -123,16 +123,16 @@ int RunCatalogMode(uint64_t tenants, uint64_t seeds, uint64_t start_seed,
       const geolic::CatalogSimResult result =
           geolic::RunCatalogSimulation(s, config);
       if (!result.ok) {
-        std::printf("mutation smoke OK: planted cross-tenant misrouting "
-                    "bug caught at seed %" PRIu64 " (%" PRIu64
-                    " seeds tried)\n",
+        std::printf("mutation smoke OK: planted equation-skip bug caught "
+                    "at seed %" PRIu64 " (%" PRIu64
+                    " seeds tried, catalog mode)\n",
                     s, s - start_seed + 1);
         std::printf("  failure: %s\n", result.failure.c_str());
         return 0;
       }
     }
-    std::printf("mutation smoke FAILED: planted misrouting bug not caught "
-                "in %" PRIu64 " seeds — the harness has lost its teeth\n",
+    std::printf("mutation smoke FAILED: planted equation-skip bug not "
+                "caught in %" PRIu64 " seeds — the harness has lost its teeth\n",
                 budget);
     return 1;
   }

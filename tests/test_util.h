@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -23,6 +24,18 @@
 #include "validation/log_store.h"
 
 namespace geolic::testing {
+
+// The pointer batch IssuanceService::TryIssueBatch admits, over
+// `requests` (which must outlive it).
+inline std::vector<const License*> PointersTo(
+    std::span<const License> requests) {
+  std::vector<const License*> pointers;
+  pointers.reserve(requests.size());
+  for (const License& request : requests) {
+    pointers.push_back(&request);
+  }
+  return pointers;
+}
 
 // Shorthand for a single-word LicenseSet literal: Mask(0b101) == {L1, L3}.
 inline LicenseSet Mask(uint64_t word) { return LicenseSet::FromWord(word); }
