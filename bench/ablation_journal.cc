@@ -1,10 +1,10 @@
-// Ablation: cost of crash safety. The write-ahead issuance journal puts
-// one framed append (and, depending on the fsync batching policy, one
-// fsync) in front of every accepted admission. This bench measures
+// Ablation: cost of crash safety. The write-ahead journal puts one framed
+// issue op (and, depending on the fsync batching policy, one fsync) in
+// front of every accepted admission. This bench measures
 //   (a) raw journal append throughput vs fsync_interval — the durability
-//       spectrum from "fsync every record" to "let the OS decide", and
-//   (b) recovery time: replaying the whole journal vs loading a midpoint
-//       checkpoint plus the journal tail, and
+//       spectrum from "fsync every op" to "let the OS decide", and
+//   (b) recovery time: re-executing the whole journal vs loading a
+//       midpoint checkpoint plus the journal tail, and
 //   (c) time per sync of PosixSyncFile (in-place writes into a reserved
 //       tail + fdatasync) against the append + fsync file it replaced,
 //       kept here as the baseline. Each sample is one Sync plus the
@@ -155,14 +155,6 @@ double PercentileMicros(std::vector<int64_t> nanos, double p) {
   return static_cast<double>(nanos[rank]) / 1e3;
 }
 
-LogRecord RecordFor(int i) {
-  LogRecord record;
-  record.issued_license_id = "LU" + std::to_string(i + 1);
-  record.set = LicenseSet::FromWord(static_cast<uint64_t>(i % 3 + 1));
-  record.count = 1;
-  return record;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -181,6 +173,16 @@ int main(int argc, char** argv) {
   std::printf("# Ablation: journal append throughput and recovery time "
               "(%d records)\n", records);
 
+  ConstraintSchema schema;
+  GEOLIC_CHECK(schema.AddIntervalDimension("C1").ok());
+  const LicenseCatalog licenses = MakeGroupedSet(schema, groups);
+  const std::vector<License> requests =
+      MakeRequests(schema, groups, records);
+  // The issue op of the i-th accepted request, as the service journals it.
+  const auto issue_op = [&requests](int i) {
+    return OpRef::Issue(requests[static_cast<size_t>(i) % requests.size()]);
+  };
+
   // (a) Append throughput vs fsync batching. fsync_interval=1 uses a
   // reduced record count — per-append device flushes are slow by design.
   std::printf("%16s  %10s  %12s  %12s\n", "fsync_interval", "records",
@@ -197,7 +199,7 @@ int main(int argc, char** argv) {
     Stopwatch timer;
     for (int i = 0; i < n; ++i) {
       GEOLIC_CHECK(
-          (*writer)->Append(static_cast<uint64_t>(i + 1), RecordFor(i)).ok());
+          (*writer)->AppendOp(static_cast<uint64_t>(i + 1), issue_op(i)).ok());
     }
     GEOLIC_CHECK((*writer)->Sync().ok());
     const double elapsed_ms = timer.ElapsedMillis();
@@ -214,11 +216,6 @@ int main(int argc, char** argv) {
 
   // (b) Recovery: run a real service with a journal, checkpoint halfway,
   // "crash", then rebuild from (journal only) vs (checkpoint + tail).
-  ConstraintSchema schema;
-  GEOLIC_CHECK(schema.AddIntervalDimension("C1").ok());
-  const LicenseCatalog licenses = MakeGroupedSet(schema, groups);
-  const std::vector<License> requests =
-      MakeRequests(schema, groups, records);
   const std::string journal_path = dir + "/geolic_bench_journal.gjl";
   const std::string checkpoint_path = dir + "/geolic_bench_checkpoint.gck";
 
@@ -305,12 +302,11 @@ int main(int argc, char** argv) {
         Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Create(
             std::make_unique<TimedSyncFile>(std::move(file), samples), options);
         GEOLIC_CHECK(writer.ok());
-        samples->pop_back();  // The magic's sync at Create.
         const int n = std::max(1, fsync_records / kRounds) * interval;
         for (int i = 0; i < n; ++i) {
-          GEOLIC_CHECK((*writer)
-                           ->Append(static_cast<uint64_t>(i + 1), RecordFor(i))
-                           .ok());
+          GEOLIC_CHECK(
+              (*writer)->AppendOp(static_cast<uint64_t>(i + 1), issue_op(i))
+                  .ok());
         }
         GEOLIC_CHECK((*writer)->Close().ok());
         std::remove(path.c_str());

@@ -269,11 +269,11 @@ Status CatalogService::SpillLocked(uint64_t tenant_id, bool evicting) {
   std::string payload;
   framing::PutScalar<uint64_t>(&payload, tenant_id);
   GEOLIC_RETURN_IF_ERROR(EncodeServiceState(state, &payload));
-  // Durable atomic publish (temp + fsync + rename + dir fsync): recovery
-  // truncates the journal on the strength of these files, and live
-  // eviction replaces the previous good spill — a torn or page-cache-only
-  // in-place overwrite would silently lose the tenant.
-  GEOLIC_RETURN_IF_ERROR(WriteCheckpointFileDurable(
+  // Atomic publish (temp + fdatasync + rename): recovery truncates the
+  // journal on the strength of these files, and live eviction replaces the
+  // previous good spill — a torn in-place overwrite would silently lose
+  // the tenant. The caller syncs the directory.
+  GEOLIC_RETURN_IF_ERROR(PublishCheckpointFile(
       CheckpointKind::kTenantSnapshot, payload, SpillPath(tenant_id)));
   resident_bytes_ -= tenant.approx_bytes;
   lru_.erase(tenant.lru_pos);
@@ -287,7 +287,9 @@ Status CatalogService::SpillLocked(uint64_t tenant_id, bool evicting) {
 
 void CatalogService::MaybeEvictLocked() {
   while (resident_bytes_ > options_.memory_budget_bytes && lru_.size() > 1) {
-    if (!SpillLocked(lru_.back(), /*evicting=*/true).ok()) {
+    const uint64_t victim = lru_.back();
+    if (!SpillLocked(victim, /*evicting=*/true).ok() ||
+        !SyncParentDirectory(SpillPath(victim)).ok()) {
       // Spill I/O trouble: stop evicting rather than spin. The tenant
       // stays resident (and over budget) — better than losing state.
       return;
@@ -306,13 +308,12 @@ Status CatalogService::CheckAcceptingOpsLocked() const {
 }
 
 Status CatalogService::JournalOpLocked(uint64_t tenant_id, Tenant* tenant,
-                                       TenantOpFrame* frame) {
-  frame->tenant_id = tenant_id;
-  frame->tenant_seq = tenant->tenant_seq + 1;
+                                       const OpRef& op) {
   if (journal_ == nullptr) {
     return Status::FailedPrecondition("catalog journal is closed");
   }
-  Status appended = journal_->AppendTenantOp(journal_seq_ + 1, *frame);
+  Status appended = journal_->AppendTenantOp(
+      journal_seq_ + 1, tenant_id, tenant->tenant_seq + 1, op);
   if (!appended.ok()) {
     // Maybe-persisted: the frame may or may not have reached the disk.
     // The op is rejected with tenant state unchanged; recovery is allowed
@@ -348,10 +349,8 @@ Result<OnlineDecision> CatalogService::TryIssue(uint64_t tenant_id,
   GEOLIC_RETURN_IF_ERROR(CheckAcceptingOpsLocked());
   return OnTenantLocked(
       tenant_id, [&](Tenant* tenant) -> Result<OnlineDecision> {
-        TenantOpFrame frame;
-        frame.op = TenantOpKind::kIssue;
-        frame.license = usage;
-        GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant_id, tenant, &frame));
+        GEOLIC_RETURN_IF_ERROR(
+            JournalOpLocked(tenant_id, tenant, OpRef::Issue(usage)));
         GEOLIC_ASSIGN_OR_RETURN(OnlineDecision decision,
                                 tenant->service->TryIssue(usage));
         if (decision.accepted() &&
@@ -368,10 +367,8 @@ Result<int> CatalogService::AcquireLicense(uint64_t tenant_id,
   std::lock_guard<std::mutex> lock(mutex_);
   GEOLIC_RETURN_IF_ERROR(CheckAcceptingOpsLocked());
   return OnTenantLocked(tenant_id, [&](Tenant* tenant) -> Result<int> {
-    TenantOpFrame frame;
-    frame.op = TenantOpKind::kAcquire;
-    frame.license = license;
-    GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant_id, tenant, &frame));
+    GEOLIC_RETURN_IF_ERROR(
+        JournalOpLocked(tenant_id, tenant, OpRef::Acquire(license)));
     GEOLIC_ASSIGN_OR_RETURN(int index,
                             tenant->service->AcquireLicense(license));
     tenant->approx_bytes += kLicenseBytes;
@@ -386,10 +383,8 @@ Status CatalogService::RevokeLicenseById(uint64_t tenant_id,
   std::lock_guard<std::mutex> lock(mutex_);
   GEOLIC_RETURN_IF_ERROR(CheckAcceptingOpsLocked());
   return OnTenantLocked(tenant_id, [&](Tenant* tenant) -> Status {
-    TenantOpFrame frame;
-    frame.op = TenantOpKind::kRevoke;
-    frame.revoke_id = id;
-    GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant_id, tenant, &frame));
+    GEOLIC_RETURN_IF_ERROR(
+        JournalOpLocked(tenant_id, tenant, OpRef::Revoke(id)));
     GEOLIC_RETURN_IF_ERROR(tenant->service->RevokeLicenseById(id));
     ChargeTablesLocked(tenant);
     return Status::Ok();
@@ -401,11 +396,8 @@ Result<int> CatalogService::ExpireDimensionBelow(uint64_t tenant_id, int dim,
   std::lock_guard<std::mutex> lock(mutex_);
   GEOLIC_RETURN_IF_ERROR(CheckAcceptingOpsLocked());
   return OnTenantLocked(tenant_id, [&](Tenant* tenant) -> Result<int> {
-    TenantOpFrame frame;
-    frame.op = TenantOpKind::kExpire;
-    frame.expire_dim = dim;
-    frame.expire_cutoff = cutoff;
-    GEOLIC_RETURN_IF_ERROR(JournalOpLocked(tenant_id, tenant, &frame));
+    GEOLIC_RETURN_IF_ERROR(
+        JournalOpLocked(tenant_id, tenant, OpRef::Expire(dim, cutoff)));
     GEOLIC_ASSIGN_OR_RETURN(int removed,
                             tenant->service->ExpireDimensionBelow(dim, cutoff));
     ChargeTablesLocked(tenant);
@@ -422,7 +414,8 @@ Result<uint64_t> CatalogService::TenantEpoch(uint64_t tenant_id) {
 
 Status CatalogService::SpillTenant(uint64_t tenant_id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return SpillLocked(tenant_id, /*evicting=*/false);
+  GEOLIC_RETURN_IF_ERROR(SpillLocked(tenant_id, /*evicting=*/false));
+  return SyncParentDirectory(SpillPath(tenant_id));
 }
 
 Result<CatalogService::TenantSnapshot> CatalogService::SnapshotTenant(
@@ -485,41 +478,6 @@ ExpositionInput CatalogService::Snap() const {
   return input;
 }
 
-Status CatalogService::ReplayOp(IssuanceService* service,
-                                const TenantOpFrame& frame,
-                                CatalogRecoveryStats* stats) {
-  // The live op was journaled as an intent and then, if it failed, failed
-  // with the same (deterministic) error; a rejection replays as-is.
-  bool ok = false;
-  switch (frame.op) {
-    case TenantOpKind::kIssue:
-      if (!frame.license.has_value()) {
-        return Status::Internal("issue frame without a license");
-      }
-      ok = service->TryIssue(*frame.license).ok();
-      break;
-    case TenantOpKind::kAcquire:
-      if (!frame.license.has_value()) {
-        return Status::Internal("acquire frame without a license");
-      }
-      ok = service->AcquireLicense(*frame.license).ok();
-      break;
-    case TenantOpKind::kRevoke:
-      ok = service->RevokeLicenseById(frame.revoke_id).ok();
-      break;
-    case TenantOpKind::kExpire:
-      ok = service->ExpireDimensionBelow(frame.expire_dim, frame.expire_cutoff)
-               .ok();
-      break;
-    default:
-      return Status::Internal("unknown tenant op kind in replay");
-  }
-  if (!ok) {
-    ++stats->replayed_rejections;
-  }
-  return Status::Ok();
-}
-
 Result<std::unique_ptr<CatalogService>> CatalogService::Recover(
     TenantSource* source, const CatalogOptions& options,
     CatalogRecoveryStats* stats) {
@@ -566,13 +524,14 @@ Result<std::unique_ptr<CatalogService>> CatalogService::Recover(
             "catalog directory?");
       }
       ++stats->journal_frames;
-      by_tenant[entry.tenant.tenant_id].push_back(std::move(entry));
+      by_tenant[entry.tenant_id].push_back(std::move(entry));
     }
   }
 
   // Phase 2: rebuild touched tenants one at a time (spill-or-compile plus
   // the journaled tail), re-spill each, free it — memory stays bounded no
-  // matter how many tenants the crash left dirty.
+  // matter how many tenants the crash left dirty. The journal holds
+  // intents: an op that failed live fails again, and is counted.
   for (const auto& [tenant_id, frames] : by_tenant) {
     std::error_code spill_ec;
     const bool had_spill =
@@ -587,7 +546,7 @@ Result<std::unique_ptr<CatalogService>> CatalogService::Recover(
 
     uint64_t previous_seq = 0;
     for (const JournalEntry& entry : frames) {
-      const uint64_t seq = entry.tenant.tenant_seq;
+      const uint64_t seq = entry.tenant_seq;
       if (previous_seq != 0 && seq != previous_seq + 1) {
         return Status::ParseError(
             TenantLabel(tenant_id) + ": journal op sequence jumps from " +
@@ -607,8 +566,9 @@ Result<std::unique_ptr<CatalogService>> CatalogService::Recover(
             "at op " + std::to_string(seq) + " at frame " +
             std::to_string(entry.seq) + " of " + path + " — frames lost");
       }
-      GEOLIC_RETURN_IF_ERROR(
-          ReplayOp(tenant->service.get(), entry.tenant, stats));
+      if (!ReplayOp(tenant->service.get(), entry.op).ok()) {
+        ++stats->replayed_rejections;
+      }
       tenant->tenant_seq = seq;
       ++stats->frames_replayed;
     }
@@ -619,9 +579,13 @@ Result<std::unique_ptr<CatalogService>> CatalogService::Recover(
     ++service->counters_.recovered_tenants;
   }
 
-  // Phase 3: every touched tenant is checkpointed — now (and only now) the
+  // Phase 3: one directory sync makes every re-spill's rename durable;
+  // then every touched tenant is checkpointed — now (and only now) the
   // journal may truncate. A crash before this point re-runs recovery off
   // the same journal; a crash after it finds the spills authoritative.
+  if (!by_tenant.empty()) {
+    GEOLIC_RETURN_IF_ERROR(SyncParentDirectory(path));
+  }
   GEOLIC_RETURN_IF_ERROR(service->OpenJournal());
   return service;
 }

@@ -97,8 +97,9 @@ struct CatalogRecoveryStats {
   size_t tenants_recovered = 0;    // Distinct tenants rebuilt.
   size_t frames_replayed = 0;      // Frames past each tenant's spill.
   size_t frames_skipped = 0;       // Frames a spill already covered.
-  size_t replayed_rejections = 0;  // Replayed ops that (deterministically)
-                                   // failed, exactly as they did live.
+  size_t replayed_rejections = 0;  // Replayed ops that did not succeed
+                                   // (ReplayOp), exactly as they did not
+                                   // live: the journal holds intents.
   size_t spill_loads = 0;          // Tenants rebuilt starting from a spill.
   size_t compiles = 0;             // Tenants rebuilt from the source alone.
   int torn_tails = 0;              // 1 when the journal ends in a torn write.
@@ -233,20 +234,20 @@ class CatalogService {
   // Builds a tenant's in-memory state from the source baseline.
   Status Compile(uint64_t tenant_id, Tenant* tenant);
 
-  // Appends the intent frame for the op about to execute; advances
-  // tenant->tenant_seq on success. The caller fills every frame field
-  // except tenant_id / tenant_seq. A failure that poisoned the writer
-  // fail-stops the catalog.
-  Status JournalOpLocked(uint64_t tenant_id, Tenant* tenant,
-                         TenantOpFrame* frame);
+  // Appends the intent frame for `op`, about to execute, under the
+  // tenant's next op sequence; advances tenant->tenant_seq on success. A
+  // failure that poisoned the writer fail-stops the catalog.
+  Status JournalOpLocked(uint64_t tenant_id, Tenant* tenant, const OpRef& op);
 
   // Non-OK once the catalog has fail-stopped (the writer poisoned);
   // mutating ops check it on entry.
   Status CheckAcceptingOpsLocked() const;
 
-  // Writes the spill checkpoint and frees the tenant's in-memory state.
-  // No-op if the tenant is not resident. `evicting` selects the evict vs
-  // explicit spill counters/trace stage.
+  // Publishes the spill checkpoint (PublishCheckpointFile) and frees the
+  // tenant's in-memory state. No-op if the tenant is not resident.
+  // `evicting` selects the evict vs explicit spill counters/trace stage.
+  // The caller makes the rename durable with SyncParentDirectory: a live
+  // spill right after it, recovery once after all of its re-spills.
   Status SpillLocked(uint64_t tenant_id, bool evicting);
 
   // Runs `op` on the resident tenant `tenant_id` (materializing it), then
@@ -257,11 +258,6 @@ class CatalogService {
   // Spills LRU-tail tenants until the residents fit the budget, always
   // keeping the most recent one.
   void MaybeEvictLocked();
-
-  // Replays one journaled op during recovery (no journaling);
-  // deterministic op-level failures are counted, not errors.
-  static Status ReplayOp(IssuanceService* service, const TenantOpFrame& frame,
-                         CatalogRecoveryStats* stats);
 
   TenantSource* const source_;
   const CatalogOptions options_;

@@ -1,97 +1,77 @@
 #include "licensing/license_serialization.h"
 
-#include <istream>
-#include <ostream>
+#include <vector>
+
+#include "persist/framing.h"
 
 namespace geolic {
 namespace {
 
+using framing::GetScalar;
+using framing::PutScalar;
+
 constexpr uint32_t kMaxStringSize = 1u << 16;
 constexpr uint32_t kMaxDimensions = 1u << 10;
 
-void WriteString(std::ostream* out, const std::string& text) {
-  const uint32_t size = static_cast<uint32_t>(text.size());
-  out->write(reinterpret_cast<const char*>(&size), sizeof(size));
-  out->write(text.data(), size);
+void AppendString(std::string_view text, std::string* out) {
+  PutScalar(out, static_cast<uint32_t>(text.size()));
+  out->append(text);
 }
 
-Result<std::string> ReadString(std::istream* in) {
+Result<std::string> ReadString(std::string_view bytes, size_t* pos) {
   uint32_t size = 0;
-  in->read(reinterpret_cast<char*>(&size), sizeof(size));
-  if (!*in || size > kMaxStringSize) {
+  if (!GetScalar(bytes, pos, &size) || size > kMaxStringSize) {
     return Status::ParseError("bad string in license blob");
   }
-  std::string text(size, '\0');
-  in->read(text.data(), size);
-  if (!*in) {
+  if (bytes.size() - *pos < size) {
     return Status::ParseError("truncated string in license blob");
   }
+  std::string text(bytes.substr(*pos, size));
+  *pos += size;
   return text;
 }
 
 }  // namespace
 
-Status WriteLicenseBinary(const License& license, std::ostream* out) {
-  WriteString(out, license.id());
-  WriteString(out, license.content_key());
-  const int32_t type = static_cast<int32_t>(license.type());
-  const int32_t permission = static_cast<int32_t>(license.permission());
-  const int64_t aggregate = license.aggregate_count();
-  const uint32_t dims = static_cast<uint32_t>(license.rect().dimensions());
-  out->write(reinterpret_cast<const char*>(&type), sizeof(type));
-  out->write(reinterpret_cast<const char*>(&permission), sizeof(permission));
-  out->write(reinterpret_cast<const char*>(&aggregate), sizeof(aggregate));
-  out->write(reinterpret_cast<const char*>(&dims), sizeof(dims));
+void AppendLicenseBinary(const License& license, std::string* out) {
+  AppendString(license.id(), out);
+  AppendString(license.content_key(), out);
+  PutScalar(out, static_cast<int32_t>(license.type()));
+  PutScalar(out, static_cast<int32_t>(license.permission()));
+  PutScalar(out, license.aggregate_count());
+  PutScalar(out, static_cast<uint32_t>(license.rect().dimensions()));
   for (int d = 0; d < license.rect().dimensions(); ++d) {
     const ConstraintRange& range = license.rect().dim(d);
-    uint8_t kind = 1;
-    if (range.is_interval()) {
-      kind = 0;
-    } else if (range.is_multi_interval()) {
-      kind = 2;
-    }
-    out->write(reinterpret_cast<const char*>(&kind), sizeof(kind));
     if (range.is_interval()) {
       const Interval& interval = range.interval();
+      PutScalar(out, uint8_t{0});
       // Serialise empty intervals canonically as [0, -1].
-      const int64_t lo = interval.empty() ? 0 : interval.lo();
-      const int64_t hi = interval.empty() ? -1 : interval.hi();
-      out->write(reinterpret_cast<const char*>(&lo), sizeof(lo));
-      out->write(reinterpret_cast<const char*>(&hi), sizeof(hi));
+      PutScalar(out, interval.empty() ? int64_t{0} : interval.lo());
+      PutScalar(out, interval.empty() ? int64_t{-1} : interval.hi());
     } else if (range.is_multi_interval()) {
       const MultiInterval& multi = range.multi_interval();
-      const uint32_t piece_count = static_cast<uint32_t>(multi.piece_count());
-      out->write(reinterpret_cast<const char*>(&piece_count),
-                 sizeof(piece_count));
+      PutScalar(out, uint8_t{2});
+      PutScalar(out, static_cast<uint32_t>(multi.piece_count()));
       for (const Interval& piece : multi.pieces()) {
-        const int64_t lo = piece.lo();
-        const int64_t hi = piece.hi();
-        out->write(reinterpret_cast<const char*>(&lo), sizeof(lo));
-        out->write(reinterpret_cast<const char*>(&hi), sizeof(hi));
+        PutScalar(out, piece.lo());
+        PutScalar(out, piece.hi());
       }
     } else {
-      const uint64_t mask = range.categories().mask();
-      out->write(reinterpret_cast<const char*>(&mask), sizeof(mask));
+      PutScalar(out, uint8_t{1});
+      PutScalar(out, range.categories().mask());
     }
   }
-  if (!*out) {
-    return Status::IoError("license serialization write failed");
-  }
-  return Status::Ok();
 }
 
-Result<License> ReadLicenseBinary(std::istream* in) {
-  GEOLIC_ASSIGN_OR_RETURN(std::string id, ReadString(in));
-  GEOLIC_ASSIGN_OR_RETURN(std::string content_key, ReadString(in));
+Result<License> ReadLicenseBinary(std::string_view bytes, size_t* pos) {
+  GEOLIC_ASSIGN_OR_RETURN(std::string id, ReadString(bytes, pos));
+  GEOLIC_ASSIGN_OR_RETURN(std::string content_key, ReadString(bytes, pos));
   int32_t type = 0;
   int32_t permission = 0;
   int64_t aggregate = 0;
   uint32_t dims = 0;
-  in->read(reinterpret_cast<char*>(&type), sizeof(type));
-  in->read(reinterpret_cast<char*>(&permission), sizeof(permission));
-  in->read(reinterpret_cast<char*>(&aggregate), sizeof(aggregate));
-  in->read(reinterpret_cast<char*>(&dims), sizeof(dims));
-  if (!*in) {
+  if (!GetScalar(bytes, pos, &type) || !GetScalar(bytes, pos, &permission) ||
+      !GetScalar(bytes, pos, &aggregate) || !GetScalar(bytes, pos, &dims)) {
     return Status::ParseError("truncated license header");
   }
   if (type < 0 || type > 1) {
@@ -106,32 +86,27 @@ Result<License> ReadLicenseBinary(std::istream* in) {
   HyperRect rect;
   for (uint32_t d = 0; d < dims; ++d) {
     uint8_t kind = 0;
-    in->read(reinterpret_cast<char*>(&kind), sizeof(kind));
-    if (!*in || kind > 2) {
+    if (!GetScalar(bytes, pos, &kind) || kind > 2) {
       return Status::ParseError("bad dimension kind in blob");
     }
     if (kind == 0) {
       int64_t lo = 0;
       int64_t hi = 0;
-      in->read(reinterpret_cast<char*>(&lo), sizeof(lo));
-      in->read(reinterpret_cast<char*>(&hi), sizeof(hi));
-      if (!*in) {
+      if (!GetScalar(bytes, pos, &lo) || !GetScalar(bytes, pos, &hi)) {
         return Status::ParseError("truncated interval dimension");
       }
       rect.AddDim(ConstraintRange(Interval(lo, hi)));
     } else if (kind == 2) {
       uint32_t piece_count = 0;
-      in->read(reinterpret_cast<char*>(&piece_count), sizeof(piece_count));
-      if (!*in || piece_count > kMaxDimensions) {
+      if (!GetScalar(bytes, pos, &piece_count) ||
+          piece_count > kMaxDimensions) {
         return Status::ParseError("bad piece count in blob");
       }
       std::vector<Interval> pieces;
       for (uint32_t p = 0; p < piece_count; ++p) {
         int64_t lo = 0;
         int64_t hi = 0;
-        in->read(reinterpret_cast<char*>(&lo), sizeof(lo));
-        in->read(reinterpret_cast<char*>(&hi), sizeof(hi));
-        if (!*in) {
+        if (!GetScalar(bytes, pos, &lo) || !GetScalar(bytes, pos, &hi)) {
           return Status::ParseError("truncated multi-interval dimension");
         }
         pieces.push_back(Interval(lo, hi));
@@ -139,8 +114,7 @@ Result<License> ReadLicenseBinary(std::istream* in) {
       rect.AddDim(ConstraintRange(MultiInterval::FromIntervals(pieces)));
     } else {
       uint64_t mask = 0;
-      in->read(reinterpret_cast<char*>(&mask), sizeof(mask));
-      if (!*in) {
+      if (!GetScalar(bytes, pos, &mask)) {
         return Status::ParseError("truncated category dimension");
       }
       rect.AddDim(ConstraintRange(CategorySet(mask)));

@@ -1,7 +1,9 @@
 #ifndef GEOLIC_LICENSING_LICENSE_SERIALIZATION_H_
 #define GEOLIC_LICENSING_LICENSE_SERIALIZATION_H_
 
-#include <iosfwd>
+#include <cstddef>
+#include <string>
+#include <string_view>
 
 #include "licensing/license.h"
 #include "util/status.h"
@@ -10,19 +12,22 @@ namespace geolic {
 
 // Binary (de)serialization of individual licenses, schema-independent:
 // constraint ranges are stored raw (interval endpoints / category bitmask),
-// so the reader needs no ConstraintSchema. Used by checkpointing; the
-// textual form in license_parser.h remains the human-facing format.
+// so the reader needs no ConstraintSchema. Used by the journal's op frames,
+// the service state payload and the wire protocol; the textual form in
+// license_parser.h remains the human-facing format.
 //
 // Layout (little-endian): id, content key (both length-prefixed), type,
 // permission, aggregate count, dimension count, then per dimension a kind
-// byte (0 = interval, 1 = categories) and its payload (two int64 endpoints
-// or one uint64 mask).
+// byte (0 = interval, 1 = categories, 2 = multi-interval) and its payload
+// (two int64 endpoints, one uint64 mask, or a u32 piece count and two
+// int64 endpoints per piece).
 
-// Appends one license to the stream.
-Status WriteLicenseBinary(const License& license, std::ostream* out);
+// Appends one license to `out`.
+void AppendLicenseBinary(const License& license, std::string* out);
 
-// Reads one license written by WriteLicenseBinary.
-Result<License> ReadLicenseBinary(std::istream* in);
+// Reads one license written by AppendLicenseBinary at `*pos` and advances
+// `*pos` past it; `*pos` is unspecified on failure.
+Result<License> ReadLicenseBinary(std::string_view bytes, size_t* pos);
 
 }  // namespace geolic
 

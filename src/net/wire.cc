@@ -1,7 +1,5 @@
 #include "net/wire.h"
 
-#include <sstream>
-
 #include "licensing/license_serialization.h"
 #include "persist/framing.h"
 #include "util/crc32c.h"
@@ -87,16 +85,14 @@ DecodeResult TryDecodeFrame(std::string_view bytes, Frame* frame,
 }
 
 Status EncodeIssueRequest(const License& license, std::string* out) {
-  std::ostringstream body;
-  GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(license, &body));
-  out->append(body.str());
+  AppendLicenseBinary(license, out);
   return Status::Ok();
 }
 
 Result<License> DecodeIssueRequest(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  GEOLIC_ASSIGN_OR_RETURN(License license, ReadLicenseBinary(&in));
-  if (in.peek() != std::char_traits<char>::eof()) {
+  size_t pos = 0;
+  GEOLIC_ASSIGN_OR_RETURN(License license, ReadLicenseBinary(payload, &pos));
+  if (pos != payload.size()) {
     return Status::ParseError("trailing bytes after issue request license");
   }
   return license;

@@ -147,9 +147,8 @@ Status WriteCheckpointFile(CheckpointKind kind, std::string_view payload,
   return WriteCheckpoint(kind, payload, &out);
 }
 
-Status WriteCheckpointFileDurable(CheckpointKind kind,
-                                  std::string_view payload,
-                                  const std::string& path) {
+Status PublishCheckpointFile(CheckpointKind kind, std::string_view payload,
+                             const std::string& path) {
   std::ostringstream framed;
   GEOLIC_RETURN_IF_ERROR(WriteCheckpoint(kind, payload, &framed));
   const std::string bytes = framed.str();
@@ -176,7 +175,13 @@ Status WriteCheckpointFileDurable(CheckpointKind kind,
     return Status::IoError("rename " + tmp_path + " -> " + path +
                            " failed: " + reason);
   }
+  return Status::Ok();
+}
 
+Status WriteCheckpointFileDurable(CheckpointKind kind,
+                                  std::string_view payload,
+                                  const std::string& path) {
+  GEOLIC_RETURN_IF_ERROR(PublishCheckpointFile(kind, payload, path));
   // Durability of the rename itself: fsync the containing directory.
   return SyncParentDirectory(path);
 }

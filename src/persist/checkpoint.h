@@ -55,15 +55,19 @@ Result<std::string> ReadCheckpointPayload(CheckpointKind expected_kind,
 Status WriteCheckpointFile(CheckpointKind kind, std::string_view payload,
                            const std::string& path);
 
-// Crash-safe publish: writes the framed checkpoint to `path + ".tmp"`,
-// fsyncs it, renames it over `path`, and fsyncs the parent directory.
-// After a crash at any point either the previous file or the complete new
-// one is found — never a torn mix, and never a page-cache-only write that
-// power loss can drop. Required wherever dependent state is discarded once
-// the checkpoint "exists" (the catalog's checkpoint-then-truncate cutover
-// truncates the journal on the strength of the spill files). Callers
-// must serialize concurrent writes to the same `path` (the temp name is
-// derived from it).
+// Atomic publish: writes the framed checkpoint to `path + ".tmp"`, syncs
+// it, and renames it over `path`. After a crash at any point either the
+// previous file or the complete new one is found — never a torn mix —
+// but the rename itself is durable only once the parent directory is
+// synced (SyncParentDirectory, persist/sync_file.h): one directory sync
+// covers every rename in it before the sync. Callers must serialize
+// concurrent writes to the same `path` (the temp name is derived from it).
+Status PublishCheckpointFile(CheckpointKind kind, std::string_view payload,
+                             const std::string& path);
+
+// Crash-safe publish: PublishCheckpointFile, then a sync of the parent
+// directory, so the new file survives power loss. Required wherever
+// dependent state is discarded once the checkpoint "exists".
 Status WriteCheckpointFileDurable(CheckpointKind kind,
                                   std::string_view payload,
                                   const std::string& path);

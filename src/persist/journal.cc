@@ -5,7 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <sstream>
+#include <cstring>
 
 #include "licensing/license_serialization.h"
 #include "persist/framing.h"
@@ -24,18 +24,21 @@ constexpr size_t kHeaderCrcCovers = 4 + 8 + 8;
 // Writer-side ids are capped like the log store's loader; with the header
 // CRC verified, any larger length is corruption, not a real frame.
 constexpr uint32_t kMaxIdBytes = 4096;
-// Acquire frames embed a serialized license (ids, content key, per-
-// dimension ranges); 64 KiB bounds every writer-produced payload with
+// Issue and acquire frames embed a serialized license (ids, content key,
+// per-dimension ranges); 64 KiB bounds every writer-produced payload with
 // room to spare while still rejecting corrupt lengths early.
 constexpr uint32_t kMaxPayloadBytes = 64 * 1024;
 
-// Reconfig payload tags — disjoint from the wide-set word counts (2..16)
-// that share the zero-word escape. See the format comment in journal.h.
-constexpr uint32_t kReconfigTagBit = 0x80000000u;
-constexpr uint32_t kAcquireTag = kReconfigTagBit | 1;
-constexpr uint32_t kRevokeTag = kReconfigTagBit | 2;
-constexpr uint32_t kExpireTag = kReconfigTagBit | 3;
-constexpr uint32_t kTenantTag = kReconfigTagBit | 4;
+// Every payload opens with a zero word and a tag naming its header (see
+// the format comment in journal.h).
+constexpr uint32_t kTenantTag = 0x80000004u;
+constexpr uint32_t kServiceTag = 0x80000005u;
+
+// Overwrites the bytes of `value` at `offset` of `out`.
+template <typename T>
+void StoreAt(std::string* out, size_t offset, T value) {
+  std::memcpy(out->data() + offset, &value, sizeof(T));
+}
 
 Status FrameError(uint64_t offset, const std::string& what) {
   return Status::ParseError("journal frame at offset " +
@@ -115,151 +118,103 @@ Status DecodeLogRecord(std::string_view bytes, size_t* pos,
 
 namespace {
 
-// Decodes one frame payload — an admission record or, behind the
-// zero-word/tag escape, a reconfiguration frame — into `entry`.
-Status DecodeJournalPayload(std::string_view payload, JournalEntry* entry) {
-  uint64_t first_word = 0;
-  uint32_t tag = 0;
-  size_t peek = 0;
-  const bool is_reconfig =
-      GetScalar(payload, &peek, &first_word) && first_word == 0 &&
-      GetScalar(payload, &peek, &tag) && (tag & kReconfigTagBit) != 0;
-  if (!is_reconfig) {
-    size_t pos = 0;
-    GEOLIC_RETURN_IF_ERROR(DecodeLogRecord(payload, &pos, &entry->record));
-    if (pos != payload.size()) {
-      return Status::ParseError("trailing bytes inside frame payload");
-    }
-    return Status::Ok();
-  }
-  size_t pos = peek;  // Past the escape word and the tag.
-  switch (tag) {
-    case kAcquireTag: {
-      entry->kind = JournalEntryKind::kAcquire;
-      std::istringstream in{std::string(payload.substr(pos))};
-      GEOLIC_ASSIGN_OR_RETURN(License license, ReadLicenseBinary(&in));
-      if (in.peek() != std::char_traits<char>::eof()) {
-        return Status::ParseError("trailing bytes inside acquire payload");
+// The one op encoder: appends `op u8 | op body` to `out`.
+Status EncodeOp(const OpRef& op, std::string* out) {
+  PutScalar(out, static_cast<uint8_t>(op.kind));
+  switch (op.kind) {
+    case OpKind::kIssue:
+    case OpKind::kAcquire:
+      if (op.license == nullptr) {
+        return Status::InvalidArgument("issue/acquire op needs a license");
       }
-      entry->acquired.emplace(std::move(license));
+      AppendLicenseBinary(*op.license, out);
       return Status::Ok();
-    }
-    case kRevokeTag: {
-      entry->kind = JournalEntryKind::kRevoke;
-      uint32_t index = 0;
-      uint32_t id_len = 0;
-      if (!GetScalar(payload, &pos, &index) ||
-          !GetScalar(payload, &pos, &id_len)) {
-        return Status::ParseError("revoke fields truncated");
+    case OpKind::kRevoke:
+      PutScalar(out, static_cast<uint32_t>(op.revoke_id.size()));
+      out->append(op.revoke_id);
+      return Status::Ok();
+    case OpKind::kExpire:
+      if (op.expire_dim < 0) {
+        return Status::InvalidArgument(
+            "expire dimension must be non-negative");
       }
-      if (index >= static_cast<uint32_t>(kMaxLicensesLarge)) {
-        return Status::ParseError("implausible revoked index");
+      PutScalar(out, static_cast<uint32_t>(op.expire_dim));
+      PutScalar(out, op.expire_cutoff);
+      return Status::Ok();
+  }
+  return Status::InvalidArgument("unknown op kind");
+}
+
+// The one op decoder: reads `op u8 | op body` from `pos` to the end of
+// `payload`.
+Status DecodeOp(std::string_view payload, size_t pos, JournalOp* op) {
+  uint8_t kind = 0;
+  if (!GetScalar(payload, &pos, &kind)) {
+    return Status::ParseError("op fields truncated");
+  }
+  op->kind = static_cast<OpKind>(kind);
+  switch (op->kind) {
+    case OpKind::kIssue:
+    case OpKind::kAcquire: {
+      GEOLIC_ASSIGN_OR_RETURN(op->license, ReadLicenseBinary(payload, &pos));
+      break;
+    }
+    case OpKind::kRevoke: {
+      uint32_t id_len = 0;
+      if (!GetScalar(payload, &pos, &id_len)) {
+        return Status::ParseError("op fields truncated");
       }
       if (id_len > kMaxIdBytes || payload.size() - pos < id_len) {
-        return Status::ParseError("implausible revoked id length");
+        return Status::ParseError("implausible revoke id length");
       }
-      entry->revoked_index = static_cast<int>(index);
-      entry->revoked_id.assign(payload.data() + pos, id_len);
+      op->revoke_id.assign(payload.data() + pos, id_len);
       pos += id_len;
-      if (pos != payload.size()) {
-        return Status::ParseError("trailing bytes inside revoke payload");
-      }
-      return Status::Ok();
+      break;
     }
-    case kExpireTag: {
-      entry->kind = JournalEntryKind::kExpire;
+    case OpKind::kExpire: {
       uint32_t dim = 0;
-      int64_t cutoff = 0;
-      uint32_t removed = 0;
       if (!GetScalar(payload, &pos, &dim) ||
-          !GetScalar(payload, &pos, &cutoff) ||
-          !GetScalar(payload, &pos, &removed)) {
-        return Status::ParseError("expire fields truncated");
+          !GetScalar(payload, &pos, &op->expire_cutoff)) {
+        return Status::ParseError("op fields truncated");
       }
-      if (removed > static_cast<uint32_t>(kMaxLicensesLarge)) {
-        return Status::ParseError("implausible expired index count");
-      }
-      entry->expire_dim = static_cast<int>(dim);
-      entry->expire_cutoff = cutoff;
-      entry->expired_indexes.reserve(removed);
-      int previous = -1;
-      for (uint32_t i = 0; i < removed; ++i) {
-        uint32_t index = 0;
-        if (!GetScalar(payload, &pos, &index)) {
-          return Status::ParseError("expire fields truncated");
-        }
-        if (index >= static_cast<uint32_t>(kMaxLicensesLarge) ||
-            static_cast<int>(index) <= previous) {
-          return Status::ParseError("expired indexes not ascending");
-        }
-        previous = static_cast<int>(index);
-        entry->expired_indexes.push_back(previous);
-      }
-      if (pos != payload.size()) {
-        return Status::ParseError("trailing bytes inside expire payload");
-      }
-      return Status::Ok();
-    }
-    case kTenantTag: {
-      entry->kind = JournalEntryKind::kTenantOp;
-      TenantOpFrame& op = entry->tenant;
-      uint8_t op_byte = 0;
-      if (!GetScalar(payload, &pos, &op.tenant_id) ||
-          !GetScalar(payload, &pos, &op.tenant_seq) ||
-          !GetScalar(payload, &pos, &op_byte)) {
-        return Status::ParseError("tenant op fields truncated");
-      }
-      if (op.tenant_seq == 0) {
-        return Status::ParseError("tenant op sequence 0");
-      }
-      op.op = static_cast<TenantOpKind>(op_byte);
-      switch (op.op) {
-        case TenantOpKind::kIssue:
-        case TenantOpKind::kAcquire: {
-          std::istringstream in{std::string(payload.substr(pos))};
-          GEOLIC_ASSIGN_OR_RETURN(License license, ReadLicenseBinary(&in));
-          if (in.peek() != std::char_traits<char>::eof()) {
-            return Status::ParseError(
-                "trailing bytes inside tenant op payload");
-          }
-          op.license.emplace(std::move(license));
-          return Status::Ok();
-        }
-        case TenantOpKind::kRevoke: {
-          uint32_t id_len = 0;
-          if (!GetScalar(payload, &pos, &id_len)) {
-            return Status::ParseError("tenant op fields truncated");
-          }
-          if (id_len > kMaxIdBytes || payload.size() - pos < id_len) {
-            return Status::ParseError("implausible tenant revoke id length");
-          }
-          op.revoke_id.assign(payload.data() + pos, id_len);
-          pos += id_len;
-          if (pos != payload.size()) {
-            return Status::ParseError(
-                "trailing bytes inside tenant op payload");
-          }
-          return Status::Ok();
-        }
-        case TenantOpKind::kExpire: {
-          uint32_t dim = 0;
-          if (!GetScalar(payload, &pos, &dim) ||
-              !GetScalar(payload, &pos, &op.expire_cutoff)) {
-            return Status::ParseError("tenant op fields truncated");
-          }
-          op.expire_dim = static_cast<int>(dim);
-          if (pos != payload.size()) {
-            return Status::ParseError(
-                "trailing bytes inside tenant op payload");
-          }
-          return Status::Ok();
-        }
-      }
-      return Status::ParseError("unknown tenant op kind");
+      op->expire_dim = static_cast<int>(dim);
+      break;
     }
     default:
-      return Status::ParseError("unknown reconfiguration tag");
+      return Status::ParseError("unknown op kind " + std::to_string(kind));
   }
+  if (pos != payload.size()) {
+    return Status::ParseError("trailing bytes inside op payload");
+  }
+  return Status::Ok();
+}
+
+// Decodes one frame payload — the escape word, the tag, its header and
+// the op — into `entry`.
+Status DecodeJournalPayload(std::string_view payload, JournalEntry* entry) {
+  size_t pos = 0;
+  uint64_t escape = 0;
+  uint32_t tag = 0;
+  if (!GetScalar(payload, &pos, &escape) || escape != 0 ||
+      !GetScalar(payload, &pos, &tag) ||
+      (tag != kServiceTag && tag != kTenantTag)) {
+    // Also every record and reconfiguration frame of the older service
+    // journal: a set word, a wide-set tag 2..16 or a tag 0x80000001..3.
+    return Status::ParseError(
+        "not an op frame (an older service journal's record or "
+        "reconfiguration frame?)");
+  }
+  if (tag == kTenantTag) {
+    entry->kind = JournalEntryKind::kTenantOp;
+    if (!GetScalar(payload, &pos, &entry->tenant_id) ||
+        !GetScalar(payload, &pos, &entry->tenant_seq)) {
+      return Status::ParseError("tenant op fields truncated");
+    }
+    if (entry->tenant_seq == 0) {
+      return Status::ParseError("tenant op sequence 0");
+    }
+  }
+  return DecodeOp(payload, pos, &entry->op);
 }
 
 }  // namespace
@@ -289,96 +244,29 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
   return Create(std::move(file), options);
 }
 
-Status JournalWriter::Append(uint64_t seq, const LogRecord& record) {
-  std::string payload;
-  EncodeLogRecord(record, &payload);
-  return AppendFrame(seq, payload);
+Status JournalWriter::AppendOp(uint64_t seq, const OpRef& op) {
+  std::string frame(kFrameHeaderBytes, '\0');
+  PutScalar(&frame, uint64_t{0});
+  PutScalar(&frame, kServiceTag);
+  GEOLIC_RETURN_IF_ERROR(EncodeOp(op, &frame));
+  return AppendFrame(seq, &frame);
 }
 
-Status JournalWriter::AppendAcquire(uint64_t seq, const License& license) {
-  std::ostringstream body;
-  GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(license, &body));
-  std::string payload;
-  PutScalar(&payload, uint64_t{0});
-  PutScalar(&payload, kAcquireTag);
-  payload.append(body.str());
-  return AppendFrame(seq, payload);
-}
-
-Status JournalWriter::AppendRevoke(uint64_t seq, int index,
-                                   std::string_view license_id) {
-  if (index < 0) {
-    return Status::InvalidArgument("revoked index must be non-negative");
-  }
-  std::string payload;
-  PutScalar(&payload, uint64_t{0});
-  PutScalar(&payload, kRevokeTag);
-  PutScalar(&payload, static_cast<uint32_t>(index));
-  PutScalar(&payload, static_cast<uint32_t>(license_id.size()));
-  payload.append(license_id);
-  return AppendFrame(seq, payload);
-}
-
-Status JournalWriter::AppendExpire(uint64_t seq, int dim, int64_t cutoff,
-                                   const std::vector<int>& removed_indexes) {
-  if (dim < 0) {
-    return Status::InvalidArgument("expire dimension must be non-negative");
-  }
-  std::string payload;
-  PutScalar(&payload, uint64_t{0});
-  PutScalar(&payload, kExpireTag);
-  PutScalar(&payload, static_cast<uint32_t>(dim));
-  PutScalar(&payload, cutoff);
-  PutScalar(&payload, static_cast<uint32_t>(removed_indexes.size()));
-  for (const int index : removed_indexes) {
-    if (index < 0) {
-      return Status::InvalidArgument("expired index must be non-negative");
-    }
-    PutScalar(&payload, static_cast<uint32_t>(index));
-  }
-  return AppendFrame(seq, payload);
-}
-
-Status JournalWriter::AppendTenantOp(uint64_t seq, const TenantOpFrame& op) {
-  if (op.tenant_seq == 0) {
+Status JournalWriter::AppendTenantOp(uint64_t seq, uint64_t tenant_id,
+                                     uint64_t tenant_seq, const OpRef& op) {
+  if (tenant_seq == 0) {
     return Status::InvalidArgument("tenant op sequence numbers start at 1");
   }
-  std::string payload;
-  PutScalar(&payload, uint64_t{0});
-  PutScalar(&payload, kTenantTag);
-  PutScalar(&payload, op.tenant_id);
-  PutScalar(&payload, op.tenant_seq);
-  PutScalar(&payload, static_cast<uint8_t>(op.op));
-  switch (op.op) {
-    case TenantOpKind::kIssue:
-    case TenantOpKind::kAcquire: {
-      if (!op.license.has_value()) {
-        return Status::InvalidArgument("tenant issue/acquire needs a license");
-      }
-      std::ostringstream body;
-      GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(*op.license, &body));
-      payload.append(body.str());
-      break;
-    }
-    case TenantOpKind::kRevoke:
-      PutScalar(&payload, static_cast<uint32_t>(op.revoke_id.size()));
-      payload.append(op.revoke_id);
-      break;
-    case TenantOpKind::kExpire:
-      if (op.expire_dim < 0) {
-        return Status::InvalidArgument(
-            "tenant expire dimension must be non-negative");
-      }
-      PutScalar(&payload, static_cast<uint32_t>(op.expire_dim));
-      PutScalar(&payload, op.expire_cutoff);
-      break;
-    default:
-      return Status::InvalidArgument("unknown tenant op kind");
-  }
-  return AppendFrame(seq, payload);
+  std::string frame(kFrameHeaderBytes, '\0');
+  PutScalar(&frame, uint64_t{0});
+  PutScalar(&frame, kTenantTag);
+  PutScalar(&frame, tenant_id);
+  PutScalar(&frame, tenant_seq);
+  GEOLIC_RETURN_IF_ERROR(EncodeOp(op, &frame));
+  return AppendFrame(seq, &frame);
 }
 
-Status JournalWriter::AppendFrame(uint64_t seq, std::string_view payload) {
+Status JournalWriter::AppendFrame(uint64_t seq, std::string* frame) {
   if (poisoned_) {
     return Status::FailedPrecondition(
         "journal writer poisoned by an earlier I/O error");
@@ -389,15 +277,16 @@ Status JournalWriter::AppendFrame(uint64_t seq, std::string_view payload) {
   if (seq == 0) {
     return Status::InvalidArgument("journal sequence numbers start at 1");
   }
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  PutScalar(&frame, static_cast<uint32_t>(payload.size()));
-  PutScalar(&frame, seq);
-  PutScalar(&frame, synced_seq_);
-  PutScalar(&frame, Crc32c(frame));  // Header CRC over len, seq, witness.
-  PutScalar(&frame, Crc32c(payload));
-  frame.append(payload);
-  const Status appended = file_->Append(frame);
+  const std::string_view payload =
+      std::string_view(*frame).substr(kFrameHeaderBytes);
+  StoreAt(frame, 0, static_cast<uint32_t>(payload.size()));
+  StoreAt(frame, 4, seq);
+  StoreAt(frame, 12, synced_seq_);
+  // Header CRC over len, seq, witness.
+  StoreAt(frame, 20, Crc32c(std::string_view(*frame).substr(
+                         0, kHeaderCrcCovers)));
+  StoreAt(frame, 24, Crc32c(payload));
+  const Status appended = file_->Append(*frame);
   if (!appended.ok()) {
     poisoned_ = true;
     return appended;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,50 +15,42 @@
 
 namespace geolic {
 
-// Crash-safe append-only issuance journal.
+// Crash-safe append-only op journal.
 //
 // The paper's offline aggregate validation assumes the issuance log
 // survives intact between online admission and the periodic audit — a
 // distributor that loses or silently corrupts records can overissue past
 // A[S] undetected. The journal is the write-ahead side of that guarantee:
-// IssuanceService frames every accepted issuance and appends it here
-// before the admission mutates in-memory state or the decision returns.
+// IssuanceService journals every accepted issuance and every applied
+// reconfiguration before its state changes, and the multi-tenant catalog
+// journals every op before it executes.
+//
+// One op vocabulary: issue (the issued license), acquire (the acquired
+// license), revoke (the revoked license's id) and expire (dimension and
+// cutoff). Recovery re-executes the ops, so the live admission and
+// reconfiguration paths are the only code that derives state from them.
 //
 // File layout (little-endian):
 //   magic "GLJRNL2\0" (8 bytes, durable with the first sync), then frames:
 //     payload_len u32 | seq u64 | synced_seq u64 | header_crc u32 (CRC32C
 //     of the 20 preceding bytes) | payload_crc u32 (CRC32C of the payload)
 //     | payload
-//   admission payload: set u64 | count i64 | id_len u32 | id bytes
+//   payload: 0 u64 | tag u32 | header | op u8 | op body, with two headers:
+//     tag 0x80000005 service op: no header (one IssuanceService's journal)
+//     tag 0x80000004 tenant op:  tenant_id u64 | tenant_seq u64 (the
+//                    multi-tenant catalog's journal; tenant_seq is the
+//                    tenant's own contiguous op counter, 1, 2, ...)
+//   op 1 issue / 2 acquire: one license in license_serialization.h binary
+//   form; op 3 revoke: id_len u32 | id bytes; op 4 expire: dim u32 |
+//   cutoff i64.
+// Any other payload fails the read: in particular the record and
+// reconfiguration frames of the older service journal (a leading set
+// word, wide-set tags 2..16, tags 0x80000001..3), which name their byte
+// offset like any malformed frame (docs/FORMATS.md).
 //
 // synced_seq is the witness: the sequence through which the writer had
 // completed a sync when it framed this frame (0 before any). A frame that
 // witnesses seq s proves every frame up to s was acknowledged durable.
-//
-// A leading set word of 0 cannot occur in a real admission (record sets
-// are never empty), so it escapes to a u32 tag. Tags 2..16 are the wide-set
-// word count (v3 multi-word admissions); tags with the high bit set are the
-// catalog-reconfiguration kinds introduced with the live license lifecycle:
-//   0x80000001 acquire: one license in license_serialization.h binary form
-//   0x80000002 revoke:  index u32 | id_len u32 | id bytes (the revoked
-//              license's catalog index and, as a cross-check, its id)
-//   0x80000003 expire:  dim u32 | cutoff i64 | removed_count u32 |
-//              removed indexes u32 ascending (licenses whose `dim` interval
-//              ends below `cutoff`, recomputed and cross-checked on replay)
-//   0x80000004 tenant op (the multi-tenant catalog's v3 frame — many
-//              tenants multiplexed onto one shared writer):
-//              tenant_id u64 | tenant_seq u64 | op u8 | op body —
-//              op 1 issue-intent / 2 acquire: one license in
-//              license_serialization.h binary form; op 3 revoke:
-//              id_len u32 | id bytes; op 4 expire: dim u32 | cutoff i64.
-//              tenant_seq is the tenant's own contiguous op counter
-//              (1, 2, ...): catalog recovery groups frames by tenant_id and
-//              rejects per-tenant gaps or duplicates, so a lost or forged
-//              frame can never silently replay. Tenant frames are intent
-//              records (logged before the op executes); replay re-executes
-//              them deterministically.
-// Reconfig frames share the admission sequence space: replay applies them
-// in order, renumbering every earlier admission record past a removal.
 //
 // Recovery semantics (JournalReader). A strict prefix of the magic, the
 // empty file included, is a journal a crash left before its first sync:
@@ -94,6 +85,46 @@ namespace geolic {
 inline constexpr char kJournalMagic[8] =
     {'G', 'L', 'J', 'R', 'N', 'L', '2', '\0'};
 
+// The journal's op vocabulary.
+enum class OpKind : uint8_t {
+  kIssue = 1,    // TryIssue of the carried license.
+  kAcquire = 2,  // AcquireLicense of the carried license.
+  kRevoke = 3,   // RevokeLicenseById.
+  kExpire = 4,   // ExpireDimensionBelow.
+};
+
+// One op as the writer encodes it, borrowed from the caller: journaling
+// an issue copies no license.
+struct OpRef {
+  static OpRef Issue(const License& issued) {
+    return {OpKind::kIssue, &issued, {}, 0, 0};
+  }
+  static OpRef Acquire(const License& acquired) {
+    return {OpKind::kAcquire, &acquired, {}, 0, 0};
+  }
+  static OpRef Revoke(std::string_view id) {
+    return {OpKind::kRevoke, nullptr, id, 0, 0};
+  }
+  static OpRef Expire(int dim, int64_t cutoff) {
+    return {OpKind::kExpire, nullptr, {}, dim, cutoff};
+  }
+
+  OpKind kind = OpKind::kIssue;
+  const License* license = nullptr;  // kIssue / kAcquire.
+  std::string_view revoke_id;        // kRevoke.
+  int expire_dim = 0;                // kExpire.
+  int64_t expire_cutoff = 0;         // kExpire.
+};
+
+// One op as the reader decodes it.
+struct JournalOp {
+  OpKind kind = OpKind::kIssue;
+  License license;        // kIssue / kAcquire.
+  std::string revoke_id;  // kRevoke.
+  int expire_dim = 0;     // kExpire.
+  int64_t expire_cutoff = 0;  // kExpire.
+};
+
 struct JournalOptions {
   // Sync the underlying file after every `fsync_interval`-th appended
   // frame: 1 = sync every append (maximum durability), k > 1 amortizes one
@@ -103,8 +134,8 @@ struct JournalOptions {
   int fsync_interval = 1;
 };
 
-// Appends framed records through a SyncFile. Not thread-safe — the service
-// serializes appends behind its journal mutex.
+// Appends framed ops through a SyncFile. Not thread-safe — its owner
+// serializes appends behind its own lock.
 class JournalWriter {
  public:
   // Takes ownership of `file` and appends the 8-byte magic without
@@ -117,25 +148,18 @@ class JournalWriter {
   static Result<std::unique_ptr<JournalWriter>> Open(
       const std::string& path, const JournalOptions& options = {});
 
-  // Frames and appends `record` under `seq` — the caller's strictly
-  // increasing sequence counter (the reader rejects gaps, duplicates and
-  // reordering). The frame reaches the file before returning; durability
-  // follows the fsync batching option. After any I/O error the writer is
-  // poisoned and every further append fails.
-  Status Append(uint64_t seq, const LogRecord& record);
+  // Frames and appends `op` under `seq` with the service header — `seq`
+  // is the caller's strictly increasing sequence counter (the reader
+  // rejects gaps, duplicates and reordering). The frame reaches the file
+  // before returning; durability follows the fsync batching option. After
+  // any I/O error the writer is poisoned and every further append fails.
+  Status AppendOp(uint64_t seq, const OpRef& op);
 
-  // Catalog-reconfiguration frames (see the format comment above). They
-  // share the admission sequence space and the same durability rules.
-  Status AppendAcquire(uint64_t seq, const License& license);
-  Status AppendRevoke(uint64_t seq, int index, std::string_view license_id);
-  Status AppendExpire(uint64_t seq, int dim, int64_t cutoff,
-                      const std::vector<int>& removed_indexes);
-
-  // Tenant-tagged catalog frame (see the format comment above): one
-  // multi-tenant op, multiplexed onto this writer by the catalog layer.
-  // `seq` is this writer's frame sequence; `op.tenant_seq` is the tenant's
-  // own contiguous counter.
-  Status AppendTenantOp(uint64_t seq, const struct TenantOpFrame& op);
+  // The same op under the tenant header: one multi-tenant catalog op,
+  // multiplexed onto this writer. `tenant_seq` is the tenant's own
+  // contiguous counter (from 1).
+  Status AppendTenantOp(uint64_t seq, uint64_t tenant_id, uint64_t tenant_seq,
+                        const OpRef& op);
 
   // Forces every appended frame to stable storage.
   Status Sync();
@@ -174,8 +198,9 @@ class JournalWriter {
   JournalWriter(std::unique_ptr<SyncFile> file, const JournalOptions& options)
       : file_(std::move(file)), options_(options) {}
 
-  // Frames `payload` under `seq`: CRC header, append, batched fsync.
-  Status AppendFrame(uint64_t seq, std::string_view payload);
+  // Fills in the header of `frame` (28 bytes of room, then the payload)
+  // for `seq`, appends it and runs the batched fsync.
+  Status AppendFrame(uint64_t seq, std::string* frame);
 
   std::unique_ptr<SyncFile> file_;
   JournalOptions options_;
@@ -188,45 +213,19 @@ class JournalWriter {
   bool closed_ = false;
 };
 
-// One replayed frame.
+// Which header a replayed frame carried.
 enum class JournalEntryKind : uint8_t {
-  kAdmission = 0,
-  kAcquire,
-  kRevoke,
-  kExpire,
+  kServiceOp,
   kTenantOp,
 };
 
-// The op inside a tenant-tagged frame.
-enum class TenantOpKind : uint8_t {
-  kIssue = 1,    // Issue intent: re-run TryIssue with the carried license.
-  kAcquire = 2,  // AcquireLicense with the carried license.
-  kRevoke = 3,   // RevokeLicenseById.
-  kExpire = 4,   // ExpireDimensionBelow.
-};
-
-// One multi-tenant catalog op, as framed onto the catalog journal.
-struct TenantOpFrame {
-  uint64_t tenant_id = 0;
-  uint64_t tenant_seq = 0;  // Per-tenant contiguous counter, starts at 1.
-  TenantOpKind op = TenantOpKind::kIssue;
-  std::optional<License> license;  // kIssue / kAcquire.
-  std::string revoke_id;           // kRevoke.
-  int expire_dim = 0;              // kExpire.
-  int64_t expire_cutoff = 0;       // kExpire.
-};
-
+// One replayed frame.
 struct JournalEntry {
   uint64_t seq = 0;
-  JournalEntryKind kind = JournalEntryKind::kAdmission;
-  LogRecord record;                   // kAdmission
-  std::optional<License> acquired;    // kAcquire
-  int revoked_index = 0;              // kRevoke
-  std::string revoked_id;             // kRevoke
-  int expire_dim = 0;                 // kExpire
-  int64_t expire_cutoff = 0;          // kExpire
-  std::vector<int> expired_indexes;   // kExpire, ascending
-  TenantOpFrame tenant;               // kTenantOp
+  JournalEntryKind kind = JournalEntryKind::kServiceOp;
+  uint64_t tenant_id = 0;   // kTenantOp.
+  uint64_t tenant_seq = 0;  // kTenantOp.
+  JournalOp op;
 };
 
 // Result of scanning a journal.
@@ -250,8 +249,9 @@ class JournalReader {
   static Result<JournalReplay> ReadFile(const std::string& path);
 };
 
-// Frame encoding shared with the service checkpoint payload: appends
-// set/count/id to `out`, and the matching decoder advancing `*pos`.
+// The record encoding of the service state payload's record table and the
+// log store: appends set/count/id to `out`, and the matching decoder
+// advancing `*pos`.
 void EncodeLogRecord(const LogRecord& record, std::string* out);
 Status DecodeLogRecord(std::string_view bytes, size_t* pos,
                        LogRecord* record);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <sstream>
-#include <streambuf>
 #include <string>
 #include <utility>
 
@@ -43,17 +41,6 @@ void AddToSupersets(int64_t* table, uint32_t local, uint32_t full,
 
 constexpr uint32_t kServiceStateVersion = 1;
 
-// Read-only stream over a byte span, so ReadLicenseBinary decodes a
-// payload's licenses in place.
-class SpanBuf : public std::streambuf {
- public:
-  explicit SpanBuf(std::string_view bytes) {
-    char* begin = const_cast<char*>(bytes.data());
-    setg(begin, begin, begin + bytes.size());
-  }
-  size_t consumed() const { return static_cast<size_t>(gptr() - eback()); }
-};
-
 // Compacted records of `sets` (one per distinct set, ids empty), in
 // ascending set order: CollectLog's and the checkpoint's record table.
 LogStore SortedLog(std::vector<std::pair<LicenseSet, int64_t>> sets) {
@@ -89,8 +76,7 @@ Result<int64_t> OrderedHi(const ConstraintRange& range) {
 }
 
 // Ascending indexes of the licenses whose `dim` range ends strictly below
-// `cutoff` — the expiry rule, shared between the live path and journal
-// replay so the two can never disagree.
+// `cutoff` — the expiry rule.
 Result<std::vector<int>> ComputeExpired(const std::vector<License>& active,
                                         int dim, int64_t cutoff) {
   std::vector<int> expired;
@@ -118,8 +104,6 @@ struct IndexRemap {
   // Carries `set` into the next epoch's index space: false (drop it) when
   // it touches a removed license — usage granted under a revoked right is
   // revoked with it — otherwise renumbered densely (paper Algorithm 5).
-  // The one remap the live carry-over (distinct sets) and recovery's
-  // journal replay (records) both go through.
   bool Apply(LicenseSet* set) const {
     if (set->Intersects(removed)) {
       return false;
@@ -138,83 +122,6 @@ struct IndexRemap {
     return true;
   }
 };
-
-// Applies one reconfiguration frame to the evolving catalog `active`,
-// cross-checking the frame against what the live service would have done.
-// Admission frames are not accepted here.
-Status EvolveCatalog(const JournalEntry& entry, std::vector<License>* active,
-                     IndexRemap* evolution) {
-  evolution->removed = LicenseSet();
-  evolution->old_to_new.clear();
-  const int old_size = static_cast<int>(active->size());
-  switch (entry.kind) {
-    case JournalEntryKind::kAdmission:
-      return Status::Internal("admission frame is not a reconfiguration");
-    case JournalEntryKind::kTenantOp:
-      // Tenant-tagged frames belong to the multi-tenant catalog's shared
-      // journals (catalog/catalog_service.h), never to a single service's
-      // own WAL.
-      return Status::ParseError(
-          "tenant-tagged frame in a single-service journal");
-    case JournalEntryKind::kAcquire:
-      evolution->old_to_new.reserve(static_cast<size_t>(old_size));
-      for (int i = 0; i < old_size; ++i) {
-        evolution->old_to_new.push_back(i);
-      }
-      active->push_back(*entry.acquired);
-      return Status::Ok();
-    case JournalEntryKind::kRevoke: {
-      if (entry.revoked_index < 0 || entry.revoked_index >= old_size) {
-        return Status::ParseError("revoke frame index out of range");
-      }
-      const License& victim =
-          (*active)[static_cast<size_t>(entry.revoked_index)];
-      if (victim.id() != entry.revoked_id) {
-        return Status::ParseError(
-            "revoke frame id disagrees with the catalog evolution");
-      }
-      evolution->removed.Add(entry.revoked_index);
-      break;
-    }
-    case JournalEntryKind::kExpire: {
-      GEOLIC_ASSIGN_OR_RETURN(
-          const std::vector<int> expired,
-          ComputeExpired(*active, entry.expire_dim, entry.expire_cutoff));
-      if (expired.empty()) {
-        // The live service never journals a no-op expiry.
-        return Status::ParseError("expire frame removed no licenses");
-      }
-      if (expired != entry.expired_indexes) {
-        return Status::ParseError(
-            "expire frame's removed set disagrees with the catalog evolution");
-      }
-      for (int i : expired) {
-        evolution->removed.Add(i);
-      }
-      break;
-    }
-  }
-  if (evolution->removed.Size() >= old_size) {
-    return Status::ParseError(
-        "reconfiguration frame would empty the catalog");
-  }
-  evolution->old_to_new.reserve(static_cast<size_t>(old_size));
-  int next = 0;
-  for (int i = 0; i < old_size; ++i) {
-    evolution->old_to_new.push_back(
-        evolution->removed.Contains(i) ? -1 : next++);
-  }
-  std::vector<License> survivors;
-  survivors.reserve(static_cast<size_t>(old_size) -
-                    static_cast<size_t>(evolution->removed.Size()));
-  for (int i = 0; i < old_size; ++i) {
-    if (!evolution->removed.Contains(i)) {
-      survivors.push_back(std::move((*active)[static_cast<size_t>(i)]));
-    }
-  }
-  *active = std::move(survivors);
-  return Status::Ok();
-}
 
 }  // namespace
 
@@ -263,11 +170,9 @@ Status EncodeServiceState(const ServiceState& state, std::string* out) {
   framing::PutScalar(out, state.covered_seq);
   const std::vector<License>& licenses = state.licenses->licenses();
   framing::PutScalar(out, static_cast<uint32_t>(licenses.size()));
-  std::ostringstream blob;
   for (const License& license : licenses) {
-    GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(license, &blob));
+    AppendLicenseBinary(license, out);
   }
-  out->append(blob.str());
   framing::PutScalar(out, static_cast<uint64_t>(state.records.size()));
   for (const LogRecord& record : state.records.records()) {
     EncodeLogRecord(record, out);
@@ -293,32 +198,28 @@ Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
   if (license_count == 0) {
     return Status::ParseError("service state carries no licenses");
   }
-  SpanBuf span(bytes.substr(*pos));
-  std::istream in(&span);
   std::vector<License> licenses;
   // The count is untrusted; a damaged one fails at the first missing
   // license rather than reserving for it.
   licenses.reserve(std::min<size_t>(license_count, kMaxLicensesLarge));
-  std::ostringstream again;
+  std::string again;
   for (uint32_t i = 0; i < license_count; ++i) {
-    const size_t start = span.consumed();
-    Result<License> license = ReadLicenseBinary(&in);
+    const size_t start = *pos;
+    Result<License> license = ReadLicenseBinary(bytes, pos);
     if (!license.ok()) {
       return Status::ParseError("license " + std::to_string(i) + ": " +
                                 license.status().message());
     }
     // A license that decodes to something else (an empty interval, merged
     // pieces) is damage, not a state this encoder wrote.
-    again.str(std::string());
-    GEOLIC_RETURN_IF_ERROR(WriteLicenseBinary(*license, &again));
-    if (again.view() !=
-        bytes.substr(*pos + start, span.consumed() - start)) {
+    again.clear();
+    AppendLicenseBinary(*license, &again);
+    if (again != bytes.substr(start, *pos - start)) {
       return Status::ParseError("license " + std::to_string(i) +
                                 " is not in canonical form");
     }
     licenses.push_back(std::move(license).value());
   }
-  *pos += span.consumed();
   Result<LicenseCatalog> catalog =
       LicenseCatalog::FromLicenses(schema, std::move(licenses));
   if (!catalog.ok()) {
@@ -511,7 +412,6 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::CreateOwned(
   // Not make_unique: the constructor is private.
   std::unique_ptr<IssuanceService> service(
       new IssuanceService(options, std::move(grouping), std::move(first)));
-  service->issue_sequence_ = static_cast<int64_t>(history.size());
   return service;
 }
 
@@ -665,20 +565,15 @@ Status IssuanceService::AdmitLocked(const License& issued,
     }
   }
 
-  // Accepted. Write-ahead order: the framed record reaches the journal
-  // before any in-memory state changes, so a crash can never leave the
-  // equation state knowing an issuance the journal does not. A journal
-  // failure rejects the admission with all state unchanged. The journal
-  // is the only per-record history: without one, no record is built.
+  // Accepted. Write-ahead order: the issue op reaches the journal before
+  // any in-memory state changes, so a crash can never leave the equation
+  // state knowing an issuance the journal does not. A journal failure
+  // rejects the admission with all state unchanged. The journal is the
+  // only per-request history.
   if (journal_ != nullptr) {
     ScopedStageTimer stage(trace, TraceStage::kJournalAppend);
-    LogRecord record;
-    record.issued_license_id = issued.id().empty()
-                                   ? "LU" + std::to_string(++issue_sequence_)
-                                   : issued.id();
-    record.set = s;
-    record.count = count;
-    GEOLIC_RETURN_IF_ERROR(journal_->Append(journal_seq_ + 1, record));
+    GEOLIC_RETURN_IF_ERROR(
+        journal_->AppendOp(journal_seq_ + 1, OpRef::Issue(issued)));
     ++journal_seq_;
   }
   if (scope.dense()) {
@@ -765,28 +660,29 @@ Status IssuanceService::TryIssueBatch(std::span<const License* const> batch,
 
 // --- Live license lifecycle ---
 
-Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
+Result<int> IssuanceService::ReconfigureLocked(const OpRef& op,
+                                               const LicenseSet& removed) {
   ScopedTracerSpan span(options_.tracer, TraceStage::kShardSwap);
   const CatalogEpoch& cur = *epoch_;
 
   // The next catalog and incremental grouping.
   const int old_size = cur.catalog->size();
-  auto next_catalog = std::make_unique<LicenseCatalog>(
-      cur.catalog->Without(plan.removed));
+  auto next_catalog =
+      std::make_unique<LicenseCatalog>(cur.catalog->Without(removed));
   IndexRemap remap;
-  remap.removed = plan.removed;
+  remap.removed = removed;
   remap.skip_renumbering = options_.sim_skip_renumbering;
   remap.old_to_new.reserve(static_cast<size_t>(old_size));
   int next_index = 0;
   for (int i = 0; i < old_size; ++i) {
-    remap.old_to_new.push_back(plan.removed.Contains(i) ? -1 : next_index++);
+    remap.old_to_new.push_back(removed.Contains(i) ? -1 : next_index++);
   }
   // The grouping updates on a scratch copy, committed only on success —
   // a failed reconfiguration leaves no trace.
   DynamicGrouping next_grouping = dyn_grouping_;
   int result = 0;
-  if (plan.acquire != nullptr) {
-    GEOLIC_ASSIGN_OR_RETURN(result, next_catalog->Add(*plan.acquire));
+  if (op.kind == OpKind::kAcquire) {
+    GEOLIC_ASSIGN_OR_RETURN(result, next_catalog->Add(*op.license));
     GEOLIC_ASSIGN_OR_RETURN(const int grouped,
                             next_grouping.AddLicense(next_catalog->Rects()));
     if (grouped != result) {
@@ -794,7 +690,7 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
           "grouping and catalog disagree on the acquired index");
     }
   } else {
-    const std::vector<int> removing = plan.removed.ToIndexes();
+    const std::vector<int> removing = removed.ToIndexes();
     result = static_cast<int>(removing.size());
     // Descending, so earlier removals don't shift the later indexes.
     for (auto it = removing.rbegin(); it != removing.rend(); ++it) {
@@ -856,20 +752,10 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
   FinishEpochTables(*next, copied);
 
   if (journal_ != nullptr) {
-    // Write-ahead: the reconfiguration frame reaches the journal before
-    // the new epoch replaces the old; a journal failure aborts the whole
-    // reconfiguration with the old epoch untouched.
-    if (plan.acquire != nullptr) {
-      GEOLIC_RETURN_IF_ERROR(
-          journal_->AppendAcquire(journal_seq_ + 1, *plan.acquire));
-    } else if (plan.expire_dim >= 0) {
-      GEOLIC_RETURN_IF_ERROR(
-          journal_->AppendExpire(journal_seq_ + 1, plan.expire_dim,
-                                 plan.expire_cutoff, plan.removed.ToIndexes()));
-    } else {
-      GEOLIC_RETURN_IF_ERROR(journal_->AppendRevoke(
-          journal_seq_ + 1, plan.revoke_index, plan.revoke_id));
-    }
+    // Write-ahead: the op reaches the journal before the new epoch
+    // replaces the old; a journal failure aborts the whole reconfiguration
+    // with the old epoch untouched.
+    GEOLIC_RETURN_IF_ERROR(journal_->AppendOp(journal_seq_ + 1, op));
     ++journal_seq_;
   }
   epoch_ = std::move(next);
@@ -879,9 +765,7 @@ Result<int> IssuanceService::ReconfigureLocked(const ReconfigPlan& plan) {
 
 Result<int> IssuanceService::AcquireLicense(const License& license) {
   const std::unique_lock<std::mutex> lock = Lock("pre_reconfig");
-  ReconfigPlan plan;
-  plan.acquire = &license;
-  return ReconfigureLocked(plan);
+  return ReconfigureLocked(OpRef::Acquire(license), LicenseSet());
 }
 
 Status IssuanceService::RevokeLicense(int index) {
@@ -907,11 +791,11 @@ Status IssuanceService::RevokeIndexLocked(int index) {
     // An empty catalog has nothing to route or validate against.
     return Status::FailedPrecondition("cannot revoke the last license");
   }
-  ReconfigPlan plan;
-  plan.removed.Add(index);
-  plan.revoke_index = index;
-  plan.revoke_id = catalog.at(index).id();
-  return ReconfigureLocked(plan).status();
+  // Journaled by id, which the catalog keeps unique.
+  LicenseSet removed;
+  removed.Add(index);
+  return ReconfigureLocked(OpRef::Revoke(catalog.at(index).id()), removed)
+      .status();
 }
 
 Result<int> IssuanceService::ExpireDimensionBelow(int dim, int64_t cutoff) {
@@ -944,13 +828,11 @@ Result<int> IssuanceService::ExpireDimensionBelowLocked(int dim,
   if (static_cast<int>(expired.size()) == catalog.size()) {
     return Status::FailedPrecondition("expiry would remove every license");
   }
-  ReconfigPlan plan;
+  LicenseSet removed;
   for (int i : expired) {
-    plan.removed.Add(i);
+    removed.Add(i);
   }
-  plan.expire_dim = dim;
-  plan.expire_cutoff = cutoff;
-  return ReconfigureLocked(plan);
+  return ReconfigureLocked(OpRef::Expire(dim, cutoff), removed);
 }
 
 uint64_t IssuanceService::catalog_epoch() const {
@@ -1136,6 +1018,38 @@ Status IssuanceService::CheckAgainstReplay(
   return Status::Ok();
 }
 
+Status ReplayOp(IssuanceService* service, const JournalOp& op) {
+  switch (op.kind) {
+    case OpKind::kIssue: {
+      GEOLIC_ASSIGN_OR_RETURN(const OnlineDecision decision,
+                              service->TryIssue(op.license));
+      if (!decision.instance_valid) {
+        return Status::FailedPrecondition(
+            "issue lies in no redistribution license");
+      }
+      if (!decision.aggregate_valid) {
+        return Status::FailedPrecondition(
+            "issue rejected by an aggregate equation");
+      }
+      return Status::Ok();
+    }
+    case OpKind::kAcquire:
+      return service->AcquireLicense(op.license).status();
+    case OpKind::kRevoke:
+      return service->RevokeLicenseById(op.revoke_id);
+    case OpKind::kExpire: {
+      GEOLIC_ASSIGN_OR_RETURN(
+          const int removed,
+          service->ExpireDimensionBelow(op.expire_dim, op.expire_cutoff));
+      if (removed == 0) {
+        return Status::FailedPrecondition("expire removed no licenses");
+      }
+      return Status::Ok();
+    }
+  }
+  return Status::Internal("unknown op kind in replay");
+}
+
 Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
     const LicenseCatalog* licenses, const OnlineValidatorOptions& options,
     const std::string& checkpoint_path, const std::string& journal_path,
@@ -1176,102 +1090,91 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
     GEOLIC_ASSIGN_OR_RETURN(replay, JournalReader::ReadFile(journal_path));
     local.journal_torn_tail = replay.torn_tail;
   }
+  for (const JournalEntry& entry : replay.entries) {
+    if (entry.kind == JournalEntryKind::kTenantOp) {
+      // Tenant-tagged frames belong to the multi-tenant catalog's journal
+      // (catalog/catalog_service.h), never to a single service's own.
+      return Status::ParseError(
+          "tenant-tagged frame in a single-service journal (seq " +
+          std::to_string(entry.seq) + ")");
+    }
+  }
 
-  // Frames the checkpoint covers: its records hold their admissions and
-  // its catalog their reconfigurations — as many as its epoch says. The
+  // Frames the checkpoint covers: its records hold their issues and its
+  // catalog their reconfigurations — as many as its epoch says. The
   // reader guarantees seqs are contiguous from 1, so the frames past the
   // covered seq are exactly the uncovered tail.
   size_t at = 0;
-  uint64_t covered_reconfigs = 0;
   for (; at < replay.entries.size() &&
          replay.entries[at].seq <= checkpoint.covered_seq;
        ++at) {
-    switch (replay.entries[at].kind) {
-      case JournalEntryKind::kAdmission:
-        ++local.journal_records_skipped;
-        break;
-      case JournalEntryKind::kTenantOp:
-        return Status::ParseError(
-            "tenant-tagged frame in a single-service journal");
-      case JournalEntryKind::kAcquire:
-      case JournalEntryKind::kRevoke:
-      case JournalEntryKind::kExpire:
-        ++covered_reconfigs;
-        break;
+    if (replay.entries[at].op.kind == OpKind::kIssue) {
+      ++local.journal_records_skipped;
+    } else {
+      ++local.reconfig_records_replayed;
     }
   }
-  if (covered_reconfigs != checkpoint.catalog_epoch) {
+  if (local.reconfig_records_replayed != checkpoint.catalog_epoch) {
     return Status::ParseError(
         "checkpoint catalog epoch disagrees with the journal's "
         "reconfiguration history");
   }
-  local.reconfig_records_replayed = covered_reconfigs;
-  uint64_t epoch = checkpoint.catalog_epoch;
-  std::vector<License> active = have_checkpoint
-                                    ? checkpoint.licenses->licenses()
-                                    : licenses->licenses();
-  std::vector<LogRecord> combined = checkpoint.records.records();
-  const auto in_range = [](const LicenseSet& set, size_t catalog_size) {
-    return set.IsSubsetOf(LicenseSet::Full(static_cast<int>(catalog_size)));
-  };
-  IndexRemap evolution;
 
-  // The uncovered tail: admissions append; reconfigurations
-  // evolve the catalog and remap everything accumulated so far, exactly
-  // as the live service did.
+  // The uncovered tail re-executes on a service of its own, built without
+  // the caller's metrics, tracer and simulation hooks: recovery counts no
+  // decisions and takes no simulation steps. Every op in a service
+  // journal succeeded live (the service journals an issue once accepted
+  // and a reconfiguration once built), so one that does not succeed again
+  // is a journal that does not belong to this catalog or checkpoint.
+  OnlineValidatorOptions replay_options = options;
+  replay_options.metrics = nullptr;
+  replay_options.tracer = nullptr;
+  replay_options.sim_hooks = nullptr;
+  std::unique_ptr<IssuanceService> replayed;
+  if (have_checkpoint) {
+    GEOLIC_ASSIGN_OR_RETURN(replayed,
+                            Restore(std::move(checkpoint), replay_options));
+  } else {
+    GEOLIC_ASSIGN_OR_RETURN(replayed, Create(licenses, replay_options));
+  }
   for (; at < replay.entries.size(); ++at) {
     const JournalEntry& entry = replay.entries[at];
+    const Status replayed_op = ReplayOp(replayed.get(), entry.op);
+    if (!replayed_op.ok()) {
+      return Status::ParseError("journal frame seq " +
+                                std::to_string(entry.seq) +
+                                " does not replay as it ran live: " +
+                                replayed_op.message());
+    }
     ++local.journal_records_replayed;
-    if (entry.kind == JournalEntryKind::kAdmission) {
-      if (!in_range(entry.record.set, active.size())) {
-        return Status::ParseError(
-            "journal record references unknown license indexes");
-      }
-      combined.push_back(entry.record);
-      continue;
+    if (entry.op.kind != OpKind::kIssue) {
+      ++local.reconfig_records_replayed;
     }
-    GEOLIC_RETURN_IF_ERROR(EvolveCatalog(entry, &active, &evolution));
-    ++epoch;
-    ++local.reconfig_records_replayed;
-    std::vector<LogRecord> remapped;
-    remapped.reserve(combined.size());
-    for (LogRecord& record : combined) {
-      if (evolution.Apply(&record.set)) {
-        remapped.push_back(std::move(record));
-      }
-    }
-    combined = std::move(remapped);
   }
-  local.recovered_catalog_epoch = epoch;
 
-  // Final catalog: journal-only recovery without reconfigurations borrows
-  // the caller's; any other is rebuilt and owned by the recovered service
-  // (which restarts at epoch 0 — the recovered catalog is the new
-  // baseline).
+  // The returned service is built afresh from the replay's state with the
+  // caller's options. Journal-only recovery without reconfigurations
+  // borrows the caller's catalog; any other owns the replay's (and
+  // restarts at epoch 0 — the recovered catalog is the new baseline).
+  ServiceState state = replayed->Snapshot();
+  replayed.reset();
+  local.recovered_catalog_epoch = state.catalog_epoch;
   std::unique_ptr<LicenseCatalog> owned;
   const LicenseCatalog* final_catalog = licenses;
-  if (have_checkpoint || epoch != 0) {
-    GEOLIC_ASSIGN_OR_RETURN(
-        LicenseCatalog catalog,
-        LicenseCatalog::FromLicenses(&licenses->schema(), std::move(active)));
-    owned = std::make_unique<LicenseCatalog>(std::move(catalog));
+  if (have_checkpoint || state.catalog_epoch != 0) {
+    owned = std::move(state.licenses);
     final_catalog = owned.get();
-  }
-  LogStore combined_store;
-  combined_store.Reserve(combined.size());
-  for (LogRecord& record : combined) {
-    GEOLIC_RETURN_IF_ERROR(combined_store.Append(std::move(record)));
   }
   GEOLIC_ASSIGN_OR_RETURN(
       std::unique_ptr<IssuanceService> service,
-      CreateOwned(final_catalog, std::move(owned), options, combined_store));
+      CreateOwned(final_catalog, std::move(owned), options, state.records));
   // Cross-check the rebuild against a serial replay of the same
   // records: recovery must reproduce the exact pre-crash accepted set or
   // fail — never return silently wrong state.
   GEOLIC_ASSIGN_OR_RETURN(const ValidationTree recovered,
                           service->CollectTree());
   GEOLIC_ASSIGN_OR_RETURN(const ValidationTree serial,
-                          ValidationTree::BuildFromLog(combined_store));
+                          ValidationTree::BuildFromLog(state.records));
   if (recovered.ToString() != serial.ToString() ||
       recovered.TotalCount() != serial.TotalCount()) {
     return Status::Internal(

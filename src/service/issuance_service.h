@@ -143,11 +143,11 @@ struct OnlineValidatorOptions {
 struct RecoveryStats {
   size_t checkpoint_records = 0;         // Records loaded from the checkpoint.
   size_t journal_records_replayed = 0;   // Journal frames past the checkpoint.
-  size_t journal_records_skipped = 0;    // Frames the checkpoint already covers.
+  size_t journal_records_skipped = 0;    // Issue frames the checkpoint covers.
   size_t reconfig_records_replayed = 0;  // Acquire/revoke/expire frames: the
                                          // covered ones counted against the
                                          // checkpoint's epoch, the rest
-                                         // applied to its catalog.
+                                         // re-executed on its catalog.
   uint64_t recovered_catalog_epoch = 0;  // Final epoch in the journal's
                                          // numbering (the recovered service
                                          // itself restarts at epoch 0).
@@ -165,7 +165,7 @@ struct ServiceState {
 };
 
 // Appends `state`: version u32 | catalog_epoch u64 | covered_seq u64 |
-// license count u32 | licenses (WriteLicenseBinary) | record count u64 |
+// license count u32 | licenses (AppendLicenseBinary) | record count u64 |
 // records (EncodeLogRecord).
 Status EncodeServiceState(const ServiceState& state, std::string* out);
 
@@ -206,11 +206,11 @@ Result<ServiceState> DecodeServiceState(std::string_view bytes, size_t* pos,
 // unchanged, its C[S] and C⟨T⟩ tables are copied verbatim), the tree read
 // set by set, and every surviving set renumbered densely past a removal,
 // re-divided into the new overlap groups and rebuilt into the new groups'
-// tables (one zeta transform each) or the tree. The reconfiguration frame
-// is journaled, and the new epoch replaces the old one.
+// tables (one zeta transform each) or the tree. The reconfiguration's op is
+// journaled, and the new epoch replaces the old one.
 //
-// Concurrency contract: one mutex guards the epoch, the journal and the
-// issue sequence, and every public call that reads or writes them holds it
+// Concurrency contract: one mutex guards the epoch and the journal, and
+// every public call that reads or writes them holds it
 // throughout. So every call is one atomic step — TryIssue, a whole
 // TryIssueBatch, a reconfiguration, a CollectLog or a Snapshot — and any
 // interleaving of calls from any number of threads ends in the state (and
@@ -246,24 +246,28 @@ class IssuanceService {
   // dropped; any other journal or checkpoint corruption fails loudly with
   // the bad frame's byte offset.
   //
-  // Reconfiguration frames replay in sequence with admissions: each
-  // acquire/revoke/expire frame of the tail evolves the catalog —
-  // renumbering and cascade-dropping the accumulated records exactly as
-  // the live service did — so recovery lands on the post-reconfiguration
-  // catalog. The tail starts from the checkpoint's catalog, or without a
-  // checkpoint from `licenses`, which must then be the catalog the journal
-  // started from (epoch 0); the checkpoint's schema is always `licenses`'.
-  // A checkpoint carries the epoch of its catalog, which must equal the
-  // number of reconfiguration frames up to the covered sequence. The
-  // recovered service owns its evolved catalog and restarts at epoch 0
-  // (its catalog is the new baseline; RecoveryStats reports the
-  // journal-space epoch).
+  // Replay is re-execution: every op of the tail runs again, in journal
+  // order, through ReplayOp — TryIssue, AcquireLicense, RevokeLicenseById
+  // or ExpireDimensionBelow, the live paths themselves — on a service
+  // built without `options`' metrics, tracer and simulation hooks, which
+  // recovery leaves untouched. The tail starts from the checkpoint's
+  // state, or without a checkpoint from `licenses`, which must then be the
+  // catalog the journal started from (epoch 0); the checkpoint's schema is
+  // always `licenses`'. A checkpoint carries the epoch of its catalog,
+  // which must equal the number of reconfiguration frames up to the
+  // covered sequence. Replay is strict: the service journals only ops that
+  // succeeded, so every op of the tail must succeed again (an issue
+  // accepted, a reconfiguration applied, an expire removing at least one
+  // license), or recovery fails with ParseError naming the frame's
+  // sequence number.
   //
-  // The rebuilt state is verified against a serial replay of the combined
-  // record sequence before returning — the result is the exact pre-crash
-  // accepted set or an error, never silently wrong. The recovered service
-  // has no journal attached; call AttachJournal with a fresh journal file
-  // to resume durable admission.
+  // The returned service is built from the replayed state's records with
+  // `options` and verified against a serial replay of those records — the
+  // result is the exact pre-crash accepted set or an error, never silently
+  // wrong. It owns the evolved catalog and restarts at epoch 0 (its
+  // catalog is the new baseline; RecoveryStats reports the journal-space
+  // epoch). It has no journal attached; call AttachJournal with a fresh
+  // journal file to resume durable admission.
   static Result<std::unique_ptr<IssuanceService>> Recover(
       const LicenseCatalog* licenses, const OnlineValidatorOptions& options,
       const std::string& checkpoint_path, const std::string& journal_path,
@@ -272,9 +276,8 @@ class IssuanceService {
   IssuanceService(const IssuanceService&) = delete;
   IssuanceService& operator=(const IssuanceService&) = delete;
 
-  // Validates one issuance and records it when accepted; an accepted
-  // license with an empty id is journaled as "LU<n>". An invalid license is a
-  // decision, not an error; a non-positive count is InvalidArgument. The
+  // Validates one issuance and records it when accepted (journaling the
+  // issued license first). An invalid license is a decision, not an error; a non-positive count is InvalidArgument. The
   // decision carries the catalog epoch it was made against.
   Result<OnlineDecision> TryIssue(const License& issued);
 
@@ -348,10 +351,10 @@ class IssuanceService {
   Result<FlatValidationTree> CollectFlatTree() const;
 
   // Turns on write-ahead journaling: every subsequently accepted issuance
-  // is framed and appended to `journal` before the in-memory state changes
-  // or the decision returns, so a crash can never have accepted an
-  // issuance the journal does not know. Reconfigurations journal the same
-  // way (frame first, swap second). A journal append failure rejects the
+  // is appended to `journal` as an issue op before the in-memory state
+  // changes or the decision returns, so a crash can never have accepted an
+  // issuance the journal does not know. Reconfigurations journal their op
+  // the same way (op first, swap second). A journal append failure rejects the
   // admission or reconfiguration with all state unchanged.
   // Must be called before issuance traffic starts (admissions before it
   // are in no journal) and before any reconfiguration (the journal must
@@ -479,17 +482,6 @@ class IssuanceService {
         const std::function<void(const LicenseSet&, int64_t)>& read) const;
   };
 
-  // What one reconfiguration does, in current-epoch index space.
-  struct ReconfigPlan {
-    const License* acquire = nullptr;  // Non-null: acquisition.
-    LicenseSet removed;                // Revoke/expire: indexes to drop.
-    // Journal frame fields.
-    int revoke_index = -1;
-    std::string revoke_id;
-    int expire_dim = -1;
-    int64_t expire_cutoff = 0;
-  };
-
   // The preload oracle: the per-record path and the epoch's tables.
   friend class IssuanceServiceTestPeer;
 
@@ -543,10 +535,11 @@ class IssuanceService {
   std::unique_lock<std::mutex> Lock(const char* point) const;
 
   // The shared reconfiguration path (caller holds mutex_): builds the next
-  // epoch from `plan`, carries every distinct accepted set into it,
-  // journals the frame and swaps the epoch in. Returns the acquired index
+  // epoch — `op`'s license acquired (kAcquire), or the current-epoch
+  // indexes `removed` dropped — carries every distinct accepted set into
+  // it, journals `op` and swaps the epoch in. Returns the acquired index
   // or the removed count.
-  Result<int> ReconfigureLocked(const ReconfigPlan& plan);
+  Result<int> ReconfigureLocked(const OpRef& op, const LicenseSet& removed);
 
   // Validates and executes a single-index revocation. Caller holds mutex_.
   Status RevokeIndexLocked(int index);
@@ -582,11 +575,17 @@ class IssuanceService {
   std::unique_ptr<CatalogEpoch> epoch_;  // The current epoch; never null.
   // Incremental overlap components, mirrored into each epoch's grouping.
   DynamicGrouping dyn_grouping_;
-  int64_t issue_sequence_ = 0;  // Admissions numbered for "LU<n>" ids.
   // Write-ahead journal; null until AttachJournal.
   std::unique_ptr<JournalWriter> journal_;
   uint64_t journal_seq_ = 0;
 };
+
+// Re-executes one journaled op on `service`: the one replay both
+// IssuanceService::Recover and CatalogService::Recover run. OK when the op
+// succeeds as every op of a service journal did live — an issue accepted,
+// an acquire or revoke applied, an expire removing at least one license —
+// otherwise why it did not.
+Status ReplayOp(IssuanceService* service, const JournalOp& op);
 
 }  // namespace geolic
 

@@ -726,7 +726,7 @@ void FinalChecks(SimState* state, const SimConfig& config,
   // stands for a power loss, which keeps only what a completed sync
   // covered (nothing, when no sync completed); a torn append keeps every
   // byte that reached the file. Recovery always starts from the EPOCH-0
-  // catalog — the journal's reconfiguration records must re-derive the
+  // catalog — the journal's reconfiguration ops must re-derive the
   // final catalog on their own.
   const std::string journal_path = state->scratch_dir + "/journal.gjl";
   {

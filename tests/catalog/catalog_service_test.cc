@@ -437,25 +437,26 @@ TEST_F(CatalogServiceTest, RecoverRefusesAStalePoolJournal) {
   EXPECT_TRUE(CatalogService::Recover(source_.get(), options_).ok());
 }
 
+// One tenant's issue op, as a catalog journal frame carries it.
+struct IssueFrame {
+  uint64_t tenant = 0;
+  uint64_t tenant_seq = 0;
+  License usage;
+};
+
 // Writes `frames` as a whole journal at `path`, writer frames 1, 2, ...
 void WriteTenantJournal(const std::string& path,
-                        const std::vector<TenantOpFrame>& frames) {
+                        const std::vector<IssueFrame>& frames) {
   Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(path);
   ASSERT_TRUE(writer.ok()) << writer.status().message();
   for (size_t i = 0; i < frames.size(); ++i) {
-    ASSERT_TRUE((*writer)->AppendTenantOp(i + 1, frames[i]).ok());
+    ASSERT_TRUE((*writer)
+                    ->AppendTenantOp(i + 1, frames[i].tenant,
+                                     frames[i].tenant_seq,
+                                     OpRef::Issue(frames[i].usage))
+                    .ok());
   }
   ASSERT_TRUE((*writer)->Close().ok());
-}
-
-TenantOpFrame IssueFrame(uint64_t tenant, uint64_t tenant_seq,
-                         const License& usage) {
-  TenantOpFrame frame;
-  frame.tenant_id = tenant;
-  frame.tenant_seq = tenant_seq;
-  frame.op = TenantOpKind::kIssue;
-  frame.license = usage;
-  return frame;
 }
 
 // Recover checks each tenant's tenant_seq run: contiguous from the op
@@ -489,11 +490,11 @@ TEST_F(CatalogServiceTest, RecoverRejectsBrokenTenantSequences) {
       }
       EXPECT_TRUE((*catalog)->Close().ok());
     }
-    std::vector<TenantOpFrame> frames;
+    std::vector<IssueFrame> frames;
     uint64_t bystander_seq = 0;
     for (const uint64_t seq : c.seqs) {
-      frames.push_back(IssueFrame(5, ++bystander_seq, Request(5)));
-      frames.push_back(IssueFrame(2, seq, Request(2)));
+      frames.push_back({5, ++bystander_seq, Request(5)});
+      frames.push_back({2, seq, Request(2)});
     }
     WriteTenantJournal(dir_ + "/catalog-journal-0.wal", frames);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
@@ -511,9 +512,7 @@ TEST_F(CatalogServiceTest, RecoverRejectsBrokenTenantSequences) {
   fs::remove_all(dir_);
   fs::create_directories(dir_);
   WriteTenantJournal(dir_ + "/catalog-journal-0.wal",
-                     {IssueFrame(2, 1, Request(2)),
-                      IssueFrame(5, 1, Request(5)),
-                      IssueFrame(2, 2, Request(2))});
+                     {{2, 1, Request(2)}, {5, 1, Request(5)}, {2, 2, Request(2)}});
   CatalogRecoveryStats rstats;
   Result<std::unique_ptr<CatalogService>> recovered =
       CatalogService::Recover(source_.get(), options_, &rstats);
@@ -709,8 +708,8 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
 
   // Ops by the id their frame carries: a usage request's or acquired
   // licence's id, and the revoked id.
-  std::map<std::pair<TenantOpKind, std::string>, std::pair<const Op*,
-                                                           const Outcome*>>
+  std::map<std::pair<OpKind, std::string>,
+           std::pair<const Op*, const Outcome*>>
       by_frame;
   size_t journaled_ops = 0;
   for (size_t t = 0; t < kThreads; ++t) {
@@ -722,10 +721,10 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
         continue;
       }
       ++journaled_ops;
-      const TenantOpKind kind =
-          op.kind == Kind::kIssue     ? TenantOpKind::kIssue
-          : op.kind == Kind::kAcquire ? TenantOpKind::kAcquire
-                                      : TenantOpKind::kRevoke;
+      const OpKind kind =
+          op.kind == Kind::kIssue     ? OpKind::kIssue
+          : op.kind == Kind::kAcquire ? OpKind::kAcquire
+                                      : OpKind::kRevoke;
       const std::string id =
           op.kind == Kind::kRevoke ? op.revoke_id : op.license->id();
       ASSERT_TRUE(by_frame.emplace(std::pair(kind, id),
@@ -766,20 +765,19 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
   ASSERT_TRUE(replay.ok()) << replay.status().message();
   ASSERT_EQ(replay->entries.size(), journaled_ops);
   for (const JournalEntry& entry : replay->entries) {
-    const TenantOpFrame& frame = entry.tenant;
-    Replica& replica = replicas.at(frame.tenant_id);
-    EXPECT_EQ(frame.tenant_seq, ++replica.frames);
-    const std::string id = frame.op == TenantOpKind::kRevoke
-                               ? frame.revoke_id
-                               : frame.license->id();
-    const auto it = by_frame.find(std::pair(frame.op, id));
+    const JournalOp& frame = entry.op;
+    Replica& replica = replicas.at(entry.tenant_id);
+    EXPECT_EQ(entry.tenant_seq, ++replica.frames);
+    const std::string id = frame.kind == OpKind::kRevoke ? frame.revoke_id
+                                                         : frame.license.id();
+    const auto it = by_frame.find(std::pair(frame.kind, id));
     ASSERT_NE(it, by_frame.end()) << id;
     const Op& op = *it->second.first;
     const Outcome& outcome = *it->second.second;
-    ASSERT_EQ(op.tenant, frame.tenant_id) << id;
+    ASSERT_EQ(op.tenant, entry.tenant_id) << id;
     const LicenseCatalog& current = *replica.catalogs.back();
     const uint64_t epoch = replica.catalogs.size() - 1;
-    if (frame.op == TenantOpKind::kIssue) {
+    if (frame.kind == OpKind::kIssue) {
       ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();
       const ReferenceModel::Decision want = replica.model->TryIssue(
           *op.license);
@@ -807,7 +805,7 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
     auto next = std::make_unique<LicenseCatalog>(&current.schema());
     std::vector<int> old_to_new;
     std::optional<int> revoked;
-    if (frame.op == TenantOpKind::kRevoke) {
+    if (frame.kind == OpKind::kRevoke) {
       const Result<int> index = current.IndexOfId(frame.revoke_id);
       if (index.ok()) {
         revoked = *index;
@@ -819,12 +817,12 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
         ASSERT_TRUE(next->Add(current.at(i)).ok());
       }
     }
-    if (frame.op == TenantOpKind::kAcquire) {
+    if (frame.kind == OpKind::kAcquire) {
       ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();
       EXPECT_EQ(outcome.index, current.size()) << id;
       ASSERT_TRUE(next->Add(*op.license).ok());
     } else {
-      ASSERT_EQ(frame.op, TenantOpKind::kRevoke);
+      ASSERT_EQ(frame.kind, OpKind::kRevoke);
       // Its acquisition always ran first: the same thread issued it.
       ASSERT_TRUE(revoked.has_value()) << id;
       ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();

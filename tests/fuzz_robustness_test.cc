@@ -7,7 +7,6 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -144,9 +143,10 @@ TEST(FuzzRobustnessTest, LogBinaryLoaderSurvivesMutations) {
 TEST(FuzzRobustnessTest, LicenseBlobReaderSurvivesRandomBytes) {
   Rng rng(testing::TestSeed(6));
   for (int i = 0; i < 2000; ++i) {
-    std::stringstream stream(
-        RandomBytes(&rng, static_cast<size_t>(rng.UniformInt(0, 200))));
-    (void)ReadLicenseBinary(&stream);
+    const std::string bytes =
+        RandomBytes(&rng, static_cast<size_t>(rng.UniformInt(0, 200)));
+    size_t pos = 0;
+    (void)ReadLicenseBinary(bytes, &pos);
   }
 }
 

@@ -1,7 +1,6 @@
 // End-to-end coverage of non-contiguous (multi-interval) constraint
 // windows: parsing, formatting, builder, instance validation, overlap
 // grouping, online validation, and binary serialization.
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -174,9 +173,10 @@ TEST(BlackoutWindowsTest, BinarySerializationRoundTrip) {
       .SetIntervalUnion("C1", {{0, 10}, {20, 30}, {40, 50}});
   const Result<License> original = builder.Build();
   ASSERT_TRUE(original.ok());
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteLicenseBinary(*original, &buffer).ok());
-  const Result<License> loaded = ReadLicenseBinary(&buffer);
+  std::string buffer;
+  AppendLicenseBinary(*original, &buffer);
+  size_t pos = 0;
+  const Result<License> loaded = ReadLicenseBinary(buffer, &pos);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->rect() == original->rect());
 }

@@ -1,7 +1,5 @@
 #include "licensing/license_serialization.h"
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 #include "licensing/license_parser.h"
@@ -18,10 +16,12 @@ TEST(LicenseSerializationTest, RoundTripsIntervalLicense) {
   const ConstraintSchema schema = IntervalSchema(3);
   const License original = MakeRedistribution(
       schema, "LD1", {{0, 10}, {-5, 5}, {100, 200}}, 1234);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteLicenseBinary(original, &buffer).ok());
-  const Result<License> loaded = ReadLicenseBinary(&buffer);
+  std::string buffer;
+  AppendLicenseBinary(original, &buffer);
+  size_t pos = 0;
+  const Result<License> loaded = ReadLicenseBinary(buffer, &pos);
   ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(pos, buffer.size());
   EXPECT_EQ(loaded->id(), "LD1");
   EXPECT_EQ(loaded->content_key(), "K");
   EXPECT_EQ(loaded->type(), LicenseType::kRedistribution);
@@ -36,9 +36,10 @@ TEST(LicenseSerializationTest, RoundTripsCategoricalLicense) {
       "(K; Play; T=[2009-03-10, 2009-03-20]; R={Asia, Europe}; A=2000)",
       schema, LicenseType::kRedistribution, "LD1");
   ASSERT_TRUE(original.ok());
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteLicenseBinary(*original, &buffer).ok());
-  const Result<License> loaded = ReadLicenseBinary(&buffer);
+  std::string buffer;
+  AppendLicenseBinary(*original, &buffer);
+  size_t pos = 0;
+  const Result<License> loaded = ReadLicenseBinary(buffer, &pos);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->rect() == original->rect());
   // The reloaded license renders identically through the schema.
@@ -47,48 +48,45 @@ TEST(LicenseSerializationTest, RoundTripsCategoricalLicense) {
 
 TEST(LicenseSerializationTest, MultipleLicensesInOneStream) {
   const ConstraintSchema schema = IntervalSchema(1);
-  std::stringstream buffer;
+  std::string buffer;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(WriteLicenseBinary(
-                    MakeRedistribution(schema, "LD" + std::to_string(i),
-                                       {{i, i + 10}}, 100 + i),
-                    &buffer)
-                    .ok());
+    AppendLicenseBinary(MakeRedistribution(schema, "LD" + std::to_string(i),
+                                           {{i, i + 10}}, 100 + i),
+                        &buffer);
   }
+  size_t pos = 0;
   for (int i = 0; i < 10; ++i) {
-    const Result<License> loaded = ReadLicenseBinary(&buffer);
+    const Result<License> loaded = ReadLicenseBinary(buffer, &pos);
     ASSERT_TRUE(loaded.ok()) << i;
     EXPECT_EQ(loaded->id(), "LD" + std::to_string(i));
     EXPECT_EQ(loaded->aggregate_count(), 100 + i);
   }
+  EXPECT_EQ(pos, buffer.size());
 }
 
 TEST(LicenseSerializationTest, RejectsTruncation) {
   const ConstraintSchema schema = IntervalSchema(2);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteLicenseBinary(MakeRedistribution(schema, "LD1",
-                                                    {{0, 10}, {5, 6}}, 99),
-                                 &buffer)
-                  .ok());
-  const std::string bytes = buffer.str();
+  std::string bytes;
+  AppendLicenseBinary(
+      MakeRedistribution(schema, "LD1", {{0, 10}, {5, 6}}, 99), &bytes);
   for (size_t cut = 0; cut + 1 < bytes.size(); cut += 5) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_FALSE(ReadLicenseBinary(&truncated).ok()) << "cut=" << cut;
+    size_t pos = 0;
+    EXPECT_FALSE(ReadLicenseBinary(std::string_view(bytes).substr(0, cut),
+                                   &pos)
+                     .ok())
+        << "cut=" << cut;
   }
 }
 
 TEST(LicenseSerializationTest, RejectsCorruptedEnums) {
   const ConstraintSchema schema = IntervalSchema(1);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteLicenseBinary(
-                  MakeRedistribution(schema, "X", {{0, 1}}, 1), &buffer)
-                  .ok());
-  std::string bytes = buffer.str();
+  std::string bytes;
+  AppendLicenseBinary(MakeRedistribution(schema, "X", {{0, 1}}, 1), &bytes);
   // Type byte sits after the two length-prefixed strings: 4 + 1 + 4 + 1.
   const size_t type_offset = 4 + 1 + 4 + 1;
   bytes[type_offset] = 9;
-  std::stringstream corrupted(bytes);
-  EXPECT_FALSE(ReadLicenseBinary(&corrupted).ok());
+  size_t pos = 0;
+  EXPECT_FALSE(ReadLicenseBinary(bytes, &pos).ok());
 }
 
 // Property: random mixed-dimension licenses round-trip exactly.
@@ -112,9 +110,10 @@ TEST(LicenseSerializationPropertyTest, RandomLicensesRoundTrip) {
                            : LicenseType::kUsage,
         static_cast<Permission>(rng.UniformInt(0, kNumPermissions - 1)),
         rect, rng.UniformInt(1, 100000));
-    std::stringstream buffer;
-    ASSERT_TRUE(WriteLicenseBinary(original, &buffer).ok());
-    const Result<License> loaded = ReadLicenseBinary(&buffer);
+    std::string buffer;
+    AppendLicenseBinary(original, &buffer);
+    size_t pos = 0;
+    const Result<License> loaded = ReadLicenseBinary(buffer, &pos);
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(loaded->id(), original.id());
     EXPECT_EQ(loaded->content_key(), original.content_key());

@@ -66,12 +66,11 @@ class RecordingFile : public SyncFile {
   size_t synced_ = 0;
 };
 
-LogRecord Record(int i) {
-  LogRecord record;
-  record.issued_license_id = "LU" + std::to_string(i);
-  record.set = LicenseSet::FromWord(static_cast<uint64_t>(i % 7 + 1));
-  record.count = 1 + i % 3;
-  return record;
+// The license of the i-th issue op.
+License Usage(int i) {
+  return testing::MakeUsage(testing::IntervalSchema(1),
+                            "LU" + std::to_string(i), {{i % 7, 10}},
+                            1 + i % 3);
 }
 
 std::string ReadBytes(const std::string& path) {
@@ -123,8 +122,9 @@ OpenJournal StartJournal(const std::string& name, int fsync_interval) {
 // ends.
 void AppendNext(OpenJournal* journal) {
   const int i = static_cast<int>(journal->boundaries.size());
-  EXPECT_TRUE(
-      journal->writer->Append(static_cast<uint64_t>(i), Record(i)).ok());
+  EXPECT_TRUE(journal->writer
+                  ->AppendOp(static_cast<uint64_t>(i), OpRef::Issue(Usage(i)))
+                  .ok());
   journal->boundaries.push_back(journal->file->written());
 }
 
@@ -172,8 +172,8 @@ void ExpectRecoversSyncedPlusPrefix(const OpenJournal& journal,
   ASSERT_EQ(replay->entries.size(), intact) << label;
   for (size_t i = 0; i < intact; ++i) {
     EXPECT_EQ(replay->entries[i].seq, i + 1) << label;
-    EXPECT_EQ(replay->entries[i].record.issued_license_id,
-              Record(static_cast<int>(i + 1)).issued_license_id)
+    EXPECT_EQ(replay->entries[i].op.license.id(),
+              "LU" + std::to_string(i + 1))
         << label;
   }
   const bool debris =
@@ -300,11 +300,11 @@ TEST(CrashImageTest, EveryPrefixCutOfTheUnsyncedWindowRecovers) {
 }
 
 TEST(CrashImageTest, EverySubsetOfUnsyncedPagesRecovers) {
-  // A long unsynced window (manual sync after frame 40, then ~4 pages of
+  // A long unsynced window (manual sync after frame 40, then ~5 pages of
   // frames) whose 4 KiB pages each reached the disk or not, in every
   // combination — a write-back that persisted later pages before earlier
   // ones included.
-  OpenJournal journal = WriteJournal("crash_pages.gjl", 400, 0, 40);
+  OpenJournal journal = WriteJournal("crash_pages.gjl", 250, 0, 40);
   const size_t synced = journal.file->synced();
   const size_t written = journal.file->written();
   ASSERT_EQ(journal.synced_frames, 40u);
@@ -427,10 +427,13 @@ TEST(CrashImageTest, PoisonedWriterLeavesACrashImage) {
         JournalWriter::Create(std::move(faulty));
     ASSERT_TRUE(writer.ok());
     for (int i = 1; i <= 3; ++i) {
-      ASSERT_TRUE((*writer)->Append(static_cast<uint64_t>(i), Record(i)).ok());
+      ASSERT_TRUE((*writer)
+                      ->AppendOp(static_cast<uint64_t>(i),
+                                 OpRef::Issue(Usage(i)))
+                      .ok());
     }
     faults->TearNextAppend(17);
-    EXPECT_FALSE((*writer)->Append(4, Record(4)).ok());
+    EXPECT_FALSE((*writer)->AppendOp(4, OpRef::Issue(Usage(4))).ok());
     EXPECT_TRUE((*writer)->poisoned());
   }
   EXPECT_EQ(std::filesystem::file_size(path) % kReserveStepBytes, 0u);
@@ -514,6 +517,7 @@ TEST(CrashImageTest, FailedReservationFallsBackToGrowingTheFile) {
   // read as corruption after a crash — and grows the file by plain writes.
   const std::string path = testing::TestTmpDir() + "crash_no_reserve.gjl";
   bool reserved_once = false;
+  size_t frames = 0;
   size_t written = 0;
   uint64_t size_while_open = 0;
   {
@@ -530,6 +534,7 @@ TEST(CrashImageTest, FailedReservationFallsBackToGrowingTheFile) {
       reserved_once = reserved_once || tail > 0;
       ASSERT_TRUE(tail == 0 || tail >= kReservedZeroTailBytes) << tail;
     }
+    frames = journal.boundaries.size() - 1;
     written = journal.file->written();
     size_while_open = std::filesystem::file_size(path);
   }
@@ -537,7 +542,7 @@ TEST(CrashImageTest, FailedReservationFallsBackToGrowingTheFile) {
   EXPECT_EQ(size_while_open, written);
   const Result<JournalReplay> replay = JournalReader::ReadFile(path);
   ASSERT_TRUE(replay.ok()) << replay.status().message();
-  EXPECT_GT(replay->entries.size(), 1000u);
+  EXPECT_EQ(replay->entries.size(), frames);
   EXPECT_FALSE(replay->torn_tail);
 }
 

@@ -8,8 +8,10 @@
 //  * creating a journal fsyncs no directory;
 //  * the journal's first completed Sync fsyncs its parent directory once,
 //    and later syncs fsync none;
-//  * WriteCheckpointFileDurable, the catalog's spill publish, fsyncs the
-//    directory after its rename, when the new name is in place.
+//  * WriteCheckpointFileDurable and a live catalog spill fsync the
+//    directory after the rename, when the new name is in place;
+//  * catalog recovery fsyncs the directory once for all its re-spills,
+//    before the journal is reopened (truncated).
 #include <dlfcn.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -34,8 +36,9 @@ namespace {
 struct DirSync {
   std::string dir;
   // Whether the probe path (when set) existed when the directory was
-  // synced, and its ".tmp" sibling did not.
+  // synced, and its ".tmp" sibling did not; and the probe's size then.
   bool probe_in_place = false;
+  uintmax_t probe_size = 0;
 };
 
 std::mutex g_mutex;
@@ -56,6 +59,9 @@ void RecordIfDirectory(int fd) {
   if (!g_probe.empty()) {
     sync.probe_in_place = std::filesystem::exists(g_probe, ec) &&
                           !std::filesystem::exists(g_probe + ".tmp", ec);
+    if (sync.probe_in_place) {
+      sync.probe_size = std::filesystem::file_size(g_probe, ec);
+    }
   }
   g_dir_syncs.push_back(sync);
 }
@@ -127,10 +133,9 @@ TEST_F(DirSyncTest, JournalNameBecomesDurableAtItsFirstSync) {
   Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(
       path, JournalOptions{.fsync_interval = 0});
   ASSERT_TRUE(writer.ok()) << writer.status().message();
-  LogRecord record;
-  record.set = testing::Mask(0b1);
-  record.count = 1;
-  ASSERT_TRUE((*writer)->Append(1, record).ok());
+  const License usage =
+      testing::MakeUsage(testing::IntervalSchema(1), "U1", {{0, 1}}, 1);
+  ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(usage)).ok());
   EXPECT_TRUE(Taken().empty()) << "creating a journal fsynced a directory";
 
   ASSERT_TRUE((*writer)->Sync().ok());
@@ -139,7 +144,7 @@ TEST_F(DirSyncTest, JournalNameBecomesDurableAtItsFirstSync) {
   EXPECT_EQ(syncs[0].dir, dir_);
 
   Reset();
-  ASSERT_TRUE((*writer)->Append(2, record).ok());
+  ASSERT_TRUE((*writer)->AppendOp(2, OpRef::Issue(usage)).ok());
   ASSERT_TRUE((*writer)->Sync().ok());
   ASSERT_TRUE((*writer)->Close().ok());
   EXPECT_TRUE(Taken().empty()) << "a later sync fsynced a directory again";
@@ -158,13 +163,17 @@ TEST_F(DirSyncTest, CheckpointPublishSyncsTheDirectoryAfterItsRename) {
       << "the directory was synced before the rename";
 }
 
-TEST_F(DirSyncTest, CatalogSpillSyncsTheDirectoryAfterItsRename) {
+MultiTenantConfig SmallTenants() {
   MultiTenantConfig config;
   config.num_tenants = 4;
   config.base.dimensions = 2;
   config.min_licenses = 2;
   config.max_licenses = 3;
-  const MultiTenantWorkload workload(config);
+  return config;
+}
+
+TEST_F(DirSyncTest, CatalogSpillSyncsTheDirectoryAfterItsRename) {
+  const MultiTenantWorkload workload(SmallTenants());
   WorkloadTenantSource source(&workload);
   CatalogOptions options;
   options.dir = dir_;
@@ -187,6 +196,53 @@ TEST_F(DirSyncTest, CatalogSpillSyncsTheDirectoryAfterItsRename) {
   EXPECT_TRUE(syncs[0].probe_in_place)
       << "the directory was synced before the rename";
   EXPECT_TRUE((*catalog)->Close().ok());
+}
+
+// Recovery re-spills every touched tenant and then truncates the journal
+// on the strength of those files: one directory fsync, after the last
+// rename and before the journal reopens, makes every new name durable.
+TEST_F(DirSyncTest, CatalogRecoverySyncsTheDirectoryOnceBeforeTheJournal) {
+  const MultiTenantWorkload workload(SmallTenants());
+  WorkloadTenantSource source(&workload);
+  CatalogOptions options;
+  options.dir = dir_;
+  options.fsync_interval = 0;
+  constexpr uint64_t kTenants = 3;
+  {
+    Result<std::unique_ptr<CatalogService>> catalog =
+        CatalogService::Create(&source, options);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().message();
+    Rng rng(testing::TestSeed(8));
+    for (uint64_t tenant = 1; tenant <= kTenants; ++tenant) {
+      Result<Workload> baseline = workload.MakeTenant(tenant);
+      ASSERT_TRUE(baseline.ok());
+      ASSERT_TRUE((*catalog)
+                      ->TryIssue(tenant,
+                                 workload.DrawRequest(*baseline, &rng, 1))
+                      .ok());
+    }
+    ASSERT_TRUE((*catalog)->Close().ok());
+  }
+  const std::string journal = dir_ + "/catalog-journal-0.wal";
+  const uintmax_t journal_bytes = fs::file_size(journal);
+  ASSERT_GT(journal_bytes, sizeof(kJournalMagic));
+
+  Reset();
+  Probe(journal);
+  CatalogRecoveryStats stats;
+  Result<std::unique_ptr<CatalogService>> recovered =
+      CatalogService::Recover(&source, options, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  const std::vector<DirSync> syncs = Taken();
+  EXPECT_EQ(stats.tenants_recovered, kTenants);
+  ASSERT_EQ(syncs.size(), 1u) << "one directory fsync for all re-spills";
+  EXPECT_EQ(syncs[0].dir, dir_);
+  EXPECT_EQ(syncs[0].probe_size, journal_bytes)
+      << "the directory was synced after the journal reopened";
+  for (uint64_t tenant = 1; tenant <= kTenants; ++tenant) {
+    EXPECT_TRUE(fs::exists((*recovered)->SpillPath(tenant))) << tenant;
+  }
+  EXPECT_TRUE((*recovered)->Close().ok());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "persist/journal.h"
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,11 +30,15 @@ class ForwardingSyncFile : public SyncFile {
   SyncFile* target_;
 };
 
+// An issued usage license, the body of an issue op.
+License Usage(const std::string& id, int64_t count) {
+  return testing::MakeUsage(testing::IntervalSchema(1), id, {{0, 1}}, count);
+}
+
 LogRecord Record(const std::string& id, uint64_t mask, int64_t count) {
-  const LicenseSet set = LicenseSet::FromWord(mask);
   LogRecord record;
   record.issued_license_id = id;
-  record.set = set;
+  record.set = LicenseSet::FromWord(mask);
   record.count = count;
   return record;
 }
@@ -45,9 +50,9 @@ TEST(JournalTest, RoundTripsFrames) {
       JournalWriter::Create(std::move(file));
   ASSERT_TRUE(writer.ok());
 
-  ASSERT_TRUE((*writer)->Append(1, Record("LU1", 0x3, 10)).ok());
-  ASSERT_TRUE((*writer)->Append(2, Record("", 0x5, 1)).ok());
-  ASSERT_TRUE((*writer)->Append(3, Record("LU3", 0x1, 7)).ok());
+  ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Usage("LU1", 10))).ok());
+  ASSERT_TRUE((*writer)->AppendOp(2, OpRef::Issue(Usage("LU2", 1))).ok());
+  ASSERT_TRUE((*writer)->AppendOp(3, OpRef::Issue(Usage("LU3", 7))).ok());
   EXPECT_EQ((*writer)->frames_appended(), 3u);
 
   const Result<JournalReplay> replay = JournalReader::Parse(disk->contents());
@@ -55,11 +60,70 @@ TEST(JournalTest, RoundTripsFrames) {
   EXPECT_FALSE(replay->torn_tail);
   ASSERT_EQ(replay->entries.size(), 3u);
   EXPECT_EQ(replay->entries[0].seq, 1u);
-  EXPECT_EQ(replay->entries[0].record.issued_license_id, "LU1");
-  EXPECT_EQ(replay->entries[0].record.set, testing::Mask(0x3));
-  EXPECT_EQ(replay->entries[0].record.count, 10);
-  EXPECT_EQ(replay->entries[1].record.issued_license_id, "");
+  EXPECT_EQ(replay->entries[0].kind, JournalEntryKind::kServiceOp);
+  EXPECT_EQ(replay->entries[0].op.kind, OpKind::kIssue);
+  EXPECT_EQ(replay->entries[0].op.license.id(), "LU1");
+  EXPECT_EQ(replay->entries[0].op.license.aggregate_count(), 10);
+  EXPECT_TRUE(replay->entries[0].op.license.rect() == Usage("LU1", 10).rect());
+  EXPECT_EQ(replay->entries[1].op.license.id(), "LU2");
   EXPECT_EQ(replay->entries[2].seq, 3u);
+}
+
+// One op vocabulary, two headers: every op kind round-trips under the
+// service header and under the tenant header, with the same op bytes.
+TEST(JournalTest, EveryOpRoundTripsUnderBothHeaders) {
+  const License acquired = testing::MakeRedistribution(
+      testing::IntervalSchema(2), "LD9", {{0, 10}, {5, 6}}, 300);
+  const License issued = Usage("U1", 4);
+  const OpRef ops[] = {OpRef::Issue(issued), OpRef::Acquire(acquired),
+                       OpRef::Revoke("LD2"), OpRef::Expire(1, -25)};
+  auto file = std::make_unique<InMemorySyncFile>();
+  InMemorySyncFile* disk = file.get();
+  Result<std::unique_ptr<JournalWriter>> writer =
+      JournalWriter::Create(std::move(file));
+  ASSERT_TRUE(writer.ok());
+  uint64_t seq = 0;
+  for (const OpRef& op : ops) {
+    ASSERT_TRUE((*writer)->AppendOp(++seq, op).ok());
+  }
+  for (size_t i = 0; i < std::size(ops); ++i) {
+    ASSERT_TRUE((*writer)->AppendTenantOp(++seq, 77, i + 1, ops[i]).ok());
+  }
+  const Result<JournalReplay> replay = JournalReader::Parse(disk->contents());
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
+  ASSERT_EQ(replay->entries.size(), 2 * std::size(ops));
+  for (size_t i = 0; i < replay->entries.size(); ++i) {
+    const JournalEntry& entry = replay->entries[i];
+    const size_t k = i % std::size(ops);
+    EXPECT_EQ(entry.kind, i < std::size(ops) ? JournalEntryKind::kServiceOp
+                                             : JournalEntryKind::kTenantOp);
+    if (entry.kind == JournalEntryKind::kTenantOp) {
+      EXPECT_EQ(entry.tenant_id, 77u);
+      EXPECT_EQ(entry.tenant_seq, k + 1);
+    }
+    EXPECT_EQ(entry.op.kind, ops[k].kind) << i;
+  }
+  EXPECT_EQ(replay->entries[0].op.license.id(), "U1");
+  EXPECT_TRUE(replay->entries[1].op.license.rect() == acquired.rect());
+  EXPECT_EQ(replay->entries[1].op.license.aggregate_count(), 300);
+  EXPECT_EQ(replay->entries[2].op.revoke_id, "LD2");
+  EXPECT_EQ(replay->entries[3].op.expire_dim, 1);
+  EXPECT_EQ(replay->entries[3].op.expire_cutoff, -25);
+  EXPECT_EQ(replay->entries[6].op.revoke_id, "LD2");
+  EXPECT_EQ(replay->entries[7].op.expire_cutoff, -25);
+}
+
+TEST(JournalTest, RejectsOpsItCannotEncode) {
+  Result<std::unique_ptr<JournalWriter>> writer =
+      JournalWriter::Create(std::make_unique<InMemorySyncFile>());
+  ASSERT_TRUE(writer.ok());
+  OpRef no_license;
+  no_license.kind = OpKind::kAcquire;
+  EXPECT_FALSE((*writer)->AppendOp(1, no_license).ok());
+  EXPECT_FALSE((*writer)->AppendOp(1, OpRef::Expire(-1, 0)).ok());
+  EXPECT_FALSE(
+      (*writer)->AppendTenantOp(1, 5, 0, OpRef::Revoke("LD1")).ok());
+  EXPECT_EQ((*writer)->frames_appended(), 0u);
 }
 
 TEST(JournalTest, EmptyJournalIsJustTheMagic) {
@@ -77,7 +141,7 @@ TEST(JournalTest, EmptyJournalIsJustTheMagic) {
     EXPECT_TRUE(replay->entries.empty());
     EXPECT_FALSE(replay->torn_tail);
   }
-  ASSERT_TRUE((*writer)->Append(1, Record("LU", 0x1, 1)).ok());
+  ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Usage("LU", 1))).ok());
   EXPECT_GT(disk->synced_size(), sizeof(kJournalMagic));
   EXPECT_EQ(disk->synced_contents().substr(0, sizeof(kJournalMagic)),
             std::string_view(kJournalMagic, sizeof(kJournalMagic)));
@@ -106,7 +170,7 @@ TEST(JournalTest, FsyncEveryAppendKeepsDiskSynced) {
       JournalWriter::Create(std::move(file), options);
   ASSERT_TRUE(writer.ok());
   for (uint64_t seq = 1; seq <= 5; ++seq) {
-    ASSERT_TRUE((*writer)->Append(seq, Record("LU", 0x1, 1)).ok());
+    ASSERT_TRUE((*writer)->AppendOp(seq, OpRef::Issue(Usage("LU", 1))).ok());
     EXPECT_EQ(disk->synced_size(), disk->contents().size()) << seq;
   }
 }
@@ -121,16 +185,16 @@ TEST(JournalTest, FsyncBatchingTrailsByAtMostTheInterval) {
   ASSERT_TRUE(writer.ok());
 
   for (uint64_t seq = 1; seq <= 3; ++seq) {
-    ASSERT_TRUE((*writer)->Append(seq, Record("LU", 0x1, 1)).ok());
+    ASSERT_TRUE((*writer)->AppendOp(seq, OpRef::Issue(Usage("LU", 1))).ok());
     // Not yet at the interval: nothing, not even the magic, is synced.
     EXPECT_EQ(disk->synced_size(), 0u) << seq;
   }
-  ASSERT_TRUE((*writer)->Append(4, Record("LU", 0x1, 1)).ok());
+  ASSERT_TRUE((*writer)->AppendOp(4, OpRef::Issue(Usage("LU", 1))).ok());
   EXPECT_EQ(disk->synced_size(), disk->contents().size());
 
   // The synced prefix alone must always replay cleanly (a crash loses the
   // unsynced suffix, never corrupts the acknowledged part).
-  ASSERT_TRUE((*writer)->Append(5, Record("LU", 0x1, 1)).ok());
+  ASSERT_TRUE((*writer)->AppendOp(5, OpRef::Issue(Usage("LU", 1))).ok());
   const Result<JournalReplay> replay =
       JournalReader::Parse(disk->synced_contents());
   ASSERT_TRUE(replay.ok());
@@ -145,7 +209,7 @@ TEST(JournalTest, ManualSyncFlushesWithIntervalZero) {
   Result<std::unique_ptr<JournalWriter>> writer =
       JournalWriter::Create(std::move(file), options);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append(1, Record("LU", 0x1, 1)).ok());
+  ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Usage("LU", 1))).ok());
   EXPECT_LT(disk->synced_size(), disk->contents().size());
   ASSERT_TRUE((*writer)->Sync().ok());
   EXPECT_EQ(disk->synced_size(), disk->contents().size());
@@ -163,7 +227,7 @@ TEST(JournalTest, CloseFlushesTheBatchedFsyncTail) {
       std::make_unique<ForwardingSyncFile>(&disk), options);
   ASSERT_TRUE(writer.ok());
   for (uint64_t seq = 1; seq <= 3; ++seq) {
-    ASSERT_TRUE((*writer)->Append(seq, Record("LU", 0x1, 1)).ok());
+    ASSERT_TRUE((*writer)->AppendOp(seq, OpRef::Issue(Usage("LU", 1))).ok());
   }
   // Below the interval: the tail is not yet acknowledged durable.
   ASSERT_LT(disk.synced_size(), disk.contents().size());
@@ -177,7 +241,7 @@ TEST(JournalTest, CloseFlushesTheBatchedFsyncTail) {
   EXPECT_FALSE(replay->torn_tail);
 
   // A closed writer refuses further work; Close stays idempotent.
-  EXPECT_FALSE((*writer)->Append(4, Record("LU", 0x1, 1)).ok());
+  EXPECT_FALSE((*writer)->AppendOp(4, OpRef::Issue(Usage("LU", 1))).ok());
   EXPECT_FALSE((*writer)->Sync().ok());
   EXPECT_TRUE((*writer)->Close().ok());
 }
@@ -192,8 +256,8 @@ TEST(JournalTest, DestructionFlushesTheBatchedFsyncTail) {
     Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Create(
         std::make_unique<ForwardingSyncFile>(&disk), options);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(1, Record("LU1", 0x3, 10)).ok());
-    ASSERT_TRUE((*writer)->Append(2, Record("LU2", 0x5, 1)).ok());
+    ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Usage("LU1", 10))).ok());
+    ASSERT_TRUE((*writer)->AppendOp(2, OpRef::Issue(Usage("LU2", 1))).ok());
     ASSERT_LT(disk.synced_size(), disk.contents().size());
   }
   const Result<JournalReplay> replay =
@@ -207,7 +271,7 @@ TEST(JournalTest, RejectsSequenceZero) {
   Result<std::unique_ptr<JournalWriter>> writer =
       JournalWriter::Create(std::make_unique<InMemorySyncFile>());
   ASSERT_TRUE(writer.ok());
-  EXPECT_FALSE((*writer)->Append(0, Record("LU", 0x1, 1)).ok());
+  EXPECT_FALSE((*writer)->AppendOp(0, OpRef::Issue(Usage("LU", 1))).ok());
 }
 
 TEST(JournalTest, ReaderRejectsGapsAndDuplicates) {
@@ -216,7 +280,7 @@ TEST(JournalTest, ReaderRejectsGapsAndDuplicates) {
   Result<std::unique_ptr<JournalWriter>> writer =
       JournalWriter::Create(std::move(file));
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append(1, Record("LU1", 0x1, 1)).ok());
+  ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Usage("LU1", 1))).ok());
   const std::string after_first = disk->contents();
   const std::string frame1 = after_first.substr(sizeof(kJournalMagic));
 
@@ -231,7 +295,7 @@ TEST(JournalTest, ReaderRejectsGapsAndDuplicates) {
   }
 
   // Gap: seq jumps 1 -> 3.
-  ASSERT_TRUE((*writer)->Append(3, Record("LU3", 0x1, 1)).ok());
+  ASSERT_TRUE((*writer)->AppendOp(3, OpRef::Issue(Usage("LU3", 1))).ok());
   {
     const Result<JournalReplay> replay =
         JournalReader::Parse(disk->contents());
@@ -246,13 +310,13 @@ TEST(JournalTest, FileRoundTrip) {
   {
     Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(1, Record("LU1", 0x7, 42)).ok());
-    ASSERT_TRUE((*writer)->Append(2, Record("LU2", 0x1, 1)).ok());
+    ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Usage("LU1", 42))).ok());
+    ASSERT_TRUE((*writer)->AppendOp(2, OpRef::Issue(Usage("LU2", 1))).ok());
   }
   const Result<JournalReplay> replay = JournalReader::ReadFile(path);
   ASSERT_TRUE(replay.ok());
   ASSERT_EQ(replay->entries.size(), 2u);
-  EXPECT_EQ(replay->entries[0].record.count, 42);
+  EXPECT_EQ(replay->entries[0].op.license.aggregate_count(), 42);
 }
 
 TEST(JournalTest, EncodeDecodeLogRecordRoundTrip) {

@@ -63,16 +63,12 @@ License RequestAt(const ConstraintSchema& schema, int i) {
   }
 }
 
-LogRecord Record(const std::string& id, uint64_t mask, int64_t count) {
-  const LicenseSet set = LicenseSet::FromWord(mask);
-  LogRecord record;
-  record.issued_license_id = id;
-  record.set = set;
-  record.count = count;
-  return record;
+// A unit issue op's license, `id` as given.
+License Unit(const std::string& id) {
+  return MakeUsage(IntervalSchema(1), id, {{12, 18}}, 1);
 }
 
-// Journal bytes holding `n` unit records, plus the per-frame boundaries
+// Journal bytes holding `n` unit issue ops, plus the per-frame boundaries
 // (byte offset after each frame) so tests can cut at clean frame edges.
 std::string JournalBytes(int n, std::vector<size_t>* boundaries = nullptr) {
   auto file = std::make_unique<InMemorySyncFile>();
@@ -85,9 +81,8 @@ std::string JournalBytes(int n, std::vector<size_t>* boundaries = nullptr) {
   }
   for (int i = 0; i < n; ++i) {
     EXPECT_TRUE((*writer)
-                    ->Append(static_cast<uint64_t>(i + 1),
-                             Record("LU" + std::to_string(i + 1),
-                                    static_cast<uint64_t>(i % 3 + 1), 1))
+                    ->AppendOp(static_cast<uint64_t>(i + 1),
+                               OpRef::Issue(Unit("LU" + std::to_string(i + 1))))
                     .ok());
     if (boundaries != nullptr) {
       boundaries->push_back(disk->contents().size());
@@ -96,8 +91,8 @@ std::string JournalBytes(int n, std::vector<size_t>* boundaries = nullptr) {
   return disk->contents();
 }
 
-// Journal bytes mixing admissions with every reconfiguration frame kind
-// (acquire, revoke, expire), plus the per-frame boundaries.
+// Journal bytes mixing issue ops with every reconfiguration op (acquire,
+// revoke, expire), plus the per-frame boundaries.
 std::string LifecycleJournalBytes(const ConstraintSchema& schema,
                                   std::vector<size_t>* boundaries = nullptr) {
   auto file = std::make_unique<InMemorySyncFile>();
@@ -111,20 +106,20 @@ std::string LifecycleJournalBytes(const ConstraintSchema& schema,
     }
   };
   mark();
-  EXPECT_TRUE((*writer)->Append(1, Record("LU1", 0x1, 1)).ok());
+  EXPECT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Unit("LU1"))).ok());
   mark();
   EXPECT_TRUE((*writer)
-                  ->AppendAcquire(
-                      2, MakeRedistribution(schema, "L6", {{300, 320}}, 9))
+                  ->AppendOp(2, OpRef::Acquire(MakeRedistribution(
+                                    schema, "L6", {{300, 320}}, 9)))
                   .ok());
   mark();
-  EXPECT_TRUE((*writer)->Append(3, Record("LU2", 0x2, 1)).ok());
+  EXPECT_TRUE((*writer)->AppendOp(3, OpRef::Issue(Unit("LU2"))).ok());
   mark();
-  EXPECT_TRUE((*writer)->AppendRevoke(4, 1, "L2").ok());
+  EXPECT_TRUE((*writer)->AppendOp(4, OpRef::Revoke("L2")).ok());
   mark();
-  EXPECT_TRUE((*writer)->AppendExpire(5, 0, 25, {0, 2}).ok());
+  EXPECT_TRUE((*writer)->AppendOp(5, OpRef::Expire(0, 25)).ok());
   mark();
-  EXPECT_TRUE((*writer)->Append(6, Record("LU3", 0x4, 1)).ok());
+  EXPECT_TRUE((*writer)->AppendOp(6, OpRef::Issue(Unit("LU3"))).ok());
   mark();
   return disk->contents();
 }
@@ -143,7 +138,7 @@ TEST(RecoveryFaultTest, TornWriteDropsOnlyTheTornFrame) {
     if (seq == 4) {
       size_after_three = probe_disk->contents().size();
     }
-    ASSERT_TRUE((*probe_writer)->Append(seq, Record("LU", 0x1, 1)).ok());
+    ASSERT_TRUE((*probe_writer)->AppendOp(seq, OpRef::Issue(Unit("LU"))).ok());
   }
   const size_t frame4_size = probe_disk->contents().size() - size_after_three;
 
@@ -156,13 +151,13 @@ TEST(RecoveryFaultTest, TornWriteDropsOnlyTheTornFrame) {
         JournalWriter::Create(std::move(faulty));
     ASSERT_TRUE(writer.ok());
     for (uint64_t seq = 1; seq <= 3; ++seq) {
-      ASSERT_TRUE((*writer)->Append(seq, Record("LU", 0x1, 1)).ok());
+      ASSERT_TRUE((*writer)->AppendOp(seq, OpRef::Issue(Unit("LU"))).ok());
     }
     faults->TearNextAppend(keep);
     // The torn append fails — the admission it backed was never accepted.
-    EXPECT_FALSE((*writer)->Append(4, Record("LU", 0x1, 1)).ok());
+    EXPECT_FALSE((*writer)->AppendOp(4, OpRef::Issue(Unit("LU"))).ok());
     // And is poisoned for good: the disk is gone.
-    EXPECT_FALSE((*writer)->Append(5, Record("LU", 0x1, 1)).ok());
+    EXPECT_FALSE((*writer)->AppendOp(5, OpRef::Issue(Unit("LU"))).ok());
 
     const Result<JournalReplay> replay =
         JournalReader::Parse(disk->contents());
@@ -212,13 +207,15 @@ TEST(RecoveryFaultTest, TruncatedTailAlwaysRecoversAPrefix) {
 }
 
 TEST(RecoveryFaultTest, TornFinalReconfigFrameDropsOnlyThatFrame) {
-  // For each reconfiguration kind: two durable admissions, then the
-  // reconfig frame tears at every possible byte count. The torn frame is
+  // For each reconfiguration op: two durable issue ops, then the
+  // reconfiguration's frame tears at every possible byte count. The torn frame is
   // always dropped cleanly; the admissions always survive.
   const ConstraintSchema schema = IntervalSchema(1);
   const License acquired = MakeRedistribution(schema, "L6", {{300, 320}}, 9);
-  const std::vector<int> expired = {0, 2};
-  for (int kind = 0; kind < 3; ++kind) {
+  const OpRef reconfigs[] = {OpRef::Acquire(acquired), OpRef::Revoke("L2"),
+                             OpRef::Expire(0, 25)};
+  for (const OpRef& reconfig : reconfigs) {
+    const int kind = static_cast<int>(reconfig.kind);
     // Probe the reconfig frame's on-disk size.
     size_t frame_size = 0;
     {
@@ -227,20 +224,10 @@ TEST(RecoveryFaultTest, TornFinalReconfigFrameDropsOnlyThatFrame) {
       Result<std::unique_ptr<JournalWriter>> writer =
           JournalWriter::Create(std::move(probe));
       ASSERT_TRUE(writer.ok());
-      ASSERT_TRUE((*writer)->Append(1, Record("LU1", 0x1, 1)).ok());
-      ASSERT_TRUE((*writer)->Append(2, Record("LU2", 0x2, 1)).ok());
+      ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Unit("LU1"))).ok());
+      ASSERT_TRUE((*writer)->AppendOp(2, OpRef::Issue(Unit("LU2"))).ok());
       const size_t before = probe_disk->contents().size();
-      switch (kind) {
-        case 0:
-          ASSERT_TRUE((*writer)->AppendAcquire(3, acquired).ok());
-          break;
-        case 1:
-          ASSERT_TRUE((*writer)->AppendRevoke(3, 1, "L2").ok());
-          break;
-        default:
-          ASSERT_TRUE((*writer)->AppendExpire(3, 0, 25, expired).ok());
-          break;
-      }
+      ASSERT_TRUE((*writer)->AppendOp(3, reconfig).ok());
       frame_size = probe_disk->contents().size() - before;
     }
     ASSERT_GT(frame_size, 0u);
@@ -253,22 +240,11 @@ TEST(RecoveryFaultTest, TornFinalReconfigFrameDropsOnlyThatFrame) {
       Result<std::unique_ptr<JournalWriter>> writer =
           JournalWriter::Create(std::move(faulty));
       ASSERT_TRUE(writer.ok());
-      ASSERT_TRUE((*writer)->Append(1, Record("LU1", 0x1, 1)).ok());
-      ASSERT_TRUE((*writer)->Append(2, Record("LU2", 0x2, 1)).ok());
+      ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Unit("LU1"))).ok());
+      ASSERT_TRUE((*writer)->AppendOp(2, OpRef::Issue(Unit("LU2"))).ok());
       faults->TearNextAppend(keep);
-      Status torn = Status::Ok();
-      switch (kind) {
-        case 0:
-          torn = (*writer)->AppendAcquire(3, acquired);
-          break;
-        case 1:
-          torn = (*writer)->AppendRevoke(3, 1, "L2");
-          break;
-        default:
-          torn = (*writer)->AppendExpire(3, 0, 25, expired);
-          break;
-      }
-      EXPECT_FALSE(torn.ok()) << "kind=" << kind << " keep=" << keep;
+      EXPECT_FALSE((*writer)->AppendOp(3, reconfig).ok())
+          << "kind=" << kind << " keep=" << keep;
 
       const Result<JournalReplay> replay =
           JournalReader::Parse(disk->contents());
@@ -337,25 +313,23 @@ TEST(RecoveryFaultTest, EveryBitFlipFailsLoudlyWithAnOffset) {
 }
 
 TEST(RecoveryFaultTest, EveryBitFlipOnReconfigFramesFailsLoudly) {
-  // The corruption matrix over a journal carrying the v3 reconfiguration
-  // kinds: no flip anywhere — admission, acquire (with its embedded
-  // serialized license), revoke or expire frame — may parse cleanly.
+  // The corruption matrix over a journal carrying every op: no flip
+  // anywhere — issue or acquire (with its embedded serialized license),
+  // revoke or expire frame — may parse cleanly.
   const ConstraintSchema schema = IntervalSchema(1);
   const std::string full = LifecycleJournalBytes(schema);
   // Sanity: the clean bytes round-trip with the expected kind sequence.
   const Result<JournalReplay> clean = JournalReader::Parse(full);
   ASSERT_TRUE(clean.ok());
   ASSERT_EQ(clean->entries.size(), 6u);
-  EXPECT_EQ(clean->entries[1].kind, JournalEntryKind::kAcquire);
-  ASSERT_TRUE(clean->entries[1].acquired.has_value());
-  EXPECT_EQ(clean->entries[1].acquired->id(), "L6");
-  EXPECT_EQ(clean->entries[3].kind, JournalEntryKind::kRevoke);
-  EXPECT_EQ(clean->entries[3].revoked_index, 1);
-  EXPECT_EQ(clean->entries[3].revoked_id, "L2");
-  EXPECT_EQ(clean->entries[4].kind, JournalEntryKind::kExpire);
-  EXPECT_EQ(clean->entries[4].expire_dim, 0);
-  EXPECT_EQ(clean->entries[4].expire_cutoff, 25);
-  EXPECT_EQ(clean->entries[4].expired_indexes, (std::vector<int>{0, 2}));
+  EXPECT_EQ(clean->entries[0].op.kind, OpKind::kIssue);
+  EXPECT_EQ(clean->entries[1].op.kind, OpKind::kAcquire);
+  EXPECT_EQ(clean->entries[1].op.license.id(), "L6");
+  EXPECT_EQ(clean->entries[3].op.kind, OpKind::kRevoke);
+  EXPECT_EQ(clean->entries[3].op.revoke_id, "L2");
+  EXPECT_EQ(clean->entries[4].op.kind, OpKind::kExpire);
+  EXPECT_EQ(clean->entries[4].op.expire_dim, 0);
+  EXPECT_EQ(clean->entries[4].op.expire_cutoff, 25);
 
   for (size_t i = 0; i < full.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -412,12 +386,14 @@ TEST(RecoveryFaultTest, RandomMutationFuzzNeverSilentlyWrong) {
       // with fewer-or-equal entries, never different records.
       ASSERT_LE(replay->entries.size(), clean->entries.size());
       for (size_t i = 0; i < replay->entries.size(); ++i) {
+        const JournalOp& got = replay->entries[i].op;
+        const JournalOp& want = clean->entries[i].op;
         EXPECT_EQ(replay->entries[i].seq, clean->entries[i].seq);
-        EXPECT_EQ(replay->entries[i].record.set, clean->entries[i].record.set);
-        EXPECT_EQ(replay->entries[i].record.count,
-                  clean->entries[i].record.count);
-        EXPECT_EQ(replay->entries[i].record.issued_license_id,
-                  clean->entries[i].record.issued_license_id);
+        EXPECT_EQ(got.kind, want.kind);
+        EXPECT_EQ(got.license.id(), want.license.id());
+        EXPECT_EQ(got.license.aggregate_count(),
+                  want.license.aggregate_count());
+        EXPECT_TRUE(got.license.rect() == want.license.rect());
       }
     }
   }
@@ -442,12 +418,14 @@ TEST(RecoveryFaultTest, ServiceJournalsEveryAcceptedIssuance) {
   ASSERT_TRUE((*service)->has_journal());
 
   int accepted = 0;
+  std::vector<std::string> accepted_ids;
   for (int i = 0; i < 30; ++i) {
-    const Result<OnlineDecision> decision =
-        (*service)->TryIssue(RequestAt(schema, i));
+    const License request = RequestAt(schema, i);
+    const Result<OnlineDecision> decision = (*service)->TryIssue(request);
     ASSERT_TRUE(decision.ok());
     if (decision->aggregate_valid) {
       ++accepted;
+      accepted_ids.push_back(request.id());
     }
   }
   // An instance-invalid request must NOT hit the journal.
@@ -461,12 +439,20 @@ TEST(RecoveryFaultTest, ServiceJournalsEveryAcceptedIssuance) {
   ASSERT_TRUE(replay.ok());
   ASSERT_EQ(replay->entries.size(), static_cast<size_t>(accepted));
 
-  // The journal replay IS the accepted multiset.
-  LogStore journaled;
+  // The journal holds the accepted requests in order, and re-executing it
+  // on a fresh service IS the accepted multiset.
+  Result<std::unique_ptr<IssuanceService>> replayed =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(replayed.ok());
+  std::vector<std::string> journaled_ids;
   for (const JournalEntry& entry : replay->entries) {
-    ASSERT_TRUE(journaled.Append(entry.record).ok());
+    EXPECT_EQ(entry.op.kind, OpKind::kIssue);
+    journaled_ids.push_back(entry.op.license.id());
+    ASSERT_TRUE(ReplayOp(replayed->get(), entry.op).ok());
   }
-  EXPECT_EQ(journaled.MergedCounts(), (*service)->CollectLog().MergedCounts());
+  EXPECT_EQ(journaled_ids, accepted_ids);
+  EXPECT_EQ((*replayed)->CollectLog().records(),
+            (*service)->CollectLog().records());
 }
 
 TEST(RecoveryFaultTest, JournalFailureRejectsAdmissionAndLeavesStateClean) {
@@ -671,7 +657,10 @@ TEST(RecoveryFaultTest, RecoverRejectsAPayloadInAnotherLayout) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
   LogStore records;
-  ASSERT_TRUE(records.Append(Record("", 0x1, 1)).ok());
+  LogRecord record;
+  record.set = LicenseSet::FromWord(0x1);
+  record.count = 1;
+  ASSERT_TRUE(records.Append(record).ok());
   std::string older;
   framing::PutScalar(&older, uint64_t{1});  // Covered sequence.
   framing::PutScalar(&older, static_cast<uint64_t>(records.size()));
@@ -717,7 +706,7 @@ TEST(RecoveryFaultTest, AttachJournalGuards) {
   Result<std::unique_ptr<JournalWriter>> used =
       JournalWriter::Create(std::make_unique<InMemorySyncFile>());
   ASSERT_TRUE(used.ok());
-  ASSERT_TRUE((*used)->Append(1, Record("LU", 0x1, 1)).ok());
+  ASSERT_TRUE((*used)->AppendOp(1, OpRef::Issue(Unit("LU"))).ok());
   EXPECT_FALSE((*service)->AttachJournal(std::move(*used)).ok());
 
   Result<std::unique_ptr<JournalWriter>> fresh =
@@ -734,9 +723,9 @@ TEST(RecoveryFaultTest, AttachJournalGuards) {
 
 // --- Tenant-tagged frames & per-tenant spill containers --------------------
 
-// Journal bytes carrying the multi-tenant catalog's v3 tenant-tagged frame
-// in every TenantOpKind, interleaved across two tenants the way the
-// catalog journal interleaves them.
+// Journal bytes carrying the multi-tenant catalog's tenant-tagged frame
+// for every op, interleaved across two tenants the way the catalog
+// journal interleaves them.
 std::string TenantJournalBytes(const ConstraintSchema& schema,
                                std::vector<size_t>* boundaries = nullptr) {
   auto file = std::make_unique<InMemorySyncFile>();
@@ -750,34 +739,17 @@ std::string TenantJournalBytes(const ConstraintSchema& schema,
     }
   };
   mark();
-  TenantOpFrame issue;
-  issue.tenant_id = 7;
-  issue.tenant_seq = 1;
-  issue.op = TenantOpKind::kIssue;
-  issue.license = MakeUsage(schema, "U1", {{12, 18}}, 1);
-  EXPECT_TRUE((*writer)->AppendTenantOp(1, issue).ok());
+  const License issued = MakeUsage(schema, "U1", {{12, 18}}, 1);
+  EXPECT_TRUE(
+      (*writer)->AppendTenantOp(1, 7, 1, OpRef::Issue(issued)).ok());
   mark();
-  TenantOpFrame acquire;
-  acquire.tenant_id = 9;
-  acquire.tenant_seq = 1;
-  acquire.op = TenantOpKind::kAcquire;
-  acquire.license = MakeRedistribution(schema, "L9", {{300, 320}}, 9);
-  EXPECT_TRUE((*writer)->AppendTenantOp(2, acquire).ok());
+  const License acquired = MakeRedistribution(schema, "L9", {{300, 320}}, 9);
+  EXPECT_TRUE(
+      (*writer)->AppendTenantOp(2, 9, 1, OpRef::Acquire(acquired)).ok());
   mark();
-  TenantOpFrame revoke;
-  revoke.tenant_id = 7;
-  revoke.tenant_seq = 2;
-  revoke.op = TenantOpKind::kRevoke;
-  revoke.revoke_id = "L2";
-  EXPECT_TRUE((*writer)->AppendTenantOp(3, revoke).ok());
+  EXPECT_TRUE((*writer)->AppendTenantOp(3, 7, 2, OpRef::Revoke("L2")).ok());
   mark();
-  TenantOpFrame expire;
-  expire.tenant_id = 9;
-  expire.tenant_seq = 2;
-  expire.op = TenantOpKind::kExpire;
-  expire.expire_dim = 0;
-  expire.expire_cutoff = 25;
-  EXPECT_TRUE((*writer)->AppendTenantOp(4, expire).ok());
+  EXPECT_TRUE((*writer)->AppendTenantOp(4, 9, 2, OpRef::Expire(0, 25)).ok());
   mark();
   return disk->contents();
 }
@@ -796,22 +768,20 @@ TEST(RecoveryFaultTest, EveryBitFlipOnTenantFramesFailsLoudly) {
   for (const JournalEntry& entry : clean->entries) {
     EXPECT_EQ(entry.kind, JournalEntryKind::kTenantOp);
   }
-  EXPECT_EQ(clean->entries[0].tenant.tenant_id, 7u);
-  EXPECT_EQ(clean->entries[0].tenant.tenant_seq, 1u);
-  EXPECT_EQ(clean->entries[0].tenant.op, TenantOpKind::kIssue);
-  ASSERT_TRUE(clean->entries[0].tenant.license.has_value());
-  EXPECT_EQ(clean->entries[0].tenant.license->id(), "U1");
-  EXPECT_EQ(clean->entries[1].tenant.tenant_id, 9u);
-  EXPECT_EQ(clean->entries[1].tenant.op, TenantOpKind::kAcquire);
-  ASSERT_TRUE(clean->entries[1].tenant.license.has_value());
-  EXPECT_EQ(clean->entries[1].tenant.license->id(), "L9");
-  EXPECT_EQ(clean->entries[2].tenant.tenant_id, 7u);
-  EXPECT_EQ(clean->entries[2].tenant.tenant_seq, 2u);
-  EXPECT_EQ(clean->entries[2].tenant.op, TenantOpKind::kRevoke);
-  EXPECT_EQ(clean->entries[2].tenant.revoke_id, "L2");
-  EXPECT_EQ(clean->entries[3].tenant.op, TenantOpKind::kExpire);
-  EXPECT_EQ(clean->entries[3].tenant.expire_dim, 0);
-  EXPECT_EQ(clean->entries[3].tenant.expire_cutoff, 25);
+  EXPECT_EQ(clean->entries[0].tenant_id, 7u);
+  EXPECT_EQ(clean->entries[0].tenant_seq, 1u);
+  EXPECT_EQ(clean->entries[0].op.kind, OpKind::kIssue);
+  EXPECT_EQ(clean->entries[0].op.license.id(), "U1");
+  EXPECT_EQ(clean->entries[1].tenant_id, 9u);
+  EXPECT_EQ(clean->entries[1].op.kind, OpKind::kAcquire);
+  EXPECT_EQ(clean->entries[1].op.license.id(), "L9");
+  EXPECT_EQ(clean->entries[2].tenant_id, 7u);
+  EXPECT_EQ(clean->entries[2].tenant_seq, 2u);
+  EXPECT_EQ(clean->entries[2].op.kind, OpKind::kRevoke);
+  EXPECT_EQ(clean->entries[2].op.revoke_id, "L2");
+  EXPECT_EQ(clean->entries[3].op.kind, OpKind::kExpire);
+  EXPECT_EQ(clean->entries[3].op.expire_dim, 0);
+  EXPECT_EQ(clean->entries[3].op.expire_cutoff, 25);
 
   for (size_t i = 0; i < full.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -857,7 +827,7 @@ TEST(RecoveryFaultTest, TruncatedTenantTailAlwaysRecoversAPrefix) {
     for (size_t i = 0; i < replay->entries.size(); ++i) {
       EXPECT_EQ(replay->entries[i].kind, JournalEntryKind::kTenantOp)
           << "cut=" << cut;
-      EXPECT_EQ(replay->entries[i].tenant.tenant_id, i % 2 == 0 ? 7u : 9u)
+      EXPECT_EQ(replay->entries[i].tenant_id, i % 2 == 0 ? 7u : 9u)
           << "cut=" << cut;
     }
     EXPECT_EQ(replay->torn_tail, cut != boundaries[whole_frames])

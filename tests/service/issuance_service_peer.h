@@ -52,7 +52,6 @@ class IssuanceServiceTestPeer {
     IssuanceService::FinishEpochTables(*epoch);
     std::unique_ptr<IssuanceService> service(
         new IssuanceService(options, std::move(grouping), std::move(epoch)));
-    service->issue_sequence_ = static_cast<int64_t>(history.size());
     return service;
   }
 

@@ -306,12 +306,14 @@ TEST(IssuanceServiceTest, DecisionsCarrySetAndLimitingEquation) {
   EXPECT_EQ(over->limiting.lhs, 31);
   EXPECT_EQ(over->limiting.rhs, 30);
 
-  // Only the acceptance is recorded: journaled under its license id, and
-  // in the service's state as the count of its set.
+  // Only the acceptance is recorded: journaled as an issue op carrying the
+  // issued license, and in the service's state as the count of its set.
   const Result<JournalReplay> replay = JournalReader::Parse(disk->contents());
   ASSERT_TRUE(replay.ok());
   ASSERT_EQ(replay->entries.size(), 1u);
-  EXPECT_EQ(replay->entries[0].record.issued_license_id, "LU1");
+  EXPECT_EQ(replay->entries[0].op.kind, OpKind::kIssue);
+  EXPECT_EQ(replay->entries[0].op.license.id(), "LU1");
+  EXPECT_EQ(replay->entries[0].op.license.aggregate_count(), 40);
   const LogStore log = (*service)->CollectLog();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_TRUE(log.records()[0].issued_license_id.empty());

@@ -568,35 +568,38 @@ TEST(LifecycleTest, ReconfigurationsRacingAdmissionsMatchTheModelInLockOrder) {
   std::set<std::string> journaled;
   for (const JournalEntry& entry : replay->entries) {
     const LicenseCatalog& catalog = *catalogs.back();
-    if (entry.kind == JournalEntryKind::kAdmission) {
-      const std::string& id = entry.record.issued_license_id;
+    const JournalOp& op = entry.op;
+    if (op.kind == OpKind::kIssue) {
+      const std::string& id = op.license.id();
       ASSERT_TRUE(by_id.count(id) != 0) << id;
       const Issued& admitted = *by_id[id];
-      const ReferenceModel::Decision want = model->TryIssue(admitted.request);
+      EXPECT_TRUE(op.license.rect() == admitted.request.rect()) << id;
+      const ReferenceModel::Decision want = model->TryIssue(op.license);
       EXPECT_TRUE(want.instance_valid && want.aggregate_valid) << id;
-      EXPECT_EQ(want.satisfying_set, entry.record.set) << id;
       EXPECT_TRUE(admitted.decision.accepted()) << id;
-      EXPECT_EQ(admitted.decision.satisfying_set, entry.record.set) << id;
+      EXPECT_EQ(admitted.decision.satisfying_set, want.satisfying_set) << id;
       EXPECT_EQ(admitted.decision.catalog_epoch, catalogs.size() - 1) << id;
-      model->Apply(entry.record.set, entry.record.count);
+      model->Apply(want.satisfying_set, op.license.aggregate_count());
       journaled.insert(id);
       continue;
     }
-    // A reconfiguration frame: the next catalog, and every count carried
-    // into it (cascade-dropped when it holds a revoked license, renumbered
+    // A reconfiguration op: the next catalog, and every count carried into
+    // it (cascade-dropped when it holds a revoked license, renumbered
     // densely past it).
+    ASSERT_NE(op.kind, OpKind::kExpire);
+    const int revoked_index =
+        op.kind == OpKind::kRevoke ? *catalog.IndexOfId(op.revoke_id) : -1;
     auto next = std::make_unique<LicenseCatalog>(&schema);
     std::vector<int> old_to_new;
     for (int i = 0; i < catalog.size(); ++i) {
-      const bool revoked = entry.kind == JournalEntryKind::kRevoke &&
-                           i == entry.revoked_index;
+      const bool revoked = i == revoked_index;
       old_to_new.push_back(revoked ? -1 : next->size());
       if (!revoked) {
         ASSERT_TRUE(next->Add(catalog.at(i)).ok());
       }
     }
-    if (entry.kind == JournalEntryKind::kAcquire) {
-      ASSERT_TRUE(next->Add(*entry.acquired).ok());
+    if (op.kind == OpKind::kAcquire) {
+      ASSERT_TRUE(next->Add(op.license).ok());
     }
     auto next_model = std::make_unique<ReferenceModel>(next.get());
     for (const auto& [set, count] : model->counts()) {
@@ -760,7 +763,7 @@ TEST(LifecycleTest, CollectLogIsOneRecordPerDistinctSetThroughTheLifecycle) {
   ASSERT_TRUE(replay.ok());
   uint64_t admissions = 0;
   for (const JournalEntry& entry : replay->entries) {
-    admissions += entry.kind == JournalEntryKind::kAdmission ? 1 : 0;
+    admissions += entry.op.kind == OpKind::kIssue ? 1 : 0;
   }
   EXPECT_EQ(admissions, s->metrics().Snap().accepted);
   EXPECT_EQ(admissions, 21u);

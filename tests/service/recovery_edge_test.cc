@@ -3,7 +3,10 @@
 // frames, and a journal whose first frame predates the checkpoint cut. In
 // every case the recovered state must equal a serial replay of the same
 // accepted requests on a fresh service, and RecoveryStats must account for
-// exactly where each record came from.
+// exactly where each record came from. Then the rules of replay by
+// re-execution: an op that does not succeed again, and a frame of the
+// older record format, fail recovery loudly; and replay leaves the
+// caller's metrics alone.
 
 #include <fstream>
 #include <memory>
@@ -12,10 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include "licensing/license_serialization.h"
+#include "persist/framing.h"
 #include "persist/journal.h"
 #include "persist/sync_file.h"
 #include "service/issuance_service.h"
 #include "test_util.h"
+#include "util/crc32c.h"
 
 namespace geolic {
 namespace {
@@ -290,6 +296,201 @@ TEST(RecoveryEdgeTest, JournalFramesPredatingCheckpointCutAreSkippedNotDoubled) 
   const std::unique_ptr<IssuanceService> serial =
       SerialReplay(schema, licenses, kRequests);
   ExpectSameState(recovered->get(), serial.get());
+}
+
+// Writes `bytes` as the journal file at `path`.
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good());
+}
+
+// A service journal: one issue op that replays fine, then `op` at seq 2.
+std::string JournalWithSecondOp(const ConstraintSchema& schema,
+                                const OpRef& op) {
+  auto file = std::make_unique<InMemorySyncFile>();
+  InMemorySyncFile* disk = file.get();
+  Result<std::unique_ptr<JournalWriter>> writer =
+      JournalWriter::Create(std::move(file));
+  EXPECT_TRUE(writer.ok());
+  EXPECT_TRUE(
+      (*writer)->AppendOp(1, OpRef::Issue(RequestAt(schema, 0))).ok());
+  EXPECT_TRUE((*writer)->AppendOp(2, op).ok());
+  return disk->contents();
+}
+
+// The service journals only ops that succeeded, so replay is strict: an op
+// that does not succeed again fails recovery with ParseError naming its
+// frame's sequence number, with or without a checkpoint under the tail.
+TEST(RecoveryEdgeTest, AnOpThatDoesNotReplayAsItRanLiveFailsRecovery) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = TwoGroupSet(schema);
+  const License over_budget = MakeUsage(schema, "UO", {{1, 5}}, 101);
+  struct Case {
+    const char* name;
+    OpRef op;
+  };
+  const Case cases[] = {
+      {"over-budget issue", OpRef::Issue(over_budget)},
+      {"revoke of an unknown id", OpRef::Revoke("L9")},
+      {"expire removing nothing", OpRef::Expire(0, -100)},
+  };
+  const std::string checkpoint_path =
+      ::testing::TempDir() + "edge_strict.gck";
+  {
+    Result<std::unique_ptr<IssuanceService>> empty =
+        IssuanceService::Create(&licenses);
+    ASSERT_TRUE(empty.ok());
+    ASSERT_TRUE((*empty)->WriteCheckpoint(checkpoint_path).ok());
+  }
+  const std::string journal_path = ::testing::TempDir() + "edge_strict.gjl";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    WriteFile(journal_path, JournalWithSecondOp(schema, c.op));
+    for (const std::string& checkpoint : {std::string(), checkpoint_path}) {
+      const Result<std::unique_ptr<IssuanceService>> recovered =
+          IssuanceService::Recover(&licenses, {}, checkpoint, journal_path);
+      ASSERT_FALSE(recovered.ok());
+      EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+      EXPECT_NE(recovered.status().message().find("seq 2 "),
+                std::string::npos)
+          << recovered.status().message();
+    }
+  }
+  // The same journals with an op that succeeds recover.
+  const License within_budget = RequestAt(schema, 1);
+  const Case fine[] = {
+      {"issue within budget", OpRef::Issue(within_budget)},
+      {"revoke of a known id", OpRef::Revoke("L3")},
+      {"expire removing L1", OpRef::Expire(0, 21)},
+  };
+  for (const Case& c : fine) {
+    SCOPED_TRACE(c.name);
+    WriteFile(journal_path, JournalWithSecondOp(schema, c.op));
+    RecoveryStats stats;
+    const Result<std::unique_ptr<IssuanceService>> recovered =
+        IssuanceService::Recover(&licenses, {}, "", journal_path, &stats);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+    EXPECT_EQ(stats.journal_records_replayed, 2u);
+  }
+}
+
+// Frames of the older service journal format — record frames (a set word,
+// or the wide-set escape with its word count) and the reconfiguration tags
+// 0x80000001..3 — fail recovery loudly, naming the frame's byte offset.
+TEST(RecoveryEdgeTest, OlderFormatFramesFailRecoveryWithTheirOffset) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = TwoGroupSet(schema);
+  const auto tagged = [](uint32_t tag, std::string_view body) {
+    std::string payload;
+    framing::PutScalar(&payload, uint64_t{0});
+    framing::PutScalar(&payload, tag);
+    payload.append(body);
+    return payload;
+  };
+  LogRecord narrow;
+  narrow.issued_license_id = "LU1";
+  narrow.set = testing::Mask(0b1);
+  narrow.count = 1;
+  LogRecord wide = narrow;
+  wide.set = LicenseSet();
+  wide.set.Add(0);
+  wide.set.Add(70);
+  std::string set_word;
+  EncodeLogRecord(narrow, &set_word);
+  std::string wide_set;
+  EncodeLogRecord(wide, &wide_set);
+  std::string acquire_body;
+  AppendLicenseBinary(MakeRedistribution(schema, "L4", {{300, 320}}, 9),
+                      &acquire_body);
+  std::string revoke_body;
+  framing::PutScalar(&revoke_body, uint32_t{1});
+  framing::PutScalar(&revoke_body, uint32_t{2});
+  revoke_body.append("L2");
+  std::string expire_body;
+  framing::PutScalar(&expire_body, uint32_t{0});
+  framing::PutScalar(&expire_body, int64_t{21});
+  framing::PutScalar(&expire_body, uint32_t{1});
+  framing::PutScalar(&expire_body, uint32_t{0});
+  const std::pair<const char*, std::string> old_payloads[] = {
+      {"set-word admission", set_word},
+      {"wide-set admission", wide_set},
+      {"acquire 0x80000001", tagged(0x80000001u, acquire_body)},
+      {"revoke 0x80000002", tagged(0x80000002u, revoke_body)},
+      {"expire 0x80000003", tagged(0x80000003u, expire_body)},
+  };
+  ASSERT_EQ(wide_set.substr(8, 4), std::string("\x02\0\0\0", 4));
+
+  // A journal whose first frame is a current op: the old frame follows it.
+  auto file = std::make_unique<InMemorySyncFile>();
+  InMemorySyncFile* disk = file.get();
+  Result<std::unique_ptr<JournalWriter>> writer =
+      JournalWriter::Create(std::move(file), {.fsync_interval = 0});
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(
+      (*writer)->AppendOp(1, OpRef::Issue(RequestAt(schema, 0))).ok());
+  const std::string first = disk->contents();
+  const std::string journal_path = ::testing::TempDir() + "edge_older.gjl";
+  for (const auto& [name, payload] : old_payloads) {
+    SCOPED_TRACE(name);
+    // The frame as the older writer framed it: len, seq 2, witness 0,
+    // header CRC, payload CRC, payload.
+    std::string frame;
+    framing::PutScalar(&frame, static_cast<uint32_t>(payload.size()));
+    framing::PutScalar(&frame, uint64_t{2});
+    framing::PutScalar(&frame, uint64_t{0});
+    framing::PutScalar(&frame, Crc32c(frame));
+    framing::PutScalar(&frame, Crc32c(payload));
+    frame.append(payload);
+    WriteFile(journal_path, first + frame);
+    const Result<std::unique_ptr<IssuanceService>> recovered =
+        IssuanceService::Recover(&licenses, {}, "", journal_path);
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+    EXPECT_NE(recovered.status().message().find(
+                  "offset " + std::to_string(first.size()) + ":"),
+              std::string::npos)
+        << recovered.status().message();
+  }
+}
+
+// Replay re-executes the tail on a service of its own: the caller's
+// metrics block counts none of the replayed decisions.
+TEST(RecoveryEdgeTest, ReplayLeavesTheCallersMetricsUntouched) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = TwoGroupSet(schema);
+  const std::string journal_path = ::testing::TempDir() + "edge_metrics.gjl";
+  {
+    Result<std::unique_ptr<IssuanceService>> service =
+        IssuanceService::Create(&licenses);
+    ASSERT_TRUE(service.ok());
+    Result<std::unique_ptr<JournalWriter>> journal =
+        JournalWriter::Open(journal_path);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
+    }
+    ASSERT_TRUE((*service)->AcquireLicense(
+                              MakeRedistribution(schema, "L4", {{300, 320}}, 9))
+                    .ok());
+    ASSERT_TRUE((*service)->TryIssue(MakeUsage(schema, "U9", {{305, 310}}, 1))
+                    .ok());
+  }
+  IssuanceMetrics metrics;
+  metrics.RecordAccepted(3, 1000);  // The caller's own history.
+  const std::string before = metrics.Snap().ToString();
+  OnlineValidatorOptions options;
+  options.metrics = &metrics;
+  RecoveryStats stats;
+  const Result<std::unique_ptr<IssuanceService>> recovered =
+      IssuanceService::Recover(&licenses, options, "", journal_path, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(stats.journal_records_replayed, 8u);
+  EXPECT_EQ(metrics.Snap().ToString(), before);
+  // The returned service records into it from here on.
+  ASSERT_TRUE((*recovered)->TryIssue(RequestAt(schema, 7)).ok());
+  EXPECT_EQ(metrics.Snap().accepted, 2u);
 }
 
 }  // namespace
