@@ -1,19 +1,20 @@
 // Ablation: cost of crash safety. The write-ahead journal puts one framed
-// issue op (and, depending on the fsync batching policy, one fsync) in
-// front of every accepted admission. This bench measures
-//   (a) raw journal append throughput vs fsync_interval — the durability
-//       spectrum from "fsync every op" to "let the OS decide", and
+// issue op and one sync in front of every accepted admission: an append
+// returns only once its frame is durable. This bench measures
+//   (a) the durable append cost on a real file beside the same frames
+//       written through an InMemorySyncFile, which shows what the device
+//       sync adds,
 //   (b) recovery time: re-executing the whole journal vs loading a
 //       midpoint checkpoint plus the journal tail, and
 //   (c) time per sync of PosixSyncFile (in-place writes into a reserved
 //       tail + fdatasync) against the append + fsync file it replaced,
-//       kept here as the baseline. Each sample is one Sync plus the
-//       Appends it covers, so the reservation's own sync is counted.
-// Expected shape: fsync_interval=1 is orders of magnitude slower than
-// batched intervals (each append pays a device flush); recovery time
-// scales with the replayed tail, so the checkpoint roughly halves it when
-// taken at the halfway point; a sync that grows the file also commits the
-// filesystem's metadata journal, so the baseline's syncs are slower.
+//       kept here as the baseline. Each sample is one append and its
+//       sync, so the reservation's own sync is counted.
+// Expected shape: the device sync is orders of magnitude slower than the
+// in-memory append; recovery time scales with the replayed tail, so the
+// checkpoint roughly halves it when taken at the halfway point; a sync
+// that grows the file also commits the filesystem's metadata journal, so
+// the baseline's syncs are slower.
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -170,7 +171,7 @@ int main(int argc, char** argv) {
   JsonOut json(flags, "ablation_journal");
   flags.Finish();
 
-  std::printf("# Ablation: journal append throughput and recovery time "
+  std::printf("# Ablation: durable journal append cost and recovery time "
               "(%d records)\n", records);
 
   ConstraintSchema schema;
@@ -183,35 +184,53 @@ int main(int argc, char** argv) {
     return OpRef::Issue(requests[static_cast<size_t>(i) % requests.size()]);
   };
 
-  // (a) Append throughput vs fsync batching. fsync_interval=1 uses a
-  // reduced record count — per-append device flushes are slow by design.
-  std::printf("%16s  %10s  %12s  %12s\n", "fsync_interval", "records",
-              "append_ms", "krec_per_s");
-  for (const int interval : {0, 64, 8, 1}) {
-    const int n = interval == 1 ? fsync_records : records;
-    const std::string path = dir + "/geolic_bench_journal_fsync" +
-                             std::to_string(interval) + ".gjl";
-    JournalOptions options;
-    options.fsync_interval = interval;
+  // (a) Durable append cost: every append syncs, on a real file and on
+  // an in-memory one, over fsync_records appends each.
+  std::printf("%20s  %8s  %12s  %14s  %14s\n", "file", "appends",
+              "append_ms", "append_p50_us", "append_p99_us");
+  for (const bool on_disk : {true, false}) {
+    const std::string path = dir + "/geolic_bench_journal_append.gjl";
+    std::unique_ptr<SyncFile> file;
+    if (on_disk) {
+      Result<std::unique_ptr<PosixSyncFile>> posix =
+          PosixSyncFile::Create(path);
+      GEOLIC_CHECK(posix.ok());
+      file = std::move(*posix);
+    } else {
+      file = std::make_unique<InMemorySyncFile>();
+    }
     Result<std::unique_ptr<JournalWriter>> writer =
-        JournalWriter::Open(path, options);
+        JournalWriter::Create(std::move(file));
     GEOLIC_CHECK(writer.ok());
+    std::vector<int64_t> nanos;
+    nanos.reserve(static_cast<size_t>(fsync_records));
     Stopwatch timer;
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < fsync_records; ++i) {
+      const auto start = std::chrono::steady_clock::now();
       GEOLIC_CHECK(
           (*writer)->AppendOp(static_cast<uint64_t>(i + 1), issue_op(i)).ok());
+      nanos.push_back(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
     }
-    GEOLIC_CHECK((*writer)->Sync().ok());
     const double elapsed_ms = timer.ElapsedMillis();
-    std::printf("%16d  %10d  %12.2f  %12.1f\n", interval, n, elapsed_ms,
-                elapsed_ms > 0 ? static_cast<double>(n) / elapsed_ms : 0.0);
+    GEOLIC_CHECK((*writer)->Close().ok());
+    if (on_disk) {
+      std::remove(path.c_str());
+    }
+    const char* label = on_disk ? "posix_file" : "in_memory";
+    const double p50 = PercentileMicros(nanos, 0.50);
+    const double p99 = PercentileMicros(nanos, 0.99);
+    std::printf("%20s  %8d  %12.2f  %14.2f  %14.2f\n", label, fsync_records,
+                elapsed_ms, p50, p99);
     json.Row([&](JsonWriter& out) {
-      out.KeyValue("label", "append_throughput");
-      out.KeyValue("fsync_interval", static_cast<int64_t>(interval));
-      out.KeyValue("records", static_cast<int64_t>(n));
+      out.KeyValue("label", "durable_append");
+      out.KeyValue("file", label);
+      out.KeyValue("appends", static_cast<int64_t>(fsync_records));
       out.KeyValue("append_ms", elapsed_ms);
+      out.KeyValue("append_p50_us", p50);
+      out.KeyValue("append_p99_us", p99);
     });
-    std::remove(path.c_str());
   }
 
   // (b) Recovery: run a real service with a journal, checkpoint halfway,
@@ -224,10 +243,8 @@ int main(int argc, char** argv) {
     Result<std::unique_ptr<IssuanceService>> service =
         IssuanceService::Create(&licenses);
     GEOLIC_CHECK(service.ok());
-    JournalOptions options;
-    options.fsync_interval = 0;  // Bench I/O, not the device flush.
     Result<std::unique_ptr<JournalWriter>> journal =
-        JournalWriter::Open(journal_path, options);
+        JournalWriter::Open(journal_path);
     GEOLIC_CHECK(journal.ok());
     GEOLIC_CHECK((*service)->AttachJournal(std::move(*journal)).ok());
     for (int i = 0; i < records; ++i) {
@@ -236,7 +253,6 @@ int main(int argc, char** argv) {
         GEOLIC_CHECK((*service)->WriteCheckpoint(checkpoint_path).ok());
       }
     }
-    GEOLIC_CHECK((*service)->SyncJournal().ok());
     Result<ValidationTree> tree = (*service)->CollectTree();
     GEOLIC_CHECK(tree.ok());
     pre_crash_tree = tree->ToString();
@@ -277,63 +293,57 @@ int main(int argc, char** argv) {
   std::remove(checkpoint_path.c_str());
 
   // (c) Time per sync, in-place + fdatasync vs append + fsync, over
-  // fsync_records syncs per file and interval. The two files alternate in
-  // four rounds so drift in the device hits both.
-  std::printf("%20s  %16s  %8s  %12s  %12s\n", "file", "fsync_interval",
-              "syncs", "sync_p50_us", "sync_p99_us");
+  // fsync_records syncs per file, one append each. The two files
+  // alternate in four rounds so drift in the device hits both.
+  std::printf("%20s  %8s  %12s  %12s\n", "file", "syncs", "sync_p50_us",
+              "sync_p99_us");
   constexpr int kRounds = 4;
-  for (const int interval : {1, 8}) {
-    std::vector<int64_t> nanos[2];
-    for (int round = 0; round < kRounds; ++round) {
-      for (const bool baseline : {true, false}) {
-        const std::string path = dir + "/geolic_bench_journal_sync.gjl";
-        std::unique_ptr<SyncFile> file;
-        if (baseline) {
-          file = std::make_unique<AppendFsyncFile>(path);
-        } else {
-          Result<std::unique_ptr<PosixSyncFile>> posix =
-              PosixSyncFile::Create(path);
-          GEOLIC_CHECK(posix.ok());
-          file = std::move(*posix);
-        }
-        std::vector<int64_t>* samples = &nanos[baseline ? 0 : 1];
-        JournalOptions options;
-        options.fsync_interval = interval;
-        Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Create(
-            std::make_unique<TimedSyncFile>(std::move(file), samples), options);
-        GEOLIC_CHECK(writer.ok());
-        const int n = std::max(1, fsync_records / kRounds) * interval;
-        for (int i = 0; i < n; ++i) {
-          GEOLIC_CHECK(
-              (*writer)->AppendOp(static_cast<uint64_t>(i + 1), issue_op(i))
-                  .ok());
-        }
-        GEOLIC_CHECK((*writer)->Close().ok());
-        std::remove(path.c_str());
-      }
-    }
+  std::vector<int64_t> nanos[2];
+  for (int round = 0; round < kRounds; ++round) {
     for (const bool baseline : {true, false}) {
-      const std::vector<int64_t>& samples = nanos[baseline ? 0 : 1];
-      const char* label =
-          baseline ? "append_fsync" : "inplace_fdatasync";
-      const double p50 = PercentileMicros(samples, 0.50);
-      const double p99 = PercentileMicros(samples, 0.99);
-      std::printf("%20s  %16d  %8zu  %12.1f  %12.1f\n", label, interval,
-                  samples.size(), p50, p99);
-      json.Row([&](JsonWriter& out) {
-        out.KeyValue("label", "sync_latency");
-        out.KeyValue("file", label);
-        out.KeyValue("fsync_interval", static_cast<int64_t>(interval));
-        out.KeyValue("syncs", static_cast<uint64_t>(samples.size()));
-        out.KeyValue("sync_p50_us", p50);
-        out.KeyValue("sync_p99_us", p99);
-      });
+      const std::string path = dir + "/geolic_bench_journal_sync.gjl";
+      std::unique_ptr<SyncFile> file;
+      if (baseline) {
+        file = std::make_unique<AppendFsyncFile>(path);
+      } else {
+        Result<std::unique_ptr<PosixSyncFile>> posix =
+            PosixSyncFile::Create(path);
+        GEOLIC_CHECK(posix.ok());
+        file = std::move(*posix);
+      }
+      std::vector<int64_t>* samples = &nanos[baseline ? 0 : 1];
+      Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Create(
+          std::make_unique<TimedSyncFile>(std::move(file), samples));
+      GEOLIC_CHECK(writer.ok());
+      const int n = std::max(1, fsync_records / kRounds);
+      for (int i = 0; i < n; ++i) {
+        GEOLIC_CHECK(
+            (*writer)->AppendOp(static_cast<uint64_t>(i + 1), issue_op(i))
+                .ok());
+      }
+      GEOLIC_CHECK((*writer)->Close().ok());
+      std::remove(path.c_str());
     }
+  }
+  for (const bool baseline : {true, false}) {
+    const std::vector<int64_t>& samples = nanos[baseline ? 0 : 1];
+    const char* label = baseline ? "append_fsync" : "inplace_fdatasync";
+    const double p50 = PercentileMicros(samples, 0.50);
+    const double p99 = PercentileMicros(samples, 0.99);
+    std::printf("%20s  %8zu  %12.1f  %12.1f\n", label, samples.size(), p50,
+                p99);
+    json.Row([&](JsonWriter& out) {
+      out.KeyValue("label", "sync_latency");
+      out.KeyValue("file", label);
+      out.KeyValue("syncs", static_cast<uint64_t>(samples.size()));
+      out.KeyValue("sync_p50_us", p50);
+      out.KeyValue("sync_p99_us", p99);
+    });
   }
 
   json.Write();
-  std::printf("# expected shape: append cost rises as fsync_interval drops "
-              "to 1; checkpoint+tail replays ~half the records of a full "
+  std::printf("# expected shape: the device sync dominates a durable "
+              "append; checkpoint+tail replays ~half the records of a full "
               "journal replay; in-place fdatasync syncs beat append + "
               "fsync\n");
   return 0;

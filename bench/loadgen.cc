@@ -14,11 +14,11 @@
 //
 // --tenants=T switches to the multi-tenant catalog path: the server fronts
 // a CatalogService over T Zipf(--zipf)-popular contents with an LRU budget
-// of --budget_mb and one journal (--fsync=k syncs every k-th frame, 0
-// leaves it to the OS), clients send kTenantIssueRequest frames, and the
-// report adds the catalog's hit rate, compiles, evictions and resident
-// gauges — a healthy run at --tenants=100000 keeps well under 10% of
-// tenants resident while sustaining steady-state throughput.
+// of --budget_mb and one journal (every frame synced before its response),
+// clients send kTenantIssueRequest frames, and the report adds the
+// catalog's hit rate, compiles, evictions and resident gauges — a healthy
+// run at --tenants=100000 keeps well under 10% of tenants resident while
+// sustaining steady-state throughput.
 // Machine-readable: --json_out=<path>.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -275,7 +275,6 @@ int main(int argc, char** argv) {
   const int tenants = std::max(0, flags.Int("tenants", 0));
   const double zipf_s = std::strtod(flags.Str("zipf", "1.1").c_str(), nullptr);
   const int budget_mb = std::max(1, flags.Int("budget_mb", 64));
-  const int fsync_interval = std::max(0, flags.Int("fsync", 0));
   JsonOut json(flags, "loadgen");
   flags.Finish();
   const bool catalog_mode = tenants > 0;
@@ -314,7 +313,6 @@ int main(int argc, char** argv) {
     catalog_options.dir = catalog_dir.string();
     catalog_options.memory_budget_bytes =
         static_cast<size_t>(budget_mb) << 20;
-    catalog_options.fsync_interval = fsync_interval;
     Result<std::unique_ptr<CatalogService>> made =
         CatalogService::Create(tenant_source.get(), catalog_options);
     GEOLIC_CHECK(made.ok());

@@ -98,9 +98,6 @@ Status CatalogOptions::Validate() const {
   if (memory_budget_bytes == 0) {
     return Status::InvalidArgument("memory_budget_bytes must be > 0");
   }
-  if (fsync_interval < 0) {
-    return Status::InvalidArgument("fsync_interval must be >= 0");
-  }
   return Status::Ok();
 }
 
@@ -144,11 +141,7 @@ Status CatalogService::OpenJournal() {
   } else {
     GEOLIC_ASSIGN_OR_RETURN(file, PosixSyncFile::Create(path));
   }
-  JournalOptions journal_options;
-  journal_options.fsync_interval = options_.fsync_interval;
-  GEOLIC_ASSIGN_OR_RETURN(journal_,
-                          JournalWriter::Create(std::move(file),
-                                                journal_options));
+  GEOLIC_ASSIGN_OR_RETURN(journal_, JournalWriter::Create(std::move(file)));
   if (options_.tracer != nullptr) {
     journal_->set_tracer(options_.tracer);
   }
@@ -429,20 +422,6 @@ Result<CatalogService::TenantSnapshot> CatalogService::SnapshotTenant(
     snapshot.tenant_seq = tenant->tenant_seq;
     return snapshot;
   });
-}
-
-Status CatalogService::SyncJournals() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (journal_ == nullptr) {
-    return Status::Ok();
-  }
-  Status synced = journal_->Sync();
-  // A failed fsync may have lost acknowledged frames; the writer is
-  // poisoned, so the catalog fail-stops just as on an append error.
-  if (!synced.ok() && journal_->poisoned()) {
-    failed_ = true;
-  }
-  return synced;
 }
 
 Status CatalogService::Close() {

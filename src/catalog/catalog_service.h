@@ -70,9 +70,6 @@ struct CatalogOptions {
   // resident, so the floor is one tenant.
   size_t memory_budget_bytes = 64ull << 20;
 
-  // Passed through to the journal writer (see persist/journal.h).
-  int fsync_interval = 1;
-
   // Per-tenant service options (grouping, metrics, tracer —
   // shared by every tenant service the catalog builds).
   OnlineValidatorOptions service_options;
@@ -173,11 +170,8 @@ class CatalogService {
   };
   Result<TenantSnapshot> SnapshotTenant(uint64_t tenant_id);
 
-  // Forces the journal to stable storage.
-  Status SyncJournals();
-
-  // Flushes and closes the journal. Idempotent; called by the destructor
-  // best-effort.
+  // Closes the journal (every acknowledged op is already durable).
+  // Idempotent; called by the destructor best-effort.
   Status Close();
 
   // Counter snapshot (also embedded in Snap()).

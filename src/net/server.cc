@@ -182,13 +182,6 @@ void Server::Drain() {
   if (io_thread_.joinable()) {
     io_thread_.join();
   }
-  // Make the drained state durable before reporting done.
-  if (service_ != nullptr) {
-    (void)service_->SyncJournal();
-  }
-  if (catalog_ != nullptr) {
-    (void)catalog_->SyncJournals();
-  }
 }
 
 bool Server::IoDone() const {

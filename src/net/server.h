@@ -33,11 +33,11 @@ namespace geolic::net {
 //  * At the end of the turn it admits the pending list — TryIssueBatch in
 //    chunks of max_batch, so requests from every connection read in the
 //    turn share one lock acquisition per shard touched; per-request
-//    CatalogService::TryIssue in catalog mode — with any journal sync
-//    the service runs. It encodes the responses into the connections'
-//    write buffers and flushes each connection read in the turn once:
-//    non-blocking sends (MSG_NOSIGNAL, EINTR/EAGAIN and partial writes
-//    handled), EPOLLOUT re-armed for the rest.
+//    CatalogService::TryIssue in catalog mode — each journaled admission
+//    synced before its decision returns. It encodes the responses into the
+//    connections' write buffers and flushes each connection read in the
+//    turn once: non-blocking sends (MSG_NOSIGNAL, EINTR/EAGAIN and
+//    partial writes handled), EPOLLOUT re-armed for the rest.
 //
 // Between turns the reactor polls before it sleeps: after a turn that
 // read from a connection whose packets another CPU processed
@@ -61,11 +61,11 @@ namespace geolic::net {
 //
 // Graceful drain (Drain(), also run by the destructor): stop accepting
 // and reading, push the last responses out until every peer has
-// acknowledged them (bounded by drain_timeout_ms), close, join the
-// reactor, sync the journal. Every request decoded before the drain was
-// admitted and answered in its own turn, and the join leaves no
-// admission in flight, so a checkpoint cutover after Drain sees fully
-// quiesced shards.
+// acknowledged them (bounded by drain_timeout_ms), close and join the
+// reactor. Every request decoded before the drain was admitted and
+// answered in its own turn, after its journal frame's sync, so nothing is
+// left to sync; and the join leaves no admission in flight, so a
+// checkpoint cutover after Drain sees fully quiesced shards.
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; Server::port() reports the choice.

@@ -49,7 +49,7 @@ class FaultyFile : public SyncFile {
   }
 
   // The scheduled append's Sync (and every later one) fails; the append
-  // itself persists. With per-append fsync batching this is the same
+  // itself persists. The journal syncs every append, so this is the same
   // recovery shape as a fully-persisted torn append.
   void ScheduleFailSyncAfterAppend(uint64_t appends_ahead) {
     GEOLIC_DCHECK(appends_ahead >= 1);

@@ -220,28 +220,25 @@ Status DecodeJournalPayload(std::string_view payload, JournalEntry* entry) {
 }  // namespace
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::Create(
-    std::unique_ptr<SyncFile> file, const JournalOptions& options) {
+    std::unique_ptr<SyncFile> file) {
   if (file == nullptr) {
     return Status::InvalidArgument("journal needs a file");
   }
-  if (options.fsync_interval < 0) {
-    return Status::InvalidArgument("fsync_interval must be >= 0");
-  }
-  auto writer = std::unique_ptr<JournalWriter>(
-      new JournalWriter(std::move(file), options));
-  // The magic becomes durable with the first Sync, together with the
-  // frames that sync acknowledges. A crash before it leaves a prefix of
-  // the magic, which the reader replays as no frames.
+  auto writer =
+      std::unique_ptr<JournalWriter>(new JournalWriter(std::move(file)));
+  // The magic becomes durable with the first append's sync, together
+  // with its frame. A crash before it leaves a prefix of the magic, which
+  // the reader replays as no frames.
   GEOLIC_RETURN_IF_ERROR(writer->file_->Append(
       std::string_view(kJournalMagic, sizeof(kJournalMagic))));
   return writer;
 }
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
-    const std::string& path, const JournalOptions& options) {
+    const std::string& path) {
   GEOLIC_ASSIGN_OR_RETURN(std::unique_ptr<PosixSyncFile> file,
                           PosixSyncFile::Create(path));
-  return Create(std::move(file), options);
+  return Create(std::move(file));
 }
 
 Status JournalWriter::AppendOp(uint64_t seq, const OpRef& op) {
@@ -291,26 +288,7 @@ Status JournalWriter::AppendFrame(uint64_t seq, std::string* frame) {
     poisoned_ = true;
     return appended;
   }
-  last_seq_ = seq;
   ++frames_appended_;
-  // Tracked even with fsync_interval == 0 (no automatic syncs): Close()
-  // must know whether an acknowledged-unsynced tail exists to flush.
-  ++frames_since_sync_;
-  if (options_.fsync_interval > 0 &&
-      frames_since_sync_ >= options_.fsync_interval) {
-    return Sync();
-  }
-  return Status::Ok();
-}
-
-Status JournalWriter::Sync() {
-  if (poisoned_) {
-    return Status::FailedPrecondition(
-        "journal writer poisoned by an earlier I/O error");
-  }
-  if (closed_) {
-    return Status::FailedPrecondition("journal writer is closed");
-  }
   ScopedTracerSpan span(tracer_, TraceStage::kJournalFsync);
   const Status synced = file_->Sync();
   if (!synced.ok()) {
@@ -318,8 +296,7 @@ Status JournalWriter::Sync() {
     poisoned_ = true;
     return synced;
   }
-  frames_since_sync_ = 0;
-  synced_seq_ = last_seq_;
+  synced_seq_ = seq;
   return Status::Ok();
 }
 
@@ -327,19 +304,11 @@ Status JournalWriter::Close() {
   if (closed_) {
     return Status::Ok();
   }
+  closed_ = true;
   if (poisoned_) {
-    closed_ = true;
     return Status::FailedPrecondition(
         "journal writer poisoned by an earlier I/O error");
   }
-  if (frames_since_sync_ > 0) {
-    const Status synced = Sync();
-    if (!synced.ok()) {
-      closed_ = true;  // Sync poisoned the writer; Close stays terminal.
-      return synced;
-    }
-  }
-  closed_ = true;
   const Status status = file_->Close();
   if (!status.ok()) {
     poisoned_ = true;

@@ -49,8 +49,9 @@ namespace geolic {
 // offset like any malformed frame (docs/FORMATS.md).
 //
 // synced_seq is the witness: the sequence through which the writer had
-// completed a sync when it framed this frame (0 before any). A frame that
-// witnesses seq s proves every frame up to s was acknowledged durable.
+// completed a sync when it framed this frame (0 before any). Every append
+// syncs before it returns, so frame k + 1 witnesses frame k, and a frame
+// that witnesses seq s proves every frame up to s was acknowledged durable.
 //
 // Recovery semantics (JournalReader). A strict prefix of the magic, the
 // empty file included, is a journal a crash left before its first sync:
@@ -62,19 +63,18 @@ namespace geolic {
 //  * Strict rules — a closed journal, or any image that is not a whole
 //    number of kReserveStepBytes ending in kReservedZeroTailBytes of
 //    zeros. A frame whose bytes end at EOF before completing (torn write /
-//    truncated tail) is dropped and reported via `torn_tail`: those
-//    records were never covered by an acknowledged sync. Any other bad
-//    frame fails loudly.
+//    truncated tail) is dropped and reported via `torn_tail`: its append
+//    never returned OK. Any other bad frame fails loudly.
 //  * Crash rules — an image of a whole number of kReserveStepBytes ending
 //    in at least kReservedZeroTailBytes of zeros, i.e. a log that was
 //    never closed. Parsing stops at the zero tail. The first frame that
-//    fails its CRCs or runs past EOF is a torn tail (pages of an unsynced
-//    write that never reached the disk read as zeros) unless some later
-//    intact frame witnesses it as synced; then it is corruption and fails
-//    loudly. The frames after a torn tail are dropped with it. They were
-//    never synced, unless the "torn" frame is media damage to a synced
-//    frame that no frame framed after the sync reached the disk to
-//    witness: the residual docs/FORMATS.md states.
+//    fails its CRCs or runs past EOF is a torn tail (pages of the write
+//    whose sync the crash interrupted, which never reached the disk, read
+//    as zeros) unless some later intact frame witnesses it as synced; then
+//    it is corruption and fails loudly. Anything after a torn tail is
+//    dropped with it. Only the final frame has no later frame to witness
+//    it, so media damage to a crashed journal's last acknowledged frame
+//    reads as a torn tail: the residual docs/FORMATS.md states.
 //  Under both rules the loud failures name the bad frame's byte offset: a
 //  CRC mismatch (the header CRC means a flipped length field cannot
 //  masquerade as a torn tail), a witness ahead of its own frame, a
@@ -125,34 +125,24 @@ struct JournalOp {
   int64_t expire_cutoff = 0;  // kExpire.
 };
 
-struct JournalOptions {
-  // Sync the underlying file after every `fsync_interval`-th appended
-  // frame: 1 = sync every append (maximum durability), k > 1 amortizes one
-  // fsync over k admissions (a crash may lose up to k-1 acknowledged
-  // frames — the "acknowledged-unsynced suffix"), 0 = never sync
-  // automatically (the OS decides; callers use Sync()).
-  int fsync_interval = 1;
-};
-
 // Appends framed ops through a SyncFile. Not thread-safe — its owner
 // serializes appends behind its own lock.
 class JournalWriter {
  public:
   // Takes ownership of `file` and appends the 8-byte magic without
-  // syncing it: the first Sync makes the magic durable with the frames it
-  // acknowledges (on a PosixSyncFile, the file's name too).
+  // syncing it: the first append's sync makes the magic durable with its
+  // frame (on a PosixSyncFile, the file's name too).
   static Result<std::unique_ptr<JournalWriter>> Create(
-      std::unique_ptr<SyncFile> file, const JournalOptions& options = {});
+      std::unique_ptr<SyncFile> file);
 
   // Convenience: creates (truncating) `path` via PosixSyncFile.
-  static Result<std::unique_ptr<JournalWriter>> Open(
-      const std::string& path, const JournalOptions& options = {});
+  static Result<std::unique_ptr<JournalWriter>> Open(const std::string& path);
 
   // Frames and appends `op` under `seq` with the service header — `seq`
   // is the caller's strictly increasing sequence counter (the reader
-  // rejects gaps, duplicates and reordering). The frame reaches the file
-  // before returning; durability follows the fsync batching option. After
-  // any I/O error the writer is poisoned and every further append fails.
+  // rejects gaps, duplicates and reordering) — and syncs the file. OK
+  // means the frame is durable: one completed Sync covers it. After any
+  // I/O error the writer is poisoned and every further append fails.
   Status AppendOp(uint64_t seq, const OpRef& op);
 
   // The same op under the tenant header: one multi-tenant catalog op,
@@ -161,54 +151,44 @@ class JournalWriter {
   Status AppendTenantOp(uint64_t seq, uint64_t tenant_id, uint64_t tenant_seq,
                         const OpRef& op);
 
-  // Forces every appended frame to stable storage.
-  Status Sync();
-
-  // Flushes the batched-fsync tail, then closes the file. With
-  // fsync_interval != 1, frames appended since the last batch boundary
-  // are acknowledged but not yet durable; without this final sync a clean
-  // shutdown would silently lose them — the one case the torn-tail rules
-  // cannot excuse, because every one of those appends returned OK.
-  // Idempotent; every later Append/Sync fails. A Close after an I/O error
-  // (poisoned writer) fails loudly instead of pretending durability.
+  // Closes the file; every frame is already durable. Idempotent; every
+  // later append fails. A Close after an I/O error (poisoned writer) fails
+  // loudly instead of pretending durability.
   Status Close();
 
   // Best-effort Close() when the caller did not, unless the writer is
-  // poisoned: a cleanly destroyed journal is synced and truncated to its
-  // frames. A destructor cannot report, so code that needs the outcome
-  // calls Close() itself.
+  // poisoned: a cleanly destroyed journal is truncated to its frames. A
+  // destructor cannot report, so code that needs the outcome calls
+  // Close() itself.
   ~JournalWriter();
 
   uint64_t frames_appended() const { return frames_appended_; }
 
-  // True once an I/O error has poisoned the writer: every further
-  // Append/Sync fails and Close refuses to pretend durability. Callers
-  // that must not keep serving past a dead journal (the catalog pool)
-  // check this to fail-stop instead of limping per-op.
+  // True once an I/O error has poisoned the writer: every further append
+  // fails and Close refuses to pretend durability. Callers that must not
+  // keep serving past a dead journal (the catalog) check this to
+  // fail-stop instead of limping per-op.
   bool poisoned() const { return poisoned_; }
 
-  // Optional span sink: every fsync (explicit Sync or the batched one
-  // inside Append) records a kJournalFsync span. Must outlive the writer.
+  // Optional span sink: every append's fsync records a kJournalFsync span.
+  // Must outlive the writer.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   // The underlying file — for tests that inspect or fault the "disk".
   SyncFile* file() { return file_.get(); }
 
  private:
-  JournalWriter(std::unique_ptr<SyncFile> file, const JournalOptions& options)
-      : file_(std::move(file)), options_(options) {}
+  explicit JournalWriter(std::unique_ptr<SyncFile> file)
+      : file_(std::move(file)) {}
 
   // Fills in the header of `frame` (28 bytes of room, then the payload)
-  // for `seq`, appends it and runs the batched fsync.
+  // for `seq`, appends it and syncs it.
   Status AppendFrame(uint64_t seq, std::string* frame);
 
   std::unique_ptr<SyncFile> file_;
-  JournalOptions options_;
   Tracer* tracer_ = nullptr;
   uint64_t frames_appended_ = 0;
-  int frames_since_sync_ = 0;  // Appended, not yet covered by a sync.
-  uint64_t last_seq_ = 0;      // Sequence of the last appended frame.
-  uint64_t synced_seq_ = 0;    // Witness: last frame a sync covered.
+  uint64_t synced_seq_ = 0;  // Witness: last frame a sync covered.
   bool poisoned_ = false;
   bool closed_ = false;
 };
@@ -233,8 +213,8 @@ struct JournalReplay {
   std::vector<JournalEntry> entries;  // In sequence order, contiguous.
   // True when the journal ends in an incomplete frame (or, under the crash
   // rules, a frame no later frame witnesses as synced). Its bytes and
-  // everything after them are dropped: they can only belong to appends
-  // that crashed before their sync, i.e. the unacknowledged suffix.
+  // everything after them are dropped: they can only belong to the append
+  // whose sync a crash interrupted, which was never acknowledged.
   bool torn_tail = false;
   uint64_t torn_tail_offset = 0;  // Byte offset of the incomplete frame.
 };

@@ -102,7 +102,7 @@ class PosixSyncFile : public SyncFile {
 // In-memory implementation for tests and benches. `contents()` is what a
 // recovered disk would hold had every append hit the platter;
 // `synced_contents()` keeps only bytes covered by a completed Sync — the
-// acknowledged-durable prefix that fsync batching is allowed to trail.
+// acknowledged-durable prefix.
 class InMemorySyncFile : public SyncFile {
  public:
   Status Append(std::string_view data) override;

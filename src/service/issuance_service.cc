@@ -902,14 +902,6 @@ Status IssuanceService::AttachJournal(std::unique_ptr<JournalWriter> journal) {
   return Status::Ok();
 }
 
-Status IssuanceService::SyncJournal() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (journal_ == nullptr) {
-    return Status::Ok();
-  }
-  return journal_->Sync();
-}
-
 bool IssuanceService::has_journal() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return journal_ != nullptr;
@@ -1120,26 +1112,29 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
         "reconfiguration history");
   }
 
-  // The uncovered tail re-executes on a service of its own, built without
-  // the caller's metrics, tracer and simulation hooks: recovery counts no
-  // decisions and takes no simulation steps. Every op in a service
-  // journal succeeded live (the service journals an issue once accepted
-  // and a reconfiguration once built), so one that does not succeed again
-  // is a journal that does not belong to this catalog or checkpoint.
+  // The uncovered tail re-executes on the service Recover returns, built
+  // with the caller's options except that its decisions count into a
+  // scratch metrics block and it has no tracer or simulation hooks:
+  // recovery counts no decisions and takes no simulation steps. Every op
+  // in a service journal succeeded live (the service journals an issue
+  // once accepted and a reconfiguration once built), so one that does not
+  // succeed again is a journal that does not belong to this catalog or
+  // checkpoint.
+  IssuanceMetrics replay_metrics;
   OnlineValidatorOptions replay_options = options;
-  replay_options.metrics = nullptr;
+  replay_options.metrics = &replay_metrics;
   replay_options.tracer = nullptr;
   replay_options.sim_hooks = nullptr;
-  std::unique_ptr<IssuanceService> replayed;
+  std::unique_ptr<IssuanceService> service;
   if (have_checkpoint) {
-    GEOLIC_ASSIGN_OR_RETURN(replayed,
+    GEOLIC_ASSIGN_OR_RETURN(service,
                             Restore(std::move(checkpoint), replay_options));
   } else {
-    GEOLIC_ASSIGN_OR_RETURN(replayed, Create(licenses, replay_options));
+    GEOLIC_ASSIGN_OR_RETURN(service, Create(licenses, replay_options));
   }
   for (; at < replay.entries.size(); ++at) {
     const JournalEntry& entry = replay.entries[at];
-    const Status replayed_op = ReplayOp(replayed.get(), entry.op);
+    const Status replayed_op = ReplayOp(service.get(), entry.op);
     if (!replayed_op.ok()) {
       return Status::ParseError("journal frame seq " +
                                 std::to_string(entry.seq) +
@@ -1152,29 +1147,22 @@ Result<std::unique_ptr<IssuanceService>> IssuanceService::Recover(
     }
   }
 
-  // The returned service is built afresh from the replay's state with the
-  // caller's options. Journal-only recovery without reconfigurations
-  // borrows the caller's catalog; any other owns the replay's (and
-  // restarts at epoch 0 — the recovered catalog is the new baseline).
-  ServiceState state = replayed->Snapshot();
-  replayed.reset();
-  local.recovered_catalog_epoch = state.catalog_epoch;
-  std::unique_ptr<LicenseCatalog> owned;
-  const LicenseCatalog* final_catalog = licenses;
-  if (have_checkpoint || state.catalog_epoch != 0) {
-    owned = std::move(state.licenses);
-    final_catalog = owned.get();
-  }
-  GEOLIC_ASSIGN_OR_RETURN(
-      std::unique_ptr<IssuanceService> service,
-      CreateOwned(final_catalog, std::move(owned), options, state.records));
-  // Cross-check the rebuild against a serial replay of the same
-  // records: recovery must reproduce the exact pre-crash accepted set or
-  // fail — never return silently wrong state.
+  // Hand the service over: the caller's options, and epoch 0 — the
+  // recovered catalog is the new baseline. Journal-only recovery without
+  // reconfigurations still borrows the caller's catalog; any other owns
+  // its checkpoint's or its last reconfiguration's.
+  local.recovered_catalog_epoch = service->epoch_->epoch;
+  service->options_ = options;
+  service->metrics_ = options.metrics != nullptr ? options.metrics
+                                                 : &service->owned_metrics_;
+  service->epoch_->epoch = 0;
+  // Cross-check the service against a serial replay of its records:
+  // recovery must reproduce the exact pre-crash accepted set or fail —
+  // never return silently wrong state.
   GEOLIC_ASSIGN_OR_RETURN(const ValidationTree recovered,
                           service->CollectTree());
   GEOLIC_ASSIGN_OR_RETURN(const ValidationTree serial,
-                          ValidationTree::BuildFromLog(state.records));
+                          ValidationTree::BuildFromLog(service->CollectLog()));
   if (recovered.ToString() != serial.ToString() ||
       recovered.TotalCount() != serial.TotalCount()) {
     return Status::Internal(

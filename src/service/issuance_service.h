@@ -248,8 +248,9 @@ class IssuanceService {
   //
   // Replay is re-execution: every op of the tail runs again, in journal
   // order, through ReplayOp — TryIssue, AcquireLicense, RevokeLicenseById
-  // or ExpireDimensionBelow, the live paths themselves — on a service
-  // built without `options`' metrics, tracer and simulation hooks, which
+  // or ExpireDimensionBelow, the live paths themselves — on the service
+  // Recover returns. Replay counts its decisions into a scratch metrics
+  // block and runs without `options`' tracer and simulation hooks, which
   // recovery leaves untouched. The tail starts from the checkpoint's
   // state, or without a checkpoint from `licenses`, which must then be the
   // catalog the journal started from (epoch 0); the checkpoint's schema is
@@ -261,13 +262,15 @@ class IssuanceService {
   // license), or recovery fails with ParseError naming the frame's
   // sequence number.
   //
-  // The returned service is built from the replayed state's records with
-  // `options` and verified against a serial replay of those records — the
-  // result is the exact pre-crash accepted set or an error, never silently
-  // wrong. It owns the evolved catalog and restarts at epoch 0 (its
-  // catalog is the new baseline; RecoveryStats reports the journal-space
-  // epoch). It has no journal attached; call AttachJournal with a fresh
-  // journal file to resume durable admission.
+  // After replay the service takes `options` (its metrics() counters
+  // start at zero without options.metrics) and is verified against a
+  // serial replay of its records — the result is the exact pre-crash
+  // accepted set or an error, never silently wrong. It restarts at epoch
+  // 0 (its catalog is the new baseline; RecoveryStats reports the
+  // journal-space epoch) and borrows `licenses` only when recovery started
+  // from no checkpoint and replayed no reconfiguration; otherwise it owns
+  // its catalog. It has no journal attached; call AttachJournal with a
+  // fresh journal file to resume durable admission.
   static Result<std::unique_ptr<IssuanceService>> Recover(
       const LicenseCatalog* licenses, const OnlineValidatorOptions& options,
       const std::string& checkpoint_path, const std::string& journal_path,
@@ -361,10 +364,6 @@ class IssuanceService {
   // cover the catalog's evolution from epoch 0); fails if a journal is
   // already attached or frames were already written to this journal.
   Status AttachJournal(std::unique_ptr<JournalWriter> journal);
-
-  // Forces every journaled frame to stable storage (for fsync_interval
-  // batching); no-op without a journal.
-  Status SyncJournal();
 
   bool has_journal() const;
 

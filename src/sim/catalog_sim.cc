@@ -150,7 +150,6 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
   CatalogOptions options;
   options.dir = dir.string();
   options.memory_budget_bytes = config.memory_budget_bytes;
-  options.fsync_interval = 1;
   options.service_options.sim_skip_last_equation = config.inject_equation_skip;
   FaultyFile* faulty = nullptr;
   options.journal_file_factory =
@@ -214,15 +213,6 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
       ++result.ops_executed;
       continue;
     }
-    if (action < config.spill_probability + config.sync_probability) {
-      // May legitimately fail once the faulted writer is dead.
-      const Status synced = catalog->SyncJournals();
-      result.op_trace.push_back(std::string("sync journals ") +
-                                (synced.ok() ? "ok" : "FAIL"));
-      ++result.ops_executed;
-      continue;
-    }
-
     const License request =
         workload.DrawRequest(*oracle.baseline, &rng, op);
     const ReferenceModel::Decision want = oracle.model->TryIssue(request);

@@ -9,7 +9,7 @@ namespace geolic {
 
 // Deterministic simulation of the multi-tenant catalog layer
 // (catalog/catalog_service.h): a seed-driven stream of tenant-addressed
-// issues, forced spills and journal syncs runs against a CatalogService
+// issues and forced spills runs against a CatalogService
 // squeezed under a tiny memory budget (so eviction/reload churns
 // constantly), with every decision checked against a per-tenant
 // ReferenceModel. A scheduled FaultyFile fault kills the catalog journal
@@ -38,10 +38,8 @@ struct CatalogSimConfig {
   // Total tenant-addressed ops (inclusive draw).
   int min_ops = 24;
   int max_ops = 80;
-  // Per-op chance the op is a forced SpillTenant / SyncJournals instead of
-  // an issue.
-  double spill_probability = 0.10;
-  double sync_probability = 0.05;
+  // Per-op chance the op is a forced SpillTenant instead of an issue.
+  double spill_probability = 0.15;
   // Chance a journal fault is scheduled for the run; force_fault pins 1.
   double fault_probability = 0.5;
   bool force_fault = false;

@@ -72,8 +72,6 @@ std::string DescribeOp(const SimOp& op) {
     }
     case SimOpKind::kWriteCheckpoint:
       return "checkpoint";
-    case SimOpKind::kSyncJournal:
-      return "sync";
     case SimOpKind::kAcquireLicense:
       return "acquire " + op.requests[0].id();
     case SimOpKind::kRevokeLicense:
@@ -419,15 +417,6 @@ void ExecuteCheckpoint(SimState* state) {
   state->checkpoint_path = path;
 }
 
-void ExecuteSync(SimState* state) {
-  const Status synced = state->service->SyncJournal();
-  MixDigest(&state->digest, synced.ok() ? "sync ok;" : "sync error;");
-  if (!synced.ok() && state->workload->fault_kind == 0) {
-    Fail(state, std::string("sync failed without a scheduled fault: ") +
-                    synced.message());
-  }
-}
-
 void ExecuteAcquire(SimState* state, const SimOp& op) {
   const License& license = op.requests[0];
   PendingReconfig pending;
@@ -549,9 +538,6 @@ void ExecuteOp(SimState* state, const SimOp& op) {
       return;
     case SimOpKind::kWriteCheckpoint:
       ExecuteCheckpoint(state);
-      return;
-    case SimOpKind::kSyncJournal:
-      ExecuteSync(state);
       return;
     case SimOpKind::kAcquireLicense:
       ExecuteAcquire(state, op);
@@ -956,10 +942,8 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
           for (int b = 0; b < batch; ++b) {
             op.requests.push_back(make_request());
           }
-        } else if (kind < 0.76) {
-          op.kind = SimOpKind::kWriteCheckpoint;
         } else if (kind < 0.82) {
-          op.kind = SimOpKind::kSyncJournal;
+          op.kind = SimOpKind::kWriteCheckpoint;
         } else if (kind < 0.90) {
           op.kind = SimOpKind::kAcquireLicense;
           const int64_t slab_lo =
@@ -984,10 +968,8 @@ SimWorkload GenerateWorkload(uint64_t seed, const SimConfig& config) {
         for (int b = 0; b < batch; ++b) {
           op.requests.push_back(make_request());
         }
-      } else if (kind < 0.92) {
-        op.kind = SimOpKind::kWriteCheckpoint;
       } else {
-        op.kind = SimOpKind::kSyncJournal;
+        op.kind = SimOpKind::kWriteCheckpoint;
       }
       workload.client_ops[static_cast<size_t>(c)].push_back(std::move(op));
     }

@@ -50,7 +50,6 @@ enum class SimOpKind {
   kTryIssue,
   kTryIssueBatch,
   kWriteCheckpoint,
-  kSyncJournal,
   kAcquireLicense,  // requests[0] carries the new redistribution license.
   kRevokeLicense,   // revoke_id names the target; an absent id is a no-op.
   kExpireBefore,    // Expire dimension 0 strictly below expire_cutoff.

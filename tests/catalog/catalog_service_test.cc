@@ -50,7 +50,6 @@ class CatalogServiceTest : public ::testing::Test {
                .string();
     fs::remove_all(dir_);
     options_.dir = dir_;
-    options_.fsync_interval = 0;
   }
 
   void TearDown() override { fs::remove_all(dir_); }
@@ -78,9 +77,6 @@ TEST_F(CatalogServiceTest, RejectsBadOptions) {
   EXPECT_FALSE(CatalogService::Create(source_.get(), bad).ok());
   bad = options_;
   bad.memory_budget_bytes = 0;
-  EXPECT_FALSE(CatalogService::Create(source_.get(), bad).ok());
-  bad = options_;
-  bad.fsync_interval = -1;
   EXPECT_FALSE(CatalogService::Create(source_.get(), bad).ok());
 }
 
@@ -290,7 +286,6 @@ TEST_F(CatalogServiceTest, ExplicitSpillIsTransparent) {
 TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
   int64_t accepted = 0;
   {
-    options_.fsync_interval = 1;
     Result<std::unique_ptr<CatalogService>> catalog =
         CatalogService::Create(source_.get(), options_);
     ASSERT_TRUE(catalog.ok());
@@ -524,7 +519,6 @@ TEST_F(CatalogServiceTest, RecoverRejectsBrokenTenantSequences) {
 TEST_F(CatalogServiceTest, PoisonedWriterFailStopsTheCatalog) {
   // Route journal I/O through a fault injector so the writer can die
   // mid-run.
-  options_.fsync_interval = 1;
   FaultyFile* faulty = nullptr;
   options_.journal_file_factory =
       [&faulty](const std::string& path,
@@ -564,10 +558,17 @@ TEST_F(CatalogServiceTest, PoisonedWriterFailStopsTheCatalog) {
   EXPECT_FALSE((*catalog)->RevokeLicenseById(bystander, "nope").ok());
   EXPECT_EQ((*catalog)->stats().poisoned_writers, 1u);
 
-  // Read-side maintenance still works: spilling journals nothing. A
-  // failed sync keeps the one poisoned writer counted once.
+  // Read-side maintenance still works: spilling journals nothing. The next
+  // mutating op, on the spilled tenant, is still rejected, and the one
+  // poisoned writer stays counted once.
   EXPECT_TRUE((*catalog)->SpillTenant(bystander).ok());
-  EXPECT_FALSE((*catalog)->SyncJournals().ok());
+  Result<OnlineDecision> after_spill =
+      (*catalog)->TryIssue(bystander, Request(bystander));
+  ASSERT_FALSE(after_spill.ok());
+  EXPECT_EQ(after_spill.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(after_spill.status().message().find("fail-stopped"),
+            std::string::npos)
+      << after_spill.status().message();
   EXPECT_EQ((*catalog)->stats().poisoned_writers, 1u);
 
   // Recovery over the same directory restores service; the maybe-persisted

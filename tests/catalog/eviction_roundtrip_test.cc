@@ -111,11 +111,9 @@ void RunTrial(int trial) {
   CatalogOptions churn_options;
   churn_options.dir = churn_dir;
   churn_options.memory_budget_bytes = 1;  // Floor = one resident tenant.
-  churn_options.fsync_interval = 0;
 
   CatalogOptions resident_options;
   resident_options.dir = resident_dir;
-  resident_options.fsync_interval = 0;
 
   Result<std::unique_ptr<CatalogService>> churn_or =
       CatalogService::Create(&source_churn, churn_options);

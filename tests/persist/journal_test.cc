@@ -4,9 +4,11 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "persist/faulty_file.h"
 #include "persist/sync_file.h"
 
 #include "test_util.h"
@@ -14,20 +16,24 @@
 namespace geolic {
 namespace {
 
-// Forwards to a test-owned file so the disk outlives the JournalWriter —
-// lets a test destroy the writer and then inspect what a crash right
-// after shutdown would leave behind.
-class ForwardingSyncFile : public SyncFile {
+// An in-memory file that records, for every completed Sync, how many
+// bytes it covered.
+class CountingSyncFile : public SyncFile {
  public:
-  explicit ForwardingSyncFile(SyncFile* target) : target_(target) {}
-  Status Append(std::string_view data) override {
-    return target_->Append(data);
+  Status Append(std::string_view data) override { return disk_.Append(data); }
+  Status Sync() override {
+    GEOLIC_RETURN_IF_ERROR(disk_.Sync());
+    synced_sizes_.push_back(disk_.contents().size());
+    return Status::Ok();
   }
-  Status Sync() override { return target_->Sync(); }
-  Status Close() override { return target_->Close(); }
+  Status Close() override { return disk_.Close(); }
+
+  const InMemorySyncFile& disk() const { return disk_; }
+  const std::vector<size_t>& synced_sizes() const { return synced_sizes_; }
 
  private:
-  SyncFile* target_;
+  InMemorySyncFile disk_;
+  std::vector<size_t> synced_sizes_;
 };
 
 // An issued usage license, the body of an issue op.
@@ -161,110 +167,70 @@ TEST(JournalTest, RejectsBadMagic) {
   }
 }
 
+// The journal's one rule: an append returns OK only after exactly one
+// completed Sync covers its frame, under either header.
 TEST(JournalTest, FsyncEveryAppendKeepsDiskSynced) {
-  auto file = std::make_unique<InMemorySyncFile>();
-  InMemorySyncFile* disk = file.get();
-  JournalOptions options;
-  options.fsync_interval = 1;
+  auto file = std::make_unique<CountingSyncFile>();
+  CountingSyncFile* counting = file.get();
   Result<std::unique_ptr<JournalWriter>> writer =
-      JournalWriter::Create(std::move(file), options);
+      JournalWriter::Create(std::move(file));
   ASSERT_TRUE(writer.ok());
-  for (uint64_t seq = 1; seq <= 5; ++seq) {
-    ASSERT_TRUE((*writer)->AppendOp(seq, OpRef::Issue(Usage("LU", 1))).ok());
-    EXPECT_EQ(disk->synced_size(), disk->contents().size()) << seq;
+  const License issued = Usage("LU", 1);
+  for (uint64_t seq = 1; seq <= 6; ++seq) {
+    const size_t before = counting->disk().contents().size();
+    const size_t syncs = counting->synced_sizes().size();
+    const Status appended =
+        seq % 2 == 1 ? (*writer)->AppendOp(seq, OpRef::Issue(issued))
+                     : (*writer)->AppendTenantOp(seq, 9, seq / 2,
+                                                 OpRef::Issue(issued));
+    ASSERT_TRUE(appended.ok()) << seq;
+    ASSERT_EQ(counting->synced_sizes().size(), syncs + 1) << seq;
+    // The frame is the bytes past `before`; the sync covered all of them.
+    EXPECT_GT(counting->disk().contents().size(), before) << seq;
+    EXPECT_EQ(counting->synced_sizes().back(),
+              counting->disk().contents().size())
+        << seq;
+    const Result<JournalReplay> replay =
+        JournalReader::Parse(counting->disk().synced_contents());
+    ASSERT_TRUE(replay.ok()) << replay.status().message();
+    EXPECT_EQ(replay->entries.size(), seq);
   }
 }
 
-TEST(JournalTest, FsyncBatchingTrailsByAtMostTheInterval) {
-  auto file = std::make_unique<InMemorySyncFile>();
-  InMemorySyncFile* disk = file.get();
-  JournalOptions options;
-  options.fsync_interval = 4;
+// The other side of the rule: an append whose sync fails is not
+// acknowledged, and it poisons the writer for good.
+TEST(JournalTest, FailedSyncFailsTheAppendAndPoisons) {
+  auto file =
+      std::make_unique<FaultyFile>(std::make_unique<InMemorySyncFile>());
+  FaultyFile* faults = file.get();
   Result<std::unique_ptr<JournalWriter>> writer =
-      JournalWriter::Create(std::move(file), options);
-  ASSERT_TRUE(writer.ok());
-
-  for (uint64_t seq = 1; seq <= 3; ++seq) {
-    ASSERT_TRUE((*writer)->AppendOp(seq, OpRef::Issue(Usage("LU", 1))).ok());
-    // Not yet at the interval: nothing, not even the magic, is synced.
-    EXPECT_EQ(disk->synced_size(), 0u) << seq;
-  }
-  ASSERT_TRUE((*writer)->AppendOp(4, OpRef::Issue(Usage("LU", 1))).ok());
-  EXPECT_EQ(disk->synced_size(), disk->contents().size());
-
-  // The synced prefix alone must always replay cleanly (a crash loses the
-  // unsynced suffix, never corrupts the acknowledged part).
-  ASSERT_TRUE((*writer)->AppendOp(5, OpRef::Issue(Usage("LU", 1))).ok());
-  const Result<JournalReplay> replay =
-      JournalReader::Parse(disk->synced_contents());
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->entries.size(), 4u);
-}
-
-TEST(JournalTest, ManualSyncFlushesWithIntervalZero) {
-  auto file = std::make_unique<InMemorySyncFile>();
-  InMemorySyncFile* disk = file.get();
-  JournalOptions options;
-  options.fsync_interval = 0;
-  Result<std::unique_ptr<JournalWriter>> writer =
-      JournalWriter::Create(std::move(file), options);
+      JournalWriter::Create(std::move(file));
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Usage("LU", 1))).ok());
-  EXPECT_LT(disk->synced_size(), disk->contents().size());
-  ASSERT_TRUE((*writer)->Sync().ok());
-  EXPECT_EQ(disk->synced_size(), disk->contents().size());
+  faults->FailNextSync();
+  const Status failed = (*writer)->AppendOp(2, OpRef::Issue(Usage("LU", 1)));
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
+  EXPECT_TRUE((*writer)->poisoned());
+  EXPECT_FALSE((*writer)->AppendOp(3, OpRef::Issue(Usage("LU", 1))).ok());
+  EXPECT_FALSE((*writer)->Close().ok());
 }
 
-// Satellite regression: with batched fsync (interval > 1) the writer used
-// to leave the tail of appends unsynced on shutdown, so a clean close
-// behaved like a crash and dropped acknowledged records. Close must flush
-// whatever the interval is still holding back.
-TEST(JournalTest, CloseFlushesTheBatchedFsyncTail) {
-  InMemorySyncFile disk;
-  JournalOptions options;
-  options.fsync_interval = 4;
-  Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Create(
-      std::make_unique<ForwardingSyncFile>(&disk), options);
+// Close leaves nothing to flush, and a closed writer refuses further work.
+TEST(JournalTest, ClosedWriterRefusesAppends) {
+  auto file = std::make_unique<CountingSyncFile>();
+  CountingSyncFile* counting = file.get();
+  Result<std::unique_ptr<JournalWriter>> writer =
+      JournalWriter::Create(std::move(file));
   ASSERT_TRUE(writer.ok());
   for (uint64_t seq = 1; seq <= 3; ++seq) {
     ASSERT_TRUE((*writer)->AppendOp(seq, OpRef::Issue(Usage("LU", 1))).ok());
   }
-  // Below the interval: the tail is not yet acknowledged durable.
-  ASSERT_LT(disk.synced_size(), disk.contents().size());
-
   ASSERT_TRUE((*writer)->Close().ok());
-  EXPECT_EQ(disk.synced_size(), disk.contents().size());
-  const Result<JournalReplay> replay =
-      JournalReader::Parse(disk.synced_contents());
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->entries.size(), 3u);
-  EXPECT_FALSE(replay->torn_tail);
-
-  // A closed writer refuses further work; Close stays idempotent.
+  EXPECT_EQ(counting->synced_sizes().size(), 3u);
+  EXPECT_EQ(counting->disk().synced_size(),
+            counting->disk().contents().size());
   EXPECT_FALSE((*writer)->AppendOp(4, OpRef::Issue(Usage("LU", 1))).ok());
-  EXPECT_FALSE((*writer)->Sync().ok());
-  EXPECT_TRUE((*writer)->Close().ok());
-}
-
-// Destroying the writer without an explicit Close must flush the same
-// tail — RAII teardown is the common shutdown path in the service.
-TEST(JournalTest, DestructionFlushesTheBatchedFsyncTail) {
-  InMemorySyncFile disk;
-  JournalOptions options;
-  options.fsync_interval = 8;
-  {
-    Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Create(
-        std::make_unique<ForwardingSyncFile>(&disk), options);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->AppendOp(1, OpRef::Issue(Usage("LU1", 10))).ok());
-    ASSERT_TRUE((*writer)->AppendOp(2, OpRef::Issue(Usage("LU2", 1))).ok());
-    ASSERT_LT(disk.synced_size(), disk.contents().size());
-  }
-  const Result<JournalReplay> replay =
-      JournalReader::Parse(disk.synced_contents());
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->entries.size(), 2u);
-  EXPECT_FALSE(replay->torn_tail);
+  EXPECT_TRUE((*writer)->Close().ok());  // Idempotent.
 }
 
 TEST(JournalTest, RejectsSequenceZero) {

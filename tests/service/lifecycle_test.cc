@@ -916,7 +916,6 @@ TEST(LifecycleTest, CheckpointAfterReconfigCoversAndTagsTheEpoch) {
   ASSERT_TRUE((*service)->WriteCheckpoint(checkpoint_path).ok());
   ASSERT_TRUE(
       (*service)->TryIssue(MakeUsage(schema, "U2", {{305, 315}}, 1)).ok());
-  ASSERT_TRUE((*service)->SyncJournal().ok());
 
   RecoveryStats stats;
   Result<std::unique_ptr<IssuanceService>> recovered =
@@ -957,7 +956,6 @@ TEST(LifecycleTest, CheckpointPredatingReconfigsStillRecovers) {
   ASSERT_TRUE((*service)->ExpireDimensionBelow(0, 35).ok());  // Drops L2.
   ASSERT_TRUE(
       (*service)->TryIssue(MakeUsage(schema, "U3", {{205, 215}}, 1)).ok());
-  ASSERT_TRUE((*service)->SyncJournal().ok());
   ASSERT_EQ((*service)->catalog_epoch(), 2u);
 
   RecoveryStats stats;

@@ -5,8 +5,8 @@
 // accepted requests on a fresh service, and RecoveryStats must account for
 // exactly where each record came from. Then the rules of replay by
 // re-execution: an op that does not succeed again, and a frame of the
-// older record format, fail recovery loudly; and replay leaves the
-// caller's metrics alone.
+// older record format, fail recovery loudly; and replay counts into no
+// metrics block the recovered service keeps.
 
 #include <fstream>
 #include <memory>
@@ -425,7 +425,7 @@ TEST(RecoveryEdgeTest, OlderFormatFramesFailRecoveryWithTheirOffset) {
   auto file = std::make_unique<InMemorySyncFile>();
   InMemorySyncFile* disk = file.get();
   Result<std::unique_ptr<JournalWriter>> writer =
-      JournalWriter::Create(std::move(file), {.fsync_interval = 0});
+      JournalWriter::Create(std::move(file));
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(
       (*writer)->AppendOp(1, OpRef::Issue(RequestAt(schema, 0))).ok());
@@ -454,29 +454,36 @@ TEST(RecoveryEdgeTest, OlderFormatFramesFailRecoveryWithTheirOffset) {
   }
 }
 
-// Replay re-executes the tail on a service of its own: the caller's
-// metrics block counts none of the replayed decisions.
+// Journals six issues, an acquire (epoch 1) and an issue under it: eight
+// frames for Recover to replay.
+void JournalEightOps(const ConstraintSchema& schema,
+                     const LicenseCatalog& licenses,
+                     const std::string& journal_path) {
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+  Result<std::unique_ptr<JournalWriter>> journal =
+      JournalWriter::Open(journal_path);
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
+  }
+  ASSERT_TRUE((*service)
+                  ->AcquireLicense(
+                      MakeRedistribution(schema, "L4", {{300, 320}}, 9))
+                  .ok());
+  ASSERT_TRUE(
+      (*service)->TryIssue(MakeUsage(schema, "U9", {{305, 310}}, 1)).ok());
+}
+
+// Replay counts into a scratch metrics block: the caller's metrics block
+// counts none of the replayed decisions.
 TEST(RecoveryEdgeTest, ReplayLeavesTheCallersMetricsUntouched) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = TwoGroupSet(schema);
   const std::string journal_path = ::testing::TempDir() + "edge_metrics.gjl";
-  {
-    Result<std::unique_ptr<IssuanceService>> service =
-        IssuanceService::Create(&licenses);
-    ASSERT_TRUE(service.ok());
-    Result<std::unique_ptr<JournalWriter>> journal =
-        JournalWriter::Open(journal_path);
-    ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
-    for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
-    }
-    ASSERT_TRUE((*service)->AcquireLicense(
-                              MakeRedistribution(schema, "L4", {{300, 320}}, 9))
-                    .ok());
-    ASSERT_TRUE((*service)->TryIssue(MakeUsage(schema, "U9", {{305, 310}}, 1))
-                    .ok());
-  }
+  JournalEightOps(schema, licenses, journal_path);
   IssuanceMetrics metrics;
   metrics.RecordAccepted(3, 1000);  // The caller's own history.
   const std::string before = metrics.Snap().ToString();
@@ -491,6 +498,33 @@ TEST(RecoveryEdgeTest, ReplayLeavesTheCallersMetricsUntouched) {
   // The returned service records into it from here on.
   ASSERT_TRUE((*recovered)->TryIssue(RequestAt(schema, 7)).ok());
   EXPECT_EQ(metrics.Snap().accepted, 2u);
+}
+
+// Without a caller's metrics block the recovered service counts into its
+// own, which replay left at zero. It restarts at epoch 0, so a fresh
+// journal attaches.
+TEST(RecoveryEdgeTest, RecoveredServiceWithoutMetricsStartsAtZero) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = TwoGroupSet(schema);
+  const std::string journal_path =
+      ::testing::TempDir() + "edge_own_metrics.gjl";
+  JournalEightOps(schema, licenses, journal_path);
+  RecoveryStats stats;
+  const Result<std::unique_ptr<IssuanceService>> recovered =
+      IssuanceService::Recover(&licenses, {}, "", journal_path, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(stats.journal_records_replayed, 8u);
+  EXPECT_EQ(stats.recovered_catalog_epoch, 1u);
+  const IssuanceMetrics::Snapshot snap = (*recovered)->metrics().Snap();
+  EXPECT_EQ(snap.total_requests(), 0u);
+  EXPECT_EQ(snap.equations_checked, 0u);
+  EXPECT_EQ(snap.batches, 0u);
+  EXPECT_EQ(snap.ToString(), IssuanceMetrics().Snap().ToString());
+  EXPECT_EQ((*recovered)->catalog_epoch(), 0u);
+  Result<std::unique_ptr<JournalWriter>> fresh =
+      JournalWriter::Create(std::make_unique<InMemorySyncFile>());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE((*recovered)->AttachJournal(std::move(*fresh)).ok());
 }
 
 }  // namespace

@@ -140,7 +140,6 @@ TEST(WideE2ETest, N256IssuanceAndRecoveryMatchReferenceModel) {
         ++rejected_total;
       }
     }
-    ASSERT_TRUE((*service)->SyncJournal().ok());
   }  // "Crash": service dies; only the journal survives.
 
   // The workload must actually exercise both verdicts to mean anything.
