@@ -9,6 +9,7 @@
 
 #include "persist/checkpoint.h"
 #include "persist/framing.h"
+#include "util/check.h"
 
 namespace geolic {
 
@@ -167,8 +168,9 @@ Status CatalogService::Compile(uint64_t tenant_id, Tenant* tenant) {
   return Status::Ok();
 }
 
-Status CatalogService::LoadSpill(uint64_t tenant_id,
-                                 const std::string& payload, Tenant* tenant) {
+Result<size_t> CatalogService::LoadSpill(uint64_t tenant_id,
+                                         const std::string& payload,
+                                         Tenant* tenant) {
   auto fail = [&](const std::string& message) {
     return Status::ParseError(TenantLabel(tenant_id) + " spill " +
                               SpillPath(tenant_id) + ": " + message);
@@ -195,13 +197,14 @@ Status CatalogService::LoadSpill(uint64_t tenant_id,
                 " trailing bytes after the service state");
   }
   const uint64_t covered_seq = state->covered_seq;
+  const size_t records = state->records.size();
   GEOLIC_ASSIGN_OR_RETURN(
       tenant->service,
       IssuanceService::Restore(std::move(state).value(),
                                options_.service_options));
   tenant->schema = std::move(baseline.schema);
   tenant->tenant_seq = covered_seq;
-  return Status::Ok();
+  return records;
 }
 
 Result<CatalogService::Tenant*> CatalogService::EnsureResidentLocked(
@@ -215,6 +218,7 @@ Result<CatalogService::Tenant*> CatalogService::EnsureResidentLocked(
   ScopedTracerSpan span(options_.tracer, TraceStage::kCatalogCompile);
 
   Tenant tenant;
+  size_t records = 0;  // A compile starts with no accepted sets.
   const std::string spill_path = SpillPath(tenant_id);
   std::error_code ec;
   if (std::filesystem::exists(spill_path, ec)) {
@@ -225,7 +229,7 @@ Result<CatalogService::Tenant*> CatalogService::EnsureResidentLocked(
                     TenantLabel(tenant_id) + " spill " + spill_path + ": " +
                         payload.status().message());
     }
-    GEOLIC_RETURN_IF_ERROR(LoadSpill(tenant_id, *payload, &tenant));
+    GEOLIC_ASSIGN_OR_RETURN(records, LoadSpill(tenant_id, *payload, &tenant));
     ++counters_.loads;
   } else {
     GEOLIC_RETURN_IF_ERROR(Compile(tenant_id, &tenant));
@@ -235,12 +239,22 @@ Result<CatalogService::Tenant*> CatalogService::EnsureResidentLocked(
   tenant.table_bytes = tenant.service->dense_table_bytes();
   tenant.approx_bytes =
       ApproxTenantBytes(static_cast<size_t>(tenant.service->licenses().size()),
-                        tenant.service->CollectLog().size()) +
+                        records) +
       tenant.table_bytes;
   resident_bytes_ += tenant.approx_bytes;
   lru_.push_front(tenant_id);
   tenant.lru_pos = lru_.begin();
-  return &tenants_.emplace(tenant_id, std::move(tenant)).first->second;
+  Tenant* resident =
+      &tenants_.emplace(tenant_id, std::move(tenant)).first->second;
+  if (journal_ != nullptr) {
+    // Map nodes are stable: the pointer lives as long as the tenant.
+    const Status attached = resident->service->AttachJournalSink(
+        [this, tenant_id, resident](const OpRef& op) {
+          return JournalOpLocked(tenant_id, resident, op);
+        });
+    GEOLIC_CHECK(attached.ok());
+  }
+  return resident;
 }
 
 void CatalogService::ChargeTablesLocked(Tenant* tenant) {
@@ -297,14 +311,15 @@ Status CatalogService::CheckAcceptingOpsLocked() const {
         "error; mutating ops are rejected until a restart through "
         "CatalogService::Recover");
   }
+  if (journal_ == nullptr) {
+    return Status::FailedPrecondition("catalog journal is closed");
+  }
   return Status::Ok();
 }
 
 Status CatalogService::JournalOpLocked(uint64_t tenant_id, Tenant* tenant,
                                        const OpRef& op) {
-  if (journal_ == nullptr) {
-    return Status::FailedPrecondition("catalog journal is closed");
-  }
+  GEOLIC_DCHECK(journal_ != nullptr);  // Mutating ops check on entry.
   Status appended = journal_->AppendTenantOp(
       journal_seq_ + 1, tenant_id, tenant->tenant_seq + 1, op);
   if (!appended.ok()) {
@@ -342,8 +357,6 @@ Result<OnlineDecision> CatalogService::TryIssue(uint64_t tenant_id,
   GEOLIC_RETURN_IF_ERROR(CheckAcceptingOpsLocked());
   return OnTenantLocked(
       tenant_id, [&](Tenant* tenant) -> Result<OnlineDecision> {
-        GEOLIC_RETURN_IF_ERROR(
-            JournalOpLocked(tenant_id, tenant, OpRef::Issue(usage)));
         GEOLIC_ASSIGN_OR_RETURN(OnlineDecision decision,
                                 tenant->service->TryIssue(usage));
         if (decision.accepted() &&
@@ -360,8 +373,6 @@ Result<int> CatalogService::AcquireLicense(uint64_t tenant_id,
   std::lock_guard<std::mutex> lock(mutex_);
   GEOLIC_RETURN_IF_ERROR(CheckAcceptingOpsLocked());
   return OnTenantLocked(tenant_id, [&](Tenant* tenant) -> Result<int> {
-    GEOLIC_RETURN_IF_ERROR(
-        JournalOpLocked(tenant_id, tenant, OpRef::Acquire(license)));
     GEOLIC_ASSIGN_OR_RETURN(int index,
                             tenant->service->AcquireLicense(license));
     tenant->approx_bytes += kLicenseBytes;
@@ -376,8 +387,6 @@ Status CatalogService::RevokeLicenseById(uint64_t tenant_id,
   std::lock_guard<std::mutex> lock(mutex_);
   GEOLIC_RETURN_IF_ERROR(CheckAcceptingOpsLocked());
   return OnTenantLocked(tenant_id, [&](Tenant* tenant) -> Status {
-    GEOLIC_RETURN_IF_ERROR(
-        JournalOpLocked(tenant_id, tenant, OpRef::Revoke(id)));
     GEOLIC_RETURN_IF_ERROR(tenant->service->RevokeLicenseById(id));
     ChargeTablesLocked(tenant);
     return Status::Ok();
@@ -389,8 +398,6 @@ Result<int> CatalogService::ExpireDimensionBelow(uint64_t tenant_id, int dim,
   std::lock_guard<std::mutex> lock(mutex_);
   GEOLIC_RETURN_IF_ERROR(CheckAcceptingOpsLocked());
   return OnTenantLocked(tenant_id, [&](Tenant* tenant) -> Result<int> {
-    GEOLIC_RETURN_IF_ERROR(
-        JournalOpLocked(tenant_id, tenant, OpRef::Expire(dim, cutoff)));
     GEOLIC_ASSIGN_OR_RETURN(int removed,
                             tenant->service->ExpireDimensionBelow(dim, cutoff));
     ChargeTablesLocked(tenant);
@@ -509,19 +516,12 @@ Result<std::unique_ptr<CatalogService>> CatalogService::Recover(
 
   // Phase 2: rebuild touched tenants one at a time (spill-or-compile plus
   // the journaled tail), re-spill each, free it — memory stays bounded no
-  // matter how many tenants the crash left dirty. The journal holds
-  // intents: an op that failed live fails again, and is counted.
+  // matter how many tenants the crash left dirty. The journal is closed,
+  // so they replay without a sink. Replay is strict: every frame holds an
+  // op that succeeded live.
   for (const auto& [tenant_id, frames] : by_tenant) {
-    std::error_code spill_ec;
-    const bool had_spill =
-        std::filesystem::exists(service->SpillPath(tenant_id), spill_ec);
     GEOLIC_ASSIGN_OR_RETURN(Tenant* tenant,
                             service->EnsureResidentLocked(tenant_id));
-    if (had_spill) {
-      ++stats->spill_loads;
-    } else {
-      ++stats->compiles;
-    }
 
     uint64_t previous_seq = 0;
     for (const JournalEntry& entry : frames) {
@@ -545,8 +545,12 @@ Result<std::unique_ptr<CatalogService>> CatalogService::Recover(
             "at op " + std::to_string(seq) + " at frame " +
             std::to_string(entry.seq) + " of " + path + " — frames lost");
       }
-      if (!ReplayOp(tenant->service.get(), entry.op).ok()) {
-        ++stats->replayed_rejections;
+      const Status replayed = ReplayOp(tenant->service.get(), entry.op);
+      if (!replayed.ok()) {
+        return Status::ParseError(
+            TenantLabel(tenant_id) + ": op " + std::to_string(seq) +
+            " at frame " + std::to_string(entry.seq) + " of " + path +
+            " does not replay as it ran live: " + replayed.message());
       }
       tenant->tenant_seq = seq;
       ++stats->frames_replayed;

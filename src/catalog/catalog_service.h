@@ -41,14 +41,15 @@ namespace geolic {
 // (including `catalog_epoch`: the reloaded service continues at the
 // spilled epoch).
 //
-// Durability multiplexes every tenant onto one journal: each op appends
-// one tenant-tagged v3 frame (tenant_id + per-tenant contiguous tenant_seq
-// + the op) *before* the op executes — intent logging, replayed by
-// re-execution. Recover parses the journal, groups frames by tenant,
-// verifies per-tenant seq contiguity (a lost, duplicated or forged frame
-// fails loudly instead of replaying into a tenant), rebuilds every touched
-// tenant sequentially (spill + tail re-execution), re-spills it, and only
-// then truncates the journal — the checkpoint-then-truncate cutover.
+// Durability multiplexes every tenant onto one journal: each op that
+// succeeds appends one tenant-tagged frame (tenant_id + per-tenant
+// contiguous tenant_seq + the op) at its tenant service's write-ahead
+// point, before the state changes. Recover parses the journal, groups
+// frames by tenant, verifies per-tenant seq contiguity (a lost, duplicated
+// or forged frame fails loudly instead of replaying into a tenant),
+// rebuilds every touched tenant sequentially (spill + strict tail
+// re-execution), re-spills it, and only then truncates the journal — the
+// checkpoint-then-truncate cutover.
 //
 // One mutex guards the whole catalog — the resident tenants, the LRU, the
 // counters and the journal — and every public call holds it throughout,
@@ -94,11 +95,6 @@ struct CatalogRecoveryStats {
   size_t tenants_recovered = 0;    // Distinct tenants rebuilt.
   size_t frames_replayed = 0;      // Frames past each tenant's spill.
   size_t frames_skipped = 0;       // Frames a spill already covered.
-  size_t replayed_rejections = 0;  // Replayed ops that did not succeed
-                                   // (ReplayOp), exactly as they did not
-                                   // live: the journal holds intents.
-  size_t spill_loads = 0;          // Tenants rebuilt starting from a spill.
-  size_t compiles = 0;             // Tenants rebuilt from the source alone.
   int torn_tails = 0;              // 1 when the journal ends in a torn write.
 };
 
@@ -118,8 +114,9 @@ class CatalogService {
   // journal. Tenants whose state is fully covered by their spill are left
   // cold on disk. Fails loudly on any corruption that is not a clean torn
   // tail: CRC damage, a per-tenant sequence gap or duplicate, a journal
-  // resuming past a spill — and on a catalog-journal-<k>.wal with k >= 1,
-  // whose acknowledged ops this catalog would otherwise ignore.
+  // resuming past a spill, a frame that does not replay as it ran live —
+  // and on a catalog-journal-<k>.wal with k >= 1, whose acknowledged ops
+  // this catalog would otherwise ignore.
   static Result<std::unique_ptr<CatalogService>> Recover(
       TenantSource* source, const CatalogOptions& options,
       CatalogRecoveryStats* stats = nullptr);
@@ -129,11 +126,11 @@ class CatalogService {
   ~CatalogService();
 
   // --- Tenant-addressed ops (any thread) ---
-  // Each op materializes the tenant if needed, journals the intent frame,
-  // executes, and may evict colder tenants afterwards. A journal append
-  // failure rejects the op with tenant state unchanged (the frame is
-  // maybe-persisted; recovery may replay it — the documented allowance),
-  // and if the failure poisoned the journal writer the catalog
+  // Each op materializes the tenant if needed, runs (journaling itself if
+  // it succeeds), and may evict colder tenants afterwards. A journal
+  // append failure rejects the op with tenant state unchanged (the frame
+  // is maybe-persisted; recovery may replay it — the documented
+  // allowance), and if the failure poisoned the journal writer the catalog
   // *fail-stops*: every subsequent mutating op on every tenant is rejected
   // with FailedPrecondition until the process restarts via Recover
   // (spills/snapshots still work; they do not journal). The
@@ -214,27 +211,30 @@ class CatalogService {
   Status OpenJournal();
 
   // Makes `tenant_id` resident (spill reload or first-touch compile) and
-  // moves it to the LRU front.
+  // moves it to the LRU front; with the journal open, its service
+  // journals through JournalOpLocked.
   Result<Tenant*> EnsureResidentLocked(uint64_t tenant_id);
 
   // Re-charges a resident tenant's dense equation tables after a
   // reconfiguration, which resizes them when groups merge or split.
   void ChargeTablesLocked(Tenant* tenant);
 
-  // Builds a tenant's in-memory state from a spill payload.
-  Status LoadSpill(uint64_t tenant_id, const std::string& payload,
-                   Tenant* tenant);
+  // Builds a tenant's in-memory state from a spill payload; returns how
+  // many records it loaded.
+  Result<size_t> LoadSpill(uint64_t tenant_id, const std::string& payload,
+                           Tenant* tenant);
 
   // Builds a tenant's in-memory state from the source baseline.
   Status Compile(uint64_t tenant_id, Tenant* tenant);
 
-  // Appends the intent frame for `op`, about to execute, under the
-  // tenant's next op sequence; advances tenant->tenant_seq on success. A
-  // failure that poisoned the writer fail-stops the catalog.
+  // A resident tenant's journal sink, run under mutex_ (which the op
+  // holds): appends `op` under the tenant's next op sequence; advances
+  // tenant->tenant_seq on success. A failure that poisoned the writer
+  // fail-stops the catalog.
   Status JournalOpLocked(uint64_t tenant_id, Tenant* tenant, const OpRef& op);
 
-  // Non-OK once the catalog has fail-stopped (the writer poisoned);
-  // mutating ops check it on entry.
+  // Non-OK once the catalog has fail-stopped (the writer poisoned) or
+  // closed its journal; mutating ops check it on entry.
   Status CheckAcceptingOpsLocked() const;
 
   // Publishes the spill checkpoint (PublishCheckpointFile) and frees the

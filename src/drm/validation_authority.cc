@@ -43,26 +43,6 @@ Result<OnlineDecision> ValidationAuthority::ValidateIssue(
   return it->second->TryIssue(issued);
 }
 
-Result<std::vector<OnlineDecision>> ValidationAuthority::ValidateIssueBatch(
-    const ContentKey& key, const std::vector<License>& batch) {
-  const auto it = domains_.find(key);
-  if (it == domains_.end()) {
-    return Status::NotFound("unknown content domain: " + key.content);
-  }
-  std::vector<const License*> pointers;
-  pointers.reserve(batch.size());
-  for (const License& license : batch) {
-    if (KeyOf(license) != key) {
-      return Status::InvalidArgument(
-          "batch license " + license.id() + " belongs to another domain");
-    }
-    pointers.push_back(&license);
-  }
-  std::vector<OnlineDecision> decisions(batch.size());
-  GEOLIC_RETURN_IF_ERROR(it->second->TryIssueBatch(pointers, decisions));
-  return decisions;
-}
-
 std::vector<ValidationAuthority::ContentKey> ValidationAuthority::Keys()
     const {
   std::vector<ContentKey> keys;

@@ -99,11 +99,6 @@ class ValidationAuthority {
   // The domain's live issuance service (metrics, batch admission).
   Result<const IssuanceService*> ServiceFor(const ContentKey& key) const;
 
-  // Batched admission for one domain (one lock acquisition for the whole
-  // batch); decisions in input order. All licenses must belong to `key`.
-  Result<std::vector<OnlineDecision>> ValidateIssueBatch(
-      const ContentKey& key, const std::vector<License>& batch);
-
   // Offline grouped audit of one domain / all domains.
   Result<ContentAudit> Audit(const ContentKey& key) const;
   Result<std::vector<ContentAudit>> AuditAll() const;

@@ -22,8 +22,9 @@ namespace geolic {
 // distributor that loses or silently corrupts records can overissue past
 // A[S] undetected. The journal is the write-ahead side of that guarantee:
 // IssuanceService journals every accepted issuance and every applied
-// reconfiguration before its state changes, and the multi-tenant catalog
-// journals every op before it executes.
+// reconfiguration before its state changes, and nothing else; the
+// multi-tenant catalog's tenants journal at that same point, into the
+// catalog's one journal. Every frame is an op that succeeded.
 //
 // One op vocabulary: issue (the issued license), acquire (the acquired
 // license), revoke (the revoked license's id) and expire (dimension and

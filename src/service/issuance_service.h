@@ -353,22 +353,25 @@ class IssuanceService {
   // (validation/flat_tree.h) instead of walking pointers.
   Result<FlatValidationTree> CollectFlatTree() const;
 
-  // Turns on write-ahead journaling: every subsequently accepted issuance
-  // is appended to `journal` as an issue op before the in-memory state
-  // changes or the decision returns, so a crash can never have accepted an
-  // issuance the journal does not know. Reconfigurations journal their op
-  // the same way (op first, swap second). A journal append failure rejects the
-  // admission or reconfiguration with all state unchanged.
-  // Must be called before issuance traffic starts (admissions before it
-  // are in no journal) and before any reconfiguration (the journal must
-  // cover the catalog's evolution from epoch 0); fails if a journal is
-  // already attached or frames were already written to this journal.
+  // Receives every op that succeeded (an issuance its equations accept, a
+  // reconfiguration whose next epoch is built) before it changes any
+  // state, under the service lock. An error rejects the op unchanged.
+  using JournalSink = std::function<Status(const OpRef& op)>;
+
+  // Turns on write-ahead journaling into `journal`, which the service
+  // owns, under the service's own sequence: a crash can never have
+  // accepted an op the journal does not know, and the journal holds no
+  // op that failed. Must be called before issuance traffic starts and
+  // before any reconfiguration (the journal must cover the catalog's
+  // evolution from epoch 0); fails if a journal is already attached or
+  // frames were already written to this journal. Snap() reports the
+  // journal and its sequence.
   Status AttachJournal(std::unique_ptr<JournalWriter> journal);
 
-  bool has_journal() const;
-
-  // Sequence number of the last journaled frame (0 = none yet).
-  uint64_t journal_sequence() const;
+  // The same write-ahead point into the caller's sink (the catalog's
+  // tenants journal through one), whose durable state must already cover
+  // this service's. Fails if a journal is already attached.
+  Status AttachJournalSink(JournalSink sink);
 
   // The current catalog, its epoch, the accepted sets (CollectLog's
   // compacted records) and the journal sequence they cover, read under the
@@ -546,6 +549,10 @@ class IssuanceService {
   // ExpireDimensionBelow's body. Caller holds mutex_.
   Result<int> ExpireDimensionBelowLocked(int dim, int64_t cutoff);
 
+  // The one write-ahead call: sends `op` to the sink, if any. Caller
+  // holds mutex_.
+  Status JournalLocked(const OpRef& op);
+
   // Equation check + table/tree update for one request against the
   // current epoch. Caller holds mutex_. `decision` already carries the
   // satisfying set; `trace` collects the equation-scan and journal-append
@@ -574,9 +581,9 @@ class IssuanceService {
   std::unique_ptr<CatalogEpoch> epoch_;  // The current epoch; never null.
   // Incremental overlap components, mirrored into each epoch's grouping.
   DynamicGrouping dyn_grouping_;
-  // Write-ahead journal; null until AttachJournal.
-  std::unique_ptr<JournalWriter> journal_;
-  uint64_t journal_seq_ = 0;
+  JournalSink journal_;  // Empty until a journal is attached.
+  std::unique_ptr<JournalWriter> journal_writer_;  // AttachJournal's.
+  uint64_t journal_seq_ = 0;  // Ops journal_ has accepted.
 };
 
 // Re-executes one journaled op on `service`: the one replay both

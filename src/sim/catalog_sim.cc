@@ -27,12 +27,12 @@ namespace {
 // ReferenceModel mirroring every accepted issuance. One maybe-persisted op
 // at most — the journal writer poisons itself after its first I/O error
 // and the catalog fail-stops, so only the faulted append itself can have
-// reached the platter.
+// reached the platter. Only an accepted issue reaches the journal, so the
+// faulted op is always one.
 struct TenantOracle {
   std::unique_ptr<Workload> baseline;
   std::unique_ptr<ReferenceModel> model;
   bool maybe_pending = false;
-  bool maybe_would_accept = false;
   LicenseSet maybe_set;  // The maybe-persisted op's satisfying set.
   int64_t maybe_count = 0;
 };
@@ -229,7 +229,6 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
         // fail-stops.
         catalog_failed = true;
         oracle.maybe_pending = true;
-        oracle.maybe_would_accept = want.accepted();
         oracle.maybe_set = want.satisfying_set;
         oracle.maybe_count = request.aggregate_count();
         result.op_trace.push_back(TenantTag(tenant) +
@@ -297,7 +296,7 @@ CatalogSimResult RunCatalogSimulation(uint64_t seed,
     }
     const std::map<LicenseSet, int64_t>& expected = oracle.model->counts();
     std::map<LicenseSet, int64_t> with_maybe = expected;
-    if (oracle.maybe_pending && oracle.maybe_would_accept) {
+    if (oracle.maybe_pending) {
       with_maybe[oracle.maybe_set] += oracle.maybe_count;
     }
     if (got_counts != expected && got_counts != with_maybe) {

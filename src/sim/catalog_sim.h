@@ -19,7 +19,7 @@ namespace geolic {
 //
 //  * every tenant's recovered accepted-log length matches the model,
 //    modulo the one maybe-persisted op the faulted append is allowed to
-//    contribute (intent logging's documented allowance);
+//    contribute (always an accepted issue: only those reach the journal);
 //  * a reference model rebuilt from the recovered log still satisfies
 //    eq. 1 for every subset — recovery never over-issues;
 //  * post-recovery issues keep agreeing with the rebuilt model, decision

@@ -2,18 +2,22 @@
 // (catalog/catalog_service.h): lazy compilation and hit accounting, LRU
 // eviction under a tiny budget, the resident charge for dense equation
 // tables and for acceptances above the dense cap, explicit spill/reload
-// transparency, journal-backed crash recovery of an evolved tenant and
-// its per-tenant sequence checks, stale pool journals, fail-stop on a
-// poisoned writer, and four threads checked against per-tenant reference
-// models in the journal's lock order.
+// transparency, a journal that holds only the ops that succeeded,
+// journal-backed crash recovery of an evolved tenant with its per-tenant
+// sequence checks and strict replay, stale pool journals, fail-stop on a
+// poisoned writer (an issue's frame or an acquire's), and four threads
+// checked against per-tenant reference models in the journal's lock
+// order.
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,12 +59,27 @@ class CatalogServiceTest : public ::testing::Test {
   void TearDown() override { fs::remove_all(dir_); }
 
   // One on-policy usage request for `tenant` (deterministic per call
-  // sequence — the Rng is owned by the fixture).
+  // sequence — the Rng is owned by the fixture). Its count (at most 30) is
+  // far below every licence's budget (at least 5,000), so the few dozen a
+  // test issues are all accepted.
   License Request(uint64_t tenant) {
     Result<Workload> baseline = workload_->MakeTenant(tenant);
     EXPECT_TRUE(baseline.ok());
     return workload_->DrawRequest(*baseline, &rng_, ++sequence_);
   }
+
+  // A usage of `request`'s geometry under `id` with `count` issuances.
+  // Built directly: LicenseBuilder refuses a non-positive count.
+  static License WithCount(const License& request, const std::string& id,
+                           int64_t count) {
+    return License(id, request.content_key(), request.type(),
+                   request.permission(), request.rect(), count);
+  }
+
+  // More issuances than any tenant's licences sum to in any epoch, so
+  // WithCount(request, id, kOverBudget) is rejected by the first equation
+  // it checks, T = S, whatever was admitted before it.
+  static constexpr int64_t kOverBudget = int64_t{1} << 40;
 
   MultiTenantConfig config_;
   std::unique_ptr<MultiTenantWorkload> workload_;
@@ -267,22 +286,80 @@ TEST_F(CatalogServiceTest, ExplicitSpillIsTransparent) {
   const License usage = Request(2);
   Result<OnlineDecision> before = (*catalog)->TryIssue(2, usage);
   ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before->accepted());
+  const size_t compiled_bytes = (*catalog)->stats().resident_bytes;
   ASSERT_TRUE((*catalog)->SpillTenant(2).ok());
   EXPECT_TRUE(fs::exists((*catalog)->SpillPath(2)));
+  EXPECT_EQ((*catalog)->stats().resident_bytes, 0u);
   // Spilling a cold tenant is a no-op.
   EXPECT_TRUE((*catalog)->SpillTenant(2).ok());
 
   // The reloaded tenant remembers the accepted record and keeps deciding.
+  // A load charges 128 bytes per record it reads (one distinct set here)
+  // on top of what the compile charged.
   Result<CatalogService::TenantSnapshot> snapshot =
       (*catalog)->SnapshotTenant(2);
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot->log.size(), before->accepted() ? 1u : 0u);
+  EXPECT_EQ(snapshot->log.size(), 1u);
+  EXPECT_EQ((*catalog)->stats().resident_bytes, compiled_bytes + 128);
   Result<OnlineDecision> after = (*catalog)->TryIssue(2, usage);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->instance_valid, before->instance_valid);
   EXPECT_TRUE((*catalog)->Close().ok());
 }
 
+// The journal holds exactly the ops that succeeded: a rejected issue, a
+// revoke of an unknown id, an expire that removes nothing and a
+// non-positive count append no frame; the accepted issue after them
+// appends the tenant's first.
+TEST_F(CatalogServiceTest, OnlyOpsThatSucceededAppendAFrame) {
+  Result<std::unique_ptr<CatalogService>> catalog =
+      CatalogService::Create(source_.get(), options_);
+  ASSERT_TRUE(catalog.ok());
+  const uint64_t tenant = 2;
+  const License request = Request(tenant);
+
+  Result<OnlineDecision> rejected =
+      (*catalog)->TryIssue(tenant, WithCount(request, "over", kOverBudget));
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_TRUE(rejected->instance_valid);
+  EXPECT_FALSE(rejected->aggregate_valid);
+  EXPECT_EQ((*catalog)->RevokeLicenseById(tenant, "nope").code(),
+            StatusCode::kNotFound);
+  Result<int> expired = (*catalog)->ExpireDimensionBelow(
+      tenant, 0, std::numeric_limits<int64_t>::min());
+  ASSERT_TRUE(expired.ok()) << expired.status().message();
+  EXPECT_EQ(*expired, 0);
+  const License zero = WithCount(request, "zero", 0);
+  EXPECT_EQ((*catalog)->TryIssue(tenant, zero).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*catalog)->stats().journal_frames, 0u);
+
+  Result<OnlineDecision> accepted = (*catalog)->TryIssue(tenant, request);
+  ASSERT_TRUE(accepted.ok());
+  ASSERT_TRUE(accepted->accepted());
+  EXPECT_EQ((*catalog)->stats().journal_frames, 1u);
+  Result<CatalogService::TenantSnapshot> snapshot =
+      (*catalog)->SnapshotTenant(tenant);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->tenant_seq, 1u);
+  ASSERT_TRUE((*catalog)->Close().ok());
+
+  const Result<JournalReplay> replay =
+      JournalReader::ReadFile((*catalog)->JournalPath());
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
+  ASSERT_EQ(replay->entries.size(), 1u);
+  const JournalEntry& frame = replay->entries[0];
+  EXPECT_EQ(frame.kind, JournalEntryKind::kTenantOp);
+  EXPECT_EQ(frame.tenant_id, tenant);
+  EXPECT_EQ(frame.tenant_seq, 1u);
+  EXPECT_EQ(frame.op.kind, OpKind::kIssue);
+  EXPECT_EQ(frame.op.license.id(), request.id());
+}
+
+// Six accepted issues across two tenants, each followed by an
+// over-budget issue and a revoke of an unknown id: the journal holds the
+// six that succeeded, and Recover replays them.
 TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
   int64_t accepted = 0;
   {
@@ -294,10 +371,17 @@ TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
       const License request = Request(tenant);
       Result<OnlineDecision> decision = (*catalog)->TryIssue(tenant, request);
       ASSERT_TRUE(decision.ok());
-      if (tenant == 1 && decision->accepted()) {
+      ASSERT_TRUE(decision->accepted());
+      if (tenant == 1) {
         accepted += request.aggregate_count();
       }
+      Result<OnlineDecision> rejected = (*catalog)->TryIssue(
+          tenant, WithCount(request, "over" + std::to_string(i), kOverBudget));
+      ASSERT_TRUE(rejected.ok());
+      ASSERT_FALSE(rejected->accepted());
+      ASSERT_FALSE((*catalog)->RevokeLicenseById(tenant, "nope").ok());
     }
+    EXPECT_EQ((*catalog)->stats().journal_frames, 6u);
     // Crash: destroy without Close. The journal has every frame.
     catalog->reset();
   }
@@ -307,6 +391,7 @@ TEST_F(CatalogServiceTest, RecoverReplaysTheJournaledTail) {
       CatalogService::Recover(source_.get(), options_, &rstats);
   ASSERT_TRUE(recovered.ok()) << recovered.status().message();
   EXPECT_EQ(rstats.journal_frames, 6u);
+  EXPECT_EQ(rstats.frames_replayed, 6u);
   EXPECT_EQ(rstats.tenants_recovered, 2u);
 
   Result<CatalogService::TenantSnapshot> snapshot =
@@ -321,7 +406,8 @@ TEST_F(CatalogServiceTest, RecoverReadsAnEmptyJournalAsNoFrames) {
   // A journal that never completed a sync may be empty after a crash: its
   // magic was never made durable and none of its frames was acknowledged
   // as synced. Recovery reads it as no frames and serves the tenant from
-  // its spill.
+  // its spill, which covers the tenant's three accepted issues (its
+  // tenant_seq counts ops that succeeded, not the rejected fourth).
   const uint64_t tenant = 0;
   int64_t accepted = 0;
   {
@@ -332,10 +418,13 @@ TEST_F(CatalogServiceTest, RecoverReadsAnEmptyJournalAsNoFrames) {
       const License request = Request(tenant);
       Result<OnlineDecision> decision = (*catalog)->TryIssue(tenant, request);
       ASSERT_TRUE(decision.ok());
-      if (decision->accepted()) {
-        accepted += request.aggregate_count();
-      }
+      ASSERT_TRUE(decision->accepted());
+      accepted += request.aggregate_count();
     }
+    Result<OnlineDecision> rejected = (*catalog)->TryIssue(
+        tenant, WithCount(Request(tenant), "over", kOverBudget));
+    ASSERT_TRUE(rejected.ok());
+    ASSERT_FALSE(rejected->accepted());
     ASSERT_TRUE((*catalog)->SpillTenant(tenant).ok());
     catalog->reset();  // Crash: destroy without Close.
   }
@@ -457,7 +546,8 @@ void WriteTenantJournal(const std::string& path,
 // Recover checks each tenant's tenant_seq run: contiguous from the op
 // after its spill's covered_seq. A gap, a duplicate, or a run resuming
 // past the spill fails with a ParseError naming the tenant, even when the
-// other tenants' runs are clean.
+// other tenants' runs are clean. Every hand-built frame is an on-policy
+// issue that replays accepted, so only the sequence checks can fail.
 TEST_F(CatalogServiceTest, RecoverRejectsBrokenTenantSequences) {
   struct Case {
     const char* name;
@@ -514,6 +604,29 @@ TEST_F(CatalogServiceTest, RecoverRejectsBrokenTenantSequences) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().message();
   EXPECT_EQ(rstats.frames_replayed, 3u);
   EXPECT_EQ(rstats.tenants_recovered, 2u);
+}
+
+// Every frame of a catalog journal holds an op that succeeded live, so a
+// frame that does not succeed again (tenant 2's second issue, over every
+// budget) fails Recover with a ParseError naming the tenant, its op
+// sequence and the frame, instead of replaying as a rejection.
+TEST_F(CatalogServiceTest, RecoverFailsOnAFrameThatDoesNotReplay) {
+  fs::create_directories(dir_);
+  WriteTenantJournal(dir_ + "/catalog-journal-0.wal",
+                     {{2, 1, Request(2)},
+                      {5, 1, Request(5)},
+                      {2, 2, WithCount(Request(2), "over", kOverBudget)},
+                      {5, 2, Request(5)}});
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  Result<std::unique_ptr<CatalogService>> recovered =
+      CatalogService::Recover(source_.get(), options_);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+  const std::string& message = recovered.status().message();
+  EXPECT_NE(message.find("tenant 2: op 2 at frame 3 of"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("does not replay as it ran live"), std::string::npos)
+      << message;
 }
 
 TEST_F(CatalogServiceTest, PoisonedWriterFailStopsTheCatalog) {
@@ -586,26 +699,106 @@ TEST_F(CatalogServiceTest, PoisonedWriterFailStopsTheCatalog) {
   EXPECT_TRUE((*recovered)->Close().ok());
 }
 
+// A fault on the journal append of a tenant's acquire fails the acquire
+// after its next epoch was built and before it was swapped in: the tenant
+// keeps its epoch and catalog, and the catalog fail-stops. The frame is
+// maybe-persisted, so Recover gives the state before the acquire (the disk
+// died before the frame reached it) or the state after it (the frame
+// reached the file and only its sync failed), never a third.
+TEST_F(CatalogServiceTest, FaultOnAnAcquireFrameKeepsTheEpochAndFailStops) {
+  for (const bool frame_reaches_file : {false, true}) {
+    SCOPED_TRACE(frame_reaches_file ? "failed sync" : "dead disk");
+    fs::remove_all(dir_);
+    FaultyFile* faulty = nullptr;
+    options_.journal_file_factory =
+        [&faulty](const std::string& path,
+                  int) -> Result<std::unique_ptr<SyncFile>> {
+      GEOLIC_ASSIGN_OR_RETURN(std::unique_ptr<PosixSyncFile> base,
+                              PosixSyncFile::Create(path));
+      auto file = std::make_unique<FaultyFile>(std::move(base));
+      faulty = file.get();
+      return std::unique_ptr<SyncFile>(std::move(file));
+    };
+    Result<std::unique_ptr<CatalogService>> catalog =
+        CatalogService::Create(source_.get(), options_);
+    ASSERT_TRUE(catalog.ok());
+    const uint64_t tenant = 2;
+    Result<OnlineDecision> issued =
+        (*catalog)->TryIssue(tenant, Request(tenant));
+    ASSERT_TRUE(issued.ok());
+    ASSERT_TRUE(issued->accepted());
+    const Result<CatalogService::TenantSnapshot> before =
+        (*catalog)->SnapshotTenant(tenant);
+    ASSERT_TRUE(before.ok());
+
+    if (frame_reaches_file) {
+      faulty->FailNextSync();
+    } else {
+      faulty->CrashNow();
+    }
+    const License& original = before->licenses.front();
+    const License copy("copy", original.content_key(), original.type(),
+                       original.permission(), original.rect(),
+                       original.aggregate_count());
+    const Result<int> acquired = (*catalog)->AcquireLicense(tenant, copy);
+    ASSERT_FALSE(acquired.ok());
+    EXPECT_EQ(acquired.status().code(), StatusCode::kIoError);
+    const Result<CatalogService::TenantSnapshot> faulted =
+        (*catalog)->SnapshotTenant(tenant);
+    ASSERT_TRUE(faulted.ok());
+    EXPECT_EQ(faulted->epoch, before->epoch);
+    EXPECT_EQ(faulted->licenses.size(), before->licenses.size());
+    EXPECT_EQ(faulted->tenant_seq, before->tenant_seq);
+    EXPECT_EQ((*catalog)->stats().poisoned_writers, 1u);
+    EXPECT_EQ((*catalog)->TryIssue(tenant, Request(tenant)).status().code(),
+              StatusCode::kFailedPrecondition);
+
+    catalog->reset();  // Crash.
+    CatalogOptions recover_options = options_;
+    recover_options.journal_file_factory = nullptr;
+    Result<std::unique_ptr<CatalogService>> recovered =
+        CatalogService::Recover(source_.get(), recover_options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+    const Result<CatalogService::TenantSnapshot> after =
+        (*recovered)->SnapshotTenant(tenant);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->log.records(), before->log.records());
+    const uint64_t acquires = frame_reaches_file ? 1 : 0;
+    EXPECT_EQ(after->epoch, before->epoch + acquires);
+    EXPECT_EQ(after->tenant_seq, before->tenant_seq + acquires);
+    ASSERT_EQ(after->licenses.size(), before->licenses.size() + acquires);
+    EXPECT_EQ(after->licenses.back().id(),
+              frame_reaches_file ? "copy" : before->licenses.back().id());
+    EXPECT_TRUE((*recovered)->Close().ok());
+  }
+}
+
 // Four threads issue, acquire and revoke licences and spill across the
 // eight tenants under a budget of about two residents, so evictions and
 // reloads interleave with every op. The one catalog lock makes the
-// journal's frame order the order the ops ran in: replaying each
-// tenant's frames in that order through its own ReferenceModel (evolving
-// its catalog at each acquire and revoke) must reproduce every decision,
-// index and error, and the final snapshot of every tenant.
+// journal's frame order the order the ops that succeeded ran in:
+// replaying each tenant's frames in that order through its own
+// ReferenceModel (evolving its catalog at each acquire and revoke) must
+// reproduce every decision and index, and the final snapshot of every
+// tenant. The journal places no failed op, so the ops that fail here fail
+// in any order: an issue over every budget (rejected at T = S in any
+// epoch) and a revoke of an id no tenant holds. On-policy issues stay far
+// below the budgets, so every one is accepted.
 TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
   constexpr size_t kThreads = 4;
   constexpr int kOpsPerThread = 100;
   options_.memory_budget_bytes = 48 << 10;
 
-  // The ops, drawn up front: mostly issues, an acquire of a copy of the
-  // tenant's licence 0 followed by its revocation, and spills.
-  enum class Kind { kIssue, kAcquire, kRevoke, kSpill };
+  // The ops, drawn up front: mostly issues, an over-budget issue, a revoke
+  // of an unknown id, an acquire of a copy of the tenant's licence 0
+  // followed by its revocation, and spills.
+  enum class Kind { kIssue, kOverBudgetIssue, kRevokeUnknown, kAcquire,
+                    kRevoke, kSpill };
   struct Op {
     Kind kind = Kind::kIssue;
     uint64_t tenant = 0;
-    std::optional<License> license;  // kIssue / kAcquire.
-    std::string revoke_id;           // kRevoke.
+    std::optional<License> license;  // Issues and kAcquire.
+    std::string revoke_id;           // Revokes.
   };
   std::map<uint64_t, Workload> baselines;
   for (uint64_t tenant = 0; tenant < config_.num_tenants; ++tenant) {
@@ -613,33 +806,32 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
     ASSERT_TRUE(baseline.ok());
     baselines.emplace(tenant, std::move(*baseline));
   }
-  const auto copy_of_first = [&](uint64_t tenant, const std::string& id) {
-    const Workload& baseline = baselines.at(tenant);
-    const License& original = baseline.licenses->at(0);
-    LicenseBuilder builder(baseline.schema.get());
-    builder.SetId(id)
-        .SetContentKey(original.content_key())
-        .SetType(original.type())
-        .SetPermission(original.permission())
-        .SetAggregateCount(original.aggregate_count());
-    for (int d = 0; d < baseline.schema->dimensions(); ++d) {
-      builder.SetRange(baseline.schema->name(d), original.rect().dim(d));
-    }
-    Result<License> built = builder.Build();
-    GEOLIC_CHECK(built.ok());
-    return *std::move(built);
-  };
   std::vector<std::vector<Op>> ops(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kOpsPerThread; ++i) {
       Op op;
       op.tenant = rng_.UniformIndex(config_.num_tenants);
+      const std::string id = std::to_string(t) + "_" + std::to_string(i);
+      const Workload& baseline = baselines.at(op.tenant);
       switch (i % 10) {
-        case 7:
-          op.kind = Kind::kAcquire;
-          op.license = copy_of_first(op.tenant, "A" + std::to_string(t) +
-                                                    "_" + std::to_string(i));
+        case 5:
+          op.kind = Kind::kOverBudgetIssue;
+          op.license = WithCount(
+              workload_->DrawRequest(baseline, &rng_, ++sequence_), "X" + id,
+              kOverBudget);
           break;
+        case 6:
+          op.kind = Kind::kRevokeUnknown;
+          op.revoke_id = "unknown";
+          break;
+        case 7: {
+          const License& original = baseline.licenses->at(0);
+          op.kind = Kind::kAcquire;
+          op.license = License("A" + id, original.content_key(),
+                               original.type(), original.permission(),
+                               original.rect(), original.aggregate_count());
+          break;
+        }
         case 8:  // Revokes the previous op's acquisition.
           op.kind = Kind::kRevoke;
           op.tenant = ops[t].back().tenant;
@@ -650,8 +842,7 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
           break;
         default:
           op.kind = Kind::kIssue;
-          op.license = workload_->DrawRequest(baselines.at(op.tenant), &rng_,
-                                              ++sequence_);
+          op.license = workload_->DrawRequest(baseline, &rng_, ++sequence_);
           break;
       }
       ops[t].push_back(std::move(op));
@@ -664,7 +855,7 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
   CatalogService& catalog = **created;
   struct Outcome {
     Status status;
-    OnlineDecision decision;  // kIssue.
+    OnlineDecision decision;  // Issues.
     int index = -1;           // kAcquire.
   };
   std::vector<std::vector<Outcome>> outcomes(kThreads);
@@ -674,7 +865,8 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
       for (const Op& op : ops[t]) {
         Outcome outcome;
         switch (op.kind) {
-          case Kind::kIssue: {
+          case Kind::kIssue:
+          case Kind::kOverBudgetIssue: {
             Result<OnlineDecision> got = catalog.TryIssue(op.tenant,
                                                           *op.license);
             outcome.status = got.status();
@@ -692,6 +884,7 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
             break;
           }
           case Kind::kRevoke:
+          case Kind::kRevokeUnknown:
             outcome.status = catalog.RevokeLicenseById(op.tenant,
                                                        op.revoke_id);
             break;
@@ -707,12 +900,14 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
     thread.join();
   }
 
-  // Ops by the id their frame carries: a usage request's or acquired
-  // licence's id, and the revoked id.
+  // The frames the journal must hold, by the id each carries (a usage
+  // request's or acquired licence's id, the revoked id): every op that
+  // succeeded but a spill. The over-budget issues wait for their epochs'
+  // catalogs below.
   std::map<std::pair<OpKind, std::string>,
            std::pair<const Op*, const Outcome*>>
       by_frame;
-  size_t journaled_ops = 0;
+  std::vector<std::pair<const Op*, const Outcome*>> over_budget;
   for (size_t t = 0; t < kThreads; ++t) {
     for (size_t i = 0; i < ops[t].size(); ++i) {
       const Op& op = ops[t][i];
@@ -721,13 +916,24 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
         EXPECT_TRUE(outcome.status.ok()) << outcome.status.message();
         continue;
       }
-      ++journaled_ops;
+      if (op.kind == Kind::kRevokeUnknown) {
+        EXPECT_EQ(outcome.status.code(), StatusCode::kNotFound);
+        continue;
+      }
+      const std::string id =
+          op.kind == Kind::kRevoke ? op.revoke_id : op.license->id();
+      ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();
+      if (op.kind == Kind::kOverBudgetIssue) {
+        over_budget.emplace_back(&op, &outcome);
+        continue;
+      }
+      if (op.kind == Kind::kIssue) {
+        EXPECT_TRUE(outcome.decision.accepted()) << id;
+      }
       const OpKind kind =
           op.kind == Kind::kIssue     ? OpKind::kIssue
           : op.kind == Kind::kAcquire ? OpKind::kAcquire
                                       : OpKind::kRevoke;
-      const std::string id =
-          op.kind == Kind::kRevoke ? op.revoke_id : op.license->id();
       ASSERT_TRUE(by_frame.emplace(std::pair(kind, id),
                                    std::pair(&op, &outcome))
                       .second)
@@ -737,7 +943,7 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
   const CatalogStats stats = catalog.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.loads, 0u);
-  EXPECT_EQ(stats.journal_frames, journaled_ops);
+  EXPECT_EQ(stats.journal_frames, by_frame.size());
   std::map<uint64_t, CatalogService::TenantSnapshot> snapshots;
   for (const auto& [tenant, baseline] : baselines) {
     Result<CatalogService::TenantSnapshot> snapshot =
@@ -764,7 +970,8 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
   const Result<JournalReplay> replay =
       JournalReader::ReadFile(dir_ + "/catalog-journal-0.wal");
   ASSERT_TRUE(replay.ok()) << replay.status().message();
-  ASSERT_EQ(replay->entries.size(), journaled_ops);
+  ASSERT_EQ(replay->entries.size(), by_frame.size());
+  std::set<std::pair<OpKind, std::string>> replayed;
   for (const JournalEntry& entry : replay->entries) {
     const JournalOp& frame = entry.op;
     Replica& replica = replicas.at(entry.tenant_id);
@@ -773,31 +980,20 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
                                                          : frame.license.id();
     const auto it = by_frame.find(std::pair(frame.kind, id));
     ASSERT_NE(it, by_frame.end()) << id;
+    ASSERT_TRUE(replayed.insert(it->first).second) << id;
     const Op& op = *it->second.first;
     const Outcome& outcome = *it->second.second;
     ASSERT_EQ(op.tenant, entry.tenant_id) << id;
     const LicenseCatalog& current = *replica.catalogs.back();
     const uint64_t epoch = replica.catalogs.size() - 1;
     if (frame.kind == OpKind::kIssue) {
-      ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();
       const ReferenceModel::Decision want = replica.model->TryIssue(
           *op.license);
       const OnlineDecision& got = outcome.decision;
-      EXPECT_EQ(got.instance_valid, want.instance_valid) << id;
-      EXPECT_EQ(got.aggregate_valid, want.aggregate_valid) << id;
+      EXPECT_TRUE(want.accepted()) << id;
+      EXPECT_EQ(got.satisfying_set, want.satisfying_set) << id;
       EXPECT_EQ(got.catalog_epoch, epoch) << id;
-      if (want.instance_valid) {
-        EXPECT_EQ(got.satisfying_set, want.satisfying_set) << id;
-      }
-      if (want.instance_valid && !want.aggregate_valid) {
-        EXPECT_EQ(got.limiting.set, want.limiting_set) << id;
-        EXPECT_EQ(got.limiting.lhs, want.limiting_lhs) << id;
-        EXPECT_EQ(got.limiting.rhs, want.limiting_rhs) << id;
-      }
-      if (want.accepted()) {
-        replica.model->Apply(want.satisfying_set,
-                             op.license->aggregate_count());
-      }
+      replica.model->Apply(want.satisfying_set, op.license->aggregate_count());
       continue;
     }
     // A reconfiguration: the next catalog, and every count carried into
@@ -807,10 +1003,10 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
     std::vector<int> old_to_new;
     std::optional<int> revoked;
     if (frame.kind == OpKind::kRevoke) {
+      // Its acquisition always ran first: the same thread issued it.
       const Result<int> index = current.IndexOfId(frame.revoke_id);
-      if (index.ok()) {
-        revoked = *index;
-      }
+      ASSERT_TRUE(index.ok()) << id;
+      revoked = *index;
     }
     for (int i = 0; i < current.size(); ++i) {
       old_to_new.push_back(revoked == i ? -1 : next->size());
@@ -819,14 +1015,8 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
       }
     }
     if (frame.kind == OpKind::kAcquire) {
-      ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();
       EXPECT_EQ(outcome.index, current.size()) << id;
       ASSERT_TRUE(next->Add(*op.license).ok());
-    } else {
-      ASSERT_EQ(frame.kind, OpKind::kRevoke);
-      // Its acquisition always ran first: the same thread issued it.
-      ASSERT_TRUE(revoked.has_value()) << id;
-      ASSERT_TRUE(outcome.status.ok()) << id << outcome.status.message();
     }
     auto next_model = std::make_unique<ReferenceModel>(next.get());
     for (const auto& [set, count] : replica.model->counts()) {
@@ -845,6 +1035,27 @@ TEST_F(CatalogServiceTest, ConcurrentOpsMatchPerTenantModelsInJournalOrder) {
     }
     replica.catalogs.push_back(std::move(next));
     replica.model = std::move(next_model);
+  }
+
+  // Each over-budget issue, against the catalog of the epoch it names: the
+  // satisfying set of that catalog, rejected at T = S with its aggregate.
+  // Only the left-hand side depends on what was admitted before.
+  for (const auto& [op, outcome] : over_budget) {
+    const std::string& id = op->license->id();
+    const OnlineDecision& got = outcome->decision;
+    const Replica& replica = replicas.at(op->tenant);
+    ASSERT_LT(got.catalog_epoch, replica.catalogs.size()) << id;
+    const ReferenceModel::Decision want =
+        ReferenceModel(replica.catalogs[got.catalog_epoch].get())
+            .TryIssue(*op->license);
+    ASSERT_TRUE(want.instance_valid) << id;
+    ASSERT_FALSE(want.aggregate_valid) << id;
+    EXPECT_TRUE(got.instance_valid) << id;
+    EXPECT_FALSE(got.aggregate_valid) << id;
+    EXPECT_EQ(got.satisfying_set, want.satisfying_set) << id;
+    EXPECT_EQ(got.limiting.set, want.satisfying_set) << id;
+    EXPECT_EQ(got.limiting.rhs, want.limiting_rhs) << id;
+    EXPECT_GE(got.limiting.lhs, kOverBudget) << id;
   }
 
   for (const auto& [tenant, replica] : replicas) {

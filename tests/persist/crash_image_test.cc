@@ -110,10 +110,10 @@ struct OpenJournal {
   size_t synced_frames = 0;
 };
 
-// Opens a journal on disk at `name` with no frames yet.
-OpenJournal StartJournal(const std::string& name) {
+// Opens a journal on disk at `path` with no frames yet.
+OpenJournal StartJournal(const std::string& path) {
   OpenJournal journal;
-  journal.path = testing::TestTmpDir() + name;
+  journal.path = path;
   Result<std::unique_ptr<PosixSyncFile>> posix =
       PosixSyncFile::Create(journal.path);
   EXPECT_TRUE(posix.ok());
@@ -140,8 +140,8 @@ void AppendNext(OpenJournal* journal, size_t key_bytes = 1) {
   journal->synced_frames = journal->boundaries.size() - 1;
 }
 
-OpenJournal WriteJournal(const std::string& name, int frames) {
-  OpenJournal journal = StartJournal(name);
+OpenJournal WriteJournal(const std::string& path, int frames) {
+  OpenJournal journal = StartJournal(path);
   for (int i = 1; i <= frames; ++i) {
     AppendNext(&journal);
   }
@@ -150,9 +150,9 @@ OpenJournal WriteJournal(const std::string& name, int frames) {
 
 // Recovers `image` the way a restart does: from a file, through ReadFile.
 Result<JournalReplay> RecoverImage(const std::string& image) {
-  const std::string path = testing::TestTmpDir() + "crash_image_probe.gjl";
-  WriteBytes(path, image);
-  return JournalReader::ReadFile(path);
+  const testing::ScopedTempPath probe("crash_image_probe.gjl");
+  WriteBytes(probe.path(), image);
+  return JournalReader::ReadFile(probe.path());
 }
 
 // Checks one crash image of `journal` (whose intact bytes are `written`):
@@ -188,7 +188,8 @@ void ExpectRecoversSyncedPlusPrefix(const OpenJournal& journal,
 }
 
 TEST(CrashImageTest, LogReservesAheadAndCloseTruncates) {
-  OpenJournal journal = WriteJournal("crash_reserve.gjl", 3);
+  const testing::ScopedTempPath file("crash_reserve.gjl");
+  OpenJournal journal = WriteJournal(file.path(), 3);
   const uint64_t reserved = std::filesystem::file_size(journal.path);
   // Every append after the first frame's sync writes into reserved space: a
   // whole number of steps, with the zero tail past the frames.
@@ -211,7 +212,8 @@ TEST(CrashImageTest, ReservationKeepsTheZeroTailAcrossSteps) {
   // sync: the file is a whole number of steps and the written end never
   // enters the last 4 KiB. Before that sync the file holds exactly its
   // bytes.
-  OpenJournal journal = StartJournal("crash_steps.gjl");
+  const testing::ScopedTempPath file("crash_steps.gjl");
+  OpenJournal journal = StartJournal(file.path());
   while (journal.file->written() < 3 * kReserveStepBytes) {
     const bool synced_before = journal.file->synced() > 0;
     AppendNext(&journal);
@@ -234,7 +236,8 @@ TEST(CrashImageTest, ReservationKeepsTheZeroTailAcrossSteps) {
 TEST(CrashImageTest, WriteOnceFileNeverReserves) {
   // Written whole and synced once, like a checkpoint: no append follows a
   // sync, so the file holds exactly its bytes even before Close.
-  const std::string path = testing::TestTmpDir() + "crash_write_once.bin";
+  const testing::ScopedTempPath file_path("crash_write_once.bin");
+  const std::string& path = file_path.path();
   Result<std::unique_ptr<PosixSyncFile>> file = PosixSyncFile::Create(path);
   ASSERT_TRUE(file.ok());
   const std::string bytes(10000, 'x');
@@ -251,7 +254,8 @@ TEST(CrashImageTest, EveryCutBeforeTheFirstSyncRecoversItsWholeFrames) {
   // leave any prefix of those bytes. Each recovers exactly the whole
   // frames inside the cut, and a cut inside the magic (the empty file
   // included) recovers none.
-  OpenJournal journal = StartJournal("crash_first_sync.gjl");
+  const testing::ScopedTempPath file("crash_first_sync.gjl");
+  OpenJournal journal = StartJournal(file.path());
   EXPECT_EQ(journal.file->synced(), 0u);
   AppendNext(&journal);
   const std::vector<size_t>& b = journal.boundaries;
@@ -279,7 +283,8 @@ TEST(CrashImageTest, EveryPrefixCutOfTheUnsyncedWindowRecovers) {
   // Every append is synced before it returns, so the window a crash can
   // tear is the final append, cut before its sync returned: every prefix
   // of it reached the disk, the rest reads as zeros.
-  OpenJournal journal = WriteJournal("crash_cuts.gjl", 15);
+  const testing::ScopedTempPath file("crash_cuts.gjl");
+  OpenJournal journal = WriteJournal(file.path(), 15);
   --journal.synced_frames;
   const size_t window_start = journal.boundaries[journal.synced_frames];
   const size_t written = journal.file->written();
@@ -299,7 +304,8 @@ TEST(CrashImageTest, EverySubsetOfUnsyncedPagesRecovers) {
   // before its sync returned, its 4 KiB pages each reaching the disk or
   // not, in every combination: a write-back that persisted later pages
   // before earlier ones included.
-  OpenJournal journal = WriteJournal("crash_pages.gjl", 40);
+  const testing::ScopedTempPath file("crash_pages.gjl");
+  OpenJournal journal = WriteJournal(file.path(), 40);
   AppendNext(&journal, 5 * kPageBytes - 1000);
   --journal.synced_frames;
   const size_t synced = journal.boundaries[journal.synced_frames];
@@ -331,7 +337,8 @@ TEST(CrashImageTest, EveryBitFlipInAWitnessedFrameFailsLoudly) {
   // Every append syncs, so frame k+1 witnesses frame k: in a crash image
   // every frame but the last is provably synced and damage to it is
   // corruption, never a torn tail.
-  OpenJournal journal = WriteJournal("crash_flips.gjl", 6);
+  const testing::ScopedTempPath file("crash_flips.gjl");
+  OpenJournal journal = WriteJournal(file.path(), 6);
   std::string image = ReadBytes(journal.path);
   const std::vector<size_t>& b = journal.boundaries;
   for (size_t frame = 0; frame + 1 < b.size() - 1; ++frame) {
@@ -355,7 +362,8 @@ TEST(CrashImageTest, UnwitnessedFinalFrameDamageReadsAsTornTail) {
   // The one residual of the crash rules: no later frame witnesses the
   // final frame, so damage confined to it is indistinguishable from a
   // write that never finished. It is dropped and reported, never replayed.
-  OpenJournal journal = WriteJournal("crash_final.gjl", 6);
+  const testing::ScopedTempPath file("crash_final.gjl");
+  OpenJournal journal = WriteJournal(file.path(), 6);
   std::string image = ReadBytes(journal.path);
   const std::vector<size_t>& b = journal.boundaries;
   for (size_t i = b[5]; i < b[6]; ++i) {
@@ -374,7 +382,8 @@ TEST(CrashImageTest, ClosedFileKeepsTheStrictBitFlipMatrix) {
   // After Close the file is its frames and nothing else, and the strict
   // rules apply: every flipped bit fails loudly, past the magic with an
   // offset — the final frame included.
-  OpenJournal journal = WriteJournal("crash_closed.gjl", 4);
+  const testing::ScopedTempPath file("crash_closed.gjl");
+  OpenJournal journal = WriteJournal(file.path(), 4);
   ASSERT_TRUE(journal.writer->Close().ok());
   std::string bytes = ReadBytes(journal.path);
   ASSERT_EQ(bytes.size(), journal.file->written());
@@ -396,10 +405,11 @@ TEST(CrashImageTest, ClosedFileKeepsTheStrictBitFlipMatrix) {
 TEST(CrashImageTest, DestroyedWriterLeavesAClosedFile) {
   // A writer dropped without Close closes itself: the reservation is
   // truncated to the synced frames.
-  const std::string path = testing::TestTmpDir() + "crash_destroyed.gjl";
+  const testing::ScopedTempPath file("crash_destroyed.gjl");
+  const std::string& path = file.path();
   size_t written = 0;
   {
-    OpenJournal journal = WriteJournal("crash_destroyed.gjl", 5);
+    OpenJournal journal = WriteJournal(path, 5);
     written = journal.file->written();
     ASSERT_GT(std::filesystem::file_size(path), written);
   }
@@ -414,7 +424,8 @@ TEST(CrashImageTest, PoisonedWriterLeavesACrashImage) {
   // A torn append poisons the writer; destroying it must not pretend the
   // file is whole. The reserved tail stays and the torn frame reads as
   // such under the crash rules.
-  const std::string path = testing::TestTmpDir() + "crash_poisoned.gjl";
+  const testing::ScopedTempPath file("crash_poisoned.gjl");
+  const std::string& path = file.path();
   {
     Result<std::unique_ptr<PosixSyncFile>> posix = PosixSyncFile::Create(path);
     ASSERT_TRUE(posix.ok());
@@ -454,8 +465,10 @@ TEST(CrashImageTest, ServiceRecoversFromACrashImage) {
                   .Add(testing::MakeRedistribution(schema, "L2", {{10, 30}},
                                                    100))
                   .ok());
-  const std::string live = testing::TestTmpDir() + "crash_service_live.gjl";
-  const std::string image = testing::TestTmpDir() + "crash_service_image.gjl";
+  const testing::ScopedTempPath live_path("crash_service_live.gjl");
+  const testing::ScopedTempPath image_path("crash_service_image.gjl");
+  const std::string& live = live_path.path();
+  const std::string& image = image_path.path();
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses);
   ASSERT_TRUE(service.ok());
@@ -512,7 +525,8 @@ TEST(CrashImageTest, FailedReservationFallsBackToGrowingTheFile) {
   // without fallocate fails the same way with EOPNOTSUPP). The log gives
   // back the reservation it held — a zero tail shorter than 4 KiB would
   // read as corruption after a crash — and grows the file by plain writes.
-  const std::string path = testing::TestTmpDir() + "crash_no_reserve.gjl";
+  const testing::ScopedTempPath file("crash_no_reserve.gjl");
+  const std::string& path = file.path();
   bool reserved_once = false;
   size_t frames = 0;
   size_t written = 0;
@@ -520,7 +534,7 @@ TEST(CrashImageTest, FailedReservationFallsBackToGrowingTheFile) {
   {
     const FileSizeLimit limit(kReserveStepBytes + kReserveStepBytes / 2);
     // The first frame's sync starts the reservation.
-    OpenJournal journal = StartJournal("crash_no_reserve.gjl");
+    OpenJournal journal = StartJournal(path);
     while (journal.file->written() < kReserveStepBytes + 8 * 1024) {
       AppendNext(&journal);
       const uint64_t tail =
@@ -547,7 +561,8 @@ TEST(CrashImageTest, CrashDuringAReservationRecoversAtTheOldSize) {
   // in such an image, and every frame before it was synced. At the old
   // size the zero tail is still at least 4 KiB, so the image reads under
   // the crash rules and recovers every frame before the step.
-  OpenJournal journal = StartJournal("crash_old_size.gjl");
+  const testing::ScopedTempPath file("crash_old_size.gjl");
+  OpenJournal journal = StartJournal(file.path());
   uint64_t old_size = 0;
   size_t trigger = 0;  // The frame whose append reserved the step.
   int steps = 0;
@@ -581,7 +596,8 @@ TEST(CrashImageTest, ZerosOverAClosedJournalsEndFailLoudly) {
   // writes over its end, or appends to it, are read under the strict
   // rules: the first frame they change fails with its offset, and zeros
   // past the last frame fail at the written end.
-  OpenJournal journal = WriteJournal("crash_closed_zeros.gjl", 200);
+  const testing::ScopedTempPath file("crash_closed_zeros.gjl");
+  OpenJournal journal = WriteJournal(file.path(), 200);
   ASSERT_TRUE(journal.writer->Close().ok());
   const std::string bytes = ReadBytes(journal.path);
   ASSERT_GT(bytes.size(), sizeof(kJournalMagic) + kReservedZeroTailBytes);

@@ -272,7 +272,8 @@ TEST(JournalTest, ReaderRejectsGapsAndDuplicates) {
 }
 
 TEST(JournalTest, FileRoundTrip) {
-  const std::string path = testing::TestTmpDir() + "journal_file_test.gjl";
+  const testing::ScopedTempPath file("journal_file_test.gjl");
+  const std::string& path = file.path();
   {
     Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(path);
     ASSERT_TRUE(writer.ok());

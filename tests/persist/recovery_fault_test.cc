@@ -1,7 +1,6 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -413,9 +412,9 @@ TEST(RecoveryFaultTest, ServiceJournalsEveryAcceptedIssuance) {
   Result<std::unique_ptr<JournalWriter>> journal =
       JournalWriter::Create(std::move(file));
   ASSERT_TRUE(journal.ok());
-  ASSERT_FALSE((*service)->has_journal());
+  ASSERT_FALSE((*service)->Snap().has_journal);
   ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
-  ASSERT_TRUE((*service)->has_journal());
+  ASSERT_TRUE((*service)->Snap().has_journal);
 
   int accepted = 0;
   std::vector<std::string> accepted_ids;
@@ -434,7 +433,8 @@ TEST(RecoveryFaultTest, ServiceJournalsEveryAcceptedIssuance) {
   ASSERT_TRUE(outside.ok());
   EXPECT_FALSE(outside->instance_valid);
 
-  EXPECT_EQ((*service)->journal_sequence(), static_cast<uint64_t>(accepted));
+  EXPECT_EQ((*service)->Snap().journal_sequence,
+            static_cast<uint64_t>(accepted));
   const Result<JournalReplay> replay = JournalReader::Parse(disk->contents());
   ASSERT_TRUE(replay.ok());
   ASSERT_EQ(replay->entries.size(), static_cast<size_t>(accepted));
@@ -484,14 +484,14 @@ TEST(RecoveryFaultTest, JournalFailureRejectsAdmissionAndLeavesStateClean) {
   EXPECT_EQ((*service)->CollectTree()->ToString(), before);
   EXPECT_EQ((*service)->CollectLog().MergedCounts(), counts_before);
   EXPECT_EQ((*service)->metrics().Snap().accepted, accepted_before);
-  EXPECT_EQ((*service)->journal_sequence(), 1u);
+  EXPECT_EQ((*service)->Snap().journal_sequence, 1u);
 }
 
 TEST(RecoveryFaultTest, RecoverFromJournalAloneMatchesSerialReplay) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
-  const std::string journal_path =
-      testing::TestTmpDir() + "recover_journal_only.gjl";
+  const testing::ScopedTempPath journal_file("recover_journal_only.gjl");
+  const std::string& journal_path = journal_file.path();
   std::string expected_tree;
   {
     Result<std::unique_ptr<IssuanceService>> service =
@@ -522,9 +522,10 @@ TEST(RecoveryFaultTest, RecoverFromJournalAloneMatchesSerialReplay) {
 TEST(RecoveryFaultTest, RecoverFromCheckpointPlusJournalTail) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
-  const std::string checkpoint_path =
-      testing::TestTmpDir() + "recover_ckpt.gck";
-  const std::string journal_path = testing::TestTmpDir() + "recover_tail.gjl";
+  const testing::ScopedTempPath checkpoint_file("recover_ckpt.gck");
+  const testing::ScopedTempPath journal_file("recover_tail.gjl");
+  const std::string& checkpoint_path = checkpoint_file.path();
+  const std::string& journal_path = journal_file.path();
   std::string expected_tree;
   uint64_t seq_at_checkpoint = 0;
   LogStore at_checkpoint;  // One record per distinct set.
@@ -542,7 +543,7 @@ TEST(RecoveryFaultTest, RecoverFromCheckpointPlusJournalTail) {
     ASSERT_EQ((*service)->metrics().Snap().accepted, 15u);
     at_checkpoint = (*service)->CollectLog();
     ASSERT_TRUE((*service)->WriteCheckpoint(checkpoint_path).ok());
-    seq_at_checkpoint = (*service)->journal_sequence();
+    seq_at_checkpoint = (*service)->Snap().journal_sequence;
     for (int i = 15; i < 24; ++i) {
       ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
     }
@@ -595,7 +596,8 @@ TEST(RecoveryFaultTest, RecoverAfterTornFinalFrameDropsOnlyThatFrame) {
   faults->TearNextAppend(7);
   EXPECT_FALSE((*service)->TryIssue(RequestAt(schema, 10)).ok());
 
-  const std::string journal_path = testing::TestTmpDir() + "recover_torn.gjl";
+  const testing::ScopedTempPath journal_file("recover_torn.gjl");
+  const std::string& journal_path = journal_file.path();
   {
     std::ofstream out(journal_path, std::ios::binary);
     out.write(disk->contents().data(),
@@ -615,8 +617,8 @@ TEST(RecoveryFaultTest, RecoverAfterTornFinalFrameDropsOnlyThatFrame) {
 TEST(RecoveryFaultTest, RecoverRejectsCorruptJournalLoudly) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
-  const std::string journal_path =
-      testing::TestTmpDir() + "recover_corrupt.gjl";
+  const testing::ScopedTempPath journal_file("recover_corrupt.gjl");
+  const std::string& journal_path = journal_file.path();
   {
     Result<std::unique_ptr<IssuanceService>> service =
         IssuanceService::Create(&licenses);
@@ -674,8 +676,8 @@ TEST(RecoveryFaultTest, RecoverRejectsAPayloadInAnotherLayout) {
   ASSERT_TRUE(EncodeServiceState(state, &other_version).ok());
   other_version[0] = 3;  // The version's low byte.
 
-  const std::string checkpoint_path =
-      testing::TestTmpDir() + "recover_other_layout.gck";
+  const testing::ScopedTempPath checkpoint_file("recover_other_layout.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
   for (const std::string& payload : {older, other_version}) {
     ASSERT_TRUE(WriteCheckpointFile(CheckpointKind::kServiceSnapshot, payload,
                                     checkpoint_path)
@@ -685,7 +687,6 @@ TEST(RecoveryFaultTest, RecoverRejectsAPayloadInAnotherLayout) {
     ASSERT_FALSE(recovered.ok());
     EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
   }
-  std::filesystem::remove(checkpoint_path);
 }
 
 TEST(RecoveryFaultTest, RecoverNeedsAtLeastOneSource) {
@@ -844,13 +845,10 @@ TEST(RecoveryFaultTest, SpillBitFlipsFailTheirOwnTenantOnlyWithAnOffset) {
   config.max_licenses = 3;
   const MultiTenantWorkload workload(config);
   WorkloadTenantSource source(&workload);
-  const std::filesystem::path dir =
-      std::filesystem::path(testing::TestTmpDir()) /
-      ("geolic-spill-matrix-" + std::to_string(::getpid()));
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  const testing::ScopedTempPath dir("geolic-spill-matrix-" +
+                                    std::to_string(::getpid()));
   CatalogOptions options;
-  options.dir = dir.string();
+  options.dir = dir.path();
   Result<std::unique_ptr<CatalogService>> catalog =
       CatalogService::Create(&source, options);
   ASSERT_TRUE(catalog.ok());
@@ -921,8 +919,6 @@ TEST(RecoveryFaultTest, SpillBitFlipsFailTheirOwnTenantOnlyWithAnOffset) {
   EXPECT_TRUE(sibling.ok());
 
   ASSERT_TRUE((*catalog)->Close().ok());
-  catalog->reset();
-  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

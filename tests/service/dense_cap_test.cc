@@ -168,7 +168,8 @@ TEST(DenseCapTest, GroupsAtAndAboveTheCapMatchReferenceModel) {
   ASSERT_TRUE(service.ok());
   EXPECT_EQ(SortedGroupSizes(**service),
             (std::vector<int>{kMaxDenseGroupSize, kMaxDenseGroupSize + 1}));
-  const std::string journal_path = ::testing::TempDir() + "dense_cap.gjl";
+  const testing::ScopedTempPath journal_file("dense_cap.gjl");
+  const std::string& journal_path = journal_file.path();
   Result<std::unique_ptr<JournalWriter>> journal =
       JournalWriter::Open(journal_path);
   ASSERT_TRUE(journal.ok());

@@ -386,8 +386,9 @@ TEST(LifecycleTest, JournaledLifecycleRecoversToLiveState) {
       (*service)->TryIssue(MakeUsage(schema, "U4", {{205, 215}}, 1)).ok());
   ASSERT_EQ((*service)->catalog_epoch(), 3u);
 
-  const std::string journal_path =
-      ::testing::TempDir() + "lifecycle_recover.gjl";
+  const testing::ScopedTempPath journal_file("lifecycle_recover.gjl");
+
+  const std::string& journal_path = journal_file.path();
   {
     std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
     out.write(disk->contents().data(),
@@ -748,8 +749,9 @@ TEST(LifecycleTest, CollectLogIsOneRecordPerDistinctSetThroughTheLifecycle) {
                    {testing::Mask(0b1000), 2}},
                   "expire");
 
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "lifecycle_distinct_sets.gck";
+  const testing::ScopedTempPath checkpoint_file("lifecycle_distinct_sets.gck");
+
+  const std::string& checkpoint_path = checkpoint_file.path();
   ASSERT_TRUE(s->WriteCheckpoint(checkpoint_path).ok());
   issue(25, 28, 1, 2);  // {L2}, past the checkpoint.
   const std::map<LicenseSet, int64_t> final_counts = {
@@ -768,8 +770,9 @@ TEST(LifecycleTest, CollectLogIsOneRecordPerDistinctSetThroughTheLifecycle) {
   EXPECT_EQ(admissions, s->metrics().Snap().accepted);
   EXPECT_EQ(admissions, 21u);
 
-  const std::string journal_path =
-      ::testing::TempDir() + "lifecycle_distinct_sets.gjl";
+  const testing::ScopedTempPath journal_file("lifecycle_distinct_sets.gjl");
+
+  const std::string& journal_path = journal_file.path();
   {
     std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
     out.write(disk->contents().data(),
@@ -827,16 +830,16 @@ TEST(LifecycleTest, RecoveryAfterReconfigurationMatchesANeverCrashedTwin) {
   issue(115, 125, 2);                            // {L4}
   const std::string before_expire = disk->contents();
   ASSERT_EQ(*s->ExpireDimensionBelow(0, 25), 1);  // L1, with {L1, L2}.
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "lifecycle_twin.gck";
+  const testing::ScopedTempPath checkpoint_file("lifecycle_twin.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
   ASSERT_TRUE(s->WriteCheckpoint(checkpoint_path).ok());
 
   issue(25, 28, 2);                              // {L2}
   issue(305, 315, 4);                            // {L6}
   ASSERT_TRUE(s->RevokeLicenseById("L5").ok());  // With {L5}, {L5, L6}.
   issue(300, 310, 1);                            // {L6}
-  const std::string journal_path =
-      ::testing::TempDir() + "lifecycle_twin.gjl";
+  const testing::ScopedTempPath journal_file("lifecycle_twin.gjl");
+  const std::string& journal_path = journal_file.path();
   write_file(journal_path, disk->contents());
 
   RecoveryStats stats;
@@ -894,10 +897,10 @@ TEST(LifecycleTest, RecoveryAfterReconfigurationMatchesANeverCrashedTwin) {
 TEST(LifecycleTest, CheckpointAfterReconfigCoversAndTagsTheEpoch) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "lifecycle_epoch_ckpt.gck";
-  const std::string journal_path =
-      ::testing::TempDir() + "lifecycle_epoch_ckpt.gjl";
+  const testing::ScopedTempPath checkpoint_file("lifecycle_epoch_ckpt.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
+  const testing::ScopedTempPath journal_file("lifecycle_epoch_ckpt.gjl");
+  const std::string& journal_path = journal_file.path();
 
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses);
@@ -935,10 +938,10 @@ TEST(LifecycleTest, CheckpointPredatingReconfigsStillRecovers) {
   // lives in the journal tail and must replay on top of it.
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "lifecycle_predate_ckpt.gck";
-  const std::string journal_path =
-      ::testing::TempDir() + "lifecycle_predate_ckpt.gjl";
+  const testing::ScopedTempPath checkpoint_file("lifecycle_predate_ckpt.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
+  const testing::ScopedTempPath journal_file("lifecycle_predate_ckpt.gjl");
+  const std::string& journal_path = journal_file.path();
 
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses);
@@ -976,10 +979,10 @@ TEST(LifecycleTest, CheckpointEpochDisagreementFailsLoudly) {
   // than load records into the wrong index space.
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = ThreeGroupSet(schema, 100);
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "lifecycle_mismatch_ckpt.gck";
-  const std::string journal_path =
-      ::testing::TempDir() + "lifecycle_mismatch_ckpt.gjl";
+  const testing::ScopedTempPath checkpoint_file("lifecycle_mismatch_ckpt.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
+  const testing::ScopedTempPath journal_file("lifecycle_mismatch_ckpt.gjl");
+  const std::string& journal_path = journal_file.path();
 
   Result<std::unique_ptr<IssuanceService>> service =
       IssuanceService::Create(&licenses);
@@ -1055,8 +1058,8 @@ TEST(LifecycleTest, TornReconfigFrameAbortsAndRecoversPreReconfigState) {
   EXPECT_EQ((*service)->CollectTree()->ToString(), tree_before);
 
   // And recovery from the torn platter lands on the pre-reconfig state.
-  const std::string journal_path =
-      ::testing::TempDir() + "lifecycle_torn_reconfig.gjl";
+  const testing::ScopedTempPath journal_file("lifecycle_torn_reconfig.gjl");
+  const std::string& journal_path = journal_file.path();
   {
     std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
     out.write(disk->contents().data(),

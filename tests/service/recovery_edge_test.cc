@@ -74,7 +74,8 @@ void ExpectSameState(IssuanceService* recovered, IssuanceService* serial) {
 TEST(RecoveryEdgeTest, EmptyJournalNoCheckpointYieldsEmptyWorkingService) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = TwoGroupSet(schema);
-  const std::string journal_path = ::testing::TempDir() + "edge_empty.gjl";
+  const testing::ScopedTempPath journal_file("edge_empty.gjl");
+  const std::string& journal_path = journal_file.path();
   {
     // A journal that was created (magic written) and then never used —
     // the crash-right-after-rotation shape.
@@ -104,18 +105,20 @@ TEST(RecoveryEdgeTest, EmptyJournalNoCheckpointYieldsEmptyWorkingService) {
 TEST(RecoveryEdgeTest, EmptyJournalAfterCheckpointRecoversCheckpointExactly) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = TwoGroupSet(schema);
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "edge_ckpt_then_empty.gck";
-  const std::string rotated_path =
-      ::testing::TempDir() + "edge_rotated_empty.gjl";
+  const testing::ScopedTempPath checkpoint_file("edge_ckpt_then_empty.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
+  const testing::ScopedTempPath rotated_file("edge_rotated_empty.gjl");
+  const std::string& rotated_path = rotated_file.path();
+  const testing::ScopedTempPath old_journal_file(
+      "edge_ckpt_then_empty_old.gjl");
   constexpr int kRequests = 10;
   size_t checkpoint_sets = 0;  // The checkpoint holds one record per set.
   {
     Result<std::unique_ptr<IssuanceService>> service =
         IssuanceService::Create(&licenses);
     ASSERT_TRUE(service.ok());
-    Result<std::unique_ptr<JournalWriter>> journal = JournalWriter::Open(
-        ::testing::TempDir() + "edge_ckpt_then_empty_old.gjl");
+    Result<std::unique_ptr<JournalWriter>> journal =
+        JournalWriter::Open(old_journal_file.path());
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
     for (int i = 0; i < kRequests; ++i) {
@@ -154,9 +157,10 @@ TEST(RecoveryEdgeTest, JournalCutInsideItsMagicRecoversTheCheckpointExactly) {
   // empty working service without one.
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = TwoGroupSet(schema);
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "edge_magic_cut.gck";
-  const std::string journal_path = ::testing::TempDir() + "edge_magic_cut.gjl";
+  const testing::ScopedTempPath checkpoint_file("edge_magic_cut.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
+  const testing::ScopedTempPath journal_file("edge_magic_cut.gjl");
+  const std::string& journal_path = journal_file.path();
   constexpr int kRequests = 10;
   size_t checkpoint_sets = 0;
   {
@@ -212,10 +216,10 @@ TEST(RecoveryEdgeTest, JournalCutInsideItsMagicRecoversTheCheckpointExactly) {
 TEST(RecoveryEdgeTest, CheckpointCoveringZeroFramesReplaysWholeJournal) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = TwoGroupSet(schema);
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "edge_zero_cover.gck";
-  const std::string journal_path =
-      ::testing::TempDir() + "edge_zero_cover.gjl";
+  const testing::ScopedTempPath checkpoint_file("edge_zero_cover.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
+  const testing::ScopedTempPath journal_file("edge_zero_cover.gjl");
+  const std::string& journal_path = journal_file.path();
   constexpr int kRequests = 12;
   {
     Result<std::unique_ptr<IssuanceService>> service =
@@ -251,9 +255,10 @@ TEST(RecoveryEdgeTest, CheckpointCoveringZeroFramesReplaysWholeJournal) {
 TEST(RecoveryEdgeTest, JournalFramesPredatingCheckpointCutAreSkippedNotDoubled) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = TwoGroupSet(schema);
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "edge_predate.gck";
-  const std::string journal_path = ::testing::TempDir() + "edge_predate.gjl";
+  const testing::ScopedTempPath checkpoint_file("edge_predate.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
+  const testing::ScopedTempPath journal_file("edge_predate.gjl");
+  const std::string& journal_path = journal_file.path();
   constexpr int kBeforeCheckpoint = 8;
   constexpr int kAfterCheckpoint = 7;
   constexpr int kRequests = kBeforeCheckpoint + kAfterCheckpoint;
@@ -335,15 +340,16 @@ TEST(RecoveryEdgeTest, AnOpThatDoesNotReplayAsItRanLiveFailsRecovery) {
       {"revoke of an unknown id", OpRef::Revoke("L9")},
       {"expire removing nothing", OpRef::Expire(0, -100)},
   };
-  const std::string checkpoint_path =
-      ::testing::TempDir() + "edge_strict.gck";
+  const testing::ScopedTempPath checkpoint_file("edge_strict.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
   {
     Result<std::unique_ptr<IssuanceService>> empty =
         IssuanceService::Create(&licenses);
     ASSERT_TRUE(empty.ok());
     ASSERT_TRUE((*empty)->WriteCheckpoint(checkpoint_path).ok());
   }
-  const std::string journal_path = ::testing::TempDir() + "edge_strict.gjl";
+  const testing::ScopedTempPath journal_file("edge_strict.gjl");
+  const std::string& journal_path = journal_file.path();
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     WriteFile(journal_path, JournalWithSecondOp(schema, c.op));
@@ -430,7 +436,8 @@ TEST(RecoveryEdgeTest, OlderFormatFramesFailRecoveryWithTheirOffset) {
   ASSERT_TRUE(
       (*writer)->AppendOp(1, OpRef::Issue(RequestAt(schema, 0))).ok());
   const std::string first = disk->contents();
-  const std::string journal_path = ::testing::TempDir() + "edge_older.gjl";
+  const testing::ScopedTempPath journal_file("edge_older.gjl");
+  const std::string& journal_path = journal_file.path();
   for (const auto& [name, payload] : old_payloads) {
     SCOPED_TRACE(name);
     // The frame as the older writer framed it: len, seq 2, witness 0,
@@ -482,7 +489,8 @@ void JournalEightOps(const ConstraintSchema& schema,
 TEST(RecoveryEdgeTest, ReplayLeavesTheCallersMetricsUntouched) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = TwoGroupSet(schema);
-  const std::string journal_path = ::testing::TempDir() + "edge_metrics.gjl";
+  const testing::ScopedTempPath journal_file("edge_metrics.gjl");
+  const std::string& journal_path = journal_file.path();
   JournalEightOps(schema, licenses, journal_path);
   IssuanceMetrics metrics;
   metrics.RecordAccepted(3, 1000);  // The caller's own history.
@@ -506,8 +514,8 @@ TEST(RecoveryEdgeTest, ReplayLeavesTheCallersMetricsUntouched) {
 TEST(RecoveryEdgeTest, RecoveredServiceWithoutMetricsStartsAtZero) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = TwoGroupSet(schema);
-  const std::string journal_path =
-      ::testing::TempDir() + "edge_own_metrics.gjl";
+  const testing::ScopedTempPath journal_file("edge_own_metrics.gjl");
+  const std::string& journal_path = journal_file.path();
   JournalEightOps(schema, licenses, journal_path);
   RecoveryStats stats;
   const Result<std::unique_ptr<IssuanceService>> recovered =

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -70,6 +72,32 @@ inline std::string TestTmpDir() {
   }
   return dir;
 }
+
+// A path in TestTmpDir() that a test owns: whatever is there (a file, or a
+// directory and everything in it) is removed when the path is made and
+// again when it goes out of scope, so a file-backed test leaves nothing
+// behind in TEST_TMPDIR, failures included. Declare it before anything
+// that keeps the file open.
+class ScopedTempPath {
+ public:
+  explicit ScopedTempPath(const std::string& name)
+      : path_(TestTmpDir() + name) {
+    Remove();
+  }
+  ~ScopedTempPath() { Remove(); }
+  ScopedTempPath(const ScopedTempPath&) = delete;
+  ScopedTempPath& operator=(const ScopedTempPath&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  void Remove() const {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+
+  std::string path_;
+};
 
 // Seed for randomized tests: `default_seed` unless the GEOLIC_TEST_SEED
 // environment variable overrides it (parsed with base auto-detection, so

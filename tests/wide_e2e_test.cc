@@ -92,7 +92,8 @@ TEST(WideE2ETest, N256IssuanceAndRecoveryMatchReferenceModel) {
   const ConstraintSchema schema = IntervalSchema(1);
   const LicenseCatalog licenses = BuildWideCatalog(schema);
   std::vector<ClusterReference> references = BuildReferences(schema);
-  const std::string journal_path = ::testing::TempDir() + "wide_e2e.gjl";
+  const testing::ScopedTempPath journal_file("wide_e2e.gjl");
+  const std::string& journal_path = journal_file.path();
 
   // Expected global per-set counts, mirrored from reference decisions.
   std::map<LicenseSet, int64_t> expected_counts;
