@@ -6,18 +6,6 @@
 
 namespace geolic {
 
-const char* PartyRoleName(PartyRole role) {
-  switch (role) {
-    case PartyRole::kOwner:
-      return "owner";
-    case PartyRole::kDistributor:
-      return "distributor";
-    case PartyRole::kConsumer:
-      return "consumer";
-  }
-  return "unknown";
-}
-
 DistributionNetwork::DistributionNetwork(const ConstraintSchema* schema,
                                          std::string content_key,
                                          Permission permission)

@@ -14,8 +14,6 @@ enum class PartyRole : int32_t {
   kConsumer = 2,     // Receives usage licenses only.
 };
 
-const char* PartyRoleName(PartyRole role);
-
 // One participant in the distribution network.
 struct Party {
   int id = -1;

@@ -20,9 +20,9 @@
 
 namespace geolic::net {
 
-// Epoll-based TCP front-end for one IssuanceService (ROADMAP item 1,
-// docs/WIRE.md). One reactor thread owns every socket and runs each
-// request to completion in the epoll turn that decoded it:
+// Epoll-based TCP front-end for one IssuanceService (docs/WIRE.md). One
+// reactor thread owns every socket and runs each request to completion in
+// the epoll turn that decoded it:
 //
 //  * During the turn it accepts, reads, decodes frames incrementally off
 //    per-connection byte queues, and appends each issue request to a
@@ -32,7 +32,7 @@ namespace geolic::net {
 //    to fast rejections, never to unbounded memory.
 //  * At the end of the turn it admits the pending list — TryIssueBatch in
 //    chunks of max_batch, so requests from every connection read in the
-//    turn share one lock acquisition per shard touched; per-request
+//    turn share one acquisition of the service lock per chunk; per-request
 //    CatalogService::TryIssue in catalog mode — each journaled admission
 //    synced before its decision returns. It encodes the responses into the
 //    connections' write buffers and flushes each connection read in the
@@ -65,7 +65,7 @@ namespace geolic::net {
 // reactor. Every request decoded before the drain was admitted and
 // answered in its own turn, after its journal frame's sync, so nothing is
 // left to sync; and the join leaves no admission in flight, so a
-// checkpoint cutover after Drain sees fully quiesced shards.
+// checkpoint cutover after Drain sees a quiesced service.
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; Server::port() reports the choice.

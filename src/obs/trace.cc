@@ -44,22 +44,6 @@ const char* TraceStageName(TraceStage stage) {
   return "unknown";
 }
 
-const char* TraceOutcomeName(TraceOutcome outcome) {
-  switch (outcome) {
-    case TraceOutcome::kOk:
-      return "ok";
-    case TraceOutcome::kAccepted:
-      return "accepted";
-    case TraceOutcome::kRejectedInstance:
-      return "rejected_instance";
-    case TraceOutcome::kRejectedAggregate:
-      return "rejected_aggregate";
-    case TraceOutcome::kError:
-      return "error";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // GCC's -Wtsan flags fences because TSan cannot model fence-based

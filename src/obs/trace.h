@@ -67,8 +67,6 @@ enum class TraceOutcome : uint8_t {
   kError,
 };
 
-const char* TraceOutcomeName(TraceOutcome outcome);
-
 // One fixed-size span record. start_nanos is a process-local monotonic
 // timestamp (steady clock since epoch), comparable across threads within a
 // run but meaningless across processes.

@@ -46,8 +46,9 @@ const char* CheckpointKindName(CheckpointKind kind) {
       return "service-snapshot";
     case CheckpointKind::kTenantSnapshot:
       return "tenant-snapshot";
-    case CheckpointKind::kAuthoritySnapshot:
-      return "authority-snapshot";
+  }
+  if (static_cast<uint32_t>(kind) == 5) {
+    return "retired authority-snapshot";
   }
   return "unknown";
 }

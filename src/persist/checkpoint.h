@@ -11,9 +11,9 @@
 namespace geolic {
 
 // Checkpoint container format v2 — the CRC-protected envelope every geolic
-// snapshot (log store, service snapshot, tenant spill, authority snapshot)
-// is written in, so a flipped bit fails the load instead of silently
-// changing a count. A checkpoint file holds exactly one frame.
+// snapshot (log store, service snapshot, tenant spill) is written in, so a
+// flipped bit fails the load instead of silently changing a count. A
+// checkpoint file holds exactly one frame.
 //
 // Layout (little-endian):
 //   header  : magic "GLCKPT2\0" (8) | version u32 | kind u32 |
@@ -31,13 +31,13 @@ inline constexpr char kCheckpointMagic[8] =
 inline constexpr uint32_t kCheckpointVersion = 2;
 
 // What the payload contains; mismatches fail the read.
-// Kind 1 (a validation-tree body) is no longer written: it reads as
-// unknown.
+// Kinds 1 (a validation-tree body) and 5 (a drm authority snapshot) are no
+// longer written and stay reserved: kind 1 reads as unknown, kind 5 as the
+// retired authority snapshot.
 enum class CheckpointKind : uint32_t {
-  kLogStore = 2,           // validation/log_store.h record table.
-  kServiceSnapshot = 3,    // service/issuance_service.h checkpoint.
-  kTenantSnapshot = 4,     // catalog/catalog_service.h per-tenant spill.
-  kAuthoritySnapshot = 5,  // drm/validation_authority.h CheckpointFull.
+  kLogStore = 2,         // validation/log_store.h record table.
+  kServiceSnapshot = 3,  // service/issuance_service.h checkpoint.
+  kTenantSnapshot = 4,   // catalog/catalog_service.h per-tenant spill.
 };
 
 const char* CheckpointKindName(CheckpointKind kind);

@@ -154,9 +154,9 @@ struct RecoveryStats {
   bool journal_torn_tail = false;        // Journal ended in a torn write.
 };
 
-// One service's state, as every snapshot stores it: the service checkpoint,
-// the catalog's tenant spill and each domain of the drm authority snapshot
-// (docs/FORMATS.md, "Service state payload").
+// One service's state, as every snapshot stores it: the service checkpoint
+// and the catalog's tenant spill (docs/FORMATS.md, "Service state
+// payload").
 struct ServiceState {
   uint64_t catalog_epoch = 0;  // Reconfigurations behind `licenses`.
   uint64_t covered_seq = 0;    // Last journal frame the state includes.

@@ -1,33 +1,8 @@
 #include "validation/report_json.h"
 
-
 #include "util/json_writer.h"
 
 namespace geolic {
-namespace {
-
-void WriteEquationResult(const EquationResult& result, JsonWriter* json) {
-  json->BeginObject();
-  json->KeyValue("set_mask", result.set.ToHex());
-  json->Key("licenses");
-  json->BeginArray();
-  for (int index : result.set.Indexes()) {
-    json->Int(index + 1);  // 1-based, matching the paper's L_D^i.
-  }
-  json->EndArray();
-  json->KeyValue("lhs", result.lhs);
-  json->KeyValue("rhs", result.rhs);
-  json->KeyValue("excess", result.lhs - result.rhs);
-  json->EndObject();
-}
-
-}  // namespace
-
-std::string EquationResultToJson(const EquationResult& result) {
-  JsonWriter json;
-  WriteEquationResult(result, &json);
-  return std::move(json).Take();
-}
 
 std::string ReportToJson(const ValidationReport& report) {
   JsonWriter json;
@@ -38,7 +13,18 @@ std::string ReportToJson(const ValidationReport& report) {
   json.Key("violations");
   json.BeginArray();
   for (const EquationResult& violation : report.violations) {
-    WriteEquationResult(violation, &json);
+    json.BeginObject();
+    json.KeyValue("set_mask", violation.set.ToHex());
+    json.Key("licenses");
+    json.BeginArray();
+    for (int index : violation.set.Indexes()) {
+      json.Int(index + 1);  // 1-based, matching the paper's L_D^i.
+    }
+    json.EndArray();
+    json.KeyValue("lhs", violation.lhs);
+    json.KeyValue("rhs", violation.rhs);
+    json.KeyValue("excess", violation.lhs - violation.rhs);
+    json.EndObject();
   }
   json.EndArray();
   json.EndObject();

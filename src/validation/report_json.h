@@ -15,9 +15,6 @@ namespace geolic {
 //                   "lhs":1240,"rhs":1000,"excess":240}]}
 std::string ReportToJson(const ValidationReport& report);
 
-// One equation result as a JSON object (the element shape used above).
-std::string EquationResultToJson(const EquationResult& result);
-
 }  // namespace geolic
 
 #endif  // GEOLIC_VALIDATION_REPORT_JSON_H_

@@ -17,23 +17,4 @@ std::string ValidationReport::ToString() const {
   return out;
 }
 
-std::vector<EquationResult> MinimalViolations(
-    const std::vector<EquationResult>& violations) {
-  std::vector<EquationResult> minimal;
-  for (const EquationResult& candidate : violations) {
-    bool has_smaller = false;
-    for (const EquationResult& other : violations) {
-      if (other.set != candidate.set &&
-          (other.set).IsSubsetOf(candidate.set)) {
-        has_smaller = true;
-        break;
-      }
-    }
-    if (!has_smaller) {
-      minimal.push_back(candidate);
-    }
-  }
-  return minimal;
-}
-
 }  // namespace geolic

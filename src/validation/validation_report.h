@@ -35,14 +35,6 @@ struct ValidationReport {
   std::string ToString() const;
 };
 
-// Filters `violations` down to the subset-minimal ones: a violated set S
-// is dropped when some violated T ⊊ S exists, because C⟨S⟩ > A[S] is then
-// (usually) collateral of the tighter violation. The minimal sets are the
-// actionable diagnostics — the smallest license groups whose combined
-// budget was overshot. Input order is preserved.
-std::vector<EquationResult> MinimalViolations(
-    const std::vector<EquationResult>& violations);
-
 }  // namespace geolic
 
 #endif  // GEOLIC_VALIDATION_VALIDATION_REPORT_H_

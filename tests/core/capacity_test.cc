@@ -148,22 +148,5 @@ TEST(CapacityPropertyTest, QuoteMatchesOnlineAcceptanceBoundary) {
   }
 }
 
-TEST(MinimalViolationsTest, FiltersSupersetViolations) {
-  const std::vector<EquationResult> violations = {
-      {testing::Mask(0b001), 50, 40}, {testing::Mask(0b011), 90, 80}, {testing::Mask(0b100), 20, 10}, {testing::Mask(0b110), 60, 50}};
-  const std::vector<EquationResult> minimal =
-      MinimalViolations(violations);
-  ASSERT_EQ(minimal.size(), 2u);
-  EXPECT_EQ(minimal[0].set, testing::Mask(0b001));  // {L1,L2} dropped (⊇ {L1}).
-  EXPECT_EQ(minimal[1].set, testing::Mask(0b100));  // {L2,L3} dropped (⊇ {L3}).
-}
-
-TEST(MinimalViolationsTest, IncomparableSetsAllKept) {
-  const std::vector<EquationResult> violations = {
-      {testing::Mask(0b011), 90, 80}, {testing::Mask(0b110), 60, 50}};
-  EXPECT_EQ(MinimalViolations(violations).size(), 2u);
-  EXPECT_TRUE(MinimalViolations({}).empty());
-}
-
 }  // namespace
 }  // namespace geolic

@@ -45,12 +45,6 @@ TEST_F(DistributionNetworkTest, PartyRegistration) {
   EXPECT_FALSE(network_.AddDistributor("D4", 99).ok());
 }
 
-TEST_F(DistributionNetworkTest, PartyRoleNames) {
-  EXPECT_STREQ(PartyRoleName(PartyRole::kOwner), "owner");
-  EXPECT_STREQ(PartyRoleName(PartyRole::kDistributor), "distributor");
-  EXPECT_STREQ(PartyRoleName(PartyRole::kConsumer), "consumer");
-}
-
 TEST_F(DistributionNetworkTest, OwnerGrantAndShapeChecks) {
   const int owner = *network_.AddOwner("Studio");
   const int distributor = *network_.AddDistributor("D1", owner);

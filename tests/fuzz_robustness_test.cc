@@ -1,8 +1,7 @@
 // Fuzz-style robustness: all external-input parsers (license text, log
 // text/binary, license blobs, and the service state payload of service
-// checkpoints, tenant spills and authority snapshots) must reject random
-// and mutated inputs with a clean Status — never crash, hang, or return
-// inconsistent objects.
+// checkpoints and tenant spills) must reject random and mutated inputs
+// with a clean Status — never crash, hang, or return inconsistent objects.
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -14,7 +13,6 @@
 
 #include "catalog/catalog_service.h"
 #include "catalog/tenant_source.h"
-#include "drm/validation_authority.h"
 #include "licensing/license_parser.h"
 #include "licensing/license_serialization.h"
 #include "persist/checkpoint.h"
@@ -28,12 +26,6 @@
 
 namespace geolic {
 namespace {
-
-std::string TempPath(const std::string& suffix) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "geolic_" + info->test_suite_name() + "_" +
-         info->name() + suffix;
-}
 
 std::string RandomBytes(Rng* rng, size_t size) {
   std::string bytes(size, '\0');
@@ -89,15 +81,14 @@ TEST(FuzzRobustnessTest, LicenseParserSurvivesMutatedValidInput) {
 
 TEST(FuzzRobustnessTest, LogTextLoaderSurvivesGarbage) {
   Rng rng(testing::TestSeed(3));
-  const std::string path = TempPath(".log");
+  const testing::ScopedTempPath path("fuzz_log_text.log");
   for (int i = 0; i < 300; ++i) {
     {
-      std::ofstream out(path, std::ios::binary);
+      std::ofstream out(path.path(), std::ios::binary);
       out << RandomBytes(&rng, static_cast<size_t>(rng.UniformInt(0, 400)));
     }
-    (void)LogStore::LoadText(path);
+    (void)LogStore::LoadText(path.path());
   }
-  std::remove(path.c_str());
 }
 
 TEST(FuzzRobustnessTest, LogBinaryLoaderSurvivesMutations) {
@@ -110,9 +101,9 @@ TEST(FuzzRobustnessTest, LogBinaryLoaderSurvivesMutations) {
                                        rng.UniformInt(1, 100)})
                      .ok());
   }
-  const std::string path = TempPath(".bin");
-  ASSERT_TRUE(store.SaveBinary(path).ok());
-  std::ifstream in(path, std::ios::binary);
+  const testing::ScopedTempPath path("fuzz_log_binary.bin");
+  ASSERT_TRUE(store.SaveBinary(path.path()).ok());
+  std::ifstream in(path.path(), std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   in.close();
@@ -125,10 +116,10 @@ TEST(FuzzRobustnessTest, LogBinaryLoaderSurvivesMutations) {
           static_cast<char>(rng.UniformInt(0, 255));
     }
     {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      std::ofstream out(path.path(), std::ios::binary | std::ios::trunc);
       out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
     }
-    const Result<LogStore> loaded = LogStore::LoadBinary(path);
+    const Result<LogStore> loaded = LogStore::LoadBinary(path.path());
     if (loaded.ok()) {
       // If it loads, every record must satisfy the store invariants.
       for (const LogRecord& record : loaded->records()) {
@@ -137,7 +128,6 @@ TEST(FuzzRobustnessTest, LogBinaryLoaderSurvivesMutations) {
       }
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(FuzzRobustnessTest, LicenseBlobReaderSurvivesRandomBytes) {
@@ -150,114 +140,11 @@ TEST(FuzzRobustnessTest, LicenseBlobReaderSurvivesRandomBytes) {
   }
 }
 
-TEST(FuzzRobustnessTest, AuthorityRestoreSurvivesRandomBytes) {
-  const ConstraintSchema schema = testing::IntervalSchema(1);
-  Rng rng(testing::TestSeed(7));
-  const std::string path = TempPath(".ckpt");
-  for (int i = 0; i < 200; ++i) {
-    {
-      std::ofstream out(path, std::ios::binary);
-      out << RandomBytes(&rng, static_cast<size_t>(rng.UniformInt(0, 300)));
-    }
-    ValidationAuthority authority(&schema);
-    EXPECT_FALSE(authority.RestoreFull(path).ok());
-    EXPECT_EQ(authority.domain_count(), 0);
-  }
-
-  // Mutations of a valid snapshot: two domains, one with a record over
-  // more than 64 licenses. Bit flips and truncations of the file must
-  // fail the container's checks; the same mutations of the payload,
-  // re-framed with valid CRCs, reach the license and record decoders,
-  // which must reject cleanly or restore a consistent state.
-  const std::string resaved = TempPath(".resaved");
-  ValidationAuthority original(&schema);
-  for (int i = 0; i < 66; ++i) {
-    LicenseBuilder builder(&schema);
-    builder.SetId("A" + std::to_string(i))
-        .SetContentKey(i < 65 ? "movie" : "song")
-        .SetType(LicenseType::kRedistribution)
-        .SetPermission(Permission::kPlay)
-        .SetAggregateCount(10)
-        .SetInterval("C1", 0, 100);
-    ASSERT_TRUE(original.RegisterRedistribution(*builder.Build()).ok());
-  }
-  for (const char* content : {"movie", "song"}) {
-    LicenseBuilder builder(&schema);
-    builder.SetId(std::string("U-") + content)
-        .SetContentKey(content)
-        .SetType(LicenseType::kUsage)
-        .SetPermission(Permission::kPlay)
-        .SetAggregateCount(5)
-        .SetInterval("C1", 10, 20);
-    ASSERT_TRUE(original.ValidateIssue(*builder.Build())->accepted());
-  }
-  ASSERT_TRUE(original.CheckpointFull(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  const Result<std::string> payload =
-      ReadCheckpointFile(CheckpointKind::kAuthoritySnapshot, path);
-  ASSERT_TRUE(payload.ok());
-
-  const auto mutate = [&rng](std::string text) {
-    if (rng.Bernoulli(0.3)) {
-      text.resize(rng.UniformIndex(text.size()));
-      return text;
-    }
-    const int flips = static_cast<int>(rng.UniformInt(1, 4));
-    for (int f = 0; f < flips; ++f) {
-      text[rng.UniformIndex(text.size())] ^=
-          static_cast<char>(1 << rng.UniformInt(0, 7));
-    }
-    return text;
-  };
-  for (int i = 0; i < 500; ++i) {
-    const bool reframe = i % 2 == 1;
-    if (reframe) {
-      ASSERT_TRUE(WriteCheckpointFile(CheckpointKind::kAuthoritySnapshot,
-                                      mutate(*payload), path)
-                      .ok());
-    } else {
-      const std::string mutated = mutate(bytes);
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
-    }
-    ValidationAuthority authority(&schema);
-    const Status restored = authority.RestoreFull(path);
-    if (!reframe) {
-      EXPECT_FALSE(restored.ok()) << "mutation " << i;
-    }
-    if (!restored.ok()) {
-      EXPECT_EQ(authority.domain_count(), 0) << "mutation " << i;
-      continue;
-    }
-    // Whatever restores is consistent: every record lies in its domain's
-    // catalog, and the state snapshots and restores again.
-    for (const ValidationAuthority::ContentKey& key : authority.Keys()) {
-      const LicenseSet all = (*authority.LicensesFor(key))->AllMask();
-      const Result<LogStore> log = authority.LogFor(key);
-      ASSERT_TRUE(log.ok());
-      for (const LogRecord& record : log->records()) {
-        EXPECT_TRUE(!record.set.Empty() && record.set.IsSubsetOf(all))
-            << "mutation " << i;
-      }
-    }
-    ASSERT_TRUE(authority.CheckpointFull(resaved).ok()) << "mutation " << i;
-    ValidationAuthority again(&schema);
-    EXPECT_TRUE(again.RestoreFull(resaved).ok()) << "mutation " << i;
-    EXPECT_EQ(again.domain_count(), authority.domain_count())
-        << "mutation " << i;
-  }
-  std::remove(path.c_str());
-  std::remove(resaved.c_str());
-}
-
 // --- One corruption matrix for the service state payload ------------------
 //
-// The service checkpoint, the tenant spill and the authority snapshot
-// carry one payload (docs/FORMATS.md, "Service state payload"). Each case
-// holds a wide set and a catalog evolved by acquire, revoke and expire.
+// The service checkpoint and the tenant spill carry one payload
+// (docs/FORMATS.md, "Service state payload"). Each case holds a wide set
+// and a catalog evolved by acquire, revoke and expire.
 // Every truncation and every byte flip of its payload is re-framed with a
 // valid CRC, so the decoder is reached. A truncation must fail. A flip
 // must fail or — where it turns the bytes into another well-formed state,
@@ -350,31 +237,33 @@ TEST(FuzzRobustnessTest, ServiceStatePayloadCorruptionMatrix) {
   // epoch from the journal, which holds 3 reconfigurations, and the
   // covered sequence from the payload (offset 12): any sequence from the
   // journal's last frame on covers the whole journal.
-  const std::string checkpoint_path = TempPath(".ckpt");
-  const std::string journal_path = TempPath(".wal");
+  const testing::ScopedTempPath checkpoint_path("fuzz_matrix.ckpt");
+  const testing::ScopedTempPath journal_path("fuzz_matrix.wal");
   {
     Result<std::unique_ptr<IssuanceService>> service =
         IssuanceService::Create(base.get());
     ASSERT_TRUE(service.ok());
     Result<std::unique_ptr<JournalWriter>> journal =
-        JournalWriter::Open(journal_path);
+        JournalWriter::Open(journal_path.path());
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
     EvolveForMatrix(schema, ServiceOps(service->get()));
-    ASSERT_TRUE((*service)->WriteCheckpoint(checkpoint_path).ok());
+    ASSERT_TRUE((*service)->WriteCheckpoint(checkpoint_path.path()).ok());
   }
   Result<std::string> payload =
-      ReadCheckpointFile(CheckpointKind::kServiceSnapshot, checkpoint_path);
+      ReadCheckpointFile(CheckpointKind::kServiceSnapshot,
+                         checkpoint_path.path());
   ASSERT_TRUE(payload.ok());
   readers.push_back(
       {"service checkpoint", *payload,
        [&](const std::string& bytes) -> Result<std::string> {
-         GEOLIC_RETURN_IF_ERROR(WriteNewCheckpointFile(
-             CheckpointKind::kServiceSnapshot, bytes, checkpoint_path));
+         GEOLIC_RETURN_IF_ERROR(
+             WriteNewCheckpointFile(CheckpointKind::kServiceSnapshot, bytes,
+                                    checkpoint_path.path()));
          GEOLIC_ASSIGN_OR_RETURN(
              std::unique_ptr<IssuanceService> recovered,
-             IssuanceService::Recover(base.get(), {}, checkpoint_path,
-                                      journal_path));
+             IssuanceService::Recover(base.get(), {}, checkpoint_path.path(),
+                                      journal_path.path()));
          ServiceState state = recovered->Snapshot();
          state.catalog_epoch = 3;
          size_t pos = 12;
@@ -388,7 +277,8 @@ TEST(FuzzRobustnessTest, ServiceStatePayloadCorruptionMatrix) {
   constexpr uint64_t kTenant = 7;
   MatrixSource source;
   CatalogOptions options;
-  options.dir = TempPath("_catalog");
+  const testing::ScopedTempPath catalog_dir("fuzz_matrix_catalog");
+  options.dir = catalog_dir.path();
   options.journal_file_factory =
       [](const std::string&, int) -> Result<std::unique_ptr<SyncFile>> {
     return std::unique_ptr<SyncFile>(std::make_unique<InMemorySyncFile>());
@@ -442,54 +332,6 @@ TEST(FuzzRobustnessTest, ServiceStatePayloadCorruptionMatrix) {
          return again;
        }});
 
-  // The authority snapshot: the evolved state as domain "K" (the authority
-  // has no revoke or expire of its own) beside a one-license "song"
-  // domain, in key order as CheckpointFull writes them.
-  {
-    Result<std::unique_ptr<IssuanceService>> service =
-        IssuanceService::Create(base.get());
-    ASSERT_TRUE(service.ok());
-    EvolveForMatrix(schema, ServiceOps(service->get()));
-    LicenseBuilder builder(&schema);
-    builder.SetId("S")
-        .SetContentKey("song")
-        .SetType(LicenseType::kRedistribution)
-        .SetPermission(Permission::kPlay)
-        .SetAggregateCount(10)
-        .SetInterval("C1", 0, 8);
-    ServiceState song;
-    song.licenses = std::make_unique<LicenseCatalog>(&schema);
-    ASSERT_TRUE(song.licenses->Add(*builder.Build()).ok());
-    std::string bytes;
-    framing::PutScalar<uint32_t>(&bytes, 2);
-    ASSERT_TRUE(EncodeServiceState((*service)->Snapshot(), &bytes).ok());
-    ASSERT_TRUE(EncodeServiceState(song, &bytes).ok());
-    payload = bytes;
-  }
-  const std::string authority_path = TempPath(".authority");
-  readers.push_back(
-      {"authority snapshot", *payload,
-       [&](const std::string& bytes) -> Result<std::string> {
-         GEOLIC_RETURN_IF_ERROR(WriteNewCheckpointFile(
-             CheckpointKind::kAuthoritySnapshot, bytes, authority_path));
-         ValidationAuthority authority(&schema);
-         const Status restored = authority.RestoreFull(authority_path);
-         if (!restored.ok()) {
-           EXPECT_EQ(authority.domain_count(), 0);
-           return restored;
-         }
-         std::string again;
-         framing::PutScalar(&again,
-                            static_cast<uint32_t>(authority.domain_count()));
-         for (const ValidationAuthority::ContentKey& key : authority.Keys()) {
-           GEOLIC_ASSIGN_OR_RETURN(const IssuanceService* service,
-                                   authority.ServiceFor(key));
-           GEOLIC_RETURN_IF_ERROR(
-               EncodeServiceState(service->Snapshot(), &again));
-         }
-         return again;
-       }});
-
   for (const MatrixReader& reader : readers) {
     SCOPED_TRACE(reader.name);
     const Result<std::string> unmodified = reader.load(reader.payload);
@@ -512,9 +354,6 @@ TEST(FuzzRobustnessTest, ServiceStatePayloadCorruptionMatrix) {
     // Counts and endpoints are free to take other values.
     EXPECT_GT(other_states, 0u);
   }
-  std::remove(checkpoint_path.c_str());
-  std::remove(journal_path.c_str());
-  std::remove(authority_path.c_str());
 }
 
 }  // namespace

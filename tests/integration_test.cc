@@ -1,12 +1,9 @@
 // Cross-module integration tests: full pipelines from license text through
 // online issuance, persistence, and offline auditing, checking that every
 // layer agrees with every other.
-#include <cstdio>
-
 #include <gtest/gtest.h>
 
 #include "bench/incremental_auditor.h"
-#include "drm/validation_authority.h"
 #include "licensing/license_parser.h"
 #include "service/issuance_service.h"
 #include "test_util.h"
@@ -37,12 +34,6 @@ Result<ValidationReport> RunZeta(const ValidationTree& tree,
   Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
   if (!outcome.ok()) return outcome.status();
   return std::move(outcome->report);
-}
-
-std::string TempPath(const std::string& suffix) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "geolic_" + info->test_suite_name() + "_" +
-         info->name() + suffix;
 }
 
 // Invariant: a log produced exclusively by online validation must pass
@@ -115,9 +106,9 @@ TEST(IntegrationTest, VerdictsSurvivePersistenceRoundTrips) {
   ASSERT_TRUE(direct.ok());
 
   // Log → binary file → reload → rebuild tree.
-  const std::string log_path = TempPath(".bin");
-  ASSERT_TRUE(workload->log.SaveBinary(log_path).ok());
-  const Result<LogStore> reloaded_log = LogStore::LoadBinary(log_path);
+  const testing::ScopedTempPath log_path("integration_verdicts_log.bin");
+  ASSERT_TRUE(workload->log.SaveBinary(log_path.path()).ok());
+  const Result<LogStore> reloaded_log = LogStore::LoadBinary(log_path.path());
   ASSERT_TRUE(reloaded_log.ok());
   const Result<ValidationTree> from_log =
       ValidationTree::BuildFromLog(*reloaded_log);
@@ -138,7 +129,6 @@ TEST(IntegrationTest, VerdictsSurvivePersistenceRoundTrips) {
       EXPECT_EQ(report->violations[i].lhs, direct->violations[i].lhs);
     }
   }
-  std::remove(log_path.c_str());
 }
 
 // Invariant: the paper-text round trip (serialize → parse) preserves every
@@ -206,68 +196,6 @@ TEST(IntegrationTest, IncrementalAndGroupedAgreeOnGeneratedStream) {
       *workload->licenses, workload->log, {.mode = ValidationMode::kGrouped});
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(last.size(), full->report.violations.size());
-}
-
-// Invariant: an authority full checkpoint reproduces identical audits.
-TEST(IntegrationTest, AuthorityCheckpointPreservesAudits) {
-  const ConstraintSchema schema = testing::IntervalSchema(2);
-  ValidationAuthority authority(&schema);
-  Rng rng(4242);
-  for (int c = 0; c < 4; ++c) {
-    const std::string content = "content-" + std::to_string(c);
-    for (int i = 0; i < 6; ++i) {
-      LicenseBuilder builder(&schema);
-      const int64_t lo1 = rng.UniformInt(0, 500);
-      const int64_t lo2 = rng.UniformInt(0, 500);
-      builder.SetId(content + "-LD" + std::to_string(i))
-          .SetContentKey(content)
-          .SetType(LicenseType::kRedistribution)
-          .SetPermission(Permission::kPlay)
-          .SetAggregateCount(rng.UniformInt(100, 400))
-          .SetInterval("C1", lo1, lo1 + rng.UniformInt(50, 300))
-          .SetInterval("C2", lo2, lo2 + rng.UniformInt(50, 300));
-      ASSERT_TRUE(authority.RegisterRedistribution(*builder.Build()).ok());
-    }
-  }
-  // Issue a stream; some accepted, some rejected.
-  for (int i = 0; i < 400; ++i) {
-    const std::string content =
-        "content-" + std::to_string(rng.UniformInt(0, 3));
-    LicenseBuilder builder(&schema);
-    const int64_t lo1 = rng.UniformInt(0, 700);
-    const int64_t lo2 = rng.UniformInt(0, 700);
-    builder.SetId("U" + std::to_string(i))
-        .SetContentKey(content)
-        .SetType(LicenseType::kUsage)
-        .SetPermission(Permission::kPlay)
-        .SetAggregateCount(rng.UniformInt(1, 30))
-        .SetInterval("C1", lo1, lo1 + rng.UniformInt(0, 50))
-        .SetInterval("C2", lo2, lo2 + rng.UniformInt(0, 50));
-    const Result<OnlineDecision> decision =
-        authority.ValidateIssue(*builder.Build());
-    ASSERT_TRUE(decision.ok());
-  }
-
-  const std::string path = TempPath(".full");
-  ASSERT_TRUE(authority.CheckpointFull(path).ok());
-  ValidationAuthority restored(&schema);
-  ASSERT_TRUE(restored.RestoreFull(path).ok());
-
-  const Result<std::vector<ValidationAuthority::ContentAudit>> a =
-      authority.AuditAll();
-  const Result<std::vector<ValidationAuthority::ContentAudit>> b =
-      restored.AuditAll();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), b->size());
-  for (size_t i = 0; i < a->size(); ++i) {
-    EXPECT_EQ((*a)[i].key, (*b)[i].key);
-    EXPECT_EQ((*a)[i].result.report.violations.size(),
-              (*b)[i].result.report.violations.size());
-    EXPECT_EQ((*a)[i].result.report.equations_evaluated,
-              (*b)[i].result.report.equations_evaluated);
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "json_parser_test_util.h"
 #include "obs/trace.h"
+#include "test_util.h"
 #include "util/metrics.h"
 
 namespace geolic {
@@ -396,10 +397,10 @@ TEST(ExpositionTest, PrometheusLinesStayWellFormedWithHostileName) {
 
 TEST(ExpositionTest, WriteMetricsFileDispatchesOnSuffix) {
   const ExpositionInput input = GoldenInput();
-  const std::string json_path = ::testing::TempDir() + "/metrics.json";
-  const std::string text_path = ::testing::TempDir() + "/metrics.prom";
-  ASSERT_TRUE(WriteMetricsFile(input, json_path).ok());
-  ASSERT_TRUE(WriteMetricsFile(input, text_path).ok());
+  const testing::ScopedTempPath json_path("exposition_metrics.json");
+  const testing::ScopedTempPath text_path("exposition_metrics.prom");
+  ASSERT_TRUE(WriteMetricsFile(input, json_path.path()).ok());
+  ASSERT_TRUE(WriteMetricsFile(input, text_path.path()).ok());
 
   const auto slurp = [](const std::string& path) {
     std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -413,11 +414,11 @@ TEST(ExpositionTest, WriteMetricsFileDispatchesOnSuffix) {
     std::fclose(file);
     return out;
   };
-  EXPECT_EQ(slurp(json_path), RenderJson(input));
-  EXPECT_EQ(slurp(text_path), RenderPrometheusText(input));
+  EXPECT_EQ(slurp(json_path.path()), RenderJson(input));
+  EXPECT_EQ(slurp(text_path.path()), RenderPrometheusText(input));
 
   EXPECT_FALSE(
-      WriteMetricsFile(input, ::testing::TempDir() + "/no/such/dir/m.json")
+      WriteMetricsFile(input, testing::TestTmpDir() + "no/such/dir/m.json")
           .ok());
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace geolic {
 namespace {
 
@@ -98,7 +100,8 @@ TEST(CheckpointTest, OverdeclaredPayloadSizeFailsBeforeAllocation) {
 }
 
 TEST(CheckpointTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "checkpoint_test.gck";
+  const testing::ScopedTempPath file("checkpoint_test.gck");
+  const std::string& path = file.path();
   ASSERT_TRUE(
       WriteCheckpointFile(CheckpointKind::kLogStore, "file payload", path)
           .ok());
@@ -111,7 +114,8 @@ TEST(CheckpointTest, FileRoundTrip) {
 TEST(CheckpointTest, FileWithBytesAfterTheFooterFailsTheRead) {
   // A checkpoint file holds exactly one frame, so an appended byte is
   // damage: the read fails and names the file.
-  const std::string path = ::testing::TempDir() + "checkpoint_trailing.gck";
+  const testing::ScopedTempPath file("checkpoint_trailing.gck");
+  const std::string& path = file.path();
   {
     std::ofstream out(path, std::ios::binary);
     out << Framed(CheckpointKind::kLogStore, "file payload") << 'X';
@@ -122,14 +126,11 @@ TEST(CheckpointTest, FileWithBytesAfterTheFooterFailsTheRead) {
   EXPECT_EQ(read.status().code(), StatusCode::kParseError);
   EXPECT_NE(read.status().message().find(path), std::string::npos)
       << read.status().message();
-  std::filesystem::remove(path);
 }
 
 TEST(CheckpointTest, DurableFileWritePublishesAtomically) {
-  const std::string path = ::testing::TempDir() + "checkpoint_durable.gck";
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
-
+  const testing::ScopedTempPath file("checkpoint_durable.gck");
+  const std::string& path = file.path();
   ASSERT_TRUE(WriteCheckpointFileDurable(CheckpointKind::kTenantSnapshot,
                                          "generation one", path)
                   .ok());
@@ -155,7 +156,8 @@ TEST(CheckpointTest, DurableFileWriteNeverReserves) {
   // A checkpoint is written whole and synced once, so PosixSyncFile never
   // reserves space ahead for it (that starts only with an append after a
   // sync, i.e. a log): the published file is exactly the framed bytes.
-  const std::string path = ::testing::TempDir() + "checkpoint_exact.gck";
+  const testing::ScopedTempPath file("checkpoint_exact.gck");
+  const std::string& path = file.path();
   const std::string payload(70000, 'p');  // Past one 64 KiB step.
   ASSERT_TRUE(WriteCheckpointFileDurable(CheckpointKind::kTenantSnapshot,
                                          payload, path)
@@ -171,8 +173,8 @@ TEST(CheckpointTest, DurableFileWriteNeverReserves) {
 TEST(CheckpointTest, DurableFileWriteIgnoresStaleTemp) {
   // A crash between the temp write and the rename leaves `path.tmp`
   // behind; the next durable write must truncate it and publish cleanly.
-  const std::string path = ::testing::TempDir() + "checkpoint_stale.gck";
-  std::filesystem::remove(path);
+  const testing::ScopedTempPath file("checkpoint_stale.gck");
+  const std::string& path = file.path();
   {
     std::ofstream stale(path + ".tmp", std::ios::binary);
     stale << "torn earlier generation";
@@ -193,24 +195,31 @@ TEST(CheckpointTest, KindNames) {
                "service-snapshot");
   EXPECT_STREQ(CheckpointKindName(CheckpointKind::kTenantSnapshot),
                "tenant-snapshot");
-  EXPECT_STREQ(CheckpointKindName(CheckpointKind::kAuthoritySnapshot),
-               "authority-snapshot");
 }
 
-// Kind 1 held a validation-tree body, which is no longer written: a frame
-// carrying it is an unknown kind to every reader.
-TEST(CheckpointTest, RetiredTreeKindIsUnknown) {
-  const auto tree_kind = static_cast<CheckpointKind>(1);
-  EXPECT_STREQ(CheckpointKindName(tree_kind), "unknown");
-  const std::string framed = Framed(tree_kind, "tree bytes");
-  for (const CheckpointKind kind :
-       {CheckpointKind::kLogStore, CheckpointKind::kServiceSnapshot,
-        CheckpointKind::kTenantSnapshot, CheckpointKind::kAuthoritySnapshot}) {
-    std::istringstream in(framed);
-    const Result<std::string> read = ReadCheckpointPayload(kind, &in);
-    ASSERT_FALSE(read.ok());
-    EXPECT_NE(read.status().message().find("unknown"), std::string::npos)
-        << read.status().message();
+// Kind 1 held a validation-tree body and kind 5 a drm authority snapshot;
+// neither is written any more. Every reader refuses a frame of either, and
+// its message names what the frame holds.
+TEST(CheckpointTest, RetiredKindsAreRefused) {
+  const struct {
+    uint32_t kind;
+    const char* name;
+  } retired[] = {{1, "unknown"}, {5, "retired authority-snapshot"}};
+  for (const auto& [number, name] : retired) {
+    const auto retired_kind = static_cast<CheckpointKind>(number);
+    EXPECT_STREQ(CheckpointKindName(retired_kind), name);
+    const std::string framed = Framed(retired_kind, "retired bytes");
+    for (const CheckpointKind kind :
+         {CheckpointKind::kLogStore, CheckpointKind::kServiceSnapshot,
+          CheckpointKind::kTenantSnapshot}) {
+      std::istringstream in(framed);
+      const Result<std::string> read = ReadCheckpointPayload(kind, &in);
+      ASSERT_FALSE(read.ok());
+      EXPECT_NE(read.status().message().find(std::string("file holds ") +
+                                             name),
+                std::string::npos)
+          << read.status().message();
+    }
   }
 }
 

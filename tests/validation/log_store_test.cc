@@ -1,6 +1,5 @@
 #include "validation/log_store.h"
 
-#include <cstdio>
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -22,11 +21,13 @@ LogRecord Record(const std::string& id, uint64_t mask, int64_t count) {
   return record;
 }
 
-// Temp file path unique to the current test.
-std::string TempPath(const std::string& suffix) {
+// A temp file named after the current test, removed when it goes out of
+// scope.
+testing::ScopedTempPath TempPath(const std::string& suffix) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "geolic_" + info->test_suite_name() + "_" +
-         info->name() + suffix;
+  return testing::ScopedTempPath(std::string("geolic_") +
+                                 info->test_suite_name() + "_" +
+                                 info->name() + suffix);
 }
 
 TEST(LogStoreTest, AppendAndAccess) {
@@ -97,17 +98,18 @@ TEST(LogStoreTest, TextRoundTrip) {
   ASSERT_TRUE(store.Append(Record("", 0b0001, 25)).ok());
   ASSERT_TRUE(store.Append(Record("LU3", ~uint64_t{0}, 1)).ok());
 
-  const std::string path = TempPath(".log");
+  const testing::ScopedTempPath file = TempPath(".log");
+  const std::string& path = file.path();
   ASSERT_TRUE(store.SaveText(path).ok());
   const Result<LogStore> loaded = LogStore::LoadText(path);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), 3u);
   EXPECT_EQ(loaded->records(), store.records());
-  std::remove(path.c_str());
 }
 
 TEST(LogStoreTest, TextLoadSkipsCommentsAndBlankLines) {
-  const std::string path = TempPath(".log");
+  const testing::ScopedTempPath file = TempPath(".log");
+  const std::string& path = file.path();
   {
     std::ofstream out(path);
     out << "# header comment\n\nLU1 0x3 800\n# another\nLU2 2 400\n";
@@ -117,11 +119,11 @@ TEST(LogStoreTest, TextLoadSkipsCommentsAndBlankLines) {
   ASSERT_EQ(loaded->size(), 2u);
   EXPECT_EQ(loaded->at(0).set, testing::Mask(0b11));
   EXPECT_EQ(loaded->at(1).set, testing::Mask(0b10));  // Decimal masks accepted too.
-  std::remove(path.c_str());
 }
 
 TEST(LogStoreTest, TextLoadRejectsMalformedLines) {
-  const std::string path = TempPath(".log");
+  const testing::ScopedTempPath file = TempPath(".log");
+  const std::string& path = file.path();
   {
     std::ofstream out(path);
     out << "LU1 0x3\n";  // Missing count.
@@ -137,7 +139,6 @@ TEST(LogStoreTest, TextLoadRejectsMalformedLines) {
     out << "LU1 0x0 10\n";  // Empty set.
   }
   EXPECT_FALSE(LogStore::LoadText(path).ok());
-  std::remove(path.c_str());
 }
 
 TEST(LogStoreTest, LoadMissingFileFails) {
@@ -156,12 +157,12 @@ TEST(LogStoreTest, BinaryRoundTrip) {
                                    (i % 30) + 1))
                     .ok());
   }
-  const std::string path = TempPath(".bin");
+  const testing::ScopedTempPath file = TempPath(".bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(store.SaveBinary(path).ok());
   const Result<LogStore> loaded = LogStore::LoadBinary(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->records(), store.records());
-  std::remove(path.c_str());
 }
 
 // The log-store payload, byte for byte: u64 record count, then a narrow
@@ -176,7 +177,8 @@ TEST(LogStoreTest, BinaryPayloadBytesAreFixed) {
   wide.set.Add(70);
   wide.count = 3;
   ASSERT_TRUE(store.Append(wide).ok());
-  const std::string path = TempPath(".bin");
+  const testing::ScopedTempPath file = TempPath(".bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(store.SaveBinary(path).ok());
   const Result<std::string> payload =
       ReadCheckpointFile(CheckpointKind::kLogStore, path);
@@ -197,24 +199,24 @@ TEST(LogStoreTest, BinaryPayloadBytesAreFixed) {
   const Result<LogStore> loaded = LogStore::LoadBinary(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->records(), store.records());
-  std::remove(path.c_str());
 }
 
 TEST(LogStoreTest, BinaryRejectsWrongMagic) {
-  const std::string path = TempPath(".bin");
+  const testing::ScopedTempPath file = TempPath(".bin");
+  const std::string& path = file.path();
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOTGEOLIC_______";
   }
   EXPECT_EQ(LogStore::LoadBinary(path).status().code(),
             StatusCode::kParseError);
-  std::remove(path.c_str());
 }
 
 TEST(LogStoreTest, BinaryRejectsTruncatedFile) {
   LogStore store;
   ASSERT_TRUE(store.Append(Record("LU1", 0b1, 10)).ok());
-  const std::string path = TempPath(".bin");
+  const testing::ScopedTempPath file = TempPath(".bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(store.SaveBinary(path).ok());
   // Truncate the file in the middle of the record.
   std::ifstream in(path, std::ios::binary);
@@ -226,7 +228,6 @@ TEST(LogStoreTest, BinaryRejectsTruncatedFile) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 4));
   }
   EXPECT_FALSE(LogStore::LoadBinary(path).ok());
-  std::remove(path.c_str());
 }
 
 // A file in the old unchecksummed layout ("GLOGBIN1" then the record
@@ -240,7 +241,8 @@ TEST(LogStoreTest, LegacyMagicFailsTheLoad) {
   for (const LogRecord& record : store.records()) {
     EncodeLogRecord(record, &bytes);
   }
-  const std::string path = TempPath(".bin");
+  const testing::ScopedTempPath file = TempPath(".bin");
+  const std::string& path = file.path();
   {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -248,19 +250,16 @@ TEST(LogStoreTest, LegacyMagicFailsTheLoad) {
   const Result<LogStore> loaded = LogStore::LoadBinary(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-  std::remove(path.c_str());
 }
 
 TEST(LogStoreTest, EmptyStoreRoundTrips) {
   LogStore store;
-  const std::string text_path = TempPath(".log");
-  const std::string bin_path = TempPath(".bin");
-  ASSERT_TRUE(store.SaveText(text_path).ok());
-  ASSERT_TRUE(store.SaveBinary(bin_path).ok());
-  EXPECT_EQ(LogStore::LoadText(text_path)->size(), 0u);
-  EXPECT_EQ(LogStore::LoadBinary(bin_path)->size(), 0u);
-  std::remove(text_path.c_str());
-  std::remove(bin_path.c_str());
+  const testing::ScopedTempPath text_path = TempPath(".log");
+  const testing::ScopedTempPath bin_path = TempPath(".bin");
+  ASSERT_TRUE(store.SaveText(text_path.path()).ok());
+  ASSERT_TRUE(store.SaveBinary(bin_path.path()).ok());
+  EXPECT_EQ(LogStore::LoadText(text_path.path())->size(), 0u);
+  EXPECT_EQ(LogStore::LoadBinary(bin_path.path())->size(), 0u);
 }
 
 }  // namespace

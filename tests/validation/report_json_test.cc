@@ -29,15 +29,19 @@ TEST(ReportJsonTest, ViolationsSerialised) {
   EXPECT_NE(json.find("\"excess\":240"), std::string::npos);
 }
 
-TEST(ReportJsonTest, SingleEquationResult) {
-  EXPECT_EQ(EquationResultToJson(EquationResult{testing::Mask(0b100), 60, 50}),
-            "{\"set_mask\":\"0x4\",\"licenses\":[3],\"lhs\":60,"
-            "\"rhs\":50,\"excess\":10}");
+TEST(ReportJsonTest, ViolationObjectShape) {
+  ValidationReport report;
+  report.violations.push_back(EquationResult{testing::Mask(0b100), 60, 50});
+  EXPECT_EQ(ReportToJson(report),
+            "{\"valid\":false,\"equations_evaluated\":0,"
+            "\"nodes_visited\":0,\"violations\":[{\"set_mask\":\"0x4\","
+            "\"licenses\":[3],\"lhs\":60,\"rhs\":50,\"excess\":10}]}");
 }
 
 TEST(ReportJsonTest, HighLicenseIndexes) {
-  const std::string json =
-      EquationResultToJson(EquationResult{LicenseSet::Singleton(63), 1, 2});
+  ValidationReport report;
+  report.violations.push_back(EquationResult{LicenseSet::Singleton(63), 1, 2});
+  const std::string json = ReportToJson(report);
   EXPECT_NE(json.find("\"licenses\":[64]"), std::string::npos);
   EXPECT_NE(json.find("\"set_mask\":\"0x8000000000000000\""),
             std::string::npos);

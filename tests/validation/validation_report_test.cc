@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/random.h"
-
 #include "test_util.h"
 
 namespace geolic {
@@ -25,71 +23,6 @@ TEST(ValidationReportTest, ToStringListsEveryViolation) {
   EXPECT_NE(text.find("C<{L1, L2}> = 1240 > A[{L1, L2}] = 1000"),
             std::string::npos);
   EXPECT_NE(text.find("C<{L5}> = 60 > A[{L5}] = 50"), std::string::npos);
-}
-
-TEST(MinimalViolationsTest, ChainKeepsOnlyTheRoot) {
-  // {L1} ⊂ {L1,L2} ⊂ {L1,L2,L3}: only the innermost survives.
-  const std::vector<EquationResult> chain = {
-      {testing::Mask(0b111), 30, 10},
-      {testing::Mask(0b011), 25, 10},
-      {testing::Mask(0b001), 20, 10}};
-  const std::vector<EquationResult> minimal = MinimalViolations(chain);
-  ASSERT_EQ(minimal.size(), 1u);
-  EXPECT_EQ(minimal[0].set, testing::Mask(0b001));
-}
-
-TEST(MinimalViolationsTest, PreservesInputOrder) {
-  const std::vector<EquationResult> violations = {
-      {testing::Mask(0b100), 5, 1}, {testing::Mask(0b010), 5, 1}, {testing::Mask(0b001), 5, 1}};
-  const std::vector<EquationResult> minimal =
-      MinimalViolations(violations);
-  ASSERT_EQ(minimal.size(), 3u);
-  EXPECT_EQ(minimal[0].set, testing::Mask(0b100));
-  EXPECT_EQ(minimal[1].set, testing::Mask(0b010));
-  EXPECT_EQ(minimal[2].set, testing::Mask(0b001));
-}
-
-// Property: every minimal violation is in the input; every input violation
-// is a superset of some minimal one; no minimal violation is a strict
-// superset of another.
-TEST(MinimalViolationsPropertyTest, SoundAndComplete) {
-  Rng rng(2718);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<EquationResult> violations;
-    const int count = static_cast<int>(rng.UniformInt(0, 20));
-    for (int i = 0; i < count; ++i) {
-      violations.push_back(EquationResult{
-          (LicenseSet::FromWord(rng.Next()) & LicenseSet::Full(8)) |
-              LicenseSet::Singleton(0), rng.UniformInt(1, 100), 0});
-    }
-    const std::vector<EquationResult> minimal =
-        MinimalViolations(violations);
-    for (const EquationResult& m : minimal) {
-      bool found = false;
-      for (const EquationResult& v : violations) {
-        if (v.set == m.set) {
-          found = true;
-        }
-      }
-      EXPECT_TRUE(found);
-      for (const EquationResult& other : minimal) {
-        if (other.set != m.set) {
-          EXPECT_FALSE((other.set).IsSubsetOf(m.set) &&
-                       (m.set).IsSubsetOf(other.set));
-        }
-      }
-    }
-    for (const EquationResult& v : violations) {
-      bool covered = false;
-      for (const EquationResult& m : minimal) {
-        if ((m.set).IsSubsetOf(v.set)) {
-          covered = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(covered) << (v.set).ToString();
-    }
-  }
 }
 
 }  // namespace

@@ -116,7 +116,8 @@ TEST(WideSetSerializationTest, LogStoreBinaryRoundTripsWideSets) {
                                        rng.UniformInt(1, 1000)))
                     .ok());
   }
-  const std::string path = ::testing::TempDir() + "wide_log_store.bin";
+  const testing::ScopedTempPath file("wide_log_store.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(store.SaveBinary(path).ok());
   const Result<LogStore> loaded = LogStore::LoadBinary(path);
   ASSERT_TRUE(loaded.ok());
@@ -139,7 +140,8 @@ TEST(WideSetSerializationTest, LogStoreTextRoundTripsWideSets) {
                                        rng.UniformInt(1, 1000)))
                     .ok());
   }
-  const std::string path = ::testing::TempDir() + "wide_log_store.txt";
+  const testing::ScopedTempPath file("wide_log_store.txt");
+  const std::string& path = file.path();
   ASSERT_TRUE(store.SaveText(path).ok());
   const Result<LogStore> loaded = LogStore::LoadText(path);
   ASSERT_TRUE(loaded.ok());
@@ -161,7 +163,8 @@ TEST(WideSetSerializationTest, TreeRebuildsWideIndexesFromTheLogStore) {
     ASSERT_TRUE(tree.Insert(set, count).ok());
     ASSERT_TRUE(store.Append(WideRecord("", set, count)).ok());
   }
-  const std::string path = ::testing::TempDir() + "wide_tree_log.bin";
+  const testing::ScopedTempPath file("wide_tree_log.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(store.SaveBinary(path).ok());
   const Result<LogStore> loaded = LogStore::LoadBinary(path);
   ASSERT_TRUE(loaded.ok());
