@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "bench/bench_util.h"
-#include "validation/frequency_order.h"
+#include "bench/frequency_order.h"
 #include "validation/validate.h"
 #include "util/stopwatch.h"
 

@@ -25,11 +25,9 @@ Result<ValidationReport> RunExhaustive(
 }
 
 Result<ValidationReport> RunZeta(const ValidationTree& tree,
-                                 const std::vector<int64_t>& aggregates,
-                                 int max_dense_n = 26) {
+                                 const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
   options.mode = ValidationMode::kZeta;
-  options.max_dense_n = max_dense_n;
   Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
   if (!outcome.ok()) return outcome.status();
   return std::move(outcome->report);

@@ -270,7 +270,6 @@ int main(int argc, char** argv) {
   const int pipeline = std::max(1, flags.Int("pipeline", 8));
   const int groups = std::max(1, flags.Int("groups", 8));
   const bool overload = flags.Int("overload", 0) != 0;
-  const int max_batch = std::max(1, flags.Int("max_batch", 64));
   // Multi-tenant catalog mode (0 = classic single-service run).
   const int tenants = std::max(0, flags.Int("tenants", 0));
   const double zipf_s = std::strtod(flags.Str("zipf", "1.1").c_str(), nullptr);
@@ -285,7 +284,6 @@ int main(int argc, char** argv) {
   const LicenseCatalog licenses = MakeCatalog(schema, groups);
 
   net::ServerOptions options;
-  options.max_batch = static_cast<size_t>(max_batch);
   if (overload) {
     // A queue far smaller than the in-flight volume: overload must degrade
     // to explicit sheds, never to protocol errors or unbounded latency.
@@ -352,13 +350,12 @@ int main(int argc, char** argv) {
 
   if (catalog_mode) {
     std::printf("# loadgen: %d connections x %d requests, pipeline %d, "
-                "max_batch %d, %d tenants (zipf %.2f, budget %d MB)%s\n",
-                connections, requests, pipeline, max_batch, tenants, zipf_s,
-                budget_mb, overload ? ", OVERLOAD (queue_capacity=2)" : "");
+                "%d tenants (zipf %.2f, budget %d MB)%s\n",
+                connections, requests, pipeline, tenants, zipf_s, budget_mb,
+                overload ? ", OVERLOAD (queue_capacity=2)" : "");
   } else {
-    std::printf("# loadgen: %d connections x %d requests, pipeline %d, "
-                "max_batch %d%s\n",
-                connections, requests, pipeline, max_batch,
+    std::printf("# loadgen: %d connections x %d requests, pipeline %d%s\n",
+                connections, requests, pipeline,
                 overload ? ", OVERLOAD (queue_capacity=2)" : "");
   }
 

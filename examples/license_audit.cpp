@@ -10,11 +10,14 @@
 //   LD1 (K; Play; C1=[0, 10]; C2=[5, 20]; C3=[0, 4]; A=1000)
 //
 // The log file is the LogStore text format ("id mask count", hex mask).
-// Without arguments the tool writes a demo pair under /tmp and audits it.
+// Without arguments the tool writes a demo pair under $TEST_TMPDIR (else
+// /tmp), audits it and removes it.
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/gain.h"
 #include "licensing/license_parser.h"
@@ -123,6 +126,24 @@ std::string StringFlag(int argc, char** argv, const char* name,
   return fallback;
 }
 
+// `name` in $TEST_TMPDIR when set, else in /tmp.
+std::string TempPath(const std::string& name) {
+  const char* dir = std::getenv("TEST_TMPDIR");
+  return std::string(dir != nullptr && *dir != '\0' ? dir : "/tmp") + "/" +
+         name;
+}
+
+// Removes the files it names when it goes out of scope, so every exit path
+// leaves none behind.
+struct RemoveOnExit {
+  std::vector<std::string> paths;
+  ~RemoveOnExit() {
+    for (const std::string& path : paths) {
+      std::remove(path.c_str());
+    }
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,9 +155,11 @@ int main(int argc, char** argv) {
   }
   std::string license_path = StringFlag(argc, argv, "licenses", "");
   std::string log_path = StringFlag(argc, argv, "log", "");
+  RemoveOnExit demo_files;
   if (license_path.empty() || log_path.empty()) {
-    license_path = "/tmp/geolic_audit_licenses.txt";
-    log_path = "/tmp/geolic_audit.log";
+    license_path = TempPath("geolic_audit_licenses.txt");
+    log_path = TempPath("geolic_audit.log");
+    demo_files.paths = {license_path, log_path};
     const Status demo = WriteDemoFiles(license_path, log_path);
     if (!demo.ok()) {
       std::fprintf(stderr, "demo generation failed: %s\n",

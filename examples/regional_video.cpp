@@ -5,11 +5,15 @@
 // logs: build the validation tree, identify overlap groups geometrically,
 // divide the tree, validate each group, and compare the equation counts and
 // wall-clock against the exhaustive baseline. Also persists the log to disk
-// (text + binary) and reloads it, as a validation authority would.
+// (text + binary, under $TEST_TMPDIR, else /tmp; both removed before exit)
+// and reloads it, as a validation authority would.
 //
 // Build & run:  ./build/examples/regional_video
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "validation/validate.h"
 #include "core/gain.h"
@@ -30,6 +34,24 @@ Result<ValidationReport> RunExhaustive(
   if (!outcome.ok()) return outcome.status();
   return std::move(outcome->report);
 }
+
+// `name` in $TEST_TMPDIR when set, else in /tmp.
+std::string TempPath(const std::string& name) {
+  const char* dir = std::getenv("TEST_TMPDIR");
+  return std::string(dir != nullptr && *dir != '\0' ? dir : "/tmp") + "/" +
+         name;
+}
+
+// Removes the files it names when it goes out of scope, so every exit path
+// leaves none behind.
+struct RemoveOnExit {
+  std::vector<std::string> paths;
+  ~RemoveOnExit() {
+    for (const std::string& path : paths) {
+      std::remove(path.c_str());
+    }
+  }
+};
 
 }  // namespace
 }  // namespace geolic
@@ -57,8 +79,9 @@ int main() {
               workload->log.size(), workload->licenses->size());
 
   // Persist and reload the log as the validation authority would.
-  const std::string text_path = "/tmp/geolic_regional_video.log";
-  const std::string binary_path = "/tmp/geolic_regional_video.bin";
+  const std::string text_path = TempPath("geolic_regional_video.log");
+  const std::string binary_path = TempPath("geolic_regional_video.bin");
+  const RemoveOnExit persisted{{text_path, binary_path}};
   if (!workload->log.SaveText(text_path).ok() ||
       !workload->log.SaveBinary(binary_path).ok()) {
     return 1;

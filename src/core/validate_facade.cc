@@ -16,11 +16,9 @@ namespace geolic {
 namespace {
 
 // The grouped pipeline: grouping + division (D_T), then per-group equation
-// evaluation (V_T) — serially or with one task per group. With
-// `zeta_per_group`, groups up to max_dense_n use the dense engine.
+// evaluation (V_T, Algorithm 2) — serially or with one task per group.
 Result<ValidationOutcome> RunGrouped(const LicenseCatalog& licenses,
-                                     ValidationTree tree, bool zeta_per_group,
-                                     int max_dense_n, int num_threads) {
+                                     ValidationTree tree, int num_threads) {
   ValidationOutcome outcome;
 
   Stopwatch division_timer;
@@ -40,13 +38,9 @@ Result<ValidationOutcome> RunGrouped(const LicenseCatalog& licenses,
     const ValidationTree& group_tree = divided.trees[static_cast<size_t>(k)];
     const std::vector<int64_t>& group_aggregates =
         divided.aggregates[static_cast<size_t>(k)];
-    ValidateOptions engine;
-    engine.mode = (zeta_per_group && grouping.GroupSize(k) <= max_dense_n)
-                      ? ValidationMode::kZeta
-                      : ValidationMode::kExhaustive;
-    engine.max_dense_n = max_dense_n;
     Result<ValidationOutcome> group_outcome =
-        Validate(group_tree, group_aggregates, engine);
+        Validate(group_tree, group_aggregates,
+                 {.mode = ValidationMode::kExhaustive});
     if (!group_outcome.ok()) return group_outcome.status();
     return std::move(group_outcome->report);
   };
@@ -88,48 +82,34 @@ Result<ValidationOutcome> RunGrouped(const LicenseCatalog& licenses,
   return outcome;
 }
 
+// kAuto means kGrouped here: the licenses' geometry is at hand.
+bool Ungrouped(ValidationMode mode) {
+  return mode == ValidationMode::kExhaustive || mode == ValidationMode::kZeta;
+}
+
 }  // namespace
 
 Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,
                                    ValidationTree tree,
                                    const ValidateOptions& options) {
-  ValidationMode mode = options.mode == ValidationMode::kAuto
-                            ? ValidationMode::kGrouped
-                            : options.mode;
-  if (mode == ValidationMode::kExhaustive || mode == ValidationMode::kZeta) {
-    ValidateOptions ungrouped = options;
-    ungrouped.mode = mode;
-    return Validate(tree, licenses.AggregateCounts(), ungrouped);
+  if (Ungrouped(options.mode)) {
+    return Validate(tree, licenses.AggregateCounts(), options);
   }
   const int threads = options.num_threads == 0
                           ? ThreadPool::DefaultThreadCount()
                           : options.num_threads;
-  return RunGrouped(licenses, std::move(tree),
-                    mode == ValidationMode::kGroupedZeta,
-                    options.max_dense_n, threads);
+  return RunGrouped(licenses, std::move(tree), threads);
 }
 
 Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,
                                    const LogStore& log,
                                    const ValidateOptions& options) {
-  ValidationMode mode = options.mode == ValidationMode::kAuto
-                            ? ValidationMode::kGrouped
-                            : options.mode;
-  if (mode == ValidationMode::kExhaustive || mode == ValidationMode::kZeta) {
-    ValidateOptions ungrouped = options;
-    ungrouped.mode = mode;
-    return Validate(log, licenses.AggregateCounts(), ungrouped);
-  }
-  if (options.order != TreeOrder::kIndex) {
-    return Status::InvalidArgument(
-        "frequency relabeling is not supported for grouped modes (grouping "
-        "already renumbers per group)");
+  if (Ungrouped(options.mode)) {
+    return Validate(log, licenses.AggregateCounts(), options);
   }
   GEOLIC_ASSIGN_OR_RETURN(ValidationTree tree,
                           ValidationTree::BuildFromLog(log));
-  ValidateOptions resolved = options;
-  resolved.mode = mode;
-  return Validate(licenses, std::move(tree), resolved);
+  return Validate(licenses, std::move(tree), options);
 }
 
 }  // namespace geolic

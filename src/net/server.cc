@@ -37,6 +37,10 @@ constexpr size_t kMaxReadPerWake = 64 * 1024;
 // (docs/WIRE.md has the sweep).
 constexpr std::chrono::microseconds kPollWindow{200};
 
+// Largest TryIssueBatch call a turn's admission makes: a turn's requests
+// share one acquisition of the service lock per chunk of this many.
+constexpr size_t kMaxBatch = 64;
+
 // True unless the kernel processed `fd`'s last incoming packets on the
 // calling thread's CPU. A peer fed from this CPU (over loopback: a client
 // running on it) can only send while the reactor is off the CPU, so
@@ -63,11 +67,7 @@ uint64_t NowMillis() {
 
 Server::Server(IssuanceService* service, CatalogService* catalog,
                const ServerOptions& options)
-    : service_(service), catalog_(catalog), options_(options) {
-  if (options_.max_batch == 0) {
-    options_.max_batch = 1;
-  }
-}
+    : service_(service), catalog_(catalog), options_(options) {}
 
 Result<std::unique_ptr<Server>> Server::Start(IssuanceService* service,
                                               const ServerOptions& options) {
@@ -618,26 +618,28 @@ void Server::AdmitPending() {
       }
       stats_.batches_dispatched.fetch_add(1, std::memory_order_relaxed);
     } else {
-      for (size_t begin = 0; begin < pending_.size();
-           begin += options_.max_batch) {
-        const size_t end =
-            std::min(pending_.size(), begin + options_.max_batch);
+      for (size_t begin = 0; begin < pending_.size(); begin += kMaxBatch) {
+        const size_t end = std::min(pending_.size(), begin + kMaxBatch);
         batch_licenses_.clear();
         for (size_t i = begin; i < end; ++i) {
           batch_licenses_.push_back(&pending_[i].license);
         }
         batch_decisions_.assign(end - begin, OnlineDecision());
+        size_t decided = 0;
         const Status admitted = service_->TryIssueBatch(
             std::span<const License* const>(batch_licenses_.data(),
                                             batch_licenses_.size()),
             std::span<OnlineDecision>(batch_decisions_.data(),
-                                      batch_decisions_.size()));
+                                      batch_decisions_.size()),
+            &decided);
         stats_.batches_dispatched.fetch_add(1, std::memory_order_relaxed);
+        // Each member by its own outcome: the decided ones (applied and
+        // journaled) get their decisions; the one the batch stopped at
+        // (a journal error) and every later one, none of them admitted,
+        // get its error.
         for (size_t i = begin; i < end; ++i) {
-          // A batch-level failure (journal I/O) fails every member
-          // loudly; nothing is silently half-admitted on the wire's watch.
           AnswerIssue(pending_[i],
-                      admitted.ok()
+                      i - begin < decided
                           ? Result<OnlineDecision>(
                                 std::move(batch_decisions_[i - begin]))
                           : Result<OnlineDecision>(admitted));

@@ -31,10 +31,13 @@ namespace geolic::net {
 //    pending is shed with an explicit kShed response — overload degrades
 //    to fast rejections, never to unbounded memory.
 //  * At the end of the turn it admits the pending list — TryIssueBatch in
-//    chunks of max_batch, so requests from every connection read in the
-//    turn share one acquisition of the service lock per chunk; per-request
-//    CatalogService::TryIssue in catalog mode — each journaled admission
-//    synced before its decision returns. It encodes the responses into the
+//    chunks of 64 (kMaxBatch, server.cc), so requests from every
+//    connection read in the turn share one acquisition of the service lock
+//    per chunk; per-request CatalogService::TryIssue in catalog mode — each
+//    journaled admission synced before its decision returns. Each request
+//    is answered by its own outcome: when a chunk stops at a journal error,
+//    the requests decided before it get their decisions and the rest get
+//    the error. It encodes the responses into the
 //    connections' write buffers and flushes each connection read in the
 //    turn once: non-blocking sends (MSG_NOSIGNAL, EINTR/EAGAIN and
 //    partial writes handled), EPOLLOUT re-armed for the rest.
@@ -74,8 +77,6 @@ struct ServerOptions {
   // Bound on the requests one epoll turn decodes before it admits them;
   // a request past it is shed.
   size_t queue_capacity = 1024;
-  // Largest TryIssueBatch call a turn's admission makes.
-  size_t max_batch = 64;
   // Per-connection write-buffer cap before reads pause (backpressure).
   size_t max_write_buffer = 256 * 1024;
   // How long Drain waits for unread responses before force-closing.

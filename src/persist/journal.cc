@@ -288,7 +288,6 @@ Status JournalWriter::AppendFrame(uint64_t seq, std::string* frame) {
     poisoned_ = true;
     return appended;
   }
-  ++frames_appended_;
   ScopedTracerSpan span(tracer_, TraceStage::kJournalFsync);
   const Status synced = file_->Sync();
   if (!synced.ok()) {
@@ -297,6 +296,7 @@ Status JournalWriter::AppendFrame(uint64_t seq, std::string* frame) {
     return synced;
   }
   synced_seq_ = seq;
+  ++frames_appended_;
   return Status::Ok();
 }
 

@@ -163,6 +163,8 @@ class JournalWriter {
   // Close() itself.
   ~JournalWriter();
 
+  // Frames an OK append made durable: a frame whose append or sync failed
+  // is not counted.
   uint64_t frames_appended() const { return frames_appended_; }
 
   // True once an I/O error has poisoned the writer: every further append

@@ -631,29 +631,37 @@ Result<OnlineDecision> IssuanceService::TryIssue(const License& issued) {
 }
 
 Status IssuanceService::TryIssueBatch(std::span<const License* const> batch,
-                                      std::span<OnlineDecision> decisions) {
+                                      std::span<OnlineDecision> decisions,
+                                      size_t* decided) {
   GEOLIC_DCHECK(decisions.size() >= batch.size());
   RequestTimer timer(options_.sim_hooks);
   metrics_->RecordBatch(batch.size());
-  for (const License* issued : batch) {
-    if (issued->aggregate_count() <= 0) {
-      return Status::InvalidArgument(
-          "issued license must carry a positive count");
-    }
-  }
   std::unique_lock<std::mutex> lock;
   {
     ScopedTracerSpan wait(options_.tracer, TraceStage::kShardLockWait);
     lock = Lock("pre_shard_lock");
   }
-  // In input order, so the decisions are a sequential TryIssue loop's.
-  for (size_t i = 0; i < batch.size(); ++i) {
+  // In input order, so the decisions are a sequential TryIssue loop's that
+  // stops at the first error.
+  size_t i = 0;
+  Status status;
+  for (; i < batch.size(); ++i) {
+    if (batch[i]->aggregate_count() <= 0) {
+      status = Status::InvalidArgument(
+          "issued license must carry a positive count");
+      break;
+    }
     decisions[i] = OnlineDecision();
     RequestTrace trace(options_.tracer);
-    GEOLIC_RETURN_IF_ERROR(
-        IssueLocked(*batch[i], timer, &decisions[i], &trace));
+    status = IssueLocked(*batch[i], timer, &decisions[i], &trace);
+    if (!status.ok()) {
+      break;
+    }
   }
-  return Status::Ok();
+  if (decided != nullptr) {
+    *decided = i;
+  }
+  return status;
 }
 
 // --- Live license lifecycle ---
@@ -873,12 +881,7 @@ Result<FlatValidationTree> IssuanceService::CollectFlatTree() const {
 }
 
 Status IssuanceService::JournalLocked(const OpRef& op) {
-  if (!journal_) {
-    return Status::Ok();
-  }
-  GEOLIC_RETURN_IF_ERROR(journal_(op));
-  ++journal_seq_;
-  return Status::Ok();
+  return journal_ ? journal_(op) : Status::Ok();
 }
 
 Status IssuanceService::AttachJournal(std::unique_ptr<JournalWriter> journal) {
@@ -902,9 +905,11 @@ Status IssuanceService::AttachJournal(std::unique_ptr<JournalWriter> journal) {
   }
   journal->set_tracer(options_.tracer);
   journal_writer_ = std::move(journal);
-  // Runs under mutex_ (JournalLocked), which guards journal_seq_.
+  // Numbers the frames 1, 2, … : the next is one past the frames
+  // already made durable.
   journal_ = [this](const OpRef& op) {
-    return journal_writer_->AppendOp(journal_seq_ + 1, op);
+    return journal_writer_->AppendOp(journal_writer_->frames_appended() + 1,
+                                     op);
   };
   return Status::Ok();
 }
@@ -926,9 +931,9 @@ ExpositionInput IssuanceService::Snap() const {
     input.stages = options_.tracer->ProfileSnapshot();
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (journal_) {
+  if (journal_writer_ != nullptr) {
     input.has_journal = true;
-    input.journal_sequence = journal_seq_;
+    input.journal_sequence = journal_writer_->frames_appended();
   }
   return input;
 }
@@ -942,7 +947,8 @@ ServiceState IssuanceService::Snapshot() const {
       sets.emplace_back(set, count);
     });
     state.catalog_epoch = epoch_->epoch;
-    state.covered_seq = journal_seq_;
+    state.covered_seq =
+        journal_writer_ != nullptr ? journal_writer_->frames_appended() : 0;
     state.licenses = std::make_unique<LicenseCatalog>(*epoch_->catalog);
   }
   state.records = SortedLog(std::move(sets));

@@ -291,8 +291,17 @@ class IssuanceService {
   // the network front-end (net/server.h) admits each reactor turn's
   // decoded requests without copying them into a dense array, and the
   // call makes no heap allocation of its own.
+  //
+  // The loop stops at the first member TryIssue would fail (a non-positive
+  // count, or a journal error on an accepted member) and returns that
+  // member's error. `*decided` (when not null) is set to the number of
+  // members decided: members [0, *decided) are decided and applied exactly
+  // as by TryIssue, their accepted issues journaled; member *decided (the
+  // failing one, when the status is not OK) and every later member are not
+  // decided, applied or journaled. OK means *decided == batch.size().
   Status TryIssueBatch(std::span<const License* const> batch,
-                       std::span<OnlineDecision> decisions);
+                       std::span<OnlineDecision> decisions,
+                       size_t* decided = nullptr);
 
   // --- Live license lifecycle ---
 
@@ -374,8 +383,9 @@ class IssuanceService {
   Status AttachJournalSink(JournalSink sink);
 
   // The current catalog, its epoch, the accepted sets (CollectLog's
-  // compacted records) and the journal sequence they cover, read under the
-  // service lock, so the cut is exact.
+  // compacted records) and the sequence of AttachJournal's journal they
+  // cover (0 without one: a sink's owner numbers its own frames), read
+  // under the service lock, so the cut is exact.
   ServiceState Snapshot() const;
 
   // Writes Snapshot() into a v2 checkpoint file (persist/checkpoint.h,
@@ -400,7 +410,7 @@ class IssuanceService {
   // Point-in-time observability snapshot, ready for the obs exposition
   // renderers: decision counters + request latency, the per-stage profile
   // when a tracer is attached (options.tracer), and the journal sequence
-  // when a journal is. Safe to call concurrently with issuance traffic.
+  // when AttachJournal attached one. Safe to call concurrently with issuance traffic.
   // Recovery counters are per-Recover-call (RecoveryStats); callers merge
   // them into the returned input themselves.
   ExpositionInput Snap() const;
@@ -582,8 +592,9 @@ class IssuanceService {
   // Incremental overlap components, mirrored into each epoch's grouping.
   DynamicGrouping dyn_grouping_;
   JournalSink journal_;  // Empty until a journal is attached.
-  std::unique_ptr<JournalWriter> journal_writer_;  // AttachJournal's.
-  uint64_t journal_seq_ = 0;  // Ops journal_ has accepted.
+  // AttachJournal's; its frames_appended() is the service's journal
+  // sequence. A sink-attached service keeps no sequence.
+  std::unique_ptr<JournalWriter> journal_writer_;
 };
 
 // Re-executes one journaled op on `service`: the one replay both

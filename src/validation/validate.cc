@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "validation/flat_tree.h"
-#include "validation/frequency_order.h"
 #include "util/thread_pool.h"
 
 namespace geolic {
@@ -31,57 +30,16 @@ int64_t AggregateValue(const std::vector<int64_t>& aggregates,
 // Dense equation enumeration walks every non-empty subset of {0..n-1} as an
 // incrementing integer, so the exhaustive and zeta engines are inherently
 // single-word; 2^n is infeasible long before n reaches 64 anyway. Wider
-// universes go through the grouped modes, which enumerate per group.
+// universes go through kGrouped, which enumerates per group.
 uint64_t FullWord(int n) {
   return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
 }
 
-// ---- Serial exhaustive engine (Algorithm 2) --------------------------------
-
-Result<ValidationReport> ExhaustiveSerial(
-    const FlatValidationTree& tree, const std::vector<int64_t>& aggregates,
-    uint64_t max_equations) {
-  const int n = static_cast<int>(aggregates.size());
-  ValidationReport report;
-  if (n == 0) {
-    return report;
-  }
-  // The batch enumerates every non-empty subset of {0..n-1}; the bits of a
-  // mask select the licenses in that equation's set.
-  const uint64_t full = FullWord(n);
-  std::array<LicenseSet, kEquationBatch> sets;
-  std::array<int64_t, kEquationBatch> sums;
-  uint64_t next = 1;
-  bool exhausted = false;
-  while (!exhausted && report.equations_evaluated < max_equations) {
-    size_t batch = 0;
-    while (batch < kEquationBatch &&
-           report.equations_evaluated + batch < max_equations) {
-      sets[batch++] = LicenseSet::FromWord(next);
-      if (next == full) {
-        exhausted = true;
-        break;
-      }
-      ++next;
-    }
-    // CV for the whole batch: pruned arena scans over contiguous nodes.
-    tree.SumSubsetsBatch({sets.data(), batch}, {sums.data(), batch},
-                         &report.nodes_visited);
-    for (size_t k = 0; k < batch; ++k) {
-      const int64_t av = AggregateValue(aggregates, sets[k]);
-      ++report.equations_evaluated;
-      if (sums[k] > av) {
-        report.violations.push_back(EquationResult{sets[k], sums[k], av});
-      }
-    }
-  }
-  return report;
-}
-
-// ---- Parallel exhaustive engine (equation-range sharding) ------------------
+// ---- Exhaustive engine (Algorithm 2) --------------------------------------
 
 // Evaluates equations for sets in [begin, end] (inclusive masks) against
-// the read-only tree; appends violations to *out in ascending order.
+// the read-only tree; appends violations to *out in ascending order. The
+// bits of a mask select the licenses in that equation's set.
 void EvaluateRange(const FlatValidationTree& tree,
                    const std::vector<int64_t>& aggregates, uint64_t begin,
                    uint64_t end, std::vector<EquationResult>* out,
@@ -100,6 +58,7 @@ void EvaluateRange(const FlatValidationTree& tree,
       }
       ++next;
     }
+    // CV for the whole batch: pruned arena scans over contiguous nodes.
     tree.SumSubsetsBatch({sets.data(), batch}, {sums.data(), batch},
                          nodes_visited);
     for (size_t k = 0; k < batch; ++k) {
@@ -111,41 +70,41 @@ void EvaluateRange(const FlatValidationTree& tree,
   }
 }
 
-Result<ValidationReport> ExhaustiveSharded(
-    const FlatValidationTree& tree, const std::vector<int64_t>& aggregates,
-    int num_threads) {
-  const int n = static_cast<int>(aggregates.size());
+// Every non-empty set of n ≥ 1 licenses, masks 1..2^n − 1: one range when
+// serial, otherwise contiguous slices of it on a pool, merged in order.
+ValidationReport Exhaustive(const FlatValidationTree& tree,
+                            const std::vector<int64_t>& aggregates,
+                            int num_threads) {
+  const uint64_t total = FullWord(static_cast<int>(aggregates.size()));
   ValidationReport report;
-  if (n == 0) {
+  report.equations_evaluated = total;
+  if (num_threads <= 1) {
+    EvaluateRange(tree, aggregates, 1, total, &report.violations,
+                  &report.nodes_visited);
     return report;
   }
-  const uint64_t total = FullWord(n);  // Number of non-empty sets = 2^n − 1.
   const uint64_t slice_count =
       std::min<uint64_t>(static_cast<uint64_t>(num_threads) * 4, total);
   std::vector<std::vector<EquationResult>> slice_violations(slice_count);
   std::vector<uint64_t> slice_nodes(slice_count, 0);
-
   {
     ThreadPool pool(num_threads);
-    for (uint64_t shard = 0; shard < slice_count; ++shard) {
-      // Masks 1..full split into contiguous shards.
-      const uint64_t begin = 1 + shard * total / slice_count;
-      const uint64_t end = (shard + 1) * total / slice_count;
+    for (uint64_t slice = 0; slice < slice_count; ++slice) {
+      const uint64_t begin = 1 + slice * total / slice_count;
+      const uint64_t end = (slice + 1) * total / slice_count;
       pool.Schedule([&tree, &aggregates, begin, end,
-                     violations = &slice_violations[shard],
-                     nodes = &slice_nodes[shard]] {
+                     violations = &slice_violations[slice],
+                     nodes = &slice_nodes[slice]] {
         EvaluateRange(tree, aggregates, begin, end, violations, nodes);
       });
     }
     pool.Wait();
   }
-
-  report.equations_evaluated = total;
-  for (uint64_t shard = 0; shard < slice_count; ++shard) {
-    report.nodes_visited += slice_nodes[shard];
+  for (uint64_t slice = 0; slice < slice_count; ++slice) {
+    report.nodes_visited += slice_nodes[slice];
     report.violations.insert(report.violations.end(),
-                             slice_violations[shard].begin(),
-                             slice_violations[shard].end());
+                             slice_violations[slice].begin(),
+                             slice_violations[slice].end());
   }
   return report;
 }
@@ -153,19 +112,14 @@ Result<ValidationReport> ExhaustiveSharded(
 // ---- Dense zeta (subset-sum DP) engine -------------------------------------
 
 Result<ValidationReport> ZetaDense(const FlatValidationTree& tree,
-                                   const std::vector<int64_t>& aggregates,
-                                   int max_dense_n) {
+                                   const std::vector<int64_t>& aggregates) {
   const int n = static_cast<int>(aggregates.size());
-  if (n > max_dense_n) {
+  if (n > kMaxDenseN) {
     return Status::CapacityExceeded(
-        "dense zeta validation capped at N = " +
-        std::to_string(max_dense_n) + ", got " + std::to_string(n));
+        "dense zeta validation capped at N = " + std::to_string(kMaxDenseN) +
+        ", got " + std::to_string(n));
   }
   ValidationReport report;
-  if (n == 0) {
-    return report;
-  }
-
   const size_t table_size = size_t{1} << n;
   // lhs[S] starts as the exact count C[S]; after the zeta transform it is
   // C⟨S⟩ = Σ_{T ⊆ S} C[T].
@@ -257,8 +211,8 @@ Result<ValidationOutcome> Validate(const ValidationTree& tree,
 
   ValidationMode mode = options.mode;
   if (mode == ValidationMode::kAuto) {
-    mode = n <= options.max_dense_n ? ValidationMode::kZeta
-                                    : ValidationMode::kExhaustive;
+    mode = n <= kMaxDenseN ? ValidationMode::kZeta
+                           : ValidationMode::kExhaustive;
   }
   if (n > kMaxLicensesInline &&
       (mode == ValidationMode::kExhaustive || mode == ValidationMode::kZeta)) {
@@ -280,25 +234,14 @@ Result<ValidationOutcome> Validate(const ValidationTree& tree,
       const int threads = options.num_threads == 0
                               ? ThreadPool::DefaultThreadCount()
                               : options.num_threads;
-      // The equation limit is a serial-engine notion: parallel shards
-      // cannot stop "after the first k equations" deterministically.
-      if (threads <= 1 || options.max_equations != UINT64_MAX) {
-        GEOLIC_ASSIGN_OR_RETURN(
-            outcome.report,
-            ExhaustiveSerial(flat, aggregates, options.max_equations));
-      } else {
-        GEOLIC_ASSIGN_OR_RETURN(outcome.report,
-                                ExhaustiveSharded(flat, aggregates, threads));
-      }
+      outcome.report = Exhaustive(flat, aggregates, threads);
       return outcome;
     }
     case ValidationMode::kZeta: {
-      GEOLIC_ASSIGN_OR_RETURN(
-          outcome.report, ZetaDense(flat, aggregates, options.max_dense_n));
+      GEOLIC_ASSIGN_OR_RETURN(outcome.report, ZetaDense(flat, aggregates));
       return outcome;
     }
     case ValidationMode::kGrouped:
-    case ValidationMode::kGroupedZeta:
       return Status::InvalidArgument(
           "grouped validation needs the licenses' geometry; call the "
           "LicenseCatalog overload of Validate");
@@ -311,46 +254,12 @@ Result<ValidationOutcome> Validate(const ValidationTree& tree,
 Result<ValidationOutcome> Validate(const LogStore& log,
                                    const std::vector<int64_t>& aggregates,
                                    const ValidateOptions& options) {
-  const int n = static_cast<int>(aggregates.size());
-  if (n > kMaxLicensesLarge) {
-    return Status::CapacityExceeded(
-        "at most " + std::to_string(kMaxLicensesLarge) +
-        " redistribution licenses");
-  }
-  if (options.order == TreeOrder::kIndex) {
-    auto built = [&] {
-      ScopedTracerSpan span(options.tracer, TraceStage::kTreeDivision);
-      return ValidationTree::BuildFromLog(log);
-    }();
-    GEOLIC_ASSIGN_OR_RETURN(const ValidationTree tree, std::move(built));
-    return Validate(tree, aggregates, options);
-  }
-
-  // Frequency relabeling: build the tree under the permutation, validate in
-  // relabeled space, then translate violation sets back. Permutation +
-  // relabeled build are D_T work, covered by one kTreeDivision span.
-  struct Prepared {
-    LicensePermutation permutation;
-    ValidationTree tree;
-  };
-  auto prepared = [&]() -> Result<Prepared> {
+  auto built = [&] {
     ScopedTracerSpan span(options.tracer, TraceStage::kTreeDivision);
-    GEOLIC_ASSIGN_OR_RETURN(
-        LicensePermutation permutation,
-        LicensePermutation::ByDescendingFrequency(log, n));
-    GEOLIC_ASSIGN_OR_RETURN(ValidationTree tree,
-                            BuildFrequencyOrderedTree(log, permutation));
-    return Prepared{std::move(permutation), std::move(tree)};
+    return ValidationTree::BuildFromLog(log);
   }();
-  GEOLIC_RETURN_IF_ERROR(prepared.status());
-  const LicensePermutation& permutation = prepared->permutation;
-  GEOLIC_ASSIGN_OR_RETURN(
-      ValidationOutcome outcome,
-      Validate(prepared->tree, permutation.MapValues(aggregates), options));
-  for (EquationResult& violation : outcome.report.violations) {
-    violation.set = permutation.UnmapMask(violation.set);
-  }
-  return outcome;
+  GEOLIC_ASSIGN_OR_RETURN(const ValidationTree tree, std::move(built));
+  return Validate(tree, aggregates, options);
 }
 
 }  // namespace geolic

@@ -15,55 +15,41 @@
 namespace geolic {
 
 // The one entry point for offline aggregate validation: every engine is a
-// ValidationMode, and parallelism, frequency ordering and the equation and
-// dense-table caps are ValidateOptions fields. Every engine compiles the
-// (static) pointer tree into a FlatValidationTree (validation/flat_tree.h)
-// once per run — per group in grouped modes — and evaluates all equations
-// against the flat, pruning-aware form.
+// ValidationMode, and parallelism is the num_threads option. Every engine
+// compiles the (static) pointer tree into a FlatValidationTree
+// (validation/flat_tree.h) once per run — per group when grouped — and
+// evaluates all equations against the flat, pruning-aware form.
 //
-// The license-set overloads (grouped modes) are implemented in the core
+// The license-set overloads (kGrouped) are implemented in the core
 // library because they dispatch into grouping/tree-division; linking the
 // aggregate `geolic` target (or geolic_core) provides them. The tree/log
 // overloads live in geolic_validation.
 
+// The zeta engine's dense-table cap: 2^n × 16 bytes of memory.
+inline constexpr int kMaxDenseN = 26;
+
 // Which equation-evaluation engine to run.
 enum class ValidationMode {
   // Pick for the input: grouped when a LicenseCatalog is available, otherwise
-  // zeta for N ≤ max_dense_n and exhaustive beyond it.
+  // zeta for N ≤ kMaxDenseN and exhaustive beyond it.
   kAuto,
   // Algorithm 2: all 2^N − 1 equations by pruned tree traversal.
   kExhaustive,
-  // Dense subset-sum DP over all 2^N cells (O(2^N·N); memory-capped by
-  // max_dense_n). Identical report to kExhaustive.
+  // Dense subset-sum DP over all 2^N cells (O(2^N·N); capped at
+  // kMaxDenseN). Identical report to kExhaustive.
   kZeta,
   // The paper's pipeline: grouping + tree division + Algorithm 2 per group.
   // Requires a LicenseCatalog overload.
   kGrouped,
-  // Grouped with the dense engine per group (groups above max_dense_n fall
-  // back to traversal). Requires a LicenseCatalog overload.
-  kGroupedZeta,
-};
-
-// How to label license indexes when building a tree from a log.
-enum class TreeOrder {
-  kIndex,                // As logged (ascending original index).
-  kDescendingFrequency,  // ref [8] relabeling: hot licenses near the root.
 };
 
 struct ValidateOptions {
   ValidationMode mode = ValidationMode::kAuto;
-  // Only meaningful for log-based overloads (the tree is built here).
-  TreeOrder order = TreeOrder::kIndex;
   // 1 = serial; 0 = one shard per hardware thread; > 1 = that many workers.
-  // Parallelism shards the equation range (ungrouped modes) or validates
-  // groups concurrently (grouped modes); reports are byte-identical to the
+  // Parallelism shards the equation range (kExhaustive) or validates
+  // groups concurrently (kGrouped); reports are byte-identical to the
   // serial run.
   int num_threads = 1;
-  // Stop after this many equations (exhaustive engine only; forces the
-  // serial path). The report then covers only the evaluated prefix.
-  uint64_t max_equations = UINT64_MAX;
-  // Dense-table cap for the zeta engine (2^n × 16 bytes of memory).
-  int max_dense_n = 26;
   // Optional span sink (obs/trace.h): tree build/compile records a
   // kTreeDivision span (the paper's D_T), the equation engine a
   // kOfflineValidation span (V_T). Must outlive the call. Null = off.
@@ -82,21 +68,18 @@ struct ValidationOutcome {
 };
 
 // Validates a pre-built tree against the aggregate array (N =
-// aggregates.size()). Grouped modes are rejected — grouping needs the
+// aggregates.size()). kGrouped is rejected — grouping needs the
 // licenses' geometry; use a LicenseCatalog overload.
 Result<ValidationOutcome> Validate(const ValidationTree& tree,
                                    const std::vector<int64_t>& aggregates,
                                    const ValidateOptions& options = {});
 
-// Builds the tree from `log` (honouring options.order) and validates it.
-// Frequency ordering translates reported violation sets back to original
-// indexes, so results are interchangeable with kIndex up to violation
-// order.
+// Builds the tree from `log` and validates it.
 Result<ValidationOutcome> Validate(const LogStore& log,
                                    const std::vector<int64_t>& aggregates,
                                    const ValidateOptions& options = {});
 
-// Validates a tree against a license set; grouped modes derive the overlap
+// Validates a tree against a license set; kGrouped derives the overlap
 // grouping from the licenses' geometry. The tree is consumed (division
 // splices its nodes). Implemented in geolic_core.
 Result<ValidationOutcome> Validate(const LicenseCatalog& licenses,

@@ -84,43 +84,6 @@ TEST(GroupedValidatorTest, TimingFieldsPopulated) {
   EXPECT_GE(result->validation_micros, 0.0);
 }
 
-TEST(GroupedValidatorTest, ZetaEngineMatchesTraversalEngine) {
-  for (uint64_t seed : {8u, 9u}) {
-    WorkloadConfig config = PaperSweepConfig(14, seed);
-    config.num_records = 900;
-    config.aggregate_min = 50;
-    config.aggregate_max = 500;
-    Result<Workload> workload = WorkloadGenerator(config).Generate();
-    ASSERT_TRUE(workload.ok());
-    Result<ValidationTree> tree1 =
-        ValidationTree::BuildFromLog(workload->log);
-    Result<ValidationTree> tree2 =
-        ValidationTree::BuildFromLog(workload->log);
-    ASSERT_TRUE(tree1.ok());
-    ASSERT_TRUE(tree2.ok());
-    const Result<ValidationOutcome> traversal =
-        Validate(*workload->licenses, *std::move(tree1), kGrouped);
-    const Result<ValidationOutcome> zeta =
-        Validate(*workload->licenses, *std::move(tree2),
-                 {.mode = ValidationMode::kGroupedZeta});
-    ASSERT_TRUE(traversal.ok());
-    ASSERT_TRUE(zeta.ok());
-    EXPECT_EQ(zeta->group_sizes, traversal->group_sizes);
-    EXPECT_EQ(zeta->report.equations_evaluated,
-              traversal->report.equations_evaluated);
-    ASSERT_EQ(zeta->report.violations.size(),
-              traversal->report.violations.size());
-    for (size_t i = 0; i < zeta->report.violations.size(); ++i) {
-      EXPECT_EQ(zeta->report.violations[i].set,
-                traversal->report.violations[i].set);
-      EXPECT_EQ(zeta->report.violations[i].lhs,
-                traversal->report.violations[i].lhs);
-      EXPECT_EQ(zeta->report.violations[i].rhs,
-                traversal->report.violations[i].rhs);
-    }
-  }
-}
-
 // The paper's core correctness claim (Theorem 2): removing the redundant
 // cross-group equations never changes the verdict. Property-tested on
 // generated workloads: the grouped pipeline and the baseline exhaustive

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -23,6 +24,9 @@
 
 #include "net/wire.h"
 #include "obs/exposition.h"
+#include "persist/faulty_file.h"
+#include "persist/journal.h"
+#include "persist/sync_file.h"
 #include "test_util.h"
 #include "util/check.h"
 
@@ -432,6 +436,61 @@ TEST(ServerTest, HalfClosedClientStillGetsEveryAnswer) {
   }
   EXPECT_EQ(answered.size(), kRequests);
   EXPECT_EQ(fx.service->metrics().Snap().accepted, kRequests);
+}
+
+// A journal error part-way through a turn's batch: the request decided
+// before it is journaled and applied, so its answer is its decision; the
+// failing request and the one after it were not admitted and get errors.
+TEST(ServerTest, JournalErrorMidBatchAnswersEachRequestByItsOutcome) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  LicenseCatalog licenses(&schema);
+  ASSERT_TRUE(
+      licenses.Add(MakeRedistribution(schema, "L1", {{0, 20}}, 1000)).ok());
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok());
+  auto file = std::make_unique<FaultyFile>(
+      std::make_unique<InMemorySyncFile>());
+  FaultyFile* faults = file.get();
+  Result<std::unique_ptr<JournalWriter>> journal =
+      JournalWriter::Create(std::move(file));
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*service)->AttachJournal(*std::move(journal)).ok());
+  faults->ScheduleTearAppend(2, 5);  // The 2nd frame after the magic.
+  Result<std::unique_ptr<Server>> server =
+      Server::Start(service->get(), ServerOptions());
+  ASSERT_TRUE(server.ok());
+
+  TestClient client((*server)->port());
+  std::string burst(kWireMagic, sizeof(kWireMagic));
+  for (uint64_t id = 1; id <= 3; ++id) {
+    std::string payload;
+    ASSERT_TRUE(EncodeIssueRequest(
+                    MakeUsage(schema, "U" + std::to_string(id), {{5, 10}}, 1),
+                    &payload)
+                    .ok());
+    EncodeFrame(FrameKind::kIssueRequest, id, payload, &burst);
+  }
+  client.SendRaw(burst);
+
+  std::map<uint64_t, Frame> answers;
+  for (int i = 0; i < 3; ++i) {
+    Frame frame;
+    ASSERT_TRUE(client.ReadFrame(&frame));
+    answers[frame.request_id] = frame;
+  }
+  ASSERT_EQ(answers.size(), 3u);
+  ASSERT_EQ(answers[1].kind, FrameKind::kIssueResult);
+  IssueResult result;
+  ASSERT_TRUE(DecodeIssueResult(answers[1].payload, &result).ok());
+  EXPECT_EQ(result.outcome, IssueResult::Outcome::kAccepted);
+  EXPECT_EQ(answers[2].kind, FrameKind::kError);
+  EXPECT_EQ(answers[3].kind, FrameKind::kError);
+
+  const LogStore log = (*service)->CollectLog();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.records()[0].count, 1);
+  EXPECT_EQ((*service)->metrics().Snap().accepted, 1u);
 }
 
 // Past the reactor's 16 KiB receive buffer: each turn reads until a recv

@@ -386,6 +386,21 @@ TEST(IssuanceServiceTest, RejectsNonPositiveCount) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ((*service)->metrics().Snap().total_requests(), 0u);
   EXPECT_TRUE((*service)->CollectLog().empty());
+
+  // A batch stops at its first failing member: the one before it is
+  // decided and applied, it and the one after it are not.
+  const License good = MakeUsage(schema, "LG", {{0, 1}}, 1);
+  const License* mixed[] = {&good, &usage, &good};
+  OnlineDecision decisions[3];
+  size_t decided = 99;
+  EXPECT_EQ((*service)->TryIssueBatch(mixed, decisions, &decided).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(decided, 1u);
+  EXPECT_TRUE(decisions[0].accepted());
+  EXPECT_EQ((*service)->metrics().Snap().accepted, 1u);
+  const LogStore log = (*service)->CollectLog();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.records()[0].count, 1);
 }
 
 TEST(IssuanceServiceTest, ExternalMetricsSinkIsUsed) {

@@ -21,17 +21,6 @@ Result<ValidationReport> RunExhaustive(
   return std::move(outcome->report);
 }
 
-Result<ValidationReport> RunExhaustiveLimited(
-    const ValidationTree& tree, const std::vector<int64_t>& aggregates,
-    uint64_t max_equations) {
-  ValidateOptions options;
-  options.mode = ValidationMode::kExhaustive;
-  options.max_equations = max_equations;
-  Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
-  if (!outcome.ok()) return outcome.status();
-  return std::move(outcome->report);
-}
-
 ValidationTree TreeOf(
     const std::vector<std::pair<LicenseSet, int64_t>>& entries) {
   ValidationTree tree;
@@ -112,14 +101,6 @@ TEST(ExhaustiveValidatorTest, RejectsMoreThan64Licenses) {
       RunExhaustive(tree, std::vector<int64_t>(65, 10));
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kCapacityExceeded);
-}
-
-TEST(ExhaustiveValidatorTest, LimitedStopsEarly) {
-  const ValidationTree tree = TreeOf({{testing::Mask(0b1), 5}});
-  const Result<ValidationReport> report =
-      RunExhaustiveLimited(tree, std::vector<int64_t>(10, 100), 100);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->equations_evaluated, 100u);
 }
 
 TEST(ExhaustiveValidatorTest, ReportToString) {

@@ -1,4 +1,4 @@
-#include "validation/frequency_order.h"
+#include "bench/frequency_order.h"
 
 #include <algorithm>
 
@@ -72,13 +72,6 @@ TEST(LicensePermutationTest, RejectsOutOfRangeLogRecords) {
       LicensePermutation::ByDescendingFrequency(log, 3);
   ASSERT_FALSE(permutation.ok());
   EXPECT_EQ(permutation.status().code(), StatusCode::kInvalidArgument);
-
-  // The same contract surfaces through the Validate facade, matching the
-  // tree overload's error for inconsistent logs.
-  const Result<ValidationOutcome> outcome = Validate(
-      log, {10, 10, 10}, {.order = TreeOrder::kDescendingFrequency});
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(LicensePermutationTest, MaskRoundTrip) {
@@ -126,18 +119,25 @@ TEST(FrequencyOrderedValidationTest, MatchesPlainOrdering) {
         RunExhaustive(*plain_tree, aggregates);
     ASSERT_TRUE(plain.ok());
 
-    const Result<ValidationOutcome> ordered =
-        Validate(workload->log, aggregates,
-                 {.mode = ValidationMode::kExhaustive,
-                  .order = TreeOrder::kDescendingFrequency});
+    // Validate in relabeled space, then translate violation sets back.
+    const Result<LicensePermutation> permutation =
+        LicensePermutation::ByDescendingFrequency(workload->log, 12);
+    ASSERT_TRUE(permutation.ok());
+    const Result<ValidationTree> ordered_tree =
+        BuildFrequencyOrderedTree(workload->log, *permutation);
+    ASSERT_TRUE(ordered_tree.ok());
+    const Result<ValidationReport> ordered =
+        RunExhaustive(*ordered_tree, permutation->MapValues(aggregates));
     ASSERT_TRUE(ordered.ok());
-    EXPECT_EQ(ordered->report.equations_evaluated,
-              plain->equations_evaluated);
+    EXPECT_EQ(ordered->equations_evaluated, plain->equations_evaluated);
 
     // Same violation multisets (order differs: relabeled enumeration).
     auto key = [](const EquationResult& e) { return e.set; };
     std::vector<EquationResult> a = plain->violations;
-    std::vector<EquationResult> b = ordered->report.violations;
+    std::vector<EquationResult> b = ordered->violations;
+    for (EquationResult& violation : b) {
+      violation.set = permutation->UnmapMask(violation.set);
+    }
     ASSERT_EQ(a.size(), b.size());
     std::sort(a.begin(), a.end(), [&](const auto& x, const auto& y) {
       return key(x) < key(y);

@@ -87,11 +87,6 @@ std::vector<Workload> EngineInputs() {
   return inputs;
 }
 
-bool IsGrouped(ValidationMode mode) {
-  return mode == ValidationMode::kGrouped ||
-         mode == ValidationMode::kGroupedZeta;
-}
-
 std::vector<EquationResult> SortedBySet(std::vector<EquationResult> results) {
   std::sort(results.begin(), results.end(),
             [](const EquationResult& a, const EquationResult& b) {
@@ -121,9 +116,8 @@ struct EngineCase {
 class EngineEquivalenceTest : public ::testing::TestWithParam<EngineCase> {};
 
 // Within one pipeline (grouped or not) a configuration must reproduce the
-// serial report byte for byte — nodes visited aside for the dense engine,
-// which visits none. A grouped run against the exhaustive baseline checks
-// Theorem 2: it reports exactly the baseline's violations that lie inside
+// serial report byte for byte. A grouped run against the exhaustive
+// baseline checks Theorem 2: it reports exactly the baseline's violations that lie inside
 // one overlap group, in original license indexes, and every other baseline
 // violation contains one of them.
 TEST_P(EngineEquivalenceTest, MatchesSerialReference) {
@@ -145,14 +139,12 @@ TEST_P(EngineEquivalenceTest, MatchesSerialReference) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-    if (IsGrouped(engine.options.mode) == IsGrouped(engine.reference)) {
+    if (engine.options.mode == engine.reference) {
       EXPECT_EQ(got->group_count, want->group_count);
       EXPECT_EQ(got->group_sizes, want->group_sizes);
       EXPECT_EQ(got->report.equations_evaluated,
                 want->report.equations_evaluated);
-      if (engine.options.mode != ValidationMode::kGroupedZeta) {
-        EXPECT_EQ(got->report.nodes_visited, want->report.nodes_visited);
-      }
+      EXPECT_EQ(got->report.nodes_visited, want->report.nodes_visited);
       ExpectSameViolations(got->report.violations, want->report.violations);
       continue;
     }
@@ -211,8 +203,6 @@ INSTANTIATE_TEST_SUITE_P(
                    ValidationMode::kGrouped},
         EngineCase{"ParallelGrouped",
                    {.mode = ValidationMode::kGrouped, .num_threads = 4},
-                   false, ValidationMode::kGrouped},
-        EngineCase{"GroupedZeta", {.mode = ValidationMode::kGroupedZeta},
                    false, ValidationMode::kGrouped},
         EngineCase{"GroupedAgainstExhaustive",
                    {.mode = ValidationMode::kGrouped}, false,

@@ -27,11 +27,9 @@ Result<ValidationReport> RunExhaustive(
 }
 
 Result<ValidationReport> RunZeta(const ValidationTree& tree,
-                                 const std::vector<int64_t>& aggregates,
-                                 int max_dense_n = 26) {
+                                 const std::vector<int64_t>& aggregates) {
   ValidateOptions options;
   options.mode = ValidationMode::kZeta;
-  options.max_dense_n = max_dense_n;
   Result<ValidationOutcome> outcome = Validate(tree, aggregates, options);
   if (!outcome.ok()) return outcome.status();
   return std::move(outcome->report);
@@ -62,7 +60,7 @@ TEST(ZetaValidatorTest, MatchesHandComputedExample) {
 TEST(ZetaValidatorTest, RespectsDenseCap) {
   ValidationTree tree;
   const Result<ValidationReport> report =
-      RunZeta(tree, std::vector<int64_t>(30, 10), /*max_dense_n=*/26);
+      RunZeta(tree, std::vector<int64_t>(kMaxDenseN + 4, 10));
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kCapacityExceeded);
 }
