@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/rect_grouping.h"
 #include "core/dynamic_grouping.h"
 #include "core/grouping.h"
-#include "core/overlap_graph.h"
 #include "geometry/hyper_rect.h"
 #include "licensing/constraint_schema.h"
 #include "licensing/license.h"

@@ -1,20 +1,23 @@
 // Ablation: the equation hot path across tree layouts. Every offline
-// validator reduces to SumSubsets calls; this harness evaluates a fixed
+// validator reduces to C<T> queries; this harness evaluates a fixed
 // equation list against
 //   * pointer  — the recursive ref [10] walk over heap-scattered nodes,
 //   * flat     — the same descent rule on the preorder arena (layout win),
 //   * pruned   — the arena plus subtree_mask/subtree_sum accelerators
-//                (Theorem-1 skips + covered-subtree summarization),
+//                (Theorem-1 skips + covered-subtree summarization), one
+//                equation at a time,
 //   * batch    — pruned, issued through SumSubsetsBatch as the validators
 //                do (cache-resident arena across consecutive equations),
 // sweeping N, log size, and overlap density. For N ≤ 20 the list is all
 // 2^N − 1 dense equations; for wide N (128/256/1024 — the multi-word
 // LicenseSet path) equations are enumerated per overlap group, the way the
-// grouped validators issue them. Before timing, every engine is checked
+// grouped validators issue them. The flat and pruned engines and the
+// generic-width references are bench/flat_tree_reference.h; the batch is
+// the library's. Before timing, every engine is checked
 // equation-by-equation against the pointer tree, and SumSubsetsBatch
-// against per-query SumSubsets, the pinned-scalar batch and the forced
-// generic-width SumSubsetsBatchWideReference, in sums and in nodes visited
-// — the bench aborts on any mismatch.
+// against the per-query pruned scan (single-word and forced generic
+// width), the pinned-scalar batch and the generic-width batch reference,
+// in sums and in nodes visited — the bench aborts on any mismatch.
 //
 // The default workload is the figure-7 shape at N=16 with dense overlap
 // (single cluster, high extents): the acceptance row printed last. Tiny CI
@@ -30,10 +33,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/flat_tree_reference.h"
 #include "graph/connected_components.h"
 #include "util/cpu_dispatch.h"
 #include "util/stopwatch.h"
 #include "validation/flat_tree.h"
+#include "validation/flat_tree_batch.h"
 #include "validation/validation_tree.h"
 
 namespace {
@@ -182,30 +187,33 @@ RowResult RunRow(const char* label, int n, const LogStore& log,
 
   // Equivalence sweep (untimed, before any timing run): every engine,
   // every equation; the inline fast path against the forced generic-width
-  // reference; and the dispatched batch against per-query SumSubsets, the
-  // pinned-scalar batch and the generic-width batch reference — sums AND
-  // nodes_visited must be bit-identical.
+  // reference; and the dispatched batch against the per-query pruned scan,
+  // the pinned-scalar batch and the generic-width batch reference — sums
+  // AND nodes_visited must be bit-identical.
   std::vector<int64_t> batch_sums(equations.size());
   std::vector<int64_t> scalar_batch_sums(equations.size());
   std::vector<int64_t> wide_sums(equations.size());
   uint64_t batch_nodes = 0;
-  uint64_t scalar_batch_nodes = 0;
   uint64_t wide_nodes = 0;
   uint64_t serial_nodes = 0;
+  uint64_t serial_wide_nodes = 0;
   flat.SumSubsetsBatch(equations, batch_sums, &batch_nodes);
-  flat.SumSubsetsBatchScalar(equations, scalar_batch_sums,
-                             &scalar_batch_nodes);
-  flat.SumSubsetsBatchWideReference(equations, wide_sums, &wide_nodes);
+  const uint64_t scalar_batch_nodes = internal::SumSubsetsBatchScalarTier(
+      flat.BatchView(), equations, scalar_batch_sums);
+  ReferenceSumSubsetsBatchWide(flat, equations, wide_sums, &wide_nodes);
   for (size_t i = 0; i < equations.size(); ++i) {
     const int64_t reference = tree->SumSubsets(equations[i]);
-    GEOLIC_CHECK(flat.SumSubsetsNoAccel(equations[i]) == reference);
-    GEOLIC_CHECK(flat.SumSubsets(equations[i], &serial_nodes) == reference);
-    GEOLIC_CHECK(flat.SumSubsetsWideReference(equations[i]) == reference);
+    GEOLIC_CHECK(ReferenceSumSubsetsNoAccel(flat, equations[i]) == reference);
+    GEOLIC_CHECK(ReferenceSumSubsets(flat, equations[i], &serial_nodes) ==
+                 reference);
+    GEOLIC_CHECK(ReferenceSumSubsetsWide(flat, equations[i],
+                                         &serial_wide_nodes) == reference);
     GEOLIC_CHECK(batch_sums[i] == reference);
     GEOLIC_CHECK(scalar_batch_sums[i] == reference);
     GEOLIC_CHECK(wide_sums[i] == reference);
   }
   GEOLIC_CHECK(batch_nodes == serial_nodes);
+  GEOLIC_CHECK(batch_nodes == serial_wide_nodes);
   GEOLIC_CHECK(batch_nodes == scalar_batch_nodes);
   GEOLIC_CHECK(batch_nodes == wide_nodes);
 
@@ -216,11 +224,11 @@ RowResult RunRow(const char* label, int n, const LogStore& log,
       });
   const EngineTiming no_accel = TimeEquations(
       equations, [&flat](const LicenseSet& set, uint64_t* nodes) {
-        return flat.SumSubsetsNoAccel(set, nodes);
+        return ReferenceSumSubsetsNoAccel(flat, set, nodes);
       });
   const EngineTiming pruned = TimeEquations(
       equations, [&flat](const LicenseSet& set, uint64_t* nodes) {
-        return flat.SumSubsets(set, nodes);
+        return ReferenceSumSubsets(flat, set, nodes);
       });
   const EngineTiming batched = TimeBatched(equations, flat);
   GEOLIC_CHECK(pointer.checksum == no_accel.checksum);

@@ -13,12 +13,6 @@ LicenseGrouping LicenseGrouping::FromLicenses(const LicenseCatalog& licenses) {
       FindComponentsDfs(BuildOverlapGraph(licenses)).component_of);
 }
 
-LicenseGrouping LicenseGrouping::FromRects(
-    const std::vector<HyperRect>& rects) {
-  return FromGroupOf(
-      FindComponentsDfs(BuildOverlapGraphFromRects(rects)).component_of);
-}
-
 LicenseGrouping LicenseGrouping::FromGroupOf(std::vector<int> group_of) {
   const int groups =
       group_of.empty() ? 0 : *std::ranges::max_element(group_of) + 1;

@@ -22,9 +22,6 @@ class LicenseGrouping {
   // runs Algorithm 3's DFS).
   static LicenseGrouping FromLicenses(const LicenseCatalog& licenses);
 
-  // Groups raw hyper-rectangles.
-  static LicenseGrouping FromRects(const std::vector<HyperRect>& rects);
-
   // Groups from each license's group number: `group_of[i]` is license
   // i's group, groups numbered 0..g−1 in order of their smallest member
   // (a ComponentSet's component_of, or DynamicGrouping::GroupOf).

@@ -15,19 +15,4 @@ AdjacencyMatrix BuildOverlapGraph(const LicenseCatalog& licenses) {
   return graph;
 }
 
-AdjacencyMatrix BuildOverlapGraphFromRects(
-    const std::vector<HyperRect>& rects) {
-  const int n = static_cast<int>(rects.size());
-  AdjacencyMatrix graph(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (rects[static_cast<size_t>(i)].Overlaps(
-              rects[static_cast<size_t>(j)])) {
-        graph.AddEdge(i, j);
-      }
-    }
-  }
-  return graph;
-}
-
 }  // namespace geolic

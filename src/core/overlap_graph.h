@@ -1,9 +1,6 @@
 #ifndef GEOLIC_CORE_OVERLAP_GRAPH_H_
 #define GEOLIC_CORE_OVERLAP_GRAPH_H_
 
-#include <vector>
-
-#include "geometry/hyper_rect.h"
 #include "graph/adjacency_matrix.h"
 #include "licensing/license_catalog.h"
 
@@ -14,10 +11,6 @@ namespace geolic {
 // overlapping — every constraint dimension of L_D^i intersects the
 // corresponding dimension of L_D^j.
 AdjacencyMatrix BuildOverlapGraph(const LicenseCatalog& licenses);
-
-// Overlap graph straight from hyper-rectangles (workload generators and
-// property tests operate at this level).
-AdjacencyMatrix BuildOverlapGraphFromRects(const std::vector<HyperRect>& rects);
 
 }  // namespace geolic
 

@@ -13,8 +13,9 @@ namespace {
 // literally that drops components connected only through a lower-indexed
 // hub (edges 2-0 and 2-1 with no 0-1 edge: the walk 0→2 never looks back
 // down to 1, wrongly splitting {0,1,2}). A DFS must scan *all* neighbours,
-// so we treat the bound as a transcription slip and scan j = 1..N; the
-// union-find implementation cross-checks this in tests.
+// so we treat the bound as a transcription slip and scan j = 1..N;
+// bench/ablation_components (ctest ablation_components_smoke) cross-checks
+// this against union-find.
 void DepthFirst(const AdjacencyMatrix& graph, int i, int k,
                 std::vector<int>* visited, ComponentSet* out) {
   out->components[static_cast<size_t>(k)] |= LicenseSet::Singleton(i);
@@ -99,34 +100,6 @@ bool UnionFind::Union(int a, int b) {
   }
   --set_count_;
   return true;
-}
-
-ComponentSet FindComponentsUnionFind(const AdjacencyMatrix& graph) {
-  const int n = graph.num_vertices();
-  GEOLIC_CHECK(n <= kMaxLicensesLarge);
-  UnionFind uf(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (graph.HasEdge(i, j)) {
-        uf.Union(i, j);
-      }
-    }
-  }
-  ComponentSet out;
-  out.component_of.assign(static_cast<size_t>(n), -1);
-  // Number components by their smallest member to match the DFS ordering.
-  std::vector<int> component_of_root(static_cast<size_t>(n), -1);
-  for (int v = 0; v < n; ++v) {
-    const int root = uf.Find(v);
-    int& k = component_of_root[static_cast<size_t>(root)];
-    if (k == -1) {
-      k = static_cast<int>(out.components.size());
-      out.components.push_back(LicenseSet());
-    }
-    out.components[static_cast<size_t>(k)] |= LicenseSet::Singleton(v);
-    out.component_of[static_cast<size_t>(v)] = k;
-  }
-  return out;
 }
 
 }  // namespace geolic

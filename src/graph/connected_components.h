@@ -31,9 +31,6 @@ struct ComponentSet {
 // `SizeOf(k)` is GroupSize[k]). Requires ≤ kMaxLicensesLarge vertices.
 ComponentSet FindComponentsDfs(const AdjacencyMatrix& graph);
 
-// Same result via union-find with path compression (ablation alternative).
-ComponentSet FindComponentsUnionFind(const AdjacencyMatrix& graph);
-
 // Disjoint-set forest over 0..n-1 with union by rank and path compression.
 class UnionFind {
  public:

@@ -859,8 +859,8 @@ size_t IssuanceService::dense_table_bytes() const {
 }
 
 LogStore IssuanceService::CollectLog() const {
-  // No simulation yield: the harness reconciles its model from CollectLog
-  // and needs the read to be one step of its schedule.
+  // No simulation yield: the harness reads the log in its final checks,
+  // and a read must not add a step to a seed's schedule.
   std::vector<std::pair<LicenseSet, int64_t>> sets;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -873,11 +873,6 @@ LogStore IssuanceService::CollectLog() const {
 
 Result<ValidationTree> IssuanceService::CollectTree() const {
   return ValidationTree::BuildFromLog(CollectLog());
-}
-
-Result<FlatValidationTree> IssuanceService::CollectFlatTree() const {
-  GEOLIC_ASSIGN_OR_RETURN(const ValidationTree merged, CollectTree());
-  return FlatValidationTree::Compile(merged);
 }
 
 Status IssuanceService::JournalLocked(const OpRef& op) {

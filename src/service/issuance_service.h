@@ -18,7 +18,6 @@
 #include "obs/exposition.h"
 #include "obs/trace.h"
 #include "persist/journal.h"
-#include "validation/flat_tree.h"
 #include "validation/log_store.h"
 #include "validation/validation_report.h"
 #include "validation/validation_tree.h"
@@ -356,11 +355,6 @@ class IssuanceService {
   // Snapshot of the combined validation tree, built offline from
   // CollectLog (admission keeps no pointer tree for dense groups).
   Result<ValidationTree> CollectTree() const;
-
-  // The same snapshot compiled into the offline hot-path form: audits of a
-  // running service should query this flat, pruning-aware arena
-  // (validation/flat_tree.h) instead of walking pointers.
-  Result<FlatValidationTree> CollectFlatTree() const;
 
   // Receives every op that succeeded (an issuance its equations accept, a
   // reconfiguration whose next epoch is built) before it changes any

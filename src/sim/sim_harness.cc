@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -23,12 +24,12 @@
 #include "sim/sim_environment.h"
 #include "sim/sim_scheduler.h"
 #include "util/check.h"
+#include "validation/flat_tree.h"
 
 namespace geolic {
 namespace {
 
-// Largest per-request count the generator emits; the recovery diff uses it
-// to bound how big an unobserved in-flight admission can be.
+// Largest per-request count the generator emits.
 constexpr int64_t kMaxRequestCount = 3;
 
 // FNV-1a (64-bit) over every op's outcome, the final log and the journal
@@ -124,9 +125,6 @@ struct SimState {
   // recovery may or may not see one reconfig record beyond the model).
   bool have_maybe_reconfig = false;
   PendingReconfig maybe_reconfig;
-  // A batch died on the fault: the in-flight admission is unknown, so the
-  // recovery diff falls back to a bounded one-record allowance.
-  bool batch_error = false;
   // Running hash of every op's outcome, the final log and the journal
   // bytes (SimResult::digest).
   uint64_t digest = kDigestSeed;
@@ -272,35 +270,6 @@ void NoteReconfigFailure(SimState* state, PendingReconfig pending,
   state->maybe_reconfig = std::move(pending);
 }
 
-// Raises the model to the service's merged log counts after a mid-batch
-// journal failure left admissions the caller could not observe. The
-// service may only ever be AHEAD of the model — a missing record means an
-// acknowledged admission vanished.
-void ReconcileModelFromServiceLog(SimState* state) {
-  const std::unordered_map<LicenseSet, int64_t> merged =
-      state->service->CollectLog().MergedCounts();
-  for (const auto& [set, count] : state->model->counts()) {
-    const auto it = merged.find(set);
-    const int64_t service_count = it == merged.end() ? 0 : it->second;
-    if (service_count < count) {
-      Fail(state, "service log lost records for set " + MaskText(set));
-      return;
-    }
-  }
-  for (const auto& [set, count] : merged) {
-    const auto it = state->model->counts().find(set);
-    const int64_t model_count =
-        it == state->model->counts().end() ? 0 : it->second;
-    if (count > model_count) {
-      state->model->Apply(set, count - model_count);
-    }
-  }
-  const Status invariant = state->model->CheckInvariant();
-  if (!invariant.ok()) {
-    Fail(state, std::string("after batch reconcile: ") + invariant.message());
-  }
-}
-
 void RunInvariantSweep(SimState* state, const char* when) {
   const Status invariant = state->model->CheckInvariant();
   if (!invariant.ok()) {
@@ -381,24 +350,21 @@ void ExecuteBatch(SimState* state, const SimOp& op) {
     batch.push_back(&request);
   }
   std::vector<OnlineDecision> got(op.requests.size());
-  if (!state->service->TryIssueBatch(batch, got).ok()) {
-    MixDigest(&state->digest, "batch error;");
-    if (state->workload->fault_kind == 0) {
-      Fail(state, "batch error without a scheduled fault");
-      return;
-    }
-    // The faulted append belongs to an unknown request inside the batch,
-    // and the requests before it were admitted unobserved.
-    state->journal_error_seen = true;
-    state->batch_error = true;
-    ReconcileModelFromServiceLog(state);
-    return;
-  }
+  size_t decided = 0;
+  const Status status = state->service->TryIssueBatch(batch, got, &decided);
   // The whole batch is one step under the service lock: its decisions are
-  // a sequential TryIssue loop's against the model as it stands.
-  for (size_t i = 0; i < op.requests.size() && state->failure.empty(); ++i) {
+  // a sequential TryIssue loop's against the model as it stands, up to the
+  // member that failed.
+  for (size_t i = 0; i < decided && state->failure.empty(); ++i) {
     CheckAndApply(state, "batch[" + std::to_string(i) + "]", op.requests[i],
                   got[i]);
+  }
+  if (!status.ok()) {
+    // Member `decided` failed like a faulted single issue: nothing of it
+    // was applied, and its frame may or may not have reached the platter.
+    MixDigest(&state->digest, "batch error;");
+    NoteJournalError(state, op.requests[decided]);
+    return;
   }
   RunInvariantSweep(state, "after batch");
 }
@@ -622,13 +588,6 @@ void CheckRecoveredCounts(
                       std::to_string(state->maybe_persisted_count));
       return;
     }
-  } else if (state->batch_error) {
-    if (extra_count > kMaxRequestCount) {
-      Fail(state, "recovery extra record exceeds any single request: " +
-                      MaskText(extra_set) + " x" +
-                      std::to_string(extra_count));
-      return;
-    }
   } else {
     Fail(state, "phantom record after recovery: " + MaskText(extra_set) +
                     " x" + std::to_string(extra_count));
@@ -644,7 +603,7 @@ void CheckRecoveredCounts(
 // the recovered service.
 void FinalChecks(SimState* state, const SimConfig& config,
                  const OnlineValidatorOptions& options) {
-  if (state->failure.empty() && !state->batch_error) {
+  if (state->failure.empty()) {
     const std::unordered_map<LicenseSet, int64_t> merged =
         state->service->CollectLog().MergedCounts();
     if (merged.size() != state->model->counts().size()) {
@@ -661,45 +620,50 @@ void FinalChecks(SimState* state, const SimConfig& config,
     }
   }
   if (state->failure.empty()) {
-    const Result<FlatValidationTree> flat = state->service->CollectFlatTree();
-    if (!flat.ok()) {
-      Fail(state, std::string("flat tree compile failed: ") +
-                      flat.status().message());
+    const Result<ValidationTree> tree = state->service->CollectTree();
+    if (!tree.ok()) {
+      Fail(state, std::string("tree rebuild failed: ") +
+                      tree.status().message());
     } else {
-      // Every equation LHS, flat pruned scan vs. brute force. Recorded
-      // sets lie within one overlap component, so C<T> factors across
-      // components; sweeping each component exhaustively covers every
-      // distinct per-component sum (2^slab per slab instead of 2^N).
+      // Every equation LHS through the batch scan Validate runs, against
+      // brute force. Recorded sets lie within one overlap component, so
+      // C<T> factors across components; sweeping each component
+      // exhaustively covers every distinct per-component sum (2^slab per
+      // slab instead of 2^N). Cross-component probes (full pairwise
+      // unions and the all-mask) exercise the factored path on spanning
+      // equations too (bounded: O(components^2) probes).
+      const FlatValidationTree flat = FlatValidationTree::Compile(*tree);
+      const auto check = [state, &flat](std::span<const LicenseSet> sets) {
+        if (!state->failure.empty()) {
+          return;
+        }
+        std::vector<int64_t> sums(sets.size());
+        flat.SumSubsetsBatch(sets, sums);
+        for (size_t i = 0; i < sets.size(); ++i) {
+          if (sums[i] != state->model->SumSubsets(sets[i])) {
+            Fail(state, "flat tree C<S> diverges from brute force at " +
+                            MaskText(sets[i]));
+            return;
+          }
+        }
+      };
       const std::vector<LicenseSet>& components = state->model->components();
+      std::vector<LicenseSet> sets;
       for (const LicenseSet& component : components) {
-        for (SubsetIterator it(component); !it.Done() && state->failure.empty();
-             it.Next()) {
-          const LicenseSet t = it.subset();
-          if (flat->SumSubsets(t) != state->model->SumSubsets(t)) {
-            Fail(state, "flat tree C<S> diverges from brute force at " +
-                            MaskText(t));
-          }
+        sets.clear();
+        for (SubsetIterator it(component); !it.Done(); it.Next()) {
+          sets.push_back(it.subset());
+        }
+        check(sets);
+      }
+      sets.clear();
+      for (size_t a = 0; a < components.size(); ++a) {
+        for (size_t b = a + 1; b < components.size(); ++b) {
+          sets.push_back(components[a] | components[b]);
         }
       }
-      // Cross-component probes: full pairwise unions and the all-mask,
-      // so the factored path through the flat tree is exercised on
-      // spanning equations too (bounded: O(components^2) probes).
-      if (state->failure.empty()) {
-        std::vector<LicenseSet> spanning;
-        for (size_t a = 0; a < components.size(); ++a) {
-          for (size_t b = a + 1; b < components.size(); ++b) {
-            spanning.push_back(components[a] | components[b]);
-          }
-        }
-        spanning.push_back(state->model_catalog->AllMask());
-        for (const LicenseSet& t : spanning) {
-          if (flat->SumSubsets(t) != state->model->SumSubsets(t)) {
-            Fail(state, "flat tree C<S> diverges from brute force at " +
-                            MaskText(t));
-            break;
-          }
-        }
-      }
+      sets.push_back(state->model_catalog->AllMask());
+      check(sets);
     }
   }
   RunInvariantSweep(state, "final");

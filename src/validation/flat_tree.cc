@@ -82,95 +82,6 @@ FlatValidationTree FlatValidationTree::Compile(const ValidationTree& tree) {
   return flat;
 }
 
-template <bool kSingleWord>
-int64_t FlatValidationTree::SumSubsetsImpl(const LicenseSet& set,
-                                           uint64_t* nodes_visited) const {
-  const size_t size = index_.size();
-  const uint32_t words = kSingleWord ? 1 : mask_words_;
-  uint64_t set_words[kMaxLicenseWords];
-  for (uint32_t w = 0; w < words; ++w) {
-    set_words[w] = set.Word(static_cast<int>(w));
-  }
-  int64_t sum = 0;
-  uint64_t touched = 0;
-  size_t i = 0;
-  while (i < size) {
-    ++touched;
-    const uint64_t* mask = &subtree_mask_words_[i * words];
-    bool covered;
-    bool empty;
-    if constexpr (kSingleWord) {
-      const uint64_t inter = mask[0] & set_words[0];
-      covered = inter == mask[0];
-      empty = inter == 0;
-    } else {
-      covered = true;
-      empty = true;
-      for (uint32_t w = 0; w < words; ++w) {
-        const uint64_t inter = mask[w] & set_words[w];
-        covered = covered && inter == mask[w];
-        empty = empty && inter == 0;
-      }
-    }
-    if (covered) {
-      // Fully covered region: one add replaces the whole descent. Every
-      // leaf whose index is in `set` lands here too.
-      sum += subtree_sum_[i];
-      i = subtree_end_[i];
-      continue;
-    }
-    if (empty) {
-      // Theorem 1, per query: nothing below overlaps `set`.
-      i = subtree_end_[i];
-      continue;
-    }
-    if (!set.Contains(index_[i])) {
-      // Every path through this node spells its index; off-set ⇒ the whole
-      // subtree contributes nothing (the structural ref [10] rule).
-      i = subtree_end_[i];
-      continue;
-    }
-    sum += count_[i];
-    ++i;
-  }
-  if (nodes_visited != nullptr) {
-    *nodes_visited += touched;
-  }
-  return sum;
-}
-
-int64_t FlatValidationTree::SumSubsets(const LicenseSet& set,
-                                       uint64_t* nodes_visited) const {
-  return mask_words_ == 1 ? SumSubsetsImpl<true>(set, nodes_visited)
-                          : SumSubsetsImpl<false>(set, nodes_visited);
-}
-
-int64_t FlatValidationTree::SumSubsetsWideReference(
-    const LicenseSet& set, uint64_t* nodes_visited) const {
-  return SumSubsetsImpl<false>(set, nodes_visited);
-}
-
-int64_t FlatValidationTree::SumSubsetsNoAccel(const LicenseSet& set,
-                                              uint64_t* nodes_visited) const {
-  const size_t size = index_.size();
-  int64_t sum = 0;
-  uint64_t touched = 0;
-  size_t i = 0;
-  while (i < size) {
-    ++touched;
-    if (!set.Contains(index_[i])) {
-      i = subtree_end_[i];
-      continue;
-    }
-    sum += count_[i];
-    ++i;
-  }
-  if (nodes_visited != nullptr) {
-    *nodes_visited += touched;
-  }
-  return sum;
-}
-
 internal::FlatTreeBatchView FlatValidationTree::BatchView() const {
   return internal::FlatTreeBatchView{
       index_.data(),          count_.data(), subtree_end_.data(),
@@ -184,73 +95,12 @@ void FlatValidationTree::SumSubsetsBatch(std::span<const LicenseSet> sets,
   GEOLIC_DCHECK(sums.size() >= sets.size());
   // One tier pick per batch call; the chosen translation unit runs the
   // whole chunked scan with its lane step inlined (flat_tree_batch.h).
-  const bool single_word = mask_words_ == 1;
-  uint64_t touched;
-  switch (simd::ActiveTier()) {
-    case simd::Tier::kAvx2:
-      touched = internal::SumSubsetsBatchAvx2Tier(BatchView(), single_word,
-                                                  sets, sums);
-      break;
-    default:
-      touched = internal::SumSubsetsBatchScalarTier(BatchView(), single_word,
-                                                    sets, sums);
-      break;
-  }
-  if (nodes_visited != nullptr) {
-    *nodes_visited += touched;
-  }
-}
-
-void FlatValidationTree::SumSubsetsBatchScalar(std::span<const LicenseSet> sets,
-                                               std::span<int64_t> sums,
-                                               uint64_t* nodes_visited) const {
-  GEOLIC_DCHECK(sums.size() >= sets.size());
-  const uint64_t touched = internal::SumSubsetsBatchScalarTier(
-      BatchView(), mask_words_ == 1, sets, sums);
-  if (nodes_visited != nullptr) {
-    *nodes_visited += touched;
-  }
-}
-
-void FlatValidationTree::SumSubsetsBatchWideReference(
-    std::span<const LicenseSet> sets, std::span<int64_t> sums,
-    uint64_t* nodes_visited) const {
-  GEOLIC_DCHECK(sums.size() >= sets.size());
   const uint64_t touched =
-      internal::SumSubsetsBatchGenericReference(BatchView(), sets, sums);
+      simd::ActiveTier() == simd::Tier::kAvx2
+          ? internal::SumSubsetsBatchAvx2Tier(BatchView(), sets, sums)
+          : internal::SumSubsetsBatchScalarTier(BatchView(), sets, sums);
   if (nodes_visited != nullptr) {
     *nodes_visited += touched;
-  }
-}
-
-int64_t FlatValidationTree::CountOf(const LicenseSet& set) const {
-  if (set.Empty()) {
-    return 0;  // The (virtual) root holds no count.
-  }
-  size_t begin = 0;
-  size_t end = index_.size();
-  LicenseSet remaining = set;
-  while (true) {
-    const int idx = remaining.Lowest();
-    remaining.RemoveLowest();
-    size_t found = end;
-    // Siblings of a level are adjacent subtrees, sorted by ascending index.
-    for (size_t i = begin; i < end; i = subtree_end_[i]) {
-      if (index_[i] >= idx) {
-        if (index_[i] == idx) {
-          found = i;
-        }
-        break;
-      }
-    }
-    if (found == end) {
-      return 0;
-    }
-    if (remaining.Empty()) {
-      return count_[found];
-    }
-    begin = found + 1;
-    end = subtree_end_[found];
   }
 }
 

@@ -20,8 +20,8 @@ struct FlatTreeBatchView;
 // mutable build/admission structure; this is the equation hot path.
 //
 // Layout: nodes in preorder (root excluded) as structure-of-arrays columns,
-// so one SumSubsets query is a forward scan over contiguous memory instead
-// of a pointer chase:
+// so an equation is a forward scan over contiguous memory instead of a
+// pointer chase:
 //
 //   slot        0    1    2  ...                 (preorder position)
 //   index_      license index of the node
@@ -47,71 +47,47 @@ struct FlatTreeBatchView;
 //     add subtree_sum_[i] and skip, one add for a whole covered region.
 //
 // `nodes_visited` semantics differ from the pointer tree by design: the
-// flat tree reports *nodes touched after pruning* — every preorder slot
-// whose columns were read, counting a skipped or summarized subtree as the
-// single slot that decided it. Sums are always exactly equal to the
-// pointer tree's; visit counts are not comparable across layouts (the
-// pointer walk counts only nodes it descends into, while the flat scan
-// also counts the slot that takes each skip decision), so the two columns
-// in the ablation measure different work units.
+// flat tree reports *nodes touched after pruning* per equation — every
+// preorder slot whose columns were read, counting a skipped or summarized
+// subtree as the single slot that decided it. Sums are always exactly
+// equal to the pointer tree's; visit counts are not comparable across
+// layouts (the pointer walk counts only nodes it descends into, while the
+// flat scan also counts the slot that takes each skip decision).
+//
+// SumSubsetsBatch is the only query: a single equation is a batch of one.
+// The per-query scans it is gated against (sums and nodes_visited) live
+// with the ablation that times them, bench/flat_tree_reference.h.
 class FlatValidationTree {
  public:
-  // An empty compile (no nodes); SumSubsets returns 0 for every set.
+  // An empty compile (no nodes); every equation sums to 0.
   FlatValidationTree() = default;
 
   // Compiles a snapshot of `tree`. O(nodes); the result is immutable and
   // safe to query from any number of threads concurrently.
   static FlatValidationTree Compile(const ValidationTree& tree);
 
-  // LHS of the validation equation for `set` (the paper's C⟨S⟩), exactly
-  // equal to ValidationTree::SumSubsets on the compiled-from tree. If
-  // `nodes_visited` is non-null, the number of nodes touched after pruning
-  // is added to it.
-  int64_t SumSubsets(const LicenseSet& set,
-                     uint64_t* nodes_visited = nullptr) const;
-
-  // Ablation baseline: the same contiguous scan with only the structural
-  // ref [10] rule (skip a subtree when the node's index ∉ set), no
-  // mask/sum accelerators. Isolates layout gains from pruning gains.
-  int64_t SumSubsetsNoAccel(const LicenseSet& set,
-                            uint64_t* nodes_visited = nullptr) const;
-
-  // Evaluates one equation per entry of `sets` (sums[i] = SumSubsets(
-  // sets[i])) with up to 64 equations sharing a single pruned pass over
-  // the arena: each node is loaded once per 64-query chunk and pruning
-  // decisions are taken per query via a 64-bit lane mask — the shape of
-  // the exhaustive and grouped validator loops. When enough lanes are on
-  // a node's path, the fused covered-test-and-accumulate lane step runs
-  // in vector registers. The whole scan is compiled once per ISA tier
+  // LHS of the validation equation (the paper's C⟨S⟩) for every entry of
+  // `sets`: sums[i] = ValidationTree::SumSubsets(sets[i]) on the
+  // compiled-from tree, exactly. Up to 64 equations share a single pruned
+  // pass over the arena: each node is loaded once per 64-query chunk and
+  // pruning decisions are taken per query via a 64-bit lane mask — the
+  // shape of the exhaustive and grouped validator loops. When enough lanes
+  // are on a node's path, the fused covered-test-and-accumulate lane step
+  // runs in vector registers. The whole scan is compiled once per ISA tier
   // (validation/flat_tree_batch_*.cc) and dispatched per call via
   // util/cpu_dispatch.h, so the hot loop never pays a per-node indirect
-  // call; results and nodes-visited accounting stay bit-identical to
-  // per-query SumSubsets calls regardless of tier or how callers chunk.
-  // `sums` must have at least sets.size() entries.
+  // call. If `nodes_visited` is non-null, the nodes touched after pruning,
+  // summed over the equations, are added to it; sums and that count are
+  // the same whatever the tier and however callers chunk. `sums` must have
+  // at least sets.size() entries; an empty batch writes nothing.
   void SumSubsetsBatch(std::span<const LicenseSet> sets,
                        std::span<int64_t> sums,
                        uint64_t* nodes_visited = nullptr) const;
 
-  // The same batch scan pinned to the scalar lane tier (the per-lane
-  // bitmask loop always runs — what GEOLIC_FORCE_SCALAR dispatches to);
-  // only the lane step differs from SumSubsetsBatch.
-  void SumSubsetsBatchScalar(std::span<const LicenseSet> sets,
-                             std::span<int64_t> sums,
-                             uint64_t* nodes_visited = nullptr) const;
-
-  // Equivalence-gating references: the generic word-sliced implementations,
-  // forced even when the compile is single-word (and, for the batch, pinned
-  // to the scalar kernel tier). Bit-identical to SumSubsets/SumSubsetsBatch
-  // by construction; tests run both paths over the same equations to gate
-  // the inline fast path against the wide one.
-  int64_t SumSubsetsWideReference(const LicenseSet& set,
-                                  uint64_t* nodes_visited = nullptr) const;
-  void SumSubsetsBatchWideReference(std::span<const LicenseSet> sets,
-                                    std::span<int64_t> sums,
-                                    uint64_t* nodes_visited = nullptr) const;
-
-  // Exact count stored for `set` (0 if the set never appeared in the log).
-  int64_t CountOf(const LicenseSet& set) const;
+  // Borrowed view of the compiled columns (validation/flat_tree_batch.h),
+  // valid while this tree lives: what the per-tier scans read, and what
+  // the reference scans that gate them read.
+  internal::FlatTreeBatchView BatchView() const;
 
   // Number of nodes (the pointer tree's NodeCount, root excluded).
   size_t NodeCount() const { return index_.size(); }
@@ -135,12 +111,6 @@ class FlatValidationTree {
       const std::function<void(const LicenseSet&, int64_t)>& fn) const;
 
  private:
-  template <bool kSingleWord>
-  int64_t SumSubsetsImpl(const LicenseSet& set, uint64_t* nodes_visited) const;
-
-  // Column-pointer view handed to the per-tier batch-scan entry points.
-  internal::FlatTreeBatchView BatchView() const;
-
   std::vector<int32_t> index_;
   std::vector<int64_t> count_;
   std::vector<uint32_t> subtree_end_;

@@ -99,10 +99,9 @@ struct Avx2LaneOps {
 }  // namespace
 
 uint64_t SumSubsetsBatchAvx2Tier(const FlatTreeBatchView& view,
-                                 bool single_word,
                                  std::span<const LicenseSet> sets,
                                  std::span<int64_t> sums) {
-  return BatchScanTier<Avx2LaneOps>(view, single_word, sets, sums);
+  return BatchScanTier<Avx2LaneOps>(view, sets, sums);
 }
 
 }  // namespace internal
@@ -115,10 +114,9 @@ uint64_t SumSubsetsBatchAvx2Tier(const FlatTreeBatchView& view,
 namespace geolic {
 namespace internal {
 uint64_t SumSubsetsBatchAvx2Tier(const FlatTreeBatchView& view,
-                                 bool single_word,
                                  std::span<const LicenseSet> sets,
                                  std::span<int64_t> sums) {
-  return SumSubsetsBatchScalarTier(view, single_word, sets, sums);
+  return SumSubsetsBatchScalarTier(view, sets, sums);
 }
 }  // namespace internal
 }  // namespace geolic

@@ -1,5 +1,5 @@
-// Scalar tier of the batched equation scan: the portable reference the
-// vector tiers are gated against, and the tier GEOLIC_FORCE_SCALAR pins.
+// Scalar tier of the batched equation scan: the portable tier the vector
+// tiers are gated against, and the tier GEOLIC_FORCE_SCALAR pins.
 // Compiled with the project's baseline flags (no ISA extensions).
 
 #include "validation/flat_tree_batch.h"
@@ -7,50 +7,11 @@
 
 namespace geolic {
 namespace internal {
-namespace {
-
-struct ScalarLaneOps {
-  // Without vector registers the wide step is the same bit-scan loop the
-  // scan already runs inline; 65 disables it (popcount tops out at 64).
-  static constexpr int LaneThreshold(int /*kwords*/) { return 65; }
-
-  template <int kWords>
-  static uint64_t LaneStep(const uint64_t* mask, uint32_t words,
-                           const uint64_t* qcol, uint64_t on_path,
-                           int64_t node_sum, int64_t node_count,
-                           int64_t* sums) {
-    const uint32_t nw = kWords == 0 ? words : kWords;
-    uint64_t descend = 0;
-    for (uint64_t lanes = on_path; lanes != 0; lanes &= lanes - 1) {
-      const size_t q = static_cast<size_t>(std::countr_zero(lanes));
-      bool covered = true;
-      for (uint32_t w = 0; w < nw; ++w) {
-        covered = covered && (mask[w] & ~qcol[w * 64 + q]) == 0;
-      }
-      if (covered) {
-        sums[q] += node_sum;
-      } else {
-        sums[q] += node_count;
-        descend |= uint64_t{1} << q;
-      }
-    }
-    return descend;
-  }
-};
-
-}  // namespace
 
 uint64_t SumSubsetsBatchScalarTier(const FlatTreeBatchView& view,
-                                   bool single_word,
                                    std::span<const LicenseSet> sets,
                                    std::span<int64_t> sums) {
-  return BatchScanTier<ScalarLaneOps>(view, single_word, sets, sums);
-}
-
-uint64_t SumSubsetsBatchGenericReference(const FlatTreeBatchView& view,
-                                         std::span<const LicenseSet> sets,
-                                         std::span<int64_t> sums) {
-  return BatchScan<0, ScalarLaneOps>(view, sets, sums);
+  return BatchScanTier<ScalarLaneOps>(view, sets, sums);
 }
 
 }  // namespace internal

@@ -1,9 +1,12 @@
 #ifndef GEOLIC_VALIDATION_FLAT_TREE_BATCH_SCAN_H_
 #define GEOLIC_VALIDATION_FLAT_TREE_BATCH_SCAN_H_
 
-// Shared body of the 64-lane batched equation scan, included ONLY by the
-// per-ISA tier translation units (flat_tree_batch_{scalar,avx2}.cc).
-// Each tier instantiates BatchScan with its own LaneOps policy:
+// Shared body of the 64-lane batched equation scan. The per-ISA tier
+// translation units (flat_tree_batch_{scalar,avx2}.cc) instantiate it
+// under their own compile flags; outside them, only the ablation's
+// generic-width reference (bench/flat_tree_reference.cc) includes it, to
+// run the scan pinned to the runtime-width path with ScalarLaneOps. Each
+// tier instantiates BatchScan with its own LaneOps policy:
 //
 //   struct LaneOps {
 //     // Smallest popcount(on_path) at which the wide lane step beats the
@@ -153,13 +156,42 @@ uint64_t BatchScan(const FlatTreeBatchView& view,
   return touched;
 }
 
-// Branches the runtime mask width into the compile-time specializations
-// (`single_word` is the caller's mask_words == 1 flag).
+// The scalar tier's lane policy. Without vector registers the wide step
+// is the same bit-scan loop the scan already runs inline; 65 disables it
+// (popcount tops out at 64).
+struct ScalarLaneOps {
+  static constexpr int LaneThreshold(int /*kwords*/) { return 65; }
+
+  template <int kWords>
+  static uint64_t LaneStep(const uint64_t* mask, uint32_t words,
+                           const uint64_t* qcol, uint64_t on_path,
+                           int64_t node_sum, int64_t node_count,
+                           int64_t* sums) {
+    const uint32_t nw = kWords == 0 ? words : kWords;
+    uint64_t descend = 0;
+    for (uint64_t lanes = on_path; lanes != 0; lanes &= lanes - 1) {
+      const size_t q = static_cast<size_t>(std::countr_zero(lanes));
+      bool covered = true;
+      for (uint32_t w = 0; w < nw; ++w) {
+        covered = covered && (mask[w] & ~qcol[w * 64 + q]) == 0;
+      }
+      if (covered) {
+        sums[q] += node_sum;
+      } else {
+        sums[q] += node_count;
+        descend |= uint64_t{1} << q;
+      }
+    }
+    return descend;
+  }
+};
+
+// Branches the runtime mask width into the compile-time specializations.
 template <typename LaneOps>
-uint64_t BatchScanTier(const FlatTreeBatchView& view, bool single_word,
+uint64_t BatchScanTier(const FlatTreeBatchView& view,
                        std::span<const LicenseSet> sets,
                        std::span<int64_t> sums) {
-  if (single_word) {
+  if (view.mask_words == 1) {
     return BatchScan<1, LaneOps>(view, sets, sums);
   }
   if (view.mask_words == 2) {

@@ -5,7 +5,7 @@
 namespace geolic {
 namespace {
 
-// NodeCount, TotalCount and CheckNode walk with an explicit stack: a deep
+// NodeCount and TotalCount walk with an explicit stack: a deep
 // chain-shaped tree would overflow the call stack if the walk recursed
 // once per level.
 size_t NodeCountImpl(const ValidationTreeNode& root) {
@@ -72,30 +72,6 @@ LicenseSet PresentLicensesImpl(const ValidationTreeNode& node) {
     mask |= LicenseSet::Singleton(child->index) | PresentLicensesImpl(*child);
   }
   return mask;
-}
-
-Status CheckNode(const ValidationTreeNode& root) {
-  std::vector<const ValidationTreeNode*> stack{&root};
-  while (!stack.empty()) {
-    const ValidationTreeNode* node = stack.back();
-    stack.pop_back();
-    if (node->count < 0) {
-      return Status::Internal("negative count in validation tree");
-    }
-    int previous = node->index;
-    for (const auto& child : node->children) {
-      if (child == nullptr) {
-        return Status::Internal("null child in validation tree");
-      }
-      if (child->index <= previous) {
-        return Status::Internal(
-            "children not strictly ascending / path not increasing");
-      }
-      previous = child->index;
-      stack.push_back(child.get());
-    }
-  }
-  return Status::Ok();
 }
 
 void ToStringImpl(const ValidationTreeNode& node, int depth,
@@ -230,13 +206,6 @@ void ForEachSetImpl(const ValidationTreeNode& node, const LicenseSet& path,
 void ValidationTree::ForEachSet(
     const std::function<void(const LicenseSet&, int64_t)>& fn) const {
   ForEachSetImpl(*root_, LicenseSet(), fn);
-}
-
-Status ValidationTree::CheckInvariants() const {
-  if (root_->index != -1 || root_->count != 0) {
-    return Status::Internal("root must be index -1 with zero count");
-  }
-  return CheckNode(*root_);
 }
 
 std::string ValidationTree::ToString() const {

@@ -81,10 +81,6 @@ class ValidationTree {
   void ForEachSet(
       const std::function<void(const LicenseSet&, int64_t)>& fn) const;
 
-  // Verifies structural invariants: children sorted strictly ascending,
-  // path indexes strictly increasing, non-negative counts.
-  Status CheckInvariants() const;
-
   // Multi-line rendering for debugging/tests: one "L<i+1>:count" per node,
   // two-space indentation per depth.
   std::string ToString() const;

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/rect_grouping.h"
 #include "core/grouping.h"
-#include "core/overlap_graph.h"
 #include "licensing/license_catalog.h"
 #include "test_util.h"
 #include "util/random.h"

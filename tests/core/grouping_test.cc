@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/rect_grouping.h"
 #include "core/overlap_graph.h"
 #include "test_util.h"
 
@@ -155,7 +156,7 @@ TEST(LicenseGroupingTest, AllDisjointLicensesEachOwnGroup) {
 TEST(LicenseGroupingTest, FromRects) {
   const std::vector<HyperRect> rects = {
       Rect({{0, 10}}), Rect({{5, 15}}), Rect({{100, 110}})};
-  const LicenseGrouping grouping = LicenseGrouping::FromRects(rects);
+  const LicenseGrouping grouping = GroupingFromRects(rects);
   EXPECT_EQ(grouping.group_count(), 2);
   EXPECT_EQ(grouping.GroupMask(0), testing::Mask(0b011));
   EXPECT_EQ(grouping.GroupMask(1), testing::Mask(0b100));

@@ -108,9 +108,10 @@ Workload Generate(uint64_t seed) {
 
 // Third, independently-coded implementation of the admission decision: S by
 // linear containment scan, equations over ALL supersets of S (no grouping)
-// in the same ascending-extension order, with every C⟨T⟩ answered by a
-// FlatValidationTree compiled from the accepted history. Exercises the
-// arena compiler and its pruned scans as a decision procedure.
+// in the same ascending-extension order, with every C⟨T⟩ answered by the
+// batch scan of a FlatValidationTree compiled from the accepted history.
+// Exercises the arena compiler and the scan Validate runs as a decision
+// procedure.
 class FlatTreeOracle {
  public:
   explicit FlatTreeOracle(const LicenseCatalog* licenses) : licenses_(licenses) {}
@@ -127,14 +128,19 @@ class FlatTreeOracle {
     }
     decision.instance_valid = true;
     decision.aggregate_valid = true;
-    const FlatValidationTree flat = FlatValidationTree::Compile(tree_);
     const int64_t count = issued.aggregate_count();
     const LicenseSet extension =
         licenses_->AllMask() - decision.satisfying_set;
+    std::vector<LicenseSet> equations;
     for (AscendingSubsetIterator it(extension); !it.Done(); it.Next()) {
-      const LicenseSet t = decision.satisfying_set | it.subset();
+      equations.push_back(decision.satisfying_set | it.subset());
+    }
+    std::vector<int64_t> sums(equations.size());
+    FlatValidationTree::Compile(tree_).SumSubsetsBatch(equations, sums);
+    for (size_t i = 0; i < equations.size(); ++i) {
+      const LicenseSet& t = equations[i];
       ++decision.equations_checked;
-      const int64_t lhs = flat.SumSubsets(t) + count;
+      const int64_t lhs = sums[i] + count;
       const int64_t rhs = licenses_->AggregateSum(t);
       if (lhs > rhs) {
         decision.aggregate_valid = false;

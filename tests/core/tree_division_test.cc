@@ -55,14 +55,14 @@ TEST(TreeDivisionTest, DividesPaperTreeIntoFigure4) {
   EXPECT_EQ(first.CountOf(testing::Mask(0b00010)), 400);
   EXPECT_EQ(first.CountOf(testing::Mask(0b01011)), 30);
   EXPECT_EQ(first.NodeCount(), 4u);
-  EXPECT_TRUE(first.CheckInvariants().ok());
+  EXPECT_TRUE(testing::TreeInvariantsHold(first));
 
   // Second tree: L3→L5(800) and L5(20).
   const ValidationTree& second = (*parts)[1];
   EXPECT_EQ(second.CountOf(testing::Mask(0b10100)), 800);
   EXPECT_EQ(second.CountOf(testing::Mask(0b10000)), 20);
   EXPECT_EQ(second.NodeCount(), 3u);
-  EXPECT_TRUE(second.CheckInvariants().ok());
+  EXPECT_TRUE(testing::TreeInvariantsHold(second));
 }
 
 TEST(TreeDivisionTest, NoNodesCreatedOrLost) {
@@ -95,7 +95,7 @@ TEST(TreeDivisionTest, ReindexProducesFigure5) {
   EXPECT_EQ(second.CountOf(testing::Mask(0b01)), 0);    // L3 → local L1, prefix node.
   EXPECT_EQ(second.CountOf(testing::Mask(0b11)), 800);  // {L3,L5} → local {L1,L2}.
   EXPECT_EQ(second.CountOf(testing::Mask(0b10)), 20);   // {L5} → local {L2}.
-  EXPECT_TRUE(second.CheckInvariants().ok());
+  EXPECT_TRUE(testing::TreeInvariantsHold(second));
 }
 
 TEST(TreeDivisionTest, DivideAndReindexProducesValidatableParts) {
@@ -226,7 +226,7 @@ TEST(TreeDivisionPropertyTest, LhsPreservedUnderDivision) {
     for (int k = 0; k < grouping.group_count(); ++k) {
       const ValidationTree& part =
           divided->trees[static_cast<size_t>(k)];
-      ASSERT_TRUE(part.CheckInvariants().ok());
+      ASSERT_TRUE(testing::TreeInvariantsHold(part));
       // For every subset of the group's local mask, the divided tree's LHS
       // equals the brute-force LHS over original-index merged counts.
       const int nk = grouping.GroupSize(k);

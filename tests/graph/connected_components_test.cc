@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/random.h"
 
 namespace geolic {
 namespace {
@@ -86,47 +85,6 @@ TEST(ConnectedComponentsTest, ComponentsOrderedBySmallestVertex) {
   EXPECT_EQ(components.components[3], LicenseSet::Singleton(4));
 }
 
-// Property: the paper-faithful recursive DFS and union-find agree on
-// random graphs of every density.
-class ComponentsAgreementTest
-    : public ::testing::TestWithParam<std::pair<int, double>> {};
-
-TEST_P(ComponentsAgreementTest, DfsAndUnionFindAgree) {
-  const auto [n, density] = GetParam();
-  Rng rng(static_cast<uint64_t>(n) * 7919 +
-          static_cast<uint64_t>(density * 1000));
-  for (int trial = 0; trial < 50; ++trial) {
-    AdjacencyMatrix graph(n);
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (rng.Bernoulli(density)) {
-          graph.AddEdge(i, j);
-        }
-      }
-    }
-    const ComponentSet dfs = FindComponentsDfs(graph);
-    const ComponentSet union_find = FindComponentsUnionFind(graph);
-    EXPECT_EQ(dfs.components, union_find.components);
-    EXPECT_EQ(dfs.component_of, union_find.component_of);
-
-    // Structural sanity: components partition the vertex set.
-    LicenseSet all;
-    for (const LicenseSet& component : dfs.components) {
-      EXPECT_TRUE((all & component).Empty()) << "components overlap";
-      all |= component;
-    }
-    EXPECT_EQ(all, LicenseSet::Full(n));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Densities, ComponentsAgreementTest,
-    ::testing::Values(std::pair<int, double>{1, 0.0},
-                      std::pair<int, double>{8, 0.05},
-                      std::pair<int, double>{16, 0.1},
-                      std::pair<int, double>{24, 0.3},
-                      std::pair<int, double>{32, 0.7},
-                      std::pair<int, double>{40, 0.02}));
 
 TEST(UnionFindTest, Basics) {
   UnionFind uf(5);

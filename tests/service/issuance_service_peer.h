@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/rect_grouping.h"
 #include "core/dynamic_grouping.h"
 #include "core/grouping.h"
 #include "licensing/license_catalog.h"
@@ -25,7 +26,7 @@ class IssuanceServiceTestPeer {
  public:
   // CreateWithHistory the reference way. Every rect is copied out of the
   // catalog; the epoch's grouping comes from the overlap graph of the
-  // copies (LicenseGrouping::FromRects, Algorithm 3's DFS) and the
+  // copies (GroupingFromRects, Algorithm 3's DFS) and the
   // incremental grouping from one AddLicense per copy; the history goes
   // in with one ApplySetToEpoch per record (the per-record path the
   // reconfiguration carry keeps) instead of the batched PreloadEpoch pass.
@@ -44,7 +45,7 @@ class IssuanceServiceTestPeer {
     }
     std::unique_ptr<IssuanceService::CatalogEpoch> epoch =
         IssuanceService::BuildEpoch(options, 0, licenses, nullptr,
-                                    LicenseGrouping::FromRects(rects));
+                                    GroupingFromRects(rects));
     for (const LogRecord& record : history.records()) {
       GEOLIC_RETURN_IF_ERROR(IssuanceService::ApplySetToEpoch(
           epoch.get(), record.set, record.count));

@@ -18,6 +18,7 @@
 #include "service/issuance_service_peer.h"
 #include "sim/reference_model.h"
 #include "test_util.h"
+#include "validation/flat_tree.h"
 
 namespace geolic {
 namespace {
@@ -100,15 +101,20 @@ TEST(IssuanceServiceTest, MatchesReferenceModelSerially) {
     EXPECT_EQ(merged.at(set), count) << set;
   }
 
-  // The offline-audit snapshot: a flat compile of the same merged tree.
-  const Result<FlatValidationTree> flat = (*service)->CollectFlatTree();
-  ASSERT_TRUE(flat.ok());
-  EXPECT_EQ(flat->NodeCount(), tree->NodeCount());
-  EXPECT_EQ(flat->TotalCount(), tree->TotalCount());
+  // The offline-audit snapshot: a flat compile of the same merged tree,
+  // every equation through the batch scan Validate runs.
+  const FlatValidationTree flat = FlatValidationTree::Compile(*tree);
+  EXPECT_EQ(flat.NodeCount(), tree->NodeCount());
+  EXPECT_EQ(flat.TotalCount(), tree->TotalCount());
   const uint64_t full = licenses.AllMask().AsWord();
+  std::vector<LicenseSet> sets;
   for (uint64_t word = 1; word <= full; ++word) {
-    const LicenseSet set = LicenseSet::FromWord(word);
-    EXPECT_EQ(flat->SumSubsets(set), tree->SumSubsets(set)) << set;
+    sets.push_back(LicenseSet::FromWord(word));
+  }
+  std::vector<int64_t> sums(sets.size());
+  flat.SumSubsetsBatch(sets, sums);
+  for (size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(sums[i], tree->SumSubsets(sets[i])) << sets[i];
   }
 }
 

@@ -24,6 +24,7 @@
 #include "util/license_set.h"
 #include "util/random.h"
 #include "validation/log_store.h"
+#include "validation/validation_tree.h"
 
 namespace geolic::testing {
 
@@ -55,6 +56,42 @@ inline int64_t LhsFromMergedCounts(
     }
   }
   return sum;
+}
+
+// Structural invariants of a validation tree, read through root(): the
+// root is index -1 with count 0, no child is null, every node's children
+// are sorted strictly ascending above its own index (so path indexes
+// strictly increase), and no count is negative. An explicit stack, so a
+// deep chain-shaped tree cannot overflow the call stack.
+inline ::testing::AssertionResult TreeInvariantsHold(
+    const ValidationTree& tree) {
+  const ValidationTreeNode& root = tree.root();
+  if (root.index != -1 || root.count != 0) {
+    return ::testing::AssertionFailure()
+           << "root must be index -1 with zero count";
+  }
+  std::vector<const ValidationTreeNode*> stack{&root};
+  while (!stack.empty()) {
+    const ValidationTreeNode* node = stack.back();
+    stack.pop_back();
+    if (node->count < 0) {
+      return ::testing::AssertionFailure() << "negative count at L"
+                                           << node->index + 1;
+    }
+    int previous = node->index;
+    for (const auto& child : node->children) {
+      if (child == nullptr) {
+        return ::testing::AssertionFailure() << "null child";
+      }
+      if (child->index <= previous) {
+        return ::testing::AssertionFailure()
+               << "children not strictly ascending / path not increasing";
+      }
+      previous = child->index;
+      stack.push_back(child.get());
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 // Directory for a test's files, ending in '/': $TEST_TMPDIR when set,

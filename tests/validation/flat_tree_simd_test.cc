@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/flat_tree_reference.h"
 #include "util/cpu_dispatch.h"
 #include "util/license_set.h"
 #include "util/random.h"
 #include "validation/flat_tree.h"
+#include "validation/flat_tree_batch.h"
 #include "validation/validation_tree.h"
 
 namespace geolic {
@@ -60,10 +62,10 @@ std::vector<LicenseSet> RandomQueries(Rng* rng, int n, size_t count) {
   return queries;
 }
 
-// The dispatched batch scan, the pinned-scalar batch scan, the wide
-// reference, and per-query SumSubsets must agree bit-for-bit on sums AND
-// nodes_visited — the PR-2-style gate every kernel tier must pass before
-// any timing run trusts it.
+// The dispatched batch scan, the pinned-scalar batch scan, the
+// generic-width batch reference and the per-query pruned scan must agree
+// bit-for-bit on sums AND nodes_visited — the gate every kernel tier must
+// pass before any timing run trusts it.
 TEST(FlatTreeSimdTest, BatchTiersBitIdenticalToScalarAcrossWidths) {
   Rng rng(77002);
   for (const int n : {12, 48, 64, 100, 128, 256}) {
@@ -79,17 +81,18 @@ TEST(FlatTreeSimdTest, BatchTiersBitIdenticalToScalarAcrossWidths) {
       std::vector<int64_t> scalar_sums(queries.size());
       std::vector<int64_t> wide_sums(queries.size());
       uint64_t vec_nodes = 0;
-      uint64_t scalar_nodes = 0;
       uint64_t wide_nodes = 0;
       flat.SumSubsetsBatch(queries, vec_sums, &vec_nodes);
-      flat.SumSubsetsBatchScalar(queries, scalar_sums, &scalar_nodes);
-      flat.SumSubsetsBatchWideReference(queries, wide_sums, &wide_nodes);
+      const uint64_t scalar_nodes = internal::SumSubsetsBatchScalarTier(
+          flat.BatchView(), queries, scalar_sums);
+      ReferenceSumSubsetsBatchWide(flat, queries, wide_sums, &wide_nodes);
 
       EXPECT_EQ(vec_nodes, scalar_nodes) << "n=" << n << " trial=" << trial;
       EXPECT_EQ(wide_nodes, scalar_nodes) << "n=" << n << " trial=" << trial;
       uint64_t serial_nodes = 0;
       for (size_t q = 0; q < queries.size(); ++q) {
-        const int64_t want = flat.SumSubsets(queries[q], &serial_nodes);
+        const int64_t want =
+            ReferenceSumSubsets(flat, queries[q], &serial_nodes);
         ASSERT_EQ(vec_sums[q], want) << "n=" << n << " q=" << q;
         ASSERT_EQ(scalar_sums[q], want) << "n=" << n << " q=" << q;
         ASSERT_EQ(wide_sums[q], want) << "n=" << n << " q=" << q;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/flat_tree_reference.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "validation/validation_tree.h"
@@ -27,18 +28,32 @@ ValidationTree RandomTree(Rng* rng, int n, int records) {
   return tree;
 }
 
+// One equation through the batch scan: a batch of one.
+int64_t SumOne(const FlatValidationTree& flat, const LicenseSet& set) {
+  int64_t sum = -1;
+  flat.SumSubsetsBatch({&set, 1}, {&sum, 1});
+  return sum;
+}
+
+// The compile's (set, count) pairs, in preorder.
+std::vector<std::pair<LicenseSet, int64_t>> SetsOf(const auto& tree) {
+  std::vector<std::pair<LicenseSet, int64_t>> sets;
+  tree.ForEachSet([&sets](const LicenseSet& set, int64_t count) {
+    sets.emplace_back(set, count);
+  });
+  return sets;
+}
+
 TEST(FlatTreeTest, EmptyTree) {
   const ValidationTree tree;
   const FlatValidationTree flat = FlatValidationTree::Compile(tree);
   EXPECT_EQ(flat.NodeCount(), 0u);
   EXPECT_EQ(flat.TotalCount(), 0);
   EXPECT_TRUE(flat.PresentLicenses().Empty());
-  EXPECT_EQ(flat.SumSubsets(LicenseSet::Full(8)), 0);
-  EXPECT_EQ(flat.SumSubsetsNoAccel(LicenseSet::Full(8)), 0);
-  EXPECT_EQ(flat.CountOf(testing::Mask(0b101)), 0);
-  int calls = 0;
-  flat.ForEachSet([&calls](LicenseSet, int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(SumOne(flat, LicenseSet::Full(8)), 0);
+  EXPECT_EQ(ReferenceSumSubsets(flat, LicenseSet::Full(8)), 0);
+  EXPECT_EQ(ReferenceSumSubsetsNoAccel(flat, LicenseSet::Full(8)), 0);
+  EXPECT_TRUE(SetsOf(flat).empty());
 }
 
 TEST(FlatTreeTest, SingleLicense) {
@@ -48,11 +63,10 @@ TEST(FlatTreeTest, SingleLicense) {
   EXPECT_EQ(flat.NodeCount(), 1u);
   EXPECT_EQ(flat.TotalCount(), 7);
   EXPECT_EQ(flat.PresentLicenses(), testing::Mask(0b1));
-  EXPECT_EQ(flat.CountOf(testing::Mask(0b1)), 7);
-  EXPECT_EQ(flat.CountOf(testing::Mask(0b10)), 0);
-  EXPECT_EQ(flat.SumSubsets(testing::Mask(0b1)), 7);
-  EXPECT_EQ(flat.SumSubsets(testing::Mask(0b10)), 0);
-  EXPECT_EQ(flat.SumSubsets(testing::Mask(0b11)), 7);
+  EXPECT_EQ(SetsOf(flat), SetsOf(tree));
+  EXPECT_EQ(SumOne(flat, testing::Mask(0b1)), 7);
+  EXPECT_EQ(SumOne(flat, testing::Mask(0b10)), 0);
+  EXPECT_EQ(SumOne(flat, testing::Mask(0b11)), 7);
   EXPECT_GT(flat.MemoryBytes(), 0u);
 }
 
@@ -70,11 +84,13 @@ TEST(FlatTreeTest, PaperExampleMatchesPointerTree) {
   EXPECT_EQ(flat.NodeCount(), tree.NodeCount());
   EXPECT_EQ(flat.TotalCount(), tree.TotalCount());
   EXPECT_EQ(flat.PresentLicenses(), tree.PresentLicenses());
+  EXPECT_EQ(SetsOf(flat), SetsOf(tree));
   for (uint64_t word = 0; word <= 0b1111u; ++word) {
     const LicenseSet set = LicenseSet::FromWord(word);
-    EXPECT_EQ(flat.SumSubsets(set), tree.SumSubsets(set)) << set;
-    EXPECT_EQ(flat.SumSubsetsNoAccel(set), tree.SumSubsets(set)) << set;
-    EXPECT_EQ(flat.CountOf(set), tree.CountOf(set)) << set;
+    EXPECT_EQ(SumOne(flat, set), tree.SumSubsets(set)) << set;
+    EXPECT_EQ(ReferenceSumSubsets(flat, set), tree.SumSubsets(set)) << set;
+    EXPECT_EQ(ReferenceSumSubsetsNoAccel(flat, set), tree.SumSubsets(set))
+        << set;
   }
 }
 
@@ -91,17 +107,24 @@ TEST(FlatTreeTest, FuzzMatchesPointerTree) {
     ASSERT_EQ(flat.NodeCount(), tree.NodeCount());
     ASSERT_EQ(flat.TotalCount(), tree.TotalCount());
     ASSERT_EQ(flat.PresentLicenses(), tree.PresentLicenses());
+    ASSERT_EQ(SetsOf(flat), SetsOf(tree)) << "trial " << trial;
 
     // Random query masks, deliberately allowed to spill beyond the n
     // licenses actually present.
+    std::vector<LicenseSet> sets;
     for (int q = 0; q < 16; ++q) {
-      const LicenseSet set =
-          LicenseSet::FromWord(rng.Next()) & LicenseSet::Full(std::min(n + 2, 16));
-      ASSERT_EQ(flat.SumSubsets(set), tree.SumSubsets(set))
+      sets.push_back(LicenseSet::FromWord(rng.Next()) &
+                     LicenseSet::Full(std::min(n + 2, 16)));
+    }
+    std::vector<int64_t> sums(sets.size());
+    flat.SumSubsetsBatch(sets, sums);
+    for (size_t q = 0; q < sets.size(); ++q) {
+      const LicenseSet& set = sets[q];
+      ASSERT_EQ(sums[q], tree.SumSubsets(set))
           << "trial " << trial << " set " << (set).ToString();
-      ASSERT_EQ(flat.SumSubsetsNoAccel(set), tree.SumSubsets(set))
+      ASSERT_EQ(ReferenceSumSubsets(flat, set), tree.SumSubsets(set))
           << "trial " << trial << " set " << (set).ToString();
-      ASSERT_EQ(flat.CountOf(set), tree.CountOf(set))
+      ASSERT_EQ(ReferenceSumSubsetsNoAccel(flat, set), tree.SumSubsets(set))
           << "trial " << trial << " set " << (set).ToString();
     }
   }
@@ -128,43 +151,44 @@ TEST(FlatTreeTest, FuzzMatchesMergedCountsReference) {
     for (int q = 0; q < 32; ++q) {
       const LicenseSet set =
           LicenseSet::FromWord(rng.Next()) & LicenseSet::Full(n);
-      ASSERT_EQ(flat.SumSubsets(set),
-                testing::LhsFromMergedCounts(merged, set));
+      ASSERT_EQ(SumOne(flat, set), testing::LhsFromMergedCounts(merged, set));
     }
   }
 }
 
+// The batch against the pointer tree (sums) and the per-query pruned scan
+// (nodes_visited), at batch sizes around the 64-lane chunk: empty, one,
+// one short of a chunk, one chunk, one past, two chunks and one past, and
+// a long one. An empty batch writes nothing and adds no visits.
 TEST(FlatTreeTest, BatchMatchesScalar) {
   Rng rng(testing::TestSeed(11));
   const ValidationTree tree = RandomTree(&rng, 12, 200);
   const FlatValidationTree flat = FlatValidationTree::Compile(tree);
-  std::vector<LicenseSet> sets;
-  for (int i = 0; i < 300; ++i) {
-    sets.push_back(LicenseSet::FromWord(rng.Next()) & LicenseSet::Full(12));
+  for (const size_t size : {0u, 1u, 63u, 64u, 65u, 129u, 300u}) {
+    std::vector<LicenseSet> sets;
+    for (size_t i = 0; i < size; ++i) {
+      sets.push_back(LicenseSet::FromWord(rng.Next()) & LicenseSet::Full(12));
+    }
+    // One slot past the batch: no call may write it.
+    std::vector<int64_t> sums(size + 1, -1);
+    uint64_t batch_nodes = 0;
+    flat.SumSubsetsBatch(sets, sums, &batch_nodes);
+    uint64_t scalar_nodes = 0;
+    for (size_t i = 0; i < size; ++i) {
+      EXPECT_EQ(sums[i], tree.SumSubsets(sets[i])) << size << " " << i;
+      EXPECT_EQ(sums[i], ReferenceSumSubsets(flat, sets[i], &scalar_nodes))
+          << size << " " << i;
+    }
+    EXPECT_EQ(sums[size], -1) << size;
+    EXPECT_EQ(batch_nodes, scalar_nodes) << size;
   }
-  std::vector<int64_t> sums(sets.size(), -1);
-  uint64_t batch_nodes = 0;
-  flat.SumSubsetsBatch(sets, sums, &batch_nodes);
-  uint64_t scalar_nodes = 0;
-  for (size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_EQ(sums[i], flat.SumSubsets(sets[i], &scalar_nodes)) << i;
-  }
-  EXPECT_EQ(batch_nodes, scalar_nodes);
 }
 
 TEST(FlatTreeTest, ForEachSetMatchesPointerTree) {
   Rng rng(testing::TestSeed(5));
   const ValidationTree tree = RandomTree(&rng, 14, 300);
   const FlatValidationTree flat = FlatValidationTree::Compile(tree);
-  std::vector<std::pair<LicenseSet, int64_t>> from_tree;
-  std::vector<std::pair<LicenseSet, int64_t>> from_flat;
-  tree.ForEachSet([&from_tree](LicenseSet set, int64_t count) {
-    from_tree.emplace_back(set, count);
-  });
-  flat.ForEachSet([&from_flat](LicenseSet set, int64_t count) {
-    from_flat.emplace_back(set, count);
-  });
-  EXPECT_EQ(from_tree, from_flat);  // Same preorder, same values.
+  EXPECT_EQ(SetsOf(flat), SetsOf(tree));  // Same preorder, same values.
 }
 
 TEST(FlatTreeTest, CoveredSubtreePruningTouchesFewerNodes) {
@@ -177,12 +201,14 @@ TEST(FlatTreeTest, CoveredSubtreePruningTouchesFewerNodes) {
   uint64_t full_pointer = 0;
   uint64_t full_flat = 0;
   const int64_t pointer_sum = tree.SumSubsets(LicenseSet::Full(16), &full_pointer);
-  const int64_t flat_sum = flat.SumSubsets(LicenseSet::Full(16), &full_flat);
+  const LicenseSet full = LicenseSet::Full(16);
+  int64_t flat_sum = -1;
+  flat.SumSubsetsBatch({&full, 1}, {&flat_sum, 1}, &full_flat);
   EXPECT_EQ(flat_sum, pointer_sum);
   EXPECT_LT(full_flat, full_pointer);
   // And the no-accelerator scan touches at least one slot per node-skip
   // decision; it must agree on the sum regardless.
-  EXPECT_EQ(flat.SumSubsetsNoAccel(LicenseSet::Full(16)), pointer_sum);
+  EXPECT_EQ(ReferenceSumSubsetsNoAccel(flat, full), pointer_sum);
 }
 
 TEST(FlatTreeTest, CompileIsASnapshot) {
@@ -190,7 +216,7 @@ TEST(FlatTreeTest, CompileIsASnapshot) {
   ASSERT_TRUE(tree.Insert(testing::Mask(0b11), 5).ok());
   const FlatValidationTree flat = FlatValidationTree::Compile(tree);
   ASSERT_TRUE(tree.Insert(testing::Mask(0b11), 5).ok());  // Mutate after compile.
-  EXPECT_EQ(flat.SumSubsets(testing::Mask(0b11)), 5);     // Snapshot unchanged.
+  EXPECT_EQ(SumOne(flat, testing::Mask(0b11)), 5);        // Snapshot unchanged.
   EXPECT_EQ(tree.SumSubsets(testing::Mask(0b11)), 10);
 }
 

@@ -178,7 +178,7 @@ TEST(FrequencyOrderedValidationTest, TreeNeverLargerThanIndexOrder) {
     const Result<ValidationTree> ordered =
         BuildFrequencyOrderedTree(log, *permutation);
     ASSERT_TRUE(ordered.ok());
-    ASSERT_TRUE(ordered->CheckInvariants().ok());
+    ASSERT_TRUE(testing::TreeInvariantsHold(*ordered));
     EXPECT_LE(ordered->NodeCount(), plain->NodeCount());
     EXPECT_EQ(ordered->TotalCount(), plain->TotalCount());
   }

@@ -40,7 +40,7 @@ TEST(ValidationTreeTest, EmptyTree) {
   EXPECT_EQ(tree.TotalCount(), 0);
   EXPECT_EQ(tree.SumSubsets(LicenseSet::Full(10)), 0);
   EXPECT_TRUE(tree.PresentLicenses().Empty());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(testing::TreeInvariantsHold(tree));
 }
 
 TEST(ValidationTreeTest, InsertRejectsEmptySetAndBadCount) {
@@ -63,7 +63,7 @@ TEST(ValidationTreeTest, InsertAccumulatesCounts) {
 TEST(ValidationTreeTest, BuildsPaperFigure1Tree) {
   const Result<ValidationTree> tree = ValidationTree::BuildFromLog(PaperLog());
   ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(testing::TreeInvariantsHold(*tree));
 
   // Figure 1: counts 840 ({L1,L2}), 400 ({L2}), 30 ({L1,L2,L4}),
   // 800 ({L3,L5}), 20 ({L5}).
@@ -132,7 +132,7 @@ TEST(ValidationTreeTest, ChildrenStayOrderedRegardlessOfInsertOrder) {
   ASSERT_TRUE(tree.Insert(LicenseSet::Singleton(1), 1).ok());
   ASSERT_TRUE(tree.Insert(LicenseSet::Singleton(3), 1).ok());
   ASSERT_TRUE(tree.Insert(LicenseSet::Singleton(0), 1).ok());
-  ASSERT_TRUE(tree.CheckInvariants().ok());
+  ASSERT_TRUE(testing::TreeInvariantsHold(tree));
   const ValidationTreeNode& root = tree.root();
   ASSERT_EQ(root.children.size(), 4u);
   EXPECT_EQ(root.children[0]->index, 0);
@@ -147,7 +147,7 @@ TEST(ValidationTreeTest, HighIndexLicenses) {
   ASSERT_TRUE(tree.Insert(LicenseSet::Singleton(63) | LicenseSet::Singleton(0), 5).ok());
   EXPECT_EQ(tree.CountOf(LicenseSet::Singleton(63)), 7);
   EXPECT_EQ(tree.SumSubsets(LicenseSet::FromWord(~uint64_t{0})), 12);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(testing::TreeInvariantsHold(tree));
 }
 
 TEST(ValidationTreeTest, MemoryBytesGrowsWithNodes) {
@@ -191,7 +191,7 @@ TEST_P(TreeSumPropertyTest, TraversalMatchesBruteForce) {
   }
   const Result<ValidationTree> tree = ValidationTree::BuildFromLog(store);
   ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(testing::TreeInvariantsHold(*tree));
   EXPECT_EQ(tree->TotalCount(), store.TotalCount());
 
   const auto merged = store.MergedCounts();
@@ -234,7 +234,7 @@ TEST(ValidationTreeTest, HundredThousandDeepChainIsWalkedIteratively) {
   const ValidationTree chain = DeepChain(kDepth);
   EXPECT_EQ(chain.NodeCount(), static_cast<size_t>(kDepth));
   EXPECT_EQ(chain.TotalCount(), kDepth);
-  EXPECT_TRUE(chain.CheckInvariants().ok());
+  EXPECT_TRUE(testing::TreeInvariantsHold(chain));
 }  // `chain` is destroyed here — teardown must be iterative too.
 
 TEST(ValidationTreeTest, DeepChainMoveAssignTearsDownIteratively) {

@@ -2,8 +2,9 @@
 // v3 wide-set serialization frames (journal + binary log store), the
 // byte-identity guarantee for inline sets, a tree past index 64 rebuilt
 // from the binary log store, and equation-by-equation equivalence gating
-// of the flat tree's inline fast path against the forced word-sliced
-// reference scan.
+// of the flat tree's batch scan and the reference scans
+// (bench/flat_tree_reference.h), inline fast path and forced word-sliced
+// path alike.
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/flat_tree_reference.h"
 #include "persist/journal.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -196,14 +198,16 @@ TEST(WideEquivalenceTest, FlatTreeMatchesWideReferenceInlineAndWide) {
     uint64_t nodes_batch = 0;
     uint64_t nodes_wide = 0;
     flat.SumSubsetsBatch(equations, batch, &nodes_batch);
-    flat.SumSubsetsBatchWideReference(equations, batch_wide, &nodes_wide);
+    ReferenceSumSubsetsBatchWide(flat, equations, batch_wide, &nodes_wide);
     EXPECT_EQ(nodes_batch, nodes_wide) << "n=" << n;
     for (size_t i = 0; i < equations.size(); ++i) {
       const int64_t reference = tree.SumSubsets(equations[i]);
-      ASSERT_EQ(flat.SumSubsets(equations[i]), reference) << "n=" << n;
-      ASSERT_EQ(flat.SumSubsetsWideReference(equations[i]), reference)
+      ASSERT_EQ(ReferenceSumSubsets(flat, equations[i]), reference)
           << "n=" << n;
-      ASSERT_EQ(flat.SumSubsetsNoAccel(equations[i]), reference) << "n=" << n;
+      ASSERT_EQ(ReferenceSumSubsetsWide(flat, equations[i]), reference)
+          << "n=" << n;
+      ASSERT_EQ(ReferenceSumSubsetsNoAccel(flat, equations[i]), reference)
+          << "n=" << n;
       ASSERT_EQ(batch[i], reference) << "n=" << n;
       ASSERT_EQ(batch_wide[i], reference) << "n=" << n;
     }
