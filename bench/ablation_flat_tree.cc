@@ -16,8 +16,8 @@
 // the library's. Before timing, every engine is checked
 // equation-by-equation against the pointer tree, and SumSubsetsBatch
 // against the per-query pruned scan (single-word and forced generic
-// width), the pinned-scalar batch and the generic-width batch reference,
-// in sums and in nodes visited — the bench aborts on any mismatch.
+// width) and the generic-width batch reference, in sums and in nodes
+// visited — the bench aborts on any mismatch.
 //
 // The default workload is the figure-7 shape at N=16 with dense overlap
 // (single cluster, high extents): the acceptance row printed last. Tiny CI
@@ -35,10 +35,8 @@
 #include "bench/bench_util.h"
 #include "bench/flat_tree_reference.h"
 #include "graph/connected_components.h"
-#include "util/cpu_dispatch.h"
 #include "util/stopwatch.h"
 #include "validation/flat_tree.h"
-#include "validation/flat_tree_batch.h"
 #include "validation/validation_tree.h"
 
 namespace {
@@ -145,7 +143,7 @@ EngineTiming TimeEquations(std::span<const LicenseSet> equations,
   return timing;
 }
 
-// The dispatched batch scan, issued 256 equations at a time as the
+// The batch scan, issued 256 equations at a time as the
 // validators do.
 EngineTiming TimeBatched(std::span<const LicenseSet> equations,
                          const FlatValidationTree& flat) {
@@ -187,19 +185,16 @@ RowResult RunRow(const char* label, int n, const LogStore& log,
 
   // Equivalence sweep (untimed, before any timing run): every engine,
   // every equation; the inline fast path against the forced generic-width
-  // reference; and the dispatched batch against the per-query pruned scan,
-  // the pinned-scalar batch and the generic-width batch reference — sums
-  // AND nodes_visited must be bit-identical.
+  // reference; and the batch against the per-query pruned scan and the
+  // generic-width batch reference — sums AND nodes_visited must be
+  // bit-identical.
   std::vector<int64_t> batch_sums(equations.size());
-  std::vector<int64_t> scalar_batch_sums(equations.size());
   std::vector<int64_t> wide_sums(equations.size());
   uint64_t batch_nodes = 0;
   uint64_t wide_nodes = 0;
   uint64_t serial_nodes = 0;
   uint64_t serial_wide_nodes = 0;
   flat.SumSubsetsBatch(equations, batch_sums, &batch_nodes);
-  const uint64_t scalar_batch_nodes = internal::SumSubsetsBatchScalarTier(
-      flat.BatchView(), equations, scalar_batch_sums);
   ReferenceSumSubsetsBatchWide(flat, equations, wide_sums, &wide_nodes);
   for (size_t i = 0; i < equations.size(); ++i) {
     const int64_t reference = tree->SumSubsets(equations[i]);
@@ -209,12 +204,10 @@ RowResult RunRow(const char* label, int n, const LogStore& log,
     GEOLIC_CHECK(ReferenceSumSubsetsWide(flat, equations[i],
                                          &serial_wide_nodes) == reference);
     GEOLIC_CHECK(batch_sums[i] == reference);
-    GEOLIC_CHECK(scalar_batch_sums[i] == reference);
     GEOLIC_CHECK(wide_sums[i] == reference);
   }
   GEOLIC_CHECK(batch_nodes == serial_nodes);
   GEOLIC_CHECK(batch_nodes == serial_wide_nodes);
-  GEOLIC_CHECK(batch_nodes == scalar_batch_nodes);
   GEOLIC_CHECK(batch_nodes == wide_nodes);
 
   RowResult row;
@@ -266,7 +259,6 @@ RowResult RunRow(const char* label, int n, const LogStore& log,
       out.KeyValue("pointer_nodes", pointer.nodes);
       out.KeyValue("pruned_nodes", pruned.nodes);
       out.KeyValue("speedup_pruned_batch", row.pruned_speedup);
-      out.KeyValue("simd_tier", simd::ActiveKernels().name);
       out.KeyValue("equivalence", true);  // GEOLIC_CHECKed above.
     });
   }
@@ -285,7 +277,6 @@ int main(int argc, char** argv) {
 
   std::printf("# Ablation: pointer vs flat vs flat+pruned equation "
               "evaluation (dense 2^N-1 for N<=20, per-group beyond)\n");
-  std::printf("# batch kernel tier: %s\n", simd::ActiveKernels().name);
   std::printf("%-18s %4s %8s %9s %9s  %9s %9s %9s %9s  %8s  %12s %12s\n",
               "sweep", "N", "records", "nodes", "equations", "ptr_ms",
               "flat_ms", "prune_ms", "batch_ms", "speedup", "ptr_visits",

@@ -8,13 +8,21 @@
 //       midpoint checkpoint plus the journal tail, and
 //   (c) time per sync of PosixSyncFile (in-place writes into a reserved
 //       tail + fdatasync) against the append + fsync file it replaced,
-//       kept here as the baseline. Each sample is one append and its
-//       sync, so the reservation's own sync is counted.
+//       kept here as the baseline, and against a variant whose reserved
+//       steps are overwritten with zeros before their sync. Each sample
+//       is one append and its sync, so the reservation's own sync is
+//       counted. A second table splits the samples of the two reserving
+//       files by where the frame lands: the first bytes written into a
+//       4 KiB block, or a block already written.
 // Expected shape: the device sync is orders of magnitude slower than the
 // in-memory append; recovery time scales with the replayed tail, so the
 // checkpoint roughly halves it when taken at the halfway point; a sync
 // that grows the file also commits the filesystem's metadata journal, so
-// the baseline's syncs are slower.
+// the baseline's syncs are slower. fallocate leaves a step's extents
+// unwritten, so on PosixSyncFile the sync of the first frame in each block
+// also commits that block's conversion and costs more than the rest; the
+// zero-filled steps are written extents, so their split is flat, and each
+// step costs one 64 KiB write more.
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -116,34 +124,115 @@ class AppendFsyncFile : public SyncFile {
   int fd_;
 };
 
-// Records, for every Sync of the wrapped file, the time spent in it and in
-// the Appends since the previous Sync.
+// PosixSyncFile's geometry (plain growth until the first sync, which also
+// fsyncs the directory; then fallocated kReserveStepBytes steps, each
+// synced before a frame is written into it), except that each new step is
+// overwritten with zeros before that sync. Its extents are then written,
+// not unwritten, so no frame's sync commits an extent conversion. The size
+// still changes only by whole steps. I/O errors abort the bench.
+class ZeroFilledStepFile : public SyncFile {
+ public:
+  explicit ZeroFilledStepFile(std::string path)
+      : path_(std::move(path)),
+        fd_(::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)) {
+    GEOLIC_CHECK(fd_ >= 0);
+  }
+  ~ZeroFilledStepFile() override { ::close(fd_); }
+  Status Append(std::string_view data) override {
+    const uint64_t needed = written_ + data.size() + kReservedZeroTailBytes;
+    if (synced_ && needed > size_) {
+      const uint64_t target = (needed + kReserveStepBytes - 1) /
+                              kReserveStepBytes * kReserveStepBytes;
+      GEOLIC_CHECK(::fallocate(fd_, 0, static_cast<off_t>(size_),
+                               static_cast<off_t>(target - size_)) == 0);
+      WriteAt(std::string(target - size_, '\0'), size_);
+      size_ = target;
+      GEOLIC_CHECK(::fdatasync(fd_) == 0);
+    }
+    WriteAt(data, written_);
+    written_ += data.size();
+    size_ = std::max(size_, written_);
+    return Status::Ok();
+  }
+  Status Sync() override {
+    GEOLIC_CHECK(::fdatasync(fd_) == 0);
+    if (!synced_) {
+      GEOLIC_CHECK(SyncParentDirectory(path_).ok());
+      synced_ = true;
+    }
+    return Status::Ok();
+  }
+  Status Close() override {
+    GEOLIC_CHECK(::ftruncate(fd_, static_cast<off_t>(written_)) == 0);
+    GEOLIC_CHECK(::fdatasync(fd_) == 0);
+    return Status::Ok();  // The destructor closes the descriptor.
+  }
+
+ private:
+  void WriteAt(std::string_view data, uint64_t offset) {
+    GEOLIC_CHECK(::pwrite(fd_, data.data(), data.size(),
+                          static_cast<off_t>(offset)) ==
+                 static_cast<ssize_t>(data.size()));
+  }
+
+  std::string path_;
+  int fd_;
+  uint64_t written_ = 0;
+  uint64_t size_ = 0;
+  bool synced_ = false;
+};
+
+// The filesystem block a frame's first write into converts, when the
+// block lies in a fallocated step.
+constexpr uint64_t kFsBlockBytes = 4096;
+
+// One Sync of a TimedSyncFile: the time spent in it and in the Appends
+// since the previous Sync, and whether those Appends wrote the first
+// bytes into some 4 KiB block.
+struct SyncSample {
+  int64_t nanos = 0;
+  bool block_start = false;
+};
+
 class TimedSyncFile : public SyncFile {
  public:
-  TimedSyncFile(std::unique_ptr<SyncFile> base, std::vector<int64_t>* nanos)
-      : base_(std::move(base)), nanos_(nanos) {}
+  TimedSyncFile(std::unique_ptr<SyncFile> base,
+                std::vector<SyncSample>* samples)
+      : base_(std::move(base)), samples_(samples) {}
   Status Append(std::string_view data) override {
     const auto start = std::chrono::steady_clock::now();
     const Status status = base_->Append(data);
     pending_ += std::chrono::steady_clock::now() - start;
+    offset_ += data.size();
     return status;
   }
   Status Sync() override {
     const auto start = std::chrono::steady_clock::now();
     const Status status = base_->Sync();
     pending_ += std::chrono::steady_clock::now() - start;
-    nanos_->push_back(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(pending_)
-            .count());
+    // Bytes [synced_, offset_) were written since the last sync; they
+    // start a block unless their first and last byte share the block of
+    // the byte before them.
+    const bool block_start =
+        offset_ > synced_ &&
+        (synced_ == 0 ||
+         (offset_ - 1) / kFsBlockBytes != (synced_ - 1) / kFsBlockBytes);
+    samples_->push_back(
+        {std::chrono::duration_cast<std::chrono::nanoseconds>(pending_)
+             .count(),
+         block_start});
     pending_ = {};
+    synced_ = offset_;
     return status;
   }
   Status Close() override { return base_->Close(); }
 
  private:
   std::unique_ptr<SyncFile> base_;
-  std::vector<int64_t>* nanos_;
+  std::vector<SyncSample>* samples_;
   std::chrono::steady_clock::duration pending_{};
+  uint64_t offset_ = 0;  // Bytes appended so far.
+  uint64_t synced_ = 0;  // offset_ at the last Sync.
 };
 
 double PercentileMicros(std::vector<int64_t> nanos, double p) {
@@ -154,6 +243,28 @@ double PercentileMicros(std::vector<int64_t> nanos, double p) {
   std::nth_element(nanos.begin(), nanos.begin() + static_cast<ptrdiff_t>(rank),
                    nanos.end());
   return static_cast<double>(nanos[rank]) / 1e3;
+}
+
+double MeanMicros(const std::vector<int64_t>& nanos) {
+  GEOLIC_CHECK(!nanos.empty());
+  double total = 0.0;
+  for (const int64_t n : nanos) {
+    total += static_cast<double>(n);
+  }
+  return total / static_cast<double>(nanos.size()) / 1e3;
+}
+
+// The times of `samples` whose block_start is `block_start`, or of all of
+// them.
+std::vector<int64_t> NanosOf(const std::vector<SyncSample>& samples,
+                             const bool* block_start = nullptr) {
+  std::vector<int64_t> nanos;
+  for (const SyncSample& sample : samples) {
+    if (block_start == nullptr || sample.block_start == *block_start) {
+      nanos.push_back(sample.nanos);
+    }
+  }
+  return nanos;
 }
 
 }  // namespace
@@ -292,28 +403,32 @@ int main(int argc, char** argv) {
   std::remove(journal_path.c_str());
   std::remove(checkpoint_path.c_str());
 
-  // (c) Time per sync, in-place + fdatasync vs append + fsync, over
-  // fsync_records syncs per file, one append each. The two files
-  // alternate in four rounds so drift in the device hits both.
+  // (c) Time per sync of the three files, over fsync_records syncs per
+  // file, one append each. The files alternate in four rounds so drift in
+  // the device hits all of them.
   std::printf("%20s  %8s  %12s  %12s\n", "file", "syncs", "sync_p50_us",
               "sync_p99_us");
   constexpr int kRounds = 4;
-  std::vector<int64_t> nanos[2];
+  enum FileKind { kAppendFsync, kInPlace, kZeroFilled, kFileKinds };
+  const char* const kFileLabels[kFileKinds] = {
+      "append_fsync", "inplace_fdatasync", "zero_filled_step"};
+  std::vector<SyncSample> samples[kFileKinds];
   for (int round = 0; round < kRounds; ++round) {
-    for (const bool baseline : {true, false}) {
+    for (int kind = 0; kind < kFileKinds; ++kind) {
       const std::string path = dir + "/geolic_bench_journal_sync.gjl";
       std::unique_ptr<SyncFile> file;
-      if (baseline) {
+      if (kind == kAppendFsync) {
         file = std::make_unique<AppendFsyncFile>(path);
+      } else if (kind == kZeroFilled) {
+        file = std::make_unique<ZeroFilledStepFile>(path);
       } else {
         Result<std::unique_ptr<PosixSyncFile>> posix =
             PosixSyncFile::Create(path);
         GEOLIC_CHECK(posix.ok());
         file = std::move(*posix);
       }
-      std::vector<int64_t>* samples = &nanos[baseline ? 0 : 1];
       Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::Create(
-          std::make_unique<TimedSyncFile>(std::move(file), samples));
+          std::make_unique<TimedSyncFile>(std::move(file), &samples[kind]));
       GEOLIC_CHECK(writer.ok());
       const int n = std::max(1, fsync_records / kRounds);
       for (int i = 0; i < n; ++i) {
@@ -325,26 +440,58 @@ int main(int argc, char** argv) {
       std::remove(path.c_str());
     }
   }
-  for (const bool baseline : {true, false}) {
-    const std::vector<int64_t>& samples = nanos[baseline ? 0 : 1];
-    const char* label = baseline ? "append_fsync" : "inplace_fdatasync";
-    const double p50 = PercentileMicros(samples, 0.50);
-    const double p99 = PercentileMicros(samples, 0.99);
-    std::printf("%20s  %8zu  %12.1f  %12.1f\n", label, samples.size(), p50,
-                p99);
+  for (int kind = 0; kind < kFileKinds; ++kind) {
+    const std::vector<int64_t> nanos = NanosOf(samples[kind]);
+    const double p50 = PercentileMicros(nanos, 0.50);
+    const double p99 = PercentileMicros(nanos, 0.99);
+    std::printf("%20s  %8zu  %12.1f  %12.1f\n", kFileLabels[kind],
+                nanos.size(), p50, p99);
     json.Row([&](JsonWriter& out) {
       out.KeyValue("label", "sync_latency");
-      out.KeyValue("file", label);
-      out.KeyValue("syncs", static_cast<uint64_t>(samples.size()));
+      out.KeyValue("file", kFileLabels[kind]);
+      out.KeyValue("syncs", static_cast<uint64_t>(nanos.size()));
       out.KeyValue("sync_p50_us", p50);
       out.KeyValue("sync_p99_us", p99);
     });
+  }
+
+  // The reserving files' syncs split by where their frame landed: the
+  // first bytes written into a 4 KiB block (block_start) or not (rest).
+  std::printf("%20s  %11s  %8s  %6s  %12s  %12s  %13s\n", "file", "frames",
+              "syncs", "share", "sync_p50_us", "sync_p99_us", "sync_mean_us");
+  for (const int kind : {kInPlace, kZeroFilled}) {
+    for (const bool block_start : {true, false}) {
+      const std::vector<int64_t> nanos = NanosOf(samples[kind], &block_start);
+      if (nanos.empty()) {
+        continue;
+      }
+      const char* frames = block_start ? "block_start" : "rest";
+      const double share = static_cast<double>(nanos.size()) /
+                           static_cast<double>(samples[kind].size());
+      const double p50 = PercentileMicros(nanos, 0.50);
+      const double p99 = PercentileMicros(nanos, 0.99);
+      const double mean = MeanMicros(nanos);
+      std::printf("%20s  %11s  %8zu  %6.3f  %12.1f  %12.1f  %13.1f\n",
+                  kFileLabels[kind], frames, nanos.size(), share, p50, p99,
+                  mean);
+      json.Row([&](JsonWriter& out) {
+        out.KeyValue("label", "sync_latency_by_block");
+        out.KeyValue("file", kFileLabels[kind]);
+        out.KeyValue("frames", frames);
+        out.KeyValue("syncs", static_cast<uint64_t>(nanos.size()));
+        out.KeyValue("share", share);
+        out.KeyValue("sync_p50_us", p50);
+        out.KeyValue("sync_p99_us", p99);
+        out.KeyValue("sync_mean_us", mean);
+      });
+    }
   }
 
   json.Write();
   std::printf("# expected shape: the device sync dominates a durable "
               "append; checkpoint+tail replays ~half the records of a full "
               "journal replay; in-place fdatasync syncs beat append + "
-              "fsync\n");
+              "fsync; on the in-place file a block_start sync costs more "
+              "than the rest\n");
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "bench/flat_tree_reference.h"
 
 #include "validation/flat_tree_batch.h"
-#include "validation/flat_tree_batch_scan.h"
 
 namespace geolic {
 namespace {
@@ -91,8 +90,7 @@ void ReferenceSumSubsetsBatchWide(const FlatValidationTree& flat,
                                   std::span<int64_t> sums,
                                   uint64_t* nodes_visited) {
   AddVisits(nodes_visited,
-            internal::BatchScan<0, internal::ScalarLaneOps>(flat.BatchView(),
-                                                            sets, sums));
+            internal::BatchScan<0>(flat.BatchView(), sets, sums));
 }
 
 }  // namespace geolic

@@ -12,8 +12,7 @@ namespace geolic {
 // The flat tree's reference scans: what FlatValidationTree::SumSubsetsBatch
 // is gated against in sums and nodes_visited, and the engines the
 // ablation_flat_tree ablation times beside it. They read the compiled
-// columns through FlatValidationTree::BatchView(). The scalar-tier pin of
-// the batch is internal::SumSubsetsBatchScalarTier (flat_tree_batch.h).
+// columns through FlatValidationTree::BatchView().
 //
 // Each adds its nodes touched after pruning to `*nodes_visited` when that
 // is non-null, counted as the batch counts them.
@@ -38,8 +37,8 @@ int64_t ReferenceSumSubsetsNoAccel(const FlatValidationTree& flat,
                                    const LicenseSet& set,
                                    uint64_t* nodes_visited = nullptr);
 
-// The batch scan pinned to the scalar lane policy and the runtime-width
-// path, bypassing the 1- and 2-word specializations SumSubsetsBatch picks.
+// The batch scan pinned to the runtime-width path, bypassing the 1- and
+// 2-word specializations SumSubsetsBatch picks.
 void ReferenceSumSubsetsBatchWide(const FlatValidationTree& flat,
                                   std::span<const LicenseSet> sets,
                                   std::span<int64_t> sums,

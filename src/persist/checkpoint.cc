@@ -139,15 +139,6 @@ Result<std::string> ReadCheckpointPayload(CheckpointKind expected_kind,
   return payload;
 }
 
-Status WriteCheckpointFile(CheckpointKind kind, std::string_view payload,
-                           const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  return WriteCheckpoint(kind, payload, &out);
-}
-
 Status PublishCheckpointFile(CheckpointKind kind, std::string_view payload,
                              const std::string& path) {
   std::ostringstream framed;

@@ -51,10 +51,6 @@ Status WriteCheckpoint(CheckpointKind kind, std::string_view payload,
 Result<std::string> ReadCheckpointPayload(CheckpointKind expected_kind,
                                           std::istream* in);
 
-// File variants.
-Status WriteCheckpointFile(CheckpointKind kind, std::string_view payload,
-                           const std::string& path);
-
 // Atomic publish: writes the framed checkpoint to `path + ".tmp"`, syncs
 // it, and renames it over `path`. After a crash at any point either the
 // previous file or the complete new one is found — never a torn mix —
@@ -66,8 +62,9 @@ Status PublishCheckpointFile(CheckpointKind kind, std::string_view payload,
                              const std::string& path);
 
 // Crash-safe publish: PublishCheckpointFile, then a sync of the parent
-// directory, so the new file survives power loss. Required wherever
-// dependent state is discarded once the checkpoint "exists".
+// directory, so the new file survives power loss. Every checkpoint file
+// is written this way, except catalog spills, which publish and then sync
+// their directory once for a whole batch of renames.
 Status WriteCheckpointFileDurable(CheckpointKind kind,
                                   std::string_view payload,
                                   const std::string& path);

@@ -955,8 +955,8 @@ Status IssuanceService::WriteCheckpoint(const std::string& path) const {
   SimYield(options_, "pre_checkpoint");
   std::string payload;
   GEOLIC_RETURN_IF_ERROR(EncodeServiceState(Snapshot(), &payload));
-  return WriteCheckpointFile(CheckpointKind::kServiceSnapshot, payload,
-                             path);
+  return WriteCheckpointFileDurable(CheckpointKind::kServiceSnapshot,
+                                    payload, path);
 }
 
 Status IssuanceService::CheckAgainstReplay(

@@ -384,7 +384,9 @@ class IssuanceService {
 
   // Writes Snapshot() into a v2 checkpoint file (persist/checkpoint.h,
   // kind = service-snapshot): recovery from it plus the same journal's
-  // tail reproduces the state byte-for-byte.
+  // tail reproduces the state byte-for-byte. Published durably
+  // (WriteCheckpointFileDurable): after a crash at any point `path` holds
+  // either the previous checkpoint or this one, never a torn mix.
   Status WriteCheckpoint(const std::string& path) const;
 
   // Current-epoch views; the references stay valid until the next

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/cpu_dispatch.h"
 #include "validation/flat_tree_batch.h"
 
 namespace geolic {
@@ -93,12 +92,11 @@ void FlatValidationTree::SumSubsetsBatch(std::span<const LicenseSet> sets,
                                          std::span<int64_t> sums,
                                          uint64_t* nodes_visited) const {
   GEOLIC_DCHECK(sums.size() >= sets.size());
-  // One tier pick per batch call; the chosen translation unit runs the
-  // whole chunked scan with its lane step inlined (flat_tree_batch.h).
+  const internal::FlatTreeBatchView view = BatchView();
   const uint64_t touched =
-      simd::ActiveTier() == simd::Tier::kAvx2
-          ? internal::SumSubsetsBatchAvx2Tier(BatchView(), sets, sums)
-          : internal::SumSubsetsBatchScalarTier(BatchView(), sets, sums);
+      mask_words_ == 1   ? internal::BatchScan<1>(view, sets, sums)
+      : mask_words_ == 2 ? internal::BatchScan<2>(view, sets, sums)
+                         : internal::BatchScan<0>(view, sets, sums);
   if (nodes_visited != nullptr) {
     *nodes_visited += touched;
   }

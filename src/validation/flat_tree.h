@@ -71,22 +71,18 @@ class FlatValidationTree {
   // compiled-from tree, exactly. Up to 64 equations share a single pruned
   // pass over the arena: each node is loaded once per 64-query chunk and
   // pruning decisions are taken per query via a 64-bit lane mask — the
-  // shape of the exhaustive and grouped validator loops. When enough lanes
-  // are on a node's path, the fused covered-test-and-accumulate lane step
-  // runs in vector registers. The whole scan is compiled once per ISA tier
-  // (validation/flat_tree_batch_*.cc) and dispatched per call via
-  // util/cpu_dispatch.h, so the hot loop never pays a per-node indirect
-  // call. If `nodes_visited` is non-null, the nodes touched after pruning,
-  // summed over the equations, are added to it; sums and that count are
-  // the same whatever the tier and however callers chunk. `sums` must have
-  // at least sets.size() entries; an empty batch writes nothing.
+  // shape of the exhaustive and grouped validator loops
+  // (validation/flat_tree_batch.h). If `nodes_visited` is non-null, the
+  // nodes touched after pruning, summed over the equations, are added to
+  // it; sums and that count are the same however callers chunk. `sums`
+  // must have at least sets.size() entries; an empty batch writes nothing.
   void SumSubsetsBatch(std::span<const LicenseSet> sets,
                        std::span<int64_t> sums,
                        uint64_t* nodes_visited = nullptr) const;
 
   // Borrowed view of the compiled columns (validation/flat_tree_batch.h),
-  // valid while this tree lives: what the per-tier scans read, and what
-  // the reference scans that gate them read.
+  // valid while this tree lives: what the batch scan reads, and what the
+  // reference scans that gate it read.
   internal::FlatTreeBatchView BatchView() const;
 
   // Number of nodes (the pointer tree's NodeCount, root excluded).

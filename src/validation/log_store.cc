@@ -128,7 +128,7 @@ Status LogStore::SaveBinary(const std::string& path) const {
   for (const LogRecord& record : records_) {
     EncodeLogRecord(record, &body);
   }
-  return WriteCheckpointFile(CheckpointKind::kLogStore, body, path);
+  return WriteCheckpointFileDurable(CheckpointKind::kLogStore, body, path);
 }
 
 Result<LogStore> LogStore::LoadBinary(const std::string& path) {

@@ -56,7 +56,8 @@ class LogStore {
   // the records in the journal's EncodeLogRecord form) inside the
   // CRC-protected checkpoint-v2 container (persist/checkpoint.h, kind =
   // log-store), so a flipped bit fails the load instead of silently
-  // changing a count.
+  // changing a count. Published durably (WriteCheckpointFileDurable), so
+  // a crash never leaves a torn file at `path`.
   Status SaveBinary(const std::string& path) const;
   static Result<LogStore> LoadBinary(const std::string& path);
 

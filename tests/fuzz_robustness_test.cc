@@ -2,7 +2,6 @@
 // text/binary, license blobs, and the service state payload of service
 // checkpoints and tenant spills) must reject random and mutated inputs
 // with a clean Status — never crash, hang, or return inconsistent objects.
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -212,14 +211,6 @@ class MatrixSource : public TenantSource {
   }
 };
 
-// Writes `payload` as a new file: truncating one in place costs a
-// millisecond on filesystems that discard freed blocks.
-Status WriteNewCheckpointFile(CheckpointKind kind, const std::string& payload,
-                              const std::string& path) {
-  std::remove(path.c_str());
-  return WriteCheckpointFile(kind, payload, path);
-}
-
 struct MatrixReader {
   const char* name;
   std::string payload;  // A valid payload.
@@ -258,8 +249,8 @@ TEST(FuzzRobustnessTest, ServiceStatePayloadCorruptionMatrix) {
       {"service checkpoint", *payload,
        [&](const std::string& bytes) -> Result<std::string> {
          GEOLIC_RETURN_IF_ERROR(
-             WriteNewCheckpointFile(CheckpointKind::kServiceSnapshot, bytes,
-                                    checkpoint_path.path()));
+             WriteCheckpointFileDurable(CheckpointKind::kServiceSnapshot,
+                                        bytes, checkpoint_path.path()));
          GEOLIC_ASSIGN_OR_RETURN(
              std::unique_ptr<IssuanceService> recovered,
              IssuanceService::Recover(base.get(), {}, checkpoint_path.path(),
@@ -313,8 +304,8 @@ TEST(FuzzRobustnessTest, ServiceStatePayloadCorruptionMatrix) {
          GEOLIC_ASSIGN_OR_RETURN(std::unique_ptr<CatalogService> catalog,
                                  CatalogService::Create(&source, options));
          GEOLIC_RETURN_IF_ERROR(
-             WriteCheckpointFile(CheckpointKind::kTenantSnapshot, bytes,
-                                 catalog->SpillPath(kTenant)));
+             WriteCheckpointFileDurable(CheckpointKind::kTenantSnapshot,
+                                        bytes, catalog->SpillPath(kTenant)));
          GEOLIC_ASSIGN_OR_RETURN(CatalogService::TenantSnapshot tenant,
                                  catalog->SnapshotTenant(kTenant));
          ServiceState state;

@@ -259,5 +259,14 @@ TEST(SoaRectsTest, BuildReadsRectsInPlaceAndOutlivesThem) {
   }
 }
 
+TEST(SoaRectsTest, ActiveKernelsReportNonEmptyTierName) {
+  const simd::Kernels& kernels = simd::ActiveKernels();
+  EXPECT_NE(kernels.name, nullptr);
+  EXPECT_NE(kernels.name[0], '\0');
+  // The active tier is one of the two known tables.
+  const simd::Tier tier = simd::ActiveTier();
+  EXPECT_EQ(&simd::KernelsForTier(tier), &kernels);
+}
+
 }  // namespace
 }  // namespace geolic

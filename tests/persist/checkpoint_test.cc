@@ -102,9 +102,9 @@ TEST(CheckpointTest, OverdeclaredPayloadSizeFailsBeforeAllocation) {
 TEST(CheckpointTest, FileRoundTrip) {
   const testing::ScopedTempPath file("checkpoint_test.gck");
   const std::string& path = file.path();
-  ASSERT_TRUE(
-      WriteCheckpointFile(CheckpointKind::kLogStore, "file payload", path)
-          .ok());
+  ASSERT_TRUE(WriteCheckpointFileDurable(CheckpointKind::kLogStore,
+                                         "file payload", path)
+                  .ok());
   const Result<std::string> read =
       ReadCheckpointFile(CheckpointKind::kLogStore, path);
   ASSERT_TRUE(read.ok());

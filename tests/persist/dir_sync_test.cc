@@ -8,8 +8,9 @@
 //  * creating a journal fsyncs no directory;
 //  * the journal's first completed Sync fsyncs its parent directory once,
 //    and later syncs fsync none;
-//  * WriteCheckpointFileDurable and a live catalog spill fsync the
-//    directory after the rename, when the new name is in place;
+//  * WriteCheckpointFileDurable, a service checkpoint and a live catalog
+//    spill fsync the directory after the rename, when the new name is in
+//    place;
 //  * catalog recovery fsyncs the directory once for all its re-spills,
 //    before the journal is reopened (truncated).
 #include <dlfcn.h>
@@ -28,6 +29,7 @@
 #include "catalog/tenant_source.h"
 #include "persist/checkpoint.h"
 #include "persist/journal.h"
+#include "service/issuance_service.h"
 #include "test_util.h"
 #include "workload/multi_tenant.h"
 
@@ -156,6 +158,30 @@ TEST_F(DirSyncTest, CheckpointPublishSyncsTheDirectoryAfterItsRename) {
                   .ok());
   const std::vector<DirSync> syncs = Taken();
   ASSERT_EQ(syncs.size(), 1u);
+  EXPECT_EQ(syncs[0].dir, dir_);
+  EXPECT_TRUE(syncs[0].probe_in_place)
+      << "the directory was synced before the rename";
+}
+
+// A service checkpoint is published like any other: the recovery that
+// reads it must find it after a power loss, not the file it replaced.
+TEST_F(DirSyncTest, ServiceCheckpointSyncsTheDirectoryAfterItsRename) {
+  const ConstraintSchema schema = testing::IntervalSchema(1);
+  LicenseCatalog licenses(&schema);
+  ASSERT_TRUE(
+      licenses.Add(testing::MakeRedistribution(schema, "L1", {{0, 20}}, 10))
+          .ok());
+  Result<std::unique_ptr<IssuanceService>> service =
+      IssuanceService::Create(&licenses);
+  ASSERT_TRUE(service.ok()) << service.status().message();
+  ASSERT_TRUE((*service)
+                  ->TryIssue(testing::MakeUsage(schema, "U1", {{5, 10}}, 1))
+                  .ok());
+  const std::string path = dir_ + "/service.ckpt";
+  Probe(path);
+  ASSERT_TRUE((*service)->WriteCheckpoint(path).ok());
+  const std::vector<DirSync> syncs = Taken();
+  ASSERT_EQ(syncs.size(), 1u) << "the checkpoint's name is not durable";
   EXPECT_EQ(syncs[0].dir, dir_);
   EXPECT_TRUE(syncs[0].probe_in_place)
       << "the directory was synced before the rename";

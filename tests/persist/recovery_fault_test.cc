@@ -679,8 +679,8 @@ TEST(RecoveryFaultTest, RecoverRejectsAPayloadInAnotherLayout) {
   const testing::ScopedTempPath checkpoint_file("recover_other_layout.gck");
   const std::string& checkpoint_path = checkpoint_file.path();
   for (const std::string& payload : {older, other_version}) {
-    ASSERT_TRUE(WriteCheckpointFile(CheckpointKind::kServiceSnapshot, payload,
-                                    checkpoint_path)
+    ASSERT_TRUE(WriteCheckpointFileDurable(CheckpointKind::kServiceSnapshot,
+                                           payload, checkpoint_path)
                     .ok());
     const Result<std::unique_ptr<IssuanceService>> recovered =
         IssuanceService::Recover(&licenses, {}, checkpoint_path, "");

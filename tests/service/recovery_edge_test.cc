@@ -8,6 +8,7 @@
 // older record format, fail recovery loudly; and replay counts into no
 // metrics block the recovered service keeps.
 
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "licensing/license_serialization.h"
+#include "persist/checkpoint.h"
 #include "persist/framing.h"
 #include "persist/journal.h"
 #include "persist/sync_file.h"
@@ -145,6 +147,62 @@ TEST(RecoveryEdgeTest, EmptyJournalAfterCheckpointRecoversCheckpointExactly) {
   EXPECT_EQ(stats.journal_records_skipped, 0u);
   EXPECT_FALSE(stats.journal_torn_tail);
 
+  const std::unique_ptr<IssuanceService> serial =
+      SerialReplay(schema, licenses, kRequests);
+  ExpectSameState(recovered->get(), serial.get());
+}
+
+// A checkpoint publish that fails (here because its ".tmp" path is a
+// directory) leaves the previous checkpoint in place, byte for byte:
+// Recover reads it and replays the journal's tail past it.
+TEST(RecoveryEdgeTest, FailedCheckpointPublishKeepsThePreviousCheckpoint) {
+  const ConstraintSchema schema = IntervalSchema(1);
+  const LicenseCatalog licenses = TwoGroupSet(schema);
+  const testing::ScopedTempPath checkpoint_file("edge_failed_publish.gck");
+  const std::string& checkpoint_path = checkpoint_file.path();
+  const testing::ScopedTempPath blocked_tmp("edge_failed_publish.gck.tmp");
+  const testing::ScopedTempPath journal_file("edge_failed_publish.gjl");
+  constexpr int kRequests = 10;
+  constexpr int kCheckpointed = 6;
+  size_t checkpoint_sets = 0;
+  std::string previous;
+  {
+    Result<std::unique_ptr<IssuanceService>> service =
+        IssuanceService::Create(&licenses);
+    ASSERT_TRUE(service.ok());
+    Result<std::unique_ptr<JournalWriter>> journal =
+        JournalWriter::Open(journal_file.path());
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*service)->AttachJournal(std::move(*journal)).ok());
+    for (int i = 0; i < kRequests; ++i) {
+      if (i == kCheckpointed) {
+        checkpoint_sets = (*service)->CollectLog().size();
+        ASSERT_TRUE((*service)->WriteCheckpoint(checkpoint_path).ok());
+        Result<std::string> payload = ReadCheckpointFile(
+            CheckpointKind::kServiceSnapshot, checkpoint_path);
+        ASSERT_TRUE(payload.ok());
+        previous = *payload;
+      }
+      ASSERT_TRUE((*service)->TryIssue(RequestAt(schema, i)).ok());
+    }
+    ASSERT_TRUE(std::filesystem::create_directory(blocked_tmp.path()));
+    EXPECT_FALSE((*service)->WriteCheckpoint(checkpoint_path).ok());
+  }
+  Result<std::string> kept =
+      ReadCheckpointFile(CheckpointKind::kServiceSnapshot, checkpoint_path);
+  ASSERT_TRUE(kept.ok()) << kept.status().message();
+  EXPECT_EQ(*kept, previous);
+
+  RecoveryStats stats;
+  Result<std::unique_ptr<IssuanceService>> recovered =
+      IssuanceService::Recover(&licenses, {}, checkpoint_path,
+                               journal_file.path(), &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(stats.checkpoint_records, checkpoint_sets);
+  EXPECT_EQ(stats.journal_records_skipped,
+            static_cast<size_t>(kCheckpointed));
+  EXPECT_EQ(stats.journal_records_replayed,
+            static_cast<size_t>(kRequests - kCheckpointed));
   const std::unique_ptr<IssuanceService> serial =
       SerialReplay(schema, licenses, kRequests);
   ExpectSameState(recovered->get(), serial.get());

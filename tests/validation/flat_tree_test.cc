@@ -1,6 +1,9 @@
 #include "validation/flat_tree.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +29,54 @@ ValidationTree RandomTree(Rng* rng, int n, int records) {
     EXPECT_TRUE(tree.Insert(set, rng->UniformInt(1, 50)).ok());
   }
   return tree;
+}
+
+// Random tree over `n` licenses, any width: each mask word is a sparse
+// random word, so coverage and descent both occur.
+ValidationTree RandomWideTree(Rng* rng, int n, int records) {
+  ValidationTree tree;
+  for (int r = 0; r < records; ++r) {
+    LicenseSet set;
+    for (int w = 0; w * 64 < n; ++w) {
+      uint64_t word = rng->Next();
+      if ((w + 1) * 64 > n) {
+        word &= (uint64_t{1} << (n % 64)) - 1;
+      }
+      word &= rng->Next() & rng->Next();
+      for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+        set.Add(w * 64 + std::countr_zero(bits));
+      }
+    }
+    if (set.Empty()) {
+      continue;
+    }
+    EXPECT_TRUE(tree.Insert(set, rng->UniformInt(1, 50)).ok());
+  }
+  return tree;
+}
+
+// `count` random queries over `n` licenses; about 40% are dense, which
+// drives the covered-subtree summarize.
+std::vector<LicenseSet> RandomWideQueries(Rng* rng, int n, size_t count) {
+  std::vector<LicenseSet> queries;
+  queries.reserve(count);
+  for (size_t q = 0; q < count; ++q) {
+    LicenseSet set;
+    for (int w = 0; w * 64 < n; ++w) {
+      uint64_t word = rng->Next();
+      if ((w + 1) * 64 > n) {
+        word &= (uint64_t{1} << (n % 64)) - 1;
+      }
+      if (rng->Bernoulli(0.4)) {
+        word |= rng->Next();
+      }
+      for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+        set.Add(w * 64 + std::countr_zero(bits));
+      }
+    }
+    queries.push_back(set);
+  }
+  return queries;
 }
 
 // One equation through the batch scan: a batch of one.
@@ -156,10 +207,37 @@ TEST(FlatTreeTest, FuzzMatchesMergedCountsReference) {
   }
 }
 
-// The batch against the pointer tree (sums) and the per-query pruned scan
-// (nodes_visited), at batch sizes around the 64-lane chunk: empty, one,
-// one short of a chunk, one chunk, one past, two chunks and one past, and
-// a long one. An empty batch writes nothing and adds no visits.
+// The batch against the pointer tree (sums), the per-query pruned scan and
+// the generic-width batch reference (sums and nodes_visited), on `sets`.
+// One slot past the batch must stay unwritten.
+void ExpectBatchMatchesReferences(const ValidationTree& tree,
+                                  const FlatValidationTree& flat,
+                                  const std::vector<LicenseSet>& sets,
+                                  const std::string& label) {
+  std::vector<int64_t> sums(sets.size() + 1, -1);
+  std::vector<int64_t> wide_sums(sets.size());
+  uint64_t batch_nodes = 0;
+  uint64_t wide_nodes = 0;
+  flat.SumSubsetsBatch(sets, sums, &batch_nodes);
+  ReferenceSumSubsetsBatchWide(flat, sets, wide_sums, &wide_nodes);
+  uint64_t scalar_nodes = 0;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    const int64_t want = tree.SumSubsets(sets[i]);
+    ASSERT_EQ(sums[i], want) << label << " i=" << i;
+    ASSERT_EQ(ReferenceSumSubsets(flat, sets[i], &scalar_nodes), want)
+        << label << " i=" << i;
+    ASSERT_EQ(wide_sums[i], want) << label << " i=" << i;
+  }
+  EXPECT_EQ(sums[sets.size()], -1) << label;
+  EXPECT_EQ(batch_nodes, scalar_nodes) << label;
+  EXPECT_EQ(wide_nodes, scalar_nodes) << label;
+}
+
+// The batch at sizes around the 64-lane chunk (empty, one, one short of a
+// chunk, one chunk, one past, two chunks and one past, and a long one;
+// an empty batch writes nothing and adds no visits), then at every mask
+// width the scan specializes: one word (N = 12, 48, 64), two (100, 128)
+// and the runtime-width path (256), with full and partial last chunks.
 TEST(FlatTreeTest, BatchMatchesScalar) {
   Rng rng(testing::TestSeed(11));
   const ValidationTree tree = RandomTree(&rng, 12, 200);
@@ -169,18 +247,22 @@ TEST(FlatTreeTest, BatchMatchesScalar) {
     for (size_t i = 0; i < size; ++i) {
       sets.push_back(LicenseSet::FromWord(rng.Next()) & LicenseSet::Full(12));
     }
-    // One slot past the batch: no call may write it.
-    std::vector<int64_t> sums(size + 1, -1);
-    uint64_t batch_nodes = 0;
-    flat.SumSubsetsBatch(sets, sums, &batch_nodes);
-    uint64_t scalar_nodes = 0;
-    for (size_t i = 0; i < size; ++i) {
-      EXPECT_EQ(sums[i], tree.SumSubsets(sets[i])) << size << " " << i;
-      EXPECT_EQ(sums[i], ReferenceSumSubsets(flat, sets[i], &scalar_nodes))
-          << size << " " << i;
+    ExpectBatchMatchesReferences(tree, flat, sets,
+                                 "size=" + std::to_string(size));
+  }
+
+  Rng wide_rng(testing::TestSeed(77002));
+  for (const int n : {12, 48, 64, 100, 128, 256}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const ValidationTree wide_tree =
+          RandomWideTree(&wide_rng, n, 40 + 20 * (trial % 3));
+      const FlatValidationTree wide = FlatValidationTree::Compile(wide_tree);
+      ASSERT_EQ(wide.MaskWords(), (n + 63) / 64) << "n=" << n;
+      ExpectBatchMatchesReferences(
+          wide_tree, wide,
+          RandomWideQueries(&wide_rng, n, trial % 2 == 0 ? 192 : 67),
+          "n=" + std::to_string(n) + " trial=" + std::to_string(trial));
     }
-    EXPECT_EQ(sums[size], -1) << size;
-    EXPECT_EQ(batch_nodes, scalar_nodes) << size;
   }
 }
 
